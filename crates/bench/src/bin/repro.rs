@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--full] [--seed <N>] [--metrics-out <path>] <experiment>...
-//! experiments: fig1 fig2 fig3 fig3-layout fig6 fig7 fig8 fig9 fig10
+//! experiments: fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10
 //!              table1 table2 table3 table4 space ablation pcc rename-scale
 //!              faults crash fsck serve fleet perfgate all
 //! ```
@@ -42,28 +42,22 @@
 //! `BENCH_fleet.json` and `EXPERIMENTS.md`; the run fails (exit 1) on a
 //! hit-rate floor miss, a budget overrun, or a teardown leak.
 //!
-//! `fig3-layout` re-measures the fig-3 decomposition at each of the
-//! four §13 memory-layout stages (pre-layout → +wide sighash →
-//! +open-addressed DLHT → +snap slab → +scratch arena) and writes the
-//! attribution table to `BENCH_fig3.json`.
-//!
 //! `perfgate` is the CI perf-regression lane: it measures the warm
 //! single-thread stat point and exits 1 if the median exceeds the
 //! checked-in 600 ns threshold.
 //!
 //! `--metrics-out <path>` runs the observability workload and writes
 //! the unified metrics snapshot (latency histograms, trace-event
-//! counters, dcache/syscall/page-cache stats, and the §13
-//! layout-attribution counters) as JSON to `path`. It may be given
-//! alone or combined with experiments; when combined, the metrics dump
-//! runs after the experiments finish.
+//! counters, dcache/syscall/page-cache stats) as JSON to `path`. It may
+//! be given alone or combined with experiments; when combined, the
+//! metrics dump runs after the experiments finish.
 
 use dc_bench::{crash, faults, figs, fleet, serve, Scale};
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro [--full] [--seed <N>] [--metrics-out <path>] <experiment>...\n\
-         experiments: fig1 fig2 fig3 fig3-layout fig6 fig7 fig8 fig9 fig10\n\
+         experiments: fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10\n\
          \x20            table1 table2 table3 table4 space ablation pcc rename-scale\n\
          \x20            faults crash fsck serve fleet perfgate all"
     );
@@ -118,7 +112,6 @@ fn main() {
             "fig1" => figs::fig1(scale),
             "fig2" => figs::fig2(scale),
             "fig3" => figs::fig3(scale),
-            "fig3-layout" => figs::fig3_layout(scale),
             "fig6" => figs::fig6(scale),
             "fig7" => figs::fig7(scale),
             "fig8" => figs::fig8(scale),

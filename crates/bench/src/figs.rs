@@ -1,8 +1,8 @@
 //! One function per table/figure of the paper's evaluation (§6).
 
 use crate::setup::{
-    config_pair, config_triple, kernel_with, kernel_with_disk, kernel_with_disk_full,
-    kernel_with_obs, Scale, Setup,
+    config_pair, kernel_with, kernel_with_disk, kernel_with_disk_full, kernel_with_obs, Scale,
+    Setup,
 };
 use crate::table::{gain_pct, pct, us, Table};
 use dc_vfs::{Cred, Kernel, OpClass, OpenFlags, Process};
@@ -205,189 +205,6 @@ pub fn fig3(scale: Scale) {
 }
 
 // ---------------------------------------------------------------------
-// Figure 3 (layout attribution): the §13 memory-layout changes applied
-// cumulatively, each stage re-measured with the fig-3 decomposition.
-// ---------------------------------------------------------------------
-
-/// One measured stage of the cumulative layout ablation.
-pub struct LayoutStageRow {
-    /// Stage name (the layout change switched on at this stage).
-    pub name: &'static str,
-    /// Warm `stat` median, ns (4-component path).
-    pub total: f64,
-    /// Path scanning & hashing component, ns.
-    pub hashing: f64,
-    /// Hash-table lookup component, ns.
-    pub table: f64,
-    /// Permission-check component, ns.
-    pub permission: f64,
-    /// Attributed remainder (initialization + finalization), ns.
-    pub init_final: f64,
-}
-
-/// The four hot-path layout changes (DESIGN.md §13), applied
-/// cumulatively on top of the otherwise-optimized configuration:
-/// pre-layout (all four off) → +wide sighash → +open-addressed DLHT →
-/// +snap slab → +scratch arena (= today's default).
-fn layout_stages() -> [(&'static str, DcacheConfig); 5] {
-    let pre = DcacheConfig::optimized().pre_layout();
-    [
-        ("pre_layout", pre.clone()),
-        ("wide_sighash", pre.clone().with_sighash_wide(true)),
-        (
-            "open_dlht",
-            pre.clone()
-                .with_sighash_wide(true)
-                .with_open_addressed(true),
-        ),
-        (
-            "snap_slab",
-            pre.with_sighash_wide(true)
-                .with_open_addressed(true)
-                .with_snap_slab(true),
-        ),
-        ("scratch_arena", DcacheConfig::optimized()),
-    ]
-}
-
-/// Measures the fig-3 decomposition of a warm 4-component `stat` for
-/// one (fastpath) stage: total plus the isolated hashing / table /
-/// permission mechanisms; the remainder is attributed to init+final.
-fn measure_layout_stage(name: &'static str, s: &Setup, batches: usize) -> LayoutStageRow {
-    let pat = Pattern::Comp4;
-    let total = lmbench::stat_latency(&s.kernel, &s.proc, pat, batches).median_ns;
-    let comps: Vec<&str> = pat.path().split('/').filter(|c| !c.is_empty()).collect();
-    let key = &s.kernel.dcache.key;
-    let hashing = latency_ns(batches, 4000, || {
-        let sig = key.hash_components(comps.iter().map(|c| c.as_bytes()));
-        std::hint::black_box(sig);
-    })
-    .median_ns;
-    let sig = key.hash_components(comps.iter().map(|c| c.as_bytes()));
-    let ns_id = s.proc.namespace().id;
-    let table = latency_ns(batches, 4000, || {
-        std::hint::black_box(s.kernel.dcache.dlht_lookup(ns_id, &sig));
-    })
-    .median_ns;
-    let dentry = s.kernel.dcache.dlht_lookup(ns_id, &sig).expect("warm");
-    let cred = s.proc.cred();
-    let pcc = s.kernel.dcache.pcc_for(&cred, ns_id);
-    let permission = latency_ns(batches, 4000, || {
-        std::hint::black_box(pcc.check(dentry.id(), dentry.seq()));
-    })
-    .median_ns;
-    let init_final = (total - hashing - table - permission).max(0.0);
-    LayoutStageRow {
-        name,
-        total,
-        hashing,
-        table,
-        permission,
-        init_final,
-    }
-}
-
-/// Runs the cumulative layout ablation and returns the per-stage rows,
-/// pre-layout first. Shared by [`fig3_layout`] and the `--metrics-out`
-/// export so both report the same numbers.
-pub fn layout_rows(scale: Scale) -> Vec<LayoutStageRow> {
-    layout_stages()
-        .into_iter()
-        .map(|(name, config)| {
-            let s = kernel_with(config);
-            lmbench::setup(&s.kernel, &s.proc).unwrap();
-            // Warm the 4-component point thoroughly before measuring.
-            for _ in 0..64 {
-                s.kernel.stat(&s.proc, Pattern::Comp4.path()).unwrap();
-            }
-            measure_layout_stage(name, &s, scale.batches)
-        })
-        .collect()
-}
-
-/// Converts the layout rows to a counters section for the unified
-/// metrics export (`--metrics-out`), nanoseconds rounded to integers.
-pub fn layout_attribution_section(rows: &[LayoutStageRow]) -> dc_obs::Section {
-    let mut counters = Vec::new();
-    for r in rows {
-        for (k, v) in [
-            ("total_ns", r.total),
-            ("hashing_ns", r.hashing),
-            ("table_ns", r.table),
-            ("permission_ns", r.permission),
-            ("init_final_ns", r.init_final),
-        ] {
-            counters.push((format!("{}.{k}", r.name), v.round() as u64));
-        }
-    }
-    dc_obs::Section {
-        name: "layout_attribution".to_string(),
-        counters,
-    }
-}
-
-/// Figure 3 companion: per-stage attribution of the §13 layout changes
-/// (each row shows which component its layout change moved). Persists
-/// the table to `BENCH_fig3.json`.
-pub fn fig3_layout(scale: Scale) {
-    banner("Figure 3 (layout attribution): cumulative §13 stages, 4-comp warm stat (ns)");
-    let rows = layout_rows(scale);
-    let mut t = Table::new(&[
-        "stage",
-        "total",
-        "Δ total",
-        "hashing",
-        "table",
-        "permission",
-        "init+final",
-    ]);
-    let mut prev: Option<f64> = None;
-    for r in &rows {
-        let delta = prev.map_or("-".to_string(), |p| format!("{:+.0}", r.total - p));
-        prev = Some(r.total);
-        t.row(vec![
-            r.name.to_string(),
-            format!("{:.0}", r.total),
-            delta,
-            format!("{:.0}", r.hashing),
-            format!("{:.0}", r.table),
-            format!("{:.0}", r.permission),
-            format!("{:.0}", r.init_final),
-        ]);
-    }
-    t.print();
-    let json_path = "BENCH_fig3.json";
-    match write_fig3_json(json_path, &rows) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-    }
-}
-
-/// Serializes the layout-attribution rows as JSON (hand-rolled; the
-/// workspace carries no serialization dependency).
-fn write_fig3_json(path: &str, rows: &[LayoutStageRow]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"fig3_layout\",\n  \"unit\": \"ns\",\n");
-    out.push_str("  \"path\": \"4-comp\",\n  \"stages\": [\n");
-    let mut prev: Option<f64> = None;
-    for (i, r) in rows.iter().enumerate() {
-        let delta = prev.map_or(0.0, |p| r.total - p);
-        prev = Some(r.total);
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"name\": \"{}\", \"total\": {:.1}, \"delta_total\": {:.1}, \
-             \"hashing\": {:.1}, \"table\": {:.1}, \"permission\": {:.1}, \
-             \"init_final\": {:.1} }}{comma}\n",
-            r.name, r.total, delta, r.hashing, r.table, r.permission, r.init_final
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
-}
-
-// ---------------------------------------------------------------------
 // Figure 6: lat_syscall stat/open across path patterns.
 // ---------------------------------------------------------------------
 
@@ -538,22 +355,18 @@ pub fn fig7(scale: Scale) {
 // ---------------------------------------------------------------------
 
 /// Figure 8: `stat`/`open` latency of the same path as reader threads
-/// scale. Three walkers: unmodified, opt-locked (all optimizations but
-/// reads still take the per-bucket/per-field locks — the before picture
-/// for the lock-free read path), and optimized (epoch + seqlock reads).
-/// Latency should stay flat, with the optimized walker strictly below.
+/// scale, unmodified against optimized (epoch + seqlock reads). Latency
+/// should stay flat, with the optimized walker strictly below.
 ///
 /// Also records the raw per-config latency matrix to `BENCH_fig8.json`
 /// in the working directory.
 pub fn fig8(scale: Scale) {
     banner("Figure 8: stat/open latency vs threads (µs)");
-    let configs = config_triple();
+    let configs = config_pair();
     let mut t = Table::new(&[
         "threads",
         "stat unmod",
         "open unmod",
-        "stat opt-locked",
-        "open opt-locked",
         "stat opt",
         "open opt",
     ]);
@@ -604,7 +417,7 @@ pub fn fig8(scale: Scale) {
 fn write_fig8_json(
     path: &str,
     threads: &[usize],
-    configs: &[(&'static str, DcacheConfig); 3],
+    configs: &[(&'static str, DcacheConfig)],
     lats: &[[Vec<f64>; 2]],
 ) -> std::io::Result<()> {
     use std::io::Write;
@@ -1269,13 +1082,13 @@ pub fn pcc_sensitivity(scale: Scale) {
 /// optimizations must not make it worse.
 pub fn rename_scalability(scale: Scale) {
     banner("Rename latency under concurrent renamers (µs, §6.1)");
-    let mut t = Table::new(&["threads", "unmodified", "opt-locked", "optimized"]);
+    let mut t = Table::new(&["threads", "unmodified", "optimized"]);
     let threads: Vec<usize> = [1usize, 2, 4, 8, 12]
         .into_iter()
         .filter(|&n| n <= scale.max_threads.max(2))
         .collect();
     let mut rows: Vec<Vec<String>> = threads.iter().map(|n| vec![n.to_string()]).collect();
-    for (_, config) in config_triple() {
+    for (_, config) in config_pair() {
         let s = kernel_with(config);
         for (i, &n) in threads.iter().enumerate() {
             // Per-thread private files, renamed back and forth.
@@ -1375,11 +1188,7 @@ pub fn metrics(scale: Scale, out: &str) -> std::io::Result<()> {
     for f in m.files.iter().step_by(4) {
         k.unlink(p, f).unwrap();
     }
-    let mut snap = s.kernel.metrics_snapshot();
-    // The §13 layout-attribution counters ride along so the fig-3
-    // deltas are machine-checkable from the same export.
-    snap.sections
-        .push(layout_attribution_section(&layout_rows(scale)));
+    let snap = s.kernel.metrics_snapshot();
     print!("{}", snap.to_text());
     std::fs::write(out, snap.to_json())?;
     println!("metrics JSON written to {out}");
@@ -1428,7 +1237,6 @@ pub fn all(scale: Scale) {
     fig1(scale);
     fig2(scale);
     fig3(scale);
-    fig3_layout(scale);
     fig6(scale);
     fig7(scale);
     fig8(scale);

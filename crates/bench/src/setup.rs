@@ -81,19 +81,6 @@ pub fn config_pair() -> [(&'static str, DcacheConfig); 2] {
     ]
 }
 
-/// The thread-scaling comparison set: the pair plus the locked-reads
-/// ablation — every optimization enabled but dentry/DLHT reads taking
-/// the per-bucket and per-field locks instead of epoch-protected
-/// optimistic reads. The "opt-locked" column is the before picture for
-/// the lock-free read path; "optimized" is the after.
-pub fn config_triple() -> [(&'static str, DcacheConfig); 3] {
-    [
-        ("unmodified", DcacheConfig::baseline()),
-        ("opt-locked", DcacheConfig::optimized().with_locked_reads()),
-        ("optimized", DcacheConfig::optimized()),
-    ]
-}
-
 /// Experiment scaling knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {

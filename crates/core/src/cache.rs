@@ -2,10 +2,7 @@
 
 use crate::batch::BatchPin;
 use crate::config::DcacheConfig;
-use crate::dentry::{
-    Dentry, DentryId, DentryState, NegKind, FLAG_DEAD, FLAG_DIR_COMPLETE, FLAG_LOCKED_READS,
-    FLAG_SNAP_BOXED,
-};
+use crate::dentry::{Dentry, DentryId, DentryState, NegKind, FLAG_DEAD, FLAG_DIR_COMPLETE};
 use crate::dlht::{Dlht, DlhtFootprint};
 use crate::inode::{Inode, SbId};
 use crate::lru::{DentryLru, EvictOutcome};
@@ -91,8 +88,7 @@ impl Dcache {
         let key = match config.hash_seed {
             Some(seed) => HashKey::from_seed(seed),
             None => HashKey::from_entropy(),
-        }
-        .with_wide(config.sighash_wide);
+        };
         Arc::new(Dcache {
             config,
             key,
@@ -148,12 +144,6 @@ impl Dcache {
             DentryState::Positive(inode),
             0,
         );
-        if !self.config.lockfree_reads {
-            d.set_flag(FLAG_LOCKED_READS);
-        }
-        if !self.config.snap_slab {
-            d.set_flag(FLAG_SNAP_BOXED);
-        }
         d.store_hash_state(self.key.root_state());
         self.live.fetch_add(1, Ordering::Relaxed);
         d
@@ -172,12 +162,6 @@ impl Dcache {
             state,
             0,
         );
-        if !self.config.lockfree_reads {
-            d.set_flag(FLAG_LOCKED_READS);
-        }
-        if !self.config.snap_slab {
-            d.set_flag(FLAG_SNAP_BOXED);
-        }
         parent.insert_child(d.clone());
         d.touch(self.tick.fetch_add(1, Ordering::Relaxed));
         self.live.fetch_add(1, Ordering::Relaxed);
@@ -288,12 +272,7 @@ impl Dcache {
             Some(tb) if ns != 0 => tb,
             _ => self.config.dlht_buckets,
         };
-        Dlht::new_with_layout(
-            ns,
-            buckets,
-            self.config.lockfree_reads,
-            self.config.dlht_open_addressed,
-        )
+        Dlht::new(ns, buckets)
     }
 
     /// The DLHT serving namespace `ns`, created on first use. The hit
@@ -700,15 +679,15 @@ impl Dcache {
     }
 
     /// The cache's *reclaimable* footprint in bytes: dentry structs, DLHT
-    /// chain nodes or bucket groups (walked — the fixed bucket arrays
+    /// bucket groups (walked — the fixed bucket arrays
     /// survive any shrink and are excluded; see [`Dcache::space_report`]
     /// for the full footprint), and occupied PCC lines. This is what a
     /// memory-pressure shrink can actually free, minus the pinned floor
     /// (roots, cwds, open files).
     pub fn reclaimable_bytes(&self) -> u64 {
-        let mut node_bytes = 0u64;
+        let mut group_bytes = 0u64;
         for t in self.dlhts.values() {
-            node_bytes += t.footprint().reclaimable_bytes();
+            group_bytes += t.footprint().reclaimable_bytes();
         }
         let mut pcc_bytes = 0u64;
         {
@@ -720,14 +699,14 @@ impl Dcache {
                 }
             }
         }
-        self.live() * std::mem::size_of::<Dentry>() as u64 + node_bytes + pcc_bytes
+        self.live() * std::mem::size_of::<Dentry>() as u64 + group_bytes + pcc_bytes
     }
 
     /// Memory-pressure entry point: reclaims until the footprint measured
     /// by [`Dcache::reclaimable_bytes`] is at most `target_bytes`, or
     /// nothing evictable remains. Dentries go first (leaf-first LRU passes
     /// through the ordinary `unhash(reclaim)` coherence path — their DLHT
-    /// chain nodes go with them); if the cache is still over budget the
+    /// slots go with them); if the cache is still over budget the
     /// PCCs are flushed. Returns the bytes actually freed.
     ///
     /// This is the [`Shrinker`](crate::Shrinker) callback the kernel's
@@ -787,25 +766,21 @@ impl Dcache {
     // --- reporting ---------------------------------------------------------
 
     /// Space-overhead report (§6.1). DLHT numbers come from walking the
-    /// real buckets: exact head, node, and group sizes, not stand-ins.
+    /// real buckets: exact head and group sizes, not stand-ins.
     pub fn space_report(&self) -> SpaceReport {
         let mut dlht_bytes = 0usize;
         let mut dlht_buckets = 0usize;
-        let mut dlht_nodes = 0u64;
         let mut dlht_groups = 0u64;
         let mut dlht_entries = 0u64;
         let mut dlht_bucket_bytes = 0usize;
-        let mut dlht_node_bytes = 0usize;
         let mut dlht_group_bytes = 0usize;
         for t in self.dlhts.values() {
             let fp = t.footprint();
             dlht_bytes += fp.total_bytes();
             dlht_buckets += fp.buckets;
-            dlht_nodes += fp.nodes;
             dlht_groups += fp.groups;
             dlht_entries += fp.entries;
             dlht_bucket_bytes = fp.bucket_bytes;
-            dlht_node_bytes = fp.node_bytes;
             dlht_group_bytes = fp.group_bytes;
         }
         let pccs = {
@@ -818,10 +793,8 @@ impl Dcache {
             live_dentries: self.live(),
             dlht_bytes,
             dlht_bucket_bytes,
-            dlht_node_bytes,
             dlht_group_bytes,
             dlht_buckets,
-            dlht_nodes,
             dlht_groups,
             dlht_entries,
             snap_slab_bytes: crate::snapslab::footprint().total_bytes(),

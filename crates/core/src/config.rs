@@ -52,7 +52,7 @@ pub struct DcacheConfig {
     /// Maximum cached dentries before LRU eviction kicks in.
     pub capacity: usize,
     /// Soft byte budget for the cache's reclaimable footprint (dentries +
-    /// DLHT chain nodes + occupied PCC lines). `None` disables budget
+    /// DLHT groups + occupied PCC lines). `None` disables budget
     /// tracking; with a budget set, allocations that push past it trigger
     /// [`Dcache::shrink_to_bytes`](crate::Dcache::shrink_to_bytes), the
     /// same path a registered memory-pressure shrinker drives.
@@ -62,31 +62,6 @@ pub struct DcacheConfig {
     /// Synthetic worst case for Figure 6: execute the fastpath but force
     /// a PCC miss, paying hash + DLHT probe + full slowpath every time.
     pub fastpath_always_miss: bool,
-    /// Lock-free read side: epoch-protected DLHT probes and snapshot
-    /// dentry field reads validated by per-dentry sequence counters (the
-    /// RCU analog, DESIGN.md §5). Disabling it routes readers through the
-    /// per-bucket/per-field locks — the pre-refactor behavior, kept as an
-    /// ablation for the Figure 8 before/after columns.
-    pub lockfree_reads: bool,
-    /// Wide sighash mixing: process 8 path bytes per multiply-accumulate
-    /// step across all four lanes over the interleaved key schedule
-    /// (DESIGN.md §13). Disabling falls back to the byte-at-a-time
-    /// oracle — the layout ablation's "before" column; signatures are
-    /// bit-identical either way.
-    pub sighash_wide: bool,
-    /// Open-addressed DLHT layout: cache-line-aligned bucket groups with
-    /// inline signature tags instead of per-entry pointer-chained nodes
-    /// (DESIGN.md §13). Both layouts share the epoch/CAS discipline.
-    pub dlht_open_addressed: bool,
-    /// Slab-allocated `DentrySnap` snapshots: republished snapshots come
-    /// from a lock-free slab instead of per-mutation `Box` allocations,
-    /// and the hot fields are packed into the first cache line
-    /// (DESIGN.md §13).
-    pub snap_slab: bool,
-    /// Per-thread lookup scratch arena: path components and the pending
-    /// stack in the fastwalk live in thread-local inline buffers, so a
-    /// warm hit performs zero heap allocation (DESIGN.md §13).
-    pub scratch_arena: bool,
 }
 
 impl DcacheConfig {
@@ -109,55 +84,7 @@ impl DcacheConfig {
             mem_budget_bytes: None,
             hash_seed: None,
             fastpath_always_miss: false,
-            lockfree_reads: true,
-            sighash_wide: true,
-            dlht_open_addressed: true,
-            snap_slab: true,
-            scratch_arena: true,
         }
-    }
-
-    /// Disables the lock-free read side (pre-refactor locked reads).
-    pub fn with_locked_reads(mut self) -> Self {
-        self.lockfree_reads = false;
-        self
-    }
-
-    /// Selects the wide (8-bytes-per-step) or byte-at-a-time oracle
-    /// sighash mixing path (layout ablation).
-    pub fn with_sighash_wide(mut self, enabled: bool) -> Self {
-        self.sighash_wide = enabled;
-        self
-    }
-
-    /// Selects the open-addressed bucket-group or pointer-chained DLHT
-    /// layout (layout ablation).
-    pub fn with_open_addressed(mut self, enabled: bool) -> Self {
-        self.dlht_open_addressed = enabled;
-        self
-    }
-
-    /// Selects slab-allocated packed snapshots or per-mutation boxed
-    /// snapshots (layout ablation).
-    pub fn with_snap_slab(mut self, enabled: bool) -> Self {
-        self.snap_slab = enabled;
-        self
-    }
-
-    /// Selects the thread-local scratch arena or per-lookup heap vectors
-    /// in the fastwalk (layout ablation).
-    pub fn with_scratch_arena(mut self, enabled: bool) -> Self {
-        self.scratch_arena = enabled;
-        self
-    }
-
-    /// All four memory-layout overhauls disabled — the pre-overhaul
-    /// hot path, the "before" row of the layout-attribution table.
-    pub fn pre_layout(self) -> Self {
-        self.with_sighash_wide(false)
-            .with_open_addressed(false)
-            .with_snap_slab(false)
-            .with_scratch_arena(false)
     }
 
     /// Every optimization from the paper enabled.
@@ -283,18 +210,35 @@ mod tests {
         assert!(!o.lexical_dotdot);
         assert!(DcacheConfig::optimized_lexical().lexical_dotdot);
         assert!(DcacheConfig::legacy_lock_walk().lock_walk);
-        // Both presets default to lock-free reads; the ablation helper
-        // switches a config back to locked reads.
-        assert!(b.lockfree_reads && o.lockfree_reads);
-        assert!(!DcacheConfig::optimized().with_locked_reads().lockfree_reads);
-        // Layout overhauls default on everywhere; pre_layout turns all
-        // four off for the attribution table's "before" row.
-        assert!(b.sighash_wide && b.dlht_open_addressed && b.snap_slab && b.scratch_arena);
-        let pre = DcacheConfig::optimized().pre_layout();
-        assert!(
-            !pre.sighash_wide && !pre.dlht_open_addressed && !pre.snap_slab && !pre.scratch_arena
+        // The knob census. Exhaustive on purpose (no `..`): a new field
+        // fails to compile here, and belongs only if two workloads that
+        // exist today want different values for it.
+        let DcacheConfig {
+            fastpath,
+            dir_completeness,
+            neg_on_unlink,
+            neg_in_pseudo,
+            deep_negative,
+            lexical_dotdot,
+            negative_dentries,
+            lock_walk,
+            pcc_bytes,
+            dlht_buckets,
+            dlht_tenant_buckets,
+            pcc_max_resident,
+            capacity,
+            mem_budget_bytes,
+            hash_seed,
+            fastpath_always_miss,
+        } = DcacheConfig::optimized();
+        assert!(fastpath && dir_completeness && neg_on_unlink && neg_in_pseudo && deep_negative);
+        assert!(negative_dentries && !lexical_dotdot && !lock_walk && !fastpath_always_miss);
+        assert_eq!(
+            (pcc_bytes, dlht_buckets, capacity),
+            (64 << 10, 1 << 16, 1 << 20)
         );
-        assert!(pre.fastpath, "pre_layout keeps the paper features");
+        assert_eq!((dlht_tenant_buckets, pcc_max_resident), (None, None));
+        assert_eq!((mem_budget_bytes, hash_seed), (None, None));
     }
 
     #[test]

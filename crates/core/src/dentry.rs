@@ -3,7 +3,7 @@
 use crate::dsync::{AtomicU32, AtomicU64, Ordering};
 use crate::fasthash::FastMap;
 use crate::inode::{Inode, SbId};
-use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
+use crossbeam_epoch::{self as epoch, Atomic, Shared};
 use dc_fs::{DirEntry, FileType, FsError};
 use dc_sighash::{HashState, Signature};
 use parking_lot::{Mutex, RwLock};
@@ -20,16 +20,6 @@ pub type DentryId = u64;
 pub const FLAG_DIR_COMPLETE: u32 = 0b0001;
 /// Flag: the dentry was unhashed (evicted or dropped); never re-cache it.
 pub(crate) const FLAG_DEAD: u32 = 0b0010;
-/// Flag: route read accessors through the field locks instead of the
-/// epoch-published snapshot (`DcacheConfig::lockfree_reads = false`, the
-/// pre-refactor ablation). Set at allocation, never changed.
-pub(crate) const FLAG_LOCKED_READS: u32 = 0b0100;
-/// Flag: republish snapshots as per-mutation `Box` allocations instead
-/// of slab slots (`DcacheConfig::snap_slab = false`, the memory-layout
-/// ablation's "before" column). Set at allocation, never changed;
-/// provenance is additionally recorded per snapshot, so mixed histories
-/// (the first snapshot predates the flag) reclaim correctly.
-pub(crate) const FLAG_SNAP_BOXED: u32 = 0b1000;
 
 /// What kind of absence a negative dentry records (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,8 +112,9 @@ pub(crate) enum SnapState {
 /// Layout (`repr(C)`, DESIGN.md §13): the fields every walk touches —
 /// `name`, `parent`, `state` — are packed into the first 64 bytes, so a
 /// warm hit's snapshot read is one cache line; `hash_state`/`link_sig`
-/// (resume and symlink-chain paths) and the provenance byte follow. The
-/// compile-time asserts below pin the contract.
+/// (resume and symlink-chain paths) follow. The compile-time asserts
+/// below pin the contract. Blocks live in the snapshot slab
+/// ([`crate::snapslab`]).
 #[repr(C)]
 pub(crate) struct DentrySnap {
     pub(crate) name: Arc<str>,
@@ -131,10 +122,6 @@ pub(crate) struct DentrySnap {
     pub(crate) state: SnapState,
     pub(crate) hash_state: Option<HashState>,
     pub(crate) link_sig: Option<Signature>,
-    /// Where this block's memory came from: the snapshot slab
-    /// ([`crate::snapslab`]) or a `Box`. Read by the type-erased epoch
-    /// destructor to return the memory to the right place.
-    pub(crate) from_slab: bool,
 }
 
 // The cache-line contract: everything a warm walk reads from a snapshot
@@ -254,13 +241,6 @@ impl Dentry {
         d
     }
 
-    /// True when this dentry's readers must use the field locks (the
-    /// `lockfree_reads = false` ablation).
-    #[inline]
-    fn locked_reads(&self) -> bool {
-        self.flag(FLAG_LOCKED_READS)
-    }
-
     /// Loads the current snapshot under an epoch guard and runs `f`.
     #[inline]
     fn with_snap<R>(&self, f: impl FnOnce(&DentrySnap) -> R) -> R {
@@ -272,7 +252,7 @@ impl Dentry {
     }
 
     /// Rebuilds the published snapshot from the locked fields and swaps
-    /// it in, retiring the previous block through the epoch collector.
+    /// it in, retiring the previous slot through the epoch collector.
     ///
     /// Every mutation of `name`, `parent`, `state`, `hash_state`, or
     /// `link_sig` calls this before returning (and, in coherence flows,
@@ -280,7 +260,6 @@ impl Dentry {
     /// unchanged `seq` across its read saw a current-or-newer snapshot.
     fn republish(&self) {
         let _serialize = self.snap_lock.lock();
-        let from_slab = !self.flag(FLAG_SNAP_BOXED);
         let fresh = DentrySnap {
             name: self.name.read().clone(),
             parent: self.parent.read().as_ref().map(Arc::downgrade),
@@ -295,18 +274,12 @@ impl Dentry {
             },
             hash_state: *self.hash_state.lock(),
             link_sig: *self.link_sig.lock(),
-            from_slab,
         };
         let guard = epoch::pin();
-        let new = if from_slab {
-            crate::snapslab::alloc_snap(fresh, &guard)
-        } else {
-            Owned::new(fresh).into_shared(&guard)
-        };
+        let new = crate::snapslab::alloc_snap(fresh, &guard);
         let old = self.snap.swap(new, Ordering::AcqRel, &guard);
-        // Safety: `old` was just unlinked by the swap; provenance-aware
-        // retirement frees it to the slab or the heap after the grace
-        // period.
+        // Safety: `old` was just unlinked by the swap; retirement returns
+        // its slot to the slab after the grace period.
         unsafe { crate::snapslab::retire(&guard, old) };
     }
 
@@ -320,38 +293,32 @@ impl Dentry {
         self.sb
     }
 
-    /// Current component name (lock-free unless in the locked ablation).
+    /// Current component name (lock-free).
     pub fn name(&self) -> Arc<str> {
-        if self.locked_reads() {
-            return self.name.read().clone();
-        }
         self.with_snap(|s| s.name.clone())
     }
 
     /// Parent dentry (`None` for a superblock root).
     pub fn parent(&self) -> Option<Arc<Dentry>> {
-        if !self.locked_reads() {
-            enum P {
-                Root,
-                Live(Arc<Dentry>),
-                Stale,
-            }
-            let p = self.with_snap(|s| match &s.parent {
-                // `None` in the snapshot means a true root; a failed weak
-                // upgrade means the snapshot is stale, never "root".
-                None => P::Root,
-                Some(w) => match w.upgrade() {
-                    Some(parent) => P::Live(parent),
-                    None => P::Stale,
-                },
-            });
-            match p {
-                P::Root => return None,
-                P::Live(parent) => return Some(parent),
-                P::Stale => {} // fall back to the locked field
-            }
+        enum P {
+            Root,
+            Live(Arc<Dentry>),
+            Stale,
         }
-        self.parent.read().clone()
+        let p = self.with_snap(|s| match &s.parent {
+            // `None` in the snapshot means a true root; a failed weak
+            // upgrade means the snapshot is stale, never "root".
+            None => P::Root,
+            Some(w) => match w.upgrade() {
+                Some(parent) => P::Live(parent),
+                None => P::Stale,
+            },
+        });
+        match p {
+            P::Root => None,
+            P::Live(parent) => Some(parent),
+            P::Stale => self.parent.read().clone(), // the locked field
+        }
     }
 
     /// Current version counter.
@@ -413,12 +380,6 @@ impl Dentry {
 
     /// The inode, if positive (lock-free).
     pub fn inode(&self) -> Option<Arc<Inode>> {
-        if self.locked_reads() {
-            return match &*self.state.read() {
-                DentryState::Positive(i) => Some(i.clone()),
-                _ => None,
-            };
-        }
         self.with_snap(|s| match &s.state {
             SnapState::Positive(i) => Some(i.clone()),
             _ => None,
@@ -427,20 +388,11 @@ impl Dentry {
 
     /// True for any negative state (lock-free).
     pub fn is_negative(&self) -> bool {
-        if self.locked_reads() {
-            return matches!(&*self.state.read(), DentryState::Negative(_));
-        }
         self.with_snap(|s| matches!(&s.state, SnapState::Negative(_)))
     }
 
     /// The negative kind, if negative (lock-free).
     pub fn neg_kind(&self) -> Option<NegKind> {
-        if self.locked_reads() {
-            return match &*self.state.read() {
-                DentryState::Negative(k) => Some(*k),
-                _ => None,
-            };
-        }
         self.with_snap(|s| match &s.state {
             SnapState::Negative(k) => Some(*k),
             _ => None,
@@ -455,13 +407,6 @@ impl Dentry {
 
     /// True when this dentry caches a positive directory (lock-free).
     pub fn is_dir(&self) -> bool {
-        if self.locked_reads() {
-            return match &*self.state.read() {
-                DentryState::Positive(i) => i.is_dir(),
-                DentryState::Partial { ftype, .. } => ftype.is_dir(),
-                _ => false,
-            };
-        }
         self.with_snap(|s| match &s.state {
             SnapState::Positive(i) => i.is_dir(),
             SnapState::Partial { ftype, .. } => ftype.is_dir(),
@@ -471,28 +416,28 @@ impl Dentry {
 
     /// Resolves a symlink alias to `(target, recorded_target_seq)`.
     pub fn alias_target(&self) -> Option<(Arc<Dentry>, u64)> {
-        if !self.locked_reads() {
-            enum A {
-                NotAlias,
-                Live(Arc<Dentry>, u64),
-                Stale,
-            }
-            let a = self.with_snap(|s| match &s.state {
-                SnapState::SymlinkAlias { target, target_seq } => match target.upgrade() {
-                    Some(t) => A::Live(t, *target_seq),
-                    None => A::Stale,
-                },
-                _ => A::NotAlias,
-            });
-            match a {
-                A::NotAlias => return None,
-                A::Live(t, s) => return Some((t, s)),
-                A::Stale => {} // target freed or snapshot stale: locked read
-            }
+        enum A {
+            NotAlias,
+            Live(Arc<Dentry>, u64),
+            Stale,
         }
-        match &*self.state.read() {
-            DentryState::SymlinkAlias { target, target_seq } => Some((target.clone(), *target_seq)),
-            _ => None,
+        let a = self.with_snap(|s| match &s.state {
+            SnapState::SymlinkAlias { target, target_seq } => match target.upgrade() {
+                Some(t) => A::Live(t, *target_seq),
+                None => A::Stale,
+            },
+            _ => A::NotAlias,
+        });
+        match a {
+            A::NotAlias => None,
+            A::Live(t, s) => Some((t, s)),
+            // Target freed or snapshot stale: locked read.
+            A::Stale => match &*self.state.read() {
+                DentryState::SymlinkAlias { target, target_seq } => {
+                    Some((target.clone(), *target_seq))
+                }
+                _ => None,
+            },
         }
     }
 
@@ -677,9 +622,6 @@ impl Dentry {
 
     /// Cached resumable hash state, if valid (lock-free).
     pub fn hash_state(&self) -> Option<HashState> {
-        if self.locked_reads() {
-            return *self.hash_state.lock();
-        }
         self.with_snap(|s| s.hash_state)
     }
 
@@ -703,9 +645,6 @@ impl Dentry {
     /// The recorded target-path signature (symlink dentries, §4.2;
     /// lock-free).
     pub fn link_sig(&self) -> Option<Signature> {
-        if self.locked_reads() {
-            return *self.link_sig.lock();
-        }
         self.with_snap(|s| s.link_sig)
     }
 

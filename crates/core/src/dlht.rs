@@ -1,40 +1,27 @@
 //! The Direct Lookup Hash Table (§3.1, §3.3) — lock-free read side.
 //!
-//! Two memory layouts share one epoch/CAS publication discipline:
+//! Each bucket head is an atomic pointer to one immutable,
+//! cache-line-aligned [`Group`] holding up to [`GROUP_SLOTS`] entries
+//! inline — the 240-bit signature tags and the entry slots live in the
+//! group itself, so a warm probe is one pointer dereference plus a
+//! bounded in-line scan, with no per-entry pointer chase. Buckets
+//! overflowing a group grow a rare `next` group.
 //!
-//! - **Open-addressed bucket groups** (the default): each bucket head is
-//!   an atomic pointer to one immutable, cache-line-aligned [`Group`]
-//!   holding up to [`GROUP_SLOTS`] entries inline — the 240-bit
-//!   signature tags and the entry slots live in the group itself, so a
-//!   warm probe is one pointer dereference plus a bounded in-line scan,
-//!   with no per-entry pointer chase. Buckets overflowing a group grow a
-//!   rare `next` group.
-//! - **Pointer-chained nodes** (the pre-overhaul layout, kept as the
-//!   measurable "before" column of the layout-attribution table): each
-//!   bucket head points at an immutable singly-linked node list.
-//!
-//! In both layouts `lookup` pins the epoch and traverses without any
-//! lock — the RCU-analog probe the paper's flat Figure 8 read scaling
-//! depends on. Mutators rebuild the affected bucket's groups (or chain)
-//! as fresh allocations, publish with one CAS on the bucket head, and
-//! retire the replaced blocks through the epoch collector
-//! (`defer_destroy`); a failed CAS frees the speculative copy and
-//! retries against the new head. Published groups and nodes are never
-//! mutated, and ABA is impossible while pinned: a retired block's
-//! address cannot be reused until every guard that could have observed
-//! it unpins. The linearization point of every mutation is the single
-//! bucket-head CAS — identical in both layouts, which is why the
-//! `crates/dst` linearizability models hold for either.
-//!
-//! `Dlht::new_with_mode(.., lockfree: false)` keeps the same structure
-//! but routes readers and writers through per-bucket `RwLock`s — the
-//! pre-refactor locking discipline, preserved as the measurable "before"
-//! column of the Figure 8 thread-scaling comparison.
+//! `lookup` pins the epoch and traverses without any lock — the
+//! RCU-analog probe the paper's flat Figure 8 read scaling depends on.
+//! Mutators rebuild the affected bucket's groups as fresh allocations,
+//! publish with one CAS on the bucket head, and retire the replaced
+//! groups through the epoch collector (`defer_destroy`); a failed CAS
+//! frees the speculative copy and retries against the new head.
+//! Published groups are never mutated, and ABA is impossible while
+//! pinned: a retired group's address cannot be reused until every guard
+//! that could have observed it unpins. The linearization point of every
+//! mutation is the single bucket-head CAS, which is what the
+//! `crates/dst` linearizability models check.
 
 use crate::dentry::Dentry;
 use crate::dsync::{AtomicU64, Ordering};
 use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
-use parking_lot::RwLock;
 use std::sync::{Arc, Weak};
 
 /// Entries stored inline per bucket group. With 2^16 buckets and a
@@ -42,17 +29,7 @@ use std::sync::{Arc, Weak};
 /// entries; four slots keep even collision buckets to a single group.
 const GROUP_SLOTS: usize = 4;
 
-/// One immutable chain node (chained layout): the 240-bit signature
-/// lanes + a weak dentry ref + the next pointer. Published nodes are
-/// never mutated; `next` is atomic only so chains can be assembled and
-/// traversed under the epoch API.
-struct Node {
-    sig: [u64; 4],
-    dentry: Weak<Dentry>,
-    next: Atomic<Node>,
-}
-
-/// One entry slot of an open-addressed group: the remaining signature
+/// One entry slot of a bucket group: the remaining signature
 /// lanes (lane 0 lives in the group's tag array) + the weak dentry ref.
 struct Slot {
     rest: [u64; 3],
@@ -68,7 +45,7 @@ impl Slot {
     }
 }
 
-/// One immutable, cache-line-aligned bucket group (open layout).
+/// One immutable, cache-line-aligned bucket group.
 ///
 /// Field order is load-bearing: the first 64 bytes hold everything a
 /// failing probe needs — the four quick-reject tags (lane 0 of each
@@ -116,15 +93,9 @@ impl Group {
     }
 }
 
-/// The bucket-head array, one variant per layout.
-enum BucketArray {
-    Chained(Box<[Atomic<Node>]>),
-    Open(Box<[Atomic<Group>]>),
-}
-
 type Item = ([u64; 4], Weak<Dentry>);
 
-/// Exact per-layout sizes for space-overhead reporting (`repro space`).
+/// Exact table sizes for space-overhead reporting (`repro space`).
 /// Every count is produced by walking the live structure under an epoch
 /// guard — never estimated from counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -133,40 +104,31 @@ pub struct DlhtFootprint {
     pub buckets: usize,
     /// Bytes per bucket head (one atomic pointer).
     pub bucket_bytes: usize,
-    /// Live chain nodes (chained layout; zero under open addressing).
-    pub nodes: u64,
-    /// Bytes per chain node.
-    pub node_bytes: usize,
-    /// Live bucket groups (open layout; zero under chaining).
+    /// Live bucket groups.
     pub groups: u64,
     /// Bytes per bucket group.
     pub group_bytes: usize,
-    /// Live entries across all slots/nodes (walked).
+    /// Live entries across all slots (walked).
     pub entries: u64,
-    /// Per-bucket reader-writer locks, locked-ablation mode only.
-    pub lock_bytes: usize,
 }
 
 impl DlhtFootprint {
-    /// Total bytes of this layout.
+    /// Total bytes of the table.
     pub fn total_bytes(&self) -> usize {
-        self.buckets * self.bucket_bytes
-            + self.nodes as usize * self.node_bytes
-            + self.groups as usize * self.group_bytes
-            + self.lock_bytes
+        self.buckets * self.bucket_bytes + self.groups as usize * self.group_bytes
     }
 
     /// Bytes a shrink could reclaim: everything except the fixed bucket
-    /// array (and the ablation locks, which live as long as the table).
+    /// array.
     pub fn reclaimable_bytes(&self) -> u64 {
-        self.nodes * self.node_bytes as u64 + self.groups * self.group_bytes as u64
+        self.groups * self.group_bytes as u64
     }
 }
 
 /// A system-wide (per mount namespace) hash table mapping full-path
 /// signatures directly to dentries.
 ///
-/// - Indexed by the low 16 signature bits; groups/chains compare the
+/// - Indexed by the low 16 signature bits; groups compare the
 ///   remaining 240 bits instead of path strings (§3.3).
 /// - Lazily populated by slowpath walks; entries are weak, and coherence
 ///   shootdowns precede any structural change (§3.2).
@@ -178,10 +140,7 @@ impl DlhtFootprint {
 pub struct Dlht {
     /// Namespace id this table serves (diagnostics).
     ns: u64,
-    buckets: BucketArray,
-    /// Present only in the locked-reads ablation: readers share, writers
-    /// exclude, per bucket — the pre-refactor discipline.
-    locks: Option<Box<[RwLock<()>]>>,
+    buckets: Box<[Atomic<Group>]>,
     mask: usize,
     entries: AtomicU64,
     hits: AtomicU64,
@@ -189,36 +148,12 @@ pub struct Dlht {
 }
 
 impl Dlht {
-    /// A lock-free, open-addressed table with `buckets` heads (power of
-    /// two ≤ 2^16).
+    /// A table with `buckets` heads (power of two ≤ 2^16).
     pub fn new(ns: u64, buckets: usize) -> Arc<Dlht> {
-        Self::new_with_layout(ns, buckets, true, true)
-    }
-
-    /// A table with the read side lock-free (`lockfree`) or routed
-    /// through per-bucket locks (the ablation's "before" column).
-    pub fn new_with_mode(ns: u64, buckets: usize, lockfree: bool) -> Arc<Dlht> {
-        Self::new_with_layout(ns, buckets, lockfree, true)
-    }
-
-    /// Full layout control: `open_addressed` selects the bucket-group
-    /// layout (default) or the pre-overhaul pointer chains (the layout
-    /// ablation's "before" column).
-    pub fn new_with_layout(
-        ns: u64,
-        buckets: usize,
-        lockfree: bool,
-        open_addressed: bool,
-    ) -> Arc<Dlht> {
         assert!(buckets.is_power_of_two() && buckets <= (1 << 16));
         Arc::new(Dlht {
             ns,
-            buckets: if open_addressed {
-                BucketArray::Open((0..buckets).map(|_| Atomic::null()).collect())
-            } else {
-                BucketArray::Chained((0..buckets).map(|_| Atomic::null()).collect())
-            },
-            locks: (!lockfree).then(|| (0..buckets).map(|_| RwLock::new(())).collect()),
+            buckets: (0..buckets).map(|_| Atomic::null()).collect(),
             mask: buckets - 1,
             entries: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -231,18 +166,13 @@ impl Dlht {
         self.ns
     }
 
-    /// True when this table uses the open-addressed group layout.
-    pub fn is_open_addressed(&self) -> bool {
-        matches!(self.buckets, BucketArray::Open(_))
-    }
-
     fn bucket_index(&self, sig: &crate::Signature) -> usize {
         sig.bucket_index_for(self.mask + 1)
     }
 
     /// Looks up a dentry by signature (the fastpath's first step).
-    /// Lock-free: pins the epoch and scans the immutable group (or
-    /// chain) published at the bucket head.
+    /// Lock-free: pins the epoch and scans the immutable groups
+    /// published at the bucket head.
     pub fn lookup(&self, sig: &crate::Signature) -> Option<Arc<Dentry>> {
         let guard = epoch::pin();
         self.lookup_with(sig, &guard)
@@ -254,46 +184,25 @@ impl Dlht {
     /// scale.
     pub fn lookup_with(&self, sig: &crate::Signature, guard: &epoch::Guard) -> Option<Arc<Dentry>> {
         let idx = self.bucket_index(sig);
-        let _shared = self.locks.as_ref().map(|l| l[idx].read());
         let want = sig.sig240();
-        let found = match &self.buckets {
-            BucketArray::Open(heads) => {
-                let mut cur = heads[idx].load(Ordering::Acquire, guard);
-                'probe: loop {
-                    let Some(g) = (unsafe { cur.as_ref() }) else {
-                        break None;
-                    };
-                    for i in 0..g.len as usize {
-                        if g.tags[i] == want[0] {
-                            let s = &g.slots[i];
-                            if s.rest == [want[1], want[2], want[3]] {
-                                if let Some(d) = s.dentry.upgrade() {
-                                    if !d.is_dead() {
-                                        break 'probe Some(d);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    cur = g.next.load(Ordering::Acquire, guard);
-                }
-            }
-            BucketArray::Chained(heads) => {
-                let mut cur = heads[idx].load(Ordering::Acquire, guard);
-                'walk: loop {
-                    let Some(node) = (unsafe { cur.as_ref() }) else {
-                        break None;
-                    };
-                    if node.sig == want {
-                        if let Some(d) = node.dentry.upgrade() {
+        let mut cur = self.buckets[idx].load(Ordering::Acquire, guard);
+        let found = 'probe: loop {
+            let Some(g) = (unsafe { cur.as_ref() }) else {
+                break None;
+            };
+            for i in 0..g.len as usize {
+                if g.tags[i] == want[0] {
+                    let s = &g.slots[i];
+                    if s.rest == [want[1], want[2], want[3]] {
+                        if let Some(d) = s.dentry.upgrade() {
                             if !d.is_dead() {
-                                break 'walk Some(d);
+                                break 'probe Some(d);
                             }
                         }
                     }
-                    cur = node.next.load(Ordering::Acquire, guard);
                 }
             }
+            cur = g.next.load(Ordering::Acquire, guard);
         };
         match found {
             Some(d) => {
@@ -306,59 +215,6 @@ impl Dlht {
             }
         }
     }
-
-    // --- chained-layout helpers ----------------------------------------
-
-    /// Assembles a fresh chain from `items` (front to back), returning
-    /// the head (null for an empty list). Nodes are unpublished until
-    /// the caller's CAS succeeds.
-    fn build_chain<'g>(items: Vec<Item>, guard: &'g epoch::Guard) -> Shared<'g, Node> {
-        let mut head = Shared::null();
-        for (sig, dentry) in items.into_iter().rev() {
-            let node = Owned::new(Node {
-                sig,
-                dentry,
-                next: Atomic::null(),
-            });
-            node.next.store(head, Ordering::Relaxed);
-            head = node.into_shared(guard);
-        }
-        head
-    }
-
-    /// Frees an unpublished speculative chain after a failed CAS.
-    fn drop_unpublished_chain<'g>(mut head: Shared<'g, Node>, guard: &'g epoch::Guard) {
-        while !head.is_null() {
-            // Safety: these nodes were never published; we are the only
-            // owner.
-            let owned = unsafe { head.into_owned() };
-            head = owned.next.load(Ordering::Relaxed, guard);
-            drop(owned);
-        }
-    }
-
-    /// Retires every node of a replaced (published) chain.
-    fn retire_chain<'g>(mut head: Shared<'g, Node>, guard: &'g epoch::Guard) {
-        while let Some(node) = unsafe { head.as_ref() } {
-            let next = node.next.load(Ordering::Acquire, guard);
-            // Safety: the chain was unlinked by a successful CAS; readers
-            // still traversing it are protected by their own guards.
-            unsafe { guard.defer_destroy(head) };
-            head = next;
-        }
-    }
-
-    fn collect_chain(head: Shared<'_, Node>, guard: &epoch::Guard) -> Vec<Item> {
-        let mut items = Vec::new();
-        let mut cur = head;
-        while let Some(node) = unsafe { cur.as_ref() } {
-            items.push((node.sig, node.dentry.clone()));
-            cur = node.next.load(Ordering::Acquire, guard);
-        }
-        items
-    }
-
-    // --- open-layout helpers -------------------------------------------
 
     /// Assembles a fresh group list from `items`: full groups of
     /// [`GROUP_SLOTS`], overflow continuing in `next` groups. Unpublished
@@ -373,10 +229,11 @@ impl Dlht {
         head
     }
 
-    /// Frees an unpublished speculative group list after a failed CAS.
+    /// Frees a group list no reader can reach: a speculative copy after
+    /// a failed CAS, or a bucket of a table being dropped.
     fn drop_unpublished_groups<'g>(mut head: Shared<'g, Group>, guard: &'g epoch::Guard) {
         while !head.is_null() {
-            // Safety: never published; we are the only owner.
+            // Safety: unreachable by readers; we are the only owner.
             let owned = unsafe { head.into_owned() };
             head = owned.next.load(Ordering::Relaxed, guard);
             drop(owned);
@@ -410,61 +267,30 @@ impl Dlht {
         items
     }
 
-    // --- shared mutation discipline ------------------------------------
-
-    /// The copy-edit-publish loop both layouts share: snapshot the
-    /// bucket's items, let `edit` produce the replacement set (or `None`
-    /// to abort without publishing), build a fresh immutable copy, CAS
-    /// the bucket head, retire the old blocks. `edit` also returns the
-    /// entry-counter delta to apply on success.
+    /// The copy-edit-publish loop: snapshot the bucket's items, let
+    /// `edit` produce the replacement set (or `None` to abort without
+    /// publishing), build a fresh immutable copy, CAS the bucket head,
+    /// retire the old groups. `edit` also returns the entry-counter
+    /// delta to apply on success.
     fn mutate(&self, idx: usize, edit: impl Fn(Vec<Item>) -> Option<(Vec<Item>, i64)>) {
-        let _excl = self.locks.as_ref().map(|l| l[idx].write());
         let guard = epoch::pin();
-        match &self.buckets {
-            BucketArray::Chained(heads) => loop {
-                let head = heads[idx].load(Ordering::Acquire, &guard);
-                let items = Self::collect_chain(head, &guard);
-                let Some((kept, delta)) = edit(items) else {
+        let bucket = &self.buckets[idx];
+        loop {
+            let head = bucket.load(Ordering::Acquire, &guard);
+            let items = Self::collect_groups(head, &guard);
+            let Some((kept, delta)) = edit(items) else {
+                return;
+            };
+            let fresh = Self::build_groups(kept, &guard);
+            match bucket.compare_exchange(head, fresh, Ordering::AcqRel, Ordering::Acquire, &guard)
+            {
+                Ok(_) => {
+                    Self::retire_groups(head, &guard);
+                    self.apply_delta(delta);
                     return;
-                };
-                let fresh = Self::build_chain(kept, &guard);
-                match heads[idx].compare_exchange(
-                    head,
-                    fresh,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(_) => {
-                        Self::retire_chain(head, &guard);
-                        self.apply_delta(delta);
-                        return;
-                    }
-                    Err(_) => Self::drop_unpublished_chain(fresh, &guard),
                 }
-            },
-            BucketArray::Open(heads) => loop {
-                let head = heads[idx].load(Ordering::Acquire, &guard);
-                let items = Self::collect_groups(head, &guard);
-                let Some((kept, delta)) = edit(items) else {
-                    return;
-                };
-                let fresh = Self::build_groups(kept, &guard);
-                match heads[idx].compare_exchange(
-                    head,
-                    fresh,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(_) => {
-                        Self::retire_groups(head, &guard);
-                        self.apply_delta(delta);
-                        return;
-                    }
-                    Err(_) => Self::drop_unpublished_groups(fresh, &guard),
-                }
-            },
+                Err(_) => Self::drop_unpublished_groups(fresh, &guard),
+            }
         }
     }
 
@@ -489,7 +315,7 @@ impl Dlht {
             // Copy the bucket, replacing dead or duplicate entries under
             // the same signature.
             let mut kept: Vec<Item> = Vec::with_capacity(items.len() + 1);
-            let mut pruned = 0u64;
+            let mut pruned = 0i64;
             for (isig, weak) in items {
                 let keep = isig != want
                     || weak
@@ -502,7 +328,7 @@ impl Dlht {
                 }
             }
             kept.push((want, Arc::downgrade(dentry)));
-            Some((kept, if pruned == 0 { 1 } else { 0 }))
+            Some((kept, 1 - pruned))
         });
     }
 
@@ -553,30 +379,17 @@ impl Dlht {
         )
     }
 
-    /// `(entries, nodes_or_groups)` in bucket `idx`, by walking it.
+    /// `(entries, groups)` in bucket `idx`, by walking it.
     fn bucket_census(&self, idx: usize, guard: &epoch::Guard) -> (u64, u64) {
-        match &self.buckets {
-            BucketArray::Chained(heads) => {
-                let mut entries = 0;
-                let mut cur = heads[idx].load(Ordering::Acquire, guard);
-                while let Some(node) = unsafe { cur.as_ref() } {
-                    entries += 1;
-                    cur = node.next.load(Ordering::Acquire, guard);
-                }
-                (entries, entries)
-            }
-            BucketArray::Open(heads) => {
-                let mut entries = 0;
-                let mut groups = 0;
-                let mut cur = heads[idx].load(Ordering::Acquire, guard);
-                while let Some(g) = unsafe { cur.as_ref() } {
-                    entries += g.len as u64;
-                    groups += 1;
-                    cur = g.next.load(Ordering::Acquire, guard);
-                }
-                (entries, groups)
-            }
+        let mut entries = 0;
+        let mut groups = 0;
+        let mut cur = self.buckets[idx].load(Ordering::Acquire, guard);
+        while let Some(g) = unsafe { cur.as_ref() } {
+            entries += g.len as u64;
+            groups += 1;
+            cur = g.next.load(Ordering::Acquire, guard);
         }
+        (entries, groups)
     }
 
     /// Bucket occupancy histogram over *entries*: `[empty, 1, 2, 3+]`
@@ -591,31 +404,23 @@ impl Dlht {
         h
     }
 
-    /// Exact footprint of this table's layout: nodes, groups, and
-    /// entries are counted by walking every bucket, not estimated from
-    /// the entry counter.
+    /// Exact footprint of this table: groups and entries are counted
+    /// by walking every bucket, not estimated from the entry counter.
     pub fn footprint(&self) -> DlhtFootprint {
         let guard = epoch::pin();
         let mut entries = 0;
-        let mut blocks = 0;
+        let mut groups = 0;
         for idx in 0..=self.mask {
-            let (e, b) = self.bucket_census(idx, &guard);
+            let (e, g) = self.bucket_census(idx, &guard);
             entries += e;
-            blocks += b;
+            groups += g;
         }
-        let open = self.is_open_addressed();
         DlhtFootprint {
             buckets: self.mask + 1,
-            bucket_bytes: std::mem::size_of::<Atomic<Node>>(),
-            nodes: if open { 0 } else { blocks },
-            node_bytes: std::mem::size_of::<Node>(),
-            groups: if open { blocks } else { 0 },
+            bucket_bytes: std::mem::size_of::<Atomic<Group>>(),
+            groups,
             group_bytes: std::mem::size_of::<Group>(),
             entries,
-            lock_bytes: self
-                .locks
-                .as_ref()
-                .map_or(0, |l| l.len() * std::mem::size_of::<RwLock<()>>()),
         }
     }
 
@@ -627,30 +432,12 @@ impl Dlht {
 
 impl Drop for Dlht {
     fn drop(&mut self) {
-        // &mut self: the table is unreachable; free blocks directly.
+        // &mut self: the table is unreachable; free groups directly.
         unsafe {
             let guard = epoch::unprotected();
-            match &self.buckets {
-                BucketArray::Chained(heads) => {
-                    for bucket in heads.iter() {
-                        let mut cur = bucket.swap(Shared::null(), Ordering::AcqRel, guard);
-                        while !cur.is_null() {
-                            let owned = cur.into_owned();
-                            cur = owned.next.load(Ordering::Relaxed, guard);
-                            drop(owned);
-                        }
-                    }
-                }
-                BucketArray::Open(heads) => {
-                    for bucket in heads.iter() {
-                        let mut cur = bucket.swap(Shared::null(), Ordering::AcqRel, guard);
-                        while !cur.is_null() {
-                            let owned = cur.into_owned();
-                            cur = owned.next.load(Ordering::Relaxed, guard);
-                            drop(owned);
-                        }
-                    }
-                }
+            for bucket in self.buckets.iter() {
+                let head = bucket.swap(Shared::null(), Ordering::AcqRel, guard);
+                Self::drop_unpublished_groups(head, guard);
             }
         }
     }
@@ -666,88 +453,92 @@ mod tests {
         Dentry::new(id, 1, "n", None, DentryState::Negative(NegKind::Enoent), 0)
     }
 
-    /// Both layouts, same lockfree mode — every behavioral test runs
-    /// against each.
-    fn both_layouts(buckets: usize) -> [Arc<Dlht>; 2] {
-        [
-            Dlht::new_with_layout(0, buckets, true, true),
-            Dlht::new_with_layout(0, buckets, true, false),
-        ]
-    }
-
     #[test]
     fn insert_lookup_remove_cycle() {
         let key = HashKey::from_seed(1);
-        for t in both_layouts(1 << 8) {
-            let d = dentry(1);
-            let sig = key.hash_components([b"etc".as_slice(), b"passwd".as_slice()]);
-            t.insert_raw(sig, &d);
-            assert_eq!(t.lookup(&sig).unwrap().id(), 1);
-            assert_eq!(t.len(), 1);
-            t.remove_raw(&sig, d.id());
-            assert!(t.lookup(&sig).is_none());
-            assert_eq!(t.len(), 0);
-        }
+        let t = Dlht::new(0, 1 << 8);
+        let d = dentry(1);
+        let sig = key.hash_components([b"etc".as_slice(), b"passwd".as_slice()]);
+        t.insert_raw(sig, &d);
+        assert_eq!(t.lookup(&sig).unwrap().id(), 1);
+        assert_eq!(t.len(), 1);
+        t.remove_raw(&sig, d.id());
+        assert!(t.lookup(&sig).is_none());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn same_signature_reinsert_does_not_duplicate() {
         let key = HashKey::from_seed(2);
-        for t in both_layouts(1 << 8) {
-            let d = dentry(1);
-            let sig = key.hash_components([b"a".as_slice()]);
-            t.insert_raw(sig, &d);
-            t.insert_raw(sig, &d);
-            assert_eq!(t.len(), 1);
-            assert_eq!(t.lookup(&sig).unwrap().id(), 1);
-        }
+        let t = Dlht::new(0, 1 << 8);
+        let d = dentry(1);
+        let sig = key.hash_components([b"a".as_slice()]);
+        t.insert_raw(sig, &d);
+        t.insert_raw(sig, &d);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.lookup(&sig).unwrap().id(), 1);
+    }
+
+    #[test]
+    fn len_tracks_walked_entries_when_insert_prunes_several() {
+        let key = HashKey::from_seed(9);
+        let t = Dlht::new(0, 1 << 8);
+        let sig = key.hash_components([b"a".as_slice()]);
+        let (d1, d2, d3) = (dentry(1), dentry(2), dentry(3));
+        t.insert_raw(sig, &d1);
+        t.insert_raw(sig, &d2);
+        assert_eq!(t.len(), 2);
+        d1.set_flag(crate::dentry::FLAG_DEAD);
+        d2.set_flag(crate::dentry::FLAG_DEAD);
+        // One insert prunes both dead entries: the delta is 1 - 2.
+        t.insert_raw(sig, &d3);
+        assert_eq!(t.footprint().entries, 1);
+        assert_eq!(t.len(), t.footprint().entries);
+        assert_eq!(t.lookup(&sig).unwrap().id(), 3);
     }
 
     #[test]
     fn dead_dentries_are_not_returned() {
         let key = HashKey::from_seed(3);
-        for t in both_layouts(1 << 8) {
-            let d = dentry(1);
-            let sig = key.hash_components([b"x".as_slice()]);
-            t.insert_raw(sig, &d);
-            d.set_flag(crate::dentry::FLAG_DEAD);
-            assert!(t.lookup(&sig).is_none());
-            d.clear_flag(crate::dentry::FLAG_DEAD);
-        }
+        let t = Dlht::new(0, 1 << 8);
+        let d = dentry(1);
+        let sig = key.hash_components([b"x".as_slice()]);
+        t.insert_raw(sig, &d);
+        d.set_flag(crate::dentry::FLAG_DEAD);
+        assert!(t.lookup(&sig).is_none());
+        d.clear_flag(crate::dentry::FLAG_DEAD);
     }
 
     #[test]
     fn dropped_dentries_vanish() {
         let key = HashKey::from_seed(4);
-        for t in both_layouts(1 << 8) {
-            let sig = key.hash_components([b"gone".as_slice()]);
-            {
-                let d = dentry(9);
-                t.insert_raw(sig, &d);
-            } // d dropped; weak can no longer upgrade
-            assert!(t.lookup(&sig).is_none());
-        }
+        let t = Dlht::new(0, 1 << 8);
+        let sig = key.hash_components([b"gone".as_slice()]);
+        {
+            let d = dentry(9);
+            t.insert_raw(sig, &d);
+        } // d dropped; weak can no longer upgrade
+        assert!(t.lookup(&sig).is_none());
     }
 
     #[test]
     fn distinct_signatures_coexist_in_shared_buckets() {
         let key = HashKey::from_seed(5);
-        for t in both_layouts(1 << 4) {
-            // tiny table to force bucket sharing and overflow groups
-            let dentries: Vec<_> = (0..64).map(dentry).collect();
-            let sigs: Vec<_> = (0..64)
-                .map(|i| key.hash_components([format!("f{i}").as_bytes()]))
-                .collect();
-            for (d, s) in dentries.iter().zip(&sigs) {
-                t.insert_raw(*s, d);
-            }
-            for (d, s) in dentries.iter().zip(&sigs) {
-                assert_eq!(t.lookup(s).unwrap().id(), d.id());
-            }
-            assert_eq!(t.len(), 64);
-            let occ = t.occupancy();
-            assert_eq!(occ.iter().sum::<u64>(), 16);
+        let t = Dlht::new(0, 1 << 4);
+        // tiny table to force bucket sharing and overflow groups
+        let dentries: Vec<_> = (0..64).map(dentry).collect();
+        let sigs: Vec<_> = (0..64)
+            .map(|i| key.hash_components([format!("f{i}").as_bytes()]))
+            .collect();
+        for (d, s) in dentries.iter().zip(&sigs) {
+            t.insert_raw(*s, d);
         }
+        for (d, s) in dentries.iter().zip(&sigs) {
+            assert_eq!(t.lookup(s).unwrap().id(), d.id());
+        }
+        assert_eq!(t.len(), 64);
+        let occ = t.occupancy();
+        assert_eq!(occ.iter().sum::<u64>(), 16);
     }
 
     #[test]
@@ -782,24 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn locked_mode_behaves_identically() {
-        let key = HashKey::from_seed(6);
-        for open in [true, false] {
-            let t = Dlht::new_with_layout(0, 1 << 8, false, open);
-            let d = dentry(1);
-            let sig = key.hash_components([b"ab".as_slice()]);
-            t.insert_raw(sig, &d);
-            assert_eq!(t.lookup(&sig).unwrap().id(), 1);
-            t.remove_raw(&sig, d.id());
-            assert!(t.lookup(&sig).is_none());
-            assert!(t.footprint().lock_bytes > 0);
-        }
-    }
-
-    #[test]
     fn footprint_counts_real_blocks() {
         let key = HashKey::from_seed(7);
-        // Open layout: groups are walked, nodes are zero.
         let t = Dlht::new(0, 1 << 4);
         let held: Vec<_> = (0..10u64).map(dentry).collect();
         for (i, d) in held.iter().enumerate() {
@@ -807,78 +582,64 @@ mod tests {
         }
         let fp = t.footprint();
         assert_eq!(fp.entries, 10);
-        assert_eq!(fp.nodes, 0);
         assert!(fp.groups > 0 && fp.groups <= 10);
         assert_eq!(fp.buckets, 16);
         assert_eq!(fp.group_bytes, 192);
-        assert_eq!(fp.lock_bytes, 0);
         assert_eq!(
             fp.total_bytes(),
             16 * fp.bucket_bytes + fp.groups as usize * fp.group_bytes
         );
         assert_eq!(fp.reclaimable_bytes(), fp.groups * fp.group_bytes as u64);
         assert_eq!(t.approx_bytes(), fp.total_bytes());
-        // Chained layout: nodes are walked, groups are zero.
-        let t = Dlht::new_with_layout(0, 1 << 4, true, false);
-        for (i, d) in held.iter().enumerate() {
-            t.insert_raw(key.hash_components([format!("f{i}").as_bytes()]), d);
-        }
-        let fp = t.footprint();
-        assert_eq!(fp.nodes, 10);
-        assert_eq!(fp.entries, 10);
-        assert_eq!(fp.groups, 0);
-        assert_eq!(fp.total_bytes(), 16 * fp.bucket_bytes + 10 * fp.node_bytes);
-        assert_eq!(fp.reclaimable_bytes(), 10 * fp.node_bytes as u64);
     }
 
     #[test]
     fn concurrent_mutators_and_readers_converge() {
         let key = HashKey::from_seed(8);
-        for t in both_layouts(1 << 4) {
-            let dentries: Vec<_> = (0..32u64).map(dentry).collect();
-            let sigs: Vec<_> = (0..32)
-                .map(|i| key.hash_components([format!("s{i}").as_bytes()]))
-                .collect();
-            std::thread::scope(|s| {
-                for chunk in 0..4 {
-                    let t = &t;
-                    let dentries = &dentries;
-                    let sigs = &sigs;
-                    s.spawn(move || {
-                        for round in 0..200 {
-                            for i in (chunk * 8)..(chunk * 8 + 8) {
-                                if round % 2 == 0 {
-                                    t.insert_raw(sigs[i], &dentries[i]);
-                                } else {
-                                    t.remove_raw(&sigs[i], dentries[i].id());
-                                }
-                            }
-                        }
-                        // End on an insert so the final state is full.
+        let t = Dlht::new(0, 1 << 4);
+        let dentries: Vec<_> = (0..32u64).map(dentry).collect();
+        let sigs: Vec<_> = (0..32)
+            .map(|i| key.hash_components([format!("s{i}").as_bytes()]))
+            .collect();
+        std::thread::scope(|s| {
+            for chunk in 0..4 {
+                let t = &t;
+                let dentries = &dentries;
+                let sigs = &sigs;
+                s.spawn(move || {
+                    for round in 0..200 {
                         for i in (chunk * 8)..(chunk * 8 + 8) {
-                            t.insert_raw(sigs[i], &dentries[i]);
-                        }
-                    });
-                }
-                for _ in 0..4 {
-                    let t = &t;
-                    let sigs = &sigs;
-                    let dentries = &dentries;
-                    s.spawn(move || {
-                        for _ in 0..2000 {
-                            for (i, sig) in sigs.iter().enumerate() {
-                                if let Some(d) = t.lookup(sig) {
-                                    assert_eq!(d.id(), dentries[i].id());
-                                }
+                            if round % 2 == 0 {
+                                t.insert_raw(sigs[i], &dentries[i]);
+                            } else {
+                                t.remove_raw(&sigs[i], dentries[i].id());
                             }
                         }
-                    });
-                }
-            });
-            for (i, sig) in sigs.iter().enumerate() {
-                assert_eq!(t.lookup(sig).unwrap().id(), dentries[i].id());
+                    }
+                    // End on an insert so the final state is full.
+                    for i in (chunk * 8)..(chunk * 8 + 8) {
+                        t.insert_raw(sigs[i], &dentries[i]);
+                    }
+                });
             }
-            assert_eq!(t.len(), 32);
+            for _ in 0..4 {
+                let t = &t;
+                let sigs = &sigs;
+                let dentries = &dentries;
+                s.spawn(move || {
+                    for _ in 0..2000 {
+                        for (i, sig) in sigs.iter().enumerate() {
+                            if let Some(d) = t.lookup(sig) {
+                                assert_eq!(d.id(), dentries[i].id());
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        for (i, sig) in sigs.iter().enumerate() {
+            assert_eq!(t.lookup(sig).unwrap().id(), dentries[i].id());
         }
+        assert_eq!(t.len(), 32);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The models exercise internals whose production call sites sit behind
 //! `Dcache`'s locking protocol (`pub(crate)` constructors and raw DLHT
-//! chain ops). This module re-exposes exactly the handles the models
+//! bucket ops). This module re-exposes exactly the handles the models
 //! need, so the test crate can drive single protocol pieces — one
 //! dentry, one table — without standing up a whole cache.
 
@@ -31,13 +31,13 @@ pub fn kill(d: &Dentry) {
     d.set_flag(crate::dentry::FLAG_DEAD);
 }
 
-/// Raw DLHT chain insert (production callers go through `Dcache`, which
+/// Raw DLHT bucket insert (production callers go through `Dcache`, which
 /// owns the membership protocol).
 pub fn dlht_insert(t: &Dlht, sig: Signature, d: &Arc<Dentry>) {
     t.insert_raw(sig, d);
 }
 
-/// Raw DLHT chain removal.
+/// Raw DLHT bucket removal.
 pub fn dlht_remove(t: &Dlht, sig: &Signature, id: DentryId) {
     t.remove_raw(sig, id);
 }

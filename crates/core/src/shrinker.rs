@@ -3,7 +3,7 @@
 //!
 //! The dcache is the canonical client ([`crate::Dcache`] implements
 //! [`Shrinker`]): under pressure it LRU-evicts leaf dentries — which
-//! drops their DLHT chain nodes with them — and, if still over budget,
+//! drops their DLHT slots with them — and, if still over budget,
 //! forgets PCC lines. Every reclaim path goes through the ordinary
 //! coherence machinery (`unhash(reclaim = true)`: descendants before
 //! ancestors, completeness breaks, DLHT removal *then* seq bump), so a

@@ -1,13 +1,12 @@
 //! Slab arena for epoch-published [`DentrySnap`] blocks (DESIGN.md §13).
 //!
-//! Every dentry mutation republishes its snapshot; with `Box` that is a
-//! malloc per mutation plus a free inside the epoch collector — allocator
-//! traffic and cache-cold blocks on the very pointers the warm read path
-//! dereferences. The slab hands out fixed-size slots from leaked blocks
-//! instead: retired snapshots return to the free list after their grace
-//! period (via [`crossbeam_epoch::Guard::defer_with`]) and are reused
-//! hot, so steady-state republication performs zero allocator calls and
-//! keeps the snapshot working set dense.
+//! Every dentry mutation republishes its snapshot. The slab hands out
+//! fixed-size slots from leaked blocks: retired snapshots return to the
+//! free list after their grace period (via
+//! [`crossbeam_epoch::Guard::defer_with`]) and are reused, so
+//! steady-state republication performs zero allocator calls and keeps
+//! the snapshot working set dense — measured as lower peak RSS, not
+//! lower latency (DESIGN.md §13.3).
 //!
 //! Slot recycling is split across two structures so the measured read
 //! path stays lock-free (asserted by `tests/lockfree_read.rs`'s
@@ -22,11 +21,6 @@
 //! Blocks are never returned to the OS (classic slab behavior); the
 //! exact footprint — blocks, slot size, free slots — is walked by
 //! [`footprint`] and reported through `repro space`.
-//!
-//! Provenance: boxed and slab snapshots coexist (the `snap_slab: false`
-//! ablation publishes boxed ones), so each `DentrySnap` records where it
-//! came from and [`retire`] dispatches on that record, never on global
-//! state.
 
 use crate::dentry::DentrySnap;
 use crossbeam_epoch::{Guard, Shared};
@@ -153,7 +147,6 @@ fn pop_slot() -> *mut DentrySnap {
 /// Writes `snap` into a slab slot and returns the published-ready
 /// pointer. The caller owns the slot until it is retired.
 pub(crate) fn alloc_snap<'g>(snap: DentrySnap, _guard: &'g Guard) -> Shared<'g, DentrySnap> {
-    debug_assert!(snap.from_slab, "slab slots must be marked from_slab");
     let p = pop_slot();
     unsafe { p.write(snap) };
     track_alloc(p);
@@ -162,24 +155,18 @@ pub(crate) fn alloc_snap<'g>(snap: DentrySnap, _guard: &'g Guard) -> Shared<'g, 
 }
 
 /// The type-erased destructor the epoch collector runs once the grace
-/// period elapses: drop the snapshot's contents, then return the memory
-/// to wherever it came from — the slab free list or the heap.
+/// period elapses: drop the snapshot's contents, then return the slot
+/// to the slab's return stack.
 unsafe fn destroy_snap(p: *mut ()) {
     let snap = p as *mut DentrySnap;
-    if (*snap).from_slab {
-        std::ptr::drop_in_place(snap);
-        track_free(snap);
-        push_returned(snap);
-    } else {
-        track_free(snap);
-        drop(Box::from_raw(snap));
-    }
+    std::ptr::drop_in_place(snap);
+    track_free(snap);
+    push_returned(snap);
 }
 
-/// Retires a replaced snapshot through the epoch collector, dispatching
-/// on its recorded provenance. Null pointers (a dentry that never
-/// published) are ignored; on an unprotected guard the destructor runs
-/// immediately (the `Drop` path).
+/// Retires a replaced snapshot through the epoch collector. Null
+/// pointers (a dentry that never published) are ignored; on an
+/// unprotected guard the destructor runs immediately (the `Drop` path).
 ///
 /// # Safety
 ///
@@ -239,7 +226,7 @@ mod tests {
 
     #[test]
     fn republish_cycles_reuse_slots() {
-        // Dentries in the default config publish from the slab; a burst
+        // Dentries publish from the slab; a burst
         // of republishes must not grow the arena once warm (retired
         // slots come back after the grace period). The slab is global
         // and the test harness runs in parallel, so assert on *growth*

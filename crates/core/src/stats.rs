@@ -169,19 +169,14 @@ pub struct SpaceReport {
     /// DLHT footprint across namespaces, bytes.
     pub dlht_bytes: usize,
     /// Exact size of one DLHT bucket head (an epoch-managed atomic
-    /// chain pointer).
+    /// group pointer).
     pub dlht_bucket_bytes: usize,
-    /// Exact size of one DLHT chain node (signature lanes + weak dentry
-    /// reference + next pointer).
-    pub dlht_node_bytes: usize,
-    /// Exact size of one open-addressed DLHT bucket group (tag array +
+    /// Exact size of one DLHT bucket group (tag array +
     /// count + overflow pointer + inline slots, cache-line aligned).
     pub dlht_group_bytes: usize,
     /// Total DLHT buckets across namespaces.
     pub dlht_buckets: usize,
-    /// Total DLHT chain nodes across namespaces (chained layout).
-    pub dlht_nodes: u64,
-    /// Total DLHT bucket groups across namespaces (open layout).
+    /// Total DLHT bucket groups across namespaces.
     pub dlht_groups: u64,
     /// Live DLHT entries across namespaces, walked.
     pub dlht_entries: u64,
@@ -203,11 +198,6 @@ impl std::fmt::Display for SpaceReport {
             f,
             "  buckets:        {} x {} bytes",
             self.dlht_buckets, self.dlht_bucket_bytes
-        )?;
-        writeln!(
-            f,
-            "  chain nodes:    {} x {} bytes",
-            self.dlht_nodes, self.dlht_node_bytes
         )?;
         writeln!(
             f,

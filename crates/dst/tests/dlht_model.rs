@@ -1,7 +1,7 @@
 //! Linearizability model for the DLHT (`dcache-core/src/dlht.rs`).
 //!
 //! Concurrent `insert_raw` / `remove_raw` / `lookup` calls on the real
-//! copy-chain-and-CAS table are recorded as a step-stamped history and
+//! copy-bucket-and-CAS table are recorded as a step-stamped history and
 //! checked against a sequential per-signature register with the Wing &
 //! Gong search in `dst::linearize`. In this model every signature is
 //! only ever paired with one dentry id, so the sequential reference is
@@ -58,17 +58,10 @@ struct Fixture {
 }
 
 fn fixture(nslots: usize) -> Arc<Fixture> {
-    fixture_with(nslots, true)
-}
-
-/// `open` selects the §13 open-addressed bucket-group layout (the
-/// default) or the pre-overhaul pointer-chain layout — both remain live
-/// (the layout ablation's "before" column) and both must linearize.
-fn fixture_with(nslots: usize, open: bool) -> Arc<Fixture> {
     let key = HashKey::from_seed(42);
-    // A tiny table so distinct signatures collide into shared chains and
+    // A tiny table so distinct signatures collide into shared groups and
     // mutators genuinely race on the same bucket head CAS.
-    let table = Dlht::new_with_layout(0, 1 << 2, true, open);
+    let table = Dlht::new(0, 1 << 2);
     let sigs: Vec<Signature> = (0..nslots)
         .map(|i| key.hash_components([format!("slot{i}").as_bytes()]))
         .collect();
@@ -102,8 +95,8 @@ fn run_ops(fx: &Fixture, ops: &[Op]) -> History<SigMap> {
     h
 }
 
-fn linearizes_body(threads: &'static [&'static [Op]], open: bool) {
-    let fx = fixture_with(3, open);
+fn linearizes_body(threads: &'static [&'static [Op]]) {
+    let fx = fixture(3);
     let handles: Vec<_> = threads[1..]
         .iter()
         .map(|ops| {
@@ -140,33 +133,14 @@ fn insert_remove_lookup_linearize_against_register_map() {
             .seed(0x71)
             .max_steps(60_000)
             .from_env(),
-        || linearizes_body(&THREADS, true),
-    );
-}
-
-#[test]
-fn insert_remove_lookup_linearize_in_chained_layout() {
-    // Same history set against the pre-overhaul pointer-chain layout.
-    static THREADS: [&[Op]; 3] = [
-        &[Op::Lookup(0), Op::Lookup(1), Op::Lookup(0)],
-        &[Op::Insert(0), Op::Insert(1), Op::Remove(0)],
-        &[Op::Insert(2), Op::Lookup(0), Op::Lookup(2)],
-    ];
-    dst::check(
-        "dlht-linearizability-chained",
-        dst::Config::default()
-            .iterations(1500)
-            .seed(0x74)
-            .max_steps(60_000)
-            .from_env(),
-        || linearizes_body(&THREADS, false),
+        || linearizes_body(&THREADS),
     );
 }
 
 #[test]
 fn racing_mutators_on_one_signature_linearize() {
     // Insert and remove hammer the SAME signature from two threads while
-    // readers validate: the copy-chain CAS loop must serialize them.
+    // readers validate: the copy-bucket CAS loop must serialize them.
     static THREADS: [&[Op]; 3] = [
         &[Op::Lookup(0), Op::Lookup(0), Op::Lookup(0)],
         &[Op::Insert(0), Op::Remove(0)],
@@ -179,25 +153,7 @@ fn racing_mutators_on_one_signature_linearize() {
             .seed(0x72)
             .max_steps(60_000)
             .from_env(),
-        || linearizes_body(&THREADS, true),
-    );
-}
-
-#[test]
-fn racing_mutators_linearize_in_chained_layout() {
-    static THREADS: [&[Op]; 3] = [
-        &[Op::Lookup(0), Op::Lookup(0), Op::Lookup(0)],
-        &[Op::Insert(0), Op::Remove(0)],
-        &[Op::Insert(0), Op::Remove(0)],
-    ];
-    dst::check(
-        "dlht-single-sig-race-chained",
-        dst::Config::default()
-            .iterations(1500)
-            .seed(0x75)
-            .max_steps(60_000)
-            .from_env(),
-        || linearizes_body(&THREADS, false),
+        || linearizes_body(&THREADS),
     );
 }
 

@@ -133,7 +133,7 @@ fn injected_missing_dead_flag_is_caught_and_replays() {
 fn lookups_racing_bulk_eviction_see_live_or_nothing() {
     // A shrinker sweeps a shared-bucket chain while readers hammer
     // lookups. The tracked allocator fails the execution if a reader
-    // ever touches a reclaimed chain node (freed read); the assertions
+    // ever touches a reclaimed bucket group (freed read); the assertions
     // fail it if a lookup returns an evicted-and-bumped dentry as
     // validated, or if anything resurrects after the sweep.
     dst::check(
@@ -176,7 +176,7 @@ fn lookups_racing_bulk_eviction_see_live_or_nothing() {
                     for sig in &sigs {
                         if let Some(d) = table.lookup(sig) {
                             // Touch the dentry: the tracked allocator
-                            // catches it if the chain node was freed.
+                            // catches it if the group was freed.
                             let _ = d.id();
                             let _ = revalidate(&d);
                         }

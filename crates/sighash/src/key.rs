@@ -25,9 +25,6 @@ pub struct HashKey {
     /// Per-lane initial accumulator value (the `k_0` term of the
     /// multilinear family).
     init: [u64; LANES],
-    /// Routes `push_component` through the 8-bytes-per-step wide path
-    /// (true) or the per-lane oracle (false, the layout ablation).
-    wide_enabled: bool,
 }
 
 impl HashKey {
@@ -56,25 +53,7 @@ impl HashKey {
                 *slot = lanes[lane][p];
             }
         }
-        HashKey {
-            lanes,
-            wide,
-            init,
-            wide_enabled: true,
-        }
-    }
-
-    /// Enables or disables the wide (8-bytes-per-step) mixing path.
-    /// Disabling routes every component through the byte-at-a-time
-    /// oracle — the "before" column of the layout-attribution table.
-    pub fn with_wide(mut self, enabled: bool) -> Self {
-        self.wide_enabled = enabled;
-        self
-    }
-
-    /// True when the wide mixing path is active.
-    pub fn wide_enabled(&self) -> bool {
-        self.wide_enabled
+        HashKey { lanes, wide, init }
     }
 
     /// Creates key material from OS entropy (what a real boot would do).
@@ -109,8 +88,7 @@ impl HashKey {
         // every word of this component; components that start at or
         // straddle a schedule wrap (paths past ~8 KB of components) take
         // the oracle path, which handles the perturbation per word.
-        if self.wide_enabled && (state.pos as usize) + multilinear::words_for(name) <= SCHEDULE_LEN
-        {
+        if (state.pos as usize) + multilinear::words_for(name) <= SCHEDULE_LEN {
             state.pos =
                 multilinear::mix_component_wide(&mut state.acc, state.pos, &self.wide, name);
         } else {
@@ -315,15 +293,6 @@ mod tests {
         }
         assert!(dispatch.words_consumed() as usize > SCHEDULE_LEN);
         assert_eq!(key.finish(&dispatch), key.finish(&oracle));
-    }
-
-    #[test]
-    fn disabled_wide_uses_oracle() {
-        let wide = HashKey::from_seed(5);
-        let narrow = HashKey::from_seed(5).with_wide(false);
-        assert!(wide.wide_enabled() && !narrow.wide_enabled());
-        let p = [b"usr".as_slice(), b"include".as_slice()];
-        assert_eq!(wide.hash_components(p), narrow.hash_components(p));
     }
 
     #[test]

@@ -87,13 +87,8 @@ impl Kernel {
         let lexical = self.dcache.config.lexical_dotdot;
 
         // Phase 1: reduce components against the anchor, handling "..".
-        // Inline scratch: a warm hit must not touch the heap (§13); the
-        // scratch_arena ablation restores the old per-lookup Vec.
-        let mut pending: InlineVec<&str, INLINE_COMPONENTS> = if self.dcache.config.scratch_arena {
-            InlineVec::new()
-        } else {
-            InlineVec::heap_backed(parsed.components.len())
-        };
+        // Inline scratch: a warm hit must not touch the heap (§13).
+        let mut pending: InlineVec<&str, INLINE_COMPONENTS> = InlineVec::new();
         for &c in &parsed.components {
             if c != ".." {
                 pending.push(c);

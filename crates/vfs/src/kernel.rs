@@ -306,7 +306,7 @@ impl Kernel {
     /// The retired table is *not* walked entry-by-entry: dentries hold
     /// only weak membership in it, so dropping the last table handle
     /// (the namespace's memoized one goes with the `Arc<MountNamespace>`
-    /// returned here) frees every chain node and bucket group wholesale
+    /// returned here) frees every bucket group wholesale
     /// once in-flight epoch readers drain. Processes still attached to
     /// the namespace keep their mounts working — only the cache
     /// acceleration (DLHT entries, PCCs) dies with the teardown.
@@ -583,7 +583,7 @@ impl MetricSource for SharedSource {
 pub struct TeardownReport {
     /// Live DLHT entries retired with the namespace's table.
     pub dlht_entries: u64,
-    /// Bytes of DLHT structure (bucket array + chain nodes or groups)
+    /// Bytes of DLHT structure (bucket array + groups)
     /// freed once the last table handle drops and epochs drain.
     pub dlht_bytes: u64,
     /// PCC instances detached from their credentials.

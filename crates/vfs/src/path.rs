@@ -97,13 +97,6 @@ pub struct ParsedPath<'a> {
 /// NULs (`EINVAL`). Repeated slashes collapse; `"."` components are
 /// dropped except for their trailing-slash effect.
 pub fn split_path(path: &str) -> FsResult<ParsedPath<'_>> {
-    split_path_in(path, true)
-}
-
-/// [`split_path`] with an explicit storage mode: `inline: false`
-/// reproduces the pre-layout heap-`Vec` behavior (the
-/// `scratch_arena: false` ablation in the fig-3 attribution).
-pub fn split_path_in(path: &str, inline: bool) -> FsResult<ParsedPath<'_>> {
     if path.is_empty() {
         return Err(FsError::NoEnt);
     }
@@ -112,11 +105,7 @@ pub fn split_path_in(path: &str, inline: bool) -> FsResult<ParsedPath<'_>> {
     }
     let bytes = path.as_bytes();
     let absolute = bytes[0] == b'/';
-    let mut components = if inline {
-        InlineVec::new()
-    } else {
-        InlineVec::heap_backed(8)
-    };
+    let mut components = InlineVec::new();
     // One scan does everything: component boundaries, the embedded-NUL
     // check, and per-component length limits ('/' is ASCII, so slicing
     // at its byte offsets always lands on char boundaries).
@@ -194,10 +183,6 @@ mod tests {
     fn components_stay_inline_for_typical_paths() {
         let p = split_path("/usr/lib/x86_64/libc/2.31/debug/src").unwrap();
         assert!(!p.components.is_spilled());
-        // The ablation mode heap-allocates from the start.
-        let p = split_path_in("/usr/lib", false).unwrap();
-        assert!(p.components.is_spilled());
-        assert_eq!(p.components, vec!["usr", "lib"]);
         // Pathologically deep paths spill and still parse correctly.
         let deep = "a/".repeat(40);
         let p = split_path(&deep).unwrap();

@@ -10,10 +10,6 @@
 //! frame) and spills to a real `Vec` only past that, so the warm path
 //! performs **zero** heap allocations end to end — asserted by the
 //! allocation-counting harness in `tests/lockfree_read.rs`.
-//!
-//! The `scratch_arena: false` ablation constructs these heap-backed
-//! ([`InlineVec::heap_backed`]) to reproduce the pre-layout allocation
-//! behavior for the fig-3 attribution table.
 
 /// Inline capacity used for path components throughout the walkers.
 /// Sixteen components cover every path in the paper's workloads; deeper
@@ -21,7 +17,7 @@
 pub const INLINE_COMPONENTS: usize = 16;
 
 /// A small-vector: up to `N` elements stored inline, spilling to the
-/// heap on overflow (or from the start, for ablation measurements).
+/// heap on overflow.
 ///
 /// `T: Copy + Default` keeps the implementation free of `unsafe`: the
 /// inline buffer is a plain `[T; N]` pre-filled with defaults, and only
@@ -44,18 +40,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             len: 0,
             heap: Vec::new(),
             spilled: false,
-        }
-    }
-
-    /// An empty vector that allocates from the start — the pre-layout
-    /// (`scratch_arena: false`) behavior, one malloc per parse.
-    #[inline]
-    pub fn heap_backed(capacity: usize) -> Self {
-        InlineVec {
-            buf: [T::default(); N],
-            len: 0,
-            heap: Vec::with_capacity(capacity.max(1)),
-            spilled: true,
         }
     }
 
@@ -198,17 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn heap_backed_never_uses_inline_buffer() {
-        let mut v: InlineVec<u32, 8> = InlineVec::heap_backed(3);
-        assert!(v.is_spilled());
-        v.push(7);
-        assert_eq!(v, vec![7]);
-    }
-
-    #[test]
     fn clone_and_eq_cross_modes() {
         let mut a: InlineVec<u32, 4> = InlineVec::new();
-        let mut b: InlineVec<u32, 4> = InlineVec::heap_backed(4);
+        let mut b: InlineVec<u32, 4> = InlineVec::new();
         for i in 0..3 {
             a.push(i);
             b.push(i);

@@ -19,7 +19,7 @@
 use crate::kernel::Kernel;
 use crate::mount::Mount;
 use crate::namespace::MountNamespace;
-use crate::path::{split_path_in, ParsedPath, PathRef, WalkResult};
+use crate::path::{split_path, ParsedPath, PathRef, WalkResult};
 use crate::process::Process;
 use dc_cred::{Cred, PermCtx, MAY_EXEC};
 use dc_fs::{FileSystem, FsError, FsResult};
@@ -80,7 +80,7 @@ impl Kernel {
         path: &str,
         follow_last: bool,
     ) -> FsResult<WalkResult> {
-        let parsed = split_path_in(path, self.dcache.config.scratch_arena)?;
+        let parsed = split_path(path)?;
         self.dcache.stats.lookups.fetch_add(1, Ordering::Relaxed);
         self.dcache.obs.event(|| TraceEvent::LookupStart);
         let t0 = self.dcache.obs.now();
@@ -120,7 +120,7 @@ impl Kernel {
         start: Option<PathRef>,
         path: &str,
     ) -> FsResult<ParentResult> {
-        let parsed = split_path_in(path, self.dcache.config.scratch_arena)?;
+        let parsed = split_path(path)?;
         self.dcache.stats.lookups.fetch_add(1, Ordering::Relaxed);
         self.dcache.obs.event(|| TraceEvent::LookupStart);
         let t0 = self.dcache.obs.now();
@@ -919,7 +919,7 @@ impl<'k> SlowWalk<'k> {
         }
         let link_inode = link.inode().ok_or(FsError::NoEnt)?;
         let target = self.fs().readlink(link_inode.ino)?;
-        let tparsed = split_path_in(&target, self.k.dcache.config.scratch_arena)?;
+        let tparsed = split_path(&target)?;
         // Literal context to restore afterwards.
         let saved_hstate = self.hstate;
         let saved_alias = self.alias_parent.take();

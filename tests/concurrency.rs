@@ -20,11 +20,7 @@ fn touch(k: &Kernel, p: &Arc<Process>, path: &str) {
 
 #[test]
 fn readers_race_renames_without_stale_results() {
-    for config in [
-        DcacheConfig::baseline(),
-        DcacheConfig::optimized(),
-        DcacheConfig::optimized().with_locked_reads(),
-    ] {
+    for config in [DcacheConfig::baseline(), DcacheConfig::optimized()] {
         let (k, p) = kernel(config);
         k.mkdir(&p, "/race", 0o755).unwrap();
         k.mkdir(&p, "/race/a", 0o755).unwrap();
@@ -170,11 +166,7 @@ fn permission_revocation_is_never_raced_past() {
 
 #[test]
 fn concurrent_creates_in_one_directory() {
-    for config in [
-        DcacheConfig::baseline(),
-        DcacheConfig::optimized(),
-        DcacheConfig::optimized().with_locked_reads(),
-    ] {
+    for config in [DcacheConfig::baseline(), DcacheConfig::optimized()] {
         let (k, p) = kernel(config);
         k.mkdir(&p, "/mk", 0o755).unwrap();
         std::thread::scope(|s| {
@@ -269,11 +261,7 @@ fn negative_dentries_cohere_under_concurrent_rename() {
     // a real file onto it); in any window with no rename completion, a
     // stale cached ENOENT for an existing file — or a stale hit for an
     // absent one — is an anomaly.
-    for config in [
-        DcacheConfig::baseline(),
-        DcacheConfig::optimized(),
-        DcacheConfig::optimized().with_locked_reads(),
-    ] {
+    for config in [DcacheConfig::baseline(), DcacheConfig::optimized()] {
         let wants_negative = config.negative_dentries;
         let (k, p) = kernel(config);
         k.mkdir(&p, "/neg", 0o755).unwrap();

@@ -280,7 +280,7 @@ proptest! {
     #[test]
     fn ablations_are_observationally_equivalent(
         ops in prop::collection::vec(op(), 1..40),
-        which in 0usize..5
+        which in 0usize..4
     ) {
         let config = match which {
             0 => DcacheConfig {
@@ -295,15 +295,10 @@ proptest! {
                 neg_on_unlink: false,
                 ..DcacheConfig::optimized()
             },
-            3 => DcacheConfig {
+            _ => DcacheConfig {
                 fastpath: false,
                 ..DcacheConfig::optimized()
             },
-            // The locked-reads ablation: same structures, but dentry
-            // accessors take the per-field locks and the DLHT shards a
-            // reader lock per bucket instead of epoch pinning. Must be
-            // observationally identical to everything else.
-            _ => DcacheConfig::optimized().with_locked_reads(),
         };
         run_equivalence_against(config, ops);
     }

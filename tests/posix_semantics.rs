@@ -8,11 +8,7 @@ use dcache_repro::{DcacheConfig, Kernel, KernelBuilder, OpenFlags, Process};
 use std::sync::Arc;
 
 fn both(test: impl Fn(Arc<Kernel>, Arc<Process>)) {
-    for config in [
-        DcacheConfig::baseline(),
-        DcacheConfig::optimized(),
-        DcacheConfig::optimized().with_locked_reads(),
-    ] {
+    for config in [DcacheConfig::baseline(), DcacheConfig::optimized()] {
         let k = KernelBuilder::new(config.with_seed(77)).build().unwrap();
         test(k.clone(), k.init_process());
     }
@@ -93,11 +89,7 @@ fn setuid_commit_creates_or_reuses_cred() {
 
 #[test]
 fn pathmac_lsm_denies_by_path_prefix() {
-    for config in [
-        DcacheConfig::baseline(),
-        DcacheConfig::optimized(),
-        DcacheConfig::optimized().with_locked_reads(),
-    ] {
+    for config in [DcacheConfig::baseline(), DcacheConfig::optimized()] {
         let mut stack = SecurityStack::dac_only();
         stack.push(Arc::new(PathMac::new(vec![
             MacRule {
