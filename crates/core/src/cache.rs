@@ -163,7 +163,6 @@ impl Dcache {
             0,
         );
         parent.insert_child(d.clone());
-        d.touch(self.tick.fetch_add(1, Ordering::Relaxed));
         self.live.fetch_add(1, Ordering::Relaxed);
         self.lru.insert(&d);
         self.maybe_shrink();
@@ -172,9 +171,7 @@ impl Dcache {
 
     /// Per-parent cached-child lookup (`d_lookup`).
     pub fn d_lookup(&self, parent: &Dentry, name: &str) -> Option<Arc<Dentry>> {
-        let child = parent.get_child(name)?;
-        child.touch(self.tick.fetch_add(1, Ordering::Relaxed));
-        Some(child)
+        parent.get_child(name)
     }
 
     // --- state transitions ------------------------------------------------
@@ -187,10 +184,9 @@ impl Dcache {
         for child in d.children_snapshot() {
             self.unhash_subtree(&child);
         }
+        // Also drops a symlink's target signature: it must not outlive
+        // the object (the path may be recreated as a different symlink).
         d.set_state(DentryState::Negative(kind));
-        // A stale target signature must not outlive the object (the path
-        // may be recreated as a different symlink).
-        d.clear_link_sig();
         // Listings of the parent change: the entry vanished.
         if let Some(p) = d.parent() {
             p.bump_children_version();
@@ -602,7 +598,7 @@ impl Dcache {
         let mut stack = vec![d.clone()];
         while let Some(n) = stack.pop() {
             visited += 1;
-            // Mutate (and republish the snapshot) before bumping the seq:
+            // Publish the edited snapshot before bumping the seq:
             // a lock-free reader that validates against the post-bump seq
             // must observe the post-shootdown snapshot.
             if structural {

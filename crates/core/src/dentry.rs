@@ -65,34 +65,20 @@ pub enum DentryState {
     },
 }
 
-impl std::fmt::Debug for DentryState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DentryState::Positive(i) => write!(f, "Positive(ino={})", i.ino),
-            DentryState::Negative(k) => write!(f, "Negative({k:?})"),
-            DentryState::Partial { ino, ftype } => {
-                write!(f, "Partial(ino={ino}, {ftype:?})")
-            }
-            DentryState::SymlinkAlias { target, .. } => {
-                write!(f, "SymlinkAlias(→ dentry {})", target.id())
-            }
-        }
-    }
-}
-
-/// Snapshot mirror of [`DentryState`] published for lock-free readers.
+/// The stored form of [`DentryState`], held in the published snapshot.
 ///
 /// Dentry references are **weak**: epoch reclamation holds retired
 /// snapshots for a grace period, and a strong reference there would
 /// distort the `Arc::strong_count`-based eviction protocol
-/// (`Dcache::try_evict`). A failed upgrade means the snapshot is stale;
-/// readers fall back to the locked field, they never guess.
+/// (`Dcache::try_evict`). The strong reference lives in [`StrongEdges`];
+/// a failed upgrade means the snapshot is stale and readers fall back to
+/// that cell, they never guess.
 #[derive(Clone)]
 pub(crate) enum SnapState {
     Positive(Arc<Inode>),
     Negative(NegKind),
-    // `ino` is deliberately absent: lock-free readers take it from the
-    // packed `listing_tag` atomic, not the snapshot.
+    // `ino` is deliberately absent: readers take it from the packed
+    // `listing_tag` atomic, not the snapshot.
     Partial {
         ftype: FileType,
     },
@@ -102,12 +88,40 @@ pub(crate) enum SnapState {
     },
 }
 
-/// The hot dentry fields read during walks, published as one immutable
-/// epoch-managed block (DESIGN.md §5). Writers rebuild and swap it after
-/// every mutation; readers pin, load, and copy out the field they need —
-/// no locks on the read side. Consistency across fields is validated by
-/// the per-dentry `seq` counter exactly like the slowpath validates
-/// against `rename_lock`.
+/// The inode-number bits of a packed `listing_tag`.
+const INO_MASK: u64 = (1 << 56) - 1;
+
+/// Splits an incoming [`DentryState`] into its stored form, the strong
+/// alias edge it carries, and its packed `listing_tag`.
+fn lower(state: DentryState) -> (SnapState, Option<Arc<Dentry>>, u64) {
+    let pack = |tag: u64, ino: u64, ftype: FileType| {
+        (tag << 62) | ((ftype.as_u8() as u64) << 56) | (ino & INO_MASK)
+    };
+    match state {
+        DentryState::Positive(i) => {
+            let a = i.attr();
+            (SnapState::Positive(i), None, pack(0, a.ino, a.ftype))
+        }
+        DentryState::Negative(k) => (SnapState::Negative(k), None, 1 << 62),
+        DentryState::Partial { ino, ftype } => {
+            (SnapState::Partial { ftype }, None, pack(2, ino, ftype))
+        }
+        DentryState::SymlinkAlias { target, target_seq } => {
+            let strong = target;
+            let target = Arc::downgrade(&strong);
+            let state = SnapState::SymlinkAlias { target, target_seq };
+            (state, Some(strong), 3 << 62)
+        }
+    }
+}
+
+/// The dentry's name, parent, state, hash state and link signature: the
+/// only copy, published as one immutable epoch-managed block (DESIGN.md
+/// §5). Writers copy it, edit the copy and swap it in
+/// ([`Dentry::publish`]); readers pin, load, and copy out the field they
+/// need — no locks on the read side. Consistency across fields is
+/// validated by the per-dentry `seq` counter exactly like the slowpath
+/// validates against `rename_lock`.
 ///
 /// Layout (`repr(C)`, DESIGN.md §13): the fields every walk touches —
 /// `name`, `parent`, `state` — are packed into the first 64 bytes, so a
@@ -116,6 +130,7 @@ pub(crate) enum SnapState {
 /// below pin the contract. Blocks live in the snapshot slab
 /// ([`crate::snapslab`]).
 #[repr(C)]
+#[derive(Clone)]
 pub(crate) struct DentrySnap {
     pub(crate) name: Arc<str>,
     pub(crate) parent: Option<Weak<Dentry>>,
@@ -132,7 +147,18 @@ const _: () = {
         std::mem::offset_of!(DentrySnap, state) + std::mem::size_of::<SnapState>() <= 64,
         "hot snapshot fields (name/parent/state) must fit one cache line"
     );
+    // The paper's §6.1 dentry is 280 bytes; ours stays under that.
+    assert!(std::mem::size_of::<Dentry>() <= 232);
 };
+
+/// The strong references a dentry holds on other dentries. The snapshot
+/// may mirror them only weakly (see [`SnapState`]): these keep the parent
+/// chain and an alias's target alive, and are what `Dcache::try_evict`'s
+/// strong-count test counts.
+struct StrongEdges {
+    parent: Option<Arc<Dentry>>,
+    alias_target: Option<Arc<Dentry>>,
+}
 
 /// One cached path component.
 ///
@@ -145,9 +171,6 @@ const _: () = {
 pub struct Dentry {
     id: DentryId,
     sb: SbId,
-    name: RwLock<Arc<str>>,
-    parent: RwLock<Option<Arc<Dentry>>>,
-    state: RwLock<DentryState>,
     /// Per-parent child index. Keyed by the boot-seeded fast hasher
     /// ([`crate::fasthash`]) instead of SipHash — `d_lookup` is on the
     /// per-component path the fig-3 attribution charges to "table" time.
@@ -168,9 +191,6 @@ pub struct Dentry {
     /// the dentry child list; the prebuilt snapshot is the constant-time
     /// equivalent.
     dir_snapshot: Mutex<Option<(u64, Arc<Vec<DirEntry>>)>>,
-    /// Resumable signature-hash state for this dentry's canonical path
-    /// (§3.1); cleared on rename and recomputed on demand.
-    hash_state: Mutex<Option<HashState>>,
     /// Which DLHT holds this dentry, and under what signature (at most
     /// one at a time, §4.3). The table handle is weak: namespace
     /// teardown retires a table by dropping the dcache's reference, and
@@ -178,15 +198,9 @@ pub struct Dentry {
     /// unlink memberships — an upgrade failure means the whole table
     /// already died with its entries (DESIGN.md §14).
     dlht_entry: Mutex<Option<(Weak<crate::dlht::Dlht>, Signature)>>,
-    /// For symlink dentries: the signature of the link target's canonical
-    /// path, letting the fastpath chain through links without reading
-    /// them (§4.2). Recorded by the slowpath after a successful follow.
-    link_sig: Mutex<Option<Signature>>,
     /// Mount id recorded for fastpath mount-flag checks (§4.3).
     mount_hint: AtomicU64,
-    /// LRU recency tick.
-    last_used: AtomicU64,
-    /// Packed listing info maintained alongside `state` so directory
+    /// Packed listing info maintained alongside the state so directory
     /// listings can classify children with one atomic load instead of a
     /// lock: `tag(2) | ftype(6) | ino(56)`; tag 0=positive, 1=negative,
     /// 2=partial, 3=other.
@@ -196,13 +210,13 @@ pub struct Dentry {
     /// across another dentry's `dir_lock` except parent→child under the
     /// global rename lock.
     dir_lock: Mutex<()>,
-    /// Epoch-published snapshot of the hot read fields; never null after
-    /// construction. See [`DentrySnap`].
+    /// The epoch-published [`DentrySnap`]; never null after construction.
     snap: Atomic<DentrySnap>,
-    /// Serializes snapshot republication: without it, two racing writers
-    /// could publish out of order and leave a stale snapshot installed
-    /// after both field mutations landed.
-    snap_lock: Mutex<()>,
+    /// The strong parent/alias edges. Its lock also serializes
+    /// publications: every writer holds it from reading the current
+    /// snapshot to swapping in the edited copy, so racing edits of
+    /// different fields compose instead of overwriting each other.
+    edges: Mutex<StrongEdges>,
 }
 
 impl Dentry {
@@ -214,30 +228,36 @@ impl Dentry {
         state: DentryState,
         seq_init: u64,
     ) -> Arc<Dentry> {
+        let (state, alias_target, tag) = lower(state);
+        let first = DentrySnap {
+            name: Arc::from(name),
+            parent: parent.as_ref().map(Arc::downgrade),
+            state,
+            hash_state: None,
+            link_sig: None,
+        };
         let d = Arc::new(Dentry {
             id,
             sb,
-            name: RwLock::new(Arc::from(name)),
-            parent: RwLock::new(parent),
-            state: RwLock::new(state),
             children: RwLock::new(FastMap::default()),
             seq: AtomicU64::new(seq_init),
             flags: AtomicU32::new(0),
             child_evict_gen: AtomicU64::new(0),
             children_version: AtomicU64::new(0),
             dir_snapshot: Mutex::new(None),
-            hash_state: Mutex::new(None),
             dlht_entry: Mutex::new(None),
-            link_sig: Mutex::new(None),
             mount_hint: AtomicU64::new(0),
-            last_used: AtomicU64::new(0),
-            listing_tag: AtomicU64::new(0),
+            listing_tag: AtomicU64::new(tag),
             dir_lock: Mutex::new(()),
             snap: Atomic::null(),
-            snap_lock: Mutex::new(()),
+            edges: Mutex::new(StrongEdges {
+                parent,
+                alias_target,
+            }),
         });
-        d.refresh_listing_tag();
-        d.republish();
+        let guard = epoch::pin();
+        let first = crate::snapslab::alloc_snap(first, &guard);
+        d.snap.store(first, Ordering::Release);
         d
     }
 
@@ -251,36 +271,39 @@ impl Dentry {
         f(unsafe { shared.deref() })
     }
 
-    /// Rebuilds the published snapshot from the locked fields and swaps
-    /// it in, retiring the previous slot through the epoch collector.
+    /// The one writer primitive: copy the current snapshot, apply `edit`
+    /// to the copy (and to the strong edges), swap it in, and retire the
+    /// previous slot through the epoch collector — all under the edge
+    /// lock, which orders publications. `tag`, when given, is the new
+    /// `listing_tag`, stored *after* the swap so a reader that sees the
+    /// tag leave "partial" also sees the upgraded snapshot.
     ///
-    /// Every mutation of `name`, `parent`, `state`, `hash_state`, or
-    /// `link_sig` calls this before returning (and, in coherence flows,
-    /// before the corresponding `bump_seq`), so a reader that observes an
-    /// unchanged `seq` across its read saw a current-or-newer snapshot.
-    fn republish(&self) {
-        let _serialize = self.snap_lock.lock();
-        let fresh = DentrySnap {
-            name: self.name.read().clone(),
-            parent: self.parent.read().as_ref().map(Arc::downgrade),
-            state: match &*self.state.read() {
-                DentryState::Positive(i) => SnapState::Positive(i.clone()),
-                DentryState::Negative(k) => SnapState::Negative(*k),
-                DentryState::Partial { ftype, .. } => SnapState::Partial { ftype: *ftype },
-                DentryState::SymlinkAlias { target, target_seq } => SnapState::SymlinkAlias {
-                    target: Arc::downgrade(target),
-                    target_seq: *target_seq,
-                },
-            },
-            hash_state: *self.hash_state.lock(),
-            link_sig: *self.link_sig.lock(),
-        };
+    /// In coherence flows the caller bumps `seq` after this returns, so
+    /// a reader that observes an unchanged `seq` across its read saw a
+    /// current-or-newer snapshot. `edit`'s result is returned once the
+    /// lock is released: a displaced `Arc<Dentry>` is dropped outside it.
+    fn publish<R>(
+        &self,
+        tag: Option<u64>,
+        edit: impl FnOnce(&mut DentrySnap, &mut StrongEdges) -> R,
+    ) -> R {
+        let mut edges = self.edges.lock();
         let guard = epoch::pin();
-        let new = crate::snapslab::alloc_snap(fresh, &guard);
+        let cur = self.snap.load(Ordering::Acquire, &guard);
+        // Safety: never null (see `with_snap`), and the edge lock makes
+        // it the latest publication.
+        let mut next = unsafe { cur.deref() }.clone();
+        let out = edit(&mut next, &mut edges);
+        let new = crate::snapslab::alloc_snap(next, &guard);
         let old = self.snap.swap(new, Ordering::AcqRel, &guard);
+        if let Some(tag) = tag {
+            self.listing_tag.store(tag, Ordering::Release);
+        }
+        drop(edges);
         // Safety: `old` was just unlinked by the swap; retirement returns
         // its slot to the slab after the grace period.
         unsafe { crate::snapslab::retire(&guard, old) };
+        out
     }
 
     /// This dentry's unique id.
@@ -300,25 +323,10 @@ impl Dentry {
 
     /// Parent dentry (`None` for a superblock root).
     pub fn parent(&self) -> Option<Arc<Dentry>> {
-        enum P {
-            Root,
-            Live(Arc<Dentry>),
-            Stale,
-        }
-        let p = self.with_snap(|s| match &s.parent {
-            // `None` in the snapshot means a true root; a failed weak
-            // upgrade means the snapshot is stale, never "root".
-            None => P::Root,
-            Some(w) => match w.upgrade() {
-                Some(parent) => P::Live(parent),
-                None => P::Stale,
-            },
-        });
-        match p {
-            P::Root => None,
-            P::Live(parent) => Some(parent),
-            P::Stale => self.parent.read().clone(), // the locked field
-        }
+        // `None` in the snapshot means a true root; a failed weak upgrade
+        // (inner `None`) means the snapshot is stale, never "root".
+        let seen = self.with_snap(|s| s.parent.as_ref().map(Weak::upgrade));
+        seen.and_then(|live| live.or_else(|| self.edges.lock().parent.clone()))
     }
 
     /// Current version counter.
@@ -335,31 +343,16 @@ impl Dentry {
 
     // --- state ---------------------------------------------------------
 
-    /// Runs `f` over the current state.
-    pub fn with_state<R>(&self, f: impl FnOnce(&DentryState) -> R) -> R {
-        f(&self.state.read())
-    }
-
-    /// Replaces the state (unlink→negative, partial→positive, …).
+    /// Replaces the state (unlink→negative, partial→positive, …). A
+    /// recorded link signature describes the object being replaced, so
+    /// the same publication clears it.
     pub fn set_state(&self, state: DentryState) {
-        *self.state.write() = state;
-        self.refresh_listing_tag();
-        self.republish();
-    }
-
-    fn refresh_listing_tag(&self) {
-        let packed = match &*self.state.read() {
-            DentryState::Positive(i) => {
-                let a = i.attr();
-                (a.ino & ((1 << 56) - 1)) | ((a.ftype.as_u8() as u64) << 56)
-            }
-            DentryState::Negative(_) => 1 << 62,
-            DentryState::Partial { ino, ftype } => {
-                (2 << 62) | (ino & ((1 << 56) - 1)) | ((ftype.as_u8() as u64) << 56)
-            }
-            DentryState::SymlinkAlias { .. } => 3 << 62,
-        };
-        self.listing_tag.store(packed, Ordering::Release);
+        let (state, alias_target, tag) = lower(state);
+        let _displaced = self.publish(Some(tag), |snap, edges| {
+            snap.state = state;
+            snap.link_sig = None;
+            std::mem::replace(&mut edges.alias_target, alias_target)
+        });
     }
 
     /// Listing classification with a single atomic load: `Some((ino,
@@ -369,7 +362,7 @@ impl Dentry {
         let packed = self.listing_tag.load(Ordering::Acquire);
         match packed >> 62 {
             0 | 2 => {
-                let ino = packed & ((1 << 56) - 1);
+                let ino = packed & INO_MASK;
                 let ftype =
                     FileType::from_u8(((packed >> 56) & 0x3f) as u8).unwrap_or(FileType::Regular);
                 Some((ino, ftype))
@@ -386,6 +379,20 @@ impl Dentry {
         })
     }
 
+    /// One snapshot read answering both "negative?" and "directory?":
+    /// `Err(kind)` for a cached absence, otherwise `Ok(is_dir)` (a
+    /// partial entry answers from its readdir type). Callers that need
+    /// both facts use this rather than two accessors, whose separate
+    /// reads a racing `mkdir`/`rmdir` could split.
+    pub fn classify(&self) -> Result<bool, NegKind> {
+        self.with_snap(|s| match &s.state {
+            SnapState::Positive(i) => Ok(i.is_dir()),
+            SnapState::Partial { ftype } => Ok(ftype.is_dir()),
+            SnapState::Negative(k) => Err(*k),
+            SnapState::SymlinkAlias { .. } => Ok(false),
+        })
+    }
+
     /// True for any negative state (lock-free).
     pub fn is_negative(&self) -> bool {
         self.with_snap(|s| matches!(&s.state, SnapState::Negative(_)))
@@ -399,45 +406,38 @@ impl Dentry {
         })
     }
 
+    /// True when this dentry caches a directory (lock-free).
+    pub fn is_dir(&self) -> bool {
+        self.classify() == Ok(true)
+    }
+
     /// True when readdir reported this entry but the inode has not been
     /// instantiated yet — one atomic load off the listing tag.
     pub fn is_partial(&self) -> bool {
-        self.listing_tag.load(Ordering::Acquire) >> 62 == 2
+        self.partial_ino().is_some()
     }
 
-    /// True when this dentry caches a positive directory (lock-free).
-    pub fn is_dir(&self) -> bool {
-        self.with_snap(|s| match &s.state {
-            SnapState::Positive(i) => i.is_dir(),
-            SnapState::Partial { ftype, .. } => ftype.is_dir(),
-            _ => false,
-        })
+    /// The inode number readdir reported, while the entry is partial.
+    pub fn partial_ino(&self) -> Option<u64> {
+        let packed = self.listing_tag.load(Ordering::Acquire);
+        (packed >> 62 == 2).then_some(packed & INO_MASK)
     }
 
     /// Resolves a symlink alias to `(target, recorded_target_seq)`.
     pub fn alias_target(&self) -> Option<(Arc<Dentry>, u64)> {
-        enum A {
-            NotAlias,
-            Live(Arc<Dentry>, u64),
-            Stale,
-        }
-        let a = self.with_snap(|s| match &s.state {
-            SnapState::SymlinkAlias { target, target_seq } => match target.upgrade() {
-                Some(t) => A::Live(t, *target_seq),
-                None => A::Stale,
-            },
-            _ => A::NotAlias,
-        });
-        match a {
-            A::NotAlias => None,
-            A::Live(t, s) => Some((t, s)),
-            // Target freed or snapshot stale: locked read.
-            A::Stale => match &*self.state.read() {
-                DentryState::SymlinkAlias { target, target_seq } => {
-                    Some((target.clone(), *target_seq))
-                }
-                _ => None,
-            },
+        let alias = |s: &DentrySnap| match &s.state {
+            SnapState::SymlinkAlias { target, target_seq } => Some((target.upgrade(), *target_seq)),
+            _ => None,
+        };
+        match self.with_snap(alias)? {
+            (Some(target), seq) => Some((target, seq)),
+            // Stale snapshot (its weak target is gone): under the edge
+            // lock the current snapshot and the strong edge agree.
+            (None, _) => {
+                let edges = self.edges.lock();
+                let (_, seq) = self.with_snap(alias)?;
+                edges.alias_target.clone().map(|t| (t, seq))
+            }
         }
     }
 
@@ -496,16 +496,6 @@ impl Dentry {
             "duplicate child insert"
         );
         self.bump_children_version();
-    }
-
-    /// Removes a child by name.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn remove_child(&self, name: &str) -> Option<Arc<Dentry>> {
-        let out = self.children.write().remove(name);
-        if out.is_some() {
-            self.bump_children_version();
-        }
-        out
     }
 
     /// Removes the child named `name` only if it is still the dentry with
@@ -587,9 +577,11 @@ impl Dentry {
     /// Re-parents and renames the dentry (rename already holds the global
     /// rename lock, so this is never concurrent with other moves).
     pub(crate) fn set_name_parent(&self, name: &str, parent: Option<Arc<Dentry>>) {
-        *self.name.write() = Arc::from(name);
-        *self.parent.write() = parent;
-        self.republish();
+        let _displaced = self.publish(None, |snap, edges| {
+            snap.name = Arc::from(name);
+            snap.parent = parent.as_ref().map(Arc::downgrade);
+            std::mem::replace(&mut edges.parent, parent)
+        });
     }
 
     /// The path of this dentry within its superblock (no mount prefix).
@@ -620,21 +612,20 @@ impl Dentry {
 
     // --- fastpath bookkeeping -------------------------------------------
 
-    /// Cached resumable hash state, if valid (lock-free).
+    /// Cached resumable signature-hash state for this dentry's canonical
+    /// path (§3.1), if valid (lock-free).
     pub fn hash_state(&self) -> Option<HashState> {
         self.with_snap(|s| s.hash_state)
     }
 
     /// Stores the resumable hash state.
     pub fn store_hash_state(&self, st: HashState) {
-        *self.hash_state.lock() = Some(st);
-        self.republish();
+        self.publish(None, |snap, _| snap.hash_state = Some(st));
     }
 
     /// Invalidates the stored hash state (the path changed).
     pub fn clear_hash_state(&self) {
-        *self.hash_state.lock() = None;
-        self.republish();
+        self.publish(None, |snap, _| snap.hash_state = None);
     }
 
     /// The DLHT membership record.
@@ -642,22 +633,16 @@ impl Dentry {
         &self.dlht_entry
     }
 
-    /// The recorded target-path signature (symlink dentries, §4.2;
-    /// lock-free).
+    /// For symlink dentries: the signature of the link target's canonical
+    /// path, letting the fastpath chain through links without reading
+    /// them (§4.2; lock-free). Cleared by the next [`Dentry::set_state`].
     pub fn link_sig(&self) -> Option<Signature> {
         self.with_snap(|s| s.link_sig)
     }
 
     /// Records the target-path signature after a successful follow.
     pub fn store_link_sig(&self, sig: Signature) {
-        *self.link_sig.lock() = Some(sig);
-        self.republish();
-    }
-
-    /// Clears the recorded target signature (link changed or removed).
-    pub fn clear_link_sig(&self) {
-        *self.link_sig.lock() = None;
-        self.republish();
+        self.publish(None, |snap, _| snap.link_sig = Some(sig));
     }
 
     /// Mount id recorded for the fastpath.
@@ -668,18 +653,6 @@ impl Dentry {
     /// Records the mount this dentry was most recently reached through.
     pub fn set_mount_hint(&self, mount: u64) {
         self.mount_hint.store(mount, Ordering::Release);
-    }
-
-    // --- LRU ------------------------------------------------------------
-
-    pub(crate) fn touch(&self, tick: u64) {
-        self.last_used.store(tick, Ordering::Relaxed);
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[allow(dead_code)]
-    pub(crate) fn last_used(&self) -> u64 {
-        self.last_used.load(Ordering::Relaxed)
     }
 }
 
@@ -702,7 +675,8 @@ impl std::fmt::Debug for Dentry {
             .field("id", &self.id)
             .field("sb", &self.sb)
             .field("name", &self.name())
-            .field("state", &*self.state.read())
+            .field("listing", &self.listing_entry())
+            .field("negative", &self.neg_kind())
             .field("seq", &self.seq())
             .field("children", &self.child_count())
             .finish()
@@ -739,8 +713,8 @@ mod tests {
         root.insert_child(child.clone());
         assert_eq!(root.get_child("etc").unwrap().id(), 2);
         assert_eq!(root.child_count(), 1);
-        let removed = root.remove_child("etc").unwrap();
-        assert_eq!(removed.id(), 2);
+        assert!(!root.remove_child_if("etc", 3), "id-guarded");
+        assert!(root.remove_child_if("etc", 2));
         assert!(root.has_no_children());
         assert!(root.get_child("etc").is_none());
     }
@@ -790,7 +764,7 @@ mod tests {
         let f = detached(4, "f", Some(a.clone()));
         a.insert_child(f.clone());
         // Move /a/f → /b/g.
-        a.remove_child("f");
+        a.remove_child_if("f", 4);
         f.set_name_parent("g", Some(b.clone()));
         b.insert_child(f.clone());
         assert_eq!(f.sb_path(), "/b/g");
@@ -850,6 +824,20 @@ mod listing_tests {
             ftype: FileType::Symlink,
         });
         assert_eq!(d.listing_entry(), Some((7, FileType::Symlink)));
+        assert_eq!(d.partial_ino(), Some(7));
+    }
+
+    #[test]
+    fn set_state_clears_the_link_signature_and_keeps_the_rest() {
+        let d = neg(1, "link", None);
+        let key = crate::HashKey::from_seed(3);
+        d.store_hash_state(key.root_state());
+        d.store_link_sig(key.finish(&key.root_state()));
+        assert!(d.link_sig().is_some());
+        d.set_state(DentryState::Negative(NegKind::Enoent));
+        assert_eq!(d.link_sig(), None, "the signature described the old object");
+        assert!(d.hash_state().is_some(), "the path did not change");
+        assert_eq!(&*d.name(), "link");
     }
 
     #[test]

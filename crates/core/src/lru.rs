@@ -23,10 +23,11 @@ pub enum EvictOutcome {
 
 /// Sharded FIFO-with-rotation queue of eviction candidates.
 ///
-/// Recency is approximated: lookups stamp `last_used` on the dentry
-/// instead of relocating queue nodes (relocation on every hit would
-/// serialize the read path), and the scan rotates still-hot entries to
-/// the back. This is the standard clock-ish approximation of LRU.
+/// Recency is approximated by use, not by time: a lookup touches no
+/// queue state (relocating nodes on every hit would serialize the read
+/// path), and the scan rotates to the back every candidate its callback
+/// keeps — one that is still referenced or still has cached children. A
+/// second-chance FIFO rather than a true LRU.
 pub struct DentryLru {
     shards: Vec<Mutex<VecDeque<Weak<Dentry>>>>,
     next_insert: AtomicUsize,

@@ -17,10 +17,10 @@ pub fn dentry(id: DentryId, name: &str) -> Arc<Dentry> {
     Dentry::new(id, 1, name, None, DentryState::Negative(NegKind::Enoent), 0)
 }
 
-/// The rename mutation alone: updates the name and republishes the
-/// lock-free snapshot — deliberately *without* bumping the seq counter,
-/// so models can compose the mutate → republish → bump-seq discipline
-/// (and its deliberately broken permutations) themselves.
+/// The rename mutation alone: publishes a snapshot carrying the new
+/// name — deliberately *without* bumping the seq counter, so models can
+/// compose the publish → bump-seq discipline (and its deliberately
+/// broken permutations) themselves.
 pub fn rename(d: &Dentry, name: &str) {
     d.set_name_parent(name, None);
 }

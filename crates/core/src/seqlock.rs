@@ -8,7 +8,7 @@
 //! The memory-ordering argument for the protocol (why `Acquire` on
 //! `read_begin`, an `Acquire` fence on `read_retry`, and `Release`
 //! increments around the write section are sufficient, and what the
-//! mutate → republish → bump-seq discipline in `dentry.rs` relies on) is
+//! publish → bump-seq discipline in `dentry.rs` relies on) is
 //! laid out in DESIGN.md §9; the interleaving-level invariants are
 //! model-checked by `crates/dst/tests/seqlock_model.rs`.
 

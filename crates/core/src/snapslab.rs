@@ -1,10 +1,10 @@
 //! Slab arena for epoch-published [`DentrySnap`] blocks (DESIGN.md §13).
 //!
-//! Every dentry mutation republishes its snapshot. The slab hands out
+//! Every dentry mutation publishes a fresh snapshot. The slab hands out
 //! fixed-size slots from leaked blocks: retired snapshots return to the
 //! free list after their grace period (via
 //! [`crossbeam_epoch::Guard::defer_with`]) and are reused, so
-//! steady-state republication performs zero allocator calls and keeps
+//! steady-state publication performs zero allocator calls and keeps
 //! the snapshot working set dense — measured as lower peak RSS, not
 //! lower latency (DESIGN.md §13.3).
 //!
@@ -15,8 +15,8 @@
 //! pin — so [`destroy_snap`] must not lock: it pushes the slot onto a
 //! lock-free Treiber stack (push-only, so no ABA hazard), reusing the
 //! dead slot's first word as the link. Allocating mutators — which
-//! already serialize per dentry on `snap_lock` — drain that stack with
-//! a single `swap` into the mutex-guarded free list.
+//! already serialize per dentry on its strong-edge lock — drain that
+//! stack with a single `swap` into the mutex-guarded free list.
 //!
 //! Blocks are never returned to the OS (classic slab behavior); the
 //! exact footprint — blocks, slot size, free slots — is walked by
@@ -225,13 +225,13 @@ mod tests {
     }
 
     #[test]
-    fn republish_cycles_reuse_slots() {
-        // Dentries publish from the slab; a burst
-        // of republishes must not grow the arena once warm (retired
-        // slots come back after the grace period). The slab is global
-        // and the test harness runs in parallel, so assert on *growth*
-        // with headroom for concurrent tests: 10k republishes with no
-        // reuse would leak ~156 blocks by themselves.
+    fn publish_cycles_reuse_slots() {
+        // Dentries publish from the slab; a burst of publications must
+        // not grow the arena once warm (retired slots come back after
+        // the grace period). The slab is global and the test harness
+        // runs in parallel, so assert on *growth* with headroom for
+        // concurrent tests: 10k publications with no reuse would leak
+        // ~156 blocks by themselves.
         let d = dentry(1);
         let before = footprint().blocks;
         for i in 0..10_000u64 {
@@ -244,7 +244,7 @@ mod tests {
         assert!(fp.blocks > 0);
         assert!(
             fp.blocks - before <= 60,
-            "10k republishes must reuse slots, not leak blocks (grew {})",
+            "10k publications must reuse slots, not leak blocks (grew {})",
             fp.blocks - before
         );
         assert_eq!(fp.total_bytes(), fp.blocks * BLOCK_SLOTS * fp.slot_bytes);

@@ -32,8 +32,8 @@ fn chmod_race_body(bump: bool) {
         let d = d.clone();
         let done = done.clone();
         dst::thread::spawn(move || {
-            // chmod: revoke search permission (a state mutation that
-            // republishes the snapshot), then bump the seq counter so
+            // chmod: revoke search permission (a mutation that publishes
+            // a new snapshot), then bump the seq counter so
             // every memoized prefix check through `d` dies.
             model::rename(&d, "dir'");
             if bump {

@@ -1,6 +1,6 @@
 //! Model checks for the seqlock protocol (`dcache-core/src/seqlock.rs`)
-//! and for the dentry snapshot discipline it anchors: mutate →
-//! republish → bump-seq (DESIGN.md §9).
+//! and for the dentry snapshot discipline it anchors: publish →
+//! bump-seq (DESIGN.md §9).
 //!
 //! Each test explores thousands of thread interleavings of the *real*
 //! workspace code under the deterministic scheduler. The `injected_*`
@@ -9,7 +9,7 @@
 //! reported seed.
 
 use dcache_core::model;
-use dcache_core::{SeqCell, SeqCount};
+use dcache_core::{HashKey, SeqCell, SeqCount};
 use dst::sync::atomic::{AtomicU64, Ordering};
 use dst::sync::Arc;
 
@@ -156,9 +156,9 @@ fn injected_unguarded_write_is_caught_and_replays() {
 
 #[test]
 fn dentry_rename_republishes_before_seq_bump() {
-    // The documented discipline (dentry.rs::republish): mutate and
-    // republish the snapshot BEFORE bumping seq, so a reader that
-    // samples a post-bump seq is guaranteed the post-mutation snapshot.
+    // The documented discipline (dentry.rs::publish): swap in the
+    // edited snapshot BEFORE bumping seq, so a reader that samples a
+    // post-bump seq is guaranteed the post-mutation snapshot.
     dst::check(
         "dentry-republish-order",
         dst::Config::default()
@@ -177,7 +177,7 @@ fn dentry_rename_republishes_before_seq_bump() {
             let s = d.seq();
             let name = d.name();
             if s >= 1 {
-                // Bump observed ⟹ republish completed first ⟹ the
+                // Bump observed ⟹ publication completed first ⟹ the
                 // snapshot read after the sample must be post-rename.
                 assert_eq!(
                     &*name, "new",
@@ -191,7 +191,7 @@ fn dentry_rename_republishes_before_seq_bump() {
 
 #[test]
 fn injected_bump_before_republish_is_caught_and_replays() {
-    // Inverted discipline: seq bumps first, snapshot republishes after.
+    // Inverted discipline: seq bumps first, the snapshot is published after.
     // A reader sampling the bumped seq can now observe stale data while
     // believing it is post-mutation — the bug class the ordering rule
     // exists to prevent.
@@ -217,7 +217,7 @@ fn injected_bump_before_republish_is_caught_and_replays() {
     let report = dst::explore(dst::Config::default().iterations(4000).seed(0x55), body);
     let failure = report
         .failure
-        .expect("the checker must catch the inverted republish/bump order");
+        .expect("the checker must catch the inverted publish/bump order");
     assert!(
         failure.message.contains("pre-rename snapshot"),
         "unexpected failure: {}",
@@ -225,4 +225,31 @@ fn injected_bump_before_republish_is_caught_and_replays() {
     );
     let msg = dst::replay(failure.seed, failure.policy, body).expect("seed must reproduce");
     assert!(msg.contains("pre-rename snapshot"));
+}
+
+#[test]
+fn dentry_racing_edits_of_different_fields_both_land() {
+    // Every writer copies the current snapshot, edits its own field and
+    // swaps the copy in. The strong-edge lock must cover the whole
+    // read-copy-swap: if it did not, the later swap would publish a copy
+    // taken before the earlier edit and silently drop it.
+    dst::check(
+        "dentry-edits-compose",
+        dst::Config::default()
+            .iterations(3000)
+            .seed(0x56)
+            .from_env(),
+        || {
+            let d = model::dentry(1, "a");
+            let h = HashKey::from_seed(9).root_state();
+            let renamer = {
+                let d = d.clone();
+                dst::thread::spawn(move || model::rename(&d, "b"))
+            };
+            d.store_hash_state(h);
+            renamer.join().unwrap();
+            assert_eq!(&*d.name(), "b", "the rename was overwritten");
+            assert_eq!(d.hash_state(), Some(h), "the hash state was overwritten");
+        },
+    );
 }

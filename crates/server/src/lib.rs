@@ -17,7 +17,7 @@
 //! - [`proto`] — wire format v1: versioned frames, request/response
 //!   records, status codes (pure functions of bytes, no I/O);
 //! - [`transport`] — 4-byte length-prefix framing over any
-//!   `Read`/`Write` stream, plus an in-process socketpair analog;
+//!   `Read`/`Write` stream, plus a connected Unix socket pair;
 //! - [`server`] — admission control, the bounded queue, the worker
 //!   pool, request execution;
 //! - [`client`] — synchronous batch clients (in-process and stream);

@@ -1,16 +1,18 @@
 //! Frame transport: 4-byte little-endian length prefix over any byte
-//! stream, plus an in-process duplex pipe standing in for a socket.
+//! stream, and the stream the server is driven over — a connected Unix
+//! socket pair.
 //!
-//! The evaluation environment has no network, so the "wire" is a pair
-//! of byte pipes ([`duplex_pair`]) — but every frame still crosses it
-//! as a contiguous byte image produced by [`crate::proto`], so the
-//! encode/decode cost and the framing discipline are exactly what a
-//! TCP deployment would pay. Swapping [`DuplexEnd`] for a `TcpStream`
-//! changes nothing else: both sides only use `Read`/`Write`.
+//! The evaluation environment has no network, so the "wire" is a
+//! [`duplex_pair`] of `AF_UNIX` stream sockets rather than TCP — but it
+//! is a real socket: every frame crosses the kernel as the contiguous
+//! byte image produced by [`crate::proto`], a writer blocks once the
+//! peer's receive buffer is full (kernel backpressure), dropping an end
+//! reads as end-of-stream on the other, and writing to a vanished peer
+//! fails with `EPIPE`. Swapping [`DuplexEnd`] for a `TcpStream` changes
+//! nothing else: both sides only use `Read`/`Write`.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::os::unix::net::UnixStream;
 
 /// Writes one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
@@ -49,150 +51,12 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> io::Result<Option<Vec<u8>>> 
     Ok(Some(buf))
 }
 
-/// High-water mark on a pipe's buffer: writes block once the reader
-/// falls this far behind, like a socket's send buffer. One full frame
-/// (plus its length prefix) always fits, so a request/response
-/// exchange never deadlocks on its own data.
-pub const PIPE_HIGH_WATER: usize = crate::proto::MAX_FRAME_BYTES + 4;
+/// One end of a connected bidirectional byte stream.
+pub type DuplexEnd = UnixStream;
 
-/// One direction of the in-process pipe.
-struct Pipe {
-    state: Mutex<PipeState>,
-    readable: Condvar,
-    writable: Condvar,
-}
-
-struct PipeState {
-    buf: VecDeque<u8>,
-    closed: bool,
-}
-
-impl Pipe {
-    fn new() -> Arc<Pipe> {
-        Arc::new(Pipe {
-            state: Mutex::new(PipeState {
-                buf: VecDeque::new(),
-                closed: false,
-            }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-        })
-    }
-
-    /// Writes up to the high-water mark, blocking while the buffer is
-    /// full (backpressure: a producer cannot outrun a stalled reader
-    /// without bound). Returns the bytes accepted; `write_all` in the
-    /// framing layer loops over partial writes.
-    fn write(&self, data: &[u8]) -> io::Result<usize> {
-        if data.is_empty() {
-            return Ok(0);
-        }
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.closed {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "peer closed the pipe",
-                ));
-            }
-            if st.buf.len() < PIPE_HIGH_WATER {
-                break;
-            }
-            st = self.writable.wait(st).unwrap();
-        }
-        let n = (PIPE_HIGH_WATER - st.buf.len()).min(data.len());
-        st.buf.extend(&data[..n]);
-        self.readable.notify_all();
-        Ok(n)
-    }
-
-    /// Blocks until data is available or the writer closed; returns the
-    /// number of bytes copied (0 only at end-of-stream).
-    fn read(&self, out: &mut [u8]) -> usize {
-        let mut st = self.state.lock().unwrap();
-        while st.buf.is_empty() && !st.closed {
-            st = self.readable.wait(st).unwrap();
-        }
-        let n = st.buf.len().min(out.len());
-        for slot in out.iter_mut().take(n) {
-            *slot = st.buf.pop_front().unwrap();
-        }
-        if n > 0 {
-            self.writable.notify_all();
-        }
-        n
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.readable.notify_all();
-        self.writable.notify_all();
-    }
-}
-
-/// One end of an in-process bidirectional byte stream. Clones share
-/// the same stream (so one thread can read while another writes).
-/// Dropping *all* clones of an end closes its outbound direction,
-/// which the peer observes as end-of-stream.
-pub struct DuplexEnd {
-    rx: Arc<Pipe>,
-    tx: Arc<Pipe>,
-    /// Closes `tx` when the last clone of this end drops.
-    _closer: Arc<TxCloser>,
-}
-
-struct TxCloser(Arc<Pipe>);
-
-impl Drop for TxCloser {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-impl Clone for DuplexEnd {
-    fn clone(&self) -> DuplexEnd {
-        DuplexEnd {
-            rx: self.rx.clone(),
-            tx: self.tx.clone(),
-            _closer: self._closer.clone(),
-        }
-    }
-}
-
-/// Creates a connected pair of stream ends (a socketpair analog).
+/// Creates a connected pair of stream ends.
 pub fn duplex_pair() -> (DuplexEnd, DuplexEnd) {
-    let a_to_b = Pipe::new();
-    let b_to_a = Pipe::new();
-    let a = DuplexEnd {
-        rx: b_to_a.clone(),
-        tx: a_to_b.clone(),
-        _closer: Arc::new(TxCloser(a_to_b.clone())),
-    };
-    let b = DuplexEnd {
-        rx: a_to_b,
-        tx: b_to_a.clone(),
-        _closer: Arc::new(TxCloser(b_to_a)),
-    };
-    (a, b)
-}
-
-impl Read for DuplexEnd {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
-        Ok(self.rx.read(buf))
-    }
-}
-
-impl Write for DuplexEnd {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.tx.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
+    UnixStream::pair().expect("socketpair(AF_UNIX, SOCK_STREAM)")
 }
 
 #[cfg(test)]
@@ -200,7 +64,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frames_round_trip_over_the_pipe() {
+    fn frames_round_trip_over_the_socket() {
         let (mut a, mut b) = duplex_pair();
         write_frame(&mut a, b"hello").unwrap();
         write_frame(&mut a, b"").unwrap();
@@ -240,46 +104,5 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(10));
         write_frame(&mut a, b"late").unwrap();
         assert_eq!(t.join().unwrap(), b"late");
-    }
-
-    #[test]
-    fn writes_block_at_the_high_water_mark() {
-        let (mut a, mut b) = duplex_pair();
-        let total = PIPE_HIGH_WATER * 2 + 17;
-        let writer = std::thread::spawn(move || {
-            a.write_all(&vec![0xAB; total]).unwrap();
-        });
-        // The writer cannot finish: the buffer caps at the high-water
-        // mark and nothing has been read yet. (This holds regardless of
-        // timing — completion would require draining the pipe.)
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!writer.is_finished(), "writer ran past the buffer cap");
-        let mut drained = vec![0u8; total];
-        b.read_exact(&mut drained).unwrap();
-        assert!(drained.iter().all(|&x| x == 0xAB));
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn blocked_writer_errors_when_the_pipe_closes() {
-        let (mut a, _b) = duplex_pair();
-        a.write_all(&vec![0u8; PIPE_HIGH_WATER]).unwrap(); // fill to the cap
-        let tx = a.tx.clone();
-        let writer = std::thread::spawn(move || a.write_all(b"one more byte"));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        tx.close();
-        assert!(writer.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn write_to_closed_peer_fails() {
-        let (mut a, b) = duplex_pair();
-        // Peer's rx is our tx; closing *our* tx is what `drop(a)` does.
-        // Closing b entirely closes b's tx (a's rx) — a's writes still
-        // target a_to_b, which only a's closer closes. Simulate the peer
-        // vanishing by closing the shared pipe directly.
-        drop(b);
-        a.tx.close();
-        assert!(write_frame(&mut a, b"x").is_err());
     }
 }

@@ -83,11 +83,7 @@ impl Kernel {
             if !c.is_dead() {
                 // The caller holds the dir lock; upgrade partial entries
                 // inline.
-                let partial_ino = c.with_state(|s| match s {
-                    DentryState::Partial { ino, .. } => Some(*ino),
-                    _ => None,
-                });
-                if let Some(ino) = partial_ino {
+                if let Some(ino) = c.partial_ino() {
                     match mount.sb.fs.getattr(ino) {
                         Ok(attr) => {
                             let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
@@ -156,7 +152,6 @@ impl Kernel {
                 for ch in d.children_snapshot() {
                     self.dcache.unhash_subtree(&ch);
                 }
-                d.clear_link_sig();
                 d.set_state(DentryState::Positive(inode));
                 // The entry appeared: parent listings change.
                 parent.bump_children_version();

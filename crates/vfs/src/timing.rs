@@ -2,89 +2,15 @@
 //! Figure 1).
 
 use crate::fastclock;
-use dc_obs::{OpClass, Recorder};
+use dc_obs::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Syscall classes, matching the Figure 1 legend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyscallClass {
-    /// `access`, `stat`, `lstat`, `fstatat`.
-    AccessStat,
-    /// `open`, `openat`, `creat`.
-    Open,
-    /// `chmod`, `chown`.
-    ChmodChown,
-    /// `unlink`, `rmdir`.
-    Unlink,
-    /// `rename`, `link`, `symlink`, `mkdir` — other metadata mutations.
-    OtherMeta,
-    /// `readdir`/`getdents`.
-    Readdir,
-    /// Data-plane reads and writes.
-    Io,
-    /// Everything else.
-    Other,
-}
+/// Syscall classes, matching the Figure 1 legend: the same buckets the
+/// observability layer keys its latency histograms by.
+pub use dc_obs::OpClass as SyscallClass;
 
 /// Index range for the class table.
 const NCLASSES: usize = 8;
-
-impl SyscallClass {
-    fn idx(self) -> usize {
-        match self {
-            SyscallClass::AccessStat => 0,
-            SyscallClass::Open => 1,
-            SyscallClass::ChmodChown => 2,
-            SyscallClass::Unlink => 3,
-            SyscallClass::OtherMeta => 4,
-            SyscallClass::Readdir => 5,
-            SyscallClass::Io => 6,
-            SyscallClass::Other => 7,
-        }
-    }
-
-    /// All classes, in table order.
-    pub fn all() -> [SyscallClass; NCLASSES] {
-        [
-            SyscallClass::AccessStat,
-            SyscallClass::Open,
-            SyscallClass::ChmodChown,
-            SyscallClass::Unlink,
-            SyscallClass::OtherMeta,
-            SyscallClass::Readdir,
-            SyscallClass::Io,
-            SyscallClass::Other,
-        ]
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SyscallClass::AccessStat => "access/stat",
-            SyscallClass::Open => "open",
-            SyscallClass::ChmodChown => "chmod/chown",
-            SyscallClass::Unlink => "unlink",
-            SyscallClass::OtherMeta => "other-meta",
-            SyscallClass::Readdir => "readdir",
-            SyscallClass::Io => "io",
-            SyscallClass::Other => "other",
-        }
-    }
-
-    /// The observability operation class this syscall class feeds.
-    pub fn op_class(self) -> OpClass {
-        match self {
-            SyscallClass::AccessStat => OpClass::AccessStat,
-            SyscallClass::Open => OpClass::Open,
-            SyscallClass::ChmodChown => OpClass::ChmodChown,
-            SyscallClass::Unlink => OpClass::Unlink,
-            SyscallClass::OtherMeta => OpClass::OtherMeta,
-            SyscallClass::Readdir => OpClass::Readdir,
-            SyscallClass::Io => OpClass::Io,
-            SyscallClass::Other => OpClass::Other,
-        }
-    }
-}
 
 /// One class's counters, packed so [`SyscallTiming::record`] dirties a
 /// single cache line per call instead of one in a `calls` array and one
@@ -127,7 +53,7 @@ impl SyscallTiming {
         let cell = &self.cells[class.idx()];
         cell.calls.fetch_add(1, Ordering::Relaxed);
         cell.nanos.fetch_add(dt, Ordering::Relaxed);
-        self.recorder.latency(class.op_class(), dt);
+        self.recorder.latency(class, dt);
         out
     }
 
@@ -209,12 +135,5 @@ mod tests {
         t.reset();
         assert_eq!(t.total_ns(), 0);
         assert_eq!(t.get(SyscallClass::Other).0, 0);
-    }
-
-    #[test]
-    fn labels_cover_all() {
-        for c in SyscallClass::all() {
-            assert!(!c.label().is_empty());
-        }
     }
 }

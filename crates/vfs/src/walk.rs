@@ -627,24 +627,13 @@ impl<'k> SlowWalk<'k> {
     }
 
     fn classify_cur(&self) -> CurKind {
-        self.cur.dentry.with_state(|s| match s {
-            DentryState::Positive(i) => {
-                if i.is_dir() {
-                    CurKind::Dir
-                } else {
-                    CurKind::NonDir
-                }
-            }
-            DentryState::Partial { ftype, .. } => {
-                if ftype.is_dir() {
-                    CurKind::Partial
-                } else {
-                    CurKind::NonDir
-                }
-            }
-            DentryState::Negative(k) => CurKind::Negative(*k),
-            DentryState::SymlinkAlias { .. } => CurKind::NonDir,
-        })
+        let d = &self.cur.dentry;
+        match d.classify() {
+            Err(k) => CurKind::Negative(k),
+            Ok(false) => CurKind::NonDir,
+            Ok(true) if d.is_partial() => CurKind::Partial,
+            Ok(true) => CurKind::Dir,
+        }
     }
 
     /// Upgrades a partial `cur` into a positive dentry via `getattr`.
@@ -683,7 +672,7 @@ impl<'k> SlowWalk<'k> {
             let authoritative = attempt == 7;
             if let Some(c) = self.k.dcache.d_lookup(&parent, name) {
                 if !c.is_dead() {
-                    if c.with_state(|s| matches!(s, DentryState::Partial { .. })) {
+                    if c.is_partial() {
                         upgrade_partial(self.k, &self.cur.mount, &c)?;
                     }
                     if c.is_negative() {
@@ -717,7 +706,7 @@ impl<'k> SlowWalk<'k> {
                     drop(_g);
                     if authoritative {
                         // No laps left: classify the live hit in place.
-                        if c.with_state(|s| matches!(s, DentryState::Partial { .. })) {
+                        if c.is_partial() {
                             upgrade_partial(self.k, &self.cur.mount, &c)?;
                         }
                         if c.is_negative() {
@@ -995,12 +984,8 @@ enum CurKind {
 pub(crate) fn upgrade_partial(k: &Kernel, mount: &Arc<Mount>, d: &Arc<Dentry>) -> FsResult<()> {
     let parent = d.parent().ok_or(FsError::NoEnt)?;
     let _g = parent.dir_lock().lock();
-    let ino = match d.with_state(|s| match s {
-        DentryState::Partial { ino, .. } => Some(*ino),
-        _ => None,
-    }) {
-        Some(ino) => ino,
-        None => return Ok(()), // someone else upgraded it
+    let Some(ino) = d.partial_ino() else {
+        return Ok(()); // someone else upgraded it
     };
     let fs = mount.sb.fs.clone();
     match fs.getattr(ino) {

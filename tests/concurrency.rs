@@ -288,13 +288,19 @@ fn negative_dentries_cohere_under_concurrent_rename() {
                         } else {
                             ("/neg/ghost", "/neg/real")
                         };
+                        // Seqlock-style epoch, as in
+                        // `readers_race_renames_without_stale_results`:
+                        // odd while the rename is in flight.
+                        flips.fetch_add(1, Ordering::SeqCst);
                         k.rename(&p, from, to).unwrap();
                         flips.fetch_add(1, Ordering::SeqCst);
                         onto_ghost = !onto_ghost;
                         std::thread::sleep(std::time::Duration::from_micros(100));
                     }
                     if !onto_ghost {
+                        flips.fetch_add(1, Ordering::SeqCst);
                         k.rename(&p, "/neg/ghost", "/neg/real").unwrap();
+                        flips.fetch_add(1, Ordering::SeqCst);
                     }
                 });
             }
@@ -314,7 +320,7 @@ fn negative_dentries_cohere_under_concurrent_rename() {
                         let ghost = k.stat(&p, "/neg/ghost");
                         let real = k.stat(&p, "/neg/real");
                         let f1 = flips.load(Ordering::SeqCst);
-                        if f0 != f1 {
+                        if f0 != f1 || f0 % 2 == 1 {
                             continue; // rename interleaved; not judgeable
                         }
                         match (ghost, real) {

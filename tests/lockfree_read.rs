@@ -16,6 +16,7 @@
 //! would make the zero-allocation assertion flaky. `main` runs the one
 //! check directly on the main thread with nothing else in the process.
 
+use dcache_repro::dcache::DentryState;
 use dcache_repro::{DcacheConfig, KernelBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +53,44 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn main() {
     warm_fastpath_stat_acquires_zero_locks();
+    dentry_mutators_acquire_at_most_two_locks();
     println!("lockfree_read: ok (zero locks, zero allocations on warm stat)");
+}
+
+/// The write side of the same contract: a dentry's name, state, hash
+/// state and link signature live only in its published snapshot, so an
+/// edit is one copy-edit-swap under the dentry's strong-edge lock plus
+/// the snapshot slab's free-list lock — not a lock per mirrored field.
+fn dentry_mutators_acquire_at_most_two_locks() {
+    let k = KernelBuilder::new(DcacheConfig::optimized().with_seed(7))
+        .build()
+        .unwrap();
+    let p = k.init_process();
+    k.mkdir(&p, "/d", 0o755).unwrap();
+    k.stat(&p, "/d").unwrap();
+    let d = p.root().dentry.get_child("d").expect("/d is cached");
+    let inode = d.inode().expect("/d is positive");
+    let hash_state = d.hash_state().expect("the walk stored /d's hash state");
+    let sig = k.dcache.key.finish(&hash_state);
+
+    fn locks(edit: impl FnOnce()) -> u64 {
+        let before = parking_lot::lock_acquisitions();
+        edit();
+        parking_lot::lock_acquisitions() - before
+    }
+    let costs = [
+        ("store_hash_state", locks(|| d.store_hash_state(hash_state))),
+        ("store_link_sig", locks(|| d.store_link_sig(sig))),
+        (
+            "set_state",
+            locks(|| d.set_state(DentryState::Positive(inode))),
+        ),
+    ];
+    for (name, cost) in costs {
+        assert!(cost <= 2, "{name} took {cost} locks, expected at most 2");
+    }
+    assert_eq!(d.link_sig(), None, "set_state clears the link signature");
+    assert_eq!(d.hash_state(), Some(hash_state));
 }
 
 fn warm_fastpath_stat_acquires_zero_locks() {
