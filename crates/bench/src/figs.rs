@@ -1,8 +1,8 @@
 //! One function per table/figure of the paper's evaluation (§6).
 
 use crate::setup::{
-    config_pair, kernel_with, kernel_with_disk, kernel_with_disk_full, kernel_with_obs, Scale,
-    Setup,
+    config_pair, kernel_with, kernel_with_disk, kernel_with_disk_full, kernel_with_obs, nproc,
+    Scale, Setup,
 };
 use crate::table::{gain_pct, pct, us, Table};
 use dc_vfs::{Cred, Kernel, OpClass, OpenFlags, Process};
@@ -370,7 +370,8 @@ pub fn fig8(scale: Scale) {
         "stat opt",
         "open opt",
     ]);
-    let threads: Vec<usize> = (1..=scale.max_threads).collect();
+    let nproc = announce_nproc();
+    let threads: Vec<usize> = (1..=scale.max_threads.min(nproc)).collect();
     let mut rows: Vec<Vec<String>> = threads.iter().map(|n| vec![n.to_string()]).collect();
     // lat[config][op][thread-index], nanoseconds per op.
     let mut lats: Vec<[Vec<f64>; 2]> = Vec::new();
@@ -405,8 +406,13 @@ pub fn fig8(scale: Scale) {
         t.row(r);
     }
     t.print();
+    for ((name, _), per_op) in configs.iter().zip(&lats) {
+        for (op, lat) in ["stat", "open"].into_iter().zip(per_op) {
+            print_two_thread_ratio(&format!("{name} {op}"), &threads, lat);
+        }
+    }
     let json_path = "BENCH_fig8.json";
-    match write_fig8_json(json_path, &threads, &configs, &lats) {
+    match write_fig8_json(json_path, nproc, &threads, &configs, &lats) {
         Ok(()) => println!("wrote {json_path}"),
         Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
     }
@@ -416,6 +422,7 @@ pub fn fig8(scale: Scale) {
 /// workspace carries no serialization dependency).
 fn write_fig8_json(
     path: &str,
+    nproc: usize,
     threads: &[usize],
     configs: &[(&'static str, DcacheConfig)],
     lats: &[[Vec<f64>; 2]],
@@ -423,6 +430,7 @@ fn write_fig8_json(
     use std::io::Write;
     let mut out = String::new();
     out.push_str("{\n  \"experiment\": \"fig8\",\n  \"unit\": \"ns_per_op\",\n");
+    out.push_str(&format!("  \"nproc\": {nproc},\n"));
     let tl: Vec<String> = threads.iter().map(|n| n.to_string()).collect();
     out.push_str(&format!("  \"threads\": [{}],\n", tl.join(", ")));
     out.push_str("  \"configs\": {\n");
@@ -439,6 +447,25 @@ fn write_fig8_json(
     out.push_str("  }\n}\n");
     let mut f = std::fs::File::create(path)?;
     f.write_all(out.as_bytes())
+}
+
+/// The host's CPU count, printed: a thread sweep stops there.
+fn announce_nproc() -> usize {
+    let nproc = nproc();
+    println!("host: {nproc} CPUs — sweep capped there (more threads would time-share)");
+    nproc
+}
+
+/// Prints the 2-thread ÷ 1-thread throughput ratio of a sweep whose
+/// per-op latencies are `lat` (2.0 is perfect scaling, 1.0 is none).
+fn print_two_thread_ratio(label: &str, threads: &[usize], lat: &[f64]) {
+    let at = |n| threads.iter().position(|&t| t == n).map(|i| lat[i]);
+    if let (Some(one), Some(two)) = (at(1), at(2)) {
+        println!(
+            "{label}: 2-thread / 1-thread throughput = {:.2}x",
+            2.0 * one / two
+        );
+    }
 }
 
 /// Mean per-op latency with `n` concurrent threads hammering `op`.
@@ -1083,13 +1110,16 @@ pub fn pcc_sensitivity(scale: Scale) {
 pub fn rename_scalability(scale: Scale) {
     banner("Rename latency under concurrent renamers (µs, §6.1)");
     let mut t = Table::new(&["threads", "unmodified", "optimized"]);
+    let nproc = announce_nproc();
     let threads: Vec<usize> = [1usize, 2, 4, 8, 12]
         .into_iter()
-        .filter(|&n| n <= scale.max_threads.max(2))
+        .filter(|&n| n <= scale.max_threads.max(2).min(nproc))
         .collect();
     let mut rows: Vec<Vec<String>> = threads.iter().map(|n| vec![n.to_string()]).collect();
-    for (_, config) in config_pair() {
+    let mut lats: Vec<(&str, Vec<f64>)> = Vec::new();
+    for (name, config) in config_pair() {
         let s = kernel_with(config);
+        let mut lat_by_threads = Vec::new();
         for (i, &n) in threads.iter().enumerate() {
             // Per-thread private files, renamed back and forth.
             for tid in 0..n {
@@ -1109,6 +1139,7 @@ pub fn rename_scalability(scale: Scale) {
                 k.rename(p, &from, &to).unwrap();
             });
             rows[i].push(us(lat));
+            lat_by_threads.push(lat);
             // Restore names for the next round.
             for tid in 0..n {
                 let _ = s
@@ -1116,11 +1147,15 @@ pub fn rename_scalability(scale: Scale) {
                     .rename(&s.proc, &format!("/r{tid}-b"), &format!("/r{tid}-a"));
             }
         }
+        lats.push((name, lat_by_threads));
     }
     for r in rows {
         t.row(r);
     }
     t.print();
+    for (name, lat) in &lats {
+        print_two_thread_ratio(name, &threads, lat);
+    }
 }
 
 /// Like [`parallel_latency`] but hands each thread its index and an

@@ -98,6 +98,13 @@ pub struct Scale {
     pub max_threads: usize,
 }
 
+/// CPUs this process may run on. Thread sweeps stop here — beyond it
+/// threads time-share and the curve measures the scheduler — and every
+/// scaling result is stamped with it.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl Scale {
     /// CI-friendly scale (seconds, not minutes).
     pub fn quick() -> Scale {

@@ -21,6 +21,7 @@
 
 use crate::dentry::Dentry;
 use crate::dsync::{AtomicU64, Ordering};
+use crate::stats::Counter;
 use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
 use std::sync::{Arc, Weak};
 
@@ -143,21 +144,23 @@ pub struct Dlht {
     buckets: Box<[Atomic<Group>]>,
     mask: usize,
     entries: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Probe outcomes, striped: every reader of the namespace bumps one.
+    hits: Counter,
+    misses: Counter,
 }
 
 impl Dlht {
     /// A table with `buckets` heads (power of two ≤ 2^16).
     pub fn new(ns: u64, buckets: usize) -> Arc<Dlht> {
         assert!(buckets.is_power_of_two() && buckets <= (1 << 16));
+        let [hits, misses] = Counter::group();
         Arc::new(Dlht {
             ns,
             buckets: (0..buckets).map(|_| Atomic::null()).collect(),
             mask: buckets - 1,
             entries: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits,
+            misses,
         })
     }
 

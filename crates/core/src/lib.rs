@@ -51,6 +51,6 @@ pub use lru::EvictOutcome;
 pub use pcc::Pcc;
 pub use seqlock::{SeqCell, SeqCount, SeqLock, SeqWriteGuard};
 pub use shrinker::{Shrinker, ShrinkerRegistry};
-pub use stats::{DcacheStats, SpaceReport};
+pub use stats::{Counter, DcacheStats, SpaceReport};
 
 pub use dc_sighash::{HashKey, HashState, Signature};

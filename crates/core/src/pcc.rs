@@ -2,6 +2,7 @@
 
 use crate::dentry::DentryId;
 use crate::dsync::{AtomicU32, AtomicU64, Ordering};
+use crate::stats::Counter;
 use dc_obs::{Recorder, TraceEvent};
 use parking_lot::Mutex;
 
@@ -76,8 +77,10 @@ struct Set {
 pub struct Pcc {
     sets: Box<[Set]>,
     mask: u64,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Check outcomes, striped: threads sharing a credential share this
+    /// PCC.
+    hits: Counter,
+    misses: Counter,
     /// Monotonic attach stamp maintained by the dcache's eviction policy
     /// (bumped only on the `pcc_for` slowpath, never on fastpath borrows).
     last_used: AtomicU64,
@@ -107,11 +110,12 @@ impl Pcc {
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
+        let [hits, misses] = Counter::group();
         Pcc {
             sets,
             mask: (nsets - 1) as u64,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            hits,
+            misses,
             last_used: AtomicU64::new(0),
             obs,
         }

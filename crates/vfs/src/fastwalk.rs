@@ -16,7 +16,7 @@
 //! slowpath (§4.2).
 
 use crate::kernel::Kernel;
-use crate::path::{ParsedPath, PathRef, WalkResult};
+use crate::path::{ParsedPath, PathRef, WalkRef, WalkResult};
 use crate::process::Process;
 use crate::scratch::{InlineVec, INLINE_COMPONENTS};
 use dc_cred::MAY_EXEC;
@@ -34,49 +34,41 @@ const MAX_LINK_CHAIN: u32 = 40;
 const MAX_READ_RETRIES: u32 = 3;
 
 impl Kernel {
-    /// Attempts a direct lookup. `None` means "fall back to the slowpath";
-    /// `Some(Err(_))` is a definitive answer (e.g. a negative-dentry hit).
-    pub(crate) fn fast_resolve(
+    /// Attempts a direct lookup under the caller's epoch pin. `None`
+    /// means "fall back to the slowpath"; `Some(Err(_))` is a definitive
+    /// answer (e.g. a negative-dentry hit). A hit borrows its mount for
+    /// as long as the pin is held.
+    pub(crate) fn fast_resolve<'g>(
         &self,
         proc: &Process,
-        start: Option<&PathRef>,
+        start: Option<&'g PathRef>,
         parsed: &ParsedPath<'_>,
         follow_last: bool,
-    ) -> Option<FsResult<WalkResult>> {
+        guard: &'g crossbeam_epoch::Guard,
+    ) -> Option<FsResult<WalkRef<'g>>> {
         let stats = &self.dcache.stats;
         stats.fast_attempts.fetch_add(1, Ordering::Relaxed);
-        // Pin the reclamation epoch once for the whole resolution: every
-        // snapshot/chain read below nests under this guard, so retired
-        // snapshots and DLHT nodes stay alive while we look at them.
-        // Under a batch-scoped pin (server workers) this nests for free
-        // and the batch pin already accounted the one EpochPin.
-        let in_batch = dcache_core::batch_pin_active();
-        let guard = crossbeam_epoch::pin();
-        if !in_batch {
-            stats.epoch_pins.fetch_add(1, Ordering::Relaxed);
-            self.dcache.obs.event(|| TraceEvent::EpochPin);
-        }
         // Borrow the per-process lookup state under the pin we already
         // hold — no nested pins, no refcount churn (§13). Values swapped
         // out by a concurrent `chroot`/`setns`/`commit_creds` stay alive
-        // until this guard drops.
-        let ns = proc.namespace_read(&guard);
-        let cred = proc.cred_read(&guard);
-        let root = proc.root_read(&guard);
+        // until the guard drops.
+        let ns = proc.namespace_read(guard);
+        let cred = proc.cred_read(guard);
+        let root = proc.root_read(guard);
         // The anchor stays a borrow until a ".." climb actually moves it:
         // the common absolute-path lookup never touches the PathRef
         // refcounts (§13).
-        let base: &PathRef = if parsed.absolute {
+        let base: &'g PathRef = if parsed.absolute {
             root
         } else {
             match start {
                 Some(s) => s,
-                None => proc.cwd_read(&guard),
+                None => proc.cwd_read(guard),
             }
         };
         let mut anchor_owned: Option<PathRef> = None;
         let pcc_owned;
-        let pcc: &Pcc = match self.dcache.pcc_ref(cred, ns.id, &guard) {
+        let pcc: &Pcc = match self.dcache.pcc_ref(cred, ns.id, guard) {
             Some(p) => p,
             None => {
                 // First lookup for this (cred, ns): attach the PCC once.
@@ -98,7 +90,7 @@ impl Kernel {
                 // POSIX mode: one extra fastpath permission probe per
                 // dot-dot (§4.2).
                 let anchor = anchor_owned.as_ref().unwrap_or(base);
-                self.posix_dotdot_check(ns, pcc, anchor, &pending, cred, &guard)?;
+                self.posix_dotdot_check(ns, pcc, anchor, &pending, cred, guard)?;
             }
             if pending.pop().is_none() {
                 // Climbing above the anchor.
@@ -126,16 +118,22 @@ impl Kernel {
             if parsed.require_dir && !inode.is_dir() {
                 return Some(Err(FsError::NotDir));
             }
+            // A climbed anchor is a local of this call: borrow its mount
+            // from the namespace's table instead (absent there: slowpath).
+            let mount = match &anchor_owned {
+                None => &base.mount,
+                Some(climbed) => ns.mount_by_id_read(climbed.mount.id, guard)?,
+            };
             stats.fast_hits.fetch_add(1, Ordering::Relaxed);
             return Some(Ok(WalkResult {
-                mount: anchor.mount.clone(),
+                mount,
                 dentry,
                 inode: Some(inode),
             }));
         }
 
         let sig = self.dcache.key.finish(&h);
-        self.fast_validate(ns, pcc, cred, &sig, follow_last, parsed.require_dir, &guard)
+        self.fast_validate(ns, pcc, cred, &sig, follow_last, parsed.require_dir, guard)
     }
 
     /// Phase 3 of the fastpath: validates a signature against the DLHT
@@ -150,7 +148,7 @@ impl Kernel {
     /// mid-read — restart from the DLHT probe (bounded; exhaustion
     /// falls back to the slowpath).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fast_validate(
+    pub(crate) fn fast_validate<'g>(
         &self,
         ns: &Arc<crate::namespace::MountNamespace>,
         pcc: &Pcc,
@@ -158,8 +156,8 @@ impl Kernel {
         sig: &dcache_core::Signature,
         follow_last: bool,
         require_dir: bool,
-        guard: &crossbeam_epoch::Guard,
-    ) -> Option<FsResult<WalkResult>> {
+        guard: &'g crossbeam_epoch::Guard,
+    ) -> Option<FsResult<WalkRef<'g>>> {
         let stats = &self.dcache.stats;
         let dlht = ns.dlht(&self.dcache);
         let mut attempts = 0u32;
@@ -261,7 +259,8 @@ impl Kernel {
             }
             let inode = obj.inode()?;
             // Mount validation via the recorded hint (§4.3). Borrowed
-            // under the lookup's pin; cloned only once the hit stands.
+            // under the lookup's pin, and returned that way: only a caller
+            // that keeps the result takes a reference.
             let mount = ns.mount_by_id_read(obj.mount_hint(), guard)?;
             if mount.sb.id != obj.sb() || !mount.sb.fs.supports_fastpath() {
                 return None;
@@ -276,7 +275,7 @@ impl Kernel {
             }
             stats.fast_hits.fetch_add(1, Ordering::Relaxed);
             return Some(Ok(WalkResult {
-                mount: mount.clone(),
+                mount,
                 dentry: obj,
                 inode: Some(inode),
             }));

@@ -1,6 +1,7 @@
 //! Open file handles.
 
 use crate::mount::Mount;
+use crate::path::PathRef;
 use dc_fs::DirEntry;
 use dcache_core::{Dentry, Inode};
 use parking_lot::Mutex;
@@ -101,11 +102,11 @@ pub struct DirCursor {
 
 /// An open file description.
 pub struct Handle {
-    /// The mount the file was opened through (write checks honor its
-    /// flags even after the file is renamed elsewhere).
-    pub mount: Arc<Mount>,
-    /// The dentry the file was opened at.
-    pub dentry: Arc<Dentry>,
+    /// Where the file was opened: the mount it was opened through (write
+    /// checks honor its flags even after the file is renamed elsewhere)
+    /// and the dentry it was opened at. Held as one [`PathRef`] so the
+    /// `*at()` family can start a walk here without taking references.
+    pub path: PathRef,
     /// The inode; open handles keep inodes alive after unlink.
     pub inode: Arc<Inode>,
     /// Open mode.
@@ -125,8 +126,7 @@ impl Handle {
         flags: OpenFlags,
     ) -> Arc<Handle> {
         Arc::new(Handle {
-            mount,
-            dentry,
+            path: PathRef::new(mount, dentry),
             inode,
             flags,
             pos: Mutex::new(0),
@@ -139,7 +139,7 @@ impl std::fmt::Debug for Handle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Handle")
             .field("ino", &self.inode.ino)
-            .field("dentry", &self.dentry.id())
+            .field("dentry", &self.path.dentry.id())
             .field("flags", &self.flags)
             .field("pos", &*self.pos.lock())
             .finish()

@@ -47,17 +47,29 @@ impl std::fmt::Debug for PathRef {
 /// callers that need an object (stat, open without `O_CREAT`) convert that
 /// to `ENOENT`/`ENOTDIR`, while creating callers use the negative dentry
 /// directly.
+///
+/// `M` is how the mount is held: owned (the default) where the result is
+/// kept — an open handle, a new cwd or root, a mutation that runs after
+/// the lookup — and borrowed ([`WalkRef`]) where it is consumed on the
+/// spot.
 #[derive(Clone)]
-pub struct WalkResult {
+pub struct WalkResult<M = Arc<Mount>> {
     /// Mount the result lives in.
-    pub mount: Arc<Mount>,
+    pub mount: M,
     /// Final dentry (positive or negative).
     pub dentry: Arc<Dentry>,
     /// The inode for positive results.
     pub inode: Option<Arc<Inode>>,
 }
 
-impl WalkResult {
+/// A resolution that borrows its mount: from the namespace's mount table
+/// under the lookup's epoch pin on a fastpath hit, from the slowpath's
+/// owned result otherwise. A warm hit consumed in this form never touches
+/// the mount's reference count — a cache line every thread resolving
+/// through that mount would otherwise write twice (§13).
+pub(crate) type WalkRef<'m> = WalkResult<&'m Arc<Mount>>;
+
+impl<M> WalkResult<M> {
     /// The inode, or the negative dentry's error.
     pub fn require_inode(&self) -> FsResult<&Arc<Inode>> {
         match &self.inode {
@@ -73,6 +85,17 @@ impl WalkResult {
     /// True when the result is a cached absence.
     pub fn is_negative(&self) -> bool {
         self.inode.is_none()
+    }
+}
+
+impl WalkRef<'_> {
+    /// Takes a reference on the mount, for a caller that keeps the result.
+    pub(crate) fn into_owned(self) -> WalkResult {
+        WalkResult {
+            mount: self.mount.clone(),
+            dentry: self.dentry,
+            inode: self.inode,
+        }
     }
 }
 

@@ -60,29 +60,31 @@ impl Kernel {
     /// path's signature so the client can switch to
     /// [`lookup_sig`](Kernel::lookup_sig).
     pub fn lookup_path(&self, proc: &Process, path: &str, want_sig: bool) -> FsResult<LookupReply> {
-        let r = self.resolve(proc, path, true)?;
-        let inode = r.require_inode()?;
-        let sig = if want_sig {
-            let at = PathRef::new(r.mount.clone(), r.dentry.clone());
-            r.dentry
-                .hash_state()
-                .or_else(|| self.rebuild_hash_state(&at))
-                .map(|h| self.dcache.key.finish(&h))
-        } else {
-            None
-        };
-        Ok(LookupReply {
-            ino: inode.ino,
-            ftype: inode.ftype(),
-            sig,
+        self.resolve_with(proc, None, path, true, |r| {
+            let inode = r.require_inode()?;
+            let sig = if want_sig {
+                r.dentry
+                    .hash_state()
+                    .or_else(|| {
+                        let at = PathRef::new(r.mount.clone(), r.dentry.clone());
+                        self.rebuild_hash_state(&at)
+                    })
+                    .map(|h| self.dcache.key.finish(&h))
+            } else {
+                None
+            };
+            Ok(LookupReply {
+                ino: inode.ino,
+                ftype: inode.ftype(),
+                sig,
+            })
         })
     }
 
     /// Serves a `stat`: full attributes, symlinks followed. Identical to
     /// [`stat`](Kernel::stat) minus the syscall-timing wrapper.
     pub fn stat_path(&self, proc: &Process, path: &str) -> FsResult<dc_fs::InodeAttr> {
-        let r = self.resolve(proc, path, true)?;
-        Ok(r.require_inode()?.attr())
+        self.resolve_with(proc, None, path, true, |r| Ok(r.require_inode()?.attr()))
     }
 
     /// The signature of `path` for `proc`'s namespace and anchor,
@@ -103,25 +105,18 @@ impl Kernel {
     ///
     /// Counts as one lookup in stats and the trace, like any resolve.
     pub fn lookup_sig(&self, proc: &Process, sig: &Signature) -> SigLookup {
-        let stats = &self.dcache.stats;
-        stats.lookups.fetch_add(1, Ordering::Relaxed);
-        self.dcache.obs.event(|| TraceEvent::LookupStart);
-        let t0 = self.dcache.obs.now();
-        stats.fast_attempts.fetch_add(1, Ordering::Relaxed);
+        let t0 = self.lookup_start();
+        self.dcache
+            .stats
+            .fast_attempts
+            .fetch_add(1, Ordering::Relaxed);
 
         let out = (|| {
             if !self.dcache.config.fastpath {
                 return SigLookup::Miss;
             }
-            // Same pin discipline as `fast_resolve`: one pin per lookup,
-            // collapsing to a nesting bump (and no per-pin accounting)
-            // under a server worker's batch pin.
-            let in_batch = dcache_core::batch_pin_active();
-            let guard = crossbeam_epoch::pin();
-            if !in_batch {
-                stats.epoch_pins.fetch_add(1, Ordering::Relaxed);
-                self.dcache.obs.event(|| TraceEvent::EpochPin);
-            }
+            // Same pin discipline as a path lookup.
+            let guard = self.pin_lookup();
             let ns = proc.namespace_read(&guard);
             let cred = proc.cred_read(&guard);
             let pcc_owned;

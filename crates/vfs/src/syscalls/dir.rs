@@ -54,7 +54,7 @@ impl Kernel {
         let base = self.at_base(proc, dirfd)?;
         self.timing.record(SyscallClass::OtherMeta, || {
             // Reuse mkdir's body via a resolved absolute-ish path walk.
-            let pr = self.resolve_parent_from(proc, Some(base), path)?;
+            let pr = self.resolve_parent_from(proc, Some(&base.path), path)?;
             let cred = proc.cred();
             self.check_dir_mutable(&cred, &pr.parent, None)?;
             let parent_d = pr.parent.dentry.clone();
@@ -133,7 +133,7 @@ impl Kernel {
             if !h.inode.is_dir() {
                 return Err(FsError::NotDir);
             }
-            let d = &h.dentry;
+            let d = &h.path.dentry;
             let stats = &self.dcache.stats;
             let mut cur = h.dir.lock();
             if cur.eof && cur.snapshot.is_none() {
@@ -200,6 +200,7 @@ impl Kernel {
             }
             let mut out = Vec::with_capacity(max.min(256));
             let next = h
+                .path
                 .mount
                 .sb
                 .fs
@@ -259,14 +260,16 @@ impl Kernel {
     pub fn list_dir(&self, proc: &Process, path: &str) -> FsResult<Vec<DirEntry>> {
         let fd = self.open(proc, path, OpenFlags::directory(), 0)?;
         let mut all = Vec::new();
-        loop {
-            let batch = self.readdir(proc, fd, 1024)?;
-            if batch.is_empty() {
-                break;
+        let read = loop {
+            match self.readdir(proc, fd, 1024) {
+                Ok(batch) if batch.is_empty() => break Ok(()),
+                Ok(batch) => all.extend(batch),
+                Err(e) => break Err(e),
             }
-            all.extend(batch);
-        }
-        self.close(proc, fd)?;
+        };
+        // Close on every path: a failed batch must not leak the fd.
+        let closed = self.close(proc, fd);
+        read.and(closed)?;
         Ok(all)
     }
 
@@ -279,7 +282,7 @@ impl Kernel {
                 return Err(FsError::NotDir);
             }
             let cred = proc.cred();
-            let hint = self.path_hint(&r);
+            let hint = self.path_hint(&r.mount, &r.dentry);
             self.permission(&cred, inode, MAY_EXEC, hint.as_deref())?;
             proc.set_cwd(PathRef::new(r.mount, r.dentry));
             Ok(())
@@ -290,7 +293,7 @@ impl Kernel {
     pub fn fchdir(&self, proc: &Process, fd: u32) -> FsResult<()> {
         self.timing.record(SyscallClass::Other, || {
             let base = self.at_base(proc, fd)?;
-            proc.set_cwd(base);
+            proc.set_cwd(base.path.clone());
             Ok(())
         })
     }

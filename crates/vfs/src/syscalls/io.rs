@@ -15,7 +15,7 @@ impl Kernel {
                 return Err(FsError::BadF);
             }
             let mut pos = h.pos.lock();
-            let data = h.mount.sb.fs.read(h.inode.ino, *pos, len)?;
+            let data = h.path.mount.sb.fs.read(h.inode.ino, *pos, len)?;
             *pos += data.len() as u64;
             Ok(data)
         })
@@ -28,7 +28,7 @@ impl Kernel {
             if !h.flags.read {
                 return Err(FsError::BadF);
             }
-            h.mount.sb.fs.read(h.inode.ino, off, len)
+            h.path.mount.sb.fs.read(h.inode.ino, off, len)
         })
     }
 
@@ -45,9 +45,9 @@ impl Kernel {
             } else {
                 *pos
             };
-            let n = h.mount.sb.fs.write(h.inode.ino, off, data)?;
+            let n = h.path.mount.sb.fs.write(h.inode.ino, off, data)?;
             // Refresh the cached attributes (size/mtime moved).
-            if let Ok(attr) = h.mount.sb.fs.getattr(h.inode.ino) {
+            if let Ok(attr) = h.path.mount.sb.fs.getattr(h.inode.ino) {
                 h.inode.store_attr(attr);
             }
             *pos = off + n as u64;
@@ -62,8 +62,8 @@ impl Kernel {
             if !h.flags.write {
                 return Err(FsError::BadF);
             }
-            let n = h.mount.sb.fs.write(h.inode.ino, off, data)?;
-            if let Ok(attr) = h.mount.sb.fs.getattr(h.inode.ino) {
+            let n = h.path.mount.sb.fs.write(h.inode.ino, off, data)?;
+            if let Ok(attr) = h.path.mount.sb.fs.getattr(h.inode.ino) {
                 h.inode.store_attr(attr);
             }
             Ok(n)
@@ -90,7 +90,7 @@ impl Kernel {
     pub fn fsync(&self, proc: &Process, fd: u32) -> FsResult<()> {
         self.timing.record(SyscallClass::Io, || {
             let h = proc.fd(fd)?;
-            h.mount.sb.fs.sync()
+            h.path.mount.sb.fs.sync()
         })
     }
 

@@ -108,7 +108,7 @@ impl Kernel {
                 return Err(FsError::IsDir);
             }
             let cred = proc.cred();
-            let hint = self.path_hint(&r);
+            let hint = self.path_hint(&r.mount, &r.dentry);
             self.permission(&cred, &inode, MAY_WRITE, hint.as_deref())?;
             inode.setattr(SetAttr {
                 size: Some(size),

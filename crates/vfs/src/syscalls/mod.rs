@@ -32,12 +32,10 @@ impl Kernel {
         let inode = parent.require_inode()?;
         // Path-sensitive LSMs fail closed without a path; reconstruct it
         // when the caller did not have one at hand.
-        let computed = (path_hint.is_none() && self.security.needs_path()).then(|| {
-            self.vfs_path_of(&crate::path::PathRef::new(
-                parent.mount.clone(),
-                parent.dentry.clone(),
-            ))
-        });
+        let computed = match path_hint {
+            Some(_) => None,
+            None => self.path_hint(&parent.mount, &parent.dentry),
+        };
         self.permission(
             cred,
             inode,
@@ -47,13 +45,10 @@ impl Kernel {
     }
 
     /// Reconstructs a path hint only when some LSM needs one.
-    pub(crate) fn path_hint(&self, r: &WalkResult) -> Option<String> {
-        self.security.needs_path().then(|| {
-            self.vfs_path_of(&crate::path::PathRef::new(
-                r.mount.clone(),
-                r.dentry.clone(),
-            ))
-        })
+    pub(crate) fn path_hint(&self, mount: &Arc<Mount>, dentry: &Arc<Dentry>) -> Option<String> {
+        self.security
+            .needs_path()
+            .then(|| self.vfs_path_of(&crate::path::PathRef::new(mount.clone(), dentry.clone())))
     }
 
     /// POSIX sticky-bit deletion rule: in a sticky directory only root,

@@ -21,7 +21,7 @@ impl Kernel {
         let full = if path.starts_with('/') {
             path.to_string()
         } else {
-            let mut p = self.vfs_path_of(&base);
+            let mut p = self.vfs_path_of(&base.path);
             if !p.ends_with('/') {
                 p.push('/');
             }

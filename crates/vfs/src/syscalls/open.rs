@@ -32,24 +32,25 @@ impl Kernel {
     ) -> FsResult<u32> {
         self.timing.record(SyscallClass::Open, || {
             let at = self.at_base(proc, dirfd)?;
-            let h = self.open_internal(proc, Some(at), path, flags, mode, 0)?;
+            let h = self.open_internal(proc, Some(&at.path), path, flags, mode, 0)?;
             proc.install_fd(h)
         })
     }
 
-    /// Resolves a `dirfd` base for the `*at()` family.
-    pub(crate) fn at_base(&self, proc: &Process, dirfd: u32) -> FsResult<PathRef> {
+    /// The directory handle behind a `dirfd`; the `*at()` family starts
+    /// its walk at the handle's `path`.
+    pub(crate) fn at_base(&self, proc: &Process, dirfd: u32) -> FsResult<Arc<Handle>> {
         let h = proc.fd(dirfd)?;
         if !h.inode.is_dir() {
             return Err(FsError::NotDir);
         }
-        Ok(PathRef::new(h.mount.clone(), h.dentry.clone()))
+        Ok(h)
     }
 
     fn open_internal(
         &self,
         proc: &Process,
-        start: Option<PathRef>,
+        start: Option<&PathRef>,
         path: &str,
         flags: OpenFlags,
         mode: u16,
@@ -100,10 +101,7 @@ impl Kernel {
             mask |= MAY_WRITE;
         }
         if mask != 0 {
-            let path_hint = self
-                .security
-                .needs_path()
-                .then(|| self.vfs_path_of(&PathRef::new(r.mount.clone(), r.dentry.clone())));
+            let path_hint = self.path_hint(&r.mount, &r.dentry);
             self.permission(&cred, &inode, mask, path_hint.as_deref())?;
         }
         if flags.trunc && ftype == FileType::Regular {
@@ -118,13 +116,13 @@ impl Kernel {
     fn open_create(
         &self,
         proc: &Process,
-        start: Option<PathRef>,
+        start: Option<&PathRef>,
         path: &str,
         flags: OpenFlags,
         mode: u16,
         depth: u32,
     ) -> FsResult<Arc<Handle>> {
-        let pr = self.resolve_parent_from(proc, start.clone(), path)?;
+        let pr = self.resolve_parent_from(proc, start, path)?;
         if pr.require_dir {
             return Err(FsError::IsDir); // creating "name/" as a file
         }
@@ -145,7 +143,7 @@ impl Kernel {
                         let base = PathRef::new(mount, parent_d);
                         return self.open_internal(
                             proc,
-                            Some(base),
+                            Some(&base),
                             &target,
                             flags,
                             mode,

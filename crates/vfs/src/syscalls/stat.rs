@@ -1,7 +1,6 @@
 //! `stat`, `lstat`, `fstat`, `fstatat`, `access`, `readlink`, `getcwd`.
 
 use crate::kernel::Kernel;
-use crate::path::PathRef;
 use crate::process::Process;
 use crate::timing::SyscallClass;
 use dc_cred::{MAY_EXEC, MAY_READ, MAY_WRITE};
@@ -11,16 +10,14 @@ impl Kernel {
     /// `stat(2)` — follows symlinks.
     pub fn stat(&self, proc: &Process, path: &str) -> FsResult<InodeAttr> {
         self.timing.record(SyscallClass::AccessStat, || {
-            let r = self.resolve(proc, path, true)?;
-            Ok(r.require_inode()?.attr())
+            self.resolve_with(proc, None, path, true, |r| Ok(r.require_inode()?.attr()))
         })
     }
 
     /// `lstat(2)` — does not follow a final symlink.
     pub fn lstat(&self, proc: &Process, path: &str) -> FsResult<InodeAttr> {
         self.timing.record(SyscallClass::AccessStat, || {
-            let r = self.resolve(proc, path, false)?;
-            Ok(r.require_inode()?.attr())
+            self.resolve_with(proc, None, path, false, |r| Ok(r.require_inode()?.attr()))
         })
     }
 
@@ -41,8 +38,9 @@ impl Kernel {
     ) -> FsResult<InodeAttr> {
         self.timing.record(SyscallClass::AccessStat, || {
             let base = self.at_base(proc, dirfd)?;
-            let r = self.resolve_from(proc, Some(base), path, !nofollow)?;
-            Ok(r.require_inode()?.attr())
+            self.resolve_with(proc, Some(&base.path), path, !nofollow, |r| {
+                Ok(r.require_inode()?.attr())
+            })
         })
     }
 
@@ -50,27 +48,30 @@ impl Kernel {
     /// 0 is `F_OK` (existence only).
     pub fn access(&self, proc: &Process, path: &str, mask: u32) -> FsResult<()> {
         self.timing.record(SyscallClass::AccessStat, || {
-            let r = self.resolve(proc, path, true)?;
-            let inode = r.require_inode()?;
-            if mask == 0 {
-                return Ok(());
-            }
-            debug_assert!(mask & !(MAY_READ | MAY_WRITE | MAY_EXEC) == 0);
-            if mask & MAY_WRITE != 0 && r.mount.flags.read_only {
-                return Err(FsError::RoFs);
-            }
-            let cred = proc.cred();
-            let path_hint = self
-                .security
-                .needs_path()
-                .then(|| self.vfs_path_of(&PathRef::new(r.mount.clone(), r.dentry.clone())));
-            self.permission(&cred, inode, mask, path_hint.as_deref())
+            self.resolve_with(proc, None, path, true, |r| {
+                let inode = r.require_inode()?;
+                if mask == 0 {
+                    return Ok(());
+                }
+                debug_assert!(mask & !(MAY_READ | MAY_WRITE | MAY_EXEC) == 0);
+                if mask & MAY_WRITE != 0 && r.mount.flags.read_only {
+                    return Err(FsError::RoFs);
+                }
+                // Nests under the lookup's pin on a hit: no reference on a
+                // credential that other threads may share.
+                let guard = crossbeam_epoch::pin();
+                let cred = proc.cred_read(&guard);
+                let path_hint = self.path_hint(r.mount, &r.dentry);
+                self.permission(cred, inode, mask, path_hint.as_deref())
+            })
         })
     }
 
     /// `readlink(2)`.
     pub fn readlink_path(&self, proc: &Process, path: &str) -> FsResult<String> {
         self.timing.record(SyscallClass::AccessStat, || {
+            // The link body is read from the file system after the lookup,
+            // not under its pin: keep the result.
             let r = self.resolve(proc, path, false)?;
             let inode = r.require_inode()?;
             if inode.ftype() != FileType::Symlink {

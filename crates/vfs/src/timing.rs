@@ -3,7 +3,8 @@
 
 use crate::fastclock;
 use dc_obs::Recorder;
-use std::sync::atomic::{AtomicU64, Ordering};
+use dcache_core::Counter;
+use std::sync::atomic::Ordering;
 
 /// Syscall classes, matching the Figure 1 legend: the same buckets the
 /// observability layer keys its latency histograms by.
@@ -12,21 +13,22 @@ pub use dc_obs::OpClass as SyscallClass;
 /// Index range for the class table.
 const NCLASSES: usize = 8;
 
-/// One class's counters, packed so [`SyscallTiming::record`] dirties a
-/// single cache line per call instead of one in a `calls` array and one
-/// in a `nanos` array 64 bytes away (§13).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct ClassCell {
-    calls: AtomicU64,
-    nanos: AtomicU64,
+/// Accumulated `(calls, nanoseconds)` per class.
+///
+/// One striped counter group, class `c` at cells `2c` (calls) and
+/// `2c + 1` (nanoseconds): [`SyscallTiming::record`] dirties a single
+/// cache line, and it is a line of the calling thread's own stripe
+/// (§13).
+#[derive(Debug)]
+pub struct SyscallTiming {
+    cells: [Counter; 2 * NCLASSES],
+    recorder: Recorder,
 }
 
-/// Accumulated `(calls, nanoseconds)` per class.
-#[derive(Debug, Default)]
-pub struct SyscallTiming {
-    cells: [ClassCell; NCLASSES],
-    recorder: Recorder,
+impl Default for SyscallTiming {
+    fn default() -> Self {
+        SyscallTiming::with_recorder(Recorder::default())
+    }
 }
 
 impl SyscallTiming {
@@ -39,8 +41,8 @@ impl SyscallTiming {
     /// per-op latency histogram.
     pub fn with_recorder(recorder: Recorder) -> SyscallTiming {
         SyscallTiming {
+            cells: Counter::group(),
             recorder,
-            ..SyscallTiming::default()
         }
     }
 
@@ -50,19 +52,19 @@ impl SyscallTiming {
         let t0 = fastclock::now();
         let out = f();
         let dt = fastclock::delta_ns(t0, fastclock::now());
-        let cell = &self.cells[class.idx()];
-        cell.calls.fetch_add(1, Ordering::Relaxed);
-        cell.nanos.fetch_add(dt, Ordering::Relaxed);
+        let cell = 2 * class.idx();
+        self.cells[cell].fetch_add(1, Ordering::Relaxed);
+        self.cells[cell + 1].fetch_add(dt, Ordering::Relaxed);
         self.recorder.latency(class, dt);
         out
     }
 
     /// `(calls, total_ns)` for one class.
     pub fn get(&self, class: SyscallClass) -> (u64, u64) {
-        let cell = &self.cells[class.idx()];
+        let cell = 2 * class.idx();
         (
-            cell.calls.load(Ordering::Relaxed),
-            cell.nanos.load(Ordering::Relaxed),
+            self.cells[cell].load(Ordering::Relaxed),
+            self.cells[cell + 1].load(Ordering::Relaxed),
         )
     }
 
@@ -82,17 +84,13 @@ impl SyscallTiming {
 
     /// Total nanoseconds across every class.
     pub fn total_ns(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| c.nanos.load(Ordering::Relaxed))
-            .sum()
+        SyscallClass::all().into_iter().map(|c| self.get(c).1).sum()
     }
 
     /// Zeroes the table.
     pub fn reset(&self) {
         for cell in &self.cells {
-            cell.calls.store(0, Ordering::Relaxed);
-            cell.nanos.store(0, Ordering::Relaxed);
+            cell.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -126,6 +124,27 @@ mod tests {
         });
         assert!(t.path_syscall_ns() > 0);
         assert!(t.total_ns() > t.path_syscall_ns());
+    }
+
+    #[test]
+    fn totals_across_threads_equal_the_calls_made() {
+        let t = SyscallTiming::new();
+        std::thread::scope(|sc| {
+            for _ in 0..4 {
+                sc.spawn(|| {
+                    for _ in 0..1000 {
+                        t.record(SyscallClass::AccessStat, || ());
+                        t.record(SyscallClass::Open, || ());
+                        t.record(SyscallClass::Open, || ());
+                    }
+                });
+            }
+        });
+        assert_eq!(t.get(SyscallClass::AccessStat).0, 4000);
+        assert_eq!(t.get(SyscallClass::Open).0, 8000);
+        assert_eq!(t.get(SyscallClass::Unlink), (0, 0));
+        t.reset();
+        assert_eq!(t.get(SyscallClass::Open), (0, 0));
     }
 
     #[test]

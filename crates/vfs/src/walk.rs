@@ -19,7 +19,7 @@
 use crate::kernel::Kernel;
 use crate::mount::Mount;
 use crate::namespace::MountNamespace;
-use crate::path::{split_path, ParsedPath, PathRef, WalkResult};
+use crate::path::{split_path, ParsedPath, PathRef, WalkRef, WalkResult};
 use crate::process::Process;
 use dc_cred::{Cred, PermCtx, MAY_EXEC};
 use dc_fs::{FileSystem, FsError, FsResult};
@@ -61,7 +61,9 @@ enum Publish {
 }
 
 impl Kernel {
-    /// Resolves `path` for `proc` (fastpath first when configured).
+    /// Resolves `path` for `proc` into a result the caller keeps — an
+    /// open handle, a new cwd or root, a mutation that runs after the
+    /// lookup. See [`resolve_with`](Kernel::resolve_with).
     pub(crate) fn resolve(
         &self,
         proc: &Process,
@@ -71,40 +73,63 @@ impl Kernel {
         self.resolve_from(proc, None, path, follow_last)
     }
 
-    /// Resolves `path`, starting relative paths at `start` (the `*at()`
-    /// family) or the process cwd.
+    /// [`resolve`](Kernel::resolve), starting relative paths at `start`
+    /// (the `*at()` family) or the process cwd.
     pub(crate) fn resolve_from(
         &self,
         proc: &Process,
-        start: Option<PathRef>,
+        start: Option<&PathRef>,
         path: &str,
         follow_last: bool,
     ) -> FsResult<WalkResult> {
+        self.resolve_with(proc, start, path, follow_last, |r| Ok(r.into_owned()))
+    }
+
+    /// The resolve entry point (fastpath first when configured): resolves
+    /// `path` and hands the result to `consume` with its mount borrowed.
+    /// On a fastpath hit `consume` runs under the lookup's epoch pin, so
+    /// it must be short and must not block; a caller that keeps the
+    /// result takes its own reference there
+    /// ([`resolve_from`](Kernel::resolve_from)).
+    pub(crate) fn resolve_with<T>(
+        &self,
+        proc: &Process,
+        start: Option<&PathRef>,
+        path: &str,
+        follow_last: bool,
+        consume: impl FnOnce(WalkRef<'_>) -> FsResult<T>,
+    ) -> FsResult<T> {
         let parsed = split_path(path)?;
-        self.dcache.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        self.dcache.obs.event(|| TraceEvent::LookupStart);
-        let t0 = self.dcache.obs.now();
-        let out = (|| {
-            if self.dcache.config.fastpath {
-                if let Some(out) = self.fast_resolve(proc, start.as_ref(), &parsed, follow_last) {
-                    return out;
-                }
+        let t0 = self.lookup_start();
+        if self.dcache.config.fastpath {
+            // Pin the reclamation epoch once for the whole resolution:
+            // every snapshot/chain read of the fastpath nests under this
+            // guard, and so does `consume` — the mount it borrows stays
+            // alive without a reference of its own.
+            let guard = self.pin_lookup();
+            if let Some(hit) = self.fast_resolve(proc, start, &parsed, follow_last, &guard) {
+                self.lookup_end(t0, &hit);
+                return consume(hit?);
             }
-            match self.slow_resolve(proc, start, &parsed, follow_last, false)? {
-                WalkOutput::Full(r) => Ok(r),
-                // Mode mismatch is an internal bug; surface EIO, not a
-                // panic, so a syscall can never take the kernel down.
-                WalkOutput::Parent(..) => Err(FsError::Io),
-            }
-        })();
-        if let Some(t0) = t0 {
-            let outcome = lookup_outcome(&out);
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.dcache
-                .obs
-                .event(|| TraceEvent::LookupEnd { outcome, ns });
         }
-        out
+        let out = match self.slow_resolve(proc, start, &parsed, follow_last, false) {
+            Ok(WalkOutput::Full(r)) => Ok(r),
+            // Mode mismatch is an internal bug; surface EIO, not a
+            // panic, so a syscall can never take the kernel down.
+            Ok(WalkOutput::Parent(..)) => Err(FsError::Io),
+            Err(e) => Err(e),
+        };
+        self.lookup_end(t0, &out);
+        let WalkResult {
+            mount,
+            dentry,
+            inode,
+        } = out?;
+        consume(WalkResult {
+            mount: &mount,
+            dentry,
+            inode,
+        })
     }
 
     /// Resolves everything but the final component; the caller mutates
@@ -117,29 +142,54 @@ impl Kernel {
     pub(crate) fn resolve_parent_from(
         &self,
         proc: &Process,
-        start: Option<PathRef>,
+        start: Option<&PathRef>,
         path: &str,
     ) -> FsResult<ParentResult> {
         let parsed = split_path(path)?;
-        self.dcache.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        self.dcache.obs.event(|| TraceEvent::LookupStart);
-        let t0 = self.dcache.obs.now();
-        let out = (|| match self.slow_resolve(proc, start, &parsed, true, true)? {
-            WalkOutput::Parent(parent, name, require_dir) => Ok(ParentResult {
+        let t0 = self.lookup_start();
+        let out = match self.slow_resolve(proc, start, &parsed, true, true) {
+            Ok(WalkOutput::Parent(parent, name, require_dir)) => Ok(ParentResult {
                 parent,
                 name,
                 require_dir,
             }),
-            WalkOutput::Full(_) => Err(FsError::Io), // mode mismatch: see resolve_from
-        })();
+            Ok(WalkOutput::Full(_)) => Err(FsError::Io), // mode mismatch: see resolve_with
+            Err(e) => Err(e),
+        };
+        self.lookup_end(t0, &out);
+        out
+    }
+
+    /// Accounts the start of one path lookup (counter + span event);
+    /// returns the span clock when tracing is on.
+    pub(crate) fn lookup_start(&self) -> Option<std::time::Instant> {
+        self.dcache.stats.lookups.fetch_add(1, Ordering::Relaxed);
+        self.dcache.obs.event(|| TraceEvent::LookupStart);
+        self.dcache.obs.now()
+    }
+
+    /// Closes the span [`lookup_start`](Kernel::lookup_start) opened.
+    fn lookup_end<T>(&self, t0: Option<std::time::Instant>, out: &FsResult<T>) {
         if let Some(t0) = t0 {
-            let outcome = lookup_outcome(&out);
+            let outcome = lookup_outcome(out);
             let ns = t0.elapsed().as_nanos() as u64;
             self.dcache
                 .obs
                 .event(|| TraceEvent::LookupEnd { outcome, ns });
         }
-        out
+    }
+
+    /// Pins the reclamation epoch for one lookup. Under a batch-scoped
+    /// pin (server workers) this nests for free and the batch pin already
+    /// accounted the one `EpochPin`.
+    pub(crate) fn pin_lookup(&self) -> crossbeam_epoch::Guard {
+        let in_batch = dcache_core::batch_pin_active();
+        let guard = crossbeam_epoch::pin();
+        if !in_batch {
+            self.dcache.stats.epoch_pins.fetch_add(1, Ordering::Relaxed);
+            self.dcache.obs.event(|| TraceEvent::EpochPin);
+        }
+        guard
     }
 
     /// One LSM-stack permission check.
@@ -242,7 +292,7 @@ impl Kernel {
     fn slow_resolve(
         &self,
         proc: &Process,
-        start: Option<PathRef>,
+        start: Option<&PathRef>,
         parsed: &ParsedPath<'_>,
         follow_last: bool,
         parent_mode: bool,
@@ -259,7 +309,7 @@ impl Kernel {
             if attempts > MAX_OPTIMISTIC {
                 // Contended with structural changes: exclude writers.
                 let _w = self.dcache.rename_lock.write();
-                let mut w = SlowWalk::new(self, proc, start.clone(), parsed.absolute);
+                let mut w = SlowWalk::new(self, proc, start, parsed.absolute);
                 let out = w.run(parsed, follow_last, parent_mode);
                 // No concurrent rename is possible; publish directly.
                 let inv0 = w.inv0;
@@ -267,7 +317,7 @@ impl Kernel {
                 return out;
             }
             let rseq = self.dcache.rename_lock.read_begin();
-            let mut w = SlowWalk::new(self, proc, start.clone(), parsed.absolute);
+            let mut w = SlowWalk::new(self, proc, start, parsed.absolute);
             let out = w.run(parsed, follow_last, parent_mode);
             if self.dcache.rename_lock.read_retry(rseq) {
                 self.dcache
@@ -385,14 +435,14 @@ struct SlowWalk<'k> {
 }
 
 impl<'k> SlowWalk<'k> {
-    fn new(k: &'k Kernel, proc: &Process, start: Option<PathRef>, absolute: bool) -> Self {
+    fn new(k: &'k Kernel, proc: &Process, start: Option<&PathRef>, absolute: bool) -> Self {
         let cred = proc.cred();
         let ns = proc.namespace();
         let root = proc.root();
         let anchor = if absolute {
             root.clone()
         } else {
-            start.unwrap_or_else(|| proc.cwd())
+            start.cloned().unwrap_or_else(|| proc.cwd())
         };
         let fast = k.dcache.config.fastpath;
         let pcc = fast.then(|| k.dcache.pcc_for(&cred, ns.id));

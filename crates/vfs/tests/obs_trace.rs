@@ -51,7 +51,7 @@ fn events_reconcile_with_dcache_stats() {
         let obs = k.obs().obs().expect("recorder is enabled");
         let stats = &k.dcache.stats;
         let ev = |kind| obs.event_count(kind);
-        let st = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        let st = |c: &dcache_core::Counter| c.load(Ordering::Relaxed);
 
         // Each event fires exactly where its stats counter is bumped.
         assert_eq!(ev(EventKind::LookupStart), st(&stats.lookups));
@@ -135,7 +135,7 @@ fn tenancy_events_reconcile_with_stats() {
     let obs = k.obs().obs().expect("recorder is enabled");
     let stats = &k.dcache.stats;
     let ev = |kind| obs.event_count(kind);
-    let st = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+    let st = |c: &dcache_core::Counter| c.load(Ordering::Relaxed);
 
     assert!(st(&stats.pcc_evictions) > 0, "cap of 2 must have evicted");
     assert_eq!(ev(EventKind::PccEvict), st(&stats.pcc_evictions));
@@ -184,7 +184,7 @@ fn warm_events_reconcile_with_stats() {
     let obs = k.obs().obs().expect("recorder is enabled");
     let stats = &k.dcache.stats;
     let ev = |kind| obs.event_count(kind);
-    let st = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+    let st = |c: &dcache_core::Counter| c.load(Ordering::Relaxed);
 
     assert_eq!(ev(EventKind::WarmCheckpoint), st(&stats.warm_checkpoints));
     assert_eq!(st(&stats.warm_checkpoints), 1);

@@ -252,6 +252,65 @@ fn lookups_scale_across_threads_without_errors() {
     }
 }
 
+/// A warm `stat`/`access` consumes the mount borrowed under its epoch
+/// pin: with two threads looping, the root mount's reference count — a
+/// cache line both would otherwise write twice per call — never leaves
+/// its resting value.
+#[test]
+fn warm_hits_never_touch_the_mount_refcount() {
+    let (k, p) = kernel(DcacheConfig::optimized());
+    k.mkdir(&p, "/m", 0o755).unwrap();
+    k.mkdir(&p, "/m/d", 0o755).unwrap();
+    let paths: Vec<String> = (0..8).map(|i| format!("/m/d/f{i}")).collect();
+    for path in &paths {
+        touch(&k, &p, path);
+    }
+    let readers = [k.spawn(&p), k.spawn(&p)];
+    for r in &readers {
+        for path in paths.iter().chain(paths.iter()) {
+            k.stat(r, path).unwrap();
+            k.access(r, path, dcache_repro::cred::MAY_READ).unwrap();
+        }
+    }
+    let root = k.init_namespace().root_mount();
+    let resting = Arc::strong_count(&root);
+    let slow_before = k.dcache.stats.slow_walks.load(Ordering::Relaxed);
+    let stop = AtomicBool::new(false);
+    let go = std::sync::Barrier::new(3);
+    let calls = AtomicU64::new(0);
+    let mut highest = 0;
+    std::thread::scope(|s| {
+        for r in &readers {
+            s.spawn(|| {
+                go.wait();
+                let mut n = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let path = &paths[n % paths.len()];
+                    k.stat(r, path).unwrap();
+                    k.access(r, path, dcache_repro::cred::MAY_READ).unwrap();
+                    n += 1;
+                }
+                calls.fetch_add(2 * n as u64, Ordering::Relaxed);
+            });
+        }
+        go.wait();
+        for _ in 0..1_000_000 {
+            highest = highest.max(Arc::strong_count(&root));
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(calls.load(Ordering::Relaxed) > 0);
+    assert_eq!(
+        k.dcache.stats.slow_walks.load(Ordering::Relaxed),
+        slow_before,
+        "every call in the window was a fastpath hit"
+    );
+    assert_eq!(
+        highest, resting,
+        "a warm hit took a reference on the root mount"
+    );
+}
+
 #[test]
 fn negative_dentries_cohere_under_concurrent_rename() {
     // The §5.2 negative-dentry gap in the rename protocol: a cached

@@ -123,6 +123,28 @@ fn permanent_faults_surface_eio_and_heal() {
 }
 
 #[test]
+fn list_dir_closes_its_fd_when_readdir_fails() {
+    let plan = FaultPlan::new(0x1EAC).permanent(IoOp::Read, 1.0);
+    let (k, inj, disk) = faulty_kernel(DcacheConfig::optimized(), plan);
+    let p = k.init_process();
+    k.mkdir(&p, "/a", 0o755).unwrap();
+    touch(&k, &p, "/a/f");
+    // The directory's dentry and inode cached, its block not: the open
+    // succeeds from the dcache and the first readdir batch needs the
+    // device.
+    k.drop_caches();
+    k.stat(&p, "/a").unwrap();
+    disk.drop_caches();
+    let fds_before = p.open_fds();
+    inj.arm();
+    assert_eq!(k.list_dir(&p, "/a"), Err(FsError::Io));
+    assert_eq!(p.open_fds(), fds_before, "failed list_dir leaked its fd");
+    inj.disarm();
+    assert_eq!(k.list_dir(&p, "/a").unwrap().len(), 1);
+    assert_eq!(p.open_fds(), fds_before);
+}
+
+#[test]
 fn eio_never_creates_negative_dentries() {
     let plan = FaultPlan::new(0xBADB).permanent(IoOp::Read, 1.0);
     let (k, inj, _disk) = faulty_kernel(DcacheConfig::optimized(), plan);

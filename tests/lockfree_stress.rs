@@ -196,7 +196,7 @@ fn lockfree_readers_race_structural_writers() {
 
     // Retry accounting reconciles with the trace-event counters.
     let obs = k.obs().obs().expect("recorder is enabled");
-    let st = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let st = |c: &dcache_core::Counter| c.load(Ordering::Relaxed);
     let stats = &k.dcache.stats;
     assert_eq!(
         obs.event_count(EventKind::ReadRetry),

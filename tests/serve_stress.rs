@@ -293,7 +293,7 @@ fn served_batches_race_structural_writers() {
     // collapses nested per-lookup pins, and both the stat and the
     // event are bumped only at the outermost pin.
     let obs = k.obs().obs().expect("recorder is enabled");
-    let st = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let st = |c: &dcache_core::Counter| c.load(Ordering::Relaxed);
     let stats = &k.dcache.stats;
     assert_eq!(obs.event_count(EventKind::EpochPin), st(&stats.epoch_pins));
     assert_eq!(
