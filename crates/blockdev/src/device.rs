@@ -242,6 +242,13 @@ impl RawDisk {
     /// that matches a write surfaces as a transient error (a torn write
     /// the device detects and reports).
     pub fn write_block(&self, block: u64, data: &[u8]) -> BlockResult<()> {
+        self.write_block_shared(block, Bytes::copy_from_slice(data))
+    }
+
+    /// [`RawDisk::write_block`] without the copy: the device keeps
+    /// `data` itself, sharing the allocation with whoever else holds it
+    /// (the page-cache page it was flushed from).
+    pub fn write_block_shared(&self, block: u64, data: Bytes) -> BlockResult<()> {
         self.check(block)?;
         if data.len() != self.block_size {
             return Err(BlockError::BadLength {
@@ -275,8 +282,7 @@ impl RawDisk {
             });
         }
         let mut guard = self.blocks.lock();
-        let prior = guard.get(&block).cloned();
-        guard.insert(block, Bytes::copy_from_slice(data));
+        let prior = guard.insert(block, data);
         // Crash capture happens under the same lock hold as the insert,
         // so the snapshot is exactly the durable state after this write
         // even with concurrent writers.
@@ -292,7 +298,7 @@ impl RawDisk {
                         Some(old) => old.to_vec(),
                         None => vec![0u8; self.block_size],
                     };
-                    torn[..half].copy_from_slice(&data[..half]);
+                    torn[..half].copy_from_slice(&blocks[&block][..half]);
                     blocks.insert(block, Bytes::from(torn));
                     Some(block)
                 } else {
@@ -376,6 +382,26 @@ mod tests {
             d.write_block(0, &[0u8; 100]),
             Err(BlockError::BadLength { .. })
         ));
+    }
+
+    #[test]
+    fn torn_cut_keeps_the_old_second_half() {
+        let d = disk();
+        d.write_block(4, &[1u8; 512]).unwrap();
+        let mon = Arc::new(CrashMonitor::at_points(vec![1, 2], 0, 1.0));
+        d.attach_crash_monitor(mon.clone());
+        mon.arm();
+        d.write_block(4, &[2u8; 512]).unwrap(); // over a written block
+        d.write_block(5, &[3u8; 512]).unwrap(); // over a fresh one
+        let images = mon.take_images();
+        for (img, (block, new, old)) in images.iter().zip([(4, 2u8, 1u8), (5, 3, 0)]) {
+            assert_eq!(img.torn_block, Some(block));
+            let torn = &img.blocks[&block];
+            assert!(torn[..256].iter().all(|&b| b == new));
+            assert!(torn[256..].iter().all(|&b| b == old));
+        }
+        // The device itself took both writes whole.
+        assert!(d.read_block(4).unwrap().iter().all(|&b| b == 2));
     }
 
     #[test]

@@ -268,11 +268,12 @@ impl CachedDisk {
         }
     }
 
-    /// One device write with the same bounded-retry discipline.
-    fn device_write(&self, block: u64, data: &[u8]) -> BlockResult<()> {
+    /// One device write with the same bounded-retry discipline. The
+    /// device keeps the page's own buffer.
+    fn device_write(&self, block: u64, data: &Bytes) -> BlockResult<()> {
         let mut attempt: u32 = 0;
         loop {
-            let err = match self.disk.write_block(block, data) {
+            let err = match self.disk.write_block_shared(block, data.clone()) {
                 Ok(()) => return Ok(()),
                 Err(
                     e @ BlockError::Io {
@@ -350,9 +351,17 @@ impl CachedDisk {
     /// Writes one block through the cache (write-back: device copy deferred
     /// until [`CachedDisk::sync`], eviction, or [`CachedDisk::drop_caches`]).
     pub fn write_block(&self, block: u64, data: &[u8]) -> BlockResult<()> {
+        self.write_block_shared(block, Bytes::copy_from_slice(data))
+    }
+
+    /// [`CachedDisk::write_block`] without the copy: the page holds
+    /// `data` itself, and so does the device once the page is flushed.
+    /// A caller that writes one image to several blocks (the journal:
+    /// log slot, then in place) pays for one buffer.
+    pub fn write_block_shared(&self, block: u64, data: Bytes) -> BlockResult<()> {
         if block >= self.disk.capacity_blocks() {
             // Surface range errors eagerly even in write-back mode.
-            return self.device_write(block, data);
+            return self.device_write(block, &data);
         }
         if data.len() != self.disk.block_size() {
             return Err(crate::BlockError::BadLength {
@@ -361,18 +370,17 @@ impl CachedDisk {
             });
         }
         if self.capacity_pages == 0 {
-            return self.device_write(block, data);
+            return self.device_write(block, &data);
         }
-        let bytes = Bytes::copy_from_slice(data);
         let mut inner = self.inner.lock();
         if let Some(page) = inner.pages.get_mut(&block) {
-            page.data = bytes;
+            page.data = data;
             page.dirty = true;
             let slot = page.slot;
             inner.lru.touch(slot);
             return Ok(());
         }
-        self.insert_locked(&mut inner, block, bytes, true)
+        self.insert_locked(&mut inner, block, data, true)
     }
 
     fn insert_locked(
@@ -600,6 +608,25 @@ mod tests {
         // Second sync writes nothing new.
         d.sync().unwrap();
         assert_eq!(d.stats().device_writes, 1);
+    }
+
+    #[test]
+    fn shared_write_is_one_buffer_from_page_to_device() {
+        let d = small_cache(8);
+        let image = Bytes::from(vec![6u8; 512]);
+        d.write_block_shared(1, image.clone()).unwrap();
+        d.write_block_shared(2, image.clone()).unwrap();
+        d.flush_blocks(&[1, 2]).unwrap();
+        assert_eq!(d.stats().device_writes, 2);
+        for b in [1, 2] {
+            // The resident page, and the device block under it.
+            assert_eq!(d.read_block(b).unwrap().as_ptr(), image.as_ptr());
+            assert_eq!(d.disk.read_block(b).unwrap().as_ptr(), image.as_ptr());
+        }
+        // The copying form still copies: the caller keeps its buffer.
+        d.write_block(3, &image).unwrap();
+        assert_ne!(d.read_block(3).unwrap().as_ptr(), image.as_ptr());
+        assert_eq!(&d.read_block(3).unwrap()[..], &image[..]);
     }
 
     #[test]

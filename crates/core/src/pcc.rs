@@ -74,9 +74,19 @@ struct Set {
 /// writes serialize per set on a tiny mutex, which is off the lookup
 /// critical path — exactly the paper's trade of penalizing infrequent
 /// mutations to keep hits cheap.
+///
+/// Behind the table proper sits a second, an eighth its size, that holds
+/// only the directories a revalidation climbed past
+/// ([`check_dir`](Pcc::check_dir) / [`insert_dir`](Pcc::insert_dir)). One
+/// directory's entry answers for every name below it, and there are far
+/// fewer directories than names; kept apart, a working set of names that
+/// overflows the table cannot evict them, and they cannot crowd a working
+/// set that fits.
 pub struct Pcc {
+    /// The table's sets, then the directory table's.
     sets: Box<[Set]>,
     mask: u64,
+    dir_mask: u64,
     /// Check outcomes, striped: threads sharing a credential share this
     /// PCC.
     hits: Counter,
@@ -98,7 +108,8 @@ impl Pcc {
     pub fn new_with_obs(bytes: usize, obs: Recorder) -> Pcc {
         let entries = (bytes / ENTRY_BYTES).max(WAYS);
         let nsets = (entries / WAYS).next_power_of_two();
-        let sets = (0..nsets)
+        let dir_nsets = (nsets / 8).max(1);
+        let sets = (0..nsets + dir_nsets)
             .map(|_| Set {
                 ways: std::array::from_fn(|_| Entry {
                     ver: AtomicU32::new(0),
@@ -114,6 +125,7 @@ impl Pcc {
         Pcc {
             sets,
             mask: (nsets - 1) as u64,
+            dir_mask: (dir_nsets - 1) as u64,
             hits,
             misses,
             last_used: AtomicU64::new(0),
@@ -128,11 +140,27 @@ impl Pcc {
         &self.sets[(h & self.mask) as usize]
     }
 
+    #[inline]
+    fn dir_set_of(&self, id: DentryId) -> &Set {
+        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+        &self.sets[(self.mask + 1 + (h & self.dir_mask)) as usize]
+    }
+
     /// Is a prefix check for `id` memoized at exactly version `cur_seq`?
     #[inline]
     pub fn check(&self, id: DentryId, cur_seq: u64) -> bool {
+        self.check_in(self.set_of(id), id, cur_seq)
+    }
+
+    /// [`check`](Pcc::check) against the directory table.
+    #[inline]
+    pub fn check_dir(&self, id: DentryId, cur_seq: u64) -> bool {
+        self.check_in(self.dir_set_of(id), id, cur_seq)
+    }
+
+    #[inline]
+    fn check_in(&self, set: &Set, id: DentryId, cur_seq: u64) -> bool {
         debug_assert_ne!(id, INVALID);
-        let set = self.set_of(id);
         let mut stale = false;
         for e in &set.ways {
             if let Some((eid, eseq)) = e.read() {
@@ -159,8 +187,17 @@ impl Pcc {
 
     /// Memoizes a successful prefix check for `id` at version `seq`.
     pub fn insert(&self, id: DentryId, seq: u64) {
+        Self::insert_in(self.set_of(id), id, seq)
+    }
+
+    /// Memoizes a successful prefix check for a directory in the
+    /// directory table.
+    pub fn insert_dir(&self, id: DentryId, seq: u64) {
+        Self::insert_in(self.dir_set_of(id), id, seq)
+    }
+
+    fn insert_in(set: &Set, id: DentryId, seq: u64) {
         debug_assert_ne!(id, INVALID);
-        let set = self.set_of(id);
         let _g = set.write_lock.lock();
         // Refresh in place if the dentry already has a way; otherwise use
         // an empty way; otherwise evict round-robin.
@@ -183,11 +220,12 @@ impl Pcc {
     /// Removes any memoized result for `id` (used when a directory
     /// reference loses access and must not be re-validated, §3.2).
     pub fn forget(&self, id: DentryId) {
-        let set = self.set_of(id);
-        let _g = set.write_lock.lock();
-        for e in &set.ways {
-            if e.id.load(Ordering::Acquire) == id {
-                e.write(INVALID, 0);
+        for set in [self.set_of(id), self.dir_set_of(id)] {
+            let _g = set.write_lock.lock();
+            for e in &set.ways {
+                if e.id.load(Ordering::Acquire) == id {
+                    e.write(INVALID, 0);
+                }
             }
         }
     }
@@ -202,9 +240,9 @@ impl Pcc {
         }
     }
 
-    /// Total logical entries this PCC can hold.
+    /// Total logical entries the table proper can hold.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * WAYS
+        (self.mask as usize + 1) * WAYS
     }
 
     /// Memory footprint in bytes.
@@ -288,6 +326,36 @@ mod tests {
         assert!(pcc.check(5, 9));
         pcc.forget(5);
         assert!(!pcc.check(5, 9));
+    }
+
+    #[test]
+    fn directories_are_memoized_apart() {
+        let pcc = Pcc::new(1024); // 8 sets × 8 ways, and 1 × 8 for directories
+        pcc.insert_dir(7, 3);
+        assert!(pcc.check_dir(7, 3));
+        assert!(!pcc.check_dir(7, 4), "stale seq must miss");
+        assert!(!pcc.check(7, 3), "the table proper never saw it");
+        // Names churning through the table proper never evict it...
+        for id in 100..1100u64 {
+            pcc.insert(id, 0);
+        }
+        assert!(pcc.check_dir(7, 3));
+        // ...and directories churning through theirs evict no name.
+        let resident: Vec<u64> = (100..1100u64).filter(|&id| pcc.check(id, 0)).collect();
+        for id in 2000..2100u64 {
+            pcc.insert_dir(id, 0);
+        }
+        assert!(resident.iter().all(|&id| pcc.check(id, 0)));
+        assert_eq!(pcc.capacity(), 64);
+        // Both answer to `forget` and to the flush.
+        pcc.insert(7, 3);
+        pcc.insert_dir(7, 3);
+        pcc.forget(7);
+        assert!(!pcc.check(7, 3) && !pcc.check_dir(7, 3));
+        pcc.insert_dir(8, 1);
+        pcc.invalidate_all();
+        assert!(!pcc.check_dir(8, 1));
+        assert_eq!(pcc.occupancy(), 0);
     }
 
     #[test]

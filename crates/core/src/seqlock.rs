@@ -38,6 +38,15 @@ impl SeqCount {
         }
     }
 
+    /// Begins an optimistic read without waiting: the sampled sequence,
+    /// or `None` while a write is in flight — for a reader that has a
+    /// cheaper way out than spinning.
+    #[inline]
+    pub fn try_read_begin(&self) -> Option<u64> {
+        let s = self.0.load(Ordering::Acquire);
+        (s & 1 == 0).then_some(s)
+    }
+
     /// True if a writer ran since `start` — the read must be retried.
     #[inline]
     pub fn read_retry(&self, start: u64) -> bool {
@@ -93,6 +102,12 @@ impl SeqLock {
     #[inline]
     pub fn read_begin(&self) -> u64 {
         self.seq.read_begin()
+    }
+
+    /// Begins an optimistic read unless a writer is active.
+    #[inline]
+    pub fn try_read_begin(&self) -> Option<u64> {
+        self.seq.try_read_begin()
     }
 
     /// True if the read must retry.
@@ -238,6 +253,18 @@ mod tests {
         // A read started after the write is clean again.
         let s2 = l.read_begin();
         assert!(!l.read_retry(s2));
+    }
+
+    #[test]
+    fn try_read_begin_declines_under_a_writer() {
+        let l = SeqLock::new();
+        let s = l.try_read_begin().expect("quiet");
+        {
+            let _w = l.write();
+            assert_eq!(l.try_read_begin(), None);
+        }
+        assert!(l.read_retry(s));
+        assert_eq!(l.try_read_begin(), Some(s + 2));
     }
 
     #[test]

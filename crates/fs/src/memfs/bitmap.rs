@@ -49,16 +49,17 @@ impl Bitmap {
             return Err(FsError::Inval);
         }
         let (block, byte, mask) = self.locate(idx);
-        let data = disk.read_block(block)?;
-        let prev = data[byte] & mask != 0;
+        // The read's hold on the image ends here, so a block already in
+        // a transaction is flipped in place below.
+        let prev = disk.read_block(block)?[byte] & mask != 0;
         if prev != val {
-            let mut copy = data.to_vec();
-            if val {
-                copy[byte] |= mask;
-            } else {
-                copy[byte] &= !mask;
-            }
-            disk.write_block(block, &copy)?;
+            disk.update_block(block, |b| {
+                if val {
+                    b[byte] |= mask;
+                } else {
+                    b[byte] &= !mask;
+                }
+            })?;
         }
         Ok(prev)
     }

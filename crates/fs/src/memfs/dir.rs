@@ -143,6 +143,33 @@ pub fn find(buf: &[u8], name: &[u8]) -> FsResult<Option<(usize, u64, u8)>> {
     Ok(None)
 }
 
+/// Bytes of `rec` a new record could take: all of a free record, the
+/// padding past the name of a live one.
+fn slack(rec: &RawRecord<'_>) -> usize {
+    if rec.ino == 0 {
+        rec.rec_len
+    } else {
+        rec.rec_len - needed(rec.name.len())
+    }
+}
+
+/// The one pass a mutation makes over a block: the live record named
+/// `name` as `(ino, ftype)`, and whether a record for `name` fits in the
+/// block ([`insert`]'s answer). Stops at the name, so `room` covers the
+/// records before it only.
+pub fn scan(buf: &[u8], name: &[u8]) -> FsResult<(Option<(u64, u8)>, bool)> {
+    let want = needed(name.len());
+    let mut room = false;
+    for rec in RecordIter::new(buf) {
+        let rec = rec?;
+        if rec.ino != 0 && rec.name == name {
+            return Ok((Some((rec.ino, rec.ftype)), room));
+        }
+        room |= slack(&rec) >= want;
+    }
+    Ok((None, room))
+}
+
 /// Inserts a record, splitting free space; returns `false` if the block
 /// has no room. The caller has already checked the name does not exist.
 pub fn insert(buf: &mut [u8], name: &[u8], ino: u64, ftype: u8) -> FsResult<bool> {
@@ -153,17 +180,10 @@ pub fn insert(buf: &mut [u8], name: &[u8], ino: u64, ftype: u8) -> FsResult<bool
     let mut slot: Option<(usize, usize, usize, u8, u64)> = None; // off, rec_len, used, kind
     for rec in RecordIter::new(buf) {
         let rec = rec?;
-        if rec.ino == 0 {
-            if rec.rec_len >= want {
-                slot = Some((rec.offset, rec.rec_len, 0, 0, 0));
-                break;
-            }
-        } else {
-            let used = needed(rec.name.len());
-            if rec.rec_len - used >= want {
-                slot = Some((rec.offset, rec.rec_len, used, rec.ftype, rec.ino));
-                break;
-            }
+        if slack(&rec) >= want {
+            let used = rec.rec_len - slack(&rec);
+            slot = Some((rec.offset, rec.rec_len, used, rec.ftype, rec.ino));
+            break;
         }
     }
     let Some((off, rec_len, used, old_ftype, old_ino)) = slot else {
@@ -307,6 +327,38 @@ mod tests {
         assert!(insert(&mut b, b"dd", 4, 1).unwrap());
         assert!(find(&b, b"dd").unwrap().is_some());
         assert_eq!(count_live(&b).unwrap(), 3);
+    }
+
+    #[test]
+    fn scan_agrees_with_find_and_insert() {
+        let mut b = block();
+        let long = [b'n'; 200];
+        for (i, len) in [200usize, 150, 90].into_iter().enumerate() {
+            assert!(insert(&mut b, &long[..len], i as u64 + 1, 1).unwrap());
+        }
+        // 512 - (212 + 164 + 104) = 32 bytes of slack after the last name.
+        for name in [
+            &b"a"[..],
+            &[b'b'; 20],
+            &[b'c'; 21],
+            &long[..150],
+            &long[..90],
+        ] {
+            let (hit, room) = scan(&b, name).unwrap();
+            assert_eq!(hit, find(&b, name).unwrap().map(|(_, i, t)| (i, t)));
+            if hit.is_none() {
+                assert_eq!(
+                    room,
+                    insert(&mut b.clone(), name, 9, 1).unwrap(),
+                    "{name:?}"
+                );
+            }
+        }
+        // Room made by a removal is seen, in a free head record too.
+        assert_eq!(scan(&b, &[b'c'; 21]).unwrap(), (None, false));
+        remove(&mut b, &long[..200]).unwrap();
+        assert_eq!(scan(&b, &[b'c'; 21]).unwrap(), (None, true));
+        assert_eq!(scan(&b, &long[..150]).unwrap(), (Some((2, 1)), true));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use super::store::{MetaStore, Tx};
 use super::warmidx::{self, WarmEntry, WarmLoad, WarmReject};
 use crate::api::{DirEntry, FileSystem, FileType, FsStats, InodeAttr, SetAttr, StatFs};
 use crate::error::{FsError, FsResult};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use dc_blockdev::CachedDisk;
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +50,26 @@ impl Default for MemFsConfig {
             journal: true,
         }
     }
+}
+
+/// A directory block: its logical index in the directory and its
+/// physical block number. Orders by position in the directory.
+type DirBlock = (u64, u64);
+
+/// Where a mutation's one pass over a directory found an entry.
+#[derive(Clone, Copy)]
+struct DirHit {
+    at: DirBlock,
+    ino: u64,
+    ftype: u8,
+}
+
+/// What a mutation's one pass over a directory learned about a name.
+struct DirScan {
+    /// The live entry of that name; the pass stops there.
+    hit: Option<DirHit>,
+    /// The first block passed with room for an entry of that name.
+    room: Option<DirBlock>,
 }
 
 #[derive(Clone, Copy)]
@@ -396,12 +416,11 @@ impl MemFs {
             }
             if di.indirect == 0 {
                 di.indirect = self.alloc_block(store)?;
-                store.write_block(di.indirect, &vec![0u8; self.geo.block_size])?;
+                store.write_block(di.indirect, BytesMut::zeroed(self.geo.block_size).freeze())?;
             }
-            let blk = store.read_block(di.indirect)?;
-            let mut copy = blk.to_vec();
-            copy[idx * 8..idx * 8 + 8].copy_from_slice(&phys.to_le_bytes());
-            store.write_block(di.indirect, &copy)?;
+            store.update_block(di.indirect, |b| {
+                b[idx * 8..idx * 8 + 8].copy_from_slice(&phys.to_le_bytes())
+            })?;
         }
         self.write_di(store, ino, di)?;
         Ok(phys)
@@ -455,7 +474,40 @@ impl MemFs {
         Ok(None)
     }
 
-    /// Inserts an entry, extending the directory by a block if needed.
+    /// The one pass a mutation makes over a directory: the entry named
+    /// `name` with the block it lies in, and the first block with room
+    /// for such an entry (ext2's `add_link` shape). Lookups keep
+    /// [`MemFs::dir_find`].
+    fn dir_scan<S: MetaStore + ?Sized>(
+        &self,
+        store: &S,
+        di: &DiskInode,
+        name: &str,
+    ) -> FsResult<DirScan> {
+        let nblocks = di.size / self.geo.block_size as u64;
+        let mut room = None;
+        for lblk in 0..nblocks {
+            let Some(phys) = bmap(store, &self.geo, di, lblk)? else {
+                continue;
+            };
+            let (hit, fits) = dir::scan(&store.read_block(phys)?, name.as_bytes())?;
+            if fits && room.is_none() {
+                room = Some((lblk, phys));
+            }
+            if let Some((ino, ftype)) = hit {
+                let at = (lblk, phys);
+                let hit = Some(DirHit { at, ino, ftype });
+                return Ok(DirScan { hit, room });
+            }
+        }
+        Ok(DirScan { hit: None, room })
+    }
+
+    /// Inserts an entry into the first of `room` (blocks a scan found
+    /// room in, in directory order) that takes it, extending the
+    /// directory by a block when none does. Only the block that takes
+    /// the entry is copied.
+    #[allow(clippy::too_many_arguments)]
     fn dir_insert<S: MetaStore + ?Sized>(
         &self,
         store: &S,
@@ -464,60 +516,43 @@ impl MemFs {
         name: &str,
         ino: u64,
         ftype: FileType,
+        room: impl IntoIterator<Item = DirBlock>,
     ) -> FsResult<()> {
-        let nblocks = di.size / self.geo.block_size as u64;
-        for lblk in 0..nblocks {
-            let Some(phys) = bmap(store, &self.geo, di, lblk)? else {
-                continue;
-            };
-            let data = store.read_block(phys)?;
-            let mut copy = data.to_vec();
-            if dir::insert(&mut copy, name.as_bytes(), ino, ftype.as_u8())? {
-                store.write_block(phys, &copy)?;
+        for (_, phys) in room {
+            let insert = |b: &mut [u8]| dir::insert(b, name.as_bytes(), ino, ftype.as_u8());
+            if store.update_block(phys, insert)?? {
                 return Ok(());
             }
         }
         // All blocks full: extend.
+        let nblocks = di.size / self.geo.block_size as u64;
         if nblocks >= max_logical_blocks(&self.geo) {
             return Err(FsError::NoSpc);
         }
         let phys = self.bmap_alloc(store, dirino, di, nblocks)?;
-        let mut fresh = vec![0u8; self.geo.block_size];
+        let mut fresh = BytesMut::zeroed(self.geo.block_size);
         dir::init_block(&mut fresh);
         if !dir::insert(&mut fresh, name.as_bytes(), ino, ftype.as_u8())? {
             return Err(FsError::NameTooLong);
         }
-        store.write_block(phys, &fresh)?;
+        store.write_block(phys, fresh.freeze())?;
         di.size += self.geo.block_size as u64;
         Ok(())
     }
 
-    /// Removes an entry; returns its `(ino, ftype)`.
+    /// Removes the entry a scan found in block `at`.
     fn dir_remove<S: MetaStore + ?Sized>(
         &self,
         store: &S,
-        di: &DiskInode,
+        (_, phys): DirBlock,
         name: &str,
-    ) -> FsResult<Option<(u64, u8)>> {
-        let nblocks = di.size / self.geo.block_size as u64;
-        for lblk in 0..nblocks {
-            let Some(phys) = bmap(store, &self.geo, di, lblk)? else {
-                continue;
-            };
-            let data = store.read_block(phys)?;
-            if let Some((_, _, ftype)) = dir::find(&data, name.as_bytes())? {
-                let mut copy = data.to_vec();
-                // find() just saw the entry in this same buffer; failing
-                // to remove it means the block is corrupt, not a bug to
-                // die on.
-                let Some(ino) = dir::remove(&mut copy, name.as_bytes())? else {
-                    return Err(FsError::Io);
-                };
-                store.write_block(phys, &copy)?;
-                return Ok(Some((ino, ftype)));
-            }
+    ) -> FsResult<()> {
+        // The scan just saw the entry in this block; failing to remove
+        // it means the block is corrupt, not a bug to die on.
+        match store.update_block(phys, |b| dir::remove(b, name.as_bytes()))?? {
+            Some(_) => Ok(()),
+            None => Err(FsError::Io),
         }
-        Ok(None)
     }
 
     fn dir_is_empty<S: MetaStore + ?Sized>(&self, store: &S, di: &DiskInode) -> FsResult<bool> {
@@ -561,9 +596,9 @@ impl MemFs {
         Self::validate_name(name)?;
         self.stats.mutations.fetch_add(1, Ordering::Relaxed);
         let mut dir_di = self.read_dir_di(store, dirino)?;
-        if self.dir_find(store, &dir_di, name)?.is_some() {
+        let DirScan { hit: None, room } = self.dir_scan(store, &dir_di, name)? else {
             return Err(FsError::Exist);
-        }
+        };
         let ino = self.alloc_ino(store)?;
         if let Some(t) = inline_target {
             child.size = t.len() as u64;
@@ -572,14 +607,14 @@ impl MemFs {
             } else {
                 // Long target: spill to a data block.
                 let phys = self.alloc_block(store)?;
-                let mut blockbuf = vec![0u8; self.geo.block_size];
+                let mut blockbuf = BytesMut::zeroed(self.geo.block_size);
                 blockbuf[..t.len()].copy_from_slice(t.as_bytes());
-                store.write_block(phys, &blockbuf)?;
+                store.write_block(phys, blockbuf.freeze())?;
                 child.direct[0] = phys;
             }
         }
         self.write_di(store, ino, &child)?;
-        if let Err(e) = self.dir_insert(store, dirino, &mut dir_di, name, ino, child.ftype) {
+        if let Err(e) = self.dir_insert(store, dirino, &mut dir_di, name, ino, child.ftype, room) {
             // Roll back the inode on directory-insert failure.
             let _ = clear_inode(store, &self.geo, ino);
             let _ = self.free_ino(store, ino);
@@ -736,10 +771,10 @@ impl FileSystem for MemFs {
                 return Err(FsError::Perm);
             }
             let mut dir_di = self.read_dir_di(tx, dir)?;
-            if self.dir_find(tx, &dir_di, name)?.is_some() {
+            let DirScan { hit: None, room } = self.dir_scan(tx, &dir_di, name)? else {
                 return Err(FsError::Exist);
-            }
-            self.dir_insert(tx, dir, &mut dir_di, name, ino, target.ftype)?;
+            };
+            self.dir_insert(tx, dir, &mut dir_di, name, ino, target.ftype, room)?;
             dir_di.mtime = self.now();
             self.write_di(tx, dir, &dir_di)?;
             target.nlink += 1;
@@ -754,16 +789,16 @@ impl FileSystem for MemFs {
         self.stats.mutations.fetch_add(1, Ordering::Relaxed);
         self.with_tx(&[dir], |tx| {
             let mut dir_di = self.read_dir_di(tx, dir)?;
-            match self.dir_find(tx, &dir_di, name)? {
+            match self.dir_scan(tx, &dir_di, name)?.hit {
                 None => Err(FsError::NoEnt),
-                Some((_, ft)) if FileType::from_u8(ft) == Some(FileType::Directory) => {
+                Some(hit) if FileType::from_u8(hit.ftype) == Some(FileType::Directory) => {
                     Err(FsError::IsDir)
                 }
-                Some((ino, _)) => {
-                    self.dir_remove(tx, &dir_di, name)?;
+                Some(hit) => {
+                    self.dir_remove(tx, hit.at, name)?;
                     dir_di.mtime = self.now();
                     self.write_di(tx, dir, &dir_di)?;
-                    self.drop_link(tx, ino, false)
+                    self.drop_link(tx, hit.ino, false)
                 }
             }
         })
@@ -774,21 +809,21 @@ impl FileSystem for MemFs {
         self.stats.mutations.fetch_add(1, Ordering::Relaxed);
         self.with_tx(&[dir], |tx| {
             let mut dir_di = self.read_dir_di(tx, dir)?;
-            match self.dir_find(tx, &dir_di, name)? {
+            match self.dir_scan(tx, &dir_di, name)?.hit {
                 None => Err(FsError::NoEnt),
-                Some((ino, ft)) => {
-                    if FileType::from_u8(ft) != Some(FileType::Directory) {
+                Some(hit) => {
+                    if FileType::from_u8(hit.ftype) != Some(FileType::Directory) {
                         return Err(FsError::NotDir);
                     }
-                    let child = self.read_di(tx, ino)?;
+                    let child = self.read_di(tx, hit.ino)?;
                     if !self.dir_is_empty(tx, &child)? {
                         return Err(FsError::NotEmpty);
                     }
-                    self.dir_remove(tx, &dir_di, name)?;
+                    self.dir_remove(tx, hit.at, name)?;
                     dir_di.nlink -= 1;
                     dir_di.mtime = self.now();
                     self.write_di(tx, dir, &dir_di)?;
-                    self.drop_link(tx, ino, true)
+                    self.drop_link(tx, hit.ino, true)
                 }
             }
         })
@@ -800,8 +835,9 @@ impl FileSystem for MemFs {
         self.stats.mutations.fetch_add(1, Ordering::Relaxed);
         self.with_tx(&[old_dir, new_dir], |tx| {
             let mut odi = self.read_dir_di(tx, old_dir)?;
-            let (src_ino, src_ft_raw) = self.dir_find(tx, &odi, old_name)?.ok_or(FsError::NoEnt)?;
-            let src_ft = FileType::from_u8(src_ft_raw).ok_or(FsError::Io)?;
+            let src = self.dir_scan(tx, &odi, old_name)?;
+            let src = src.hit.ok_or(FsError::NoEnt)?;
+            let src_ft = FileType::from_u8(src.ftype).ok_or(FsError::Io)?;
             let same_dir = old_dir == new_dir;
             if same_dir && old_name == new_name {
                 return Ok(());
@@ -811,43 +847,55 @@ impl FileSystem for MemFs {
             } else {
                 self.read_dir_di(tx, new_dir)?
             };
+            // One pass finds an existing target and where the new entry
+            // fits. The removals below only make room, each in a known
+            // block, so trying those blocks and the scan's in directory
+            // order lands the entry where a fresh first-fit scan would.
+            let DirScan { hit: dst, room } = self.dir_scan(tx, &ndi, new_name)?;
+            let mut room: Vec<DirBlock> = room.into_iter().collect();
             // Handle an existing target per POSIX.
-            if let Some((dst_ino, dst_ft_raw)) = self.dir_find(tx, &ndi, new_name)? {
-                if dst_ino == src_ino {
+            if let Some(dst) = dst {
+                if dst.ino == src.ino {
                     return Ok(()); // hard links to the same inode
                 }
-                let dst_ft = FileType::from_u8(dst_ft_raw).ok_or(FsError::Io)?;
+                let dst_ft = FileType::from_u8(dst.ftype).ok_or(FsError::Io)?;
                 match (src_ft.is_dir(), dst_ft.is_dir()) {
                     (true, false) => return Err(FsError::NotDir),
                     (false, true) => return Err(FsError::IsDir),
                     (true, true) => {
-                        let dst = self.read_di(tx, dst_ino)?;
-                        if !self.dir_is_empty(tx, &dst)? {
+                        let dst_di = self.read_di(tx, dst.ino)?;
+                        if !self.dir_is_empty(tx, &dst_di)? {
                             return Err(FsError::NotEmpty);
                         }
-                        self.dir_remove(tx, &ndi, new_name)?;
+                        self.dir_remove(tx, dst.at, new_name)?;
                         ndi.nlink -= 1;
                         // Persist the nlink drop now: the same-directory path
                         // below re-reads the inode from the store.
                         self.write_di(tx, new_dir, &ndi)?;
-                        self.drop_link(tx, dst_ino, true)?;
+                        self.drop_link(tx, dst.ino, true)?;
                     }
                     (false, false) => {
-                        self.dir_remove(tx, &ndi, new_name)?;
-                        self.drop_link(tx, dst_ino, false)?;
+                        self.dir_remove(tx, dst.at, new_name)?;
+                        self.drop_link(tx, dst.ino, false)?;
                     }
                 }
+                room.push(dst.at);
                 // Refresh the source view: removals may have rewritten blocks.
                 if same_dir {
                     odi = self.read_dir_di(tx, old_dir)?;
                     ndi = odi.clone();
                 }
             }
-            self.dir_remove(tx, &odi, old_name)?;
+            self.dir_remove(tx, src.at, old_name)?;
+            if same_dir {
+                room.push(src.at);
+            }
+            room.sort_unstable();
+            room.dedup();
             if same_dir {
                 // Same-directory rename: re-read to see the removal, insert.
                 let mut di = self.read_dir_di(tx, old_dir)?;
-                self.dir_insert(tx, old_dir, &mut di, new_name, src_ino, src_ft)?;
+                self.dir_insert(tx, old_dir, &mut di, new_name, src.ino, src_ft, room)?;
                 di.mtime = self.now();
                 self.write_di(tx, old_dir, &di)?;
             } else {
@@ -857,7 +905,7 @@ impl FileSystem for MemFs {
                 }
                 odi.mtime = self.now();
                 self.write_di(tx, old_dir, &odi)?;
-                self.dir_insert(tx, new_dir, &mut ndi, new_name, src_ino, src_ft)?;
+                self.dir_insert(tx, new_dir, &mut ndi, new_name, src.ino, src_ft, room)?;
                 ndi.mtime = self.now();
                 self.write_di(tx, new_dir, &ndi)?;
             }
@@ -1319,6 +1367,25 @@ mod tests {
     }
 
     #[test]
+    fn pre_v2_image_is_refused() {
+        // What a build from before the checksum change left behind: the
+        // same layout under the previous magic, its log sealed with sums
+        // this build cannot verify. Mounting it would read every commit
+        // as a torn tail and drop it; refuse the image instead.
+        let fs = newfs();
+        fs.create(fs.root_ino(), "committed", 0o644, 0, 0).unwrap();
+        let disk = fs.disk().clone();
+        drop(fs);
+        let mut sb = disk.read_block(0).unwrap().to_vec();
+        assert_eq!(sb[..8], super::super::layout::MAGIC.to_le_bytes());
+        sb[..8].copy_from_slice(b"3SFMEMCD"); // "DCMEMFS3", little-endian
+        disk.write_block(0, &sb).unwrap();
+        assert_eq!(MemFs::mount(disk.clone()).err(), Some(FsError::Inval));
+        // Nothing was replayed or rewritten on the way to the refusal.
+        assert_eq!(&disk.read_block(0).unwrap()[..], &sb[..]);
+    }
+
+    #[test]
     fn cold_cache_reads_hit_device() {
         let fs = newfs();
         let r = fs.root_ino();
@@ -1451,6 +1518,49 @@ mod tests {
         for i in 0..300 {
             assert!(fs2.lookup(fs2.root_ino(), &format!("n{i}")).is_ok());
         }
+    }
+
+    #[test]
+    fn recovery_stops_at_a_commit_whose_payload_has_one_flipped_byte() {
+        // Two committed transactions, then a cut; one byte of the second
+        // one's log — descriptor, any image, or the record — rots on the
+        // device before the remount. The first must replay, the second
+        // must read as the torn tail, whichever byte it was.
+        let blocks_logged = |fs: &MemFs| fs.journal_stats().unwrap().blocks_logged;
+        let mut slot = 0;
+        loop {
+            let fs = newfs();
+            let r = fs.root_ino();
+            fs.create(r, "first", 0o644, 0, 0).unwrap();
+            let n1 = blocks_logged(&fs);
+            fs.create(r, "second", 0o644, 0, 0).unwrap();
+            let n2 = blocks_logged(&fs) - n1;
+            if slot == n2 + 2 {
+                break;
+            }
+            fs.disk().power_cut();
+            let disk = fs.disk().clone();
+            let victim = fs.geometry().journal_start + 2 + (n1 + 2) + slot;
+            drop(fs);
+            let mut image = disk.read_block(victim).unwrap().to_vec();
+            // Inside the fields of the descriptor and the record; spread
+            // over the words of an image.
+            let at = if slot == 0 || slot == n2 + 1 {
+                9 + slot as usize
+            } else {
+                (slot as usize * 1237) % 4096
+            };
+            image[at] ^= 0x10;
+            disk.write_block(victim, &image).unwrap();
+            disk.sync().unwrap();
+            disk.power_cut();
+            let fs2 = MemFs::mount(disk).unwrap();
+            assert_eq!(fs2.replayed_txns(), 1, "log slot {slot}, byte {at}");
+            assert!(fs2.lookup(fs2.root_ino(), "first").is_ok());
+            assert_eq!(fs2.lookup(fs2.root_ino(), "second"), Err(FsError::NoEnt));
+            slot += 1;
+        }
+        assert!(slot >= 4, "a create logs at least two images");
     }
 
     #[test]

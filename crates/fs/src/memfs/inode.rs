@@ -161,21 +161,15 @@ pub fn write_inode<S: MetaStore + ?Sized>(
     di: &DiskInode,
 ) -> FsResult<()> {
     let (block, off) = geo.inode_location(ino);
-    let data = disk.read_block(block)?;
-    let mut copy = data.to_vec();
-    copy[off..off + INODE_SIZE].copy_from_slice(&di.encode());
-    disk.write_block(block, &copy)?;
-    Ok(())
+    disk.update_block(block, |b| {
+        b[off..off + INODE_SIZE].copy_from_slice(&di.encode())
+    })
 }
 
 /// Clears inode `ino`'s record (marks the slot free).
 pub fn clear_inode<S: MetaStore + ?Sized>(disk: &S, geo: &Geometry, ino: u64) -> FsResult<()> {
     let (block, off) = geo.inode_location(ino);
-    let data = disk.read_block(block)?;
-    let mut copy = data.to_vec();
-    copy[off..off + INODE_SIZE].fill(0);
-    disk.write_block(block, &copy)?;
-    Ok(())
+    disk.update_block(block, |b| b[off..off + INODE_SIZE].fill(0))
 }
 
 /// Maximum logical blocks addressable by one inode.

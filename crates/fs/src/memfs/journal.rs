@@ -16,7 +16,7 @@
 //! journal_start + 2.. circular log of transactions:
 //!     [descriptor]  JD_MAGIC, seq, n, target block numbers
 //!     [data × n]    full block images
-//!     [commit]      JC_MAGIC, seq, n, fnv64(seq, n, targets, data)
+//!     [commit]      JC_MAGIC, seq, n, sum64(descriptor fields, data)
 //! ```
 //!
 //! Header fields: `tail_seq` (every txn ≤ it is checkpointed in place)
@@ -28,9 +28,11 @@
 //! block-reuse hazard: a freed-then-reallocated block can only be
 //! re-logged *after* the stale record fell behind the tail.
 
+use super::checksum::sum64;
 use super::layout::{Geometry, Reader, Writer};
 use super::store::TxnBuf;
 use crate::error::{FsError, FsResult};
+use bytes::{Bytes, BytesMut};
 use dc_blockdev::CachedDisk;
 use dc_obs::TraceEvent;
 use parking_lot::Mutex;
@@ -40,17 +42,19 @@ const JH_MAGIC: u64 = 0x4443_4a48_4452_5331; // "DCJHDRS1"
 const JD_MAGIC: u64 = 0x4443_4a44_4553_4331; // "DCJDESC1"
 const JC_MAGIC: u64 = 0x4443_4a43_4d54_5331; // "DCJCMTS1"
 
-/// FNV-1a over a list of byte slices; shared with the warm-restart
-/// index, whose headers use the same checksum discipline.
-pub(crate) fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+/// Bytes of a descriptor block that carry fields: magic, seq, n, then
+/// `n` target block numbers. The commit record's checksum covers them.
+fn desc_len(n: u32) -> usize {
+    8 + 8 + 4 + 8 * n as usize
+}
+
+/// The commit record's checksum: the descriptor's fields, then every
+/// logged image in log order.
+fn commit_sum<'a>(desc: &'a [u8], n: u32, images: impl Iterator<Item = &'a Bytes>) -> u64 {
+    let mut parts: Vec<&[u8]> = Vec::with_capacity(1 + n as usize);
+    parts.push(&desc[..desc_len(n)]);
+    parts.extend(images.map(|d| &d[..]));
+    sum64(&parts)
 }
 
 /// Counters exported through the metrics registry.
@@ -121,18 +125,18 @@ impl Journal {
         (hdr_a, hdr_b, log_start, log_slots)
     }
 
-    fn encode_header(geo: &Geometry, gen: u64, tail_seq: u64, tail_slot: u64) -> Vec<u8> {
-        let mut buf = vec![0u8; geo.block_size];
+    fn encode_header(block_size: usize, gen: u64, tail_seq: u64, tail_slot: u64) -> Bytes {
+        let mut buf = BytesMut::zeroed(block_size);
         let mut w = Writer::new(&mut buf);
         w.u64(JH_MAGIC);
         w.u64(gen);
         w.u64(tail_seq);
         w.u64(tail_slot);
-        let sum = fnv64(&[&buf[..32]]);
+        let sum = sum64(&[&buf[..32]]);
         let mut w = Writer::new(&mut buf);
         w.seek(32);
         w.u64(sum);
-        buf
+        buf.freeze()
     }
 
     fn decode_header(buf: &[u8]) -> Option<(u64, u64, u64)> {
@@ -144,7 +148,7 @@ impl Journal {
         let tail_seq = r.u64().ok()?;
         let tail_slot = r.u64().ok()?;
         let sum = r.u64().ok()?;
-        if fnv64(&[&buf[..32]]) != sum {
+        if sum64(&[&buf[..32]]) != sum {
             return None;
         }
         Some((gen, tail_seq, tail_slot))
@@ -153,8 +157,9 @@ impl Journal {
     /// Initializes the journal region on a fresh file system (mkfs).
     pub(crate) fn format(disk: &CachedDisk, geo: &Geometry) -> FsResult<()> {
         let (hdr_a, hdr_b, _, _) = Self::region(geo);
-        disk.write_block(hdr_a, &Self::encode_header(geo, 1, 0, 0))?;
-        disk.write_block(hdr_b, &Self::encode_header(geo, 1, 0, 0))?;
+        let hdr = Self::encode_header(geo.block_size, 1, 0, 0);
+        disk.write_block_shared(hdr_a, hdr.clone())?;
+        disk.write_block_shared(hdr_b, hdr)?;
         Ok(())
     }
 
@@ -188,7 +193,8 @@ impl Journal {
         let slot_block = |slot: u64| log_start + slot % log_slots;
 
         // Scan the contiguous committed chain from the tail.
-        let mut txns: Vec<Vec<(u64, Vec<u8>)>> = Vec::new();
+        let mut redo: Vec<(u64, Bytes)> = Vec::new();
+        let mut replayed = 0u64;
         let mut slot = tail_slot;
         let mut expected = tail_seq + 1;
         let mut consumed = 0u64;
@@ -239,28 +245,13 @@ impl Journal {
                 if c.u64().ok()? != JC_MAGIC || c.u64().ok()? != seq || c.u32().ok()? != n {
                     return None;
                 }
-                let sum = c.u64().ok()?;
-                let mut parts: Vec<&[u8]> = Vec::with_capacity(2 + datas.len());
-                let seq_bytes = seq.to_le_bytes();
-                let n_bytes = n.to_le_bytes();
-                parts.push(&seq_bytes);
-                parts.push(&n_bytes);
-                let target_bytes: Vec<u8> = targets.iter().flat_map(|t| t.to_le_bytes()).collect();
-                parts.push(&target_bytes);
-                for d in &datas {
-                    parts.push(d);
-                }
-                (fnv64(&parts) == sum).then_some(())
+                (commit_sum(&desc, n, datas.iter()) == c.u64().ok()?).then_some(())
             })();
             if valid.is_none() {
                 break; // torn tail: commit record never became durable
             }
-            txns.push(
-                targets
-                    .into_iter()
-                    .zip(datas.into_iter().map(|d| d.to_vec()))
-                    .collect(),
-            );
+            redo.extend(targets.into_iter().zip(datas));
+            replayed += 1;
             slot += n as u64 + 2;
             consumed += n as u64 + 2;
             expected += 1;
@@ -269,11 +260,8 @@ impl Journal {
         // Redo in order (physical replay is idempotent), then make the
         // recovered state durable before advancing the tail — a crash
         // in between replays the same chain again.
-        let replayed = txns.len() as u64;
-        for txn in &txns {
-            for (target, data) in txn {
-                disk.write_block(*target, data)?;
-            }
+        for (target, data) in redo {
+            disk.write_block_shared(target, data)?;
         }
         let last_seq = tail_seq + replayed;
         let outcome = disk.sync_report();
@@ -281,14 +269,9 @@ impl Journal {
             return Err(FsError::Io);
         }
         let new_gen = gen + 1;
-        disk.write_block(
-            hdr_a,
-            &Self::encode_header(geo, new_gen, last_seq, slot % log_slots),
-        )?;
-        disk.write_block(
-            hdr_b,
-            &Self::encode_header(geo, new_gen, last_seq, slot % log_slots),
-        )?;
+        let hdr = Self::encode_header(geo.block_size, new_gen, last_seq, slot % log_slots);
+        disk.write_block_shared(hdr_a, hdr.clone())?;
+        disk.write_block_shared(hdr_b, hdr)?;
         disk.flush_blocks(&[hdr_a, hdr_b])?;
         if replayed > 0 {
             if let Some(obs) = disk.recorder() {
@@ -361,9 +344,9 @@ impl Journal {
         let gen = st.gen + 1;
         let tail_seq = st.next_seq - 1;
         let tail_slot = st.head_slot;
-        let hdr = self.encode_header_for(gen, tail_seq, tail_slot);
-        disk.write_block(self.hdr_a, &hdr)?;
-        disk.write_block(self.hdr_b, &hdr)?;
+        let hdr = Self::encode_header(self.block_size, gen, tail_seq, tail_slot);
+        disk.write_block_shared(self.hdr_a, hdr.clone())?;
+        disk.write_block_shared(self.hdr_b, hdr)?;
         disk.flush_blocks(&[self.hdr_a, self.hdr_b])?;
         st.gen = gen;
         st.tail_seq = tail_seq;
@@ -377,20 +360,6 @@ impl Journal {
             obs.event(|| TraceEvent::JournalCheckpoint);
         }
         Ok(())
-    }
-
-    fn encode_header_for(&self, gen: u64, tail_seq: u64, tail_slot: u64) -> Vec<u8> {
-        let mut buf = vec![0u8; self.block_size];
-        let mut w = Writer::new(&mut buf);
-        w.u64(JH_MAGIC);
-        w.u64(gen);
-        w.u64(tail_seq);
-        w.u64(tail_slot);
-        let sum = fnv64(&[&buf[..32]]);
-        let mut w = Writer::new(&mut buf);
-        w.seek(32);
-        w.u64(sum);
-        buf
     }
 
     /// Commits one transaction: logs the write set, flushes payload
@@ -410,7 +379,7 @@ impl Journal {
         let seq = st.next_seq;
 
         // Descriptor.
-        let mut desc = vec![0u8; self.block_size];
+        let mut desc = BytesMut::zeroed(self.block_size);
         {
             let mut w = Writer::new(&mut desc);
             w.u64(JD_MAGIC);
@@ -420,15 +389,18 @@ impl Journal {
                 w.u64(target);
             }
         }
+        let desc = desc.freeze();
         let desc_block = self.slot_block(st.head_slot);
-        disk.write_block(desc_block, &desc)?;
+        disk.write_block_shared(desc_block, desc.clone())?;
 
-        // Data images.
+        // Data images: the log-slot page, the in-place page below and
+        // the device copies under both all share the transaction's own
+        // buffer.
         let mut payload_blocks = Vec::with_capacity(need as usize - 1);
         payload_blocks.push(desc_block);
         for (i, (_, data)) in buf.iter().enumerate() {
             let b = self.slot_block(st.head_slot + 1 + i as u64);
-            disk.write_block(b, data)?;
+            disk.write_block_shared(b, data.clone())?;
             payload_blocks.push(b);
         }
 
@@ -440,15 +412,8 @@ impl Journal {
         disk.flush_blocks(&payload_blocks)?;
 
         // Commit record sealing the payload.
-        let seq_bytes = seq.to_le_bytes();
-        let n_bytes = (n as u32).to_le_bytes();
-        let target_bytes: Vec<u8> = buf.iter().flat_map(|(t, _)| t.to_le_bytes()).collect();
-        let mut parts: Vec<&[u8]> = vec![&seq_bytes, &n_bytes, &target_bytes];
-        for (_, data) in buf.iter() {
-            parts.push(data);
-        }
-        let sum = fnv64(&parts);
-        let mut commit = vec![0u8; self.block_size];
+        let sum = commit_sum(&desc, n as u32, buf.iter().map(|(_, data)| data));
+        let mut commit = BytesMut::zeroed(self.block_size);
         {
             let mut w = Writer::new(&mut commit);
             w.u64(JC_MAGIC);
@@ -457,13 +422,13 @@ impl Journal {
             w.u64(sum);
         }
         let commit_block = self.slot_block(st.head_slot + 1 + n);
-        disk.write_block(commit_block, &commit)?;
+        disk.write_block_shared(commit_block, commit.freeze())?;
         // Part 2: the record itself becomes durable, sealing the txn.
         disk.flush_blocks(&[commit_block])?;
 
         // Checkpoint in place (write-back: durability comes from the log).
         for (target, data) in buf.iter() {
-            disk.write_block(target, data)?;
+            disk.write_block_shared(target, data.clone())?;
         }
 
         st.head_slot += need;

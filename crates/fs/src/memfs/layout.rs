@@ -6,8 +6,10 @@ use dc_blockdev::CachedDisk;
 /// Magic tag identifying a memfs superblock. Bumped to `S2` when the
 /// reserved journal region was added to the geometry, and to `S3` when
 /// the warm-restart index region followed it — older images are not
-/// mountable (the layout shifted).
-pub const MAGIC: u64 = 0x4443_4d45_4d46_5333; // "DCMEMFS3"
+/// mountable (the layout shifted). `S4` is checksum format v2: the layout
+/// is `S3`'s, but journal and warm-index records are sealed with
+/// `checksum::sum64`, so an `S3` log would read as one torn tail.
+pub const MAGIC: u64 = 0x4443_4d45_4d46_5334; // "DCMEMFS4"
 
 /// Bytes per on-disk inode record.
 pub const INODE_SIZE: usize = 128;

@@ -19,6 +19,7 @@
 //! directory-completeness and negative-dentry optimizations (§5) avoid.
 
 mod bitmap;
+mod checksum;
 mod dir;
 mod fs;
 mod fsck;

@@ -14,10 +14,10 @@
 //! Header fields: magic, format version, generation, `bound_seq` (the
 //! journal transaction the checkpoint is consistent with — never newer
 //! than the durable journal tail), entry count, payload byte length,
-//! and an FNV-1a checksum over the payload, all sealed by a header
-//! checksum. Checkpoint `gen` writes its payload into half `gen % 2`
-//! and flushes it **before** either header names it, so a torn
-//! checkpoint can lose at most the new generation — the previous
+//! and a checksum over the payload, all sealed by a header checksum
+//! (both `checksum::sum64`). Checkpoint `gen` writes its payload into
+//! half `gen % 2` and flushes it **before** either header names it, so
+//! a torn checkpoint can lose at most the new generation — the previous
 //! generation's header still points at the untouched other half.
 //!
 //! Reading walks the fallback ladder: newest valid header first; if its
@@ -29,7 +29,7 @@
 //! inode table and recomputes signatures under the boot hash key before
 //! publication.
 
-use super::journal::fnv64;
+use super::checksum::sum64;
 use super::layout::{Geometry, Reader, Writer};
 use crate::error::FsResult;
 use dc_blockdev::CachedDisk;
@@ -140,7 +140,7 @@ fn encode_header(
     w.u64(entries);
     w.u64(payload_len);
     w.u64(payload_sum);
-    let sum = fnv64(&[&buf[..56]]);
+    let sum = sum64(&[&buf[..56]]);
     let mut w = Writer::new(&mut buf);
     w.seek(56);
     w.u64(sum);
@@ -169,7 +169,7 @@ fn decode_header(buf: &[u8]) -> Option<Header> {
     let payload_len = r.u64().ok()?;
     let payload_sum = r.u64().ok()?;
     let sum = r.u64().ok()?;
-    if fnv64(&[&buf[..56]]) != sum {
+    if sum64(&[&buf[..56]]) != sum {
         return None;
     }
     Some(Header {
@@ -274,7 +274,7 @@ pub(crate) fn checkpoint(
         kept += 1;
     }
     let payload_len = payload.len() as u64;
-    let payload_sum = fnv64(&[&payload]);
+    let payload_sum = sum64(&[&payload]);
     let nblocks = payload_len.div_ceil(geo.block_size as u64);
     payload.resize(nblocks as usize * geo.block_size, 0);
 
@@ -345,7 +345,7 @@ pub(crate) fn read(disk: &CachedDisk, geo: &Geometry) -> FsResult<WarmLoad> {
         payload.truncate(h.payload_len as usize);
         // Checksum gates decode: nothing in the payload is interpreted
         // until the bytes are proven to be exactly what was written.
-        if fnv64(&[&payload]) != h.payload_sum {
+        if sum64(&[&payload]) != h.payload_sum {
             reject = WarmReject::TornPayload;
             continue;
         }
@@ -500,7 +500,7 @@ mod tests {
         w.u64(0);
         w.u64(0);
         w.u64(0);
-        let sum = fnv64(&[&buf[..56]]);
+        let sum = sum64(&[&buf[..56]]);
         let mut w = Writer::new(&mut buf);
         w.seek(56);
         w.u64(sum);

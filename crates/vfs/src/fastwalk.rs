@@ -22,7 +22,7 @@ use crate::scratch::{InlineVec, INLINE_COMPONENTS};
 use dc_cred::MAY_EXEC;
 use dc_fs::{FileType, FsError, FsResult};
 use dc_obs::TraceEvent;
-use dcache_core::{Dentry, HashState, Pcc};
+use dcache_core::{Dentry, DentryId, HashState, Pcc};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -197,7 +197,7 @@ impl Kernel {
                 let seq_sample = obj.seq();
                 if !pcc.check(obj.id(), seq_sample) {
                     if self
-                        .fast_revalidate(ns, pcc, &obj, seq_sample, cred)
+                        .fast_revalidate(ns, pcc, &obj, seq_sample, cred, guard)
                         .is_none()
                     {
                         stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
@@ -284,8 +284,13 @@ impl Kernel {
 
     /// Re-executes a prefix check over the cached ancestor chain of a
     /// DLHT-resident dentry: search permission on every positive ancestor
-    /// directory, hopping mounts toward the namespace root. Succeeding
-    /// memoizes the result; any irregularity returns `None` and the full
+    /// directory, hopping mounts toward the namespace root, up to the
+    /// first one this credential has climbed past before — that entry
+    /// covers everything above it. Succeeding memoizes the result, and the
+    /// directories climbed past (their checks were part of this one) in
+    /// the PCC's directory table, so the next miss below any of them
+    /// stops there: a working set that overflows the PCC pays one level
+    /// per miss. Any irregularity returns `None` and the full
     /// slowpath decides (preserving directory-reference semantics for
     /// cwd-relative access and precise errno reporting).
     fn fast_revalidate(
@@ -295,27 +300,33 @@ impl Kernel {
         obj: &Arc<Dentry>,
         seq_sample: u64,
         cred: &dc_cred::Cred,
+        guard: &crossbeam_epoch::Guard,
     ) -> Option<()> {
         if self.security.needs_path() {
             return None; // path reconstruction: let the slowpath do it
         }
-        let mut mount = ns.mount_by_id(obj.mount_hint())?;
+        let mut mount = ns.mount_by_id_read(obj.mount_hint(), guard)?;
         if mount.sb.id != obj.sb() {
             return None;
         }
+        let renames = self.dcache.rename_lock.try_read_begin();
+        // `(id, seq)` of the directories climbed past, each sampled before
+        // anything above it is read.
+        let mut climbed: InlineVec<(DentryId, u64), INLINE_COMPONENTS> = InlineVec::new();
         let mut d = obj.clone();
-        loop {
+        'climb: loop {
             // Hop over mount roots to the mountpoint they cover.
             while Arc::ptr_eq(&d, &mount.root) {
-                match mount.parent.clone() {
+                match &mount.parent {
                     Some((pm, mp)) => {
                         mount = pm;
-                        d = mp;
+                        d = mp.clone();
                     }
-                    None => return self.finish_revalidate(pcc, obj, seq_sample),
+                    None => break 'climb,
                 }
             }
             let parent = d.parent()?;
+            let parent_seq = parent.seq();
             // Search permission on every positive ancestor directory;
             // symlink hops in alias chains carry no permission of their
             // own and are skipped, anything unexpected falls back.
@@ -324,6 +335,10 @@ impl Kernel {
                     if self.permission(cred, &inode, MAY_EXEC, None).is_err() {
                         return None;
                     }
+                    if pcc.check_dir(parent.id(), parent_seq) {
+                        break;
+                    }
+                    climbed.push((parent.id(), parent_seq));
                 }
                 Some(inode) if inode.ftype() == FileType::Symlink => {}
                 Some(_) => return None,
@@ -331,14 +346,96 @@ impl Kernel {
             }
             d = parent;
         }
-    }
-
-    fn finish_revalidate(&self, pcc: &Pcc, obj: &Arc<Dentry>, seq_sample: u64) -> Option<()> {
         if obj.is_dead() || obj.seq() != seq_sample {
             return None; // raced with an invalidation; be conservative
         }
         pcc.insert(obj.id(), seq_sample);
+        // A permission change is applied before its subtree's counters
+        // move, so a directory's sample that saw the old bits is an entry
+        // the shootdown kills. A rename moves the counters first and the
+        // dentry afterwards: a sample taken in between would outlive the
+        // move with the old ancestors' verdict, and unlike `obj` — in the
+        // DLHT a moment ago, which the shootdown empties before it bumps —
+        // nothing says a directory was not in that window. So directories
+        // are memoized only if no rename ran while we climbed.
+        if renames.is_some_and(|r| !self.dcache.rename_lock.read_retry(r)) {
+            for &(id, seq) in climbed.iter() {
+                pcc.insert_dir(id, seq);
+            }
+        }
         Some(())
+    }
+
+    /// The directory holding `parsed`'s final component, when the
+    /// fastpath still vouches for it — a live DLHT entry under the literal
+    /// prefix whose memoized prefix check is current — and the
+    /// one-component path left to walk from there. A lookup that missed as
+    /// a whole has usually kept its directory: a name was created, renamed
+    /// or shot down under a directory that stayed cached. Its slow walk
+    /// resumes one component from the end, the way an `*at()` call
+    /// resumes at its directory handle, instead of at the root.
+    ///
+    /// `None` walks the whole path: a single component, a `..` anywhere,
+    /// a prefix that ends in or passes through a symlink (its literal
+    /// path continues in alias dentries, which only the full walk
+    /// extends), a negative or partial directory, or any doubt. The
+    /// caller holds the `rename_lock` read section the walk is validated
+    /// against, so a directory that moves between this probe and the walk
+    /// fails the walk as it would have failed the full one.
+    pub(crate) fn fast_parent<'a>(
+        &self,
+        proc: &Process,
+        start: Option<&PathRef>,
+        parsed: &ParsedPath<'a>,
+    ) -> Option<(PathRef, ParsedPath<'a>)> {
+        let config = &self.dcache.config;
+        if !config.fastpath || config.fastpath_always_miss {
+            return None;
+        }
+        let (&last, dirs) = parsed.components.split_last()?;
+        if dirs.is_empty() || last == ".." || dirs.contains(&"..") {
+            return None;
+        }
+        let guard = &crossbeam_epoch::pin();
+        let ns = proc.namespace_read(guard);
+        let base = match start {
+            _ if parsed.absolute => proc.root_read(guard),
+            Some(s) => s,
+            None => proc.cwd_read(guard),
+        };
+        let pcc = self.dcache.pcc_ref(proc.cred_read(guard), ns.id, guard)?;
+        let mut h = base.dentry.hash_state()?;
+        for c in dirs {
+            self.dcache.key.push_component(&mut h, c.as_bytes());
+        }
+        let sig = self.dcache.key.finish(&h);
+        let dir = self
+            .dcache
+            .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?;
+        let seq = dir.seq();
+        let mount = ns.mount_by_id_read(dir.mount_hint(), guard)?;
+        // A positive directory reached by its canonical path (an alias,
+        // a partial or a negative entry has no inode, a symlink is not a
+        // directory), by the mount it was published through, and not
+        // republished while we looked.
+        let vouched = pcc.check(dir.id(), seq)
+            && dir.inode()?.is_dir()
+            && dir.hash_state() == Some(h)
+            && mount.sb.id == dir.sb()
+            && mount.sb.fs.supports_fastpath()
+            && !dir.is_dead()
+            && dir.seq() == seq;
+        if !vouched {
+            return None;
+        }
+        let mut components = InlineVec::new();
+        components.push(last);
+        let rest = ParsedPath {
+            absolute: false,
+            components,
+            require_dir: parsed.require_dir,
+        };
+        Some((PathRef::new(mount.clone(), dir), rest))
     }
 
     /// POSIX-mode dot-dot verification: resolve the prefix built so far

@@ -317,6 +317,13 @@ impl Kernel {
                 return out;
             }
             let rseq = self.dcache.rename_lock.read_begin();
+            // Start at the final component's directory when the fastpath
+            // still vouches for it, at the anchor otherwise.
+            let resumed = self.fast_parent(proc, start, parsed);
+            let (start, parsed) = match &resumed {
+                Some((dir, last)) => (Some(dir), last),
+                None => (start, parsed),
+            };
             let mut w = SlowWalk::new(self, proc, start, parsed.absolute);
             let out = w.run(parsed, follow_last, parent_mode);
             if self.dcache.rename_lock.read_retry(rseq) {

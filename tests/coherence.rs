@@ -218,3 +218,190 @@ fn hardlink_via_second_path_keeps_coherent_attrs() {
     assert_eq!(k.stat(&p, "/y/alias").unwrap().nlink, 1);
     assert_eq!(k.stat(&p, "/x/file"), Err(FsError::NoEnt));
 }
+
+/// Slowpath components stepped by `f`.
+fn slow_steps(k: &Kernel, f: impl FnOnce()) -> u64 {
+    let before = k.dcache.stats.slow_steps.load(Ordering::Relaxed);
+    f();
+    k.dcache.stats.slow_steps.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn a_miss_under_a_cached_directory_walks_one_component() {
+    let (k, p) = optimized();
+    k.mkdir(&p, "/a", 0o755).unwrap();
+    k.mkdir(&p, "/a/b", 0o755).unwrap();
+    k.mkdir(&p, "/a/b/c", 0o755).unwrap();
+    for f in ["f1", "f2", "f3"] {
+        touch(&k, &p, &format!("/a/b/c/{f}"));
+    }
+    let inos: Vec<u64> = ["f1", "f2", "f3"]
+        .iter()
+        .map(|f| k.stat(&p, &format!("/a/b/c/{f}")).unwrap().ino)
+        .collect();
+    k.rename(&p, "/a/b", "/a/z").unwrap();
+    // Nothing under the new name is in the DLHT: the first lookup walks
+    // every component and puts the directories back...
+    let mut ino = 0;
+    let full = slow_steps(&k, || ino = k.stat(&p, "/a/z/c/f1").unwrap().ino);
+    assert_eq!((full, ino), (4, inos[0]));
+    // ...and the next one under the same directory resumes there, by an
+    // absolute path and by one relative to a working directory.
+    let resumed = slow_steps(&k, || ino = k.stat(&p, "/a/z/c/f2").unwrap().ino);
+    assert_eq!((resumed, ino), (1, inos[1]));
+    k.chdir(&p, "/a/z").unwrap();
+    let resumed = slow_steps(&k, || ino = k.stat(&p, "c/f3").unwrap().ino);
+    assert_eq!((resumed, ino), (1, inos[2]));
+    // What a resumed walk published is a fastpath hit like any other.
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&p, "/a/z/c/f2").is_ok())),
+        0
+    );
+    // A name that does not exist resumes as well, and is cached absent.
+    let absent = slow_steps(&k, || {
+        assert_eq!(k.stat(&p, "/a/z/c/nope"), Err(FsError::NoEnt))
+    });
+    assert_eq!(absent, 1);
+    assert_eq!(k.stat(&p, "/a/b/c/f2"), Err(FsError::NoEnt));
+}
+
+#[test]
+fn a_resumed_walk_never_outlives_a_revoked_prefix() {
+    let (k, root) = optimized();
+    k.mkdir(&root, "/p", 0o755).unwrap();
+    k.mkdir(&root, "/p/q", 0o755).unwrap();
+    for f in ["seen", "fresh1", "fresh2"] {
+        touch(&k, &root, &format!("/p/q/{f}"));
+    }
+    let alice = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    // Alice's PCC vouches for /p/q; she has never looked up the others.
+    for _ in 0..3 {
+        assert!(k.stat(&alice, "/p/q/seen").is_ok());
+        assert!(k.stat(&alice, "/p/q").is_ok());
+    }
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&alice, "/p/q/fresh1").is_ok())),
+        1
+    );
+    // Revoking search on an ancestor shoots /p/q's entry down with the
+    // rest: a name she has never seen is refused, not resumed.
+    k.chmod(&root, "/p", 0o700).unwrap();
+    assert_eq!(k.stat(&alice, "/p/q/fresh2"), Err(FsError::Access));
+    assert_eq!(k.stat(&alice, "/p/q/fresh1"), Err(FsError::Access));
+    // Root's own entries are per credential and still resume.
+    assert!(k.stat(&root, "/p/q").is_ok());
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&root, "/p/q/fresh2").is_ok())),
+        1
+    );
+    k.chmod(&root, "/p", 0o755).unwrap();
+    assert!(k.stat(&alice, "/p/q/fresh2").is_ok());
+}
+
+#[test]
+fn a_prefix_through_a_symlink_is_walked_in_full_and_keeps_its_aliases() {
+    let (k, p) = optimized();
+    k.mkdir(&p, "/real", 0o755).unwrap();
+    k.mkdir(&p, "/real/d", 0o755).unwrap();
+    touch(&k, &p, "/real/d/f");
+    touch(&k, &p, "/real/d/g");
+    k.symlink(&p, "/real", "/link").unwrap();
+    for _ in 0..3 {
+        assert!(k.stat(&p, "/link/d/f").is_ok());
+    }
+    // /link/d is an alias dentry: a new name below it takes the full
+    // walk, which extends the alias chain, so the literal path is a
+    // fastpath hit from then on (a walk resumed at /real/d would publish
+    // /real/d/g only, and /link/d/g would miss for ever).
+    let ino = k.stat(&p, "/real/d/g").unwrap().ino;
+    assert!(slow_steps(&k, || assert_eq!(k.stat(&p, "/link/d/g").unwrap().ino, ino)) > 1);
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&p, "/link/d/g").is_ok())),
+        0
+    );
+    // A symlink as the directory itself does not qualify either.
+    k.symlink(&p, "/real/d", "/dl").unwrap();
+    assert!(k.stat(&p, "/dl/f").is_ok());
+    assert!(slow_steps(&k, || assert_eq!(k.stat(&p, "/dl/g").unwrap().ino, ino)) > 1);
+    assert_eq!(slow_steps(&k, || assert!(k.stat(&p, "/dl/g").is_ok())), 0);
+}
+
+/// `(hits, misses)` that `f` added to `proc`'s PCC.
+fn pcc_checks(k: &Kernel, proc: &Process, f: impl FnOnce()) -> (u64, u64) {
+    let pcc = k.dcache.pcc_for(&proc.cred(), proc.namespace().id);
+    let (h0, m0) = pcc.hit_stats();
+    f();
+    let (h1, m1) = pcc.hit_stats();
+    (h1 - h0, m1 - m0)
+}
+
+#[test]
+fn a_revalidation_stops_at_the_first_directory_it_has_memoized() {
+    let (k, root) = optimized();
+    for d in ["/w", "/w/x", "/w/x/y"] {
+        k.mkdir(&root, d, 0o755).unwrap();
+    }
+    for f in ["f1", "f2", "f3"] {
+        touch(&k, &root, &format!("/w/x/y/{f}"));
+    }
+    let alice = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    for f in ["f1", "f2", "f3"] {
+        assert!(k.stat(&alice, &format!("/w/x/y/{f}")).is_ok());
+    }
+    // Every memoized check gone, every DLHT entry still there: the next
+    // lookup climbs y, x, w and the root directory and memoizes all five.
+    k.dcache.flush_all_pccs();
+    let climb = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/y/f1").is_ok()));
+    assert_eq!(climb, (0, 5));
+    // Its sibling misses once and stops at y.
+    let stop = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/y/f2").is_ok()));
+    assert_eq!(stop, (1, 1));
+    assert_eq!(
+        pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/y/f2").is_ok())),
+        (1, 0)
+    );
+    // What was memoized for the directories dies with any change above
+    // them, like every other entry.
+    k.chmod(&root, "/w/x", 0o700).unwrap();
+    assert_eq!(k.stat(&alice, "/w/x/y/f3"), Err(FsError::Access));
+    assert_eq!(k.stat(&alice, "/w/x/y/f2"), Err(FsError::Access));
+    k.chmod(&root, "/w/x", 0o755).unwrap();
+    assert!(k.stat(&alice, "/w/x/y/f3").is_ok());
+}
+
+#[test]
+fn a_revalidation_under_a_rename_memoizes_no_directory() {
+    let (k, root) = optimized();
+    k.mkdir(&root, "/w", 0o755).unwrap();
+    k.mkdir(&root, "/w/x", 0o755).unwrap();
+    touch(&k, &root, "/w/x/f1");
+    touch(&k, &root, "/w/x/f2");
+    let alice = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    assert!(k.stat(&alice, "/w/x/f1").is_ok());
+    assert!(k.stat(&alice, "/w/x/f2").is_ok());
+    k.dcache.flush_all_pccs();
+    // A rename in flight has bumped counters it has not moved yet: the
+    // lookup still answers from the fastpath (it never waits for the
+    // rename), but keeps only the entry the DLHT hit vouches for.
+    let in_flight = k.dcache.rename_lock.write();
+    let during = std::thread::scope(|s| {
+        s.spawn(|| pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f1").is_ok())))
+            .join()
+            .unwrap()
+    });
+    drop(in_flight);
+    assert_eq!(during, (0, 4));
+    // So the sibling climbs the whole chain again, and this time keeps it.
+    let after = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f2").is_ok()));
+    assert_eq!(after, (0, 4));
+    assert_eq!(
+        pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f1").is_ok())),
+        (1, 0)
+    );
+    touch(&k, &root, "/w/x/f3");
+    assert!(k.stat(&alice, "/w/x/f3").is_ok());
+    k.dcache.flush_all_pccs();
+    assert!(k.stat(&alice, "/w/x/f1").is_ok());
+    let stop = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f3").is_ok()));
+    assert_eq!(stop, (1, 1));
+}
