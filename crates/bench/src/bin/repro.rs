@@ -4,16 +4,19 @@
 //! repro [--full] [--seed <N>] [--metrics-out <path>] <experiment>...
 //! experiments: fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10
 //!              table1 table2 table3 table4 space ablation pcc rename-scale
-//!              faults crash fsck serve fleet perfgate all
+//!              faults crash fsck serve fleet all
 //! ```
 //!
 //! Default scale is `--quick` (seconds per experiment); `--full`
-//! approaches the paper's parameters (minutes).
+//! approaches the paper's parameters (minutes). `fig8` and the five
+//! campaigns below each leave a host-stamped `BENCH_<name>.json` under
+//! `target/repro/` (`dc_bench::report`); no run touches a tracked file.
+//! A latency or throughput number is gated and compared in `benchmark/`
+//! (`dcache-benchmark run` / `compare`), not here.
 //!
 //! `faults` replays the fig. 8 workload through the standard seeded
 //! fault campaign (`--seed N`, default 0x5EED) and reports hit rate and
-//! latency before, during, and after recovery; results land in
-//! `BENCH_faults.json` and are appended to `EXPERIMENTS.md`.
+//! latency before, during, and after recovery (`BENCH_faults.json`).
 //!
 //! `crash` runs the seeded 200-point power-cut campaign: every captured
 //! image must remount, pass `fsck`, and match a committed-prefix shadow
@@ -22,29 +25,23 @@
 //! directory index (DESIGN.md §15): typed rehydration outcomes, zero
 //! wrong lookups against the recovered tree, a seeded index-corruption
 //! sub-campaign, and the ops-to-90%-hit-rate ablation (warm vs cold
-//! mount, floor 5×). Results land in `BENCH_crash.json`,
-//! `BENCH_warm.json`, and `EXPERIMENTS.md`. `fsck`
-//! runs the workload once, cuts power, and prints the recovered image's
-//! full invariant report.
+//! mount, floor 5×). Results: `BENCH_crash.json`, `BENCH_warm.json`.
+//! `fsck` runs the workload once, cuts power, and prints the recovered
+//! image's full invariant report.
 //!
 //! `serve` spawns the batched metadata server (`dc-server`)
 //! in-process and drives it with a seeded 64-client load generator:
 //! steady-state throughput, a memory-pressure shed/recover cycle, the
-//! batch-size ablation, and the admission-control ablation. Results
-//! land in `BENCH_serve.json` and `EXPERIMENTS.md`; the run fails
-//! (exit 1) on any unexpected request error, a throughput floor miss,
-//! or incomplete recovery.
+//! batch-size ablation, and the admission-control ablation
+//! (`BENCH_serve.json`); the run fails (exit 1) on any unexpected
+//! request error, a throughput floor miss, or incomplete recovery.
 //!
 //! `fleet` provisions the `dc-fleet` multi-tenant simulator — 1000+
 //! mount namespaces, 10k+ credentials, three traffic classes churning
 //! inside a fixed memory budget — and reports per-class hit rate,
-//! latency, resident bytes, and teardown cost. Results land in
-//! `BENCH_fleet.json` and `EXPERIMENTS.md`; the run fails (exit 1) on a
-//! hit-rate floor miss, a budget overrun, or a teardown leak.
-//!
-//! `perfgate` is the CI perf-regression lane: it measures the warm
-//! single-thread stat point and exits 1 if the median exceeds the
-//! checked-in 600 ns threshold.
+//! latency, resident bytes, and teardown cost (`BENCH_fleet.json`); the
+//! run fails (exit 1) on a hit-rate floor miss, a budget overrun, or a
+//! teardown leak.
 //!
 //! `--metrics-out <path>` runs the observability workload and writes
 //! the unified metrics snapshot (latency histograms, trace-event
@@ -59,7 +56,7 @@ fn usage() -> ! {
         "usage: repro [--full] [--seed <N>] [--metrics-out <path>] <experiment>...\n\
          experiments: fig1 fig2 fig3 fig6 fig7 fig8 fig9 fig10\n\
          \x20            table1 table2 table3 table4 space ablation pcc rename-scale\n\
-         \x20            faults crash fsck serve fleet perfgate all"
+         \x20            faults crash fsck serve fleet all"
     );
     std::process::exit(2);
 }
@@ -139,11 +136,6 @@ fn main() {
             "fsck" => crash::fsck_cmd(scale, seed),
             "fleet" => {
                 if !fleet::fleet(scale, seed) {
-                    std::process::exit(1);
-                }
-            }
-            "perfgate" => {
-                if !figs::perfgate(scale) {
                     std::process::exit(1);
                 }
             }

@@ -11,12 +11,13 @@
 //! phase, and a post-recovery hit rate within five points of the
 //! no-fault baseline.
 
-use crate::setup::Scale;
+use crate::report::{self, fields, Json, Stamp};
+use crate::setup::{kernel_on_disk, DiskSetup, Scale};
 use crate::table::{pct, us, Table};
 use dc_blockdev::{CachedDisk, DiskConfig, LatencyModel};
 use dc_fault::{FaultInjector, FaultPlan};
-use dc_fs::{FileSystem, MemFs, MemFsConfig};
-use dc_vfs::{Kernel, KernelBuilder, OpenFlags, Process};
+use dc_fs::MemFsConfig;
+use dc_vfs::{Kernel, OpenFlags, Process};
 use dc_workloads::lmbench::{self, Pattern};
 use dcache_core::DcacheConfig;
 use std::sync::atomic::Ordering;
@@ -52,26 +53,20 @@ struct Campaign {
 /// Builds the optimized kernel on a spinning-latency disk carrying the
 /// standard campaign injector (disarmed).
 fn provision(seed: u64) -> Campaign {
-    let disk = Arc::new(CachedDisk::new(DiskConfig {
+    let disk = DiskConfig {
         capacity_blocks: 1 << 16,
         latency: LatencyModel::new(2_000, 4_000, true).with_hit_ns(150),
         ..Default::default()
-    }));
+    };
+    let fs = MemFsConfig {
+        max_inodes: 1 << 16,
+        ..Default::default()
+    };
+    let DiskSetup {
+        disk, kernel, proc, ..
+    } = kernel_on_disk(DcacheConfig::optimized().with_seed(seed), disk, fs);
     let injector = Arc::new(FaultPlan::campaign(seed, CAMPAIGN_FAULTS).build());
     disk.attach_fault_injector(injector.clone());
-    let fs = MemFs::mkfs(
-        disk.clone(),
-        MemFsConfig {
-            max_inodes: 1 << 16,
-            ..Default::default()
-        },
-    )
-    .expect("mkfs");
-    let kernel = KernelBuilder::new(DcacheConfig::optimized().with_seed(seed))
-        .root_fs(fs as Arc<dyn FileSystem>)
-        .build()
-        .expect("kernel construction");
-    let proc = kernel.init_process();
     lmbench::setup(&kernel, &proc).expect("lmbench fixture");
     Campaign {
         kernel,
@@ -182,82 +177,15 @@ pub fn faults(scale: Scale, seed: u64) {
         if recovered && clean { "PASS" } else { "FAIL" }
     );
 
-    let phases = [before, during, after];
-    let json_path = "BENCH_faults.json";
-    match write_faults_json(json_path, seed, &phases, recovered, clean) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-    }
-    match append_experiments_record(seed, &phases, recovered, clean) {
-        Ok(()) => println!("appended EXPERIMENTS.md"),
-        Err(e) => eprintln!("warning: could not append EXPERIMENTS.md: {e}"),
-    }
-}
-
-/// Serializes the campaign phases as JSON (hand-rolled; the workspace
-/// carries no serialization dependency).
-fn write_faults_json(
-    path: &str,
-    seed: u64,
-    phases: &[PhaseReport; 3],
-    recovered: bool,
-    clean: bool,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"faults\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"campaign_faults\": {CAMPAIGN_FAULTS},\n"));
-    out.push_str("  \"phases\": {\n");
-    for (i, r) in phases.iter().enumerate() {
-        let comma = if i + 1 < phases.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{}\": {{ \"ops\": {}, \"ns_per_op\": {:.1}, \"hit_rate\": {:.4}, \
-             \"faults\": {}, \"retries\": {}, \"io_errors\": {}, \"syscall_errors\": {} }}{comma}\n",
-            r.name, r.ops, r.ns_per_op, r.hit_rate, r.faults, r.retries, r.io_errors,
-            r.syscall_errors
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str(&format!("  \"recovered_within_5pct\": {recovered},\n"));
-    out.push_str(&format!("  \"clean\": {clean}\n}}\n"));
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
-}
-
-/// Appends one run-record line under the fault-campaign section of
-/// `EXPERIMENTS.md` (created if the file is missing, e.g. when run
-/// outside the repository root).
-fn append_experiments_record(
-    seed: u64,
-    phases: &[PhaseReport; 3],
-    recovered: bool,
-    clean: bool,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let [before, during, after] = phases;
-    let line = format!(
-        "- `repro faults --seed {seed:#x}` ({} ops/phase): before {} @ {} hit; during {} @ {} hit \
-         ({} faults, {} retries, {} EIO); after {} @ {} hit — {}\n",
-        before.ops,
-        us(before.ns_per_op),
-        pct(before.hit_rate),
-        us(during.ns_per_op),
-        pct(during.hit_rate),
-        during.faults,
-        during.retries,
-        during.io_errors,
-        us(after.ns_per_op),
-        pct(after.hit_rate),
-        if recovered && clean {
-            "recovered within 5%"
-        } else {
-            "RECOVERY FAILED"
-        }
-    );
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open("EXPERIMENTS.md")?;
-    f.write_all(line.as_bytes())
+    let phases = [before, during, after].map(|r| {
+        let body =
+            fields!(r => ops, ns_per_op, hit_rate, faults, retries, io_errors, syscall_errors);
+        (r.name, body)
+    });
+    let body = Json::obj()
+        .with("campaign_faults", CAMPAIGN_FAULTS)
+        .with("phases", Json::keyed(phases))
+        .with("recovered_within_5pct", recovered)
+        .with("clean", clean);
+    report::write("faults", Stamp::new(scale, Some(seed)), body);
 }

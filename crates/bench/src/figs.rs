@@ -1,8 +1,8 @@
 //! One function per table/figure of the paper's evaluation (§6).
 
+use crate::report::{self, Json, Stamp};
 use crate::setup::{
-    config_pair, kernel_with, kernel_with_disk, kernel_with_disk_full, kernel_with_obs, nproc,
-    Scale, Setup,
+    config_pair, kernel_with, kernel_with_disk_full, kernel_with_obs, nproc, Scale, Setup,
 };
 use crate::table::{gain_pct, pct, us, Table};
 use dc_vfs::{Cred, Kernel, OpClass, OpenFlags, Process};
@@ -358,8 +358,8 @@ pub fn fig7(scale: Scale) {
 /// scale, unmodified against optimized (epoch + seqlock reads). Latency
 /// should stay flat, with the optimized walker strictly below.
 ///
-/// Also records the raw per-config latency matrix to `BENCH_fig8.json`
-/// in the working directory.
+/// Also records the raw per-config latency matrix as `BENCH_fig8.json`
+/// ([`report::write`]).
 pub fn fig8(scale: Scale) {
     banner("Figure 8: stat/open latency vs threads (µs)");
     let configs = config_pair();
@@ -375,6 +375,7 @@ pub fn fig8(scale: Scale) {
     let mut rows: Vec<Vec<String>> = threads.iter().map(|n| vec![n.to_string()]).collect();
     // lat[config][op][thread-index], nanoseconds per op.
     let mut lats: Vec<[Vec<f64>; 2]> = Vec::new();
+    let mut windows: Vec<f64> = Vec::new();
     for (_, config) in &configs {
         let s = kernel_with(config.clone());
         lmbench::setup(&s.kernel, &s.proc).unwrap();
@@ -386,7 +387,7 @@ pub fn fig8(scale: Scale) {
         let mut per_op: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
         for (i, &n) in threads.iter().enumerate() {
             for (oi, op) in ["stat", "open"].into_iter().enumerate() {
-                let lat = parallel_latency(&s, n, scale.duration_ms, |k, p| match op {
+                let lat = parallel_latency(&s, n, scale.duration_ms, |k, p, _, _| match op {
                     "stat" => {
                         k.stat(p, path).unwrap();
                     }
@@ -401,6 +402,17 @@ pub fn fig8(scale: Scale) {
             }
         }
         lats.push(per_op);
+        // The record's headline — optimized `stat`, one thread — again,
+        // in `batches` windows, for the stamp's median and spread.
+        if config.fastpath {
+            windows = (0..scale.batches)
+                .map(|_| {
+                    parallel_latency(&s, 1, scale.duration_ms, |k, p, _, _| {
+                        k.stat(p, path).unwrap();
+                    })
+                })
+                .collect();
+        }
     }
     for r in rows {
         t.row(r);
@@ -411,42 +423,18 @@ pub fn fig8(scale: Scale) {
             print_two_thread_ratio(&format!("{name} {op}"), &threads, lat);
         }
     }
-    let json_path = "BENCH_fig8.json";
-    match write_fig8_json(json_path, nproc, &threads, &configs, &lats) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-    }
-}
-
-/// Serializes the fig8 latency matrix as JSON (hand-rolled; the
-/// workspace carries no serialization dependency).
-fn write_fig8_json(
-    path: &str,
-    nproc: usize,
-    threads: &[usize],
-    configs: &[(&'static str, DcacheConfig)],
-    lats: &[[Vec<f64>; 2]],
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"fig8\",\n  \"unit\": \"ns_per_op\",\n");
-    out.push_str(&format!("  \"nproc\": {nproc},\n"));
-    let tl: Vec<String> = threads.iter().map(|n| n.to_string()).collect();
-    out.push_str(&format!("  \"threads\": [{}],\n", tl.join(", ")));
-    out.push_str("  \"configs\": {\n");
-    for (ci, ((name, _), per_op)) in configs.iter().zip(lats).enumerate() {
-        out.push_str(&format!("    \"{name}\": {{\n"));
-        for (oi, op) in ["stat", "open"].into_iter().enumerate() {
-            let vals: Vec<String> = per_op[oi].iter().map(|v| format!("{v:.1}")).collect();
-            let comma = if oi == 0 { "," } else { "" };
-            out.push_str(&format!("      \"{op}\": [{}]{comma}\n", vals.join(", ")));
-        }
-        let comma = if ci + 1 < configs.len() { "," } else { "" };
-        out.push_str(&format!("    }}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
+    let per_config = configs.iter().zip(&lats).map(|((name, _), [stat, open])| {
+        let per_op = Json::obj()
+            .with("stat", Json::arr(stat.iter().copied()))
+            .with("open", Json::arr(open.iter().copied()));
+        (*name, per_op)
+    });
+    let body = Json::obj()
+        .with("unit", "ns_per_op")
+        .with("threads", Json::arr(threads.iter().copied()))
+        .with("configs", Json::keyed(per_config));
+    let stamp = Stamp::new(scale, None).timed("optimized stat, 1 thread, ns/op", &windows);
+    report::write("fig8", stamp, body);
 }
 
 /// The host's CPU count, printed: a thread sweep stops there.
@@ -466,37 +454,6 @@ fn print_two_thread_ratio(label: &str, threads: &[usize], lat: &[f64]) {
             2.0 * one / two
         );
     }
-}
-
-/// Mean per-op latency with `n` concurrent threads hammering `op`.
-fn parallel_latency(
-    s: &Setup,
-    n: usize,
-    duration_ms: u64,
-    op: impl Fn(&Kernel, &Process) + Sync,
-) -> f64 {
-    let total_ops = std::sync::atomic::AtomicU64::new(0);
-    let kernel = &s.kernel;
-    let procs: Vec<Arc<Process>> = (0..n).map(|_| kernel.spawn(&s.proc)).collect();
-    let t0 = Instant::now();
-    let budget = std::time::Duration::from_millis(duration_ms);
-    std::thread::scope(|sc| {
-        for p in &procs {
-            sc.spawn(|| {
-                let mut ops = 0u64;
-                while t0.elapsed() < budget {
-                    for _ in 0..64 {
-                        op(kernel, p);
-                    }
-                    ops += 64;
-                }
-                total_ops.fetch_add(ops, Ordering::Relaxed);
-            });
-        }
-    });
-    let elapsed = t0.elapsed().as_nanos() as f64;
-    let ops = total_ops.load(Ordering::Relaxed).max(1) as f64;
-    elapsed * n as f64 / ops
 }
 
 // ---------------------------------------------------------------------
@@ -626,7 +583,7 @@ pub struct AppRun {
 /// cache (and uses a latency-charging disk) before each measured run.
 pub fn run_apps(config: DcacheConfig, scale: Scale, cold: bool) -> Vec<AppRun> {
     let s = if cold {
-        kernel_with_disk(config, 15_000, 15_000)
+        kernel_with_disk_full(config, 15_000, 15_000, 0)
     } else {
         kernel_with(config)
     };
@@ -874,7 +831,7 @@ pub fn space(scale: Scale) {
 /// PCCs) and print the top-K tenants by resident bytes.
 fn space_per_ns(scale: Scale) {
     const TOP_K: usize = 8;
-    let tenants = if scale.duration_ms > 100 { 64 } else { 24 };
+    let tenants = if scale.is_full() { 64 } else { 24 };
     let files = 16usize;
     banner("Per-namespace footprint (§14): top tenants by resident bytes");
     let cfg = DcacheConfig::optimized()
@@ -1130,7 +1087,7 @@ pub fn rename_scalability(scale: Scale) {
                 s.kernel.close(&s.proc, fd).unwrap();
                 let _ = s.kernel.unlink(&s.proc, &format!("/r{tid}-b"));
             }
-            let lat = parallel_latency_indexed(&s, n, scale.duration_ms, |k, p, tid, i| {
+            let lat = parallel_latency(&s, n, scale.duration_ms, |k, p, tid, i| {
                 let (from, to) = if i % 2 == 0 {
                     (format!("/r{tid}-a"), format!("/r{tid}-b"))
                 } else {
@@ -1158,9 +1115,9 @@ pub fn rename_scalability(scale: Scale) {
     }
 }
 
-/// Like [`parallel_latency`] but hands each thread its index and an
-/// iteration counter.
-fn parallel_latency_indexed(
+/// Mean per-op latency with `n` concurrent threads hammering `op`, which
+/// is handed its thread's index and an iteration counter.
+fn parallel_latency(
     s: &Setup,
     n: usize,
     duration_ms: u64,
@@ -1178,8 +1135,12 @@ fn parallel_latency_indexed(
             sc.spawn(move || {
                 let mut i = 0u64;
                 while t0.elapsed() < budget {
-                    op(kernel, p, tid, i);
-                    i += 1;
+                    // One clock read per 64 ops: read per op, it is a
+                    // tenth of a warm `stat`.
+                    for _ in 0..64 {
+                        op(kernel, p, tid, i);
+                        i += 1;
+                    }
                 }
                 total_ops.fetch_add(i, Ordering::Relaxed);
             });
@@ -1230,43 +1191,6 @@ pub fn metrics(scale: Scale, out: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Perf gate: the CI regression tripwire.
-// ---------------------------------------------------------------------
-
-/// Warm single-thread `stat` ceiling for [`perfgate`], nanoseconds.
-/// The committed full-scale number is ≤550 ns; 600 leaves jitter
-/// margin while still catching any layout regression that gives the
-/// §13 nanoseconds back.
-pub const PERF_GATE_WARM_STAT_NS: f64 = 600.0;
-
-/// CI perf-regression lane: measures the single-thread fig-8 point
-/// (warm 4-component `stat`, optimized config) and fails when the
-/// median exceeds [`PERF_GATE_WARM_STAT_NS`]. Returns `false` on
-/// regression so the caller can exit non-zero.
-pub fn perfgate(scale: Scale) -> bool {
-    banner("Perf gate: warm single-thread stat vs checked-in threshold");
-    let s = kernel_with(DcacheConfig::optimized());
-    lmbench::setup(&s.kernel, &s.proc).unwrap();
-    let path = Pattern::Comp4.path();
-    for _ in 0..64 {
-        s.kernel.stat(&s.proc, path).unwrap();
-    }
-    // Best-of-3 medians: the gate must be robust to a noisy CI
-    // neighbor, while a real layout regression shifts every run.
-    let mut best = f64::MAX;
-    for _ in 0..3 {
-        let lat = lmbench::stat_latency(&s.kernel, &s.proc, Pattern::Comp4, scale.batches.max(5));
-        best = best.min(lat.median_ns);
-    }
-    let ok = best <= PERF_GATE_WARM_STAT_NS;
-    println!(
-        "warm stat (4-comp, 1 thread): {best:.1} ns — threshold {PERF_GATE_WARM_STAT_NS:.0} ns: {}",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    ok
-}
-
 /// Runs everything in paper order.
 pub fn all(scale: Scale) {
     fig1(scale);
@@ -1285,21 +1209,4 @@ pub fn all(scale: Scale) {
     ablation(scale);
     pcc_sensitivity(scale);
     rename_scalability(scale);
-}
-
-// Re-export for the multi-user PCC sharing check used in examples.
-pub use dc_vfs::FsError;
-
-/// Smoke entry used by tests: runs the cheapest experiment end-to-end.
-pub fn smoke() {
-    let scale = Scale {
-        tree_files: 60,
-        duration_ms: 10,
-        batches: 2,
-        max_dir: 100,
-        max_subtree: 50,
-        max_threads: 2,
-    };
-    fig2(scale);
-    let _ = Cred::user(1, 1);
 }

@@ -8,13 +8,15 @@
 //! accounting (budget compliance, resident-PCC cap pressure, and the
 //! teardown leak check).
 //!
-//! Results land in `BENCH_fleet.json` and one line is appended to
-//! `EXPERIMENTS.md`. Returns `false` (→ exit 1) when the fleet misses
-//! the scale floor, any class misses its hit-rate floor, a round ends
-//! over budget, or teardown leaks a table, a PCC, or a byte.
+//! Results land in `BENCH_fleet.json`. Returns `false` (→ exit 1) when
+//! the fleet misses the scale floor, any class misses its hit-rate
+//! floor, a round ends over budget, or teardown leaks a table, a PCC, or
+//! a byte.
 
+use crate::report::{self, fields, Json, Stamp};
+use crate::setup::Scale;
 use crate::table::Table;
-use dc_fleet::{Fleet, FleetConfig, FleetReport, TenantClass};
+use dc_fleet::{Fleet, FleetConfig, TenantClass};
 
 /// Per-class hit-rate floors (fraction of lookups served without an FS
 /// call). Calibrated against seeded quick/full runs, which all land
@@ -32,13 +34,19 @@ const MIN_NAMESPACES: usize = 1000;
 const MIN_CREDS: usize = 10_000;
 
 /// Entry point for `repro fleet`. Returns `false` on failure.
-pub fn fleet(scale: crate::Scale, seed: u64) -> bool {
-    let full = scale.duration_ms > 100;
-    let cfg = if full {
+pub fn fleet(scale: Scale, seed: u64) -> bool {
+    let cfg = if scale.is_full() {
         FleetConfig::full(seed)
     } else {
         FleetConfig::quick(seed)
     };
+    run(scale, cfg)
+}
+
+/// [`fleet`] over an explicit configuration, so a test can run a fleet
+/// of a dozen tenants (which fails the scale floor, and reports so).
+pub(crate) fn run(scale: Scale, cfg: FleetConfig) -> bool {
+    let seed = cfg.seed;
     println!(
         "fleet: {} tenants × {} creds, {} rounds × {} ops/tenant, budget {} MiB, seed {seed:#x}",
         cfg.tenants,
@@ -152,114 +160,35 @@ pub fn fleet(scale: crate::Scale, seed: u64) -> bool {
     let pass = scale_ok && hit_ok && budget_ok && churn_ok && clean;
     println!("fleet: {}", if pass { "PASS" } else { "FAIL" });
 
-    let json_path = "BENCH_fleet.json";
-    match write_fleet_json(json_path, &report, pass) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-    }
-    match append_experiments_record(&report, pass) {
-        Ok(()) => println!("appended EXPERIMENTS.md"),
-        Err(e) => eprintln!("warning: could not append EXPERIMENTS.md: {e}"),
-    }
-    pass
-}
-
-fn write_fleet_json(path: &str, r: &FleetReport, pass: bool) -> std::io::Result<()> {
-    use std::io::Write;
-    let c = &r.config;
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"fleet\",\n");
-    out.push_str(&format!("  \"seed\": {},\n", c.seed));
-    out.push_str(&format!(
-        "  \"tenants\": {}, \"creds_per_tenant\": {}, \"rounds\": {}, \
-         \"ops_per_tenant\": {},\n",
-        c.tenants, c.creds_per_tenant, c.rounds, c.ops_per_tenant
-    ));
-    out.push_str(&format!(
-        "  \"mem_budget_bytes\": {}, \"pcc_max_resident\": {}, \
-         \"tenant_buckets\": {},\n",
-        c.mem_budget_bytes, c.pcc_max_resident, c.tenant_buckets
-    ));
-    out.push_str("  \"classes\": {\n");
-    for (i, tally) in r.classes.iter().enumerate() {
-        let comma = if i + 1 < r.classes.len() { "," } else { "" };
+    let c = &report.config;
+    let classes = report.classes.iter().map(|tally| {
         let h = tally.hist.summary();
-        out.push_str(&format!(
-            "    \"{}\": {{ \"tenants\": {}, \"ops\": {}, \"lookups\": {}, \
-             \"miss_fs\": {}, \"hit_rate\": {:.4}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"resident_bytes\": {}, \"teardowns\": {}, \"teardown_us_mean\": {:.1}, \
-             \"teardown_entries\": {} }}{comma}\n",
-            tally.class.key(),
-            tally.tenants,
-            tally.ops,
-            tally.lookups,
-            tally.miss_fs,
-            tally.hit_rate(),
-            h.p50_ns,
-            h.p99_ns,
-            tally.resident_bytes,
-            tally.teardowns,
-            tally.teardown_us(),
-            tally.teardown_entries,
-        ));
-    }
-    out.push_str("  },\n");
-    out.push_str(&format!(
-        "  \"fleet\": {{ \"peak_namespaces\": {}, \"creds\": {}, \
-         \"peak_footprint_bytes\": {}, \"over_budget_rounds\": {}, \
-         \"peak_resident_pccs\": {}, \"pcc_evictions\": {}, \"churn_s\": {:.3} }},\n",
-        r.peak_namespaces,
-        r.creds,
-        r.peak_footprint,
-        r.over_budget_rounds,
-        r.peak_resident_pccs,
-        r.pcc_evictions,
-        r.churn_s,
-    ));
-    out.push_str(&format!(
-        "  \"teardown\": {{ \"baseline_footprint_bytes\": {}, \
-         \"final_footprint_bytes\": {}, \"final_dlht_tables\": {}, \
-         \"final_resident_pccs\": {}, \"leaked_bytes\": {}, \"clean\": {} }},\n",
-        r.baseline_footprint,
-        r.final_footprint,
-        r.final_dlht_tables,
-        r.final_resident_pccs,
-        r.leaked_bytes,
-        r.teardown_clean(),
-    ));
-    out.push_str(&format!("  \"pass\": {pass}\n}}\n"));
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
-}
-
-fn append_experiments_record(r: &FleetReport, pass: bool) -> std::io::Result<()> {
-    use std::io::Write;
-    let hit = |class: TenantClass| {
-        r.classes
-            .iter()
-            .find(|c| c.class == class)
-            .map_or(0.0, |c| c.hit_rate() * 100.0)
-    };
-    let line = format!(
-        "- `repro fleet --seed {:#x}` ({} ns × {} creds, {} rounds): hit% hot {:.1} / \
-         cold {:.1} / ci {:.1}; {} teardowns; footprint peak {} KiB ≤ budget {} KiB; \
-         leak {} B — {}\n",
-        r.config.seed,
-        r.peak_namespaces,
-        r.creds,
-        r.config.rounds,
-        hit(TenantClass::HotWeb),
-        hit(TenantClass::ColdBatch),
-        hit(TenantClass::ChurnCi),
-        r.classes.iter().map(|c| c.teardowns).sum::<u64>(),
-        r.peak_footprint >> 10,
-        r.config.mem_budget_bytes >> 10,
-        r.leaked_bytes,
-        if pass { "PASS" } else { "FAIL" }
-    );
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open("EXPERIMENTS.md")?;
-    f.write_all(line.as_bytes())
+        let class = fields!(tally => tenants, ops, lookups, miss_fs, resident_bytes, teardowns, teardown_entries)
+            .with("hit_rate", tally.hit_rate())
+            .with("p50_ns", h.p50_ns)
+            .with("p99_ns", h.p99_ns)
+            .with("teardown_us_mean", tally.teardown_us());
+        (tally.class.key(), class)
+    });
+    let body = Json::obj()
+        .with(
+            "config",
+            fields!(c => tenants, creds_per_tenant, rounds, ops_per_tenant, mem_budget_bytes, pcc_max_resident, tenant_buckets),
+        )
+        .with("classes", Json::keyed(classes))
+        .with(
+            "fleet",
+            fields!(report => peak_namespaces, creds, over_budget_rounds, peak_resident_pccs, pcc_evictions, churn_s)
+                .with("peak_footprint_bytes", report.peak_footprint),
+        )
+        .with(
+            "teardown",
+            fields!(report => final_dlht_tables, final_resident_pccs, leaked_bytes)
+                .with("baseline_footprint_bytes", report.baseline_footprint)
+                .with("final_footprint_bytes", report.final_footprint)
+                .with("clean", clean),
+        )
+        .with("pass", pass);
+    report::write("fleet", Stamp::new(scale, Some(seed)), body);
+    pass
 }

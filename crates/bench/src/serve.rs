@@ -19,13 +19,14 @@
 //! the trip edge) → re-warm (clients re-resolve, as real clients would
 //! after `SigMiss`) → `post` (must recover to within 5% of `pre`).
 //!
-//! Results land in `BENCH_serve.json` and one line is appended to
-//! `EXPERIMENTS.md`. Returns `false` (→ exit 1) if any request fails
-//! outside the planned rejection window, the server misses the
-//! throughput floor, or recovery falls short.
+//! Results land in `BENCH_serve.json`. Returns `false` (→ exit 1) if
+//! any request fails outside the planned rejection window, the server
+//! misses the throughput floor, or recovery falls short.
 
+use crate::report::{self, fields, Json, Stamp};
 use crate::setup::kernel_with;
 use crate::table::Table;
+use dc_fault::SplitMix64;
 use dc_obs::LatencyHist;
 use dc_server::proto::{Op, ReqBody, Request, RespBody, Status};
 use dc_server::{Client, Server, ServerConfig};
@@ -47,29 +48,6 @@ const SIG_FRAC_NUM: u64 = 7; // 7/8 sig lookups, 1/8 path lookups
 /// p99s sit in the hundreds of nanoseconds; a millisecond means a
 /// request stalled behind something pathological.
 const P99_BOUND_NS: u64 = 1_000_000;
-
-/// splitmix64 — the repo-wide seeding discipline.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Skewed key pick: 90% of draws land in the hot first 10%.
-    fn skewed(&mut self, n: usize) -> usize {
-        let r = self.next();
-        if r % 10 < 9 {
-            (r >> 8) as usize % (n / 10).max(1)
-        } else {
-            (r >> 8) as usize % n
-        }
-    }
-}
 
 /// One phase's client-side tally.
 #[derive(Debug, Default, Clone)]
@@ -192,18 +170,18 @@ impl Rig {
     }
 
     /// Runs the hot mix (skewed sig-keyed lookups + path lookups) for
-    /// `duration_ms`, one frame per client per round.
-    fn run_hot(&self, duration_ms: u64, rng: &mut Rng) -> Tally {
+    /// `duration_ms`, one frame of `batch` requests per client per round.
+    fn run_hot(&self, batch: usize, duration_ms: u64, rng: &mut SplitMix64) -> Tally {
         let mut tally = Tally::default();
         let start = Instant::now();
         let mut id = 0u64;
         loop {
             for client in &self.clients {
-                let reqs: Vec<Request<'_>> = (0..BATCH)
+                let reqs: Vec<Request<'_>> = (0..batch)
                     .map(|_| {
                         let k = rng.skewed(self.paths.len());
                         id += 1;
-                        let body = if rng.next() % 8 < SIG_FRAC_NUM {
+                        let body = if rng.next_u64() % 8 < SIG_FRAC_NUM {
                             ReqBody::LookupSig { sig: self.sigs[k] }
                         } else {
                             ReqBody::Lookup {
@@ -226,7 +204,7 @@ impl Rig {
 
     /// One mixed frame per client covering every op (latency samples
     /// for stat/readdir alongside the lookups).
-    fn run_mixed(&self, rounds: usize, rng: &mut Rng) -> Tally {
+    fn run_mixed(&self, rounds: usize, rng: &mut SplitMix64) -> Tally {
         let mut tally = Tally::default();
         let start = Instant::now();
         let mut id = 0u64;
@@ -236,7 +214,7 @@ impl Rig {
                     .map(|_| {
                         let k = rng.skewed(self.paths.len());
                         id += 1;
-                        let body = match rng.next() % 4 {
+                        let body = match rng.next_u64() % 4 {
                             0 => ReqBody::Stat {
                                 path: &self.paths[k],
                             },
@@ -263,10 +241,10 @@ impl Rig {
     /// names) until the reclaimable footprint exceeds `beyond` or the
     /// attempt cap is hit; returns the client-side tally (rejections
     /// expected once the gate trips).
-    fn inflate(&self, beyond: u64, rng: &mut Rng) -> Tally {
+    fn inflate(&self, beyond: u64, rng: &mut SplitMix64) -> Tally {
         let mut tally = Tally::default();
         let start = Instant::now();
-        let mut n = rng.next();
+        let mut n = rng.next_u64();
         'outer: for _ in 0..4096 {
             for client in &self.clients {
                 let paths: Vec<String> = (0..BATCH)
@@ -315,10 +293,9 @@ impl Rig {
 
 /// Entry point for `repro serve`. Returns `false` on failure.
 pub fn serve(scale: crate::Scale, seed: u64) -> bool {
-    let full = scale.duration_ms > 100;
-    let (dirs, files) = if full { (64, 64) } else { (32, 32) };
+    let (dirs, files) = if scale.is_full() { (64, 64) } else { (32, 32) };
     let duration_ms = scale.duration_ms.max(60) * 4;
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
 
     println!(
         "serve: {CLIENTS} clients × batch {BATCH}, {} paths, seed {seed:#x}",
@@ -335,10 +312,10 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
 
     // Latency samples for every op, then the measured phases.
     let mixed = rig.run_mixed(2, &mut rng);
-    let pre = rig.run_hot(duration_ms, &mut rng);
+    let pre = rig.run_hot(BATCH, duration_ms, &mut rng);
     let pressure = rig.inflate(budget, &mut rng);
     rig.warm(); // clients re-resolve after the shrinker ran
-    let post = rig.run_hot(duration_ms, &mut rng);
+    let post = rig.run_hot(BATCH, duration_ms, &mut rng);
 
     let trips = rig.server.gate().map_or(0, |g| g.trip_count());
     let footprint_after = rig.kernel.shrinkers().count_bytes();
@@ -349,7 +326,7 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     let abl_rig = provision(dirs, files, None);
     let mut ablation: Vec<(usize, f64)> = Vec::new();
     for batch in [1usize, 8, 64] {
-        let t = run_hot_with_batch(&abl_rig, batch, duration_ms / 4, &mut rng);
+        let t = abl_rig.run_hot(batch, duration_ms / 4, &mut rng);
         ablation.push((batch, t.mops()));
     }
 
@@ -362,12 +339,13 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     let mut t = Table::new(&[
         "phase", "ops", "Mops/s", "ok", "rejected", "sig_miss", "neg", "errors",
     ]);
-    for (name, tl) in [
+    let phases = [
         ("mixed", &mixed),
         ("pre", &pre),
         ("pressure", &pressure),
         ("post", &post),
-    ] {
+    ];
+    for (name, tl) in phases {
         t.row(vec![
             name.into(),
             tl.ops.to_string(),
@@ -438,148 +416,34 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
         if pass { "PASS" } else { "FAIL" }
     );
 
-    let json_path = "BENCH_serve.json";
-    match write_serve_json(
-        json_path,
-        seed,
-        &[
-            ("mixed", &mixed),
-            ("pre", &pre),
-            ("pressure", &pressure),
-            ("post", &post),
-        ],
-        &hists,
-        &ablation,
-        (trips, budget, footprint_after, low_water),
-        (ungated.rejected, ungated_footprint),
-        pass,
-    ) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-    }
-    match append_experiments_record(seed, &pre, &pressure, &post, pass) {
-        Ok(()) => println!("appended EXPERIMENTS.md"),
-        Err(e) => eprintln!("warning: could not append EXPERIMENTS.md: {e}"),
-    }
+    let phases = phases.map(|(name, t)| {
+        let phase = fields!(t => ops, elapsed_s, ok, rejected, sig_miss, neg, errors)
+            .with("mops_per_s", t.mops());
+        (name, phase)
+    });
+    let per_op = hists
+        .iter()
+        .map(|(name, h)| (*name, fields!(h => count, p50_ns, p90_ns, p99_ns, max_ns)));
+    let ablation = ablation
+        .iter()
+        .map(|&(batch, mops)| Json::obj().with("batch", batch).with("mops_per_s", mops));
+    let body = Json::obj()
+        .with("clients", CLIENTS)
+        .with("batch", BATCH)
+        .with("phases", Json::keyed(phases))
+        .with("per_op", Json::keyed(per_op))
+        .with("batch_ablation", Json::arr(ablation))
+        .with(
+            "admission",
+            Json::obj()
+                .with("budget_bytes", budget)
+                .with("low_water_bytes", low_water)
+                .with("trips", trips)
+                .with("footprint_after_bytes", footprint_after)
+                .with("ungated_rejected", ungated.rejected)
+                .with("ungated_footprint_bytes", ungated_footprint),
+        )
+        .with("pass", pass);
+    report::write("serve", Stamp::new(scale, Some(seed)), body);
     pass
-}
-
-/// The hot mix at an explicit frame size (batch-size ablation).
-fn run_hot_with_batch(rig: &Rig, batch: usize, duration_ms: u64, rng: &mut Rng) -> Tally {
-    let mut tally = Tally::default();
-    let start = Instant::now();
-    let mut id = 0u64;
-    loop {
-        for client in &rig.clients {
-            let reqs: Vec<Request<'_>> = (0..batch)
-                .map(|_| {
-                    let k = rng.skewed(rig.paths.len());
-                    id += 1;
-                    let body = if rng.next() % 8 < SIG_FRAC_NUM {
-                        ReqBody::LookupSig { sig: rig.sigs[k] }
-                    } else {
-                        ReqBody::Lookup {
-                            path: &rig.paths[k],
-                            want_sig: false,
-                        }
-                    };
-                    Request { id, cred: 1, body }
-                })
-                .collect();
-            tally.absorb(&client.call(&reqs));
-        }
-        let elapsed = start.elapsed();
-        if elapsed.as_millis() as u64 >= duration_ms {
-            tally.elapsed_s = elapsed.as_secs_f64();
-            return tally;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_serve_json(
-    path: &str,
-    seed: u64,
-    phases: &[(&str, &Tally)],
-    hists: &[(&'static str, dc_obs::HistSummary)],
-    ablation: &[(usize, f64)],
-    gate: (u64, u64, u64, u64),
-    ungated: (u64, u64),
-    pass: bool,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let (trips, budget, footprint_after, low_water) = gate;
-    let (ungated_rejected, ungated_footprint) = ungated;
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"serve\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!(
-        "  \"clients\": {CLIENTS},\n  \"batch\": {BATCH},\n"
-    ));
-    out.push_str("  \"phases\": {\n");
-    for (i, (name, t)) in phases.iter().enumerate() {
-        let comma = if i + 1 < phases.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{name}\": {{ \"ops\": {}, \"elapsed_s\": {:.4}, \"mops_per_s\": {:.4}, \
-             \"ok\": {}, \"rejected\": {}, \"sig_miss\": {}, \"neg\": {}, \
-             \"errors\": {} }}{comma}\n",
-            t.ops,
-            t.elapsed_s,
-            t.mops(),
-            t.ok,
-            t.rejected,
-            t.sig_miss,
-            t.neg,
-            t.errors
-        ));
-    }
-    out.push_str("  },\n  \"per_op_ns\": {\n");
-    for (i, (name, h)) in hists.iter().enumerate() {
-        let comma = if i + 1 < hists.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    \"{name}\": {{ \"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-             \"max\": {} }}{comma}\n",
-            h.count, h.p50_ns, h.p90_ns, h.p99_ns, h.max_ns
-        ));
-    }
-    out.push_str("  },\n  \"batch_ablation\": [\n");
-    for (i, (b, mops)) in ablation.iter().enumerate() {
-        let comma = if i + 1 < ablation.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"batch\": {b}, \"mops_per_s\": {mops:.4} }}{comma}\n"
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"admission\": {{ \"budget_bytes\": {budget}, \"low_water_bytes\": {low_water}, \
-         \"trips\": {trips}, \"footprint_after_bytes\": {footprint_after}, \
-         \"ungated_rejected\": {ungated_rejected}, \
-         \"ungated_footprint_bytes\": {ungated_footprint} }},\n"
-    ));
-    out.push_str(&format!("  \"pass\": {pass}\n}}\n"));
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
-}
-
-fn append_experiments_record(
-    seed: u64,
-    pre: &Tally,
-    pressure: &Tally,
-    post: &Tally,
-    pass: bool,
-) -> std::io::Result<()> {
-    use std::io::Write;
-    let line = format!(
-        "- `repro serve --seed {seed:#x}` ({CLIENTS} clients × batch {BATCH}): \
-         pre {:.3} Mops/s; pressure shed {} typed; post {:.3} Mops/s — {}\n",
-        pre.mops(),
-        pressure.rejected,
-        post.mops(),
-        if pass { "PASS" } else { "FAIL" }
-    );
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open("EXPERIMENTS.md")?;
-    f.write_all(line.as_bytes())
 }

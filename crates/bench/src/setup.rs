@@ -25,13 +25,8 @@ pub fn kernel_with(config: DcacheConfig) -> Setup {
 }
 
 /// Builds a kernel whose root disk charges real (spinning) latency per
-/// device access — the cold-cache substrate for Table 2.
-pub fn kernel_with_disk(config: DcacheConfig, read_ns: u64, write_ns: u64) -> Setup {
-    kernel_with_disk_full(config, read_ns, write_ns, 0)
-}
-
-/// Like [`kernel_with_disk`], additionally charging `hit_ns` per
-/// page-cache hit — modeling the buffer-cache lookup and on-disk-format
+/// device access — the cold-cache substrate for Table 2 — and `hit_ns`
+/// per page-cache hit, modeling the buffer-cache lookup and on-disk-format
 /// translation costs a real kernel pays even when metadata is resident
 /// (our memfs is otherwise several times faster than the paper's ext4
 /// testbed, which would hide the value of avoiding FS calls entirely).
@@ -41,25 +36,46 @@ pub fn kernel_with_disk_full(
     write_ns: u64,
     hit_ns: u64,
 ) -> Setup {
-    let disk = Arc::new(CachedDisk::new(DiskConfig {
+    let disk = DiskConfig {
         capacity_blocks: 1 << 18,
         latency: LatencyModel::new(read_ns, write_ns, true).with_hit_ns(hit_ns),
         ..Default::default()
-    }));
-    let fs = MemFs::mkfs(
-        disk,
-        MemFsConfig {
-            max_inodes: 1 << 18,
-            ..Default::default()
-        },
-    )
-    .expect("mkfs");
+    };
+    let fs = MemFsConfig {
+        max_inodes: 1 << 18,
+        ..Default::default()
+    };
+    let DiskSetup { kernel, proc, .. } = kernel_on_disk(config, disk, fs);
+    Setup { kernel, proc }
+}
+
+/// A [`Setup`] that keeps hold of the file system and the disk under it.
+pub struct DiskSetup {
+    /// The cached disk the file system was made on.
+    pub disk: Arc<CachedDisk>,
+    /// The root file system.
+    pub fs: Arc<MemFs>,
+    /// The kernel under test.
+    pub kernel: Arc<Kernel>,
+    /// The driving process (root credentials).
+    pub proc: Arc<Process>,
+}
+
+/// Builds a kernel over a fresh memfs on a fresh cached disk.
+pub fn kernel_on_disk(config: DcacheConfig, disk: DiskConfig, fs: MemFsConfig) -> DiskSetup {
+    let disk = Arc::new(CachedDisk::new(disk));
+    let fs = MemFs::mkfs(disk.clone(), fs).expect("mkfs");
     let kernel = KernelBuilder::new(config)
-        .root_fs(fs as Arc<dyn FileSystem>)
+        .root_fs(fs.clone() as Arc<dyn FileSystem>)
         .build()
         .expect("kernel construction");
     let proc = kernel.init_process();
-    Setup { kernel, proc }
+    DiskSetup {
+        disk,
+        fs,
+        kernel,
+        proc,
+    }
 }
 
 /// Builds a kernel with the observability subsystem enabled: latency
@@ -106,6 +122,11 @@ pub fn nproc() -> usize {
 }
 
 impl Scale {
+    /// Paper scale, as opposed to the seconds-long CI scale.
+    pub fn is_full(&self) -> bool {
+        self.duration_ms > 100
+    }
+
     /// CI-friendly scale (seconds, not minutes).
     pub fn quick() -> Scale {
         Scale {

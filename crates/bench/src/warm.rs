@@ -17,13 +17,14 @@
 //!    with-index median must beat the without-index median by at least
 //!    [`ABLATION_FLOOR`]×.
 //!
-//! Results land in `BENCH_warm.json` plus a run-record line in
-//! `EXPERIMENTS.md`; the returned verdict feeds `repro crash`'s exit
-//! code.
+//! Results land in `BENCH_warm.json`; the returned verdict feeds
+//! `repro crash`'s exit code.
 
-use crate::crash::Rng;
+use crate::report::{self, fields, Json, Stamp};
+use crate::setup::Scale;
 use crate::table::Table;
 use dc_blockdev::{CachedDisk, CrashImage, LatencyModel};
+use dc_fault::SplitMix64;
 use dc_fs::{fsck, FileSystem, MemFs};
 use dc_vfs::{Kernel, KernelBuilder};
 use dcache_core::DcacheConfig;
@@ -84,7 +85,7 @@ fn hot_paths(fs: &MemFs) -> Vec<(String, u64)> {
 
 /// Seeded Fisher–Yates permutation of `0..n`.
 fn shuffled(n: usize, seed: u64) -> Vec<usize> {
-    let mut rng = Rng(seed ^ 0x5817_FF1E);
+    let mut rng = SplitMix64::new(seed ^ 0x5817_FF1E);
     let mut order: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
         order.swap(i, rng.below(i as u64 + 1) as usize);
@@ -190,14 +191,14 @@ impl WarmVerdict {
 
 /// The warm-restart phase entry point, fed by `crash::crash` with the
 /// campaign's captured images. Returns whether every sub-phase passed.
-pub(crate) fn phase(seed: u64, hotset: usize, mut images: Vec<CrashImage>) -> bool {
+pub(crate) fn phase(scale: Scale, seed: u64, hotset: usize, mut images: Vec<CrashImage>) -> bool {
     println!(
         "\n==== Warm restart: rehydration + index corruption + ops-to-90% ablation \
          ({} images, hot set {hotset}) ====",
         images.len()
     );
     let t0 = Instant::now();
-    let mut rng = Rng(seed ^ 0x57A6_11D0);
+    let mut rng = SplitMix64::new(seed ^ 0x57A6_11D0);
     let mut v = WarmVerdict {
         images: images.len(),
         ..Default::default()
@@ -335,79 +336,33 @@ pub(crate) fn phase(seed: u64, hotset: usize, mut images: Vec<CrashImage>) -> bo
         t0.elapsed(),
     );
 
-    let json_path = "BENCH_warm.json";
-    match write_warm_json(json_path, seed, hotset, &v) {
-        Ok(()) => println!("wrote {json_path}"),
-        Err(e) => eprintln!("warning: could not write {json_path}: {e}"),
-    }
-    match append_experiments_record(seed, &v) {
-        Ok(()) => println!("appended EXPERIMENTS.md"),
-        Err(e) => eprintln!("warning: could not append EXPERIMENTS.md: {e}"),
-    }
+    let body = Json::obj()
+        .with("hotset", hotset)
+        .with(
+            "rehydration",
+            fields!(v => images, rehydrated, fallbacks, published, rejected, accounting_breaks)
+                .with("wrong_lookups", v.wrong),
+        )
+        .with(
+            "corruption",
+            Json::obj()
+                .with("images", v.corrupt_images)
+                .with("byte_flips", v.corrupt_flips)
+                .with("rehydrated", v.corrupt_rehydrated)
+                .with("fallbacks", v.corrupt_fallbacks)
+                .with("wrong_lookups", v.corrupt_wrong)
+                .with("fsck_errors", v.corrupt_fsck_errors),
+        )
+        .with(
+            "ablation",
+            Json::obj()
+                .with("warm_ops_p50", v.warm_p50)
+                .with("cold_ops_p50", v.cold_p50)
+                .with("ratio", v.ratio())
+                .with("floor", ABLATION_FLOOR)
+                .with("pass", v.ratio() >= ABLATION_FLOOR),
+        )
+        .with("clean", pass);
+    report::write("warm", Stamp::new(scale, Some(seed)), body);
     pass
-}
-
-/// Hand-rolled JSON (the workspace carries no serialization dependency).
-fn write_warm_json(path: &str, seed: u64, hotset: usize, v: &WarmVerdict) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"warm_restart\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"hotset\": {hotset},\n"));
-    out.push_str(&format!(
-        "  \"rehydration\": {{ \"images\": {}, \"rehydrated\": {}, \"fallbacks\": {}, \
-         \"published\": {}, \"rejected\": {}, \"wrong_lookups\": {}, \"accounting_breaks\": {} }},\n",
-        v.images, v.rehydrated, v.fallbacks, v.published, v.rejected, v.wrong, v.accounting_breaks
-    ));
-    out.push_str(&format!(
-        "  \"corruption\": {{ \"images\": {}, \"byte_flips\": {}, \"rehydrated\": {}, \
-         \"fallbacks\": {}, \"wrong_lookups\": {}, \"fsck_errors\": {} }},\n",
-        v.corrupt_images,
-        v.corrupt_flips,
-        v.corrupt_rehydrated,
-        v.corrupt_fallbacks,
-        v.corrupt_wrong,
-        v.corrupt_fsck_errors
-    ));
-    out.push_str(&format!(
-        "  \"ablation\": {{ \"warm_ops_p50\": {}, \"cold_ops_p50\": {}, \"ratio\": {:.2}, \
-         \"floor\": {ABLATION_FLOOR}, \"pass\": {} }},\n",
-        v.warm_p50,
-        v.cold_p50,
-        v.ratio(),
-        v.ratio() >= ABLATION_FLOOR
-    ));
-    out.push_str(&format!("  \"clean\": {}\n}}\n", v.clean()));
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(out.as_bytes())
-}
-
-/// Appends one run-record line to `EXPERIMENTS.md`.
-fn append_experiments_record(seed: u64, v: &WarmVerdict) -> std::io::Result<()> {
-    use std::io::Write;
-    let line = format!(
-        "- `repro crash --seed {seed:#x}` warm restart: {} images ({} rehydrated, {} typed cold \
-         fallbacks), {}/{} entries published/rejected, {} wrong lookups; corruption: {} byte \
-         flips over {} images, {} wrong lookups, {} fsck errors; ops-to-90%-hit-rate p50 {} warm \
-         vs {} cold = {:.1}x (floor {ABLATION_FLOOR}x) — {}\n",
-        v.images,
-        v.rehydrated,
-        v.fallbacks,
-        v.published,
-        v.rejected,
-        v.wrong,
-        v.corrupt_flips,
-        v.corrupt_images,
-        v.corrupt_wrong,
-        v.corrupt_fsck_errors,
-        v.warm_p50,
-        v.cold_p50,
-        v.ratio(),
-        if v.clean() { "PASS" } else { "FAIL" }
-    );
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open("EXPERIMENTS.md")?;
-    f.write_all(line.as_bytes())
 }

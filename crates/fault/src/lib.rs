@@ -50,3 +50,4 @@ mod rng;
 
 pub use plan::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultStats, IoOp};
 pub use retry::RetryPolicy;
+pub use rng::SplitMix64;

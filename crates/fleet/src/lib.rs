@@ -26,35 +26,13 @@
 //! and a seed reproduces a run bit-for-bit.
 
 use dc_cred::Cred;
+use dc_fault::SplitMix64;
 use dc_obs::{LatencyHist, MetricSource};
 use dc_vfs::{Kernel, KernelBuilder, MountNamespace, OpenFlags, Process, TeardownReport};
 use dcache_core::DcacheConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// splitmix64 — the repo-wide seeding discipline.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Skewed pick: 90% of draws land in the hot first 10%.
-    fn skewed(&mut self, n: usize) -> usize {
-        let r = self.next();
-        if r % 10 < 9 {
-            (r >> 8) as usize % (n / 10).max(1)
-        } else {
-            (r >> 8) as usize % n
-        }
-    }
-}
 
 /// Tenant traffic classes, assigned round-robin by tenant index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,7 +319,7 @@ pub struct Fleet {
     cfg: FleetConfig,
     tenants: Vec<Tenant>,
     shared: Vec<String>,
-    rng: Rng,
+    rng: SplitMix64,
     baseline_footprint: u64,
 }
 
@@ -377,7 +355,7 @@ impl Fleet {
             cfg,
             tenants: Vec::new(),
             shared,
-            rng: Rng(seed),
+            rng: SplitMix64::new(seed),
             baseline_footprint,
         };
         for idx in 0..fleet.cfg.tenants {
@@ -562,13 +540,13 @@ impl Fleet {
         let nfiles = self.tenants[ti].files.len();
         for op in 0..n {
             // 90% of ops run as the hot credential, the rest rotate.
-            let c = if self.rng.next() % 10 < 9 {
+            let c = if self.rng.next_u64() % 10 < 9 {
                 0
             } else {
-                1 + (self.rng.next() as usize % (ncreds - 1).max(1))
+                1 + (self.rng.next_u64() as usize % (ncreds - 1).max(1))
             };
             // 3 in 4 ops hit the private hot set, 1 in 4 the shared tree.
-            let private = self.rng.next() % 4 < 3;
+            let private = self.rng.next_u64() % 4 < 3;
             let k = if private {
                 self.rng.skewed(nfiles)
             } else {
@@ -589,7 +567,7 @@ impl Fleet {
     fn drive_cold(&mut self, ti: usize, classes: &mut [ClassTally]) -> u64 {
         let n = self.cfg.ops_per_tenant;
         for op in 0..n {
-            let c = self.rng.next() as usize;
+            let c = self.rng.next_u64() as usize;
             let t = &self.tenants[ti];
             t.proc.set_cred(t.creds[c % t.creds.len()].clone());
             // Sequential scan: walk the private tree in order, spilling
@@ -626,7 +604,7 @@ impl Fleet {
             self.kernel.close(&t.proc, fd).unwrap();
         }
         for op in 0..n {
-            let p = format!("{scratch}/o{}", self.rng.next() as usize % artifacts);
+            let p = format!("{scratch}/o{}", self.rng.next_u64() as usize % artifacts);
             self.timed_stat(ti, &p, op, classes);
         }
         for j in 0..artifacts {

@@ -13,29 +13,12 @@
 //!   * exactly 1000 faults injected (the `limit()` cap is precise).
 
 use dcache_repro::blockdev::{CachedDisk, DiskConfig, LatencyModel};
-use dcache_repro::fault::{FaultInjector, FaultPlan};
+use dcache_repro::fault::{FaultInjector, FaultPlan, SplitMix64};
 use dcache_repro::fs::{MemFs, MemFsConfig};
 use dcache_repro::{DcacheConfig, Kernel, KernelBuilder, OpenFlags, Process};
 use std::sync::Arc;
 
 const CAMPAIGN_FAULTS: u64 = 1000;
-
-/// Deterministic op-stream generator (splitmix64).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 fn faulty_kernel(plan: FaultPlan) -> (Arc<Kernel>, Arc<FaultInjector>, Arc<CachedDisk>) {
     let disk = Arc::new(CachedDisk::new(DiskConfig {
@@ -98,7 +81,7 @@ fn seeded_thousand_fault_campaign_stays_equivalent() {
         }
     }
 
-    let mut rng = Rng(0x5EED_CA4A);
+    let mut rng = SplitMix64::new(0x5EED_CA4A);
     let mut next_file = 0u64; // names ever created (may since be unlinked)
     let mut ops = 0u64;
     let mut rounds = 0u32;

@@ -143,3 +143,76 @@ fn namespace_private_dlht_and_pcc() {
             >= hits_before + 3
     );
 }
+
+/// The ROADMAP 1(b) tree: `/secret/data/sub/f0..f3`, `/secret/data`
+/// bind-mounted at `/view`, then `/secret` closed to everyone but root.
+fn aliased_world(config: DcacheConfig) -> (Arc<Kernel>, Arc<Process>, Arc<Process>) {
+    let k = KernelBuilder::new(config.with_seed(0x5ec)).build().unwrap();
+    let root = k.init_process();
+    for dir in ["/secret", "/secret/data", "/secret/data/sub", "/view"] {
+        k.mkdir(&root, dir, 0o755).unwrap();
+    }
+    for i in 0..4 {
+        let path = format!("/secret/data/sub/f{i}");
+        let fd = k.open(&root, &path, OpenFlags::create(), 0o644).unwrap();
+        k.close(&root, fd).unwrap();
+    }
+    k.bind_mount(&root, "/secret/data", "/view").unwrap();
+    k.chmod(&root, "/secret", 0o700).unwrap();
+    let user = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    (k, root, user)
+}
+
+fn both_configs() -> [DcacheConfig; 2] {
+    [DcacheConfig::baseline(), DcacheConfig::optimized()]
+}
+
+#[test]
+fn a_dentry_resigned_under_its_other_path_forgets_the_old_prefix_check() {
+    for config in both_configs() {
+        let (k, root, user) = aliased_world(config);
+        // Allowed through the bind mount: memoizes a prefix check on
+        // `f0` that is true of `/view/sub/f0` only.
+        assert!(k.stat(&user, "/view/sub/f0").is_ok());
+        // Root's walk re-signs `f0` under the path the user may not use.
+        assert!(k.stat(&root, "/secret/data/sub/f0").is_ok());
+        for _ in 0..3 {
+            assert_eq!(
+                k.stat(&user, "/secret/data/sub/f0"),
+                Err(FsError::Access),
+                "the check memoized under /view answered for /secret"
+            );
+        }
+        // And back: the allowed path still works after the refusal.
+        assert!(k.stat(&user, "/view/sub/f0").is_ok());
+    }
+}
+
+#[test]
+fn a_resigned_directory_forgets_its_memoized_climb() {
+    for config in both_configs() {
+        let (k, root, user) = aliased_world(config);
+        // Root publishes the files under `/view`; the user's first probes
+        // then hit the DLHT with an empty PCC, so each is a revalidation
+        // that memoizes the directories it climbs past — `sub` lands in
+        // the user's directory table.
+        for i in 0..4 {
+            assert!(k.stat(&root, &format!("/view/sub/f{i}")).is_ok());
+        }
+        for i in 0..4 {
+            assert!(k.stat(&user, &format!("/view/sub/f{i}")).is_ok());
+        }
+        // Root re-signs `sub` and `f1` through the closed path.
+        assert!(k.stat(&root, "/secret/data/sub/f1").is_ok());
+        // `f1`: a DLHT hit whose revalidation must not stop at `sub`.
+        // `f2`: a DLHT miss whose slow walk must not resume at `sub`.
+        for name in ["f1", "f2"] {
+            assert_eq!(
+                k.stat(&user, &format!("/secret/data/sub/{name}")),
+                Err(FsError::Access),
+                "{name}: `sub` memoized under /view answered for /secret"
+            );
+        }
+        assert!(k.stat(&user, "/view/sub/f3").is_ok());
+    }
+}
