@@ -29,7 +29,7 @@ use crate::setup::{kernel_on_disk, DiskSetup, Scale};
 use crate::table::{us, Table};
 use dc_blockdev::{CachedDisk, CrashImage, CrashMonitor, DiskConfig, LatencyModel};
 use dc_fault::SplitMix64;
-use dc_fs::{fsck, FileSystem, FileType, MemFs, MemFsConfig, SetAttr};
+use dc_fs::{fsck, tree_sig, FileSystem, MemFs, MemFsConfig, SetAttr};
 use dc_vfs::{Kernel, OpenFlags, Process};
 use dc_workloads::lmbench::{self, Pattern};
 use dcache_core::DcacheConfig;
@@ -488,51 +488,6 @@ fn run_campaign(
     }
 }
 
-/// Serializes one inode subtree as comparable lines: path, type, mode,
-/// nlink, size, and symlink target. Times are excluded (ticks advance
-/// with read traffic); content is excluded (data blocks are write-back,
-/// the journal guarantees the metadata tree).
-fn tree_sig(fs: &MemFs, ino: u64, path: &str, out: &mut Vec<String>) {
-    let Ok(a) = fs.getattr(ino) else {
-        out.push(format!("{path} <unreadable>"));
-        return;
-    };
-    let link = if a.ftype == FileType::Symlink {
-        fs.readlink(ino).unwrap_or_else(|_| "<bad-link>".into())
-    } else {
-        String::new()
-    };
-    out.push(format!(
-        "{path} {:?} mode={:o} nlink={} size={} {link}",
-        a.ftype, a.mode, a.nlink, a.size
-    ));
-    if !a.ftype.is_dir() {
-        return;
-    }
-    let mut entries = Vec::new();
-    let mut cursor = 0u64;
-    loop {
-        match fs.readdir(ino, cursor, 128, &mut entries) {
-            Ok(Some(next)) => cursor = next,
-            Ok(None) => break,
-            Err(_) => {
-                out.push(format!("{path} <unreadable-dir>"));
-                return;
-            }
-        }
-    }
-    entries.sort_by(|x, y| x.name.cmp(&y.name));
-    for e in entries {
-        tree_sig(fs, e.ino, &format!("{path}/{}", e.name), out);
-    }
-}
-
-fn full_sig(fs: &MemFs) -> Vec<String> {
-    let mut out = Vec::new();
-    tree_sig(fs, fs.root_ino(), "", &mut out);
-    out
-}
-
 /// Per-campaign verification tallies.
 #[derive(Default)]
 struct Verdict {
@@ -645,8 +600,8 @@ fn verify_images(seed: u64, hotset: usize, run: &RunResult, images: &[CrashImage
             }
             applied += 1;
         }
-        let want = full_sig(&shadow);
-        let got = full_sig(&fs);
+        let want = tree_sig(&*shadow);
+        let got = tree_sig(&*fs);
         if want != got {
             v.divergences += 1;
             let diff = want

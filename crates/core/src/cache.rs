@@ -134,7 +134,9 @@ impl Dcache {
     // --- allocation ------------------------------------------------------
 
     /// Creates the root dentry of a superblock. Root dentries are pinned
-    /// by their superblock and never enter the LRU.
+    /// by their superblock and never enter the LRU. It carries no hash
+    /// state: at a namespace's root the state is the key's root state by
+    /// definition, and under a mountpoint it is whatever path led there.
     pub fn new_root(&self, sb: SbId, inode: Arc<Inode>) -> Arc<Dentry> {
         let d = Dentry::new(
             self.alloc_id(),
@@ -144,7 +146,6 @@ impl Dcache {
             DentryState::Positive(inode),
             0,
         );
-        d.store_hash_state(self.key.root_state());
         self.live.fetch_add(1, Ordering::Relaxed);
         d
     }

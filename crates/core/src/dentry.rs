@@ -618,14 +618,48 @@ impl Dentry {
         self.with_snap(|s| s.hash_state)
     }
 
+    /// [`hash_state`](Dentry::hash_state), if it was signed through mount
+    /// `mount`. A dentry under a bind mount has one path per mount and one
+    /// slot: the state says where the *last* walk came from, and only a
+    /// position reached through that same mount may resume from it.
+    /// Pairs with [`sign`](Dentry::sign): hint, state, hint again.
+    pub fn hash_state_via(&self, mount: u64) -> Option<HashState> {
+        // An unhashed dentry has no path any more, whatever it remembers.
+        if self.mount_hint() != mount || self.is_dead() {
+            return None;
+        }
+        let state = self.hash_state();
+        (self.mount_hint() == mount).then_some(state).flatten()
+    }
+
+    /// Stores the resumable hash state of the path through mount `mount`
+    /// and records that mount. When the mount changes, the old state is
+    /// (and a symlink's target signature, which was as much a fact about
+    /// that path) is cleared before the hint moves and the new one stored
+    /// after, so a reader that sees one hint on both sides of its state
+    /// read has the state that belongs to it.
+    pub fn sign(&self, st: HashState, mount: u64) {
+        if self.mount_hint() != mount {
+            if self.hash_state().is_some() {
+                self.clear_hash_state();
+            }
+            self.set_mount_hint(mount);
+        }
+        self.store_hash_state(st);
+    }
+
     /// Stores the resumable hash state.
     pub fn store_hash_state(&self, st: HashState) {
         self.publish(None, |snap, _| snap.hash_state = Some(st));
     }
 
-    /// Invalidates the stored hash state (the path changed).
+    /// Invalidates the stored hash state (the path changed) and, with it,
+    /// a symlink's target signature: a relative body read at another path,
+    /// or through another mount, ends somewhere else.
     pub fn clear_hash_state(&self) {
-        self.publish(None, |snap, _| snap.hash_state = None);
+        self.publish(None, |snap, _| {
+            (snap.hash_state, snap.link_sig) = (None, None)
+        });
     }
 
     /// The DLHT membership record.

@@ -17,6 +17,9 @@
 //!   and the access sequence, so a failing campaign replays exactly.
 //! - [`RetryPolicy`] — the bounded exponential-backoff schedule the page
 //!   cache uses to ride out transient errors.
+//! - [`SplitMix64`] and [`check`] — the repo's one seeded generator and
+//!   the property-test driver built on it (seeded cases, greedy
+//!   shrinking), for every crate's tests.
 //!
 //! Determinism: the injector's RNG is split per rule from the plan seed,
 //! and transient faults are tracked as per-block *bursts* (a triggered
@@ -44,10 +47,12 @@
 //! assert_eq!(faults, injector.stats().total());
 //! ```
 
+mod check;
 mod plan;
 mod retry;
 mod rng;
 
+pub use check::check;
 pub use plan::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultStats, IoOp};
 pub use retry::RetryPolicy;
 pub use rng::SplitMix64;

@@ -56,9 +56,11 @@ impl RetryPolicy {
     /// policy gives up — the "backoff budget" the campaign asserts
     /// transient recoveries stay within.
     pub fn total_backoff_budget_ns(&self) -> u64 {
+        // A saturated sum cannot grow: stop there rather than fold the
+        // remaining (up to 2^32) terms.
         (0..self.max_attempts.saturating_sub(1))
-            .map(|i| self.backoff_ns(i))
-            .fold(0u64, u64::saturating_add)
+            .try_fold(0u64, |sum, i| sum.checked_add(self.backoff_ns(i)))
+            .unwrap_or(u64::MAX)
     }
 }
 

@@ -950,9 +950,7 @@ impl FileSystem for MemFs {
     fn read(&self, ino: u64, offset: u64, len: usize) -> FsResult<Bytes> {
         let disk = &*self.disk;
         let di = self.read_di(disk, ino)?;
-        if di.ftype == FileType::Directory {
-            return Err(FsError::IsDir);
-        }
+        file_body(di.ftype)?;
         if offset >= di.size {
             return Ok(Bytes::new());
         }
@@ -980,9 +978,7 @@ impl FileSystem for MemFs {
         self.stats.mutations.fetch_add(1, Ordering::Relaxed);
         self.with_tx(&[ino], |tx| {
             let mut di = self.read_di(tx, ino)?;
-            if di.ftype == FileType::Directory {
-                return Err(FsError::IsDir);
-            }
+            file_body(di.ftype)?;
             let bs = self.geo.block_size as u64;
             let mut pos = offset;
             let mut remaining = data;
@@ -1038,6 +1034,16 @@ impl FileSystem for MemFs {
 
     fn stats(&self) -> &FsStats {
         &self.stats
+    }
+}
+
+/// `read`/`write` address a block map. A directory's holds records and a
+/// symlink has none — its target may sit inline in the pointer slots.
+fn file_body(ftype: FileType) -> FsResult<()> {
+    match ftype {
+        FileType::Directory => Err(FsError::IsDir),
+        FileType::Symlink => Err(FsError::Inval),
+        _ => Ok(()),
     }
 }
 
@@ -1177,6 +1183,24 @@ mod tests {
         // readlink of a non-symlink fails.
         let f = fs.create(r, "f", 0o644, 0, 0).unwrap();
         assert_eq!(fs.readlink(f.ino), Err(FsError::Inval));
+    }
+
+    /// A symlink's body is its target, inline in the block-pointer slots
+    /// when short: file I/O on it must not walk that as a block map.
+    #[test]
+    fn file_io_on_a_symlink_inode_is_einval_and_corrupts_nothing() {
+        let fs = newfs();
+        let r = fs.root_ino();
+        for target in ["../target", &"x/".repeat(120)] {
+            let s = fs.symlink(r, &format!("l{}", target.len()), target, 0, 0);
+            let ino = s.unwrap().ino;
+            assert_eq!(fs.write(ino, 0, b"payload"), Err(FsError::Inval));
+            assert_eq!(fs.read(ino, 0, 16), Err(FsError::Inval));
+            assert_eq!(fs.readlink(ino).unwrap(), target);
+        }
+        fs.sync().unwrap();
+        let report = super::super::fsck(fs.disk()).unwrap();
+        assert!(report.is_clean(), "{:?}", report.errors);
     }
 
     #[test]

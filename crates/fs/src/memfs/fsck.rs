@@ -20,7 +20,7 @@
 
 use super::inode::DiskInode;
 use super::layout::{Geometry, INODE_SIZE};
-use crate::api::FileType;
+use crate::api::{FileSystem, FileType};
 use crate::error::FsResult;
 use dc_blockdev::CachedDisk;
 use std::collections::{HashMap, HashSet};
@@ -479,6 +479,53 @@ pub fn fsck(disk: &CachedDisk) -> FsResult<FsckReport> {
     }
 
     Ok(report)
+}
+
+/// The metadata tree as comparable lines, one per object in path order:
+/// path, type, mode, nlink, size and symlink target. Two file systems
+/// with equal signatures hold the same namespace — what a crash campaign
+/// compares a recovered image with its shadow replay by. Times are left
+/// out (ticks advance with read traffic), and so is content (data blocks
+/// are write-back; the journal guarantees the metadata tree). An
+/// unreadable object is a line of its own, never a panic.
+pub fn tree_sig(fs: &dyn FileSystem) -> Vec<String> {
+    fn visit(fs: &dyn FileSystem, ino: u64, path: &str, out: &mut Vec<String>) {
+        let Ok(a) = fs.getattr(ino) else {
+            out.push(format!("{path} <unreadable>"));
+            return;
+        };
+        let link = if a.ftype == FileType::Symlink {
+            fs.readlink(ino).unwrap_or_else(|_| "<bad-link>".into())
+        } else {
+            String::new()
+        };
+        out.push(format!(
+            "{path} {:?} mode={:o} nlink={} size={} {link}",
+            a.ftype, a.mode, a.nlink, a.size
+        ));
+        if !a.ftype.is_dir() {
+            return;
+        }
+        let mut entries = Vec::new();
+        let mut cursor = 0u64;
+        loop {
+            match fs.readdir(ino, cursor, 128, &mut entries) {
+                Ok(Some(next)) => cursor = next,
+                Ok(None) => break,
+                Err(_) => {
+                    out.push(format!("{path} <unreadable-dir>"));
+                    return;
+                }
+            }
+        }
+        entries.sort_by(|x, y| x.name.cmp(&y.name));
+        for e in entries {
+            visit(fs, e.ino, &format!("{path}/{}", e.name), out);
+        }
+    }
+    let mut out = Vec::new();
+    visit(fs, fs.root_ino(), "", &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -30,6 +30,6 @@ mod store;
 mod warmidx;
 
 pub use fs::{MemFs, MemFsConfig};
-pub use fsck::{fsck, FsckError, FsckReport};
+pub use fsck::{fsck, tree_sig, FsckError, FsckReport};
 pub use journal::{JournalStats, ReplayInfo};
 pub use warmidx::{WarmEntry, WarmLoad, WarmReject};

@@ -3,11 +3,12 @@
 //! Random sequences of file-system operations run against both the real
 //! ext2-flavored implementation (serialized through the block device) and
 //! a trivial HashMap model; observable outcomes must agree. A final
-//! sync + remount replays the reads to check on-disk durability.
+//! sync + remount replays the reads to check on-disk durability. Cases
+//! come from `dc_fault::check`, which shrinks a failing op list.
 
 use dc_blockdev::{CachedDisk, DiskConfig};
+use dc_fault::{check, SplitMix64};
 use dc_fs::{FileSystem, FileType, FsError, MemFs, MemFsConfig};
-use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -25,30 +26,31 @@ enum Op {
     ReadBack(u8, String),
 }
 
-fn name() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("a".to_string()),
-        Just("bb".to_string()),
-        Just("ccc".to_string()),
-        Just("d-file".to_string()),
-        Just("e.txt".to_string()),
-    ]
+const NAMES: [&str; 5] = ["a", "bb", "ccc", "d-file", "e.txt"];
+
+/// One op; the `u8` selects a directory slot out of a small pool the
+/// runner keeps.
+fn op(rng: &mut SplitMix64) -> Op {
+    let mut slot = || rng.below(4) as u8;
+    let (a, b) = (slot(), slot());
+    let mut name = || NAMES[rng.below(NAMES.len() as u64) as usize].to_string();
+    let (n, m) = (name(), name());
+    match rng.below(10) {
+        0 => Op::Mkdir(a, n),
+        1 => Op::Create(a, n),
+        2 => Op::Symlink(a, n, m),
+        3 => Op::Unlink(a, n),
+        4 => Op::Rmdir(a, n),
+        5 => Op::Rename(a, n, b, m),
+        6 => Op::Lookup(a, n),
+        7 => Op::Readdir(a),
+        8 => Op::Write(a, n, rng.below(9000) as usize),
+        _ => Op::ReadBack(a, n),
+    }
 }
 
-fn op() -> impl Strategy<Value = Op> {
-    // `u8` selects a directory slot out of a small pool the runner keeps.
-    prop_oneof![
-        (0u8..4, name()).prop_map(|(d, n)| Op::Mkdir(d, n)),
-        (0u8..4, name()).prop_map(|(d, n)| Op::Create(d, n)),
-        (0u8..4, name(), name()).prop_map(|(d, n, t)| Op::Symlink(d, n, t)),
-        (0u8..4, name()).prop_map(|(d, n)| Op::Unlink(d, n)),
-        (0u8..4, name()).prop_map(|(d, n)| Op::Rmdir(d, n)),
-        (0u8..4, name(), 0u8..4, name()).prop_map(|(a, n, b, m)| Op::Rename(a, n, b, m)),
-        (0u8..4, name()).prop_map(|(d, n)| Op::Lookup(d, n)),
-        (0u8..4).prop_map(Op::Readdir),
-        (0u8..4, name(), 0usize..9000).prop_map(|(d, n, len)| Op::Write(d, n, len)),
-        (0u8..4, name()).prop_map(|(d, n)| Op::ReadBack(d, n)),
-    ]
+fn ops(rng: &mut SplitMix64) -> ((), Vec<Op>) {
+    ((), (0..1 + rng.below(79)).map(|_| op(rng)).collect())
 }
 
 /// The reference model: directories as name → node maps.
@@ -250,7 +252,10 @@ fn run_model(ops: &[Op]) {
                         let want = match node {
                             ModelNode::File(_) => FileType::Regular,
                             ModelNode::Dir(_) => FileType::Directory,
-                            ModelNode::Link(_) => FileType::Symlink,
+                            ModelNode::Link(target) => {
+                                assert_eq!(&fs.readlink(attr.ino).unwrap(), target);
+                                FileType::Symlink
+                            }
                         };
                         assert_eq!(attr.ftype, want);
                     }
@@ -260,11 +265,8 @@ fn run_model(ops: &[Op]) {
                 let (mi, ri) = slots[*d as usize % slots.len()];
                 let mut out = Vec::new();
                 let mut cursor = 0u64;
-                loop {
-                    match fs.readdir(ri, cursor, 7, &mut out).unwrap() {
-                        Some(c) => cursor = c,
-                        None => break,
-                    }
+                while let Some(c) = fs.readdir(ri, cursor, 7, &mut out).unwrap() {
+                    cursor = c;
                 }
                 let mut got: Vec<String> = out.into_iter().map(|e| e.name).collect();
                 got.sort();
@@ -305,27 +307,23 @@ fn run_model(ops: &[Op]) {
     let fs2 = MemFs::mount(disk).unwrap();
     let mut out = Vec::new();
     let mut cursor = 0u64;
-    loop {
-        match fs2.readdir(fs2.root_ino(), cursor, 16, &mut out).unwrap() {
-            Some(c) => cursor = c,
-            None => break,
-        }
+    while let Some(c) = fs2.readdir(fs2.root_ino(), cursor, 16, &mut out).unwrap() {
+        cursor = c;
     }
     let mut got: Vec<String> = out.into_iter().map(|e| e.name).collect();
     got.sort();
     assert_eq!(got, want, "root listing diverged after remount");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 64,
-        ..ProptestConfig::default()
-    })]
+#[test]
+fn memfs_matches_reference_model() {
+    check(0..600, ops, |_, ops| run_model(ops));
+}
 
-    #[test]
-    fn memfs_matches_reference_model(ops in prop::collection::vec(op(), 1..80)) {
-        run_model(&ops);
-    }
+#[test]
+#[ignore = "soak: 100x the Tier-1 cases, for the nightly lane"]
+fn memfs_matches_reference_model_soak() {
+    check(600..60_000, ops, |_, ops| run_model(ops));
 }
 
 #[test]

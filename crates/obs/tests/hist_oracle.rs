@@ -3,9 +3,9 @@
 //! sorted vector, and every derived statistic must agree within the
 //! histogram's documented 1/32 relative bucket-width bound.
 //!
-//! (The crates.io `proptest` crate is unavailable in the offline build,
-//! so these use a deterministic seeded generator — same shape: many
-//! random cases, an exact oracle, and tight tolerances.)
+//! (`dc-obs` is dependency-free and keeps its own tiny generator —
+//! same shape as the `dc_fault::check` properties: many seeded cases, an
+//! exact oracle, and tight tolerances.)
 
 use dc_obs::LatencyHist;
 

@@ -98,15 +98,13 @@ impl Kernel {
                 if Arc::ptr_eq(&anchor.dentry, &root.dentry) && anchor.mount.id == root.mount.id {
                     continue; // ".." at the process root stays put
                 }
-                let climbed = climb_one(anchor)?;
-                climbed.dentry.hash_state()?; // must be resumable
-                anchor_owned = Some(climbed);
+                anchor_owned = Some(climb_one(anchor)?);
             }
         }
         let anchor = anchor_owned.as_ref().unwrap_or(base);
 
         // Phase 2: hash the reduced path.
-        let mut h: HashState = anchor.dentry.hash_state()?;
+        let mut h: HashState = self.state_at(ns, &anchor.mount, &anchor.dentry, guard)?;
         for c in &pending {
             self.dcache.key.push_component(&mut h, c.as_bytes());
         }
@@ -133,7 +131,17 @@ impl Kernel {
         }
 
         let sig = self.dcache.key.finish(&h);
-        self.fast_validate(ns, pcc, cred, &sig, follow_last, parsed.require_dir, guard)
+        let plain_root = ns.is_root(&root.mount, &root.dentry, guard);
+        self.fast_validate(
+            ns,
+            pcc,
+            cred,
+            &sig,
+            follow_last,
+            parsed.require_dir,
+            plain_root,
+            guard,
+        )
     }
 
     /// Phase 3 of the fastpath: validates a signature against the DLHT
@@ -141,6 +149,13 @@ impl Kernel {
     /// resolution ([`fast_resolve`](Kernel::fast_resolve)) and
     /// signature-keyed server lookups ([`Kernel::lookup_sig`]); the
     /// caller must hold an epoch pin.
+    ///
+    /// `plain_root` says the caller's process root is the namespace root.
+    /// A symlink's memoized translation — its alias children, its target
+    /// signature — was made by a walk that read the link body under *its*
+    /// root; an absolute body means something else under a `chroot`, and
+    /// the fastpath never reads bodies, so a chrooted caller falls back at
+    /// the first alias or link hop.
     ///
     /// Runs optimistically: dentry fields are read from epoch-published
     /// snapshots, and every terminal answer is revalidated against the
@@ -156,6 +171,7 @@ impl Kernel {
         sig: &dcache_core::Signature,
         follow_last: bool,
         require_dir: bool,
+        plain_root: bool,
         guard: &'g crossbeam_epoch::Guard,
     ) -> Option<FsResult<WalkRef<'g>>> {
         let stats = &self.dcache.stats;
@@ -208,7 +224,17 @@ impl Kernel {
                 // Alias dentries redirect to the real object (§4.2); the
                 // recorded seq pins the translation's validity.
                 if let Some((target, target_seq)) = obj.alias_target() {
-                    if target.is_dead() || target.seq() != target_seq {
+                    if !plain_root {
+                        return None;
+                    }
+                    // The target's own prefix check (below) is the one
+                    // memoized for the path it is *signed* under; it
+                    // speaks for this alias only if that is the path the
+                    // alias reached it by — the same mount.
+                    if target.is_dead()
+                        || target.seq() != target_seq
+                        || target.mount_hint() != obj.mount_hint()
+                    {
                         stats.fast_miss_seq.fetch_add(1, Ordering::Relaxed);
                         return None;
                     }
@@ -224,6 +250,9 @@ impl Kernel {
                     .map(|i| i.ftype() == FileType::Symlink)
                     .unwrap_or(false);
                 if is_link && follow_last {
+                    if !plain_root {
+                        return None;
+                    }
                     let lsig = obj.link_sig()?;
                     let Some(next) = self.dcache.dlht_lookup_in(dlht, &lsig, guard) else {
                         stats.fast_miss_dlht.fetch_add(1, Ordering::Relaxed);
@@ -404,7 +433,7 @@ impl Kernel {
             None => proc.cwd_read(guard),
         };
         let pcc = self.dcache.pcc_ref(proc.cred_read(guard), ns.id, guard)?;
-        let mut h = base.dentry.hash_state()?;
+        let mut h = self.state_at(ns, &base.mount, &base.dentry, guard)?;
         for c in dirs {
             self.dcache.key.push_component(&mut h, c.as_bytes());
         }
@@ -453,7 +482,7 @@ impl Kernel {
         let dentry: Arc<Dentry> = if pending.is_empty() {
             anchor.dentry.clone()
         } else {
-            let mut h: HashState = anchor.dentry.hash_state()?;
+            let mut h: HashState = self.state_at(ns, &anchor.mount, &anchor.dentry, guard)?;
             for c in pending {
                 self.dcache.key.push_component(&mut h, c.as_bytes());
             }
@@ -468,7 +497,7 @@ impl Kernel {
             return None;
         }
         // Prefix check for the intermediate + inline search permission.
-        let at_root = Arc::ptr_eq(&dentry, &ns.root_mount().root);
+        let at_root = Arc::ptr_eq(&dentry, &ns.root_mount_read(guard).root);
         if !at_root && !pcc.check(dentry.id(), dentry.seq()) {
             return None;
         }

@@ -10,9 +10,9 @@ use dc_blockdev::{CachedDisk, DiskConfig, LatencyModel};
 use dc_cred::{Cred, SecurityStack};
 use dc_fs::{FileSystem, FsResult, MemFs, MemFsConfig};
 use dc_obs::{MetricSource, MetricsSnapshot, ObsConfig, Recorder, Registry};
-use dcache_core::{Dcache, DcacheConfig, ShrinkerRegistry};
+use dcache_core::{Dcache, DcacheConfig, Dentry, ShrinkerRegistry};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -292,6 +292,44 @@ impl Kernel {
     /// Registers a namespace.
     pub(crate) fn register_namespace(&self, ns: Arc<MountNamespace>) {
         self.namespaces.write().insert(ns.id, ns);
+    }
+
+    /// [`Dcache::shoot_subtree`](dcache_core::Dcache::shoot_subtree),
+    /// carried through the mounts that hang inside the subtree: what is
+    /// mounted below a renamed or re-moded directory is reached by a path
+    /// through it, but lives in another dentry tree (or, for a bind, in
+    /// another corner of the same one). The walk of dentry children alone
+    /// left every signature and memoized prefix check under a mountpoint
+    /// standing.
+    pub(crate) fn shoot_subtree(&self, top: &Arc<Dentry>, structural: bool) {
+        let mut seen = HashSet::new();
+        let mut tops = vec![top.clone()];
+        while let Some(top) = tops.pop() {
+            if !seen.insert(top.id()) {
+                continue; // a tree bound inside itself
+            }
+            self.dcache.shoot_subtree(&top, structural);
+            let within = |mountpoint: &Arc<Dentry>| {
+                let mut d = Some(mountpoint.clone());
+                while let Some(at) = d {
+                    if Arc::ptr_eq(&at, &top) {
+                        return true;
+                    }
+                    d = at.parent();
+                }
+                false
+            };
+            for ns in self.namespaces.read().values() {
+                if ns.mount_count() < 2 {
+                    continue; // the root mount alone
+                }
+                for m in ns.mounts_snapshot() {
+                    if m.parent.as_ref().is_some_and(|(_, mp)| within(mp)) {
+                        tops.push(m.root.clone());
+                    }
+                }
+            }
+        }
     }
 
     /// Live registered namespaces, including the init namespace.
@@ -594,6 +632,18 @@ pub struct TeardownReport {
     /// accounting only — the bulk free happens off this path, at epoch
     /// drain).
     pub nanos: u64,
+}
+
+impl Drop for Kernel {
+    /// Parent and child dentries hold each other (the child map, the
+    /// parent edge), and a mount pins its mountpoint: nothing but
+    /// unhashing parts them. Without this every kernel ever built stays
+    /// resident with its tree, its inodes and, through them, its disk.
+    fn drop(&mut self) {
+        for (_, sb) in self.superblocks.get_mut().drain(..) {
+            self.dcache.unhash_subtree(&sb.root);
+        }
+    }
 }
 
 /// Downcasts a file system to memfs (cold-cache plumbing).

@@ -2,7 +2,7 @@
 
 use crate::mount::Mount;
 use dc_rcu::{EpochCell, SnapMap};
-use dcache_core::{Dcache, DentryId, Dlht, NsId};
+use dcache_core::{Dcache, Dentry, DentryId, Dlht, NsId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -69,6 +69,22 @@ impl MountNamespace {
         self.root.get()
     }
 
+    /// [`root_mount`](MountNamespace::root_mount) borrowed under a
+    /// caller-held epoch guard: the fastpath's root test takes no
+    /// reference.
+    pub fn root_mount_read<'g>(&self, guard: &'g dc_rcu::Guard) -> &'g Arc<Mount> {
+        self.root.read(guard)
+    }
+
+    /// Whether `(mount, dentry)` is this namespace's root — where the root
+    /// hash state applies, and the only process root under which a
+    /// memoized symlink translation means what it meant to the walk that
+    /// made it. Lock-free, no reference taken.
+    pub fn is_root(&self, mount: &Mount, dentry: &Arc<Dentry>, guard: &dc_rcu::Guard) -> bool {
+        let root = self.root_mount_read(guard);
+        mount.id == root.id && Arc::ptr_eq(dentry, &root.root)
+    }
+
     /// Registers a mount at its mountpoint.
     pub fn add_mount(&self, mount: Arc<Mount>) {
         if let Some((parent, mp)) = &mount.parent {
@@ -97,12 +113,12 @@ impl MountNamespace {
             .cloned()
     }
 
-    /// True if any mount hangs below `mountpoint` under `parent_mount` —
-    /// mounted-on directories are busy for rename/rmdir purposes.
-    pub fn is_mountpoint(&self, parent_mount: u64, mountpoint: DentryId) -> bool {
-        self.children
-            .read()
-            .contains_key(&(parent_mount, mountpoint))
+    /// True if a mount hangs on `dentry` under any parent mount —
+    /// mounted-on directories are busy for rename/rmdir purposes, by
+    /// whichever alias of their tree the caller came (Linux's
+    /// `d_mountpoint`). A handful of mounts per namespace: a scan.
+    pub fn is_mountpoint(&self, dentry: DentryId) -> bool {
+        self.children.read().keys().any(|&(_, d)| d == dentry)
     }
 
     /// Resolves a mount id (fastpath mount-hint validation, §4.3;

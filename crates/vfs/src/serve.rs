@@ -63,11 +63,12 @@ impl Kernel {
         self.resolve_with(proc, None, path, true, |r| {
             let inode = r.require_inode()?;
             let sig = if want_sig {
-                r.dentry
-                    .hash_state()
+                let guard = &crossbeam_epoch::pin();
+                let ns = proc.namespace_read(guard);
+                self.state_at(ns, r.mount, &r.dentry, guard)
                     .or_else(|| {
                         let at = PathRef::new(r.mount.clone(), r.dentry.clone());
-                        self.rebuild_hash_state(&at)
+                        self.rebuild_hash_state(ns, &at, guard)
                     })
                     .map(|h| self.dcache.key.finish(&h))
             } else {
@@ -127,7 +128,9 @@ impl Kernel {
                     &pcc_owned
                 }
             };
-            match self.fast_validate(ns, pcc, cred, sig, true, false, &guard) {
+            let root = proc.root_read(&guard);
+            let plain_root = ns.is_root(&root.mount, &root.dentry, &guard);
+            match self.fast_validate(ns, pcc, cred, sig, true, false, plain_root, &guard) {
                 Some(Ok(r)) => match r.inode {
                     Some(inode) => SigLookup::Hit(LookupReply {
                         ino: inode.ino,

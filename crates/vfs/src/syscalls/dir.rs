@@ -9,6 +9,7 @@ use dc_cred::MAY_EXEC;
 use dc_fs::{DirEntry, FsError, FsResult};
 use dcache_core::{DentryState, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 impl Kernel {
     /// `mkdir(2)`.
@@ -102,7 +103,7 @@ impl Kernel {
             if !inode.is_dir() {
                 return Err(FsError::NotDir);
             }
-            if proc.namespace().is_mountpoint(mount.id, target.id()) {
+            if proc.namespace().is_mountpoint(target.id()) {
                 return Err(FsError::Busy);
             }
             let parent_attr = pr.parent.require_inode()?.attr();
@@ -111,11 +112,29 @@ impl Kernel {
             }
             let dir_ino = parent_attr.ino;
             mount.sb.fs.rmdir(dir_ino, &pr.name)?;
+            super::refresh_dir(&parent_d);
             self.icache.forget(mount.sb.id, inode.ino);
-            if self.dcache.config.neg_on_unlink && self.negatives_allowed(&mount.sb.fs) {
+            // An empty directory's cached children are negative; with
+            // them gone, what still references the dentry beside the
+            // parent's map and `target` is a holder — a cwd, a root, an
+            // open handle — that must keep a directory (or a racing
+            // walker, for which the fresh dentry is as good).
+            for child in target.children_snapshot() {
+                self.dcache.unhash_subtree(&child);
+            }
+            let held = Arc::strong_count(&target) > 2;
+            let negative = self.dcache.config.neg_on_unlink && self.negatives_allowed(&mount.sb.fs);
+            if negative && !held {
                 self.dcache.make_negative(&target, NegKind::Enoent);
             } else {
+                // What a holder lists or looks up in it from now on is the
+                // file system's answer for a removed directory.
+                target.clear_flag(FLAG_DIR_COMPLETE);
                 self.dcache.unhash_subtree(&target);
+                if negative {
+                    let gone = DentryState::Negative(NegKind::Enoent);
+                    self.dcache.d_alloc(&parent_d, &pr.name, gone);
+                }
             }
             Ok(())
         })

@@ -38,7 +38,7 @@ impl Kernel {
                 // every memoized prefix check re-validates (§3.2). The
                 // DLHT entries stay — the paths didn't move.
                 self.dcache.bump_invalidation();
-                self.dcache.shoot_subtree(&r.dentry, false);
+                self.shoot_subtree(&r.dentry, false);
             }
             Ok(())
         })
@@ -75,7 +75,7 @@ impl Kernel {
             })?;
             if inode.is_dir() && self.dcache.config.fastpath {
                 self.dcache.bump_invalidation();
-                self.dcache.shoot_subtree(&r.dentry, false);
+                self.shoot_subtree(&r.dentry, false);
             }
             Ok(())
         })

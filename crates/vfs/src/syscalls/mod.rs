@@ -141,6 +141,7 @@ impl Kernel {
         name: &str,
         inode: Arc<Inode>,
     ) -> Arc<Dentry> {
+        refresh_dir(parent);
         match existing {
             Some(d) if !d.is_dead() => {
                 debug_assert!(d.is_negative());
@@ -155,6 +156,18 @@ impl Kernel {
             _ => self
                 .dcache
                 .d_alloc(parent, name, DentryState::Positive(inode)),
+        }
+    }
+}
+
+/// Re-reads a directory's attributes from its file system after an entry
+/// was added to or removed from it. Size, link count and times are the
+/// file system's to say, and `stat` has to answer the same whether the
+/// directory stayed cached since or was evicted and looked up again.
+pub(crate) fn refresh_dir(dir: &Dentry) {
+    if let Some(inode) = dir.inode() {
+        if let Ok(attr) = inode.fs.getattr(inode.ino) {
+            inode.store_attr(attr);
         }
     }
 }

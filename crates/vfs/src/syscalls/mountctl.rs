@@ -3,7 +3,7 @@
 use crate::kernel::Kernel;
 use crate::mount::{Mount, MountFlags, SuperBlock};
 use crate::namespace::MountNamespace;
-use crate::path::PathRef;
+use crate::path::{PathRef, WalkResult};
 use crate::process::Process;
 use crate::timing::SyscallClass;
 use dc_fs::{FileSystem, FsError, FsResult};
@@ -36,6 +36,17 @@ impl Kernel {
         Ok(sb)
     }
 
+    /// A resolved path ends above whatever is mounted on it, except where
+    /// it is the caller's own covered root or cwd. One mount per
+    /// mountpoint: stacking a second there is refused rather than left to
+    /// replace the first in the mountpoint index.
+    fn not_mounted_on(ns: &MountNamespace, at: &WalkResult) -> FsResult<()> {
+        match ns.mount_at(at.mount.id, at.dentry.id()) {
+            Some(_) => Err(FsError::Busy),
+            None => Ok(()),
+        }
+    }
+
     /// `mount(2)`: grafts `fs` at `path` in the caller's namespace
     /// (root only).
     pub fn mount_fs(
@@ -54,6 +65,7 @@ impl Kernel {
             if !at.require_inode()?.is_dir() {
                 return Err(FsError::NotDir);
             }
+            Self::not_mounted_on(&ns, &at)?;
             let sb = self.superblock_for(&fs)?;
             let sb_root = sb.root.clone();
             let mount = Mount::new_child(
@@ -69,7 +81,7 @@ impl Kernel {
             // Structural change: the covered subtree's direct-lookup
             // entries are stale (§3.2, §4.3).
             self.dcache.bump_invalidation();
-            self.dcache.shoot_subtree(&at.dentry, true);
+            self.shoot_subtree(&at.dentry, true);
             mount.root.set_mount_hint(mount.id);
             let id = mount.id;
             ns.add_mount(mount);
@@ -93,6 +105,7 @@ impl Kernel {
             if !d.require_inode()?.is_dir() {
                 return Err(FsError::NotDir);
             }
+            Self::not_mounted_on(&ns, &d)?;
             let mount = Mount::new_child(
                 self.alloc_mount_id(),
                 s.mount.sb.clone(),
@@ -102,7 +115,7 @@ impl Kernel {
                 d.dentry.clone(),
             );
             self.dcache.bump_invalidation();
-            self.dcache.shoot_subtree(&d.dentry, true);
+            self.shoot_subtree(&d.dentry, true);
             let id = mount.id;
             ns.add_mount(mount);
             Ok(id)
@@ -133,7 +146,7 @@ impl Kernel {
             // The unmounted subtree's direct-lookup entries are stale, and
             // the mountpoint becomes visible again.
             self.dcache.bump_invalidation();
-            self.dcache.shoot_subtree(&at.mount.root, true);
+            self.shoot_subtree(&at.mount.root, true);
             if let Some((_, mp)) = &at.mount.parent {
                 mp.bump_seq();
             }

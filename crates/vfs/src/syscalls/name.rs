@@ -5,7 +5,7 @@ use crate::kernel::Kernel;
 use crate::process::Process;
 use crate::timing::SyscallClass;
 use dc_fs::{FileType, FsError, FsResult};
-use dcache_core::{Dentry, DentryState, NegKind};
+use dcache_core::{Dentry, DentryState, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::Arc;
 
 impl Kernel {
@@ -55,6 +55,7 @@ impl Kernel {
             return Err(FsError::Perm);
         }
         mount.sb.fs.unlink(parent_attr.ino, &pr.name)?;
+        super::refresh_dir(&parent_d);
         let gone = inode.attr().nlink <= 1;
         if gone {
             self.icache.forget(mount.sb.id, inode.ino);
@@ -121,7 +122,7 @@ impl Kernel {
         if !Self::sticky_ok(&cred, &parent_attr, &src_inode.attr()) {
             return Err(FsError::Perm);
         }
-        if ns.is_mountpoint(mount.id, src.id()) {
+        if ns.is_mountpoint(src.id()) {
             return Err(FsError::Busy);
         }
         // Moving a directory into its own subtree is forbidden.
@@ -144,7 +145,7 @@ impl Kernel {
                 if d.id() == src.id() || dst_inode.ino == src_inode.ino {
                     return Ok(()); // same object: POSIX no-op
                 }
-                if ns.is_mountpoint(mount.id, d.id()) {
+                if ns.is_mountpoint(d.id()) {
                     return Err(FsError::Busy);
                 }
                 if !Self::sticky_ok(
@@ -166,9 +167,9 @@ impl Kernel {
         // constant-time (Figure 7's comparison).
         if self.dcache.config.fastpath {
             self.dcache.bump_invalidation();
-            self.dcache.shoot_subtree(&src, true);
+            self.shoot_subtree(&src, true);
             if let Some(d) = &dst {
-                self.dcache.shoot_subtree(d, true);
+                self.shoot_subtree(d, true);
             }
         }
 
@@ -178,6 +179,8 @@ impl Kernel {
             .sb
             .fs
             .rename(old_dir_ino, &pro.name, new_dir_ino, &prn.name)?;
+        super::refresh_dir(&op);
+        super::refresh_dir(&np);
 
         // Cache updates: drop whatever was at the destination, move the
         // source dentry, leave a negative at the origin (§5.2).
@@ -187,6 +190,9 @@ impl Kernel {
                     self.icache.forget(mount.sb.id, i.ino);
                 }
             }
+            // A replaced directory may still be someone's cwd or root:
+            // what they list in it is the file system's answer now.
+            d.clear_flag(FLAG_DIR_COMPLETE);
             self.dcache.unhash_subtree(&d);
         }
         self.dcache.d_move(&src, &np, &prn.name);

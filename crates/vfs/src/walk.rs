@@ -58,6 +58,17 @@ enum Publish {
         id: u64,
         seq: u64,
     },
+    /// A symlink's target signature (§4.2), as resolved from the mount
+    /// the link was reached through: under a bind mount the same body
+    /// crosses different mountpoints. Queued behind the link's own `Dlht`
+    /// publication — signing the link through a new mount clears what an
+    /// earlier walk left — and dropped unless the link ends up signed
+    /// through `mount`, the only lookups it is true for.
+    LinkSig {
+        link: Arc<Dentry>,
+        sig: Signature,
+        mount: u64,
+    },
 }
 
 impl Kernel {
@@ -253,14 +264,48 @@ impl Kernel {
         s
     }
 
-    /// Rebuilds (and caches) the resumable hash state for a position by
-    /// climbing to the nearest ancestor with a cached state (§3.1).
-    pub(crate) fn rebuild_hash_state(&self, at: &PathRef) -> Option<HashState> {
+    /// The resumable hash state of a position (§3.1): the key's root
+    /// state at the namespace root, elsewhere the dentry's stored state —
+    /// if the walk that signed it came through this mount. A dentry under
+    /// a bind mount has a path per mount and one slot; resuming from the
+    /// other path's state would hash a path nobody asked for.
+    pub(crate) fn state_at(
+        &self,
+        ns: &MountNamespace,
+        mount: &Mount,
+        dentry: &Arc<Dentry>,
+        guard: &crossbeam_epoch::Guard,
+    ) -> Option<HashState> {
+        if ns.is_root(mount, dentry, guard) {
+            return Some(self.dcache.key.root_state());
+        }
+        dentry.hash_state_via(mount.id)
+    }
+
+    /// [`state_at`](Kernel::state_at), rebuilt when the dentry holds none
+    /// for this mount by climbing to the nearest ancestor that does. The
+    /// result is stored only into an empty slot (a cleared state means no
+    /// DLHT membership either, so nothing is contradicted); a dentry
+    /// signed through another mount keeps that signature.
+    pub(crate) fn rebuild_hash_state(
+        &self,
+        ns: &MountNamespace,
+        at: &PathRef,
+        guard: &crossbeam_epoch::Guard,
+    ) -> Option<HashState> {
         let mut names: Vec<Arc<str>> = Vec::new();
         let mut mount = at.mount.clone();
         let mut d = at.dentry.clone();
         let base = loop {
-            if let Some(h) = d.hash_state() {
+            // No path string leads below a mountpoint, into an unmounted
+            // tree or into a removed directory (a cwd or a root may still
+            // sit in any of them): nothing to resume from, and nothing
+            // the walk may publish.
+            let covered = ns.mount_at(mount.id, d.id()).is_some();
+            if covered || d.is_dead() || ns.mount_by_id(mount.id).is_none() {
+                return None;
+            }
+            if let Some(h) = self.state_at(ns, &mount, &d, guard) {
                 break h;
             }
             if Arc::ptr_eq(&d, &mount.root) {
@@ -285,7 +330,9 @@ impl Kernel {
         for n in names.iter().rev() {
             self.dcache.key.push_component(&mut h, n.as_bytes());
         }
-        at.dentry.store_hash_state(h);
+        if at.dentry.hash_state().is_none() {
+            at.dentry.sign(h, at.mount.id);
+        }
         Some(h)
     }
 
@@ -357,8 +404,7 @@ impl Kernel {
                     state,
                     mount,
                 } => {
-                    dentry.store_hash_state(*state);
-                    dentry.set_mount_hint(*mount);
+                    dentry.sign(*state, *mount);
                     // Publish through the namespace's memoized handle so
                     // the dentry records *which table* it lives in: if
                     // the namespace is torn down mid-walk the insert
@@ -370,6 +416,11 @@ impl Kernel {
                 Publish::Pcc { id, seq } => {
                     if let Some(pcc) = &pcc {
                         pcc.insert(*id, *seq);
+                    }
+                }
+                Publish::LinkSig { link, sig, mount } => {
+                    if link.mount_hint() == *mount {
+                        link.store_link_sig(*sig);
                     }
                 }
             }
@@ -387,6 +438,7 @@ impl Kernel {
                             pcc.forget(*id);
                         }
                     }
+                    Publish::LinkSig { link, .. } => link.clear_hash_state(),
                 }
             }
             return false;
@@ -432,6 +484,9 @@ struct SlowWalk<'k> {
     /// root, or the anchor itself had a valid memoized prefix check
     /// (the §3.2 directory-reference rule).
     pcc_ok: bool,
+    /// The process root is the namespace root: an absolute symlink body
+    /// means to this walk what it means to everyone it publishes for.
+    plain_root: bool,
     /// Canonical path of `cur`, maintained only when an LSM needs paths.
     path_str: Option<String>,
     link_depth: u32,
@@ -453,15 +508,9 @@ impl<'k> SlowWalk<'k> {
         };
         let fast = k.dcache.config.fastpath;
         let pcc = fast.then(|| k.dcache.pcc_for(&cred, ns.id));
-        let hstate = if fast {
-            anchor
-                .dentry
-                .hash_state()
-                .or_else(|| k.rebuild_hash_state(&anchor))
-        } else {
-            None
-        };
-        let at_ns_root = Arc::ptr_eq(&anchor.dentry, &ns.root_mount().root);
+        let guard = &crossbeam_epoch::pin();
+        let at_ns_root = ns.is_root(&anchor.mount, &anchor.dentry, guard);
+        let plain_root = ns.is_root(&root.mount, &root.dentry, guard);
         let pcc_ok = fast
             && (at_ns_root
                 || pcc
@@ -469,7 +518,7 @@ impl<'k> SlowWalk<'k> {
                     .is_some_and(|p| p.check(anchor.dentry.id(), anchor.dentry.seq())));
         let path_str = k.security.needs_path().then(|| k.vfs_path_of(&anchor));
         let inv0 = k.dcache.invalidation_counter();
-        SlowWalk {
+        let mut w = SlowWalk {
             k,
             cred,
             ns,
@@ -477,14 +526,32 @@ impl<'k> SlowWalk<'k> {
             cur: anchor,
             fast,
             pcc,
-            hstate,
+            hstate: None,
             alias_parent: None,
             pcc_ok,
+            plain_root,
             path_str,
             link_depth: 0,
             steps: 0,
             publishes: Vec::new(),
             inv0,
+        };
+        w.hstate = w.state_of_cur(true);
+        w
+    }
+
+    /// The literal-path hash state to resume from at `cur` (`None` with
+    /// the fastpath off); with `rebuild`, recomputed from the ancestors
+    /// when `cur`'s dentry holds none for this mount.
+    fn state_of_cur(&self, rebuild: bool) -> Option<HashState> {
+        if !self.fast {
+            return None;
+        }
+        let guard = &crossbeam_epoch::pin();
+        let (mount, dentry) = (&self.cur.mount, &self.cur.dentry);
+        match self.k.state_at(&self.ns, mount, dentry, guard) {
+            None if rebuild => self.k.rebuild_hash_state(&self.ns, &self.cur, guard),
+            stored => stored,
         }
     }
 
@@ -821,24 +888,29 @@ impl<'k> SlowWalk<'k> {
         if !self.fast || !self.cur.mount.sb.fs.supports_fastpath() {
             return;
         }
-        if self.pcc_ok {
-            // Skip the queue when the memoized check is already current;
-            // repeated slowpath walks (mutation-heavy workloads) would
-            // otherwise re-publish every component every time.
-            let already = self
-                .pcc
-                .as_ref()
-                .is_some_and(|p| p.check(dentry.id(), dentry.seq()));
-            if !already {
-                self.publishes.push(Publish::Pcc {
-                    id: dentry.id(),
-                    seq: dentry.seq(),
-                });
-            }
-        }
+        // A memoized prefix check is keyed by dentry, and speaks for the
+        // one path the dentry is signed under (§4.3): it is queued only
+        // beside that signature — not for a walk that has none, and not
+        // for an alias's target, which this walk does not sign.
         let Some(h) = self.hstate else { return };
         match &self.alias_parent {
             None => {
+                if self.pcc_ok {
+                    // Skip the queue when the memoized check is already
+                    // current; repeated slowpath walks (mutation-heavy
+                    // workloads) would otherwise re-publish every
+                    // component every time.
+                    let already = self
+                        .pcc
+                        .as_ref()
+                        .is_some_and(|p| p.check(dentry.id(), dentry.seq()));
+                    if !already {
+                        self.publishes.push(Publish::Pcc {
+                            id: dentry.id(),
+                            seq: dentry.seq(),
+                        });
+                    }
+                }
                 // Invariant: a dentry whose stored hash state equals the
                 // running state is already published in the DLHT under
                 // this signature (stores and membership move together,
@@ -947,11 +1019,7 @@ impl<'k> SlowWalk<'k> {
         // The literal path no longer matches simple extension: reload the
         // canonical state from the parent and drop any alias chain.
         self.alias_parent = None;
-        self.hstate = if self.fast {
-            self.cur.dentry.hash_state()
-        } else {
-            None
-        };
+        self.hstate = self.state_of_cur(false);
         if let Some(p) = &mut self.path_str {
             *p = self.k.vfs_path_of(&self.cur);
         }
@@ -966,6 +1034,7 @@ impl<'k> SlowWalk<'k> {
         let link_inode = link.inode().ok_or(FsError::NoEnt)?;
         let target = self.fs().readlink(link_inode.ino)?;
         let tparsed = split_path(&target)?;
+        let (entered, via) = (self.link_depth, self.cur.mount.id);
         // Literal context to restore afterwards.
         let saved_hstate = self.hstate;
         let saved_alias = self.alias_parent.take();
@@ -973,29 +1042,14 @@ impl<'k> SlowWalk<'k> {
         // canonical; anchor its hash state accordingly.
         if tparsed.absolute {
             self.cur = self.root.clone();
-            self.hstate = if self.fast {
-                self.cur
-                    .dentry
-                    .hash_state()
-                    .or_else(|| self.k.rebuild_hash_state(&self.cur))
-            } else {
-                None
-            };
+            self.hstate = self.state_of_cur(true);
             if let Some(p) = &mut self.path_str {
                 *p = self.k.vfs_path_of(&self.cur);
             }
         } else {
-            self.hstate = if self.fast {
-                if saved_alias.is_none() {
-                    // `cur` (the dir containing the link) is canonical;
-                    // its own stored state anchors the target.
-                    self.cur.dentry.hash_state()
-                } else {
-                    self.cur.dentry.hash_state()
-                }
-            } else {
-                None
-            };
+            // `cur` (the dir containing the link) is canonical; its own
+            // stored state anchors the target.
+            self.hstate = self.state_of_cur(false);
         }
         let comps: Vec<&str> = if self.k.dcache.config.lexical_dotdot {
             lexical_simplify(&tparsed.components)
@@ -1006,25 +1060,34 @@ impl<'k> SlowWalk<'k> {
         if tparsed.require_dir {
             self.ensure_cur_dir()?;
         }
-        // Record the target's signature in the symlink dentry so the
-        // fastpath can chain through it (§4.2).
-        if self.fast && self.alias_parent.is_none() {
-            if let Some(h) = self.hstate {
-                link.store_link_sig(self.k.dcache.key.finish(&h));
-            }
+        // The translation is memoized — the target's signature in the
+        // symlink dentry, so the fastpath can chain through it, and alias
+        // children below it for the literal suffix (§4.2) — only when the
+        // body is a pure extension of the directory it is read in: every
+        // component a real directory entry walked downward. Renaming or
+        // removing any of those shoots the end point down and the memo
+        // with it. A `..`, a symlink crossed on the way, a trailing slash
+        // or (under a `chroot`) a leading one make the end point depend on
+        // something no shootdown ties to it, and the walk stays the only
+        // way through such a link.
+        let pure = self.link_depth == entered
+            && !comps.contains(&"..")
+            && !tparsed.require_dir
+            && (self.plain_root || !tparsed.absolute);
+        let end = self.hstate.filter(|_| pure); // `None` with the fastpath off
+        if let Some(h) = end {
+            let sig = self.k.dcache.key.finish(&h);
+            let (link, mount) = (link.clone(), via);
+            self.publishes.push(Publish::LinkSig { link, sig, mount });
         }
-        // Restore literal tracking; subsequent components extend the alias
-        // chain below the link dentry.
-        self.hstate = saved_hstate;
-        if self.fast {
-            if saved_alias.is_some() {
-                // Nested symlink inside an alias chain: stop publishing
-                // the literal suffix (rare; correctness unaffected).
-                self.alias_parent = None;
-                self.hstate = None;
-            } else {
-                self.alias_parent = Some(link);
-            }
+        if end.is_some() && saved_alias.is_none() {
+            self.hstate = saved_hstate;
+            self.alias_parent = Some(link);
+        } else {
+            // Also a link met inside another link's alias chain: stop
+            // publishing the literal suffix.
+            self.alias_parent = None;
+            self.hstate = None;
         }
         Ok(())
     }

@@ -251,8 +251,7 @@ impl Kernel {
                     }
                 }
             };
-            dentry.store_hash_state(st);
-            dentry.set_mount_hint(root_mount.id);
+            dentry.sign(st, root_mount.id);
             self.dcache.dlht_insert_in(&table, sig, &dentry);
             outcome.published += 1;
             if is_dir {

@@ -28,3 +28,16 @@ pub mod traces;
 pub mod tree;
 
 pub use measure::{ops_per_sec, time_ns, Summary};
+
+/// FNV-1a over a path list, each path closed by a NUL: the tests' pin on
+/// what a seed generates.
+#[cfg(test)]
+pub(crate) fn path_digest<S: AsRef<str>>(paths: impl IntoIterator<Item = S>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for p in paths {
+        for b in p.as_ref().bytes().chain([0]) {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}

@@ -7,9 +7,8 @@
 //! `rename` it to toggle the Seen/Flagged flags, then `readdir` the
 //! mailbox.
 
+use dc_fault::SplitMix64;
 use dc_vfs::{FsResult, Kernel, OpenFlags, Process};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// A provisioned maildir store.
@@ -20,7 +19,7 @@ pub struct MaildirSim {
     messages: Vec<Vec<String>>,
     /// Current flag suffix per message.
     flags: Vec<Vec<&'static str>>,
-    rng: StdRng,
+    rng: SplitMix64,
 }
 
 const FLAG_STATES: [&str; 4] = ["", "S", "F", "FS"];
@@ -65,7 +64,7 @@ impl MaildirSim {
             boxes,
             messages,
             flags,
-            rng: StdRng::seed_from_u64(seed),
+            rng: SplitMix64::new(seed),
         })
     }
 
@@ -77,8 +76,8 @@ impl MaildirSim {
     /// One IMAP mark/unmark operation: rename the message file to its
     /// next flag state, then re-read the mailbox directory.
     pub fn mark_one(&mut self, k: &Kernel, p: &Process) -> FsResult<()> {
-        let b = self.rng.gen_range(0..self.boxes.len());
-        let m = self.rng.gen_range(0..self.messages[b].len());
+        let b = self.rng.below(self.boxes.len() as u64) as usize;
+        let m = self.rng.below(self.messages[b].len() as u64) as usize;
         let cur_flags = self.flags[b][m];
         let next_idx =
             (FLAG_STATES.iter().position(|f| *f == cur_flags).unwrap() + 1) % FLAG_STATES.len();
@@ -128,6 +127,27 @@ mod tests {
                 assert_eq!(entries.len(), 25, "box{b} lost messages");
             }
         }
+    }
+
+    /// Which message each mark picks is the seeded stream's choice; the
+    /// digest was taken before `rand` gave way to `SplitMix64` (PR 17).
+    #[test]
+    fn the_marks_of_seed_99_are_pinned() {
+        let k = KernelBuilder::new(DcacheConfig::optimized().with_seed(12))
+            .build()
+            .unwrap();
+        let p = k.init_process();
+        let mut sim = MaildirSim::provision(&k, &p, "/mail", 3, 25, 99).unwrap();
+        for _ in 0..100 {
+            sim.mark_one(&k, &p).unwrap();
+        }
+        let mut names = Vec::new();
+        for b in 0..3 {
+            let dir = format!("/mail/box{b:02}/cur");
+            names.extend(k.list_dir(&p, &dir).unwrap().into_iter().map(|e| e.name));
+        }
+        names.sort();
+        assert_eq!(crate::path_digest(&names), 587_813_720_436_405_635);
     }
 
     #[test]

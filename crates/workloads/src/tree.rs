@@ -1,9 +1,8 @@
 //! File-tree builders and manifests.
 
+use dc_fault::SplitMix64;
 use dc_fs::FsResult;
 use dc_vfs::{Kernel, OpenFlags, Process};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// What got built: directories and files by full path.
 #[derive(Debug, Default, Clone)]
@@ -72,15 +71,15 @@ const NAME_PARTS: &[&str] = &[
 ];
 const EXTS: &[&str] = &["c", "h", "rs", "o", "txt", "mk"];
 
-fn gen_name(rng: &mut StdRng, i: usize) -> String {
-    let a = NAME_PARTS[rng.gen_range(0..NAME_PARTS.len())];
+fn gen_name(rng: &mut SplitMix64, i: usize) -> String {
+    let a = NAME_PARTS[rng.below(NAME_PARTS.len() as u64) as usize];
     format!("{a}{i:03}")
 }
 
 /// Builds the hierarchy under `root` through the syscall API, so the
 /// dcache observes realistic creation traffic. Returns the manifest.
 pub fn build_tree(k: &Kernel, p: &Process, root: &str, spec: &TreeSpec) -> FsResult<Manifest> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let mut rng = SplitMix64::new(spec.seed);
     let mut m = Manifest::default();
     k.mkdir(p, root, 0o755)?;
     m.dirs.push(root.to_string());
@@ -107,7 +106,7 @@ pub fn build_tree(k: &Kernel, p: &Process, root: &str, spec: &TreeSpec) -> FsRes
     // Files in the leaf directories (and a few in interior ones).
     for dir in &level {
         for i in 0..spec.files_per_dir {
-            let ext = EXTS[rng.gen_range(0..EXTS.len())];
+            let ext = EXTS[rng.below(EXTS.len() as u64) as usize];
             let f = format!("{dir}/{}.{ext}", gen_name(&mut rng, i));
             let fd = k.open(p, &f, OpenFlags::create(), 0o644)?;
             k.write_fd(p, fd, format!("content of {f}\n").as_bytes())?;
@@ -216,6 +215,19 @@ mod tests {
         for d in m.dirs.iter().step_by(7) {
             assert!(k.stat(&p, d).unwrap().ftype.is_dir());
         }
+    }
+
+    /// The generator swap of PR 17 (`rand`'s `gen_range(0..n)` to
+    /// `SplitMix64::below(n)`) moved no name: this digest was taken with
+    /// the old generator.
+    #[test]
+    fn the_tree_of_the_default_seed_is_pinned() {
+        let (k, p) = kp();
+        let m = build_tree(&k, &p, "/src", &TreeSpec::source_like(200)).unwrap();
+        assert_eq!(
+            crate::path_digest(m.dirs.iter().chain(&m.files)),
+            14_113_989_021_181_278_266
+        );
     }
 
     #[test]

@@ -405,3 +405,106 @@ fn a_revalidation_under_a_rename_memoizes_no_directory() {
     let stop = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f3").is_ok()));
     assert_eq!(stop, (1, 1));
 }
+
+fn both_configs() -> [DcacheConfig; 2] {
+    [DcacheConfig::baseline(), DcacheConfig::optimized()]
+}
+
+/// ROADMAP 1(e), the stale chain (seed 1262 of the equivalence soak at
+/// `d024490`, shrunk to these seven steps): `/x -> delta/delta/alpha`,
+/// `/delta -> /.`. What a walk through `/x` memoizes below it resolved
+/// *through* `/delta`, and nothing ties it to `/delta` staying there:
+/// after `unlink /delta`, `/x/gamma` still answered `ENOTDIR` — the file
+/// `/alpha` the dead chain ended at (baseline: `ENOENT`).
+#[test]
+fn a_translation_through_a_second_link_dies_with_that_link() {
+    for config in both_configs() {
+        let k = KernelBuilder::new(config.with_seed(99)).build().unwrap();
+        let p = k.init_process();
+        k.symlink(&p, "delta/delta/alpha", "/gamma").unwrap();
+        k.symlink(&p, "/.", "/delta").unwrap();
+        k.rename(&p, "/gamma", "/x").unwrap();
+        touch(&k, &p, "/alpha");
+        let create = k.open(&p, "/x/gamma/beta", OpenFlags::create(), 0o644);
+        assert_eq!(create.unwrap_err(), FsError::NotDir);
+        k.unlink(&p, "/delta").unwrap();
+        for _ in 0..2 {
+            assert_eq!(k.list_dir(&p, "/x/gamma").unwrap_err(), FsError::NoEnt);
+            assert_eq!(k.stat(&p, "/x"), Err(FsError::NoEnt));
+        }
+    }
+}
+
+/// The same for a body that climbs: `/x -> beta/../delta` ends at
+/// `/delta` only while `/beta` is there to climb out of.
+#[test]
+fn a_translation_through_dotdot_dies_with_the_directory_it_climbed() {
+    for config in both_configs() {
+        let k = KernelBuilder::new(config.with_seed(99)).build().unwrap();
+        let p = k.init_process();
+        k.mkdir(&p, "/delta", 0o755).unwrap();
+        k.mkdir(&p, "/beta", 0o755).unwrap();
+        touch(&k, &p, "/delta/f");
+        k.symlink(&p, "beta/../delta", "/x").unwrap();
+        for _ in 0..2 {
+            assert!(k.stat(&p, "/x").unwrap().ftype.is_dir());
+            assert!(k.stat(&p, "/x/f").is_ok());
+        }
+        k.rename(&p, "/beta", "/alpha").unwrap();
+        for _ in 0..2 {
+            assert_eq!(k.stat(&p, "/x"), Err(FsError::NoEnt));
+            assert_eq!(k.stat(&p, "/x/f"), Err(FsError::NoEnt));
+        }
+    }
+}
+
+/// A relative body means something else once the link itself moves:
+/// `/alpha -> delta` is `/delta`, and after `mv /alpha /delta/x` it is
+/// `/delta/delta`. The recorded end point goes with the link's hash state.
+#[test]
+fn a_renamed_link_forgets_where_it_used_to_end() {
+    for config in both_configs() {
+        let k = KernelBuilder::new(config.with_seed(99)).build().unwrap();
+        let p = k.init_process();
+        k.mkdir(&p, "/delta", 0o755).unwrap();
+        k.symlink(&p, "delta", "/alpha").unwrap();
+        assert!(k.stat(&p, "/alpha").unwrap().ftype.is_dir());
+        k.rename(&p, "/alpha", "/delta/x").unwrap();
+        for _ in 0..3 {
+            assert_eq!(k.stat(&p, "/delta/x"), Err(FsError::NoEnt));
+        }
+        k.mkdir(&p, "/delta/delta", 0o755).unwrap();
+        let inner = k.stat(&p, "/delta/delta").unwrap().ino;
+        assert_eq!(k.stat(&p, "/delta/x").unwrap().ino, inner);
+    }
+}
+
+/// What the purity rule keeps: a plain body — every component a real
+/// entry walked downward, like `repro fig6`'s `link-f` and `link-d` —
+/// chains on the fastpath, as a final component and as a prefix, and a
+/// rename of its end point still reaches it.
+#[test]
+fn a_plain_link_body_still_chains_on_the_fastpath() {
+    let (k, p) = optimized();
+    k.mkdir(&p, "/d", 0o755).unwrap();
+    k.mkdir(&p, "/d/sub", 0o755).unwrap();
+    touch(&k, &p, "/d/sub/f");
+    k.symlink(&p, "sub/f", "/d/to-f").unwrap();
+    k.symlink(&p, "/d/sub", "/to-d").unwrap();
+    for path in ["/d/to-f", "/to-d", "/to-d/f"] {
+        k.stat(&p, path).unwrap();
+        let walks = k.dcache.stats.slow_walks.load(Ordering::Relaxed);
+        for _ in 0..4 {
+            k.stat(&p, path).unwrap();
+        }
+        assert_eq!(
+            k.dcache.stats.slow_walks.load(Ordering::Relaxed),
+            walks,
+            "{path} left the fastpath"
+        );
+    }
+    k.rename(&p, "/d/sub", "/d/moved").unwrap();
+    for path in ["/d/to-f", "/to-d", "/to-d/f"] {
+        assert_eq!(k.stat(&p, path), Err(FsError::NoEnt), "{path}");
+    }
+}

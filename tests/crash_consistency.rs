@@ -11,8 +11,11 @@
 //! tree — and a remount after recovery starts with a genuinely cold
 //! cache.
 
-use dcache_repro::blockdev::{CachedDisk, CrashMonitor, DiskConfig, LatencyModel};
-use dcache_repro::fs::{fsck, FileSystem, FileType, MemFs, MemFsConfig, SetAttr};
+mod common;
+
+use common::{apply, run_ops, Op};
+use dcache_repro::blockdev::{CachedDisk, CrashMonitor, LatencyModel};
+use dcache_repro::fs::{fsck, tree_sig, FileSystem, MemFs, MemFsConfig};
 use dcache_repro::{DcacheConfig, KernelBuilder, OpenFlags};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,35 +25,11 @@ const TEAR_PROB: f64 = 0.3;
 const CACHE_PAGES: usize = 256;
 
 fn new_disk() -> Arc<CachedDisk> {
-    Arc::new(CachedDisk::new(DiskConfig {
-        capacity_blocks: 1 << 14,
-        cache_pages: CACHE_PAGES,
-        latency: LatencyModel::free(),
-        ..Default::default()
-    }))
+    common::new_disk(1 << 14, CACHE_PAGES)
 }
 
 fn new_fs(disk: Arc<CachedDisk>) -> Arc<MemFs> {
-    MemFs::mkfs(
-        disk,
-        MemFsConfig {
-            max_inodes: 1 << 12,
-            ..Default::default()
-        },
-    )
-    .unwrap()
-}
-
-/// One path-addressed metadata op; resolving by name at apply time
-/// keeps the stream replayable on any file system state.
-#[derive(Clone, Debug)]
-enum Op {
-    Mkdir(String),
-    Create(usize, String),
-    Write(usize, String, usize),
-    Unlink(usize, String),
-    Rename(usize, String, usize, String),
-    Chmod(usize, String, u16),
+    common::new_fs(disk, 1 << 12)
 }
 
 const DIRS: usize = 6;
@@ -64,121 +43,25 @@ fn dirname(d: usize) -> String {
 /// unlinking an already-renamed file) — failures commit nothing and
 /// replay identically.
 fn op_stream(count: usize) -> Vec<Op> {
-    let mut ops: Vec<Op> = (0..DIRS).map(|d| Op::Mkdir(dirname(d))).collect();
+    let mut ops: Vec<Op> = (0..DIRS)
+        .map(|d| Op::Mkdir(String::new(), dirname(d)))
+        .collect();
     for i in 0..count {
-        let d = i % DIRS;
+        let d = dirname(i % DIRS);
         ops.push(match i % 8 {
             0 | 1 | 2 | 6 => Op::Create(d, format!("f{i}")),
             3 => Op::Write(d, format!("f{}", i - 3), (i * 37) % 5000 + 1),
-            4 => Op::Unlink((i - 2) % DIRS, format!("f{}", i - 2)),
+            4 => Op::Unlink(dirname((i - 2) % DIRS), format!("f{}", i - 2)),
             5 => Op::Rename(
-                (i - 5) % DIRS,
+                dirname((i - 5) % DIRS),
                 format!("f{}", i - 5),
-                (i + 1) % DIRS,
+                dirname((i + 1) % DIRS),
                 format!("r{i}"),
             ),
             _ => Op::Chmod(d, format!("f{}", i - 1), 0o600 + (i % 0o70) as u16),
         });
     }
     ops
-}
-
-fn apply(fs: &MemFs, op: &Op) -> bool {
-    let root = fs.root_ino();
-    let dir = |d: &usize| fs.lookup(root, &dirname(*d)).map(|a| a.ino);
-    match op {
-        Op::Mkdir(name) => fs.mkdir(root, name, 0o755, 0, 0).is_ok(),
-        Op::Create(d, name) => match dir(d) {
-            Ok(di) => fs.create(di, name, 0o644, 0, 0).is_ok(),
-            Err(_) => false,
-        },
-        Op::Write(d, name, len) => match dir(d).and_then(|di| fs.lookup(di, name)) {
-            Ok(a) => fs.write(a.ino, 0, &vec![0x5Au8; *len]).is_ok(),
-            Err(_) => false,
-        },
-        Op::Unlink(d, name) => match dir(d) {
-            Ok(di) => fs.unlink(di, name).is_ok(),
-            Err(_) => false,
-        },
-        Op::Rename(od, on, nd, nn) => match (dir(od), dir(nd)) {
-            (Ok(a), Ok(b)) => fs.rename(a, on, b, nn).is_ok(),
-            _ => false,
-        },
-        Op::Chmod(d, name, mode) => match dir(d).and_then(|di| fs.lookup(di, name)) {
-            Ok(a) => fs
-                .setattr(
-                    a.ino,
-                    SetAttr {
-                        mode: Some(*mode),
-                        ..Default::default()
-                    },
-                )
-                .is_ok(),
-            Err(_) => false,
-        },
-    }
-}
-
-/// Comparable metadata lines for the whole tree (type, mode, nlink,
-/// size, link target — times excluded, content excluded: data blocks
-/// are write-back, the journal guarantees the metadata tree).
-fn tree_sig(fs: &MemFs, ino: u64, path: &str, out: &mut Vec<String>) {
-    let a = fs.getattr(ino).expect("reachable inode readable");
-    let link = if a.ftype == FileType::Symlink {
-        fs.readlink(ino).unwrap_or_default()
-    } else {
-        String::new()
-    };
-    out.push(format!(
-        "{path} {:?} {:o} {} {} {link}",
-        a.ftype, a.mode, a.nlink, a.size
-    ));
-    if !a.ftype.is_dir() {
-        return;
-    }
-    let mut entries = Vec::new();
-    let mut cursor = 0u64;
-    while let Some(next) = fs.readdir(ino, cursor, 64, &mut entries).unwrap() {
-        cursor = next;
-    }
-    entries.sort_by(|x, y| x.name.cmp(&y.name));
-    for e in entries {
-        tree_sig(fs, e.ino, &format!("{path}/{}", e.name), out);
-    }
-}
-
-fn full_sig(fs: &MemFs) -> Vec<String> {
-    let mut out = Vec::new();
-    tree_sig(fs, fs.root_ino(), "", &mut out);
-    out
-}
-
-/// Runs the op stream; returns `(boundaries, writes_during)` where a
-/// boundary is `(committed_seq, ops_applied)` after each success.
-fn run_ops(
-    fs: &MemFs,
-    ops: &[Op],
-    monitor: Option<&Arc<CrashMonitor>>,
-) -> (Vec<(u64, usize)>, u64) {
-    fs.sync().unwrap();
-    let writes0 = fs.disk().stats().device_writes;
-    if let Some(m) = monitor {
-        m.arm();
-    }
-    let mut boundaries = vec![(fs.journal_seq().unwrap(), 0usize)];
-    for (i, op) in ops.iter().enumerate() {
-        if apply(fs, op) {
-            let seq = fs.journal_seq().unwrap();
-            match boundaries.last_mut() {
-                Some(last) if last.0 == seq => last.1 = i + 1,
-                _ => boundaries.push((seq, i + 1)),
-            }
-        }
-    }
-    if let Some(m) = monitor {
-        m.disarm();
-    }
-    (boundaries, fs.disk().stats().device_writes - writes0)
 }
 
 #[test]
@@ -242,8 +125,8 @@ fn seeded_crash_campaign_recovers_to_committed_prefix() {
             applied += 1;
         }
         assert_eq!(
-            full_sig(&rfs),
-            full_sig(&shadow),
+            tree_sig(&*rfs),
+            tree_sig(&*shadow),
             "cut@{cut}: recovered tree differs from the {prefix}-op shadow prefix"
         );
     }

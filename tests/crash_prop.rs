@@ -1,244 +1,158 @@
 //! Property test: crash consistency holds for *arbitrary* op streams
 //! and *arbitrary* cut points, not just the seeded campaign.
 //!
-//! proptest generates a random metadata op sequence and a random
-//! fraction of the run's device-write stream; power is cut at that
-//! write (sometimes tearing it), the image is remounted, and the
-//! recovered file system must (a) pass `fsck` with zero errors and
-//! (b) present exactly the metadata tree of the committed-operation
-//! prefix the journal recovered to — replayed on a shadow file system.
-//!
-//! Gated behind `--features proptest-tests` (the vendored placeholder
-//! crate cannot run real property tests); CI's nightly lane runs it.
+//! A case is a random metadata op sequence and a random fraction of the
+//! run's device-write stream; power is cut at that write (sometimes
+//! tearing it), the image is remounted, and the recovered file system
+//! must (a) pass `fsck` with zero errors and (b) present exactly the
+//! metadata tree of the committed-operation prefix the journal recovered
+//! to — replayed on a shadow file system. Cases come from
+//! `dc_fault::check`, which shrinks a failing op list.
 
-use dcache_repro::blockdev::{CachedDisk, CrashMonitor, DiskConfig, LatencyModel};
-use dcache_repro::fs::{fsck, FileSystem, FileType, MemFs, MemFsConfig, SetAttr};
-use proptest::prelude::*;
+mod common;
+
+use common::{apply, run_ops, Op};
+use dcache_repro::blockdev::{CachedDisk, CrashMonitor, LatencyModel};
+use dcache_repro::fault::{check, SplitMix64};
+use dcache_repro::fs::{fsck, tree_sig, FileSystem, MemFs};
 use std::sync::Arc;
 
 const CACHE_PAGES: usize = 128;
 
-fn new_disk() -> Arc<CachedDisk> {
-    Arc::new(CachedDisk::new(DiskConfig {
-        capacity_blocks: 1 << 13,
-        cache_pages: CACHE_PAGES,
-        latency: LatencyModel::free(),
-        ..Default::default()
-    }))
-}
-
-fn new_fs(disk: Arc<CachedDisk>) -> Arc<MemFs> {
-    MemFs::mkfs(
-        disk,
-        MemFsConfig {
-            max_inodes: 1 << 10,
-            ..Default::default()
-        },
-    )
-    .unwrap()
-}
-
-/// Path-addressed ops over a tiny namespace (two directory levels, six
-/// names) so sequences collide often: creates over existing names,
-/// unlinks of ghosts, renames across directories.
-#[derive(Clone, Debug)]
-enum Op {
-    Mkdir(u8, &'static str),
-    Create(u8, &'static str),
-    Symlink(u8, &'static str),
-    Write(u8, &'static str, usize),
-    Unlink(u8, &'static str),
-    Rmdir(u8, &'static str),
-    Rename(u8, &'static str, u8, &'static str),
-    Chmod(u8, &'static str, u16),
-}
-
+/// A tiny namespace (three top-level directories, six names) so
+/// sequences collide often: creates over existing names, unlinks of
+/// ghosts, renames across directories.
 const NAMES: [&str; 6] = ["alpha", "beta", "gamma", "delta", "x", "zz"];
-const TOPS: usize = 3;
+const TOPS: u64 = 3;
 
-fn name() -> impl Strategy<Value = &'static str> {
-    (0usize..NAMES.len()).prop_map(|i| NAMES[i])
-}
-
-fn top() -> impl Strategy<Value = u8> {
-    0u8..TOPS as u8
-}
-
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (top(), name()).prop_map(|(d, n)| Op::Create(d, n)),
-        2 => (top(), name()).prop_map(|(d, n)| Op::Mkdir(d, n)),
-        1 => (top(), name()).prop_map(|(d, n)| Op::Symlink(d, n)),
-        1 => (top(), name(), 1usize..6000).prop_map(|(d, n, l)| Op::Write(d, n, l)),
-        2 => (top(), name()).prop_map(|(d, n)| Op::Unlink(d, n)),
-        1 => (top(), name()).prop_map(|(d, n)| Op::Rmdir(d, n)),
-        2 => (top(), name(), top(), name()).prop_map(|(a, b, c, d)| Op::Rename(a, b, c, d)),
-        1 => (top(), name(), prop_oneof![Just(0o600u16), Just(0o755), Just(0o444)])
-            .prop_map(|(d, n, m)| Op::Chmod(d, n, m)),
-    ]
-}
-
-fn topname(d: u8) -> String {
-    format!("t{d}")
-}
-
-/// Applies one op, resolving paths by lookup so the same stream replays
-/// on any file-system state. Failures are expected and commit nothing.
-fn apply(fs: &MemFs, op: &Op) -> bool {
-    let root = fs.root_ino();
-    let dir = |d: u8| fs.lookup(root, &topname(d)).map(|a| a.ino);
-    match op {
-        Op::Mkdir(d, n) => dir(*d).and_then(|di| fs.mkdir(di, n, 0o755, 0, 0)).is_ok(),
-        Op::Create(d, n) => dir(*d).and_then(|di| fs.create(di, n, 0o644, 0, 0)).is_ok(),
-        Op::Symlink(d, n) => dir(*d)
-            .and_then(|di| fs.symlink(di, n, "../target", 0, 0))
-            .is_ok(),
-        Op::Write(d, n, len) => dir(*d)
-            .and_then(|di| fs.lookup(di, n))
-            .and_then(|a| fs.write(a.ino, 0, &vec![0x77u8; *len]))
-            .is_ok(),
-        Op::Unlink(d, n) => dir(*d).and_then(|di| fs.unlink(di, n)).is_ok(),
-        Op::Rmdir(d, n) => dir(*d).and_then(|di| fs.rmdir(di, n)).is_ok(),
-        Op::Rename(od, on, nd, nn) => match (dir(*od), dir(*nd)) {
-            (Ok(a), Ok(b)) => fs.rename(a, on, b, nn).is_ok(),
-            _ => false,
-        },
-        Op::Chmod(d, n, m) => dir(*d)
-            .and_then(|di| fs.lookup(di, n))
-            .and_then(|a| {
-                fs.setattr(
-                    a.ino,
-                    SetAttr {
-                        mode: Some(*m),
-                        ..Default::default()
-                    },
-                )
-            })
-            .is_ok(),
+fn op(rng: &mut SplitMix64) -> Op {
+    let mut top = || format!("t{}", rng.below(TOPS));
+    let (d, d2) = (top(), top());
+    let mut name = || NAMES[rng.below(NAMES.len() as u64) as usize].to_string();
+    let (n, n2) = (name(), name());
+    match rng.below(13) {
+        0..=2 => Op::Create(d, n),
+        3..=4 => Op::Mkdir(d, n),
+        5 => Op::Symlink(d, n),
+        6 => Op::Write(d, n, 1 + rng.below(5999) as usize),
+        7..=8 => Op::Unlink(d, n),
+        9 => Op::Rmdir(d, n),
+        10..=11 => Op::Rename(d, n, d2, n2),
+        _ => Op::Chmod(d, n, [0o600, 0o755, 0o444][rng.below(3) as usize]),
     }
 }
 
-fn tree_sig(fs: &MemFs, ino: u64, path: &str, out: &mut Vec<String>) {
-    let a = fs.getattr(ino).expect("reachable inode readable");
-    let link = if a.ftype == FileType::Symlink {
-        fs.readlink(ino).unwrap_or_default()
-    } else {
-        String::new()
+/// Where the cut falls (‰ of the run's device writes) and whether and how
+/// the in-flight write tears.
+#[derive(Debug)]
+struct Cut {
+    frac: u64,
+    tear_seed: u64,
+    tear: bool,
+}
+
+fn case(rng: &mut SplitMix64) -> (Cut, Vec<Op>) {
+    let ops = (0..10 + rng.below(70)).map(|_| op(rng)).collect();
+    let cut = Cut {
+        frac: 1 + rng.below(1000),
+        tear_seed: rng.next_u64(),
+        tear: rng.below(2) == 1,
     };
-    out.push(format!(
-        "{path} {:?} {:o} {} {} {link}",
-        a.ftype, a.mode, a.nlink, a.size
-    ));
-    if !a.ftype.is_dir() {
+    (cut, ops)
+}
+
+/// A fresh file system with the top-level directories planted.
+fn planted_fs(disk: Arc<CachedDisk>) -> Arc<MemFs> {
+    let fs = common::new_fs(disk, 1 << 10);
+    for d in 0..TOPS {
+        assert!(apply(&fs, &Op::Mkdir(String::new(), format!("t{d}"))));
+    }
+    fs
+}
+
+fn any_cut_point_recovers_to_a_committed_prefix(cut: &Cut, ops: &[Op]) {
+    // Pass 1: learn the write count for this particular stream.
+    let (_, writes) = run_ops(
+        &planted_fs(common::new_disk(1 << 13, CACHE_PAGES)),
+        ops,
+        None,
+    );
+    if writes == 0 {
         return;
     }
-    let mut entries = Vec::new();
-    let mut cursor = 0u64;
-    while let Some(next) = fs.readdir(ino, cursor, 64, &mut entries).unwrap() {
-        cursor = next;
-    }
-    entries.sort_by(|x, y| x.name.cmp(&y.name));
-    for e in entries {
-        tree_sig(fs, e.ino, &format!("{path}/{}", e.name), out);
-    }
+
+    // Pass 2: identical run, cut at the chosen write ordinal.
+    let ordinal = 1 + (writes - 1) * cut.frac / 1000;
+    let tear_prob = if cut.tear { 1.0 } else { 0.0 };
+    let monitor = Arc::new(CrashMonitor::at_points(
+        vec![ordinal],
+        cut.tear_seed,
+        tear_prob,
+    ));
+    let disk = common::new_disk(1 << 13, CACHE_PAGES);
+    disk.attach_crash_monitor(monitor.clone());
+    let (boundaries, _) = run_ops(&planted_fs(disk), ops, Some(&monitor));
+    let images = monitor.take_images();
+    assert_eq!(images.len(), 1, "the scheduled cut must fire");
+    let img = &images[0];
+
+    // Remount, fsck, prefix-compare.
+    let rdisk = Arc::new(CachedDisk::from_image(
+        img,
+        CACHE_PAGES,
+        LatencyModel::free(),
+    ));
+    let rfs = MemFs::mount(rdisk.clone()).expect("remount after cut");
+    let report = fsck(&rdisk).unwrap();
+    assert!(
+        report.is_clean(),
+        "cut@{} (torn: {:?}): fsck errors: {:?}",
+        img.cut_at_write,
+        img.torn_block,
+        report.errors
+    );
+    let rseq = rfs.recovered_seq();
+    let idx = boundaries
+        .binary_search_by_key(&rseq, |b| b.0)
+        .unwrap_or_else(|_| {
+            panic!("recovered seq {rseq} is not a committed-op boundary ({boundaries:?})")
+        });
+    let prefix = boundaries[idx].1;
+    let shadow = planted_fs(common::new_disk(1 << 13, CACHE_PAGES));
+    run_ops(&shadow, &ops[..prefix], None);
+    assert_eq!(
+        tree_sig(&*rfs),
+        tree_sig(&*shadow),
+        "cut@{}: recovered tree differs from the {prefix}-op shadow prefix",
+        img.cut_at_write
+    );
 }
 
-fn full_sig(fs: &MemFs) -> Vec<String> {
-    let mut out = Vec::new();
-    tree_sig(fs, fs.root_ino(), "", &mut out);
-    out
+#[test]
+fn any_cut_point_recovers() {
+    check(0..200, case, any_cut_point_recovers_to_a_committed_prefix);
 }
 
-/// Runs the stream after planting the top-level dirs; returns the
-/// committed-op boundaries `(seq, ops_applied)` and the device writes
-/// issued while armed.
-fn run_ops(
-    fs: &MemFs,
-    ops: &[Op],
-    monitor: Option<&Arc<CrashMonitor>>,
-) -> (Vec<(u64, usize)>, u64) {
-    for d in 0..TOPS as u8 {
-        fs.mkdir(fs.root_ino(), &topname(d), 0o755, 0, 0).unwrap();
-    }
+#[test]
+#[ignore = "soak: 100x the Tier-1 cases, for the nightly lane"]
+fn any_cut_point_recovers_soak() {
+    check(
+        200..20_000,
+        case,
+        any_cut_point_recovers_to_a_committed_prefix,
+    );
+}
+
+/// `MemFs::write` used to walk a symlink's inline target as a block map
+/// (case 12 at `d024490`, with no cut at all: `fsck` reported
+/// `BlockOutOfRange`); the write is now refused and the image stays clean.
+#[test]
+fn a_write_to_a_symlink_name_leaves_a_clean_image() {
+    let disk = common::new_disk(1 << 13, CACHE_PAGES);
+    let fs = planted_fs(disk.clone());
+    assert!(apply(&fs, &Op::Symlink("t0".into(), "x".into())));
+    assert!(!apply(&fs, &Op::Write("t0".into(), "x".into(), 4000)));
     fs.sync().unwrap();
-    let writes0 = fs.disk().stats().device_writes;
-    if let Some(m) = monitor {
-        m.arm();
-    }
-    let mut boundaries = vec![(fs.journal_seq().unwrap(), 0usize)];
-    for (i, op) in ops.iter().enumerate() {
-        if apply(fs, op) {
-            let seq = fs.journal_seq().unwrap();
-            match boundaries.last_mut() {
-                Some(last) if last.0 == seq => last.1 = i + 1,
-                _ => boundaries.push((seq, i + 1)),
-            }
-        }
-    }
-    if let Some(m) = monitor {
-        m.disarm();
-    }
-    (boundaries, fs.disk().stats().device_writes - writes0)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 32,
-        max_shrink_iters: 400,
-        ..ProptestConfig::default()
-    })]
-
-    #[test]
-    fn any_cut_point_recovers_to_a_committed_prefix(
-        ops in prop::collection::vec(op(), 10..80),
-        cut_frac in 1u32..=1000,
-        tear_seed in any::<u64>(),
-        tear in prop::bool::ANY,
-    ) {
-        // Pass 1: learn the write count for this particular stream.
-        let fs1 = new_fs(new_disk());
-        let (_, writes) = run_ops(&fs1, &ops, None);
-        prop_assume!(writes > 0);
-
-        // Pass 2: identical run, cut at the chosen write ordinal.
-        let ordinal = 1 + (writes - 1) * cut_frac as u64 / 1000;
-        let monitor = Arc::new(CrashMonitor::at_points(
-            vec![ordinal],
-            tear_seed,
-            if tear { 1.0 } else { 0.0 },
-        ));
-        let disk = new_disk();
-        disk.attach_crash_monitor(monitor.clone());
-        let fs2 = new_fs(disk);
-        let (boundaries, _) = run_ops(&fs2, &ops, Some(&monitor));
-        let images = monitor.take_images();
-        prop_assert_eq!(images.len(), 1, "the scheduled cut must fire");
-        let img = &images[0];
-
-        // Remount, fsck, prefix-compare.
-        let rdisk = Arc::new(CachedDisk::from_image(img, CACHE_PAGES, LatencyModel::free()));
-        let rfs = MemFs::mount(rdisk.clone()).expect("remount after cut");
-        let report = fsck(&rdisk).unwrap();
-        prop_assert!(
-            report.is_clean(),
-            "cut@{} (torn: {:?}): fsck errors: {:?}",
-            img.cut_at_write, img.torn_block, report.errors
-        );
-        let rseq = rfs.recovered_seq();
-        let idx = boundaries.binary_search_by_key(&rseq, |b| b.0);
-        prop_assert!(
-            idx.is_ok(),
-            "recovered seq {} is not a committed-op boundary ({:?})",
-            rseq, boundaries
-        );
-        let prefix = boundaries[idx.unwrap()].1;
-        let shadow = new_fs(new_disk());
-        let (_, _) = run_ops(&shadow, &ops[..prefix], None);
-        prop_assert_eq!(
-            full_sig(&rfs),
-            full_sig(&shadow),
-            "cut@{}: recovered tree differs from the {}-op shadow prefix",
-            img.cut_at_write, prefix
-        );
-    }
+    let report = fsck(&disk).unwrap();
+    assert!(report.is_clean(), "{:?}", report.errors);
 }

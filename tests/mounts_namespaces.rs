@@ -286,3 +286,197 @@ fn umount_busy_and_invalid_cases() {
         assert_eq!(k.rmdir(&root, "/m2"), Err(FsError::Busy));
     });
 }
+
+/// ROADMAP 1(d): a dentry's stored hash state is the path the *last* walk
+/// took, through the mount it took it by. Binding `/` over `/x` and
+/// walking into it re-signs the root dentry as `/x`; at `d024490` every
+/// absolute lookup then resumed from that state, so `/x` hashed as `/x/x`
+/// and answered with the covered directory.
+#[test]
+fn an_ancestor_bound_over_a_descendant_does_not_resign_the_root() {
+    both(|k, root| {
+        let root_ino = k.stat(&root, "/").unwrap().ino;
+        k.mkdir(&root, "/x", 0o755).unwrap();
+        let covered = k.stat(&root, "/x").unwrap().ino;
+        k.bind_mount(&root, "/", "/x").unwrap();
+        for _ in 0..2 {
+            assert_eq!(k.lstat(&root, "/x/x").unwrap().ino, covered);
+            assert_eq!(k.stat(&root, "/x").unwrap().ino, root_ino);
+            assert_eq!(k.stat(&root, "/x/x").unwrap().ino, covered);
+            assert_eq!(k.stat(&root, "/x/x/x"), Err(FsError::NoEnt));
+        }
+    });
+}
+
+/// The same rule for any anchor: a cwd reached through one mount does not
+/// resume from the state a walk through the other mount left in its
+/// dentry (`..` from `/view/sub` is `/view`, from `/data/sub` `/data`).
+#[test]
+fn a_cwd_resumes_only_from_a_state_signed_through_its_own_mount() {
+    both(|k, root| {
+        k.mkdir(&root, "/data", 0o755).unwrap();
+        k.mkdir(&root, "/data/sub", 0o755).unwrap();
+        k.mkdir(&root, "/view", 0o755).unwrap();
+        k.bind_mount(&root, "/data", "/view").unwrap();
+        k.mkdir(&root, "/only-in-root", 0o755).unwrap();
+        let via_data = k.spawn(&root);
+        k.chdir(&via_data, "/data/sub").unwrap();
+        let via_view = k.spawn(&root);
+        k.chdir(&via_view, "/view/sub").unwrap();
+        let fd = k
+            .open(&root, "/data/sub/f", OpenFlags::create(), 0o644)
+            .unwrap();
+        k.close(&root, fd).unwrap();
+        let f = k.stat(&root, "/data/sub/f").unwrap().ino;
+        for _ in 0..2 {
+            for p in [&via_data, &via_view] {
+                assert_eq!(k.stat(p, "f").unwrap().ino, f);
+                assert_eq!(k.stat(p, "../sub/f").unwrap().ino, f);
+                assert!(k.stat(p, "../../only-in-root").is_ok());
+            }
+            assert_eq!(k.getcwd(&via_data), "/data/sub");
+            assert_eq!(k.getcwd(&via_view), "/view/sub");
+        }
+    });
+}
+
+/// No path string leads below a mountpoint. A process whose root was
+/// mounted over still walks the covered directory, and at `d024490` what
+/// it looked up there was published under the path that now crosses the
+/// mount: its miss on `/alpha` became everyone's `ENOENT` for
+/// `/beta/alpha`.
+#[test]
+fn a_walk_below_a_covered_root_publishes_nothing() {
+    both(|k, root| {
+        k.mkdir(&root, "/beta", 0o755).unwrap();
+        let under = k.spawn(&root);
+        k.chroot(&under, "/beta").unwrap();
+        k.bind_mount(&root, "/", "/beta").unwrap();
+        k.mkdir(&root, "/alpha", 0o755).unwrap();
+        let alpha = k.stat(&root, "/alpha").unwrap().ino;
+        for _ in 0..2 {
+            assert_eq!(k.stat(&under, "/alpha"), Err(FsError::NoEnt));
+            assert_eq!(k.stat(&root, "/beta/alpha").unwrap().ino, alpha);
+        }
+    });
+}
+
+/// A mounted-on directory is busy by whichever alias of its tree the
+/// caller names it (Linux's `d_mountpoint`): with `/` bound over
+/// `/gamma`, `/gamma/gamma` is the mountpoint itself.
+#[test]
+fn a_mountpoint_is_busy_through_every_alias() {
+    both(|k, root| {
+        k.mkdir(&root, "/gamma", 0o755).unwrap();
+        k.mkdir(&root, "/other", 0o755).unwrap();
+        k.bind_mount(&root, "/", "/gamma").unwrap();
+        assert_eq!(k.rmdir(&root, "/gamma/gamma"), Err(FsError::Busy));
+        assert_eq!(
+            k.rename(&root, "/gamma/gamma", "/gamma/moved"),
+            Err(FsError::Busy)
+        );
+        assert_eq!(
+            k.rename(&root, "/gamma/other", "/gamma/gamma"),
+            Err(FsError::Busy)
+        );
+        k.umount(&root, "/gamma").unwrap();
+        k.rmdir(&root, "/gamma").unwrap();
+    });
+}
+
+/// A shootdown follows the mounts that hang inside the subtree it walks:
+/// what is mounted below a renamed or closed directory is reached through
+/// it but lives in another dentry tree. At `d024490` every signature and
+/// memoized prefix check under a mountpoint outlived both.
+#[test]
+fn renaming_or_closing_a_directory_reaches_what_is_mounted_below_it() {
+    both(|k, root| {
+        k.mkdir(&root, "/a", 0o755).unwrap();
+        k.mkdir(&root, "/a/m", 0o755).unwrap();
+        k.mount_fs(&root, small_memfs(), "/a/m", MountFlags::default())
+            .unwrap();
+        let fd = k.open(&root, "/a/m/f", OpenFlags::create(), 0o644).unwrap();
+        k.close(&root, fd).unwrap();
+        let user = k.spawn_with_cred(&root, dcache_repro::cred::Cred::user(1000, 1000));
+        for _ in 0..2 {
+            assert!(k.stat(&user, "/a/m/f").is_ok());
+        }
+        k.chmod(&root, "/a", 0o700).unwrap();
+        assert_eq!(k.stat(&user, "/a/m/f"), Err(FsError::Access));
+        assert_eq!(k.stat(&user, "/a/m"), Err(FsError::Access));
+        k.chmod(&root, "/a", 0o755).unwrap();
+        assert!(k.stat(&user, "/a/m/f").is_ok());
+        k.rename(&root, "/a", "/b").unwrap();
+        for p in [&root, &user] {
+            assert_eq!(k.stat(p, "/a/m/f"), Err(FsError::NoEnt));
+            assert_eq!(k.stat(p, "/a/m"), Err(FsError::NoEnt));
+            assert!(k.stat(p, "/b/m/f").is_ok());
+        }
+    });
+}
+
+/// A symlink's recorded end point is true of the mount the link was read
+/// through. `/l -> d` with `/` bound over `/d`: `/l` crosses into the
+/// bind, `/l/l` — the same link, read inside it — ends at the covered
+/// directory. A record is kept per link, so it is kept only while the
+/// link is signed through the mount it was made in (seed 1902 of the
+/// soak, while this PR's queued `LinkSig` lacked that check).
+#[test]
+fn a_link_read_through_two_mounts_keeps_two_answers() {
+    both(|k, root| {
+        let root_ino = k.stat(&root, "/").unwrap().ino;
+        k.mkdir(&root, "/d", 0o755).unwrap();
+        let covered = k.stat(&root, "/d").unwrap().ino;
+        k.symlink(&root, "d", "/l").unwrap();
+        k.bind_mount(&root, "/", "/d").unwrap();
+        let user = k.spawn_with_cred(&root, dcache_repro::cred::Cred::user(1000, 1000));
+        for _ in 0..2 {
+            assert_eq!(k.stat(&root, "/l").unwrap().ino, root_ino);
+            k.chdir(&root, "/l/l/.").unwrap();
+            assert_eq!(k.stat(&root, ".").unwrap().ino, covered);
+            assert_eq!(k.stat(&user, "/l").unwrap().ino, root_ino);
+        }
+    });
+}
+
+/// One mount per mountpoint. Only a process whose root or cwd was mounted
+/// over can still name the covered directory; a second mount there used
+/// to replace the first in the mountpoint index while both stayed
+/// mounted.
+#[test]
+fn a_covered_directory_takes_no_second_mount() {
+    both(|k, root| {
+        k.mkdir(&root, "/d", 0o755).unwrap();
+        k.mkdir(&root, "/e", 0o755).unwrap();
+        let under = k.spawn(&root);
+        k.chroot(&under, "/d").unwrap();
+        k.bind_mount(&root, "/e", "/d").unwrap();
+        assert_eq!(k.bind_mount(&under, "/", "/"), Err(FsError::Busy));
+        let stacked = k.mount_fs(&under, small_memfs(), "/", MountFlags::default());
+        assert_eq!(stacked, Err(FsError::Busy));
+        k.umount(&root, "/d").unwrap();
+    });
+}
+
+/// A process left standing in an unmounted tree (this `umount` does not
+/// refuse it, as Linux would) has no path either: rebuilt from the
+/// mountpoint it used to hang on, its root would hash as `/a` and its
+/// `/g` be everyone's `/a/g` (seed 30 of the Tier-1 budget, before
+/// `rebuild_hash_state` refused unmounted trees).
+#[test]
+fn a_walk_in_an_unmounted_tree_shares_nothing() {
+    both(|k, root| {
+        k.mkdir(&root, "/a", 0o755).unwrap();
+        k.bind_mount(&root, "/", "/a").unwrap();
+        let inside = k.spawn(&root);
+        k.chroot(&inside, "/a").unwrap();
+        k.umount(&inside, "/..").unwrap();
+        assert_eq!(k.stat(&inside, "/a/g"), Err(FsError::NoEnt));
+        assert_eq!(k.stat(&root, "/a/g"), Err(FsError::NoEnt));
+        k.symlink(&root, "/x/..", "/g").unwrap();
+        for _ in 0..2 {
+            assert!(k.lstat(&inside, "/g").is_ok());
+            assert_eq!(k.stat(&root, "/a/g"), Err(FsError::NoEnt));
+        }
+    });
+}

@@ -136,6 +136,28 @@ fn unlink_and_rename_leave_negative_dentries() {
     assert!(k.stat(&p, "/w/doomed").is_ok());
 }
 
+/// `rmdir` leaves the negative dentry too — in place when nobody holds
+/// the directory, a fresh one beside it when somebody does (ROADMAP 1(c):
+/// the holder's dentry stays a directory).
+#[test]
+fn rmdir_leaves_a_negative_dentry_whether_or_not_the_directory_is_held() {
+    let (k, p) = kernel(DcacheConfig::optimized());
+    for held in [false, true] {
+        k.mkdir(&p, "/gone", 0o755).unwrap();
+        let holder = k.spawn(&p);
+        if held {
+            k.chdir(&holder, "/gone").unwrap();
+        }
+        k.rmdir(&p, "/gone").unwrap();
+        let before = fs_lookups(&k);
+        for _ in 0..5 {
+            assert_eq!(k.stat(&p, "/gone"), Err(FsError::NoEnt));
+        }
+        assert_eq!(fs_lookups(&k), before, "rmdir left no negative dentry");
+        assert!(k.stat(&holder, ".").unwrap().ftype.is_dir());
+    }
+}
+
 #[test]
 fn baseline_unlink_of_open_file_does_not_cache_negative() {
     let (k, p) = kernel(DcacheConfig::baseline());

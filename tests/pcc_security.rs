@@ -216,3 +216,117 @@ fn a_resigned_directory_forgets_its_memoized_climb() {
         assert!(k.stat(&user, "/view/sub/f3").is_ok());
     }
 }
+
+fn kernel(config: DcacheConfig) -> (Arc<Kernel>, Arc<Process>) {
+    let k = KernelBuilder::new(config.with_seed(0x5ec)).build().unwrap();
+    let root = k.init_process();
+    (k, root)
+}
+
+fn touch(k: &Kernel, p: &Process, path: &str) {
+    let fd = k.open(p, path, OpenFlags::create(), 0o644).unwrap();
+    k.close(p, fd).unwrap();
+}
+
+/// ROADMAP 1(e): a symlink's recorded target signature is the *end* of
+/// its body, and the fastpath checks that dentry's own prefix only. A
+/// body that climbs through a closed directory (`/priv/../pub/f`) ends
+/// outside it; at `d024490` root's walk recorded the end point and the
+/// user's lookup chained to it past `/priv` (baseline: `EACCES`).
+#[test]
+fn a_link_body_through_a_closed_directory_stays_closed() {
+    for config in both_configs() {
+        let (k, root) = kernel(config);
+        k.mkdir(&root, "/priv", 0o700).unwrap();
+        k.mkdir(&root, "/pub", 0o755).unwrap();
+        touch(&k, &root, "/pub/f");
+        k.symlink(&root, "/priv/../pub/f", "/link").unwrap();
+        let user = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+        for _ in 0..3 {
+            assert!(k.stat(&root, "/link").is_ok());
+            assert_eq!(k.stat(&user, "/link"), Err(FsError::Access));
+            assert!(k.stat(&user, "/pub/f").is_ok());
+        }
+    }
+}
+
+/// The same record must not cross a `chroot`: an absolute body means
+/// `/jail/etc` to a process rooted at `/jail` and `/etc` to everyone
+/// else, whoever walked the link first.
+#[test]
+fn a_link_translation_is_not_shared_across_process_roots() {
+    for jailed_first in [true, false] {
+        for config in both_configs() {
+            let (k, root) = kernel(config);
+            for dir in ["/etc", "/jail", "/jail/etc"] {
+                k.mkdir(&root, dir, 0o755).unwrap();
+            }
+            k.symlink(&root, "/etc", "/jail/link").unwrap();
+            touch(&k, &root, "/etc/outside");
+            touch(&k, &root, "/jail/etc/inside");
+            let outside = k.stat(&root, "/etc").unwrap().ino;
+            let inside = k.stat(&root, "/jail/etc").unwrap().ino;
+            let jailed = k.spawn(&root);
+            k.chroot(&jailed, "/jail").unwrap();
+            for round in 0..4 {
+                if jailed_first == (round % 2 == 0) {
+                    assert_eq!(k.stat(&jailed, "/link").unwrap().ino, inside);
+                    assert!(k.stat(&jailed, "/link/inside").is_ok());
+                } else {
+                    assert_eq!(k.stat(&root, "/jail/link").unwrap().ino, outside);
+                    assert!(k.stat(&root, "/jail/link/outside").is_ok());
+                }
+            }
+        }
+    }
+}
+
+/// A prefix check is memoized beside the signature it is true of — never
+/// for an alias's target, which the walk through the link does not sign.
+/// `/x -> /` and `/gamma/alpha` bound at `/delta`: uid 1000 reaches the
+/// directory as `/x/delta`, which is allowed; at `d024490` that walk
+/// memoized the *target*, and the memo then answered for `/gamma/alpha`
+/// behind the closed `/gamma`.
+#[test]
+fn a_check_made_through_a_link_does_not_speak_for_the_target() {
+    for config in both_configs() {
+        let (k, root) = kernel(config);
+        for dir in ["/gamma", "/gamma/alpha", "/delta"] {
+            k.mkdir(&root, dir, 0o755).unwrap();
+        }
+        k.chmod(&root, "/gamma", 0o644).unwrap();
+        k.symlink(&root, "//..", "/x").unwrap();
+        k.bind_mount(&root, "/gamma/alpha", "/delta").unwrap();
+        let user = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+        assert!(k.stat(&user, "/x/delta").is_ok());
+        for _ in 0..2 {
+            assert!(k.stat(&root, "/gamma/alpha").is_ok());
+            assert_eq!(k.stat(&user, "/gamma/alpha"), Err(FsError::Access));
+            assert!(k.stat(&user, "/x/delta").is_ok());
+        }
+    }
+}
+
+/// Nor does the target's own memo speak for the link: it is the check of
+/// the path the target is *signed* under. `/x -> /gamma` (closed) and
+/// `/gamma/gamma` bound at `/delta`, where uid 1000 may look: `/x/gamma`
+/// reached the same dentry through the closed directory on the strength
+/// of the `/delta` memo.
+#[test]
+fn a_target_checked_under_one_mount_does_not_open_the_other() {
+    for config in both_configs() {
+        let (k, root) = kernel(config);
+        for dir in ["/gamma", "/gamma/gamma", "/delta"] {
+            k.mkdir(&root, dir, 0o755).unwrap();
+        }
+        k.symlink(&root, "/gamma", "/x").unwrap();
+        k.chmod(&root, "/gamma", 0o644).unwrap();
+        k.bind_mount(&root, "/gamma/gamma", "/delta").unwrap();
+        let user = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+        for _ in 0..2 {
+            assert!(k.stat(&root, "/x/gamma").is_ok());
+            assert!(k.stat(&user, "/delta").is_ok());
+            assert_eq!(k.stat(&user, "/x/gamma"), Err(FsError::Access));
+        }
+    }
+}

@@ -3,7 +3,7 @@
 //! `*at()` family — run against both cache configurations.
 
 use dcache_repro::cred::{CredBuilder, MacRule, PathMac, SecurityStack, MAY_READ, MAY_WRITE};
-use dcache_repro::fs::FsError;
+use dcache_repro::fs::{FileType, FsError};
 use dcache_repro::{DcacheConfig, Kernel, KernelBuilder, OpenFlags, Process};
 use std::sync::Arc;
 
@@ -273,5 +273,92 @@ fn chown_rules() {
         assert!(k.chmod(&owner, "/owned", 0o600).is_ok());
         let other = k.spawn_with_cred(&root, dcache_repro::cred::Cred::user(1001, 101));
         assert_eq!(k.chmod(&other, "/owned", 0o777), Err(FsError::Perm));
+    });
+}
+
+/// ROADMAP 1(c): `rmdir` of a directory that is still some process's cwd,
+/// root or open handle removes the *name*; the holder keeps a directory.
+/// At `d024490` the optimized cache turned the held dentry itself
+/// negative: `stat .` was `ENOENT`, and after `creat /d` it was
+/// `ENOTDIR` — the cwd had become a file.
+#[test]
+fn a_removed_directory_keeps_its_identity_for_whoever_holds_it() {
+    both(|k, root| {
+        let root_ino = k.stat(&root, "/").unwrap().ino;
+        k.mkdir(&root, "/d", 0o755).unwrap();
+        let ino = k.stat(&root, "/d").unwrap().ino;
+        let held_cwd = k.spawn(&root);
+        k.chdir(&held_cwd, "/d").unwrap();
+        let held_root = k.spawn(&root);
+        k.chroot(&held_root, "/d").unwrap();
+        let dirfd = k.open(&root, "/d", OpenFlags::directory(), 0).unwrap();
+        k.rmdir(&root, "/d").unwrap();
+        assert_eq!(k.stat(&root, "/d"), Err(FsError::NoEnt));
+        for _ in 0..2 {
+            assert_eq!(k.stat(&held_cwd, ".").unwrap().ino, ino);
+            assert_eq!(k.stat(&held_cwd, "..").unwrap().ino, root_ino);
+            assert_eq!(k.stat(&held_root, "/").unwrap().ino, ino);
+            assert_eq!(k.fstatat(&root, dirfd, ".", false).unwrap().ino, ino);
+            assert_eq!(k.stat(&held_cwd, "x"), Err(FsError::NoEnt));
+        }
+        k.chroot(&held_root, "/..").unwrap();
+        // The name is free again, and reusing it does not reach the holders
+        // — nor does what they look up in the removed directory reach it.
+        let fd = k.open(&root, "/d", OpenFlags::create(), 0o644).unwrap();
+        k.close(&root, fd).unwrap();
+        assert!(k.stat(&held_cwd, ".").unwrap().ftype.is_dir());
+        assert_eq!(k.stat(&held_cwd, "x/y"), Err(FsError::NoEnt));
+        assert_eq!(k.stat(&root, "/d/x"), Err(FsError::NotDir));
+        k.fchdir(&root, dirfd).unwrap();
+        assert!(k.stat(&root, ".").unwrap().ftype.is_dir());
+        assert_eq!(k.stat(&root, "/d").unwrap().ftype, FileType::Regular);
+    });
+}
+
+/// ROADMAP 1(f): a directory's size and link count are its file system's
+/// to say. At `d024490` the cached inode kept what `mkdir` first saw, so
+/// `stat` answered one thing while the directory stayed cached and
+/// another after an eviction — under either configuration.
+#[test]
+fn a_directory_stat_follows_its_entries_cached_or_not() {
+    both(|k, root| {
+        k.mkdir(&root, "/p", 0o755).unwrap();
+        k.mkdir(&root, "/q", 0o755).unwrap();
+        let shape = |path: &str| {
+            let a = k.stat(&root, path).unwrap();
+            (a.nlink, a.size)
+        };
+        let empty = shape("/p");
+        k.mkdir(&root, "/p/sub", 0o755).unwrap();
+        let fd = k.open(&root, "/p/f", OpenFlags::create(), 0o644).unwrap();
+        k.close(&root, fd).unwrap();
+        let full = shape("/p");
+        assert_eq!(full.0, empty.0 + 1, "a subdirectory links its parent");
+        assert!(full.1 > empty.1, "entries take room");
+        k.rename(&root, "/p/sub", "/q/sub").unwrap();
+        assert_eq!((shape("/p").0, shape("/q").0), (empty.0, empty.0 + 1));
+        k.unlink(&root, "/p/f").unwrap();
+        k.rmdir(&root, "/q/sub").unwrap();
+        let cached = (shape("/p"), shape("/q"));
+        k.memory_pressure(0);
+        assert_eq!((shape("/p"), shape("/q")), cached);
+        assert_eq!(cached.1 .0, empty.0);
+    });
+}
+
+/// The same for a directory replaced by `rename`: whoever is rooted in it
+/// lists what the file system says of a removed directory, not the cached
+/// listing of the live one it used to be.
+#[test]
+fn a_directory_renamed_over_is_gone_for_whoever_holds_it() {
+    both(|k, root| {
+        k.mkdir(&root, "/beta", 0o755).unwrap();
+        k.mkdir(&root, "/gamma", 0o755).unwrap();
+        let held = k.spawn(&root);
+        k.chroot(&held, "/beta").unwrap();
+        assert!(k.list_dir(&held, "/").unwrap().is_empty());
+        k.rename(&root, "/gamma", "/beta").unwrap();
+        assert_eq!(k.list_dir(&held, "/").unwrap_err(), FsError::NoEnt);
+        assert!(k.list_dir(&root, "/beta").unwrap().is_empty());
     });
 }

@@ -1,8 +1,8 @@
 //! Property test: warm restart is *observationally cold* for arbitrary
 //! op streams, arbitrary checkpoint positions, and arbitrary cut points.
 //!
-//! proptest generates a random metadata op stream, a random position in
-//! it at which `Kernel::warm_checkpoint` persists the directory index,
+//! A case is a random metadata op stream, a random position in it at
+//! which `Kernel::warm_checkpoint` persists the directory index,
 //! and a random device-write ordinal at which power is cut (possibly
 //! mid-checkpoint, tearing the index itself). The image is remounted
 //! twice — once with warm restart, once cold — and the two kernels must
@@ -13,36 +13,34 @@
 //! live entries: nothing phantom, nothing stale, and the published
 //! count never exceeds the live-entry count.
 //!
-//! Gated behind `--features proptest-tests` (the vendored placeholder
-//! crate cannot run real property tests); CI's nightly lane runs it.
+//! Cases come from `dc_fault::check`, which shrinks a failing op list;
+//! CI's nightly lane runs the `#[ignore]`d soaks.
 
-use dcache_repro::blockdev::{CachedDisk, CrashMonitor, DiskConfig, LatencyModel};
-use dcache_repro::fs::{fsck, FileType, MemFs, MemFsConfig};
+mod common;
+
+use dcache_repro::blockdev::{CachedDisk, CrashImage, CrashMonitor, LatencyModel};
+use dcache_repro::fault::{check, SplitMix64};
+use dcache_repro::fs::{fsck, FileSystem, FileType, MemFs};
 use dcache_repro::vfs::Kernel;
 use dcache_repro::{DcacheConfig, KernelBuilder, OpenFlags, Process};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 const CACHE_PAGES: usize = 8192;
 
 fn new_disk() -> Arc<CachedDisk> {
-    Arc::new(CachedDisk::new(DiskConfig {
-        capacity_blocks: 1 << 13,
-        cache_pages: CACHE_PAGES,
-        latency: LatencyModel::free(),
-        ..Default::default()
-    }))
+    common::new_disk(1 << 13, CACHE_PAGES)
 }
 
 fn new_fs(disk: Arc<CachedDisk>) -> Arc<MemFs> {
-    MemFs::mkfs(
-        disk,
-        MemFsConfig {
-            max_inodes: 1 << 10,
-            ..Default::default()
-        },
-    )
-    .unwrap()
+    common::new_fs(disk, 1 << 10)
+}
+
+fn disk_of(img: &CrashImage) -> Arc<CachedDisk> {
+    Arc::new(CachedDisk::from_image(
+        img,
+        CACHE_PAGES,
+        LatencyModel::free(),
+    ))
 }
 
 fn kernel_on(fs: Arc<MemFs>, warm: bool) -> Arc<Kernel> {
@@ -68,22 +66,42 @@ enum Op {
 const NAMES: [&str; 6] = ["alpha", "beta", "gamma", "delta", "x", "zz"];
 const TOPS: usize = 3;
 
-fn name() -> impl Strategy<Value = &'static str> {
-    (0usize..NAMES.len()).prop_map(|i| NAMES[i])
+fn op(rng: &mut SplitMix64) -> Op {
+    let mut top = || rng.below(TOPS as u64) as u8;
+    let (d, d2) = (top(), top());
+    let mut name = || NAMES[rng.below(NAMES.len() as u64) as usize];
+    let (n, n2) = (name(), name());
+    match rng.below(10) {
+        0..=2 => Op::Create(d, n),
+        3..=4 => Op::Mkdir(d, n),
+        5..=6 => Op::Unlink(d, n),
+        7 => Op::Rmdir(d, n),
+        _ => Op::Rename(d, n, d2, n2),
+    }
 }
 
-fn top() -> impl Strategy<Value = u8> {
-    0u8..TOPS as u8
+/// Where the checkpoint goes, and where the cut falls (‰ of the run's
+/// device writes) and whether and how the in-flight write tears.
+#[derive(Debug)]
+struct Params {
+    checkpoint_at: usize,
+    cut_frac: u64,
+    tear_seed: u64,
+    tear: bool,
 }
 
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (top(), name()).prop_map(|(d, n)| Op::Create(d, n)),
-        2 => (top(), name()).prop_map(|(d, n)| Op::Mkdir(d, n)),
-        2 => (top(), name()).prop_map(|(d, n)| Op::Unlink(d, n)),
-        1 => (top(), name()).prop_map(|(d, n)| Op::Rmdir(d, n)),
-        2 => (top(), name(), top(), name()).prop_map(|(a, b, c, d)| Op::Rename(a, b, c, d)),
-    ]
+/// `min_ops..max_ops` ops and a checkpoint position in `0..max_ops`.
+fn case(rng: &mut SplitMix64, min_ops: u64, max_ops: u64) -> (Params, Vec<Op>) {
+    let ops = (0..min_ops + rng.below(max_ops - min_ops))
+        .map(|_| op(rng))
+        .collect();
+    let params = Params {
+        checkpoint_at: rng.below(max_ops) as usize,
+        cut_frac: 1 + rng.below(1000),
+        tear_seed: rng.next_u64(),
+        tear: rng.below(2) == 1,
+    };
+    (params, ops)
 }
 
 fn leaf(d: u8, n: &str) -> String {
@@ -163,126 +181,147 @@ fn run_stream(
     fs.disk().stats().device_writes - writes0
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 32,
-        max_shrink_iters: 400,
-        ..ProptestConfig::default()
-    })]
-
-    /// Power cut at an arbitrary write ordinal — before, during, or
-    /// after the index checkpoint. The warm mount of the image must be
-    /// observationally identical to a cold mount of the same image.
-    #[test]
-    fn warm_restart_after_any_cut_is_observationally_cold(
-        ops in prop::collection::vec(op(), 10..80),
-        checkpoint_at in 0usize..80,
-        cut_frac in 1u32..=1000,
-        tear_seed in any::<u64>(),
-        tear in prop::bool::ANY,
-    ) {
-        // Pass 1: learn the write count for this particular stream.
-        let fs1 = new_fs(new_disk());
-        let k1 = kernel_on(fs1.clone(), false);
-        let writes = run_stream(&k1, &fs1, &ops, checkpoint_at, None);
-        drop(k1);
-        prop_assume!(writes > 0);
-
-        // Pass 2: identical run, cut at the chosen write ordinal.
-        let ordinal = 1 + (writes - 1) * cut_frac as u64 / 1000;
-        let monitor = Arc::new(CrashMonitor::at_points(
-            vec![ordinal],
-            tear_seed,
-            if tear { 1.0 } else { 0.0 },
-        ));
-        let disk = new_disk();
-        disk.attach_crash_monitor(monitor.clone());
-        let fs2 = new_fs(disk);
-        let k2 = kernel_on(fs2.clone(), false);
-        run_stream(&k2, &fs2, &ops, checkpoint_at, Some(&monitor));
-        drop(k2);
-        let images = monitor.take_images();
-        prop_assert_eq!(images.len(), 1, "the scheduled cut must fire");
-        let img = &images[0];
-
-        // Warm mount: rehydrate the dcache from whatever index (whole,
-        // torn, or absent) the cut left behind.
-        let wdisk = Arc::new(CachedDisk::from_image(img, CACHE_PAGES, LatencyModel::free()));
-        let wfs = MemFs::mount(wdisk.clone()).expect("warm remount after cut");
-        let wk = kernel_on(wfs, true);
-        let outcome = wk.warm_outcome().expect("builder ran a warm restart");
-        if outcome.fallback.is_none() {
-            prop_assert_eq!(
-                outcome.attempted, outcome.published + outcome.rejected,
-                "every index entry must publish or reject: {:?}", outcome
-            );
-        }
-        let wp = wk.init_process();
-        let warm_view = view(&wk, &wp);
-
-        // Cold mount of the same image: the committed-prefix shadow.
-        let cdisk = Arc::new(CachedDisk::from_image(img, CACHE_PAGES, LatencyModel::free()));
-        let ck = kernel_on(MemFs::mount(cdisk.clone()).unwrap(), false);
-        let cp = ck.init_process();
-        let cold_view = view(&ck, &cp);
-
-        let live = cold_view.iter().filter(|(_, got)| got.is_some()).count();
-        prop_assert!(
-            outcome.published <= live as u64,
-            "cut@{}: published {} entries but only {} are live ({:?})",
-            img.cut_at_write, outcome.published, live, outcome
-        );
-        prop_assert_eq!(
-            warm_view, cold_view,
-            "cut@{} (torn: {:?}, checkpoint@{}): warm namespace diverges from cold ({:?})",
-            img.cut_at_write, img.torn_block, checkpoint_at, outcome
-        );
-        // The index pass rides along: fsck must accept whatever the cut
-        // left in the warm-index region.
-        let report = fsck(&wdisk).unwrap();
-        prop_assert!(
-            report.is_clean(),
-            "cut@{}: fsck errors {:?}",
-            img.cut_at_write, report.errors
-        );
+/// Power cut at an arbitrary write ordinal — before, during, or after
+/// the index checkpoint. The warm mount of the image must be
+/// observationally identical to a cold mount of the same image.
+fn warm_restart_after_any_cut_is_observationally_cold(params: &Params, ops: &[Op]) {
+    let checkpoint_at = params.checkpoint_at;
+    // Pass 1: learn the write count for this particular stream.
+    let fs1 = new_fs(new_disk());
+    let k1 = kernel_on(fs1.clone(), false);
+    let writes = run_stream(&k1, &fs1, ops, checkpoint_at, None);
+    drop(k1);
+    if writes == 0 {
+        return;
     }
 
-    /// Clean-shutdown variant: no cut, the stream simply continues past
-    /// the checkpoint, so the index is stale by an arbitrary suffix of
-    /// ops. Rehydration must reject exactly the stale entries — the
-    /// warm view still equals the cold view.
-    #[test]
-    fn warm_restart_after_stale_suffix_is_observationally_cold(
-        ops in prop::collection::vec(op(), 5..60),
-        checkpoint_at in 0usize..60,
-    ) {
-        let disk = new_disk();
-        let fs = new_fs(disk.clone());
-        let k1 = kernel_on(fs.clone(), false);
-        run_stream(&k1, &fs, &ops, checkpoint_at, None);
-        fs.sync().unwrap();
-        drop(k1);
-        drop(fs);
+    // Pass 2: identical run, cut at the chosen write ordinal.
+    let ordinal = 1 + (writes - 1) * params.cut_frac / 1000;
+    let tear_prob = if params.tear { 1.0 } else { 0.0 };
+    let monitor = Arc::new(CrashMonitor::at_points(
+        vec![ordinal],
+        params.tear_seed,
+        tear_prob,
+    ));
+    let disk = new_disk();
+    disk.attach_crash_monitor(monitor.clone());
+    let fs2 = new_fs(disk);
+    let k2 = kernel_on(fs2.clone(), false);
+    run_stream(&k2, &fs2, ops, checkpoint_at, Some(&monitor));
+    drop(k2);
+    let images = monitor.take_images();
+    assert_eq!(images.len(), 1, "the scheduled cut must fire");
+    let img = &images[0];
 
-        let wk = kernel_on(MemFs::mount(disk.clone()).unwrap(), true);
-        let outcome = wk.warm_outcome().expect("builder ran a warm restart");
-        prop_assert!(
-            outcome.fallback.is_none(),
-            "clean shutdown left a valid index, got {:?}",
-            outcome.fallback
-        );
-        prop_assert_eq!(outcome.attempted, outcome.published + outcome.rejected);
-        let wp = wk.init_process();
-        let warm_view = view(&wk, &wp);
-        drop(wp);
-        drop(wk);
-
-        let ck = kernel_on(MemFs::mount(disk).unwrap(), false);
-        let cp = ck.init_process();
-        prop_assert_eq!(
-            warm_view, view(&ck, &cp),
-            "checkpoint@{checkpoint_at}: warm namespace diverges from cold ({:?})",
-            outcome
+    // Warm mount: rehydrate the dcache from whatever index (whole,
+    // torn, or absent) the cut left behind.
+    let wdisk = disk_of(img);
+    let wfs = MemFs::mount(wdisk.clone()).expect("warm remount after cut");
+    let wk = kernel_on(wfs, true);
+    let outcome = wk.warm_outcome().expect("builder ran a warm restart");
+    if outcome.fallback.is_none() {
+        assert_eq!(
+            outcome.attempted,
+            outcome.published + outcome.rejected,
+            "every index entry must publish or reject: {outcome:?}"
         );
     }
+    let wp = wk.init_process();
+    let warm_view = view(&wk, &wp);
+
+    // Cold mount of the same image: the committed-prefix shadow.
+    let ck = kernel_on(MemFs::mount(disk_of(img)).unwrap(), false);
+    let cp = ck.init_process();
+    let cold_view = view(&ck, &cp);
+
+    let live = cold_view.iter().filter(|(_, got)| got.is_some()).count();
+    assert!(
+        outcome.published <= live as u64,
+        "cut@{}: published {} entries but only {live} are live ({outcome:?})",
+        img.cut_at_write,
+        outcome.published
+    );
+    assert_eq!(
+        warm_view, cold_view,
+        "cut@{} (torn: {:?}, checkpoint@{checkpoint_at}): warm namespace diverges from cold ({outcome:?})",
+        img.cut_at_write, img.torn_block
+    );
+    // The index pass rides along: fsck must accept whatever the cut
+    // left in the warm-index region.
+    let report = fsck(&wdisk).unwrap();
+    assert!(
+        report.is_clean(),
+        "cut@{}: fsck errors {:?}",
+        img.cut_at_write,
+        report.errors
+    );
+}
+
+/// Clean-shutdown variant: no cut, the stream simply continues past the
+/// checkpoint, so the index is stale by an arbitrary suffix of ops.
+/// Rehydration must reject exactly the stale entries — the warm view
+/// still equals the cold view.
+fn warm_restart_after_stale_suffix_is_observationally_cold(params: &Params, ops: &[Op]) {
+    let checkpoint_at = params.checkpoint_at;
+    let disk = new_disk();
+    let fs = new_fs(disk.clone());
+    let k1 = kernel_on(fs.clone(), false);
+    run_stream(&k1, &fs, ops, checkpoint_at, None);
+    fs.sync().unwrap();
+    drop(k1);
+    drop(fs);
+
+    let wk = kernel_on(MemFs::mount(disk.clone()).unwrap(), true);
+    let outcome = wk.warm_outcome().expect("builder ran a warm restart");
+    assert!(
+        outcome.fallback.is_none(),
+        "clean shutdown left a valid index, got {:?}",
+        outcome.fallback
+    );
+    assert_eq!(outcome.attempted, outcome.published + outcome.rejected);
+    let wp = wk.init_process();
+    let warm_view = view(&wk, &wp);
+    drop(wp);
+    drop(wk);
+
+    let ck = kernel_on(MemFs::mount(disk).unwrap(), false);
+    let cp = ck.init_process();
+    assert_eq!(
+        warm_view,
+        view(&ck, &cp),
+        "checkpoint@{checkpoint_at}: warm namespace diverges from cold ({outcome:?})"
+    );
+}
+
+#[test]
+fn warm_restart_after_any_cut() {
+    check(
+        0..100,
+        |rng| case(rng, 10, 80),
+        warm_restart_after_any_cut_is_observationally_cold,
+    );
+}
+
+#[test]
+fn warm_restart_after_stale_suffix() {
+    check(
+        0..100,
+        |rng| case(rng, 5, 60),
+        warm_restart_after_stale_suffix_is_observationally_cold,
+    );
+}
+
+#[test]
+#[ignore = "soak: 100x the Tier-1 cases, for the nightly lane"]
+fn warm_restart_soak() {
+    check(
+        100..10_000,
+        |rng| case(rng, 10, 80),
+        warm_restart_after_any_cut_is_observationally_cold,
+    );
+    check(
+        100..10_000,
+        |rng| case(rng, 5, 60),
+        warm_restart_after_stale_suffix_is_observationally_cold,
+    );
 }
