@@ -267,7 +267,7 @@ impl Rig {
                 if tally.rejected > 0 && self.server.gate().is_none_or(|g| g.trip_count() > 0) {
                     break 'outer;
                 }
-                if self.server.gate().is_none() && self.kernel.shrinkers().count_bytes() > beyond {
+                if self.server.gate().is_none() && self.kernel.dcache.reclaimable_bytes() > beyond {
                     break 'outer;
                 }
             }
@@ -305,7 +305,7 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     // Gate budget: double the warmed footprint, so steady state never
     // sheds and the pressure phase must actively inflate to trip it.
     let probe = provision(dirs, files, None);
-    let warmed_footprint = probe.kernel.shrinkers().count_bytes();
+    let warmed_footprint = probe.kernel.dcache.reclaimable_bytes();
     drop(probe);
     let budget = warmed_footprint * 2;
     let mut rig = provision(dirs, files, Some(budget));
@@ -318,7 +318,7 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     let post = rig.run_hot(BATCH, duration_ms, &mut rng);
 
     let trips = rig.server.gate().map_or(0, |g| g.trip_count());
-    let footprint_after = rig.kernel.shrinkers().count_bytes();
+    let footprint_after = rig.kernel.dcache.reclaimable_bytes();
     let low_water = rig.server.gate().map_or(0, |g| g.low_water());
 
     // Batch-size ablation on a fresh un-gated rig (same tree, mix, and
@@ -333,7 +333,7 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     // Admission ablation: the same inflate flood without a gate — no
     // typed rejections, and the footprint keeps the flood's growth.
     let ungated = abl_rig.inflate(budget, &mut rng);
-    let ungated_footprint = abl_rig.kernel.shrinkers().count_bytes();
+    let ungated_footprint = abl_rig.kernel.dcache.reclaimable_bytes();
     drop(abl_rig);
 
     let mut t = Table::new(&[

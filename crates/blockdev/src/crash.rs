@@ -187,11 +187,6 @@ impl CrashMonitor {
         self.state.lock().points.clone()
     }
 
-    /// Images captured so far.
-    pub fn images_captured(&self) -> usize {
-        self.state.lock().images.len()
-    }
-
     /// Drains the captured images, oldest first.
     pub fn take_images(&self) -> Vec<CrashImage> {
         std::mem::take(&mut self.state.lock().images)

@@ -52,12 +52,6 @@ impl LatencyModel {
         Self::new(0, 0, false)
     }
 
-    /// A model loosely matching a 7200 RPM disk whose queue is mostly warm:
-    /// short seeks dominate. Used by cold-cache experiments.
-    pub fn disk_like() -> Self {
-        Self::new(50_000, 60_000, true)
-    }
-
     /// Charges one read access.
     pub fn charge_read(&self) {
         self.charge(self.read_ns);

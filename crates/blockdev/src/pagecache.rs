@@ -120,7 +120,6 @@ pub struct CachedDisk {
     hits: AtomicU64,
     misses: AtomicU64,
     writebacks: AtomicU64,
-    retry: RetryPolicy,
     io_retries: AtomicU64,
     io_errors: AtomicU64,
 }
@@ -150,18 +149,6 @@ impl CachedDisk {
         self.disk.fault_injector()
     }
 
-    /// Replaces the transient-error retry policy (builder style, before
-    /// the disk is shared).
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// The transient-error retry policy in effect.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Creates a cached disk per `config`.
     pub fn new(config: DiskConfig) -> Self {
         let DiskConfig {
@@ -182,7 +169,6 @@ impl CachedDisk {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
-            retry: RetryPolicy::default(),
             io_retries: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
@@ -209,7 +195,6 @@ impl CachedDisk {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             writebacks: AtomicU64::new(0),
-            retry: RetryPolicy::default(),
             io_retries: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
@@ -260,7 +245,7 @@ impl CachedDisk {
                 }
             };
             attempt += 1;
-            if attempt >= self.retry.max_attempts {
+            if attempt >= RetryPolicy::STANDARD.max_attempts {
                 self.io_errors.fetch_add(1, Ordering::Relaxed);
                 return Err(err);
             }
@@ -288,7 +273,7 @@ impl CachedDisk {
                 }
             };
             attempt += 1;
-            if attempt >= self.retry.max_attempts {
+            if attempt >= RetryPolicy::STANDARD.max_attempts {
                 self.io_errors.fetch_add(1, Ordering::Relaxed);
                 return Err(err);
             }
@@ -297,7 +282,7 @@ impl CachedDisk {
     }
 
     fn backoff(&self, attempt: u32) {
-        let backoff_ns = self.retry.backoff_ns(attempt - 1);
+        let backoff_ns = RetryPolicy::STANDARD.backoff_ns(attempt - 1);
         self.disk.latency().charge_extra(backoff_ns);
         self.io_retries.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = self.disk.recorder() {

@@ -1,7 +1,6 @@
 //! Memory-budget admission control for serving tiers.
 //!
-//! The PR-4 shrinker machinery ([`crate::ShrinkerRegistry`],
-//! [`crate::Dcache::shrink_to_bytes`]) reclaims cache memory once asked;
+//! [`crate::Dcache::shrink_to_bytes`] reclaims cache memory once asked;
 //! what a front-end still needs is the *asking* policy: notice that the
 //! cache footprint has outgrown its budget, shed new work with a typed
 //! `EAGAIN`-style rejection instead of queueing it, and re-open once

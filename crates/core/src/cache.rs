@@ -1,6 +1,5 @@
 //! The directory-cache facade: allocation, hashing tables, coherence.
 
-use crate::batch::BatchPin;
 use crate::config::DcacheConfig;
 use crate::dentry::{Dentry, DentryId, DentryState, NegKind, FLAG_DEAD, FLAG_DIR_COMPLETE};
 use crate::dlht::{Dlht, DlhtFootprint};
@@ -115,20 +114,21 @@ impl Dcache {
         self.live.load(Ordering::Relaxed)
     }
 
-    /// Pins the reclamation epoch for a whole batch of lookups.
-    ///
-    /// While the returned guard is alive, per-lookup epoch pins on this
-    /// thread collapse to re-entrant nesting (no publication fence) and
-    /// skip their per-pin stats/trace accounting — this pin is the one
-    /// `EpochPin` recorded for the batch. See [`crate::batch`].
-    pub fn batch_pin(&self) -> BatchPin {
-        let already_nested = crate::batch::batch_pin_active();
+    /// Pins the reclamation epoch, for one lookup or for a whole batch of
+    /// them. Only an outermost pin publishes the epoch (a store and a
+    /// fence) and is accounted (`epoch_pins`, `EpochPin`); one taken while
+    /// the thread is already pinned is a nesting-count bump. A server
+    /// worker that holds this guard across a batch therefore pays, and
+    /// records, one pin for all the lookups inside it. Not to be held
+    /// across a blocking wait: a pinned epoch delays reclamation globally.
+    pub fn pin(&self) -> crossbeam_epoch::Guard {
+        let nested = crossbeam_epoch::is_pinned();
         let guard = crossbeam_epoch::pin();
-        if !already_nested {
+        if !nested {
             self.stats.epoch_pins.fetch_add(1, Ordering::Relaxed);
             self.obs.event(|| TraceEvent::EpochPin);
         }
-        BatchPin::new(guard)
+        guard
     }
 
     // --- allocation ------------------------------------------------------
@@ -715,9 +715,6 @@ impl Dcache {
     /// through the ordinary `unhash(reclaim)` coherence path — their DLHT
     /// slots go with them); if the cache is still over budget the
     /// PCCs are flushed. Returns the bytes actually freed.
-    ///
-    /// This is the [`Shrinker`](crate::Shrinker) callback the kernel's
-    /// registry drives; it is also safe to call directly.
     pub fn shrink_to_bytes(&self, target_bytes: u64) -> u64 {
         let before = self.reclaimable_bytes();
         if before <= target_bytes {
@@ -820,20 +817,6 @@ impl Dcache {
             }
         }
         total
-    }
-}
-
-impl crate::shrinker::Shrinker for Dcache {
-    fn name(&self) -> &'static str {
-        "dcache"
-    }
-
-    fn count_bytes(&self) -> u64 {
-        self.reclaimable_bytes()
-    }
-
-    fn shrink(&self, target_bytes: u64) -> u64 {
-        self.shrink_to_bytes(target_bytes)
     }
 }
 
@@ -1073,21 +1056,39 @@ mod tests {
     }
 
     #[test]
-    fn dcache_serves_the_shrinker_trait() {
-        use crate::shrinker::{Shrinker, ShrinkerRegistry};
+    fn pin_nests_and_unwinds() {
         let dc = cache(DcacheConfig::optimized());
-        let root = dc.new_root(1, root_inode(&dc));
-        for i in 0..256 {
-            neg(&dc, &root, &format!("f{i}"));
+        assert!(!crossbeam_epoch::is_pinned());
+        {
+            let _outer = dc.pin();
+            assert!(crossbeam_epoch::is_pinned());
+            drop(dc.pin());
+            assert!(crossbeam_epoch::is_pinned());
         }
-        let reg = ShrinkerRegistry::new();
-        reg.register(dc.clone());
-        assert_eq!(reg.count_bytes(), dc.reclaimable_bytes());
-        let before = dc.reclaimable_bytes();
-        let freed = reg.pressure(before / 2);
-        assert!(freed > 0);
-        assert!(dc.reclaimable_bytes() <= before / 2);
-        assert_eq!(Shrinker::name(&*dc), "dcache");
+        assert!(!crossbeam_epoch::is_pinned());
+    }
+
+    #[test]
+    fn only_the_outermost_pin_is_accounted() {
+        let dc = cache(DcacheConfig::optimized());
+        {
+            let _outer = dc.pin();
+            let _inner = dc.pin();
+        }
+        assert_eq!(dc.stats.epoch_pins.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_pin_is_per_thread() {
+        let dc = cache(DcacheConfig::optimized());
+        let _pin = dc.pin();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!crossbeam_epoch::is_pinned());
+                drop(dc.pin());
+            });
+        });
+        assert_eq!(dc.stats.epoch_pins.load(Ordering::Relaxed), 2);
     }
 
     #[test]

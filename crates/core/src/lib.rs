@@ -14,7 +14,8 @@
 //! | Directory completeness (`DIR_COMPLETE`), §5.1 | dentry flags + [`Dcache`] helpers |
 //! | Negative and deep-negative dentries, §5.2 | [`DentryState::Negative`], [`NegKind`] |
 //! | LRU + bottom-up eviction | [`Dcache::shrink`], [`Dcache::drop_unused`] |
-//! | Memory-pressure reclaim (Linux shrinker analog) | [`Shrinker`], [`ShrinkerRegistry`], [`Dcache::shrink_to_bytes`] |
+//! | Memory-pressure reclaim (Linux shrinker analog) | [`Dcache::reclaimable_bytes`], [`Dcache::shrink_to_bytes`] |
+//! | Epoch pin, accounted once per outermost pin | [`Dcache::pin`] |
 //! | Feature toggles (baseline ⇄ optimized ⇄ ablations) | [`DcacheConfig`] |
 //!
 //! The *policy* of when to walk which path lives in `dc-vfs`; this crate is
@@ -23,7 +24,6 @@
 //! and optimized (single-hash-lookup) walkers.
 
 pub mod admission;
-pub mod batch;
 mod cache;
 mod config;
 mod dentry;
@@ -36,12 +36,10 @@ mod lru;
 pub mod model;
 mod pcc;
 mod seqlock;
-mod shrinker;
 pub mod snapslab;
 mod stats;
 
 pub use admission::{MemoryGate, Verdict};
-pub use batch::{batch_pin_active, BatchPin};
 pub use cache::{Dcache, NsId};
 pub use config::DcacheConfig;
 pub use dentry::{Dentry, DentryId, DentryState, NegKind, FLAG_DIR_COMPLETE};
@@ -50,7 +48,6 @@ pub use inode::{Inode, SbId};
 pub use lru::EvictOutcome;
 pub use pcc::Pcc;
 pub use seqlock::{SeqCell, SeqCount, SeqLock, SeqWriteGuard};
-pub use shrinker::{Shrinker, ShrinkerRegistry};
 pub use stats::{Counter, DcacheStats, SpaceReport};
 
 pub use dc_sighash::{HashKey, HashState, Signature};

@@ -21,21 +21,23 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// 4 attempts with 10 µs / 40 µs / 160 µs backoffs: deep enough to
-    /// outlast the standard campaign's transient bursts (≤ 3 failures
-    /// per block), shallow enough that a permanently broken block
-    /// surfaces as `EIO` in well under a millisecond of simulated time.
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_ns: 10_000,
-            multiplier: 4,
-            max_backoff_ns: 1_000_000,
-        }
+        RetryPolicy::STANDARD
     }
 }
 
 impl RetryPolicy {
+    /// 4 attempts with 10 µs / 40 µs / 160 µs backoffs: deep enough to
+    /// outlast the standard campaign's transient bursts (≤ 3 failures
+    /// per block), shallow enough that a permanently broken block
+    /// surfaces as `EIO` in well under a millisecond of simulated time.
+    pub const STANDARD: RetryPolicy = RetryPolicy {
+        max_attempts: 4,
+        base_ns: 10_000,
+        multiplier: 4,
+        max_backoff_ns: 1_000_000,
+    };
+
     /// A policy that never retries: every transient error propagates
     /// immediately, as if the fault were permanent.
     pub fn no_retries() -> RetryPolicy {

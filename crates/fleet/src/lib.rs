@@ -400,11 +400,6 @@ impl Fleet {
         }
     }
 
-    /// Distinct credentials currently minted across the fleet.
-    pub fn cred_count(&self) -> usize {
-        self.tenants.iter().map(|t| t.creds.len()).sum()
-    }
-
     /// Runs the configured churn rounds and the final teardown; returns
     /// the full report.
     pub fn run(mut self) -> FleetReport {

@@ -223,12 +223,6 @@ impl<K: Copy + Eq, V: Clone> SnapMap<K, V> {
         let guard = epoch::pin();
         self.publish(Vec::new(), &guard);
     }
-
-    /// Runs `f` over the current snapshot without cloning entries.
-    pub fn with_snapshot<R>(&self, f: impl FnOnce(&[(K, V)]) -> R) -> R {
-        let guard = epoch::pin();
-        f(self.current(&guard))
-    }
 }
 
 impl<K: Copy + Eq, V: Clone> Default for SnapMap<K, V> {

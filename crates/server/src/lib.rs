@@ -5,12 +5,13 @@
 //! *serving tier*: a network-shaped front-end that accepts **batches**
 //! of lookup/stat/readdir/signature-lookup requests over a
 //! length-prefixed binary protocol ([`proto`]), executes each batch on
-//! a worker pool under a single epoch pin ([`dcache_core::Dcache::
-//! batch_pin`] — the pin and its accounting amortize across the whole
-//! frame), and sheds load with typed `Overloaded` rejections when the
-//! submission queue fills or a [`dcache_core::MemoryGate`] trips on
-//! the kernel's reclaimable footprint (triggering the PR-4 shrinker on
-//! the trip edge instead of stalling).
+//! a worker pool under a single epoch pin ([`dcache_core::Dcache::pin`],
+//! held across the frame — the pin and its accounting amortize over
+//! every lookup nested inside it), and sheds load with typed
+//! `Overloaded` rejections when the submission queue fills or a
+//! [`dcache_core::MemoryGate`] trips on the kernel's reclaimable
+//! footprint ([`dcache_core::Dcache::reclaimable_bytes`]; the trip edge
+//! runs `Kernel::memory_pressure` instead of stalling).
 //!
 //! Layering:
 //!
@@ -25,7 +26,7 @@
 //!   through the kernel's metrics registry as the `serve` section.
 //!
 //! See `DESIGN.md` §12 for the protocol rationale and the
-//! admission-control/shrinker interaction.
+//! admission-control/reclaim interaction.
 
 pub mod client;
 pub mod proto;

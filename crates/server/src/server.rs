@@ -3,13 +3,13 @@
 //!
 //! # Batch = epoch pin
 //!
-//! Each worker pins the reclamation epoch **once per frame**
-//! ([`dcache_core::Dcache::batch_pin`]) and executes every request in
-//! the batch under that pin; the per-lookup pins inside the kernel
-//! collapse to a thread-local nesting bump. At batch size 64 this
-//! amortizes the pin (and its stats/trace accounting) 64×, which is
-//! what carries the service past 1M lookups/s on a single core. The
-//! pin spans only the batch — workers unpin between frames, so grace
+//! Each worker pins the reclamation epoch **once per frame** — an
+//! ordinary outermost [`dcache_core::Dcache::pin`] — and executes every
+//! request in the batch under that guard; the per-lookup pins inside
+//! the kernel nest under it, a thread-local count bump that is neither
+//! fenced nor accounted. At batch size 64 this amortizes the pin (and
+//! its stats/trace accounting) 64×, which is what carries the service
+//! past 1M lookups/s on a single core. The pin spans only the batch — workers unpin between frames, so grace
 //! periods stay short even under sustained load.
 //!
 //! # Admission control
@@ -23,7 +23,7 @@
 //!   footprint exceeds its budget. On the trip *edge* exactly one
 //!   submitter triggers [`Kernel::memory_pressure`] (guarded by a CAS
 //!   so concurrent submitters keep shedding instead of piling onto the
-//!   shrinker); the gate re-opens once the footprint falls below its
+//!   reclaim); the gate re-opens once the footprint falls below its
 //!   low-water mark. The server never stalls and never panics under
 //!   pressure — it sheds, reclaims, and recovers.
 
@@ -289,7 +289,7 @@ impl Inner {
         }
         if let Some(gate) = &self.gate {
             let kernel = &self.kernel;
-            match gate.admit(|| kernel.shrinkers().count_bytes()) {
+            match gate.admit(|| kernel.dcache.reclaimable_bytes()) {
                 Verdict::Admit => {}
                 Verdict::Shed { just_tripped } => {
                     self.reject(conn, &frame);
@@ -393,7 +393,7 @@ impl Inner {
         // inside the kernel collapse to a nesting bump.
         let t = Instant::now();
         let results: Vec<(u64, u8, ExecResult)> = {
-            let _pin = self.kernel.dcache.batch_pin();
+            let _pin = self.kernel.dcache.pin();
             reqs.iter()
                 .map(|r| (r.id, r.op, self.execute(r, hists)))
                 .collect()

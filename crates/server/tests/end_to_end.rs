@@ -171,7 +171,7 @@ fn unknown_ops_bad_versions_and_malformed_frames_are_typed() {
 fn memory_pressure_sheds_typed_reclaims_and_recovers() {
     let k = obs_kernel();
     populate(&k, 8, 64);
-    let footprint = k.shrinkers().count_bytes();
+    let footprint = k.dcache.reclaimable_bytes();
     assert!(
         footprint > 0,
         "populated kernel must have reclaimable bytes"
@@ -210,7 +210,7 @@ fn memory_pressure_sheds_typed_reclaims_and_recovers() {
     let gate = server.gate().unwrap();
     assert_eq!(gate.trip_count(), 1);
     assert!(
-        k.shrinkers().count_bytes() <= gate.low_water(),
+        k.dcache.reclaimable_bytes() <= gate.low_water(),
         "trip edge must have reclaimed down to the low-water mark"
     );
 

@@ -1,11 +1,11 @@
 //! The 256-bit output: 16 index bits + 240 signature bits.
 
-use crate::{INDEX_BITS, SIGNATURE_BITS};
+use crate::INDEX_BITS;
 
 /// A finalized 256-bit path signature.
 ///
 /// Following §3.3 of the paper, the low [`INDEX_BITS`] bits of lane 0 index
-/// the direct-lookup hash table, and the remaining [`SIGNATURE_BITS`] bits
+/// the direct-lookup hash table, and the remaining [`crate::SIGNATURE_BITS`] bits
 /// are the value compared against stored dentries in place of a full path
 /// string comparison. The index bits and the compared bits do not overlap,
 /// so bucket residency reveals nothing about the compared signature.
@@ -59,11 +59,6 @@ impl Signature {
         let mut s = self.lanes;
         s[0] &= !Self::index_mask();
         s
-    }
-
-    /// Total number of signature bits carried (for reporting).
-    pub fn signature_bits() -> u32 {
-        SIGNATURE_BITS
     }
 
     /// All 256 bits — the compared 240 plus the table-index bits — for

@@ -67,15 +67,8 @@ impl Kernel {
             }
         };
         let mut anchor_owned: Option<PathRef> = None;
-        let pcc_owned;
-        let pcc: &Pcc = match self.dcache.pcc_ref(cred, ns.id, guard) {
-            Some(p) => p,
-            None => {
-                // First lookup for this (cred, ns): attach the PCC once.
-                pcc_owned = self.dcache.pcc_for(cred, ns.id);
-                &pcc_owned
-            }
-        };
+        let mut attached = None;
+        let pcc = self.pcc_under(cred, ns.id, &mut attached, guard);
         let lexical = self.dcache.config.lexical_dotdot;
 
         // Phase 1: reduce components against the anchor, handling "..".
@@ -98,7 +91,7 @@ impl Kernel {
                 if Arc::ptr_eq(&anchor.dentry, &root.dentry) && anchor.mount.id == root.mount.id {
                     continue; // ".." at the process root stays put
                 }
-                anchor_owned = Some(climb_one(anchor)?);
+                anchor_owned = Some(anchor.dotdot());
             }
         }
         let anchor = anchor_owned.as_ref().unwrap_or(base);
@@ -142,6 +135,22 @@ impl Kernel {
             plain_root,
             guard,
         )
+    }
+
+    /// The PCC of `(cred, ns)`, borrowed under the lookup's pin — no
+    /// reference taken. The first lookup for the pair attaches one, and
+    /// holds it in `attached`.
+    pub(crate) fn pcc_under<'g>(
+        &self,
+        cred: &Arc<dc_cred::Cred>,
+        ns: dcache_core::NsId,
+        attached: &'g mut Option<Arc<Pcc>>,
+        guard: &'g crossbeam_epoch::Guard,
+    ) -> &'g Pcc {
+        match self.dcache.pcc_ref(cred, ns, guard) {
+            Some(pcc) => pcc,
+            None => attached.insert(self.dcache.pcc_for(cred, ns)),
+        }
     }
 
     /// Phase 3 of the fastpath: validates a signature against the DLHT
@@ -505,20 +514,5 @@ impl Kernel {
             return None; // let the slowpath produce the precise error
         }
         Some(())
-    }
-}
-
-/// One mount-aware upward step (shared by fastpath anchor climbing).
-fn climb_one(at: &PathRef) -> Option<PathRef> {
-    let mut pos = at.clone();
-    while Arc::ptr_eq(&pos.dentry, &pos.mount.root) {
-        match pos.mount.parent.clone() {
-            Some((pm, mp)) => pos = PathRef::new(pm, mp),
-            None => break,
-        }
-    }
-    match pos.dentry.parent() {
-        Some(p) => Some(PathRef::new(pos.mount.clone(), p)),
-        None => Some(pos), // namespace root
     }
 }

@@ -10,7 +10,7 @@ use dc_blockdev::{CachedDisk, DiskConfig, LatencyModel};
 use dc_cred::{Cred, SecurityStack};
 use dc_fs::{FileSystem, FsResult, MemFs, MemFsConfig};
 use dc_obs::{MetricSource, MetricsSnapshot, ObsConfig, Recorder, Registry};
-use dcache_core::{Dcache, DcacheConfig, Dentry, ShrinkerRegistry};
+use dcache_core::{Dcache, DcacheConfig, Dentry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,9 +43,6 @@ pub struct Kernel {
     /// Superblock registry: one superblock (and dentry tree) per mounted
     /// file-system instance, so mount aliases share dentries (§4.3).
     pub(crate) superblocks: Mutex<SuperBlockRegistry>,
-    /// Registered memory-pressure shrinkers (the dcache registers itself
-    /// at assembly); [`Kernel::memory_pressure`] drives them.
-    shrinkers: ShrinkerRegistry,
     /// Extra metric sources registered by components layered on top of
     /// the kernel (e.g. the metadata server); included in
     /// [`Kernel::metrics_registry`] and cleared by
@@ -191,8 +188,6 @@ impl Kernel {
             init_ns.root_mount().sb.clone(),
         )];
         let timing = SyscallTiming::with_recorder(dcache.obs.clone());
-        let shrinkers = ShrinkerRegistry::new();
-        shrinkers.register(dcache.clone());
         Ok(Arc::new(Kernel {
             dcache,
             security,
@@ -208,7 +203,6 @@ impl Kernel {
             lock_walk_mutex: Mutex::new(()),
             tmp_rng: AtomicU64::new(0x9e3779b97f4a7c15),
             superblocks: Mutex::new(sb_registry),
-            shrinkers,
             extra_sources: Mutex::new(Vec::new()),
             warm_outcome: Mutex::new(None),
         }))
@@ -400,19 +394,13 @@ impl Kernel {
         }
     }
 
-    /// The memory-pressure shrinker registry. Additional caches can
-    /// register themselves; the dcache already has.
-    pub fn shrinkers(&self) -> &ShrinkerRegistry {
-        &self.shrinkers
-    }
-
-    /// Applies memory pressure: asks every registered shrinker to reclaim
-    /// until the combined reclaimable footprint fits `budget_bytes` (best
-    /// effort — pinned objects survive). Returns the bytes freed. This is
-    /// the `echo N > drop_caches`-with-a-budget analog the fault and
-    /// pressure experiments drive.
+    /// Applies memory pressure: the dcache reclaims until its
+    /// [reclaimable footprint](Dcache::reclaimable_bytes) fits
+    /// `budget_bytes` (best effort — pinned objects survive). Returns the
+    /// bytes freed. This is the `echo N > drop_caches`-with-a-budget analog
+    /// the fault and pressure experiments drive.
     pub fn memory_pressure(&self, budget_bytes: u64) -> u64 {
-        self.shrinkers.pressure(budget_bytes)
+        self.dcache.shrink_to_bytes(budget_bytes)
     }
 
     /// Resets every statistics counter (between experiment phases),

@@ -29,6 +29,35 @@ impl PathRef {
     }
 }
 
+impl PathRef {
+    /// One step toward the namespace root, and whether it climbed past a
+    /// name: from a mount's root to the mountpoint it covers (the same
+    /// place in every path, so no name), from anywhere else to the parent
+    /// directory (past this dentry's name). `None` at the top.
+    pub(crate) fn step_up(&self) -> Option<(PathRef, bool)> {
+        if Arc::ptr_eq(&self.dentry, &self.mount.root) {
+            let (mount, mountpoint) = self.mount.parent.as_ref()?;
+            return Some((PathRef::new(mount.clone(), mountpoint.clone()), false));
+        }
+        let parent = self.dentry.parent()?;
+        Some((PathRef::new(self.mount.clone(), parent), true))
+    }
+
+    /// What `..` names here: the parent directory, reached from a mount's
+    /// root through the mountpoint (or the stack of them) it covers. The
+    /// top of the namespace is its own parent.
+    pub(crate) fn dotdot(&self) -> PathRef {
+        let mut at = self.clone();
+        loop {
+            match at.step_up() {
+                Some((up, true)) => return up,
+                Some((up, false)) => at = up,
+                None => return at,
+            }
+        }
+    }
+}
+
 impl std::fmt::Debug for PathRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -85,7 +85,7 @@ impl Kernel {
     /// Serves a `stat`: full attributes, symlinks followed. Identical to
     /// [`stat`](Kernel::stat) minus the syscall-timing wrapper.
     pub fn stat_path(&self, proc: &Process, path: &str) -> FsResult<dc_fs::InodeAttr> {
-        self.resolve_with(proc, None, path, true, |r| Ok(r.require_inode()?.attr()))
+        self.stat_at(proc, None, path, true)
     }
 
     /// The signature of `path` for `proc`'s namespace and anchor,
@@ -117,17 +117,11 @@ impl Kernel {
                 return SigLookup::Miss;
             }
             // Same pin discipline as a path lookup.
-            let guard = self.pin_lookup();
+            let guard = self.dcache.pin();
             let ns = proc.namespace_read(&guard);
             let cred = proc.cred_read(&guard);
-            let pcc_owned;
-            let pcc = match self.dcache.pcc_ref(cred, ns.id, &guard) {
-                Some(p) => p,
-                None => {
-                    pcc_owned = self.dcache.pcc_for(cred, ns.id);
-                    &pcc_owned
-                }
-            };
+            let mut attached = None;
+            let pcc = self.pcc_under(cred, ns.id, &mut attached, &guard);
             let root = proc.root_read(&guard);
             let plain_root = ns.is_root(&root.mount, &root.dentry, &guard);
             match self.fast_validate(ns, pcc, cred, sig, true, false, plain_root, &guard) {

@@ -15,38 +15,7 @@ impl Kernel {
     /// `mkdir(2)`.
     pub fn mkdir(&self, proc: &Process, path: &str, mode: u16) -> FsResult<()> {
         self.timing.record(SyscallClass::OtherMeta, || {
-            let pr = match self.resolve_parent(proc, path) {
-                Ok(pr) => pr,
-                Err(FsError::Busy) => return Err(FsError::Exist), // mkdir "/"
-                Err(e) => return Err(e),
-            };
-            let cred = proc.cred();
-            self.check_dir_mutable(&cred, &pr.parent, None)?;
-            let parent_d = pr.parent.dentry.clone();
-            let mount = pr.parent.mount.clone();
-            let _g = parent_d.dir_lock().lock();
-            let existing = match self.lookup_one_locked(&mount, &parent_d, &pr.name) {
-                Ok(d) if !d.is_negative() => return Err(FsError::Exist),
-                Ok(neg) => Some(neg),
-                Err(FsError::NoEnt) => None,
-                Err(e) => return Err(e),
-            };
-            let dir_ino = pr.parent.require_inode()?.ino;
-            let attr = mount
-                .sb
-                .fs
-                .mkdir(dir_ino, &pr.name, mode & 0o7777, cred.uid, cred.gid)?;
-            let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
-            let d = self.instantiate_created(&parent_d, existing, &pr.name, inode);
-            // A brand-new directory is trivially complete (§5.1).
-            if self.dcache.config.dir_completeness {
-                d.set_flag(FLAG_DIR_COMPLETE);
-                self.dcache
-                    .stats
-                    .complete_sets
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(())
+            self.mkdir_at(proc, None, path, mode)
         })
     }
 
@@ -54,90 +23,104 @@ impl Kernel {
     pub fn mkdirat(&self, proc: &Process, dirfd: u32, path: &str, mode: u16) -> FsResult<()> {
         let base = self.at_base(proc, dirfd)?;
         self.timing.record(SyscallClass::OtherMeta, || {
-            // Reuse mkdir's body via a resolved absolute-ish path walk.
-            let pr = self.resolve_parent_from(proc, Some(&base.path), path)?;
-            let cred = proc.cred();
-            self.check_dir_mutable(&cred, &pr.parent, None)?;
-            let parent_d = pr.parent.dentry.clone();
-            let mount = pr.parent.mount.clone();
-            let _g = parent_d.dir_lock().lock();
-            let existing = match self.lookup_one_locked(&mount, &parent_d, &pr.name) {
-                Ok(d) if !d.is_negative() => return Err(FsError::Exist),
-                Ok(neg) => Some(neg),
-                Err(FsError::NoEnt) => None,
-                Err(e) => return Err(e),
-            };
-            let dir_ino = pr.parent.require_inode()?.ino;
-            let attr = mount
-                .sb
-                .fs
-                .mkdir(dir_ino, &pr.name, mode & 0o7777, cred.uid, cred.gid)?;
-            let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
-            let d = self.instantiate_created(&parent_d, existing, &pr.name, inode);
-            if self.dcache.config.dir_completeness {
-                d.set_flag(FLAG_DIR_COMPLETE);
-                self.dcache
-                    .stats
-                    .complete_sets
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(())
+            self.mkdir_at(proc, Some(&base.path), path, mode)
         })
+    }
+
+    fn mkdir_at(
+        &self,
+        proc: &Process,
+        start: Option<&PathRef>,
+        path: &str,
+        mode: u16,
+    ) -> FsResult<()> {
+        let pr = match self.resolve_parent(proc, start, path) {
+            Ok(pr) => pr,
+            Err(FsError::Busy) => return Err(FsError::Exist), // mkdir "/"
+            Err(e) => return Err(e),
+        };
+        let cred = proc.cred();
+        self.check_dir_mutable(&cred, &pr.parent, None)?;
+        let parent_d = pr.parent.dentry.clone();
+        let mount = pr.parent.mount.clone();
+        let _g = parent_d.dir_lock().lock();
+        let existing = self.lookup_free_locked(&mount, &parent_d, &pr.name)?;
+        let dir_ino = pr.parent.require_inode()?.ino;
+        let attr = mount
+            .sb
+            .fs
+            .mkdir(dir_ino, &pr.name, mode & 0o7777, cred.uid, cred.gid)?;
+        let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
+        let d = self.instantiate_created(&parent_d, existing, &pr.name, inode);
+        // A brand-new directory is trivially complete (§5.1).
+        if self.dcache.config.dir_completeness {
+            d.set_flag(FLAG_DIR_COMPLETE);
+            self.dcache
+                .stats
+                .complete_sets
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// `rmdir(2)`.
     pub fn rmdir(&self, proc: &Process, path: &str) -> FsResult<()> {
-        self.timing.record(SyscallClass::Unlink, || {
-            let pr = match self.resolve_parent(proc, path) {
-                Ok(pr) => pr,
-                Err(FsError::Busy) => return Err(FsError::Busy), // rmdir "/"
-                Err(e) => return Err(e),
-            };
-            let cred = proc.cred();
-            self.check_dir_mutable(&cred, &pr.parent, None)?;
-            let parent_d = pr.parent.dentry.clone();
-            let mount = pr.parent.mount.clone();
-            let _g = parent_d.dir_lock().lock();
-            let target = self.lookup_one_locked(&mount, &parent_d, &pr.name)?;
-            let inode = target.inode().ok_or(FsError::NoEnt)?;
-            if !inode.is_dir() {
-                return Err(FsError::NotDir);
+        self.timing
+            .record(SyscallClass::Unlink, || self.rmdir_at(proc, None, path))
+    }
+
+    /// `unlinkat(2)`'s `AT_REMOVEDIR` half.
+    pub(crate) fn rmdir_at(
+        &self,
+        proc: &Process,
+        start: Option<&PathRef>,
+        path: &str,
+    ) -> FsResult<()> {
+        let pr = self.resolve_parent(proc, start, path)?; // rmdir "/": EBUSY
+        let cred = proc.cred();
+        self.check_dir_mutable(&cred, &pr.parent, None)?;
+        let parent_d = pr.parent.dentry.clone();
+        let mount = pr.parent.mount.clone();
+        let _g = parent_d.dir_lock().lock();
+        let target = self.lookup_one_locked(&mount, &parent_d, &pr.name)?;
+        let inode = target.inode().ok_or(FsError::NoEnt)?;
+        if !inode.is_dir() {
+            return Err(FsError::NotDir);
+        }
+        if proc.namespace().is_mountpoint(target.id()) {
+            return Err(FsError::Busy);
+        }
+        let parent_attr = pr.parent.require_inode()?.attr();
+        if !Self::sticky_ok(&cred, &parent_attr, &inode.attr()) {
+            return Err(FsError::Perm);
+        }
+        let dir_ino = parent_attr.ino;
+        mount.sb.fs.rmdir(dir_ino, &pr.name)?;
+        super::refresh_dir(&parent_d);
+        self.icache.forget(mount.sb.id, inode.ino);
+        // An empty directory's cached children are negative; with
+        // them gone, what still references the dentry beside the
+        // parent's map and `target` is a holder — a cwd, a root, an
+        // open handle — that must keep a directory (or a racing
+        // walker, for which the fresh dentry is as good).
+        for child in target.children_snapshot() {
+            self.dcache.unhash_subtree(&child);
+        }
+        let held = Arc::strong_count(&target) > 2;
+        let negative = self.dcache.config.neg_on_unlink && self.negatives_allowed(&mount.sb.fs);
+        if negative && !held {
+            self.dcache.make_negative(&target, NegKind::Enoent);
+        } else {
+            // What a holder lists or looks up in it from now on is the
+            // file system's answer for a removed directory.
+            target.clear_flag(FLAG_DIR_COMPLETE);
+            self.dcache.unhash_subtree(&target);
+            if negative {
+                let gone = DentryState::Negative(NegKind::Enoent);
+                self.dcache.d_alloc(&parent_d, &pr.name, gone);
             }
-            if proc.namespace().is_mountpoint(target.id()) {
-                return Err(FsError::Busy);
-            }
-            let parent_attr = pr.parent.require_inode()?.attr();
-            if !Self::sticky_ok(&cred, &parent_attr, &inode.attr()) {
-                return Err(FsError::Perm);
-            }
-            let dir_ino = parent_attr.ino;
-            mount.sb.fs.rmdir(dir_ino, &pr.name)?;
-            super::refresh_dir(&parent_d);
-            self.icache.forget(mount.sb.id, inode.ino);
-            // An empty directory's cached children are negative; with
-            // them gone, what still references the dentry beside the
-            // parent's map and `target` is a holder — a cwd, a root, an
-            // open handle — that must keep a directory (or a racing
-            // walker, for which the fresh dentry is as good).
-            for child in target.children_snapshot() {
-                self.dcache.unhash_subtree(&child);
-            }
-            let held = Arc::strong_count(&target) > 2;
-            let negative = self.dcache.config.neg_on_unlink && self.negatives_allowed(&mount.sb.fs);
-            if negative && !held {
-                self.dcache.make_negative(&target, NegKind::Enoent);
-            } else {
-                // What a holder lists or looks up in it from now on is the
-                // file system's answer for a removed directory.
-                target.clear_flag(FLAG_DIR_COMPLETE);
-                self.dcache.unhash_subtree(&target);
-                if negative {
-                    let gone = DentryState::Negative(NegKind::Enoent);
-                    self.dcache.d_alloc(&parent_d, &pr.name, gone);
-                }
-            }
-            Ok(())
-        })
+        }
+        Ok(())
     }
 
     /// `getdents(2)`: reads up to `max` entries from a directory handle.

@@ -60,72 +60,92 @@ impl Kernel {
         cred.uid == 0 || cred.uid == target.uid || cred.uid == parent.uid
     }
 
-    /// Single-component lookup under a held `dir_lock`: per-parent cache
-    /// probe, completeness short-circuit, then the low-level file system.
-    /// Returns a positive or negative dentry.
+    /// Upgrades a partial dentry (readdir-born, §5.1) into a positive one,
+    /// or a negative one if the object vanished below us. The caller
+    /// holds the parent's `dir_lock`.
+    pub(crate) fn upgrade_partial_locked(&self, mount: &Mount, d: &Arc<Dentry>) -> FsResult<()> {
+        let Some(ino) = d.partial_ino() else {
+            return Ok(()); // someone else upgraded it
+        };
+        match mount.sb.fs.getattr(ino) {
+            Ok(attr) => {
+                let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
+                d.set_state(DentryState::Positive(inode));
+                Ok(())
+            }
+            Err(FsError::NoEnt) => {
+                self.dcache.make_negative(d, NegKind::Enoent);
+                Ok(())
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The component-lookup protocol, under the parent's held `dir_lock`
+    /// — the one place a name is looked up in a directory, for the walk
+    /// (`SlowWalk::lookup_child`, once its unlocked probe finds no live
+    /// entry) and for every mutating syscall's final component:
+    /// per-parent cache probe (a partial entry is upgraded
+    /// in place), completeness short-circuit (§5.1), then the low-level
+    /// file system. Returns a positive or negative dentry; `ENOENT` only
+    /// where negative dentries may not be created.
     pub(crate) fn lookup_one_locked(
         &self,
-        mount: &Arc<Mount>,
+        mount: &Mount,
         parent: &Arc<Dentry>,
         name: &str,
     ) -> FsResult<Arc<Dentry>> {
         // A dying same-name entry (mid-eviction) can briefly coexist with
-        // a still-set completeness flag; seeing one disqualifies the
-        // completeness short-circuit below so eviction races can never
-        // fabricate ENOENT for a file the file system still has.
+        // a still-set completeness flag — eviction clears the flag between
+        // marking the child dead and removing it; seeing one disqualifies
+        // the completeness short-circuit below, so eviction races can
+        // never fabricate ENOENT for a file the file system still has,
+        // and memory pressure can slow a lookup down but never fail it.
         let mut dying_hit = false;
         if let Some(c) = self.dcache.d_lookup(parent, name) {
             if !c.is_dead() {
-                // The caller holds the dir lock; upgrade partial entries
-                // inline.
-                if let Some(ino) = c.partial_ino() {
-                    match mount.sb.fs.getattr(ino) {
-                        Ok(attr) => {
-                            let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
-                            c.set_state(DentryState::Positive(inode));
-                        }
-                        Err(FsError::NoEnt) => self.dcache.make_negative(&c, NegKind::Enoent),
-                        Err(e) => return Err(e),
-                    }
-                }
+                self.upgrade_partial_locked(mount, &c)?;
                 return Ok(c);
             }
             dying_hit = true;
         }
         let fs = &mount.sb.fs;
         let dir_ino = parent.inode().ok_or(FsError::NoEnt)?.ino;
-        if !dying_hit && self.dcache.config.dir_completeness && parent.flag(FLAG_DIR_COMPLETE) {
-            self.dcache
-                .stats
-                .complete_neg_avoided
-                .fetch_add(1, Ordering::Relaxed);
-            if self.negatives_allowed(fs) {
-                return Ok(self.dcache.d_alloc(
-                    parent,
-                    name,
-                    DentryState::Negative(NegKind::Enoent),
-                ));
+        let complete = self.dcache.config.dir_completeness && parent.flag(FLAG_DIR_COMPLETE);
+        let stats = &self.dcache.stats;
+        let found = if complete && !dying_hit {
+            // A complete directory proves absence without the file system.
+            stats.complete_neg_avoided.fetch_add(1, Ordering::Relaxed);
+            Err(FsError::NoEnt)
+        } else {
+            stats.miss_fs.fetch_add(1, Ordering::Relaxed);
+            self.dcache.obs.event(|| dc_obs::TraceEvent::FsMiss);
+            fs.lookup(dir_ino, name)
+        };
+        let state = match found {
+            Ok(attr) => DentryState::Positive(self.icache.get_or_create(mount.sb.id, fs, attr)),
+            Err(FsError::NoEnt) if self.negatives_allowed(fs) => {
+                DentryState::Negative(NegKind::Enoent)
             }
-            return Err(FsError::NoEnt);
-        }
-        self.dcache.stats.miss_fs.fetch_add(1, Ordering::Relaxed);
-        self.dcache.obs.event(|| dc_obs::TraceEvent::FsMiss);
-        match fs.lookup(dir_ino, name) {
-            Ok(attr) => {
-                let inode = self.icache.get_or_create(mount.sb.id, fs, attr);
-                Ok(self
-                    .dcache
-                    .d_alloc(parent, name, DentryState::Positive(inode)))
-            }
-            Err(FsError::NoEnt) => {
-                if self.negatives_allowed(fs) {
-                    Ok(self
-                        .dcache
-                        .d_alloc(parent, name, DentryState::Negative(NegKind::Enoent)))
-                } else {
-                    Err(FsError::NoEnt)
-                }
-            }
+            Err(e) => return Err(e),
+        };
+        Ok(self.dcache.d_alloc(parent, name, state))
+    }
+
+    /// [`lookup_one_locked`](Kernel::lookup_one_locked) for a name about to
+    /// be created: `EEXIST` if it is taken, else its cached negative
+    /// dentry, if there is one, for
+    /// [`instantiate_created`](Kernel::instantiate_created) to flip.
+    pub(crate) fn lookup_free_locked(
+        &self,
+        mount: &Mount,
+        parent: &Arc<Dentry>,
+        name: &str,
+    ) -> FsResult<Option<Arc<Dentry>>> {
+        match self.lookup_one_locked(mount, parent, name) {
+            Ok(d) if !d.is_negative() => Err(FsError::Exist),
+            Ok(negative) => Ok(Some(negative)),
+            Err(FsError::NoEnt) => Ok(None),
             Err(e) => Err(e),
         }
     }

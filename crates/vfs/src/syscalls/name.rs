@@ -2,9 +2,10 @@
 //! coherence §3.2 is about.
 
 use crate::kernel::Kernel;
+use crate::path::PathRef;
 use crate::process::Process;
 use crate::timing::SyscallClass;
-use dc_fs::{FileType, FsError, FsResult};
+use dc_fs::{FsError, FsResult};
 use dcache_core::{Dentry, DentryState, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::Arc;
 
@@ -12,31 +13,23 @@ impl Kernel {
     /// `unlink(2)`.
     pub fn unlink(&self, proc: &Process, path: &str) -> FsResult<()> {
         self.timing
-            .record(SyscallClass::Unlink, || self.unlink_internal(proc, path))
+            .record(SyscallClass::Unlink, || self.unlink_at(proc, None, path))
     }
 
     /// `unlinkat(2)` with `AT_REMOVEDIR` selecting rmdir behavior.
     pub fn unlinkat(&self, proc: &Process, dirfd: u32, path: &str, rmdir: bool) -> FsResult<()> {
         let base = self.at_base(proc, dirfd)?;
-        let full = if path.starts_with('/') {
-            path.to_string()
-        } else {
-            let mut p = self.vfs_path_of(&base.path);
-            if !p.ends_with('/') {
-                p.push('/');
+        self.timing.record(SyscallClass::Unlink, || {
+            if rmdir {
+                self.rmdir_at(proc, Some(&base.path), path)
+            } else {
+                self.unlink_at(proc, Some(&base.path), path)
             }
-            p.push_str(path);
-            p
-        };
-        if rmdir {
-            self.rmdir(proc, &full)
-        } else {
-            self.unlink(proc, &full)
-        }
+        })
     }
 
-    fn unlink_internal(&self, proc: &Process, path: &str) -> FsResult<()> {
-        let pr = self.resolve_parent(proc, path)?;
+    fn unlink_at(&self, proc: &Process, start: Option<&PathRef>, path: &str) -> FsResult<()> {
+        let pr = self.resolve_parent(proc, start, path)?;
         if pr.require_dir {
             return Err(FsError::IsDir); // "unlink x/" — directory form
         }
@@ -89,8 +82,8 @@ impl Kernel {
     fn rename_internal(&self, proc: &Process, old: &str, new: &str) -> FsResult<()> {
         let ns = proc.namespace();
         let cred = proc.cred();
-        let pro = self.resolve_parent(proc, old)?;
-        let prn = self.resolve_parent(proc, new)?;
+        let pro = self.resolve_parent(proc, None, old)?;
+        let prn = self.resolve_parent(proc, None, new)?;
         if pro.parent.mount.id != prn.parent.mount.id {
             return Err(FsError::XDev);
         }
@@ -214,7 +207,7 @@ impl Kernel {
             if old_inode.is_dir() {
                 return Err(FsError::Perm);
             }
-            let pr = self.resolve_parent(proc, newpath)?;
+            let pr = self.resolve_parent(proc, None, newpath)?;
             if pr.parent.mount.id != old.mount.id {
                 return Err(FsError::XDev);
             }
@@ -223,12 +216,7 @@ impl Kernel {
             let parent_d = pr.parent.dentry.clone();
             let mount = pr.parent.mount.clone();
             let _g = parent_d.dir_lock().lock();
-            let existing = match self.lookup_one_locked(&mount, &parent_d, &pr.name) {
-                Ok(d) if !d.is_negative() => return Err(FsError::Exist),
-                Ok(neg) => Some(neg),
-                Err(FsError::NoEnt) => None,
-                Err(e) => return Err(e),
-            };
+            let existing = self.lookup_free_locked(&mount, &parent_d, &pr.name)?;
             let dir_ino = pr.parent.require_inode()?.ino;
             let attr = mount.sb.fs.link(dir_ino, &pr.name, old_inode.ino)?;
             old_inode.store_attr(attr);
@@ -243,18 +231,13 @@ impl Kernel {
             if target.is_empty() {
                 return Err(FsError::NoEnt);
             }
-            let pr = self.resolve_parent(proc, linkpath)?;
+            let pr = self.resolve_parent(proc, None, linkpath)?;
             let cred = proc.cred();
             self.check_dir_mutable(&cred, &pr.parent, None)?;
             let parent_d = pr.parent.dentry.clone();
             let mount = pr.parent.mount.clone();
             let _g = parent_d.dir_lock().lock();
-            let existing = match self.lookup_one_locked(&mount, &parent_d, &pr.name) {
-                Ok(d) if !d.is_negative() => return Err(FsError::Exist),
-                Ok(neg) => Some(neg),
-                Err(FsError::NoEnt) => None,
-                Err(e) => return Err(e),
-            };
+            let existing = self.lookup_free_locked(&mount, &parent_d, &pr.name)?;
             let dir_ino = pr.parent.require_inode()?.ino;
             let attr = mount
                 .sb
@@ -262,7 +245,6 @@ impl Kernel {
                 .symlink(dir_ino, &pr.name, target, cred.uid, cred.gid)?;
             let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
             self.instantiate_created(&parent_d, existing, &pr.name, inode);
-            let _ = FileType::Symlink;
             Ok(())
         })
     }

@@ -64,7 +64,7 @@ impl Kernel {
             // component with create intent under the parent's lock.
             return self.open_create(proc, start, path, flags, mode, depth);
         }
-        let r = self.resolve_from(proc, start, path, !flags.nofollow)?;
+        let r = self.resolve_with(proc, start, path, !flags.nofollow, |r| Ok(r.into_owned()))?;
         self.open_existing(proc, r, flags)
     }
 
@@ -122,7 +122,7 @@ impl Kernel {
         mode: u16,
         depth: u32,
     ) -> FsResult<Arc<Handle>> {
-        let pr = self.resolve_parent_from(proc, start, path)?;
+        let pr = self.resolve_parent(proc, start, path)?;
         if pr.require_dir {
             return Err(FsError::IsDir); // creating "name/" as a file
         }
@@ -132,7 +132,7 @@ impl Kernel {
         let _g = parent_d.dir_lock().lock();
         // Resolve the final component under the lock; O_CREAT on an
         // existing object needs no write permission on the directory.
-        match self.lookup_one_locked(&mount, &parent_d, &pr.name) {
+        let existing = match self.lookup_one_locked(&mount, &parent_d, &pr.name) {
             Ok(d) if !d.is_negative() => {
                 // A dangling symlink resolves NoEnt but exists as a link:
                 // O_CREAT creates the *target* (Linux semantics).
@@ -157,37 +157,22 @@ impl Kernel {
                     inode: d.inode(),
                     dentry: d,
                 };
-                self.open_existing(proc, r, flags)
+                return self.open_existing(proc, r, flags);
             }
-            Ok(negative) => {
-                // Actually creating: now the directory must be writable.
-                self.check_dir_mutable(&cred, &pr.parent, None)?;
-                let dir_ino = pr.parent.require_inode()?.ino;
-                let attr =
-                    mount
-                        .sb
-                        .fs
-                        .create(dir_ino, &pr.name, mode & 0o7777, cred.uid, cred.gid)?;
-                let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
-                let dentry =
-                    self.instantiate_created(&parent_d, Some(negative), &pr.name, inode.clone());
-                Ok(Handle::new(mount.clone(), dentry, inode, flags))
-            }
-            Err(FsError::NoEnt) => {
-                // Negative caching disabled; create directly.
-                self.check_dir_mutable(&cred, &pr.parent, None)?;
-                let dir_ino = pr.parent.require_inode()?.ino;
-                let attr =
-                    mount
-                        .sb
-                        .fs
-                        .create(dir_ino, &pr.name, mode & 0o7777, cred.uid, cred.gid)?;
-                let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
-                let dentry = self.instantiate_created(&parent_d, None, &pr.name, inode.clone());
-                Ok(Handle::new(mount.clone(), dentry, inode, flags))
-            }
-            Err(e) => Err(e),
-        }
+            Ok(negative) => Some(negative),
+            Err(FsError::NoEnt) => None, // negative caching disabled
+            Err(e) => return Err(e),
+        };
+        // Actually creating: now the directory must be writable.
+        self.check_dir_mutable(&cred, &pr.parent, None)?;
+        let dir_ino = pr.parent.require_inode()?.ino;
+        let attr = mount
+            .sb
+            .fs
+            .create(dir_ino, &pr.name, mode & 0o7777, cred.uid, cred.gid)?;
+        let inode = self.icache.get_or_create(mount.sb.id, &mount.sb.fs, attr);
+        let dentry = self.instantiate_created(&parent_d, existing, &pr.name, inode.clone());
+        Ok(Handle::new(mount, dentry, inode, flags))
     }
 
     /// `close(2)`.

@@ -1,6 +1,7 @@
 //! `stat`, `lstat`, `fstat`, `fstatat`, `access`, `readlink`, `getcwd`.
 
 use crate::kernel::Kernel;
+use crate::path::PathRef;
 use crate::process::Process;
 use crate::timing::SyscallClass;
 use dc_cred::{MAY_EXEC, MAY_READ, MAY_WRITE};
@@ -10,14 +11,28 @@ impl Kernel {
     /// `stat(2)` — follows symlinks.
     pub fn stat(&self, proc: &Process, path: &str) -> FsResult<InodeAttr> {
         self.timing.record(SyscallClass::AccessStat, || {
-            self.resolve_with(proc, None, path, true, |r| Ok(r.require_inode()?.attr()))
+            self.stat_at(proc, None, path, true)
         })
     }
 
     /// `lstat(2)` — does not follow a final symlink.
     pub fn lstat(&self, proc: &Process, path: &str) -> FsResult<InodeAttr> {
         self.timing.record(SyscallClass::AccessStat, || {
-            self.resolve_with(proc, None, path, false, |r| Ok(r.require_inode()?.attr()))
+            self.stat_at(proc, None, path, false)
+        })
+    }
+
+    /// The attributes `path` resolves to: the one body behind the `stat`
+    /// family and the served `stat` ([`Kernel::stat_path`]).
+    pub(crate) fn stat_at(
+        &self,
+        proc: &Process,
+        start: Option<&PathRef>,
+        path: &str,
+        follow_last: bool,
+    ) -> FsResult<InodeAttr> {
+        self.resolve_with(proc, start, path, follow_last, |r| {
+            Ok(r.require_inode()?.attr())
         })
     }
 
@@ -38,9 +53,7 @@ impl Kernel {
     ) -> FsResult<InodeAttr> {
         self.timing.record(SyscallClass::AccessStat, || {
             let base = self.at_base(proc, dirfd)?;
-            self.resolve_with(proc, Some(&base.path), path, !nofollow, |r| {
-                Ok(r.require_inode()?.attr())
-            })
+            self.stat_at(proc, Some(&base.path), path, !nofollow)
         })
     }
 

@@ -24,9 +24,7 @@ use crate::process::Process;
 use dc_cred::{Cred, PermCtx, MAY_EXEC};
 use dc_fs::{FileSystem, FsError, FsResult};
 use dc_obs::{LookupOutcome, TraceEvent};
-use dcache_core::{
-    Dentry, DentryState, HashState, Inode, NegKind, Pcc, Signature, FLAG_DIR_COMPLETE,
-};
+use dcache_core::{Dentry, DentryState, HashState, Inode, NegKind, Pcc, Signature};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -81,27 +79,16 @@ impl Kernel {
         path: &str,
         follow_last: bool,
     ) -> FsResult<WalkResult> {
-        self.resolve_from(proc, None, path, follow_last)
-    }
-
-    /// [`resolve`](Kernel::resolve), starting relative paths at `start`
-    /// (the `*at()` family) or the process cwd.
-    pub(crate) fn resolve_from(
-        &self,
-        proc: &Process,
-        start: Option<&PathRef>,
-        path: &str,
-        follow_last: bool,
-    ) -> FsResult<WalkResult> {
-        self.resolve_with(proc, start, path, follow_last, |r| Ok(r.into_owned()))
+        self.resolve_with(proc, None, path, follow_last, |r| Ok(r.into_owned()))
     }
 
     /// The resolve entry point (fastpath first when configured): resolves
-    /// `path` and hands the result to `consume` with its mount borrowed.
-    /// On a fastpath hit `consume` runs under the lookup's epoch pin, so
-    /// it must be short and must not block; a caller that keeps the
-    /// result takes its own reference there
-    /// ([`resolve_from`](Kernel::resolve_from)).
+    /// `path` — a relative one from `start` (the `*at()` family's
+    /// directory handle) or the process cwd — and hands the result to
+    /// `consume` with its mount borrowed. On a fastpath hit `consume`
+    /// runs under the lookup's epoch pin, so it must be short and must
+    /// not block; a caller that keeps the result takes its own reference
+    /// there ([`WalkRef::into_owned`]).
     pub(crate) fn resolve_with<T>(
         &self,
         proc: &Process,
@@ -117,19 +104,15 @@ impl Kernel {
             // every snapshot/chain read of the fastpath nests under this
             // guard, and so does `consume` — the mount it borrows stays
             // alive without a reference of its own.
-            let guard = self.pin_lookup();
+            let guard = self.dcache.pin();
             if let Some(hit) = self.fast_resolve(proc, start, &parsed, follow_last, &guard) {
                 self.lookup_end(t0, &hit);
                 return consume(hit?);
             }
         }
-        let out = match self.slow_resolve(proc, start, &parsed, follow_last, false) {
-            Ok(WalkOutput::Full(r)) => Ok(r),
-            // Mode mismatch is an internal bug; surface EIO, not a
-            // panic, so a syscall can never take the kernel down.
-            Ok(WalkOutput::Parent(..)) => Err(FsError::Io),
-            Err(e) => Err(e),
-        };
+        let out = self.slow_resolve(proc, start, &parsed, |w, parsed| {
+            w.run_full(parsed, follow_last)
+        });
         self.lookup_end(t0, &out);
         let WalkResult {
             mount,
@@ -143,14 +126,10 @@ impl Kernel {
         })
     }
 
-    /// Resolves everything but the final component; the caller mutates
+    /// Resolves everything but the final component, from `start` as
+    /// [`resolve_with`](Kernel::resolve_with) does; the caller mutates
     /// `name` under the returned parent.
-    pub(crate) fn resolve_parent(&self, proc: &Process, path: &str) -> FsResult<ParentResult> {
-        self.resolve_parent_from(proc, None, path)
-    }
-
-    /// Parent-mode resolution with an explicit start (the `*at()` family).
-    pub(crate) fn resolve_parent_from(
+    pub(crate) fn resolve_parent(
         &self,
         proc: &Process,
         start: Option<&PathRef>,
@@ -158,15 +137,7 @@ impl Kernel {
     ) -> FsResult<ParentResult> {
         let parsed = split_path(path)?;
         let t0 = self.lookup_start();
-        let out = match self.slow_resolve(proc, start, &parsed, true, true) {
-            Ok(WalkOutput::Parent(parent, name, require_dir)) => Ok(ParentResult {
-                parent,
-                name,
-                require_dir,
-            }),
-            Ok(WalkOutput::Full(_)) => Err(FsError::Io), // mode mismatch: see resolve_with
-            Err(e) => Err(e),
-        };
+        let out = self.slow_resolve(proc, start, &parsed, |w, parsed| w.run_parent(parsed));
         self.lookup_end(t0, &out);
         out
     }
@@ -188,19 +159,6 @@ impl Kernel {
                 .obs
                 .event(|| TraceEvent::LookupEnd { outcome, ns });
         }
-    }
-
-    /// Pins the reclamation epoch for one lookup. Under a batch-scoped
-    /// pin (server workers) this nests for free and the batch pin already
-    /// accounted the one `EpochPin`.
-    pub(crate) fn pin_lookup(&self) -> crossbeam_epoch::Guard {
-        let in_batch = dcache_core::batch_pin_active();
-        let guard = crossbeam_epoch::pin();
-        if !in_batch {
-            self.dcache.stats.epoch_pins.fetch_add(1, Ordering::Relaxed);
-            self.dcache.obs.event(|| TraceEvent::EpochPin);
-        }
-        guard
     }
 
     /// One LSM-stack permission check.
@@ -232,26 +190,12 @@ impl Kernel {
     /// path-sensitive LSMs and `getcwd`).
     pub(crate) fn vfs_path_of(&self, at: &PathRef) -> String {
         let mut names: Vec<Arc<str>> = Vec::new();
-        let mut mount = at.mount.clone();
-        let mut d = at.dentry.clone();
-        loop {
-            if Arc::ptr_eq(&d, &mount.root) {
-                match mount.parent.clone() {
-                    Some((pm, mp)) => {
-                        mount = pm;
-                        d = mp;
-                    }
-                    None => break,
-                }
-            } else {
-                match d.parent() {
-                    Some(p) => {
-                        names.push(d.name());
-                        d = p;
-                    }
-                    None => break,
-                }
+        let mut at = at.clone();
+        while let Some((up, named)) = at.step_up() {
+            if named {
+                names.push(at.dentry.name());
             }
+            at = up;
         }
         if names.is_empty() {
             return "/".to_string();
@@ -294,37 +238,27 @@ impl Kernel {
         guard: &crossbeam_epoch::Guard,
     ) -> Option<HashState> {
         let mut names: Vec<Arc<str>> = Vec::new();
-        let mut mount = at.mount.clone();
-        let mut d = at.dentry.clone();
+        let mut pos = at.clone();
         let base = loop {
             // No path string leads below a mountpoint, into an unmounted
             // tree or into a removed directory (a cwd or a root may still
             // sit in any of them): nothing to resume from, and nothing
             // the walk may publish.
+            let (mount, d) = (&pos.mount, &pos.dentry);
             let covered = ns.mount_at(mount.id, d.id()).is_some();
             if covered || d.is_dead() || ns.mount_by_id(mount.id).is_none() {
                 return None;
             }
-            if let Some(h) = self.state_at(ns, &mount, &d, guard) {
+            if let Some(h) = self.state_at(ns, mount, d, guard) {
                 break h;
             }
-            if Arc::ptr_eq(&d, &mount.root) {
-                match mount.parent.clone() {
-                    Some((pm, mp)) => {
-                        mount = pm;
-                        d = mp;
-                    }
-                    None => break self.dcache.key.root_state(),
-                }
-            } else {
-                match d.parent() {
-                    Some(p) => {
-                        names.push(d.name());
-                        d = p;
-                    }
-                    None => return None,
-                }
+            // The top of a mounted namespace is its root, which has a
+            // state: running out of parents means a detached tree.
+            let (up, named) = pos.step_up()?;
+            if named {
+                names.push(pos.dentry.name());
             }
+            pos = up;
         };
         let mut h = base;
         for n in names.iter().rev() {
@@ -336,14 +270,17 @@ impl Kernel {
         Some(h)
     }
 
-    fn slow_resolve(
+    /// The slow walk's retry loop around `run` — [`SlowWalk::run_full`]
+    /// or [`SlowWalk::run_parent`], on the path handed to it (the whole
+    /// one, or its last component when the fastpath vouches for the
+    /// directory).
+    fn slow_resolve<T>(
         &self,
         proc: &Process,
         start: Option<&PathRef>,
         parsed: &ParsedPath<'_>,
-        follow_last: bool,
-        parent_mode: bool,
-    ) -> FsResult<WalkOutput> {
+        run: impl Fn(&mut SlowWalk<'_>, &ParsedPath<'_>) -> FsResult<T>,
+    ) -> FsResult<T> {
         self.dcache.stats.slow_walks.fetch_add(1, Ordering::Relaxed);
         let mut attempts = 0;
         loop {
@@ -357,10 +294,9 @@ impl Kernel {
                 // Contended with structural changes: exclude writers.
                 let _w = self.dcache.rename_lock.write();
                 let mut w = SlowWalk::new(self, proc, start, parsed.absolute);
-                let out = w.run(parsed, follow_last, parent_mode);
+                let out = run(&mut w, parsed);
                 // No concurrent rename is possible; publish directly.
-                let inv0 = w.inv0;
-                self.apply_publishes(w, inv0);
+                self.apply_publishes(w);
                 return out;
             }
             let rseq = self.dcache.rename_lock.read_begin();
@@ -372,7 +308,7 @@ impl Kernel {
                 None => (start, parsed),
             };
             let mut w = SlowWalk::new(self, proc, start, parsed.absolute);
-            let out = w.run(parsed, follow_last, parent_mode);
+            let out = run(&mut w, parsed);
             if self.dcache.rename_lock.read_retry(rseq) {
                 self.dcache
                     .stats
@@ -381,18 +317,16 @@ impl Kernel {
                 self.dcache.obs.event(|| TraceEvent::SeqRetry);
                 continue;
             }
-            let inv0 = w.inv0;
-            let publishes_ok = self.apply_publishes(w, inv0);
-            let _ = publishes_ok;
+            self.apply_publishes(w);
             return out;
         }
     }
 
     /// Applies queued publications; rolls back if a shootdown raced
     /// (read-before/read-after on the invalidation counter, §3.2).
-    fn apply_publishes(&self, w: SlowWalk<'_>, inv0: u64) -> bool {
+    fn apply_publishes(&self, w: SlowWalk<'_>) {
         if w.publishes.is_empty() {
-            return true;
+            return;
         }
         let ns = w.ns.clone();
         let pcc = w.pcc.clone();
@@ -425,7 +359,7 @@ impl Kernel {
                 }
             }
         }
-        if self.dcache.invalidation_counter() != inv0 {
+        if self.dcache.invalidation_counter() != w.inv0 {
             // Lost a race with a shootdown: undo everything we added.
             for p in &w.publishes {
                 match p {
@@ -441,9 +375,7 @@ impl Kernel {
                     Publish::LinkSig { link, .. } => link.clear_hash_state(),
                 }
             }
-            return false;
         }
-        true
     }
 }
 
@@ -456,14 +388,6 @@ fn lookup_outcome<T>(out: &FsResult<T>) -> LookupOutcome {
         Err(FsError::NoEnt) | Err(FsError::NotDir) => LookupOutcome::Negative,
         Err(_) => LookupOutcome::Error,
     }
-}
-
-/// Output of a slow resolution.
-pub(crate) enum WalkOutput {
-    /// Full mode: the final object.
-    Full(WalkResult),
-    /// Parent mode: parent directory, final name, trailing-slash flag.
-    Parent(WalkResult, String, bool),
 }
 
 struct SlowWalk<'k> {
@@ -555,58 +479,55 @@ impl<'k> SlowWalk<'k> {
         }
     }
 
-    fn run(
-        &mut self,
-        parsed: &ParsedPath<'_>,
-        follow_last: bool,
-        parent_mode: bool,
-    ) -> FsResult<WalkOutput> {
-        let comps: Vec<&str> = if self.k.dcache.config.lexical_dotdot {
+    /// The components to walk: as parsed, or with `..` folded lexically
+    /// (Plan 9 mode, §4.2).
+    fn components<'a>(&self, parsed: &ParsedPath<'a>) -> Vec<&'a str> {
+        if self.k.dcache.config.lexical_dotdot {
             lexical_simplify(&parsed.components)
         } else {
             parsed.components.to_vec()
-        };
-        if parent_mode {
-            let Some((last, rest)) = comps.split_last() else {
-                return Err(FsError::Busy); // mutating "/" itself
-            };
-            if *last == ".." {
-                return Err(FsError::Inval);
-            }
-            self.walk_components(rest, true)?;
-            self.ensure_cur_dir()?;
-            self.check_exec()?;
-            let parent = WalkResult {
-                mount: self.cur.mount.clone(),
-                dentry: self.cur.dentry.clone(),
-                inode: self.cur.dentry.inode(),
-            };
-            return Ok(WalkOutput::Parent(
-                parent,
-                (*last).to_string(),
-                parsed.require_dir,
-            ));
         }
-        self.walk_components(&comps, follow_last)?;
+    }
+
+    /// `cur` as a result.
+    fn result(&self) -> WalkResult {
+        WalkResult {
+            mount: self.cur.mount.clone(),
+            dentry: self.cur.dentry.clone(),
+            inode: self.cur.dentry.inode(),
+        }
+    }
+
+    /// Walks the whole path to its final object.
+    fn run_full(&mut self, parsed: &ParsedPath<'_>, follow_last: bool) -> FsResult<WalkResult> {
+        self.walk_components(&self.components(parsed), follow_last)?;
         if parsed.require_dir {
             self.ensure_cur_dir()?;
         }
-        let inode = self.cur.dentry.inode();
-        if inode.is_none() {
-            // The anchor itself can never be negative; a negative final
-            // component already returned its error inside the walk.
-            return Err(self
-                .cur
-                .dentry
-                .neg_kind()
-                .map(|k| k.error())
-                .unwrap_or(FsError::NoEnt));
+        let at = self.result();
+        // The anchor itself can never be negative; a negative final
+        // component already returned its error inside the walk.
+        at.require_inode()?;
+        Ok(at)
+    }
+
+    /// Walks to the directory holding the final component.
+    fn run_parent(&mut self, parsed: &ParsedPath<'_>) -> FsResult<ParentResult> {
+        let comps = self.components(parsed);
+        let Some((last, rest)) = comps.split_last() else {
+            return Err(FsError::Busy); // mutating "/" itself
+        };
+        if *last == ".." {
+            return Err(FsError::Inval);
         }
-        Ok(WalkOutput::Full(WalkResult {
-            mount: self.cur.mount.clone(),
-            dentry: self.cur.dentry.clone(),
-            inode,
-        }))
+        self.walk_components(rest, true)?;
+        self.ensure_cur_dir()?;
+        self.check_exec()?;
+        Ok(ParentResult {
+            parent: self.result(),
+            name: (*last).to_string(),
+            require_dir: parsed.require_dir,
+        })
     }
 
     fn walk_components(&mut self, comps: &[&str], follow_last: bool) -> FsResult<()> {
@@ -784,102 +705,27 @@ impl<'k> SlowWalk<'k> {
             .permission(&self.cred, &inode, MAY_EXEC, self.path_str.as_deref())
     }
 
-    /// Finds or instantiates the child dentry for `name` under `cur`.
+    /// Finds or instantiates the child dentry for `name` under `cur`: a
+    /// live cached entry without the directory lock, anything else —
+    /// a miss, an entry dying under memory pressure — through
+    /// [`Kernel::lookup_one_locked`] with it.
     fn lookup_child(&mut self, name: &str) -> FsResult<Arc<Dentry>> {
-        let parent = self.cur.dentry.clone();
-        let stats = &self.k.dcache.stats;
-        // Cache races (an entry dying or reappearing mid-probe) retry;
-        // the final lap is authoritative — it treats a dead cached entry
-        // as a plain miss and answers from the file system, so memory
-        // pressure can slow this walk down but never fail it.
-        for attempt in 0..8 {
-            let authoritative = attempt == 7;
-            if let Some(c) = self.k.dcache.d_lookup(&parent, name) {
-                if !c.is_dead() {
-                    if c.is_partial() {
-                        upgrade_partial(self.k, &self.cur.mount, &c)?;
-                    }
-                    if c.is_negative() {
-                        stats.hit_negative.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        stats.hit_positive.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok(c);
-                }
-                if !authoritative {
-                    continue;
-                }
-            }
-            // Miss. Completeness short-circuit (§5.1): a complete
-            // directory proves absence without calling the file system.
-            let fs = self.fs();
-            let dir_ino = parent.inode().ok_or(FsError::NoEnt)?.ino;
+        let (mount, parent) = (&self.cur.mount, &self.cur.dentry);
+        let cached = self.k.dcache.d_lookup(parent, name);
+        let Some(c) = cached.filter(|c| !c.is_dead()) else {
             let _g = parent.dir_lock().lock();
-            // A dying same-name entry can briefly coexist with a
-            // still-set completeness flag (eviction clears the flag
-            // between marking the child dead and removing it), so its
-            // presence disqualifies the short-circuit below.
-            let mut dying_hit = false;
-            if let Some(c) = self.k.dcache.d_lookup(&parent, name) {
-                if c.is_dead() {
-                    if !authoritative {
-                        continue;
-                    }
-                    dying_hit = true;
-                } else {
-                    drop(_g);
-                    if authoritative {
-                        // No laps left: classify the live hit in place.
-                        if c.is_partial() {
-                            upgrade_partial(self.k, &self.cur.mount, &c)?;
-                        }
-                        if c.is_negative() {
-                            stats.hit_negative.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            stats.hit_positive.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Ok(c);
-                    }
-                    continue; // reclassify through the hit path
-                }
-            }
-            if !dying_hit && self.k.dcache.config.dir_completeness && parent.flag(FLAG_DIR_COMPLETE)
-            {
-                stats.complete_neg_avoided.fetch_add(1, Ordering::Relaxed);
-                if self.k.negatives_allowed(&fs) {
-                    let c = self.k.dcache.d_alloc(
-                        &parent,
-                        name,
-                        DentryState::Negative(NegKind::Enoent),
-                    );
-                    return Ok(c);
-                }
-                return Err(FsError::NoEnt);
-            }
-            stats.miss_fs.fetch_add(1, Ordering::Relaxed);
-            self.k.dcache.obs.event(|| TraceEvent::FsMiss);
-            match fs.lookup(dir_ino, name) {
-                Ok(attr) => {
-                    let inode = self.k.icache.get_or_create(self.cur.mount.sb.id, &fs, attr);
-                    return Ok(self
-                        .k
-                        .dcache
-                        .d_alloc(&parent, name, DentryState::Positive(inode)));
-                }
-                Err(FsError::NoEnt) => {
-                    if self.k.negatives_allowed(&fs) {
-                        return Ok(self.k.dcache.d_alloc(
-                            &parent,
-                            name,
-                            DentryState::Negative(NegKind::Enoent),
-                        ));
-                    }
-                    return Err(FsError::NoEnt);
-                }
-                Err(e) => return Err(e),
-            }
+            return self.k.lookup_one_locked(mount, parent, name);
+        };
+        if c.is_partial() {
+            upgrade_partial(self.k, mount, &c)?;
         }
-        Err(FsError::Io) // persistent eviction race; effectively unreachable
+        let stats = &self.k.dcache.stats;
+        if c.is_negative() {
+            stats.hit_negative.fetch_add(1, Ordering::Relaxed);
+        } else {
+            stats.hit_positive.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(c)
     }
 
     /// Publishes `dentry` (DLHT under the current literal signature, PCC
@@ -1004,18 +850,7 @@ impl<'k> SlowWalk<'k> {
         {
             return Ok(());
         }
-        // Hop over mount roots to the mountpoint, possibly repeatedly.
-        let mut pos = self.cur.clone();
-        while Arc::ptr_eq(&pos.dentry, &pos.mount.root) {
-            match pos.mount.parent.clone() {
-                Some((pm, mp)) => pos = PathRef::new(pm, mp),
-                None => break, // namespace root: ".." stays put
-            }
-        }
-        if let Some(parent) = pos.dentry.parent() {
-            pos = PathRef::new(pos.mount.clone(), parent);
-        }
-        self.cur = pos;
+        self.cur = self.cur.dotdot();
         // The literal path no longer matches simple extension: reload the
         // canonical state from the parent and drop any alias chain.
         self.alias_parent = None;
@@ -1051,11 +886,7 @@ impl<'k> SlowWalk<'k> {
             // stored state anchors the target.
             self.hstate = self.state_of_cur(false);
         }
-        let comps: Vec<&str> = if self.k.dcache.config.lexical_dotdot {
-            lexical_simplify(&tparsed.components)
-        } else {
-            tparsed.components.to_vec()
-        };
+        let comps = self.components(&tparsed);
         self.walk_components(&comps, true)?;
         if tparsed.require_dir {
             self.ensure_cur_dir()?;
@@ -1101,26 +932,10 @@ enum CurKind {
 }
 
 /// Upgrades a partial dentry (readdir-born, §5.1) into a positive one.
-pub(crate) fn upgrade_partial(k: &Kernel, mount: &Arc<Mount>, d: &Arc<Dentry>) -> FsResult<()> {
+fn upgrade_partial(k: &Kernel, mount: &Mount, d: &Arc<Dentry>) -> FsResult<()> {
     let parent = d.parent().ok_or(FsError::NoEnt)?;
     let _g = parent.dir_lock().lock();
-    let Some(ino) = d.partial_ino() else {
-        return Ok(()); // someone else upgraded it
-    };
-    let fs = mount.sb.fs.clone();
-    match fs.getattr(ino) {
-        Ok(attr) => {
-            let inode = k.icache.get_or_create(mount.sb.id, &fs, attr);
-            d.set_state(DentryState::Positive(inode));
-            Ok(())
-        }
-        Err(FsError::NoEnt) => {
-            // The object vanished below us; the dentry becomes negative.
-            k.dcache.make_negative(d, NegKind::Enoent);
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
+    k.upgrade_partial_locked(mount, d)
 }
 
 /// Plan 9 lexical dot-dot preprocessing (§4.2): `a/../b` → `b`. Leading

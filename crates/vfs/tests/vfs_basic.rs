@@ -455,3 +455,48 @@ fn drop_caches_forces_refill() {
         assert_eq!(k.stat(&p, "/cold/missing"), Err(FsError::NoEnt));
     });
 }
+
+/// One component-lookup protocol behind the walk and the mutating
+/// syscalls: what each counts, per configuration (baseline, optimized),
+/// as `(miss_fs, hit_positive, hit_negative, complete_neg_avoided)`.
+#[test]
+fn component_lookup_counts_the_same_from_every_entry_point() {
+    use std::sync::atomic::Ordering::Relaxed;
+    both(|k, p| {
+        let optimized = k.dcache.config.fastpath;
+        let pick = |baseline, opt| if optimized { opt } else { baseline };
+        let counted = |run: &dyn Fn()| {
+            k.reset_stats();
+            run();
+            let s = &k.dcache.stats;
+            (
+                s.miss_fs.load(Relaxed),
+                s.hit_positive.load(Relaxed),
+                s.hit_negative.load(Relaxed),
+                s.complete_neg_avoided.load(Relaxed),
+            )
+        };
+        k.mkdir(&p, "/a", 0o755).unwrap();
+        k.mkdir(&p, "/a/b", 0o755).unwrap();
+        let fd = k.open(&p, "/a/b/c", OpenFlags::create(), 0o644).unwrap();
+        k.close(&p, fd).unwrap();
+        k.drop_caches();
+        let stat = || {
+            let _ = k.stat(&p, "/a/b/c");
+        };
+        assert_eq!(counted(&stat), (3, 0, 0, 0), "cold: one miss a component");
+        assert_eq!(counted(&stat), pick((0, 3, 0, 0), (0, 0, 0, 0)), "warm");
+        // The walk to the parent counts its hits; the final component,
+        // looked up under the directory lock, counts none.
+        let unlink = || k.unlink(&p, "/a/b/c").unwrap();
+        assert_eq!(counted(&unlink), pick((0, 2, 0, 0), (0, 0, 0, 0)));
+        assert_eq!(counted(&stat), pick((0, 2, 1, 0), (0, 0, 0, 0)), "gone");
+        // A new directory is complete (§5.1): absence is answered there
+        // without the file system, whichever entry point asks.
+        k.mkdir(&p, "/full", 0o755).unwrap();
+        let stat_absent = || assert_eq!(k.stat(&p, "/full/x"), Err(FsError::NoEnt));
+        let unlink_absent = || assert_eq!(k.unlink(&p, "/full/y"), Err(FsError::NoEnt));
+        assert_eq!(counted(&stat_absent), pick((1, 1, 0, 0), (0, 1, 0, 1)));
+        assert_eq!(counted(&unlink_absent), pick((1, 1, 0, 0), (0, 0, 0, 1)));
+    });
+}

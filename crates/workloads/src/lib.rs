@@ -14,8 +14,6 @@
 //! - [`maildir`] — the Dovecot IMAP maildir server simulation of
 //!   Figure 10 (mark/unmark = rename + directory re-read).
 //! - [`apache`] — the Apache directory-listing generator of Table 3.
-//! - [`traces`] — iBench-style syscall trace recording and replay, so a
-//!   captured workload can drive A/B comparisons across configurations.
 //! - [`measure`] — simple timing/statistics helpers shared by the
 //!   benchmark harness (median-of-N, ops/sec runners).
 
@@ -24,7 +22,6 @@ pub mod apps;
 pub mod lmbench;
 pub mod maildir;
 pub mod measure;
-pub mod traces;
 pub mod tree;
 
 pub use measure::{ops_per_sec, time_ns, Summary};

@@ -50,11 +50,6 @@ impl Summary {
             n,
         }
     }
-
-    /// Mean in microseconds.
-    pub fn mean_us(&self) -> f64 {
-        self.mean_ns / 1000.0
-    }
 }
 
 /// Times one closure invocation in nanoseconds.

@@ -15,4 +15,4 @@ pub use dc_workloads as workloads;
 pub use dcache_core as dcache;
 
 pub use dc_vfs::{Kernel, KernelBuilder, OpenFlags, Process};
-pub use dcache_core::{DcacheConfig, Dentry, Shrinker, ShrinkerRegistry};
+pub use dcache_core::{DcacheConfig, Dentry};

@@ -161,6 +161,55 @@ fn at_family_with_moving_dirfd() {
     });
 }
 
+/// The handle, not a path string rebuilt from it, names the directory an
+/// `*at()` call starts in: under a `chroot` the namespace path of the
+/// handle's directory (`/jail/d`) does not resolve from the process root.
+#[test]
+fn at_family_starts_at_the_handle_under_a_chroot() {
+    both(|k, root| {
+        k.mkdir(&root, "/jail", 0o755).unwrap();
+        k.mkdir(&root, "/jail/d", 0o755).unwrap();
+        let fd = k
+            .open(&root, "/jail/d/f", OpenFlags::create(), 0o644)
+            .unwrap();
+        k.close(&root, fd).unwrap();
+        let jailed = k.spawn(&root);
+        k.chroot(&jailed, "/jail").unwrap();
+        let dfd = k.open(&jailed, "/d", OpenFlags::directory(), 0).unwrap();
+        k.fstatat(&jailed, dfd, "f", false).unwrap();
+        k.mkdirat(&jailed, dfd, "sub", 0o755).unwrap();
+        k.unlinkat(&jailed, dfd, "f", false).unwrap();
+        k.unlinkat(&jailed, dfd, "sub", true).unwrap();
+        k.close(&jailed, dfd).unwrap();
+        assert_eq!(k.stat(&root, "/jail/d/f"), Err(FsError::NoEnt));
+        assert_eq!(k.stat(&root, "/jail/d/sub"), Err(FsError::NoEnt));
+    });
+}
+
+/// The same three calls through a handle whose directory was renamed
+/// after the `open`.
+#[test]
+fn at_family_follows_a_renamed_directory() {
+    both(|k, root| {
+        k.mkdir(&root, "/a", 0o755).unwrap();
+        k.mkdir(&root, "/a/sub", 0o755).unwrap();
+        let fd = k
+            .open(&root, "/a/sub/f", OpenFlags::create(), 0o644)
+            .unwrap();
+        k.close(&root, fd).unwrap();
+        let dfd = k.open(&root, "/a/sub", OpenFlags::directory(), 0).unwrap();
+        k.rename(&root, "/a/sub", "/a/moved").unwrap();
+        k.fstatat(&root, dfd, "f", false).unwrap();
+        k.mkdirat(&root, dfd, "new", 0o755).unwrap();
+        assert!(k.stat(&root, "/a/moved/new").unwrap().ftype.is_dir());
+        k.unlinkat(&root, dfd, "f", false).unwrap();
+        k.unlinkat(&root, dfd, "new", true).unwrap();
+        k.close(&root, dfd).unwrap();
+        assert_eq!(k.stat(&root, "/a/moved/f"), Err(FsError::NoEnt));
+        assert_eq!(k.stat(&root, "/a/moved/new"), Err(FsError::NoEnt));
+    });
+}
+
 #[test]
 fn open_flags_matrix() {
     both(|k, root| {

@@ -188,12 +188,11 @@ fn shrinker_registry_drives_the_dcache() {
     for f in 0..512 {
         touch(&k, &p, &format!("/f{f}"));
     }
-    assert!(!k.shrinkers().is_empty(), "dcache registered at assembly");
-    let before = k.shrinkers().count_bytes();
+    let before = k.dcache.reclaimable_bytes();
     assert!(before > 0);
     let freed = k.memory_pressure(before / 2);
     assert!(freed > 0);
-    assert!(k.shrinkers().count_bytes() <= before / 2);
+    assert!(k.dcache.reclaimable_bytes() <= before / 2);
     // Everything still resolves (slow path re-populates).
     for f in 0..512 {
         assert!(stat_sig(&k, &p, &format!("/f{f}")).starts_with("ok:"));
