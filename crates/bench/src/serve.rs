@@ -27,9 +27,8 @@ use crate::report::{self, fields, Json, Stamp};
 use crate::setup::kernel_with;
 use crate::table::Table;
 use dc_fault::SplitMix64;
-use dc_obs::LatencyHist;
 use dc_server::proto::{Op, ReqBody, Request, RespBody, Status};
-use dc_server::{Client, Server, ServerConfig};
+use dc_server::{Client, Server, ServerConfig, WorkerHists};
 use dc_sighash::Signature;
 use dc_vfs::{Kernel, OpenFlags, Process};
 use dcache_core::DcacheConfig;
@@ -278,15 +277,13 @@ impl Rig {
 
     /// Per-op latency summaries merged across the server's workers.
     fn op_hists(&self) -> Vec<(&'static str, dc_obs::HistSummary)> {
-        Op::all()
+        let merged = WorkerHists::merged(self.server.worker_hists());
+        let sampled = Op::ALL
             .iter()
-            .filter_map(|op| {
-                let merged = LatencyHist::new();
-                for w in self.server.worker_hists() {
-                    merged.merge_from(&w.per_op[op.idx()]);
-                }
-                (merged.count() > 0).then(|| (op.key(), merged.summary()))
-            })
+            .map(|op| (op.key(), &merged.per_op[op.idx()]));
+        sampled
+            .filter(|(_, h)| h.count() > 0)
+            .map(|(key, h)| (key, h.summary()))
             .collect()
     }
 }

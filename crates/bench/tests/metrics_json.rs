@@ -25,52 +25,50 @@ fn metrics_snapshot_json_is_complete() {
         k.unlink(p, &format!("/w/f{i}")).unwrap();
     }
 
-    let json = k.metrics_snapshot().to_json();
+    let snap = k.metrics_snapshot();
+    let json = snap.to_json();
     assert!(json.contains("\"schema\": \"dcache-metrics/v1\""));
-    for section in ["\"dcache\"", "\"syscalls\"", "\"events\"", "\"rates\""] {
-        assert!(json.contains(section), "missing section {section}");
+    for section in ["dcache", "syscalls", "fs", "pagecache", "journal", "events"] {
+        assert!(snap.sections.iter().any(|s| s.name == section), "{section}");
+        assert!(json.contains(&format!("\"{section}\": {{")), "{section}");
     }
-    for rate in [
-        "\"dcache.hit_rate\"",
-        "\"dcache.fastpath_rate\"",
-        "\"dcache.neg_hit_rate\"",
-    ] {
-        assert!(json.contains(rate), "missing rate {rate}");
+    for rate in ["hit_rate", "fastpath_rate", "neg_hit_rate"] {
+        assert!(snap.rate("dcache", rate).is_some(), "missing rate {rate}");
+        assert!(json.contains(&format!("\"dcache.{rate}\"")), "{rate}");
     }
     // Histograms for the three headline ops, each with percentiles.
     let hist_section = json
         .split("\"histograms\"")
         .nth(1)
         .expect("histograms section present");
-    for op in ["\"stat\"", "\"open\"", "\"unlink\""] {
-        assert!(hist_section.contains(op), "missing histogram for {op}");
+    for op in ["stat", "open", "unlink"] {
+        assert!(snap.hist(op).is_some(), "missing histogram for {op}");
+        assert!(hist_section.contains(&format!("\"{op}\"")), "{op}");
     }
     assert!(hist_section.contains("\"p50_ns\""));
     assert!(hist_section.contains("\"p99_ns\""));
 
     // Event counters reconcile with the dcache section.
-    let count_of = |key: &str| -> u64 {
-        let pat = format!("\"{key}\": ");
-        let at = json.find(&pat).unwrap_or_else(|| panic!("{key} missing"));
-        json[at + pat.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
+    let event = |key: &str| {
+        snap.counter("events", key)
+            .unwrap_or_else(|| panic!("{key}"))
     };
-    assert_eq!(count_of("lookup_start"), count_of("lookups"));
-    assert_eq!(count_of("slow_step"), count_of("slow_steps"));
-    assert_eq!(count_of("fs_miss"), count_of("miss_fs"));
-    assert_eq!(count_of("seq_retry"), count_of("slow_retries"));
-    assert!(count_of("lookups") > 0);
+    let dcache = |key: &str| {
+        snap.counter("dcache", key)
+            .unwrap_or_else(|| panic!("{key}"))
+    };
+    assert_eq!(event("lookup_start"), dcache("lookups"));
+    assert_eq!(event("slow_step"), dcache("slow_steps"));
+    assert_eq!(event("fs_miss"), dcache("miss_fs"));
+    assert_eq!(event("seq_retry"), dcache("slow_retries"));
+    assert!(dcache("lookups") > 0);
 
     // Lock-free read-path counters: the `epoch_pin`/`read_retry` events
     // must reconcile with the `DcacheStats` counters surfaced in the
     // dcache section, and the optimized walk must actually have pinned.
-    assert_eq!(count_of("epoch_pin"), count_of("epoch_pins"));
-    assert_eq!(count_of("read_retry"), count_of("read_retries"));
-    assert!(count_of("epoch_pins") > 0, "fastpath never pinned an epoch");
+    assert_eq!(event("epoch_pin"), dcache("epoch_pins"));
+    assert_eq!(event("read_retry"), dcache("read_retries"));
+    assert!(dcache("epoch_pins") > 0, "fastpath never pinned an epoch");
 }
 
 #[test]
@@ -85,27 +83,18 @@ fn metrics_snapshot_text_carries_lockfree_counters() {
         k.stat(p, "/t/f").unwrap();
     }
 
-    let text = k.metrics_snapshot().to_text();
+    let snap = k.metrics_snapshot();
+    let text = snap.to_text();
     assert!(text.contains("[dcache]"), "missing dcache section:\n{text}");
     assert!(text.contains("[events]"), "missing events section:\n{text}");
     for key in ["epoch_pins", "read_retries", "epoch_pin", "read_retry"] {
         assert!(text.contains(key), "missing {key} in text export:\n{text}");
     }
 
-    // The aligned-text and JSON exporters must agree on the values.
-    let json = k.metrics_snapshot().to_json();
-    let json_count = |key: &str| -> u64 {
-        let pat = format!("\"{key}\": ");
-        let at = json.find(&pat).unwrap_or_else(|| panic!("{key} missing"));
-        json[at + pat.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
+    // The aligned text must agree with the snapshot on the values.
+    let dcache_text = &text[text.find("[dcache]").unwrap()..];
     let text_count = |key: &str| -> u64 {
-        let line = text
+        let line = dcache_text
             .lines()
             .find(|l| l.trim_start().starts_with(key))
             .unwrap_or_else(|| panic!("{key} missing in text"));
@@ -113,9 +102,9 @@ fn metrics_snapshot_text_carries_lockfree_counters() {
     };
     for key in ["epoch_pins", "read_retries"] {
         assert_eq!(
-            json_count(key),
-            text_count(key),
-            "exporters disagree on {key}"
+            snap.counter("dcache", key),
+            Some(text_count(key)),
+            "the text export disagrees on {key}"
         );
     }
 }

@@ -7,32 +7,36 @@ use dc_fault::RetryPolicy;
 use dc_obs::TraceEvent;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-/// Aggregate I/O statistics for a [`CachedDisk`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Page-cache hits.
-    pub cache_hits: u64,
-    /// Page-cache misses (caused a device read).
-    pub cache_misses: u64,
-    /// Reads that reached the device.
-    pub device_reads: u64,
-    /// Writes that reached the device.
-    pub device_writes: u64,
-    /// Dirty pages written back due to eviction pressure.
-    pub writebacks: u64,
-    /// Simulated device time, nanoseconds.
-    pub simulated_io_ns: u64,
-    /// Pages currently resident.
-    pub resident_pages: u64,
-    /// Transiently failed accesses retried after backoff.
-    pub io_retries: u64,
-    /// Accesses that failed for good (permanent fault, or a transient
-    /// burst that outlasted the retry budget).
-    pub io_errors: u64,
-    /// Faults the attached injector has fired (0 without an injector).
-    pub faults_injected: u64,
+dc_obs::counters! {
+    /// The `pagecache` section, one line per exported number. The cache
+    /// bumps five of these; the rest live below it (device, latency model,
+    /// page map, injector): [`CachedDisk::stats`] reads those through and
+    /// their cells stay zero.
+    pub struct DiskCounters {
+        /// Page-cache hits.
+        pub cache_hits,
+        /// Page-cache misses (caused a device read).
+        pub cache_misses,
+        /// Reads that reached the device.
+        pub device_reads,
+        /// Writes that reached the device.
+        pub device_writes,
+        /// Dirty pages written back due to eviction pressure.
+        pub writebacks,
+        /// Simulated device time, nanoseconds.
+        pub simulated_io_ns,
+        /// Pages currently resident.
+        pub resident_pages,
+        /// Transiently failed accesses retried after backoff.
+        pub io_retries,
+        /// Accesses that failed for good (permanent fault, or a transient
+        /// burst that outlasted the retry budget).
+        pub io_errors,
+        /// Faults the attached injector has fired (0 without an injector).
+        pub faults_injected,
+    } => DiskStats
 }
 
 struct Page {
@@ -117,11 +121,7 @@ pub struct CachedDisk {
     disk: RawDisk,
     capacity_pages: usize,
     inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writebacks: AtomicU64,
-    io_retries: AtomicU64,
-    io_errors: AtomicU64,
+    counters: DiskCounters,
 }
 
 impl CachedDisk {
@@ -157,21 +157,10 @@ impl CachedDisk {
             latency,
             cache_pages,
         } = config;
-        CachedDisk {
-            disk: RawDisk::new(block_size, capacity_blocks, latency),
-            capacity_pages: cache_pages,
-            inner: Mutex::new(CacheInner {
-                pages: HashMap::new(),
-                slot_to_block: Vec::new(),
-                free_slots: Vec::new(),
-                lru: LruList::new(),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            writebacks: AtomicU64::new(0),
-            io_retries: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
-        }
+        Self::over(
+            RawDisk::new(block_size, capacity_blocks, latency),
+            cache_pages,
+        )
     }
 
     /// A cached disk rehydrated from a captured [`crate::CrashImage`]:
@@ -183,20 +172,21 @@ impl CachedDisk {
         cache_pages: usize,
         latency: crate::LatencyModel,
     ) -> Self {
+        Self::over(RawDisk::from_image(image, latency), cache_pages)
+    }
+
+    /// An empty cache of `capacity_pages` over `disk`, counters at zero.
+    fn over(disk: RawDisk, capacity_pages: usize) -> Self {
         CachedDisk {
-            disk: RawDisk::from_image(image, latency),
-            capacity_pages: cache_pages,
+            disk,
+            capacity_pages,
             inner: Mutex::new(CacheInner {
                 pages: HashMap::new(),
                 slot_to_block: Vec::new(),
                 free_slots: Vec::new(),
                 lru: LruList::new(),
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            writebacks: AtomicU64::new(0),
-            io_retries: AtomicU64::new(0),
-            io_errors: AtomicU64::new(0),
+            counters: DiskCounters::default(),
         }
     }
 
@@ -239,14 +229,14 @@ impl CachedDisk {
                 ) => e,
                 Err(e) => {
                     if matches!(e, BlockError::Io { .. }) {
-                        self.io_errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                     }
                     return Err(e);
                 }
             };
             attempt += 1;
             if attempt >= RetryPolicy::STANDARD.max_attempts {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                 return Err(err);
             }
             self.backoff(attempt);
@@ -267,14 +257,14 @@ impl CachedDisk {
                 ) => e,
                 Err(e) => {
                     if matches!(e, BlockError::Io { .. }) {
-                        self.io_errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                     }
                     return Err(e);
                 }
             };
             attempt += 1;
             if attempt >= RetryPolicy::STANDARD.max_attempts {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.io_errors.fetch_add(1, Ordering::Relaxed);
                 return Err(err);
             }
             self.backoff(attempt);
@@ -284,7 +274,7 @@ impl CachedDisk {
     fn backoff(&self, attempt: u32) {
         let backoff_ns = RetryPolicy::STANDARD.backoff_ns(attempt - 1);
         self.disk.latency().charge_extra(backoff_ns);
-        self.io_retries.fetch_add(1, Ordering::Relaxed);
+        self.counters.io_retries.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = self.disk.recorder() {
             obs.event(|| TraceEvent::IoRetry {
                 attempt,
@@ -306,7 +296,7 @@ impl CachedDisk {
     /// Reads one block through the cache.
     pub fn read_block(&self, block: u64) -> BlockResult<Bytes> {
         if self.capacity_pages == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
             return self.device_read(block);
         }
         {
@@ -316,14 +306,14 @@ impl CachedDisk {
                 let data = page.data.clone();
                 inner.lru.touch(slot);
                 drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 self.disk.latency().charge_hit();
                 return Ok(data);
             }
         }
         // Miss: read from the device outside the cache lock so that a
         // spinning latency model does not serialize unrelated hits.
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
         let data = self.device_read(block)?;
         let mut inner = self.inner.lock();
         // A racing reader may have inserted it meanwhile; keep theirs.
@@ -383,7 +373,7 @@ impl CachedDisk {
             if let Some(victim) = inner.pages.remove(&victim_block) {
                 inner.free_slots.push(victim_slot);
                 if victim.dirty {
-                    self.writebacks.fetch_add(1, Ordering::Relaxed);
+                    self.counters.writebacks.fetch_add(1, Ordering::Relaxed);
                     if let Err(e) = self.device_write(victim_block, &victim.data) {
                         // Writeback failed for good: put the victim back
                         // (still dirty) rather than losing the data, and
@@ -528,11 +518,7 @@ impl CachedDisk {
 
     /// Resets hit/miss and device statistics (residency is unaffected).
     pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.writebacks.store(0, Ordering::Relaxed);
-        self.io_retries.store(0, Ordering::Relaxed);
-        self.io_errors.store(0, Ordering::Relaxed);
+        self.counters.reset();
         self.disk.reset_counters();
         self.disk.latency().reset_accounting();
     }
@@ -540,21 +526,30 @@ impl CachedDisk {
     /// Current statistics snapshot.
     pub fn stats(&self) -> DiskStats {
         DiskStats {
-            cache_hits: self.hits.load(Ordering::Relaxed),
-            cache_misses: self.misses.load(Ordering::Relaxed),
             device_reads: self.disk.reads(),
             device_writes: self.disk.writes(),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
             simulated_io_ns: self.disk.latency().accounted_ns(),
             resident_pages: self.inner.lock().pages.len() as u64,
-            io_retries: self.io_retries.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
             faults_injected: self
                 .disk
                 .fault_injector()
                 .map(|inj| inj.stats().total())
                 .unwrap_or(0),
+            ..self.counters.values()
         }
+    }
+}
+
+/// The `pagecache` section: [`CachedDisk::stats`] by name.
+impl dc_obs::MetricSource for CachedDisk {
+    fn name(&self) -> &'static str {
+        "pagecache"
+    }
+    fn counters(&self) -> Vec<(String, u64)> {
+        self.stats().counters()
+    }
+    fn reset(&self) {
+        self.reset_stats();
     }
 }
 

@@ -17,6 +17,7 @@
 //! | Memory-pressure reclaim (Linux shrinker analog) | [`Dcache::reclaimable_bytes`], [`Dcache::shrink_to_bytes`] |
 //! | Epoch pin, accounted once per outermost pin | [`Dcache::pin`] |
 //! | Feature toggles (baseline ⇄ optimized ⇄ ablations) | [`DcacheConfig`] |
+//! | The counters behind `hit%` / `neg%` (Tables 1–2), one line each | [`DcacheStats`], a `dc_obs::counters!` block ([`Counter`] is `dc-obs`'s, re-exported) |
 //!
 //! The *policy* of when to walk which path lives in `dc-vfs`; this crate is
 //! the mechanism layer and is deliberately independent of path-walk logic

@@ -27,54 +27,30 @@
 
 use dc_cred::Cred;
 use dc_fault::SplitMix64;
-use dc_obs::{LatencyHist, MetricSource};
+use dc_obs::{LatencyHist, Per};
 use dc_vfs::{Kernel, KernelBuilder, MountNamespace, OpenFlags, Process, TeardownReport};
 use dcache_core::DcacheConfig;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Tenant traffic classes, assigned round-robin by tenant index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenantClass {
-    /// Skewed reads over a small hot set; one hot credential.
-    HotWeb,
-    /// Periodic sequential scans; uniform credential rotation.
-    ColdBatch,
-    /// Create → stat → delete → namespace teardown, every round.
-    ChurnCi,
+dc_obs::keyed_enum! {
+    /// Tenant traffic classes, assigned round-robin by tenant index; the
+    /// key names the class in tables, JSON and metric keys.
+    pub enum TenantClass {
+        /// Skewed reads over a small hot set; one hot credential.
+        HotWeb = "hot_web",
+        /// Periodic sequential scans; uniform credential rotation.
+        ColdBatch = "cold_batch",
+        /// Create → stat → delete → namespace teardown, every round.
+        ChurnCi = "churn_ci",
+    }
 }
 
 impl TenantClass {
-    /// All classes, in reporting order.
-    pub fn all() -> [TenantClass; 3] {
-        [
-            TenantClass::HotWeb,
-            TenantClass::ColdBatch,
-            TenantClass::ChurnCi,
-        ]
-    }
-
-    /// Stable snake_case key (tables, JSON, metric labels).
-    pub fn key(self) -> &'static str {
-        match self {
-            TenantClass::HotWeb => "hot_web",
-            TenantClass::ColdBatch => "cold_batch",
-            TenantClass::ChurnCi => "churn_ci",
-        }
-    }
-
     /// Class of tenant `idx` (round-robin).
     pub fn of(idx: usize) -> TenantClass {
-        Self::all()[idx % 3]
-    }
-
-    fn idx(self) -> usize {
-        match self {
-            TenantClass::HotWeb => 0,
-            TenantClass::ColdBatch => 1,
-            TenantClass::ChurnCi => 2,
-        }
+        Self::ALL[idx % Self::ALL.len()]
     }
 }
 
@@ -259,43 +235,23 @@ impl FleetReport {
     }
 }
 
-/// Per-class op counters the fleet registers on the kernel as a
-/// [`MetricSource`] with labeled counters (`fleet` section:
-/// `hot_web.ops`, `churn_ci.teardowns`, …). Cleared by
-/// [`Kernel::reset_stats`] like every other registered source.
-#[derive(Debug, Default)]
-pub struct FleetCounters {
-    ops: [AtomicU64; 3],
-    teardowns: [AtomicU64; 3],
+dc_obs::counters! {
+    /// What one tenant class did.
+    pub struct ClassCounters {
+        /// Operations driven.
+        pub ops = ".ops",
+        /// Namespaces torn down.
+        pub teardowns = ".teardowns",
+    }
 }
 
-impl MetricSource for FleetCounters {
-    fn name(&self) -> &'static str {
-        "fleet"
-    }
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
-    fn labeled_counters(&self) -> Vec<(String, u64)> {
-        let mut out = Vec::with_capacity(6);
-        for class in TenantClass::all() {
-            let i = class.idx();
-            out.push((
-                format!("{}.ops", class.key()),
-                self.ops[i].load(Ordering::Relaxed),
-            ));
-            out.push((
-                format!("{}.teardowns", class.key()),
-                self.teardowns[i].load(Ordering::Relaxed),
-            ));
-        }
-        out
-    }
-    fn reset(&self) {
-        for i in 0..3 {
-            self.ops[i].store(0, Ordering::Relaxed);
-            self.teardowns[i].store(0, Ordering::Relaxed);
-        }
+dc_obs::counters! {
+    /// Per-class counters the fleet registers on the kernel (`fleet`
+    /// section: `hot_web.ops`, `churn_ci.teardowns`, …). Cleared by
+    /// [`Kernel::reset_stats`] like every other registered source.
+    pub struct FleetCounters = "fleet" {
+        /// The counters, by class.
+        pub class: Per<TenantClass, ClassCounters> = "",
     }
 }
 
@@ -403,8 +359,9 @@ impl Fleet {
     /// Runs the configured churn rounds and the final teardown; returns
     /// the full report.
     pub fn run(mut self) -> FleetReport {
-        let mut classes: Vec<ClassTally> = TenantClass::all()
-            .into_iter()
+        let mut classes: Vec<ClassTally> = TenantClass::ALL
+            .iter()
+            .copied()
             .map(ClassTally::new)
             .collect();
         for t in &self.tenants {
@@ -464,7 +421,9 @@ impl Fleet {
                 tally.teardowns += 1;
                 tally.teardown_ns += r.nanos;
                 tally.teardown_entries += r.dlht_entries;
-                self.counters.teardowns[t.class.idx()].fetch_add(1, Ordering::Relaxed);
+                self.counters.class[t.class]
+                    .teardowns
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         let init = self.kernel.init_process();
@@ -511,7 +470,9 @@ impl Fleet {
         tally.ops += ops;
         tally.lookups += self.kernel.dcache.stats.lookups.load(Ordering::Relaxed) - lookups0;
         tally.miss_fs += self.kernel.dcache.stats.miss_fs.load(Ordering::Relaxed) - miss0;
-        self.counters.ops[class.idx()].fetch_add(ops, Ordering::Relaxed);
+        self.counters.class[class]
+            .ops
+            .fetch_add(ops, Ordering::Relaxed);
     }
 
     /// Stats `path` as the tenant's current persona, sampling latency
@@ -629,7 +590,9 @@ impl Fleet {
         tally.teardowns += 1;
         tally.teardown_ns += r.nanos;
         tally.teardown_entries += r.dlht_entries;
-        self.counters.teardowns[class.idx()].fetch_add(1, Ordering::Relaxed);
+        self.counters.class[class]
+            .teardowns
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Post-teardown drain: evict everything evictable, flush the epoch
@@ -719,14 +682,23 @@ mod tests {
     }
 
     #[test]
-    fn labeled_counters_reset_with_kernel_stats() {
+    fn per_class_counters_reset_with_kernel_stats() {
         let fleet = Fleet::provision(tiny(9));
         let kernel = fleet.kernel.clone();
         let counters = fleet.counters.clone();
         let report = fleet.run();
         assert!(report.teardown_clean());
-        assert!(counters.labeled_counters().iter().any(|(_, v)| *v > 0));
+        assert!(counters.counters().iter().any(|(_, v)| *v > 0));
+        let snap = kernel.metrics_snapshot();
+        let fleet = snap.sections.iter().find(|s| s.name == "fleet").unwrap();
+        let keys: Vec<&str> = fleet.counters.iter().map(|(k, _)| &**k).collect();
+        #[rustfmt::skip]
+        assert_eq!(keys, [
+            "hot_web.ops", "hot_web.teardowns", "cold_batch.ops", "cold_batch.teardowns",
+            "churn_ci.ops", "churn_ci.teardowns",
+        ]);
+        assert_eq!(fleet.counters, counters.counters());
         kernel.reset_stats();
-        assert!(counters.labeled_counters().iter().all(|(_, v)| *v == 0));
+        assert!(counters.counters().iter().all(|(_, v)| *v == 0));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::error::FsResult;
 use bytes::Bytes;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Inode number within one file system instance.
 pub type Ino = u64;
@@ -135,37 +135,31 @@ pub struct StatFs {
     pub bsize: u64,
 }
 
-/// Call counters a file system keeps so experiments can report how often
-/// the directory cache had to reach below the VFS.
-#[derive(Debug, Default)]
-pub struct FsStats {
-    /// `lookup` calls (cache misses reaching the file system).
-    pub lookups: AtomicU64,
-    /// `readdir` calls.
-    pub readdirs: AtomicU64,
-    /// `getattr` calls.
-    pub getattrs: AtomicU64,
-    /// Mutating calls (create/unlink/rename/setattr/…).
-    pub mutations: AtomicU64,
+dc_obs::counters! {
+    /// Call counters a file system keeps so experiments can report how
+    /// often the directory cache had to reach below the VFS (`fs` section).
+    pub struct FsStats = "fs" {
+        /// `lookup` calls (cache misses reaching the file system).
+        pub lookups,
+        /// `readdir` calls.
+        pub readdirs,
+        /// `getattr` calls.
+        pub getattrs,
+        /// Mutating calls (create/unlink/rename/setattr/…).
+        pub mutations,
+    }
 }
 
 impl FsStats {
     /// Snapshot as plain numbers `(lookups, readdirs, getattrs, mutations)`.
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
+        let v = |c: &dc_obs::Counter| c.load(Ordering::Relaxed);
         (
-            self.lookups.load(Ordering::Relaxed),
-            self.readdirs.load(Ordering::Relaxed),
-            self.getattrs.load(Ordering::Relaxed),
-            self.mutations.load(Ordering::Relaxed),
+            v(&self.lookups),
+            v(&self.readdirs),
+            v(&self.getattrs),
+            v(&self.mutations),
         )
-    }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        self.lookups.store(0, Ordering::Relaxed);
-        self.readdirs.store(0, Ordering::Relaxed);
-        self.getattrs.store(0, Ordering::Relaxed);
-        self.mutations.store(0, Ordering::Relaxed);
     }
 }
 

@@ -45,7 +45,7 @@ pub use api::{
 };
 pub use error::{FsError, FsResult};
 pub use memfs::{
-    fsck, tree_sig, FsckError, FsckReport, JournalStats, MemFs, MemFsConfig, ReplayInfo, WarmEntry,
-    WarmLoad, WarmReject,
+    fsck, tree_sig, FsckError, FsckReport, JournalCounters, JournalStats, MemFs, MemFsConfig,
+    ReplayInfo, WarmEntry, WarmLoad, WarmReject,
 };
 pub use pseudofs::{PseudoFs, PseudoNode};

@@ -5,7 +5,7 @@ use super::dir;
 use super::inode::{
     bmap, clear_inode, max_logical_blocks, read_inode, write_inode, DiskInode, INLINE_TARGET_MAX,
 };
-use super::journal::{Journal, JournalStats, ReplayInfo};
+use super::journal::{Journal, JournalCounters, JournalStats, ReplayInfo};
 use super::layout::{Geometry, NDIRECT};
 use super::store::{MetaStore, Tx};
 use super::warmidx::{self, WarmEntry, WarmLoad, WarmReject};
@@ -207,16 +207,16 @@ impl MemFs {
         &self.geo
     }
 
-    /// Journal counters; `None` when journaling is off.
+    /// The journal's counters read at this instant; `None` when
+    /// journaling is off.
     pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.journal.as_ref().map(|j| j.stats())
+        self.journal_counters().map(|c| c.values())
     }
 
-    /// Zeroes the journal counters; no-op when journaling is off.
-    pub fn reset_journal_stats(&self) {
-        if let Some(j) = self.journal.as_ref() {
-            j.reset_stats();
-        }
+    /// The journal's counters, as the metric source they are; `None` when
+    /// journaling is off.
+    pub fn journal_counters(&self) -> Option<&JournalCounters> {
+        self.journal.as_ref().map(|j| &j.stats)
     }
 
     /// Sequence number of the most recently committed transaction;

@@ -36,7 +36,7 @@ use bytes::{Bytes, BytesMut};
 use dc_blockdev::CachedDisk;
 use dc_obs::TraceEvent;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 const JH_MAGIC: u64 = 0x4443_4a48_4452_5331; // "DCJHDRS1"
 const JD_MAGIC: u64 = 0x4443_4a44_4553_4331; // "DCJDESC1"
@@ -57,19 +57,20 @@ fn commit_sum<'a>(desc: &'a [u8], n: u32, images: impl Iterator<Item = &'a Bytes
     sum64(&parts)
 }
 
-/// Counters exported through the metrics registry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Transactions committed.
-    pub commits: u64,
-    /// Metadata block images logged (descriptor/commit blocks excluded).
-    pub blocks_logged: u64,
-    /// Checkpoints (tail advances), including forced ones.
-    pub checkpoints: u64,
-    /// Checkpoints forced by log-space pressure.
-    pub forced_checkpoints: u64,
-    /// Transactions replayed by recovery at mount.
-    pub replayed_txns: u64,
+dc_obs::counters! {
+    /// The running journal's counters (`journal` section).
+    pub struct JournalCounters = "journal" {
+        /// Transactions committed.
+        pub commits,
+        /// Metadata block images logged (descriptor/commit blocks excluded).
+        pub blocks_logged,
+        /// Checkpoints (tail advances), including forced ones.
+        pub checkpoints,
+        /// Checkpoints forced by log-space pressure.
+        pub forced_checkpoints,
+        /// Transactions replayed by recovery at mount.
+        pub replayed_txns,
+    } => JournalStats
 }
 
 /// What recovery found and redid at mount.
@@ -109,11 +110,10 @@ pub(crate) struct Journal {
     log_slots: u64,
     block_size: usize,
     state: Mutex<JState>,
-    commits: AtomicU64,
-    blocks_logged: AtomicU64,
-    checkpoints: AtomicU64,
-    forced_checkpoints: AtomicU64,
-    replayed_txns: AtomicU64,
+    /// Reset with every other metric source by `Kernel::reset_stats`
+    /// (the mount-time replay count included), so the `journal_commit` /
+    /// `journal_replay` event totals keep reconciling with these.
+    pub(crate) stats: JournalCounters,
 }
 
 impl Journal {
@@ -291,6 +291,8 @@ impl Journal {
     /// A running journal picking up after [`Journal::recover`].
     pub(crate) fn open(geo: &Geometry, info: &ReplayInfo) -> Journal {
         let (hdr_a, hdr_b, log_start, log_slots) = Self::region(geo);
+        let stats = JournalCounters::default();
+        stats.replayed_txns.store(info.replayed, Ordering::Relaxed);
         Journal {
             hdr_a,
             hdr_b,
@@ -305,11 +307,7 @@ impl Journal {
                 tail_seq: info.last_seq,
                 tail_slot: info.end_slot,
             }),
-            commits: AtomicU64::new(0),
-            blocks_logged: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            forced_checkpoints: AtomicU64::new(0),
-            replayed_txns: AtomicU64::new(info.replayed),
+            stats,
         }
     }
 
@@ -352,9 +350,11 @@ impl Journal {
         st.tail_seq = tail_seq;
         st.tail_slot = tail_slot;
         st.live_slots = 0;
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
         if forced {
-            self.forced_checkpoints.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .forced_checkpoints
+                .fetch_add(1, Ordering::Relaxed);
         }
         if let Some(obs) = disk.recorder() {
             obs.event(|| TraceEvent::JournalCheckpoint);
@@ -435,8 +435,8 @@ impl Journal {
         st.live_slots += need;
         st.next_seq += 1;
         drop(st);
-        self.commits.fetch_add(1, Ordering::Relaxed);
-        self.blocks_logged.fetch_add(n, Ordering::Relaxed);
+        self.stats.commits.fetch_add(1, Ordering::Relaxed);
+        self.stats.blocks_logged.fetch_add(n, Ordering::Relaxed);
         if let Some(obs) = disk.recorder() {
             obs.event(|| TraceEvent::JournalCommit { blocks: n as u32 });
         }
@@ -446,28 +446,5 @@ impl Journal {
     /// Highest committed sequence number.
     pub(crate) fn committed_seq(&self) -> u64 {
         self.state.lock().next_seq - 1
-    }
-
-    /// Zeroes the counters (the mount-time replay count included), so
-    /// `Kernel::reset_stats` can discard construction-phase samples
-    /// across every metric source at once and the `journal_commit` /
-    /// `journal_replay` event totals keep reconciling with these.
-    pub(crate) fn reset_stats(&self) {
-        self.commits.store(0, Ordering::Relaxed);
-        self.blocks_logged.store(0, Ordering::Relaxed);
-        self.checkpoints.store(0, Ordering::Relaxed);
-        self.forced_checkpoints.store(0, Ordering::Relaxed);
-        self.replayed_txns.store(0, Ordering::Relaxed);
-    }
-
-    /// Counter snapshot.
-    pub(crate) fn stats(&self) -> JournalStats {
-        JournalStats {
-            commits: self.commits.load(Ordering::Relaxed),
-            blocks_logged: self.blocks_logged.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            forced_checkpoints: self.forced_checkpoints.load(Ordering::Relaxed),
-            replayed_txns: self.replayed_txns.load(Ordering::Relaxed),
-        }
     }
 }

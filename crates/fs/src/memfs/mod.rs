@@ -31,5 +31,5 @@ mod warmidx;
 
 pub use fs::{MemFs, MemFsConfig};
 pub use fsck::{fsck, tree_sig, FsckError, FsckReport};
-pub use journal::{JournalStats, ReplayInfo};
+pub use journal::{JournalCounters, JournalStats, ReplayInfo};
 pub use warmidx::{WarmEntry, WarmLoad, WarmReject};

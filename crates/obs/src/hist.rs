@@ -134,11 +134,6 @@ impl LatencyHist {
     /// can keep recording into their own instance while a snapshot
     /// aggregates — no locking on the record path.
     pub fn merge_from(&self, other: &LatencyHist) {
-        self.merge(other);
-    }
-
-    /// Adds every cell of `other` into `self` (cross-thread merge).
-    pub fn merge(&self, other: &LatencyHist) {
         for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
             let v = theirs.load(Ordering::Relaxed);
             if v > 0 {

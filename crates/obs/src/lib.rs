@@ -1,5 +1,5 @@
-//! Observability for the directory-cache reproduction: latency
-//! histograms, lookup-path span tracing, and a unified metrics registry.
+//! Observability for the directory-cache reproduction: counters, latency
+//! histograms, lookup-path span tracing, and one snapshot of all of them.
 //!
 //! The paper's argument is quantitative — every evaluation section asks
 //! *where* a path lookup spent its time (DLHT probe, PCC check, seq
@@ -7,6 +7,10 @@
 //! measurement substrate the rest of the workspace instruments itself
 //! with:
 //!
+//! - [`Counter`] and the two declaration forms, [`counters!`] and
+//!   [`keyed_enum!`] — a counter, an event kind or an op class is written
+//!   down once, and that line is its storage, its reset, its export key
+//!   and its place in the snapshot (DESIGN.md §8).
 //! - [`LatencyHist`] — log-linear (HDR-style) histograms: power-of-two
 //!   major buckets, 32 linear sub-buckets each, lock-free `AtomicU64`
 //!   cells, mergeable across threads, p50/p90/p99/p999 + mean
@@ -17,11 +21,13 @@
 //! - [`Recorder`] — the handle hot paths hold. A disabled recorder is
 //!   `None` inside; every probe is one branch on that cold value and
 //!   the event payload is never even constructed (closure argument).
-//! - [`Registry`] / [`MetricsSnapshot`] — unify component counters
-//!   ([`MetricSource`] implementors), the recorder's histograms, and
-//!   its event counts under one snapshot/reset API with JSON
-//!   ([`MetricsSnapshot::to_json`]) and aligned-text
-//!   ([`MetricsSnapshot::to_text`]) exporters.
+//! - [`MetricSource`] / [`MetricsSnapshot`] — a list of sources (a
+//!   `counters!` struct with a section name is one), the recorder's
+//!   histograms, and its event counts copied into one snapshot
+//!   ([`MetricsSnapshot::collect`]) that is read by name
+//!   ([`MetricsSnapshot::counter`]) or rendered as JSON
+//!   ([`MetricsSnapshot::to_json`]) or aligned text
+//!   ([`MetricsSnapshot::to_text`]).
 //!
 //! Layering: this crate depends on nothing in the workspace, so every
 //! layer (blockdev, core, vfs, bench) can record into it.
@@ -29,9 +35,13 @@
 mod hist;
 mod recorder;
 mod registry;
+mod stats;
 mod trace;
 
 pub use hist::{HistSummary, LatencyHist};
 pub use recorder::{current_tid, EventKind, Obs, ObsConfig, OpClass, Recorder};
-pub use registry::{MetricSource, MetricsSnapshot, Registry, Section};
+pub use registry::{MetricSource, MetricsSnapshot, Section};
+#[doc(hidden)]
+pub use stats::key_part;
+pub use stats::{Cells, Counter, Keyed, Per};
 pub use trace::{FaultClass, LookupOutcome, Span, TraceEvent, TraceRing};

@@ -1,299 +1,77 @@
 //! The [`Recorder`] handle hot paths hold, and the shared [`Obs`] sink
 //! behind it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::hist::LatencyHist;
+use crate::stats::{Cells, Counter, Per};
 use crate::trace::{LookupOutcome, TraceEvent, TraceRing};
 
 pub use crate::trace::current_tid;
 
-/// Operation classes latency histograms are keyed by. Mirrors the VFS
-/// syscall classification so timing data lands in the same buckets the
-/// paper's tables use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// `access`/`stat`-style existence and attribute reads.
-    AccessStat,
-    /// `open` (and `create`).
-    Open,
-    /// `chmod`/`chown` metadata writes.
-    ChmodChown,
-    /// `unlink`/`rmdir` removals.
-    Unlink,
-    /// Other metadata ops (`mkdir`, `rename`, `link`, `symlink`, ...).
-    OtherMeta,
-    /// Directory reads.
-    Readdir,
-    /// Data I/O (`read`/`write`).
-    Io,
-    /// Everything else.
-    Other,
-}
-
-impl OpClass {
-    /// Dense index for array storage.
-    #[inline]
-    pub fn idx(self) -> usize {
-        match self {
-            OpClass::AccessStat => 0,
-            OpClass::Open => 1,
-            OpClass::ChmodChown => 2,
-            OpClass::Unlink => 3,
-            OpClass::OtherMeta => 4,
-            OpClass::Readdir => 5,
-            OpClass::Io => 6,
-            OpClass::Other => 7,
-        }
-    }
-
-    /// Every class, in index order.
-    pub fn all() -> [OpClass; 8] {
-        [
-            OpClass::AccessStat,
-            OpClass::Open,
-            OpClass::ChmodChown,
-            OpClass::Unlink,
-            OpClass::OtherMeta,
-            OpClass::Readdir,
-            OpClass::Io,
-            OpClass::Other,
-        ]
-    }
-
-    /// Stable snake_case key used in JSON exports and column headers.
-    pub fn key(self) -> &'static str {
-        match self {
-            OpClass::AccessStat => "stat",
-            OpClass::Open => "open",
-            OpClass::ChmodChown => "chmod_chown",
-            OpClass::Unlink => "unlink",
-            OpClass::OtherMeta => "other_meta",
-            OpClass::Readdir => "readdir",
-            OpClass::Io => "io",
-            OpClass::Other => "other",
-        }
+crate::keyed_enum! {
+    /// Operation classes latency histograms are keyed by. Mirrors the VFS
+    /// syscall classification so timing data lands in the same buckets the
+    /// paper's tables use.
+    pub enum OpClass {
+        /// `access`/`stat`-style existence and attribute reads.
+        AccessStat = "stat",
+        /// `open` (and `create`).
+        Open = "open",
+        /// `chmod`/`chown` metadata writes.
+        ChmodChown = "chmod_chown",
+        /// `unlink`/`rmdir` removals.
+        Unlink = "unlink",
+        /// Other metadata ops (`mkdir`, `rename`, `link`, `symlink`, ...).
+        OtherMeta = "other_meta",
+        /// Directory reads.
+        Readdir = "readdir",
+        /// Data I/O (`read`/`write`).
+        Io = "io",
+        /// Everything else.
+        Other = "other",
     }
 }
 
-/// Flat classification of [`TraceEvent`]s for cheap global counting;
-/// payload-carrying events split by their boolean outcome so the counts
-/// reconcile directly against `DcacheStats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// `LookupStart`.
-    LookupStart,
-    /// `DlhtProbe { hit: true }`.
-    DlhtProbeHit,
-    /// `DlhtProbe { hit: false }`.
-    DlhtProbeMiss,
-    /// `PccCheck { hit: true, .. }`.
-    PccHit,
-    /// `PccCheck { hit: false, stale: true }`.
-    PccStale,
-    /// `PccCheck { hit: false, stale: false }`.
-    PccMiss,
-    /// `SeqRetry`.
-    SeqRetry,
-    /// `EpochPin`.
-    EpochPin,
-    /// `ReadRetry`.
-    ReadRetry,
-    /// `SlowStep`.
-    SlowStep,
-    /// `FsMiss`.
-    FsMiss,
-    /// `BlockIo`.
-    BlockIo,
-    /// `LookupEnd` with a positive outcome.
-    LookupEndPositive,
-    /// `LookupEnd` with a negative outcome.
-    LookupEndNegative,
-    /// `LookupEnd` with an error outcome.
-    LookupEndError,
-    /// `FaultInjected` (any class).
-    FaultInjected,
-    /// `IoRetry`.
-    IoRetry,
-    /// `Shrink`.
-    Shrink,
-    /// `JournalCommit`.
-    JournalCommit,
-    /// `JournalReplay`.
-    JournalReplay,
-    /// `JournalCheckpoint`.
-    JournalCheckpoint,
-    /// `ServeBatch`.
-    ServeBatch,
-    /// `ServeReject`.
-    ServeReject,
-    /// `ServeConn`.
-    ServeConn,
-    /// `PccEvict`.
-    PccEvict,
-    /// `NsTeardown`.
-    NsTeardown,
-    /// `WarmCheckpoint`.
-    WarmCheckpoint,
-    /// `WarmRestart`.
-    WarmRestart,
-}
-
-impl EventKind {
-    /// Number of kinds (length of the counter array).
-    pub const COUNT: usize = 28;
-
-    /// Every kind, in index order.
-    pub fn all() -> [EventKind; EventKind::COUNT] {
-        [
-            EventKind::LookupStart,
-            EventKind::DlhtProbeHit,
-            EventKind::DlhtProbeMiss,
-            EventKind::PccHit,
-            EventKind::PccStale,
-            EventKind::PccMiss,
-            EventKind::SeqRetry,
-            EventKind::EpochPin,
-            EventKind::ReadRetry,
-            EventKind::SlowStep,
-            EventKind::FsMiss,
-            EventKind::BlockIo,
-            EventKind::LookupEndPositive,
-            EventKind::LookupEndNegative,
-            EventKind::LookupEndError,
-            EventKind::FaultInjected,
-            EventKind::IoRetry,
-            EventKind::Shrink,
-            EventKind::JournalCommit,
-            EventKind::JournalReplay,
-            EventKind::JournalCheckpoint,
-            EventKind::ServeBatch,
-            EventKind::ServeReject,
-            EventKind::ServeConn,
-            EventKind::PccEvict,
-            EventKind::NsTeardown,
-            EventKind::WarmCheckpoint,
-            EventKind::WarmRestart,
-        ]
-    }
-
-    /// Dense index for array storage.
-    #[inline]
-    pub fn idx(self) -> usize {
-        match self {
-            EventKind::LookupStart => 0,
-            EventKind::DlhtProbeHit => 1,
-            EventKind::DlhtProbeMiss => 2,
-            EventKind::PccHit => 3,
-            EventKind::PccStale => 4,
-            EventKind::PccMiss => 5,
-            EventKind::SeqRetry => 6,
-            EventKind::EpochPin => 7,
-            EventKind::ReadRetry => 8,
-            EventKind::SlowStep => 9,
-            EventKind::FsMiss => 10,
-            EventKind::BlockIo => 11,
-            EventKind::LookupEndPositive => 12,
-            EventKind::LookupEndNegative => 13,
-            EventKind::LookupEndError => 14,
-            EventKind::FaultInjected => 15,
-            EventKind::IoRetry => 16,
-            EventKind::Shrink => 17,
-            EventKind::JournalCommit => 18,
-            EventKind::JournalReplay => 19,
-            EventKind::JournalCheckpoint => 20,
-            EventKind::ServeBatch => 21,
-            EventKind::ServeReject => 22,
-            EventKind::ServeConn => 23,
-            EventKind::PccEvict => 24,
-            EventKind::NsTeardown => 25,
-            EventKind::WarmCheckpoint => 26,
-            EventKind::WarmRestart => 27,
-        }
-    }
-
-    /// Stable snake_case key used in JSON exports.
-    pub fn key(self) -> &'static str {
-        match self {
-            EventKind::LookupStart => "lookup_start",
-            EventKind::DlhtProbeHit => "dlht_probe_hit",
-            EventKind::DlhtProbeMiss => "dlht_probe_miss",
-            EventKind::PccHit => "pcc_hit",
-            EventKind::PccStale => "pcc_stale",
-            EventKind::PccMiss => "pcc_miss",
-            EventKind::SeqRetry => "seq_retry",
-            EventKind::EpochPin => "epoch_pin",
-            EventKind::ReadRetry => "read_retry",
-            EventKind::SlowStep => "slow_step",
-            EventKind::FsMiss => "fs_miss",
-            EventKind::BlockIo => "block_io",
-            EventKind::LookupEndPositive => "lookup_end_positive",
-            EventKind::LookupEndNegative => "lookup_end_negative",
-            EventKind::LookupEndError => "lookup_end_error",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::IoRetry => "io_retry",
-            EventKind::Shrink => "shrink",
-            EventKind::JournalCommit => "journal_commit",
-            EventKind::JournalReplay => "journal_replay",
-            EventKind::JournalCheckpoint => "journal_checkpoint",
-            EventKind::ServeBatch => "serve_batch",
-            EventKind::ServeReject => "serve_reject",
-            EventKind::ServeConn => "serve_conn",
-            EventKind::PccEvict => "pcc_evict",
-            EventKind::NsTeardown => "ns_teardown",
-            EventKind::WarmCheckpoint => "warm_checkpoint",
-            EventKind::WarmRestart => "warm_restart",
-        }
-    }
-
-    fn of(event: &TraceEvent) -> EventKind {
-        match event {
-            TraceEvent::LookupStart => EventKind::LookupStart,
-            TraceEvent::DlhtProbe { hit: true } => EventKind::DlhtProbeHit,
-            TraceEvent::DlhtProbe { hit: false } => EventKind::DlhtProbeMiss,
-            TraceEvent::PccCheck { hit: true, .. } => EventKind::PccHit,
-            TraceEvent::PccCheck {
-                hit: false,
-                stale: true,
-            } => EventKind::PccStale,
-            TraceEvent::PccCheck {
-                hit: false,
-                stale: false,
-            } => EventKind::PccMiss,
-            TraceEvent::SeqRetry => EventKind::SeqRetry,
-            TraceEvent::EpochPin => EventKind::EpochPin,
-            TraceEvent::ReadRetry => EventKind::ReadRetry,
-            TraceEvent::SlowStep { .. } => EventKind::SlowStep,
-            TraceEvent::FsMiss => EventKind::FsMiss,
-            TraceEvent::BlockIo { .. } => EventKind::BlockIo,
-            TraceEvent::LookupEnd {
-                outcome: LookupOutcome::Positive,
-                ..
-            } => EventKind::LookupEndPositive,
-            TraceEvent::LookupEnd {
-                outcome: LookupOutcome::Negative,
-                ..
-            } => EventKind::LookupEndNegative,
-            TraceEvent::LookupEnd {
-                outcome: LookupOutcome::Error,
-                ..
-            } => EventKind::LookupEndError,
-            TraceEvent::FaultInjected { .. } => EventKind::FaultInjected,
-            TraceEvent::IoRetry { .. } => EventKind::IoRetry,
-            TraceEvent::Shrink { .. } => EventKind::Shrink,
-            TraceEvent::JournalCommit { .. } => EventKind::JournalCommit,
-            TraceEvent::JournalReplay { .. } => EventKind::JournalReplay,
-            TraceEvent::JournalCheckpoint => EventKind::JournalCheckpoint,
-            TraceEvent::ServeBatch { .. } => EventKind::ServeBatch,
-            TraceEvent::ServeReject { .. } => EventKind::ServeReject,
-            TraceEvent::ServeConn => EventKind::ServeConn,
-            TraceEvent::PccEvict => EventKind::PccEvict,
-            TraceEvent::NsTeardown { .. } => EventKind::NsTeardown,
-            TraceEvent::WarmCheckpoint { .. } => EventKind::WarmCheckpoint,
-            TraceEvent::WarmRestart { .. } => EventKind::WarmRestart,
-        }
+crate::keyed_enum! {
+    /// Flat classification of [`TraceEvent`]s for cheap global counting;
+    /// payload-carrying events split by their boolean outcome so the counts
+    /// reconcile directly against `DcacheStats`. Each row is the kind, its
+    /// export key and the events it counts (which is also its doc).
+    pub enum EventKind of TraceEvent {
+        LookupStart = "lookup_start" for TraceEvent::LookupStart,
+        DlhtProbeHit = "dlht_probe_hit" for TraceEvent::DlhtProbe { hit: true },
+        DlhtProbeMiss = "dlht_probe_miss" for TraceEvent::DlhtProbe { hit: false },
+        PccHit = "pcc_hit" for TraceEvent::PccCheck { hit: true, .. },
+        PccStale = "pcc_stale" for TraceEvent::PccCheck { hit: false, stale: true },
+        PccMiss = "pcc_miss" for TraceEvent::PccCheck { hit: false, stale: false },
+        SeqRetry = "seq_retry" for TraceEvent::SeqRetry,
+        EpochPin = "epoch_pin" for TraceEvent::EpochPin,
+        ReadRetry = "read_retry" for TraceEvent::ReadRetry,
+        SlowStep = "slow_step" for TraceEvent::SlowStep { .. },
+        FsMiss = "fs_miss" for TraceEvent::FsMiss,
+        BlockIo = "block_io" for TraceEvent::BlockIo { .. },
+        LookupEndPositive = "lookup_end_positive"
+            for TraceEvent::LookupEnd { outcome: LookupOutcome::Positive, .. },
+        LookupEndNegative = "lookup_end_negative"
+            for TraceEvent::LookupEnd { outcome: LookupOutcome::Negative, .. },
+        LookupEndError = "lookup_end_error"
+            for TraceEvent::LookupEnd { outcome: LookupOutcome::Error, .. },
+        FaultInjected = "fault_injected" for TraceEvent::FaultInjected { .. },
+        IoRetry = "io_retry" for TraceEvent::IoRetry { .. },
+        Shrink = "shrink" for TraceEvent::Shrink { .. },
+        JournalCommit = "journal_commit" for TraceEvent::JournalCommit { .. },
+        JournalReplay = "journal_replay" for TraceEvent::JournalReplay { .. },
+        JournalCheckpoint = "journal_checkpoint" for TraceEvent::JournalCheckpoint,
+        ServeBatch = "serve_batch" for TraceEvent::ServeBatch { .. },
+        ServeReject = "serve_reject" for TraceEvent::ServeReject { .. },
+        ServeConn = "serve_conn" for TraceEvent::ServeConn,
+        PccEvict = "pcc_evict" for TraceEvent::PccEvict,
+        NsTeardown = "ns_teardown" for TraceEvent::NsTeardown { .. },
+        WarmCheckpoint = "warm_checkpoint" for TraceEvent::WarmCheckpoint { .. },
+        WarmRestart = "warm_restart" for TraceEvent::WarmRestart { .. },
     }
 }
 
@@ -317,8 +95,8 @@ impl Default for ObsConfig {
 /// event counters, and the span trace ring. All operations are
 /// thread-safe through `&self`.
 pub struct Obs {
-    hists: [LatencyHist; 8],
-    events: [AtomicU64; EventKind::COUNT],
+    hists: [LatencyHist; OpClass::ALL.len()],
+    events: Per<EventKind, Counter>,
     ring: TraceRing,
 }
 
@@ -327,7 +105,7 @@ impl Obs {
     pub fn new(config: ObsConfig) -> Obs {
         Obs {
             hists: std::array::from_fn(|_| LatencyHist::new()),
-            events: std::array::from_fn(|_| AtomicU64::new(0)),
+            events: Cells::fresh(),
             ring: TraceRing::new(config.ring_capacity),
         }
     }
@@ -344,21 +122,18 @@ impl Obs {
 
     /// Count of events recorded for `kind`.
     pub fn event_count(&self, kind: EventKind) -> u64 {
-        self.events[kind.idx()].load(Ordering::Relaxed)
+        self.events[kind].load(Ordering::Relaxed)
     }
 
     /// All event counts, keyed and in index order.
-    pub fn event_counts(&self) -> Vec<(&'static str, u64)> {
-        EventKind::all()
-            .into_iter()
-            .map(|k| (k.key(), self.event_count(k)))
-            .collect()
+    pub fn event_counts(&self) -> Vec<(String, u64)> {
+        self.events.counters()
     }
 
     /// Records one event: bumps its kind counter and appends it to the
     /// trace ring.
     pub fn record_event(&self, event: TraceEvent) {
-        self.events[EventKind::of(&event).idx()].fetch_add(1, Ordering::Relaxed);
+        self.events[EventKind::of(&event)].fetch_add(1, Ordering::Relaxed);
         self.ring.push(current_tid(), event);
     }
 
@@ -367,9 +142,7 @@ impl Obs {
         for h in &self.hists {
             h.reset();
         }
-        for c in &self.events {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.events.reset();
         self.ring.reset();
     }
 }
@@ -500,16 +273,25 @@ mod tests {
         assert!(obs.ring().snapshot().is_empty());
     }
 
+    /// `ALL[i].idx() == i`, keys unique and snake_case.
+    fn check_table<E: crate::Keyed + std::fmt::Debug>() {
+        let mut keys = Vec::new();
+        for (i, k) in E::ALL.iter().enumerate() {
+            assert_eq!(k.idx(), i, "{k:?}");
+            let key = k.key();
+            let snake = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+            assert!(!key.is_empty() && key.chars().all(snake), "{key}");
+            assert!(!keys.contains(&key), "{key} twice");
+            keys.push(key);
+        }
+    }
+
     #[test]
     fn event_kind_keys_are_unique_and_indexed() {
-        let all = EventKind::all();
-        for (i, k) in all.into_iter().enumerate() {
-            assert_eq!(k.idx(), i);
-        }
-        let mut keys: Vec<_> = all.iter().map(|k| k.key()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), EventKind::COUNT);
+        check_table::<EventKind>();
+        check_table::<OpClass>();
+        assert_eq!(EventKind::ALL.len(), 28);
+        assert_eq!(OpClass::ALL.len(), 8);
     }
 
     #[test]

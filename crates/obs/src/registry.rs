@@ -1,17 +1,19 @@
-//! The unified metrics registry: component counters, recorder
-//! histograms, and event counts behind one snapshot/reset API.
+//! What a metric source is, and the snapshot of a list of them: component
+//! counters, recorder histograms and event counts behind one
+//! snapshot/reset API.
 
 use crate::hist::HistSummary;
 use crate::recorder::{OpClass, Recorder};
+use std::sync::Arc;
 
-/// A component that exposes counters to the registry. `DcacheStats`,
-/// the block-device page cache, and syscall timing each adapt into one
-/// of these so a single [`Registry::snapshot`] covers the whole stack.
+/// A component that exposes counters to a [`MetricsSnapshot`]. A
+/// [`counters!`](crate::counters) struct with a section name is one; the
+/// kernel keeps the list of them that its snapshot and its reset walk.
 pub trait MetricSource: Send + Sync {
     /// Section name in exports (snake_case).
     fn name(&self) -> &'static str;
     /// Current counter values, in a stable order.
-    fn counters(&self) -> Vec<(&'static str, u64)>;
+    fn counters(&self) -> Vec<(String, u64)>;
     /// Derived ratios in `[0, 1]` (optional).
     fn rates(&self) -> Vec<(&'static str, f64)> {
         Vec::new()
@@ -22,14 +24,6 @@ pub trait MetricSource: Send + Sync {
     /// own per-worker histograms (e.g. the metadata server) surface
     /// latency without routing through the recorder's `OpClass` set.
     fn hists(&self) -> Vec<(String, HistSummary)> {
-        Vec::new()
-    }
-    /// Dynamically-named counters (optional), keyed by a `label.metric`
-    /// string built at runtime — per-tenant or per-class breakdowns
-    /// (e.g. `hot.ops`) that cannot use the `&'static str` keys of
-    /// [`counters`](MetricSource::counters). Appended after the static
-    /// counters in the source's section.
-    fn labeled_counters(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
     /// Zeroes the underlying counters.
@@ -60,6 +54,57 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Copies every source in order, then the recorder's event counts
+    /// (section `events`) and non-empty per-op histograms.
+    pub fn collect(sources: &[Arc<dyn MetricSource>], recorder: &Recorder) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
+            sections: Vec::with_capacity(sources.len() + 1),
+            rates: Vec::new(),
+            hists: Vec::new(),
+        };
+        for source in sources {
+            snap.sections.push(Section {
+                name: source.name().to_string(),
+                counters: source.counters(),
+            });
+            for (key, value) in source.rates() {
+                snap.rates
+                    .push((format!("{}.{}", source.name(), key), value));
+            }
+            snap.hists.extend(source.hists());
+        }
+        if let Some(obs) = recorder.obs() {
+            snap.sections.push(Section {
+                name: "events".to_string(),
+                counters: obs.event_counts(),
+            });
+            let per_op = OpClass::ALL.iter().map(|op| (op.key(), obs.hist(*op)));
+            snap.hists
+                .extend(per_op.map(|(key, h)| (key.to_string(), h.summary())));
+        }
+        snap.hists.retain(|(_, h)| h.count > 0);
+        snap
+    }
+
+    /// The value of `section`'s counter `key`.
+    pub fn counter(&self, section: &str, key: &str) -> Option<u64> {
+        let section = self.sections.iter().find(|s| s.name == section)?;
+        let (_, value) = section.counters.iter().find(|(k, _)| k == key)?;
+        Some(*value)
+    }
+
+    /// The value of `section`'s derived ratio `key`.
+    pub fn rate(&self, section: &str, key: &str) -> Option<f64> {
+        let wanted = format!("{section}.{key}");
+        let (_, value) = self.rates.iter().find(|(k, _)| *k == wanted)?;
+        Some(*value)
+    }
+
+    /// The latency summary exported under `key`; `None` without samples.
+    pub fn hist(&self, key: &str) -> Option<&HistSummary> {
+        self.hists.iter().find(|(k, _)| k == key).map(|(_, h)| h)
+    }
+
     /// Serialises to JSON (schema `dcache-metrics/v1`). Hand-rolled —
     /// keys are known-ASCII identifiers, so no escaping is needed.
     pub fn to_json(&self) -> String {
@@ -140,187 +185,92 @@ impl MetricsSnapshot {
     }
 }
 
-/// Owns the [`MetricSource`]s and the [`Recorder`]; the one place to
-/// snapshot or reset everything.
-pub struct Registry {
-    sources: Vec<Box<dyn MetricSource>>,
-    recorder: Recorder,
-}
-
-impl Registry {
-    /// A registry exporting the given recorder's histograms and events
-    /// alongside whatever sources get registered.
-    pub fn new(recorder: Recorder) -> Registry {
-        Registry {
-            sources: Vec::new(),
-            recorder,
-        }
-    }
-
-    /// Adds a counter source. Sections appear in registration order.
-    pub fn register(&mut self, source: Box<dyn MetricSource>) {
-        self.sources.push(source);
-    }
-
-    /// The recorder this registry exports.
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
-    /// Copies every source, the recorder's event counters, and its
-    /// non-empty latency histograms into a [`MetricsSnapshot`].
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut sections = Vec::with_capacity(self.sources.len() + 1);
-        let mut rates = Vec::new();
-        for source in &self.sources {
-            let mut counters: Vec<(String, u64)> = source
-                .counters()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-            counters.extend(source.labeled_counters());
-            sections.push(Section {
-                name: source.name().to_string(),
-                counters,
-            });
-            for (key, value) in source.rates() {
-                rates.push((format!("{}.{}", source.name(), key), value));
-            }
-        }
-        let mut hists = Vec::new();
-        for source in &self.sources {
-            for (key, summary) in source.hists() {
-                if summary.count > 0 {
-                    hists.push((key, summary));
-                }
-            }
-        }
-        if let Some(obs) = self.recorder.obs() {
-            sections.push(Section {
-                name: "events".to_string(),
-                counters: obs
-                    .event_counts()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect(),
-            });
-            for op in OpClass::all() {
-                let h = obs.hist(op);
-                if h.count() > 0 {
-                    hists.push((op.key().to_string(), h.summary()));
-                }
-            }
-        }
-        MetricsSnapshot {
-            sections,
-            rates,
-            hists,
-        }
-    }
-
-    /// Zeroes every source and the recorder.
-    pub fn reset_all(&self) {
-        for source in &self.sources {
-            source.reset();
-        }
-        self.recorder.reset();
-    }
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("sources", &self.sources.len())
-            .field("recorder", &self.recorder)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recorder::ObsConfig;
     use crate::trace::TraceEvent;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::Ordering;
 
-    struct Fake {
-        hits: AtomicU64,
-        misses: AtomicU64,
+    crate::counters! {
+        /// A two-counter source.
+        struct Fake = "fake" rates(hit_rate) { hits, misses }
     }
 
-    impl MetricSource for Fake {
-        fn name(&self) -> &'static str {
-            "fake"
-        }
-        fn counters(&self) -> Vec<(&'static str, u64)> {
-            vec![
-                ("hits", self.hits.load(Ordering::Relaxed)),
-                ("misses", self.misses.load(Ordering::Relaxed)),
-            ]
-        }
-        fn rates(&self) -> Vec<(&'static str, f64)> {
-            vec![("hit_rate", 0.75)]
-        }
-        fn reset(&self) {
-            self.hits.store(0, Ordering::Relaxed);
-            self.misses.store(0, Ordering::Relaxed);
+    impl Fake {
+        fn hit_rate(&self) -> f64 {
+            0.75
         }
     }
 
-    fn registry() -> Registry {
-        let mut reg = Registry::new(Recorder::enabled(ObsConfig::default()));
-        reg.register(Box::new(Fake {
-            hits: AtomicU64::new(3),
-            misses: AtomicU64::new(1),
-        }));
-        reg
+    /// One `fake` source reading `hits = 3, misses = 1` and a live recorder.
+    fn sources() -> (Vec<Arc<dyn MetricSource>>, Recorder) {
+        let fake = Fake::default();
+        fake.hits.store(3, Ordering::Relaxed);
+        fake.misses.store(1, Ordering::Relaxed);
+        (
+            vec![Arc::new(fake)],
+            Recorder::enabled(ObsConfig::default()),
+        )
     }
 
     #[test]
     fn snapshot_includes_sources_events_and_hists() {
-        let reg = registry();
-        let r = reg.recorder().clone();
+        let (sources, r) = sources();
         r.latency(OpClass::Open, 1_000);
         r.event(|| TraceEvent::LookupStart);
 
-        let snap = reg.snapshot();
+        let snap = MetricsSnapshot::collect(&sources, &r);
         assert_eq!(snap.sections[0].name, "fake");
         assert_eq!(snap.sections[0].counters[0], ("hits".to_string(), 3));
-        let events = snap.sections.iter().find(|s| s.name == "events").unwrap();
-        let (_, n) = events
-            .counters
-            .iter()
-            .find(|(k, _)| k == "lookup_start")
-            .unwrap();
-        assert_eq!(*n, 1);
-        assert_eq!(snap.rates[0].0, "fake.hit_rate");
+        assert_eq!(snap.counter("fake", "misses"), Some(1));
+        assert_eq!(snap.counter("events", "lookup_start"), Some(1));
+        assert_eq!(snap.counter("events", "no_such_event"), None);
+        assert_eq!(snap.counter("misses", "fake"), None);
+        assert_eq!(snap.rate("fake", "hit_rate"), Some(0.75));
         assert_eq!(snap.hists.len(), 1);
-        assert_eq!(snap.hists[0].0, "open");
-        assert_eq!(snap.hists[0].1.count, 1);
+        assert_eq!(snap.hist("open").unwrap().count, 1);
+        assert!(snap.hist("stat").is_none());
     }
 
     #[test]
     fn json_has_schema_and_sections() {
-        let reg = registry();
-        reg.recorder().latency(OpClass::AccessStat, 42);
-        let json = reg.snapshot().to_json();
+        let (sources, r) = sources();
+        r.latency(OpClass::AccessStat, 42);
+        r.event(|| TraceEvent::FsMiss);
+        let snap = MetricsSnapshot::collect(&sources, &r);
+        let json = snap.to_json();
         assert!(json.contains("\"schema\": \"dcache-metrics/v1\""));
-        assert!(json.contains("\"fake\""));
-        assert!(json.contains("\"hits\": 3"));
         assert!(json.contains("\"fake.hit_rate\": 0.750000"));
-        assert!(json.contains("\"stat\""));
-        assert!(json.contains("\"p50_ns\""));
+        assert!(json.contains("\"stat\": { \"count\": 1, "));
+        // The rendering and `counter()` agree, section by section.
+        for (section, key) in [("fake", "hits"), ("fake", "misses"), ("events", "fs_miss")] {
+            let value = snap.counter(section, key).unwrap();
+            let body = &json[json.find(&format!("\"{section}\": {{")).unwrap()..];
+            assert!(body[..body.find('}').unwrap()].contains(&format!("\"{key}\": {value}")));
+        }
     }
 
     #[test]
     fn text_render_mentions_everything() {
-        let reg = registry();
-        reg.recorder().latency(OpClass::Unlink, 7);
-        let text = reg.snapshot().to_text();
-        assert!(text.contains("[fake]"));
-        assert!(text.contains("[events]"));
-        assert!(text.contains("[rates]"));
+        let (sources, r) = sources();
+        r.latency(OpClass::Unlink, 7);
+        r.event(|| TraceEvent::FsMiss);
+        let snap = MetricsSnapshot::collect(&sources, &r);
+        let text = snap.to_text();
+        for header in ["[fake]", "[events]", "[rates]", "[latency]"] {
+            assert!(text.contains(header), "{header} missing:\n{text}");
+        }
         assert!(text.contains("unlink"));
+        for (section, key) in [("fake", "hits"), ("fake", "misses"), ("events", "fs_miss")] {
+            let value = snap.counter(section, key).unwrap();
+            let body = &text[text.find(&format!("[{section}]")).unwrap()..];
+            let line = body.lines().find(|l| l.trim_start().starts_with(key));
+            assert_eq!(
+                line.unwrap().split_whitespace().last(),
+                Some(&*value.to_string())
+            );
+        }
     }
 
     #[test]
@@ -332,8 +282,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "serve"
             }
-            fn counters(&self) -> Vec<(&'static str, u64)> {
-                vec![("requests", self.h.count())]
+            fn counters(&self) -> Vec<(String, u64)> {
+                vec![("requests".to_string(), self.h.count())]
             }
             fn hists(&self) -> Vec<(String, HistSummary)> {
                 vec![
@@ -349,13 +299,11 @@ mod tests {
                 self.h.reset();
             }
         }
-        let mut reg = Registry::new(Recorder::disabled());
         let src = WithHist {
             h: crate::hist::LatencyHist::new(),
         };
         src.h.record(640);
-        reg.register(Box::new(src));
-        let snap = reg.snapshot();
+        let snap = MetricsSnapshot::collect(&[Arc::new(src)], &Recorder::disabled());
         assert_eq!(snap.hists.len(), 1);
         assert_eq!(snap.hists[0].0, "serve_lookup");
         let json = snap.to_json();
@@ -363,15 +311,5 @@ mod tests {
         assert!(!json.contains("\"serve_empty\""));
         let text = snap.to_text();
         assert!(text.contains("serve_lookup"));
-    }
-
-    #[test]
-    fn reset_all_propagates() {
-        let reg = registry();
-        reg.recorder().latency(OpClass::Io, 9);
-        reg.reset_all();
-        let snap = reg.snapshot();
-        assert_eq!(snap.sections[0].counters[0].1, 0);
-        assert!(snap.hists.is_empty());
     }
 }

@@ -108,7 +108,7 @@ fn merge_equals_recording_both_streams() {
             hb.record(s);
             combined.record(s);
         }
-        ha.merge(&hb);
+        ha.merge_from(&hb);
         assert_eq!(ha.count(), combined.count(), "case {case}: merged count");
         assert_eq!(ha.max(), combined.max(), "case {case}: merged max");
         for q in [0.5, 0.9, 0.99, 1.0] {

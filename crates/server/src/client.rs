@@ -16,7 +16,7 @@ fn frame_level(reqs: &[Request<'_>], code: u8) -> Vec<Response> {
     reqs.iter()
         .map(|r| Response {
             id: r.id,
-            op: r.body.op() as u8,
+            op: r.body.op().code(),
             status,
             body: RespBody::None,
         })

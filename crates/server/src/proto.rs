@@ -62,50 +62,29 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// Bytes of a [`Signature`] on the wire.
 pub const SIG_BYTES: usize = 32;
 
-/// Protocol operation codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Op {
-    /// Path lookup (follows symlinks).
-    Lookup = 1,
-    /// Full attributes.
-    Stat = 2,
-    /// Directory listing.
-    Readdir = 3,
-    /// Signature-keyed lookup (cache-only).
-    LookupSig = 4,
+dc_obs::keyed_enum! {
+    /// Protocol operations, in wire-code order (a code is `idx + 1`).
+    pub enum Op {
+        /// Path lookup (follows symlinks).
+        Lookup = "lookup",
+        /// Full attributes.
+        Stat = "stat",
+        /// Directory listing.
+        Readdir = "readdir",
+        /// Signature-keyed lookup (cache-only).
+        LookupSig = "lookup_sig",
+    }
 }
 
 impl Op {
+    /// The op byte on the wire.
+    pub fn code(self) -> u8 {
+        self as u8 + 1
+    }
+
     /// Decodes an op byte.
     pub fn from_u8(v: u8) -> Option<Op> {
-        Some(match v {
-            1 => Op::Lookup,
-            2 => Op::Stat,
-            3 => Op::Readdir,
-            4 => Op::LookupSig,
-            _ => return None,
-        })
-    }
-
-    /// Stable snake_case key (histogram/report naming).
-    pub fn key(self) -> &'static str {
-        match self {
-            Op::Lookup => "lookup",
-            Op::Stat => "stat",
-            Op::Readdir => "readdir",
-            Op::LookupSig => "lookup_sig",
-        }
-    }
-
-    /// Every op, in code order.
-    pub fn all() -> [Op; 4] {
-        [Op::Lookup, Op::Stat, Op::Readdir, Op::LookupSig]
-    }
-
-    /// Dense index for per-op arrays.
-    pub fn idx(self) -> usize {
-        self as u8 as usize - 1
+        Op::ALL.get(usize::from(v).wrapping_sub(1)).copied()
     }
 }
 
@@ -431,7 +410,7 @@ pub fn encode_request_frame(reqs: &[Request<'_>]) -> Vec<u8> {
     put_u16(&mut out, reqs.len() as u16);
     for r in reqs {
         put_u64(&mut out, r.id);
-        out.push(r.body.op() as u8);
+        out.push(r.body.op().code());
         let flags = match r.body {
             ReqBody::Lookup { want_sig: true, .. } => FLAG_WANT_SIG,
             _ => 0,
@@ -616,7 +595,7 @@ impl RespWriter {
 
     /// A successful lookup.
     pub fn push_lookup(&mut self, id: u64, ino: u64, ftype: FileType, sig: Option<&Signature>) {
-        let at = self.record_header(id, Status::Ok, Op::Lookup as u8);
+        let at = self.record_header(id, Status::Ok, Op::Lookup.code());
         put_u64(&mut self.buf, ino);
         self.buf.push(ftype.as_u8());
         if let Some(sig) = sig {
@@ -627,7 +606,7 @@ impl RespWriter {
 
     /// A successful signature lookup.
     pub fn push_lookup_sig(&mut self, id: u64, ino: u64, ftype: FileType) {
-        let at = self.record_header(id, Status::Ok, Op::LookupSig as u8);
+        let at = self.record_header(id, Status::Ok, Op::LookupSig.code());
         put_u64(&mut self.buf, ino);
         self.buf.push(ftype.as_u8());
         self.patch_body_len(at);
@@ -635,7 +614,7 @@ impl RespWriter {
 
     /// A successful stat.
     pub fn push_stat(&mut self, id: u64, attr: &InodeAttr) {
-        let at = self.record_header(id, Status::Ok, Op::Stat as u8);
+        let at = self.record_header(id, Status::Ok, Op::Stat.code());
         let w = WireAttr::of(attr);
         put_u64(&mut self.buf, w.ino);
         put_u64(&mut self.buf, w.size);
@@ -653,7 +632,7 @@ impl RespWriter {
     /// cannot be encoded; the caller bounds both (the server answers
     /// such listings with [`Status::TooBig`] instead).
     pub fn push_readdir(&mut self, id: u64, entries: &[dc_fs::DirEntry]) {
-        let at = self.record_header(id, Status::Ok, Op::Readdir as u8);
+        let at = self.record_header(id, Status::Ok, Op::Readdir.code());
         put_u16(&mut self.buf, entries.len() as u16);
         for e in entries {
             put_u64(&mut self.buf, e.ino);
@@ -815,6 +794,22 @@ mod tests {
         assert_eq!(Status::from_code(99), None);
     }
 
+    /// The op table: dense indices, unique snake_case keys, and the wire
+    /// codes 1..=4 the protocol has always used.
+    #[test]
+    fn op_codes_round_trip() {
+        let mut keys = Vec::new();
+        for (i, op) in Op::ALL.iter().enumerate() {
+            assert_eq!((op.idx(), op.code()), (i, i as u8 + 1));
+            assert_eq!(Op::from_u8(op.code()), Some(*op));
+            let snake = |c: char| c.is_ascii_lowercase() || c == '_';
+            assert!(op.key().chars().all(snake) && !keys.contains(&op.key()));
+            keys.push(op.key());
+        }
+        assert_eq!(keys, ["lookup", "stat", "readdir", "lookup_sig"]);
+        assert_eq!((Op::from_u8(0), Op::from_u8(5)), (None, None));
+    }
+
     #[test]
     fn request_frame_round_trips() {
         let sig =
@@ -851,7 +846,7 @@ mod tests {
         assert_eq!(peek_request_count(&frame), 4);
         assert_eq!(decoded.len(), 4);
         assert_eq!(decoded[0].id, 1);
-        assert_eq!(decoded[0].op, Op::Lookup as u8);
+        assert_eq!(decoded[0].op, Op::Lookup.code());
         assert_eq!(decoded[0].flags, FLAG_WANT_SIG);
         assert_eq!(decoded[0].arg, b"/a/b");
         assert_eq!(decoded[1].cred, 3);
@@ -922,8 +917,8 @@ mod tests {
                 },
             ],
         );
-        w.push_status(5, Status::Fs(FsError::NoEnt), Op::Stat as u8);
-        w.push_status(6, Status::SigMiss, Op::LookupSig as u8);
+        w.push_status(5, Status::Fs(FsError::NoEnt), Op::Stat.code());
+        w.push_status(6, Status::SigMiss, Op::LookupSig.code());
         w.push_lookup_sig(7, 44, FileType::Symlink);
         let frame = w.finish();
 

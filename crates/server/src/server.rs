@@ -448,7 +448,7 @@ impl Inner {
         let Some(op) = Op::from_u8(req.op) else {
             return ExecResult::Status(Status::BadOp);
         };
-        self.stats.per_op[op.idx()].fetch_add(1, Ordering::Relaxed);
+        self.stats.per_op[op].fetch_add(1, Ordering::Relaxed);
         let Some(proc) = self.creds.read().unwrap().get(&req.cred).cloned() else {
             return ExecResult::Status(Status::BadCred);
         };

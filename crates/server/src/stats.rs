@@ -1,5 +1,5 @@
-//! Server counters and per-worker latency histograms, exported through
-//! the kernel's metrics registry.
+//! Server counters and per-worker latency histograms, one source on the
+//! kernel's metric list (DESIGN.md §8 has the declaration rule).
 //!
 //! Workers never share a histogram: each owns a [`WorkerHists`] and
 //! records with plain relaxed atomics on its own cache lines. A
@@ -8,52 +8,36 @@
 //! observability beyond the per-record atomic adds.
 
 use crate::proto::Op;
-use dc_obs::{HistSummary, LatencyHist, MetricSource};
-use std::sync::atomic::{AtomicU64, Ordering};
+use dc_obs::{Counter, HistSummary, LatencyHist, MetricSource, Per};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Monotonic counters for the serving tier. All relaxed; exact under
-/// quiescence (snapshots between load phases), approximate during.
-#[derive(Debug, Default)]
-pub struct ServeStats {
-    /// Connections accepted.
-    pub conns: AtomicU64,
-    /// Request frames executed (one batch each).
-    pub batches: AtomicU64,
-    /// Requests executed (records in executed frames).
-    pub requests: AtomicU64,
-    /// Frames shed by admission control before decoding.
-    pub rejected_frames: AtomicU64,
-    /// Requests inside shed frames (by the frame header's count).
-    pub rejected_requests: AtomicU64,
-    /// Frames answered `BadRequest`/`BadVersion` without execution.
-    pub bad_frames: AtomicU64,
-    /// Executed frames whose encoded response blew the frame cap and
-    /// were answered with a frame-level `TooBig` instead.
-    pub resp_too_big: AtomicU64,
-    /// Executed requests that returned a non-`Ok` status.
-    pub errors: AtomicU64,
-    /// Executed requests per op, indexed by [`Op::idx`].
-    pub per_op: [AtomicU64; 4],
-    /// Signature lookups not answerable from the cache (`SigMiss`).
-    pub sig_miss: AtomicU64,
-}
-
-impl ServeStats {
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.conns.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.requests.store(0, Ordering::Relaxed);
-        self.rejected_frames.store(0, Ordering::Relaxed);
-        self.rejected_requests.store(0, Ordering::Relaxed);
-        self.bad_frames.store(0, Ordering::Relaxed);
-        self.resp_too_big.store(0, Ordering::Relaxed);
-        self.errors.store(0, Ordering::Relaxed);
-        for c in &self.per_op {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.sig_miss.store(0, Ordering::Relaxed);
+dc_obs::counters! {
+    /// Monotonic counters for the serving tier, in export order. All
+    /// relaxed; exact under quiescence (snapshots between load phases),
+    /// approximate during.
+    pub struct ServeStats {
+        /// Requests executed (records in executed frames).
+        pub requests,
+        /// Request frames executed (one batch each).
+        pub batches,
+        /// Requests inside shed frames (by the frame header's count).
+        pub rejected_requests,
+        /// Frames shed by admission control before decoding.
+        pub rejected_frames,
+        /// Frames answered `BadRequest`/`BadVersion` without execution.
+        pub bad_frames,
+        /// Executed frames whose encoded response blew the frame cap and
+        /// were answered with a frame-level `TooBig` instead.
+        pub resp_too_big,
+        /// Executed requests that returned a non-`Ok` status.
+        pub errors,
+        /// Connections accepted.
+        pub conns,
+        /// Executed requests per op (`op_lookup`, …).
+        pub per_op: Per<Op, Counter> = "op_",
+        /// Signature lookups not answerable from the cache (`SigMiss`).
+        pub sig_miss,
     }
 }
 
@@ -62,7 +46,7 @@ impl ServeStats {
 #[derive(Debug, Default)]
 pub struct WorkerHists {
     /// Per-op execution latency (the kernel call only), by [`Op::idx`].
-    pub per_op: [LatencyHist; 4],
+    pub per_op: [LatencyHist; Op::ALL.len()],
     /// Request-frame decode.
     pub decode: LatencyHist,
     /// Response-frame encode.
@@ -73,40 +57,40 @@ pub struct WorkerHists {
     pub queue_wait: LatencyHist,
 }
 
-/// Export names for the stage histograms, aligned with [`stage_of`].
-const STAGE_NAMES: [&str; 4] = [
-    "serve_decode_frame",
-    "serve_encode_frame",
-    "serve_batch_exec",
-    "serve_queue_wait",
-];
-
-fn stage_of(w: &WorkerHists, i: usize) -> &LatencyHist {
-    match i {
-        0 => &w.decode,
-        1 => &w.encode,
-        2 => &w.batch_exec,
-        _ => &w.queue_wait,
-    }
-}
-
 impl WorkerHists {
+    /// Every histogram with its export key less the `serve_` prefix
+    /// (`lookup`, …, `queue_wait`): the list reset, merge and export walk.
+    fn keyed(&self) -> impl Iterator<Item = (&'static str, &LatencyHist)> {
+        let ops = Op::ALL.iter().map(|op| (op.key(), &self.per_op[op.idx()]));
+        ops.chain([
+            ("decode_frame", &self.decode),
+            ("encode_frame", &self.encode),
+            ("batch_exec", &self.batch_exec),
+            ("queue_wait", &self.queue_wait),
+        ])
+    }
+
     /// Zeroes every histogram.
     pub fn reset(&self) {
-        for h in &self.per_op {
-            h.reset();
+        self.keyed().for_each(|(_, h)| h.reset());
+    }
+
+    /// The sum of `workers`' histograms.
+    pub fn merged(workers: &[Arc<WorkerHists>]) -> WorkerHists {
+        let sum = WorkerHists::default();
+        for w in workers {
+            for ((_, into), (_, from)) in sum.keyed().zip(w.keyed()) {
+                into.merge_from(from);
+            }
         }
-        self.decode.reset();
-        self.encode.reset();
-        self.batch_exec.reset();
-        self.queue_wait.reset();
+        sum
     }
 }
 
-/// The serving tier's [`MetricSource`]: counters from [`ServeStats`],
-/// histograms merged across workers at snapshot time. Registered on
-/// the kernel by `Server::start`, so `--metrics-out` exports and
-/// `Kernel::reset_stats` cover served traffic with no extra wiring.
+/// The serving tier's [`MetricSource`] (`serve` section): counters from
+/// [`ServeStats`], histograms merged across workers at snapshot time.
+/// Registered on the kernel by `Server::start`, so `--metrics-out` exports
+/// and `Kernel::reset_stats` cover served traffic with no extra wiring.
 pub struct ServeMetrics {
     stats: Arc<ServeStats>,
     workers: Vec<Arc<WorkerHists>>,
@@ -117,15 +101,6 @@ impl ServeMetrics {
     pub fn new(stats: Arc<ServeStats>, workers: Vec<Arc<WorkerHists>>) -> ServeMetrics {
         ServeMetrics { stats, workers }
     }
-
-    /// Merges one op's histogram across every worker.
-    pub fn merged_op(&self, op: Op) -> LatencyHist {
-        let out = LatencyHist::new();
-        for w in &self.workers {
-            out.merge_from(&w.per_op[op.idx()]);
-        }
-        out
-    }
 }
 
 impl MetricSource for ServeMetrics {
@@ -133,24 +108,8 @@ impl MetricSource for ServeMetrics {
         "serve"
     }
 
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        let s = &self.stats;
-        let ld = Ordering::Relaxed;
-        vec![
-            ("requests", s.requests.load(ld)),
-            ("batches", s.batches.load(ld)),
-            ("rejected_requests", s.rejected_requests.load(ld)),
-            ("rejected_frames", s.rejected_frames.load(ld)),
-            ("bad_frames", s.bad_frames.load(ld)),
-            ("resp_too_big", s.resp_too_big.load(ld)),
-            ("errors", s.errors.load(ld)),
-            ("conns", s.conns.load(ld)),
-            ("op_lookup", s.per_op[Op::Lookup.idx()].load(ld)),
-            ("op_stat", s.per_op[Op::Stat.idx()].load(ld)),
-            ("op_readdir", s.per_op[Op::Readdir.idx()].load(ld)),
-            ("op_lookup_sig", s.per_op[Op::LookupSig.idx()].load(ld)),
-            ("sig_miss", s.sig_miss.load(ld)),
-        ]
+    fn counters(&self) -> Vec<(String, u64)> {
+        self.stats.counters()
     }
 
     fn rates(&self) -> Vec<(&'static str, f64)> {
@@ -164,23 +123,11 @@ impl MetricSource for ServeMetrics {
     }
 
     fn hists(&self) -> Vec<(String, HistSummary)> {
-        let mut out = Vec::new();
-        for op in Op::all() {
-            let merged = self.merged_op(op);
-            if merged.count() > 0 {
-                out.push((format!("serve_{}", op.key()), merged.summary()));
-            }
-        }
-        for (i, name) in STAGE_NAMES.iter().enumerate() {
-            let merged = LatencyHist::new();
-            for w in &self.workers {
-                merged.merge_from(stage_of(w, i));
-            }
-            if merged.count() > 0 {
-                out.push((name.to_string(), merged.summary()));
-            }
-        }
-        out
+        let merged = WorkerHists::merged(&self.workers);
+        let sampled = merged.keyed().filter(|(_, h)| h.count() > 0);
+        sampled
+            .map(|(key, h)| (format!("serve_{key}"), h.summary()))
+            .collect()
     }
 
     fn reset(&self) {

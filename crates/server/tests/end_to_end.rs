@@ -365,8 +365,10 @@ fn oversized_response_frame_fails_typed_at_the_frame_level() {
         "response past the frame cap must fail typed, not poison the stream"
     );
     assert_eq!(server.stats().resp_too_big.load(Ordering::Relaxed), 1);
-    let json = k.metrics_registry().snapshot().to_json();
-    assert!(json.contains("\"resp_too_big\": 1"), "export: {json}");
+    assert_eq!(
+        k.metrics_snapshot().counter("serve", "resp_too_big"),
+        Some(1)
+    );
 
     // A small request on the same connection still succeeds: the
     // connection survives the rejection.
@@ -437,29 +439,42 @@ fn serve_metrics_export_in_both_formats_and_reset_clears() {
         assert_eq!(resps[0].status, Status::Ok);
     }
 
-    let snap = k.metrics_registry().snapshot();
-    let json = snap.to_json();
-    let text = snap.to_text();
-    for needle in ["\"serve\"", "\"requests\": 8", "\"serve_lookup\""] {
-        assert!(
-            json.contains(needle),
-            "JSON export missing {needle}: {json}"
-        );
+    // The registered source is exported: its section, under the names
+    // that are its interface, and its per-worker histograms.
+    let snap = k.metrics_snapshot();
+    let serve = snap.sections.iter().find(|s| s.name == "serve").unwrap();
+    let keys: Vec<&str> = serve.counters.iter().map(|(k, _)| k.as_str()).collect();
+    #[rustfmt::skip]
+    assert_eq!(keys, [
+        "requests", "batches", "rejected_requests", "rejected_frames", "bad_frames",
+        "resp_too_big", "errors", "conns", "op_lookup", "op_stat", "op_readdir",
+        "op_lookup_sig", "sig_miss",
+    ]);
+    assert_eq!(snap.counter("serve", "requests"), Some(8));
+    assert_eq!(snap.counter("serve", "op_lookup"), Some(8));
+    assert_eq!(snap.hist("serve_lookup").unwrap().count, 8);
+    for stage in ["decode_frame", "encode_frame", "batch_exec", "queue_wait"] {
+        assert_eq!(snap.hist(&format!("serve_{stage}")).unwrap().count, 8);
     }
+    assert!(
+        snap.hist("serve_stat").is_none(),
+        "no samples, no histogram"
+    );
+    assert!(snap.to_json().contains("\"serve_lookup\""));
+    let text = snap.to_text();
     assert!(text.contains("[serve]"), "text export: {text}");
     assert!(text.contains("serve_lookup"), "text export: {text}");
 
     // Executed-request accounting: every op was a lookup.
-    assert_eq!(
-        server.stats().per_op[Op::Lookup.idx()].load(Ordering::Relaxed),
-        8
-    );
+    assert_eq!(server.stats().per_op[Op::Lookup].load(Ordering::Relaxed), 8);
 
     // reset_stats reaches the registered serve source.
     k.reset_stats();
     assert_eq!(server.stats().requests.load(Ordering::Relaxed), 0);
     assert_eq!(server.stats().batches.load(Ordering::Relaxed), 0);
     assert!(server.worker_hists().iter().all(|w| w.decode.count() == 0));
-    let json = k.metrics_registry().snapshot().to_json();
-    assert!(json.contains("\"requests\": 0"), "post-reset: {json}");
+    let snap = k.metrics_snapshot();
+    let serve = snap.sections.iter().find(|s| s.name == "serve").unwrap();
+    assert!(serve.counters.iter().all(|(_, v)| *v == 0), "{serve:?}");
+    assert!(snap.hist("serve_lookup").is_none());
 }

@@ -47,13 +47,13 @@ impl Icache {
     }
 
     /// Number of (possibly dead) entries.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.map.lock().len()
     }
 
     /// True when the cache is empty.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -5,11 +5,11 @@ use crate::mount::{Mount, MountFlags, SuperBlock};
 use crate::namespace::MountNamespace;
 use crate::path::PathRef;
 use crate::process::Process;
-use crate::timing::{SyscallClass, SyscallTiming};
+use crate::timing::SyscallTiming;
 use dc_blockdev::{CachedDisk, DiskConfig, LatencyModel};
 use dc_cred::{Cred, SecurityStack};
 use dc_fs::{FileSystem, FsResult, MemFs, MemFsConfig};
-use dc_obs::{MetricSource, MetricsSnapshot, ObsConfig, Recorder, Registry};
+use dc_obs::{MetricSource, MetricsSnapshot, ObsConfig, Recorder};
 use dcache_core::{Dcache, DcacheConfig, Dentry};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -43,11 +43,13 @@ pub struct Kernel {
     /// Superblock registry: one superblock (and dentry tree) per mounted
     /// file-system instance, so mount aliases share dentries (§4.3).
     pub(crate) superblocks: Mutex<SuperBlockRegistry>,
-    /// Extra metric sources registered by components layered on top of
-    /// the kernel (e.g. the metadata server); included in
-    /// [`Kernel::metrics_registry`] and cleared by
-    /// [`Kernel::reset_stats`].
-    extra_sources: Mutex<Vec<Arc<dyn MetricSource>>>,
+    /// Every metric source, in export order: the kernel's own (dcache,
+    /// syscall timing, the root file system, and a memfs root's page
+    /// cache and journal), then whatever
+    /// [`register_metric_source`](Kernel::register_metric_source) added.
+    /// The one list [`metrics_snapshot`](Kernel::metrics_snapshot) and
+    /// [`reset_stats`](Kernel::reset_stats) walk.
+    sources: Mutex<Vec<Arc<dyn MetricSource>>>,
     /// Outcome of the build-time warm restart, when
     /// [`KernelBuilder::warm_restart`] requested one.
     pub(crate) warm_outcome: Mutex<Option<crate::warm::WarmRestartOutcome>>,
@@ -188,6 +190,16 @@ impl Kernel {
             init_ns.root_mount().sb.clone(),
         )];
         let timing = SyscallTiming::with_recorder(dcache.obs.clone());
+        let root_fs = &init_ns.root_mount().sb.fs;
+        let mut sources: Vec<Arc<dyn MetricSource>> = vec![
+            Arc::new(dcache.stats.clone()),
+            Arc::new(timing.counters.clone()),
+            Arc::new(root_fs.stats().clone()),
+        ];
+        if let Some(memfs) = as_memfs(root_fs) {
+            sources.push(memfs.disk().clone());
+            sources.extend(memfs.journal_counters().map(|j| Arc::new(j.clone()) as _));
+        }
         Ok(Arc::new(Kernel {
             dcache,
             security,
@@ -203,7 +215,7 @@ impl Kernel {
             lock_walk_mutex: Mutex::new(()),
             tmp_rng: AtomicU64::new(0x9e3779b97f4a7c15),
             superblocks: Mutex::new(sb_registry),
-            extra_sources: Mutex::new(Vec::new()),
+            sources: Mutex::new(sources),
             warm_outcome: Mutex::new(None),
         }))
     }
@@ -403,31 +415,22 @@ impl Kernel {
         self.dcache.shrink_to_bytes(budget_bytes)
     }
 
-    /// Resets every statistics counter (between experiment phases),
-    /// including any [registered](Kernel::register_metric_source) extra
-    /// sources (e.g. the metadata server's counters).
+    /// Resets every statistics counter (between experiment phases): each
+    /// metric source, [registered](Kernel::register_metric_source) ones
+    /// included, and the recorder.
     pub fn reset_stats(&self) {
-        self.dcache.stats.reset();
-        self.timing.reset();
+        for source in self.sources.lock().iter() {
+            source.reset();
+        }
         self.dcache.obs.reset();
-        let root_mount = self.init_ns.root_mount();
-        root_mount.sb.fs.stats().reset();
-        if let Some(memfs) = as_memfs(&root_mount.sb.fs) {
-            memfs.disk().reset_stats();
-            memfs.reset_journal_stats();
-        }
-        for src in self.extra_sources.lock().iter() {
-            src.reset();
-        }
     }
 
-    /// Registers an additional [`MetricSource`] to appear in
-    /// [`metrics_registry`](Kernel::metrics_registry) snapshots and be
-    /// cleared by [`reset_stats`](Kernel::reset_stats). Used by
-    /// components layered above the syscall surface (the metadata
-    /// server registers its counters and latency histograms here).
+    /// Adds a [`MetricSource`] to the kernel's list, after the ones
+    /// already there. Used by components layered above the syscall
+    /// surface (the metadata server registers its counters and latency
+    /// histograms here).
     pub fn register_metric_source(&self, source: Arc<dyn MetricSource>) {
-        self.extra_sources.lock().push(source);
+        self.sources.lock().push(source);
     }
 
     /// The kernel-wide observability recorder (disabled unless
@@ -436,171 +439,11 @@ impl Kernel {
         &self.dcache.obs
     }
 
-    /// A metrics registry covering the whole stack: dcache counters and
-    /// rates, per-syscall-class timing, the root disk's page-cache
-    /// counters (when the root is a memfs), plus — when observability is
-    /// enabled — the recorder's event counters and latency histograms.
-    pub fn metrics_registry(self: &Arc<Self>) -> Registry {
-        let mut reg = Registry::new(self.dcache.obs.clone());
-        reg.register(Box::new(DcacheMetrics(self.clone())));
-        reg.register(Box::new(SyscallMetrics(self.clone())));
-        if let Some(memfs) = as_memfs(&self.init_ns.root_mount().sb.fs) {
-            reg.register(Box::new(PageCacheMetrics(self.clone())));
-            if memfs.journal_stats().is_some() {
-                reg.register(Box::new(JournalMetrics(self.clone())));
-            }
-        }
-        for src in self.extra_sources.lock().iter() {
-            reg.register(Box::new(SharedSource(src.clone())));
-        }
-        reg
-    }
-
-    /// One-shot [`metrics_registry`](Kernel::metrics_registry) snapshot.
-    pub fn metrics_snapshot(self: &Arc<Self>) -> MetricsSnapshot {
-        self.metrics_registry().snapshot()
-    }
-}
-
-/// [`MetricSource`] view of [`Dcache`] behavior counters.
-struct DcacheMetrics(Arc<Kernel>);
-
-impl MetricSource for DcacheMetrics {
-    fn name(&self) -> &'static str {
-        "dcache"
-    }
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.0.dcache.stats.snapshot()
-    }
-    fn rates(&self) -> Vec<(&'static str, f64)> {
-        let s = &self.0.dcache.stats;
-        vec![
-            ("hit_rate", s.hit_rate()),
-            ("fastpath_rate", s.fastpath_rate()),
-            ("neg_hit_rate", s.neg_hit_rate()),
-        ]
-    }
-    fn reset(&self) {
-        self.0.dcache.stats.reset();
-    }
-}
-
-/// [`MetricSource`] view of the per-class syscall timing table.
-struct SyscallMetrics(Arc<Kernel>);
-
-impl MetricSource for SyscallMetrics {
-    fn name(&self) -> &'static str {
-        "syscalls"
-    }
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        const KEYS: [(&str, &str); 8] = [
-            ("stat_calls", "stat_ns"),
-            ("open_calls", "open_ns"),
-            ("chmod_chown_calls", "chmod_chown_ns"),
-            ("unlink_calls", "unlink_ns"),
-            ("other_meta_calls", "other_meta_ns"),
-            ("readdir_calls", "readdir_ns"),
-            ("io_calls", "io_ns"),
-            ("other_calls", "other_ns"),
-        ];
-        let mut out = Vec::with_capacity(16);
-        for (class, (calls_key, ns_key)) in SyscallClass::all().into_iter().zip(KEYS) {
-            let (calls, ns) = self.0.timing.get(class);
-            out.push((calls_key, calls));
-            out.push((ns_key, ns));
-        }
-        out
-    }
-    fn reset(&self) {
-        self.0.timing.reset();
-    }
-}
-
-/// [`MetricSource`] view of the root disk's page-cache statistics.
-struct PageCacheMetrics(Arc<Kernel>);
-
-impl PageCacheMetrics {
-    fn stats(&self) -> dc_blockdev::DiskStats {
-        as_memfs(&self.0.init_ns.root_mount().sb.fs)
-            .map(|m| m.disk().stats())
-            .unwrap_or_default()
-    }
-}
-
-impl MetricSource for PageCacheMetrics {
-    fn name(&self) -> &'static str {
-        "pagecache"
-    }
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        let s = self.stats();
-        vec![
-            ("cache_hits", s.cache_hits),
-            ("cache_misses", s.cache_misses),
-            ("device_reads", s.device_reads),
-            ("device_writes", s.device_writes),
-            ("writebacks", s.writebacks),
-            ("simulated_io_ns", s.simulated_io_ns),
-            ("resident_pages", s.resident_pages),
-            ("io_retries", s.io_retries),
-            ("io_errors", s.io_errors),
-            ("faults_injected", s.faults_injected),
-        ]
-    }
-    fn reset(&self) {
-        if let Some(memfs) = as_memfs(&self.0.init_ns.root_mount().sb.fs) {
-            memfs.disk().reset_stats();
-        }
-    }
-}
-
-/// [`MetricSource`] view of the root memfs's metadata journal (only
-/// registered when the root is a memfs with journaling on).
-struct JournalMetrics(Arc<Kernel>);
-
-impl MetricSource for JournalMetrics {
-    fn name(&self) -> &'static str {
-        "journal"
-    }
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        let s = as_memfs(&self.0.init_ns.root_mount().sb.fs)
-            .and_then(|m| m.journal_stats())
-            .unwrap_or_default();
-        vec![
-            ("commits", s.commits),
-            ("blocks_logged", s.blocks_logged),
-            ("checkpoints", s.checkpoints),
-            ("forced_checkpoints", s.forced_checkpoints),
-            ("replayed_txns", s.replayed_txns),
-        ]
-    }
-    fn reset(&self) {
-        // Journal counters are cumulative since mount; there is nothing
-        // safe to zero without losing the replay record.
-    }
-}
-
-/// Adapts an `Arc`-shared [`MetricSource`] (kept alive by the kernel's
-/// registration list) into the boxed form [`Registry`] owns.
-struct SharedSource(Arc<dyn MetricSource>);
-
-impl MetricSource for SharedSource {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.0.counters()
-    }
-    fn rates(&self) -> Vec<(&'static str, f64)> {
-        self.0.rates()
-    }
-    fn labeled_counters(&self) -> Vec<(String, u64)> {
-        self.0.labeled_counters()
-    }
-    fn hists(&self) -> Vec<(String, dc_obs::HistSummary)> {
-        self.0.hists()
-    }
-    fn reset(&self) {
-        self.0.reset();
+    /// A snapshot of the whole stack: every metric source in list order,
+    /// plus — when observability is enabled — the recorder's event
+    /// counters and latency histograms.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot::collect(&self.sources.lock(), &self.dcache.obs)
     }
 }
 

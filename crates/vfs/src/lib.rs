@@ -62,7 +62,7 @@ pub use namespace::MountNamespace;
 pub use path::{split_path, PathRef, WalkResult};
 pub use process::Process;
 pub use serve::{LookupReply, SigLookup};
-pub use timing::{SyscallClass, SyscallTiming};
+pub use timing::{ClassTime, SyscallClass, SyscallCounters, SyscallTiming};
 pub use warm::{WarmFallback, WarmRestartOutcome};
 
 pub use dc_cred::{Cred, CredBuilder, SecurityStack};
@@ -71,7 +71,7 @@ pub use dc_fs::{
     WarmReject,
 };
 pub use dc_obs::{
-    EventKind, HistSummary, LookupOutcome, MetricsSnapshot, ObsConfig, OpClass, Recorder, Registry,
+    EventKind, HistSummary, LookupOutcome, MetricsSnapshot, ObsConfig, OpClass, Recorder,
     TraceEvent, TraceRing,
 };
 pub use dcache_core::{Dcache, DcacheConfig};

@@ -2,46 +2,49 @@
 //! Figure 1).
 
 use crate::fastclock;
-use dc_obs::Recorder;
-use dcache_core::Counter;
+use dc_obs::{Per, Recorder};
 use std::sync::atomic::Ordering;
 
 /// Syscall classes, matching the Figure 1 legend: the same buckets the
 /// observability layer keys its latency histograms by.
 pub use dc_obs::OpClass as SyscallClass;
 
-/// Index range for the class table.
-const NCLASSES: usize = 8;
+dc_obs::counters! {
+    /// What one class accumulated.
+    pub struct ClassTime {
+        /// Calls made.
+        pub calls = "_calls",
+        /// Nanoseconds they took.
+        pub ns = "_ns",
+    }
+}
 
-/// Accumulated `(calls, nanoseconds)` per class.
-///
-/// One striped counter group, class `c` at cells `2c` (calls) and
-/// `2c + 1` (nanoseconds): [`SyscallTiming::record`] dirties a single
-/// cache line, and it is a line of the calling thread's own stripe
-/// (§13).
-#[derive(Debug)]
+dc_obs::counters! {
+    /// Accumulated calls and nanoseconds per class (`syscalls` section:
+    /// `stat_calls`, `stat_ns`, …). A class's two counters sit side by
+    /// side in the one striped group, so [`SyscallTiming::record`]
+    /// dirties a single cache line, and it is a line of the calling
+    /// thread's own stripe (§13).
+    pub struct SyscallCounters = "syscalls" {
+        /// The totals, by class.
+        pub class: Per<SyscallClass, ClassTime> = "",
+    }
+}
+
+/// The per-class table and the recorder each sample is also fed to.
+#[derive(Debug, Default)]
 pub struct SyscallTiming {
-    cells: [Counter; 2 * NCLASSES],
+    /// The table.
+    pub counters: SyscallCounters,
     recorder: Recorder,
 }
 
-impl Default for SyscallTiming {
-    fn default() -> Self {
-        SyscallTiming::with_recorder(Recorder::default())
-    }
-}
-
 impl SyscallTiming {
-    /// Fresh zeroed table.
-    pub fn new() -> SyscallTiming {
-        SyscallTiming::default()
-    }
-
     /// A table that additionally feeds each sample into `recorder`'s
     /// per-op latency histogram.
     pub fn with_recorder(recorder: Recorder) -> SyscallTiming {
         SyscallTiming {
-            cells: Counter::group(),
+            counters: SyscallCounters::default(),
             recorder,
         }
     }
@@ -52,20 +55,11 @@ impl SyscallTiming {
         let t0 = fastclock::now();
         let out = f();
         let dt = fastclock::delta_ns(t0, fastclock::now());
-        let cell = 2 * class.idx();
-        self.cells[cell].fetch_add(1, Ordering::Relaxed);
-        self.cells[cell + 1].fetch_add(dt, Ordering::Relaxed);
+        let total = &self.counters.class[class];
+        total.calls.fetch_add(1, Ordering::Relaxed);
+        total.ns.fetch_add(dt, Ordering::Relaxed);
         self.recorder.latency(class, dt);
         out
-    }
-
-    /// `(calls, total_ns)` for one class.
-    pub fn get(&self, class: SyscallClass) -> (u64, u64) {
-        let cell = 2 * class.idx();
-        (
-            self.cells[cell].load(Ordering::Relaxed),
-            self.cells[cell + 1].load(Ordering::Relaxed),
-        )
     }
 
     /// Total nanoseconds across the path-based classes (Figure 1's
@@ -78,20 +72,8 @@ impl SyscallTiming {
             SyscallClass::Unlink,
         ]
         .iter()
-        .map(|c| self.get(*c).1)
+        .map(|c| self.counters.class[*c].ns.load(Ordering::Relaxed))
         .sum()
-    }
-
-    /// Total nanoseconds across every class.
-    pub fn total_ns(&self) -> u64 {
-        SyscallClass::all().into_iter().map(|c| self.get(c).1).sum()
-    }
-
-    /// Zeroes the table.
-    pub fn reset(&self) {
-        for cell in &self.cells {
-            cell.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -99,36 +81,45 @@ impl SyscallTiming {
 mod tests {
     use super::*;
 
+    /// `(calls, total_ns)` of one class.
+    fn get(t: &SyscallTiming, class: SyscallClass) -> (u64, u64) {
+        let total = &t.counters.class[class];
+        (
+            total.calls.load(Ordering::Relaxed),
+            total.ns.load(Ordering::Relaxed),
+        )
+    }
+
     #[test]
     fn record_accumulates() {
-        let t = SyscallTiming::new();
+        let t = SyscallTiming::default();
         let v = t.record(SyscallClass::Open, || 42);
         assert_eq!(v, 42);
         t.record(SyscallClass::Open, || ());
         t.record(SyscallClass::Io, || ());
-        let (calls, ns) = t.get(SyscallClass::Open);
+        let (calls, ns) = get(&t, SyscallClass::Open);
         assert_eq!(calls, 2);
         assert!(ns > 0);
-        assert_eq!(t.get(SyscallClass::Io).0, 1);
-        assert_eq!(t.get(SyscallClass::Unlink).0, 0);
+        assert_eq!(get(&t, SyscallClass::Io).0, 1);
+        assert_eq!(get(&t, SyscallClass::Unlink).0, 0);
     }
 
     #[test]
     fn path_syscall_ns_excludes_io() {
-        let t = SyscallTiming::new();
+        let t = SyscallTiming::default();
         t.record(SyscallClass::AccessStat, || {
             std::thread::sleep(std::time::Duration::from_millis(1))
         });
         t.record(SyscallClass::Io, || {
             std::thread::sleep(std::time::Duration::from_millis(1))
         });
-        assert!(t.path_syscall_ns() > 0);
-        assert!(t.total_ns() > t.path_syscall_ns());
+        assert!(get(&t, SyscallClass::Io).1 > 0);
+        assert_eq!(t.path_syscall_ns(), get(&t, SyscallClass::AccessStat).1);
     }
 
     #[test]
     fn totals_across_threads_equal_the_calls_made() {
-        let t = SyscallTiming::new();
+        let t = SyscallTiming::default();
         std::thread::scope(|sc| {
             for _ in 0..4 {
                 sc.spawn(|| {
@@ -140,19 +131,18 @@ mod tests {
                 });
             }
         });
-        assert_eq!(t.get(SyscallClass::AccessStat).0, 4000);
-        assert_eq!(t.get(SyscallClass::Open).0, 8000);
-        assert_eq!(t.get(SyscallClass::Unlink), (0, 0));
-        t.reset();
-        assert_eq!(t.get(SyscallClass::Open), (0, 0));
+        assert_eq!(get(&t, SyscallClass::AccessStat).0, 4000);
+        assert_eq!(get(&t, SyscallClass::Open).0, 8000);
+        assert_eq!(get(&t, SyscallClass::Unlink), (0, 0));
+        t.counters.reset();
+        assert_eq!(get(&t, SyscallClass::Open), (0, 0));
     }
 
     #[test]
     fn reset_zeroes() {
-        let t = SyscallTiming::new();
+        let t = SyscallTiming::default();
         t.record(SyscallClass::Other, || ());
-        t.reset();
-        assert_eq!(t.total_ns(), 0);
-        assert_eq!(t.get(SyscallClass::Other).0, 0);
+        t.counters.reset();
+        assert!(t.counters.counters().iter().all(|(_, v)| *v == 0));
     }
 }

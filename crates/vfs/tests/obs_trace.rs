@@ -196,12 +196,11 @@ fn warm_events_reconcile_with_stats() {
 
     // Both exporters carry the counters under their stable keys.
     let snap = k.metrics_snapshot();
-    let json = snap.to_json();
-    let text = snap.to_text();
-    for key in ["warm_checkpoints", "warm_restart_published"] {
-        assert!(json.contains(key), "{key} missing from JSON export");
-        assert!(text.contains(key), "{key} missing from text export");
-    }
+    assert_eq!(snap.counter("dcache", "warm_checkpoints"), Some(1));
+    assert_eq!(
+        snap.counter("dcache", "warm_restart_published"),
+        Some(outcome.published)
+    );
 
     k.reset_stats();
     assert_eq!(ev(EventKind::WarmCheckpoint), 0);
@@ -224,17 +223,174 @@ fn snapshot_rates_match_stats_helpers() {
     let snap = k.metrics_snapshot();
     let stats = &k.dcache.stats;
     let rate = |key: &str| {
-        snap.rates
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| *v)
+        snap.rate("dcache", key)
             .unwrap_or_else(|| panic!("rate {key} missing from snapshot"))
     };
-    assert!((rate("dcache.hit_rate") - stats.hit_rate()).abs() < 1e-9);
-    assert!((rate("dcache.fastpath_rate") - stats.fastpath_rate()).abs() < 1e-9);
-    assert!((rate("dcache.neg_hit_rate") - stats.neg_hit_rate()).abs() < 1e-9);
-    // The JSON export carries the histogram section for issued ops.
-    let json = snap.to_json();
-    assert!(json.contains("\"schema\": \"dcache-metrics/v1\""));
-    assert!(json.contains("\"stat\""));
+    assert!((rate("hit_rate") - stats.hit_rate()).abs() < 1e-9);
+    assert!((rate("fastpath_rate") - stats.fastpath_rate()).abs() < 1e-9);
+    assert!((rate("neg_hit_rate") - stats.neg_hit_rate()).abs() < 1e-9);
+    // The snapshot carries the histogram of the op that was issued.
+    assert!(snap.hist("stat").unwrap().count >= 50);
+}
+
+/// An observed kernel on an explicit journaled memfs, which the test
+/// keeps a handle on.
+fn journaled_kernel() -> (std::sync::Arc<dc_vfs::Kernel>, std::sync::Arc<dc_fs::MemFs>) {
+    let disk = std::sync::Arc::new(dc_blockdev::CachedDisk::new(dc_blockdev::DiskConfig {
+        capacity_blocks: 1 << 14,
+        ..Default::default()
+    }));
+    let config = dc_fs::MemFsConfig {
+        max_inodes: 1 << 10,
+        ..Default::default()
+    };
+    let memfs = dc_fs::MemFs::mkfs(disk, config).unwrap();
+    let k = KernelBuilder::new(DcacheConfig::optimized())
+        .observability(ObsConfig::default())
+        .root_fs(memfs.clone())
+        .build()
+        .unwrap();
+    (k, memfs)
+}
+
+/// A small create / stat / unlink / readdir mix.
+fn small_mix(k: &dc_vfs::Kernel) {
+    let p = k.init_process();
+    k.mkdir(&p, "/m", 0o755).unwrap();
+    for f in 0..6 {
+        let path = format!("/m/f{f}");
+        let fd = k.open(&p, &path, OpenFlags::create(), 0o644).unwrap();
+        k.close(&p, fd).unwrap();
+        k.stat(&p, &path).unwrap();
+    }
+    k.drop_caches();
+    for f in 0..6 {
+        k.stat(&p, &format!("/m/f{f}")).unwrap();
+    }
+    k.unlink(&p, "/m/f0").unwrap();
+    let fd = k.open(&p, "/m", OpenFlags::directory(), 0).unwrap();
+    k.readdir(&p, fd, 64).unwrap();
+    k.close(&p, fd).unwrap();
+}
+
+/// The kernel walks one list of sources to export and the same list to
+/// reset: what the file system was asked is a section like any other,
+/// and a reset leaves nothing standing but the gauges.
+#[test]
+fn every_source_is_exported_and_reset_together() {
+    use dc_fs::FileSystem;
+    use dc_obs::MetricSource;
+    let (k, memfs) = journaled_kernel();
+    small_mix(&k);
+
+    let snap = k.metrics_snapshot();
+    let (lookups, readdirs, getattrs, mutations) = memfs.stats().snapshot();
+    assert!(lookups > 0 && getattrs > 0 && mutations > 0);
+    assert_eq!(snap.counter("fs", "lookups"), Some(lookups));
+    assert_eq!(snap.counter("fs", "readdirs"), Some(readdirs));
+    assert_eq!(snap.counter("fs", "getattrs"), Some(getattrs));
+    assert_eq!(snap.counter("fs", "mutations"), Some(mutations));
+    assert!(snap.counter("journal", "commits").unwrap() > 0);
+    assert_eq!(
+        snap.counter("events", "journal_commit"),
+        snap.counter("journal", "commits")
+    );
+
+    // The journal's source zeroes its own counters.
+    MetricSource::reset(memfs.journal_counters().unwrap());
+    assert_eq!(k.metrics_snapshot().counter("journal", "commits"), Some(0));
+
+    small_mix_again(&k);
+    k.reset_stats();
+    let snap = k.metrics_snapshot();
+    const GAUGES: [(&str, &str); 1] = [("pagecache", "resident_pages")];
+    for section in &snap.sections {
+        for (key, value) in &section.counters {
+            if !GAUGES.contains(&(section.name.as_str(), key.as_str())) {
+                assert_eq!(*value, 0, "{}.{key} survived reset_stats", section.name);
+            }
+        }
+    }
+    assert!(snap.hists.is_empty(), "{:?}", snap.hists);
+    assert_eq!(memfs.stats().snapshot(), (0, 0, 0, 0));
+    assert_eq!(memfs.journal_stats().unwrap().commits, 0);
+}
+
+/// More of every counter after the first snapshot, so the reset has
+/// something to clear in each section.
+fn small_mix_again(k: &dc_vfs::Kernel) {
+    let p = k.init_process();
+    k.mkdir(&p, "/n", 0o755).unwrap();
+    k.stat(&p, "/n").unwrap();
+    k.drop_caches();
+    k.stat(&p, "/m/f1").unwrap();
+}
+
+/// The exported names are an interface (`repro --metrics-out`, the verify
+/// recipe's reconciliation invariants, CI): every `section.key` of the
+/// kernel's own sources, in export order.
+#[test]
+fn the_exported_names_are_pinned() {
+    #[rustfmt::skip]
+    const GOLDEN: &[(&str, &[&str])] = &[
+        ("dcache", &[
+            "lookups", "fast_attempts", "fast_hits", "fast_neg_hits", "fast_miss_dlht",
+            "fast_miss_pcc", "fast_revalidations", "fast_miss_seq", "slow_walks", "slow_steps",
+            "slow_retries", "read_retries", "epoch_pins", "hit_positive", "hit_negative",
+            "miss_fs", "complete_neg_avoided", "complete_sets", "complete_breaks",
+            "readdir_cached", "readdir_fs", "neg_created", "neg_deep_created", "evictions",
+            "shootdowns", "shootdown_visits", "symlink_aliases", "shrinks", "shrink_bytes_freed",
+            "pcc_evictions", "pccs_detached", "ns_teardowns", "teardown_entries",
+            "warm_checkpoints", "warm_restart_attempts", "warm_restart_published",
+            "warm_restart_rejected", "warm_restart_fallbacks",
+        ]),
+        ("syscalls", &[
+            "stat_calls", "stat_ns", "open_calls", "open_ns", "chmod_chown_calls",
+            "chmod_chown_ns", "unlink_calls", "unlink_ns", "other_meta_calls", "other_meta_ns",
+            "readdir_calls", "readdir_ns", "io_calls", "io_ns", "other_calls", "other_ns",
+        ]),
+        ("fs", &["lookups", "readdirs", "getattrs", "mutations"]),
+        ("pagecache", &[
+            "cache_hits", "cache_misses", "device_reads", "device_writes", "writebacks",
+            "simulated_io_ns", "resident_pages", "io_retries", "io_errors", "faults_injected",
+        ]),
+        ("journal", &[
+            "commits", "blocks_logged", "checkpoints", "forced_checkpoints", "replayed_txns",
+        ]),
+        ("events", &[
+            "lookup_start", "dlht_probe_hit", "dlht_probe_miss", "pcc_hit", "pcc_stale",
+            "pcc_miss", "seq_retry", "epoch_pin", "read_retry", "slow_step", "fs_miss",
+            "block_io", "lookup_end_positive", "lookup_end_negative", "lookup_end_error",
+            "fault_injected", "io_retry", "shrink", "journal_commit", "journal_replay",
+            "journal_checkpoint", "serve_batch", "serve_reject", "serve_conn", "pcc_evict",
+            "ns_teardown", "warm_checkpoint", "warm_restart",
+        ]),
+    ];
+    let (k, _memfs) = journaled_kernel();
+    // One sample in every class, so every histogram key shows.
+    for class in OpClass::ALL {
+        k.timing.record(*class, || ());
+    }
+    let snap = k.metrics_snapshot();
+    let exported: Vec<(&str, Vec<&str>)> = snap
+        .sections
+        .iter()
+        .map(|s| (&*s.name, s.counters.iter().map(|(k, _)| &**k).collect()))
+        .collect();
+    let golden: Vec<(&str, Vec<&str>)> = GOLDEN.iter().map(|(s, k)| (*s, k.to_vec())).collect();
+    assert_eq!(exported, golden);
+    let rates: Vec<&str> = snap.rates.iter().map(|(k, _)| &**k).collect();
+    assert_eq!(
+        rates,
+        [
+            "dcache.hit_rate",
+            "dcache.fastpath_rate",
+            "dcache.neg_hit_rate"
+        ]
+    );
+    let hists: Vec<&str> = snap.hists.iter().map(|(k, _)| &**k).collect();
+    #[rustfmt::skip]
+    assert_eq!(hists, [
+        "stat", "open", "chmod_chown", "unlink", "other_meta", "readdir", "io", "other",
+    ]);
 }

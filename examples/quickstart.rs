@@ -51,7 +51,7 @@ fn main() {
 
     // What did the cache do?
     println!("\n-- dcache counters --");
-    for (name, value) in kernel.dcache.stats.snapshot() {
+    for (name, value) in kernel.dcache.stats.counters() {
         if value > 0 {
             println!("{name:>22}: {value}");
         }
