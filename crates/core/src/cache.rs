@@ -823,6 +823,7 @@ impl Dcache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dentry::DentryKind;
     use dc_blockdev::{CachedDisk, DiskConfig};
     use dc_fs::{FileSystem, MemFs};
 
@@ -918,7 +919,7 @@ mod tests {
         let c = neg(&dc, &b, "c");
         let sig = dc.key.hash_components([b"a".as_slice(), b"b".as_slice()]);
         dc.dlht_insert(0, sig, &b);
-        b.store_hash_state(dc.key.root_state());
+        b.sign(Some(dc.key.root_state()), 1);
         let seqs = [a.seq(), b.seq(), c.seq()];
         let visited = dc.shoot_subtree(&a, true);
         assert_eq!(visited, 3);
@@ -926,7 +927,7 @@ mod tests {
         assert_eq!(b.seq(), seqs[1] + 1);
         assert_eq!(c.seq(), seqs[2] + 1);
         assert!(dc.dlht_lookup(0, &sig).is_none());
-        assert!(b.hash_state().is_none());
+        assert!(b.view(&crossbeam_epoch::pin()).hash_state.is_none());
         // Non-structural shootdown bumps seqs but keeps DLHT entries.
         dc.dlht_insert(0, sig, &b);
         dc.shoot_subtree(&a, false);
@@ -940,7 +941,7 @@ mod tests {
         let f = neg(&dc, &root, "file");
         let deep = dc.d_alloc(&f, "below", DentryState::Negative(NegKind::Enotdir));
         dc.make_negative(&f, NegKind::Enoent);
-        assert_eq!(f.neg_kind(), Some(NegKind::Enoent));
+        assert_eq!(f.kind(), DentryKind::Negative(NegKind::Enoent));
         assert!(deep.is_dead());
         assert!(f.get_child("below").is_none());
     }

@@ -1,9 +1,15 @@
 //! Dentries: cached path components, positive / negative / partial.
+//!
+//! Everything a lookup asks of a dentry lives in one epoch-published
+//! block, [`DentrySnap`] (DESIGN.md §5): a reader answers from one read
+//! of it, a writer replaces it whole, so facts that belong together — a
+//! hash state and the mount it was signed through (§4.3) — change in one
+//! step.
 
 use crate::dsync::{AtomicU32, AtomicU64, Ordering};
 use crate::fasthash::FastMap;
 use crate::inode::{Inode, SbId};
-use crossbeam_epoch::{self as epoch, Atomic, Shared};
+use crossbeam_epoch::{self as epoch, Atomic, Guard, Shared};
 use dc_fs::{DirEntry, FileType, FsError};
 use dc_sighash::{HashState, Signature};
 use parking_lot::{Mutex, RwLock};
@@ -65,21 +71,43 @@ pub enum DentryState {
     },
 }
 
+/// A [`DentryState`] as one read saw it, without its references: taking
+/// it touches no reference count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DentryKind {
+    /// A live object: its inode number and type.
+    Positive { ino: u64, ftype: FileType },
+    /// A cached absence.
+    Negative(NegKind),
+    /// Listed by readdir, inode not fetched yet (§5.1).
+    Partial { ino: u64, ftype: FileType },
+    /// A symlink-traversal step (§4.2).
+    Alias,
+}
+
 /// The stored form of [`DentryState`], held in the published snapshot.
+///
+/// A positive entry keeps its inode's number and type beside the inode —
+/// both fixed for the inode's life — so [`DentrySnap::kind`] answers from
+/// the block alone: a directory listing classifies each child without
+/// touching its inode.
 ///
 /// Dentry references are **weak**: epoch reclamation holds retired
 /// snapshots for a grace period, and a strong reference there would
 /// distort the `Arc::strong_count`-based eviction protocol
 /// (`Dcache::try_evict`). The strong reference lives in [`StrongEdges`];
-/// a failed upgrade means the snapshot is stale and readers fall back to
-/// that cell, they never guess.
+/// a failed upgrade means the snapshot is stale, and a reader treats it
+/// as such — it never guesses.
 #[derive(Clone)]
 pub(crate) enum SnapState {
-    Positive(Arc<Inode>),
+    Positive {
+        inode: Arc<Inode>,
+        ino: u64,
+        ftype: FileType,
+    },
     Negative(NegKind),
-    // `ino` is deliberately absent: readers take it from the packed
-    // `listing_tag` atomic, not the snapshot.
     Partial {
+        ino: u64,
         ftype: FileType,
     },
     SymlinkAlias {
@@ -88,67 +116,101 @@ pub(crate) enum SnapState {
     },
 }
 
-/// The inode-number bits of a packed `listing_tag`.
-const INO_MASK: u64 = (1 << 56) - 1;
-
-/// Splits an incoming [`DentryState`] into its stored form, the strong
-/// alias edge it carries, and its packed `listing_tag`.
-fn lower(state: DentryState) -> (SnapState, Option<Arc<Dentry>>, u64) {
-    let pack = |tag: u64, ino: u64, ftype: FileType| {
-        (tag << 62) | ((ftype.as_u8() as u64) << 56) | (ino & INO_MASK)
-    };
+/// Splits an incoming [`DentryState`] into its stored form and the strong
+/// alias edge it carries.
+fn lower(state: DentryState) -> (SnapState, Option<Arc<Dentry>>) {
     match state {
-        DentryState::Positive(i) => {
-            let a = i.attr();
-            (SnapState::Positive(i), None, pack(0, a.ino, a.ftype))
+        DentryState::Positive(inode) => {
+            let (ino, ftype) = (inode.ino, inode.ftype());
+            (SnapState::Positive { inode, ino, ftype }, None)
         }
-        DentryState::Negative(k) => (SnapState::Negative(k), None, 1 << 62),
-        DentryState::Partial { ino, ftype } => {
-            (SnapState::Partial { ftype }, None, pack(2, ino, ftype))
-        }
+        DentryState::Negative(k) => (SnapState::Negative(k), None),
+        DentryState::Partial { ino, ftype } => (SnapState::Partial { ino, ftype }, None),
         DentryState::SymlinkAlias { target, target_seq } => {
             let strong = target;
             let target = Arc::downgrade(&strong);
             let state = SnapState::SymlinkAlias { target, target_seq };
-            (state, Some(strong), 3 << 62)
+            (state, Some(strong))
         }
     }
 }
 
-/// The dentry's name, parent, state, hash state and link signature: the
-/// only copy, published as one immutable epoch-managed block (DESIGN.md
-/// §5). Writers copy it, edit the copy and swap it in
-/// ([`Dentry::publish`]); readers pin, load, and copy out the field they
-/// need — no locks on the read side. Consistency across fields is
-/// validated by the per-dentry `seq` counter exactly like the slowpath
-/// validates against `rename_lock`.
+/// The dentry's name, parent, state, signing mount, hash state and link
+/// signature: the only copy, published as one immutable epoch-managed
+/// block (DESIGN.md §5). Writers copy it, edit the copy and swap it in
+/// ([`Dentry::publish`]); a reader takes one read of it under its pin
+/// ([`Dentry::view`]) and answers everything from that — no locks, and no
+/// two answers from different publications. Consistency with the rest of
+/// the cache is validated by the per-dentry `seq` counter exactly like
+/// the slowpath validates against `rename_lock`.
 ///
 /// Layout (`repr(C)`, DESIGN.md §13): the fields every walk touches —
-/// `name`, `parent`, `state` — are packed into the first 64 bytes, so a
-/// warm hit's snapshot read is one cache line; `hash_state`/`link_sig`
+/// `name`, `parent`, `state`, `mount` — are packed into the first 64
+/// bytes, so a warm hit's read is one cache line; `hash_state`/`link_sig`
 /// (resume and symlink-chain paths) follow. The compile-time asserts
 /// below pin the contract. Blocks live in the snapshot slab
 /// ([`crate::snapslab`]).
 #[repr(C)]
 #[derive(Clone)]
-pub(crate) struct DentrySnap {
-    pub(crate) name: Arc<str>,
+pub struct DentrySnap {
+    /// The component name.
+    pub name: Arc<str>,
     pub(crate) parent: Option<Weak<Dentry>>,
     pub(crate) state: SnapState,
-    pub(crate) hash_state: Option<HashState>,
-    pub(crate) link_sig: Option<Signature>,
+    /// The mount `hash_state` and `link_sig` were computed through (§4.3).
+    pub mount: u64,
+    /// The resumable signature-hash state of the path through `mount`
+    /// (§3.1).
+    pub hash_state: Option<HashState>,
+    /// For symlink dentries: the signature of the link target's canonical
+    /// path, letting the fastpath chain through links without reading
+    /// them (§4.2). Cleared by the next [`Dentry::set_state`].
+    pub link_sig: Option<Signature>,
+}
+
+impl DentrySnap {
+    /// The state, without its references.
+    pub fn kind(&self) -> DentryKind {
+        match self.state {
+            SnapState::Positive { ino, ftype, .. } => DentryKind::Positive { ino, ftype },
+            SnapState::Negative(k) => DentryKind::Negative(k),
+            SnapState::Partial { ino, ftype } => DentryKind::Partial { ino, ftype },
+            SnapState::SymlinkAlias { .. } => DentryKind::Alias,
+        }
+    }
+
+    /// The inode, if positive.
+    pub fn inode(&self) -> Option<&Arc<Inode>> {
+        match &self.state {
+            SnapState::Positive { inode, .. } => Some(inode),
+            _ => None,
+        }
+    }
+
+    /// A symlink alias's `(target, target.seq() when the alias was made)`;
+    /// `None` for anything else, and for a stale block whose target is
+    /// gone.
+    pub fn alias_target(&self) -> Option<(Arc<Dentry>, u64)> {
+        match &self.state {
+            SnapState::SymlinkAlias { target, target_seq } => {
+                Some((target.upgrade()?, *target_seq))
+            }
+            _ => None,
+        }
+    }
 }
 
 // The cache-line contract: everything a warm walk reads from a snapshot
-// lives in the first 64 bytes.
+// lives in the first 64 bytes (`repr(C)` keeps declaration order).
 const _: () = {
-    assert!(std::mem::offset_of!(DentrySnap, name) == 0);
+    use std::mem::{offset_of, size_of};
+    assert!(offset_of!(DentrySnap, name) == 0);
     assert!(
-        std::mem::offset_of!(DentrySnap, state) + std::mem::size_of::<SnapState>() <= 64,
-        "hot snapshot fields (name/parent/state) must fit one cache line"
+        offset_of!(DentrySnap, mount) + size_of::<u64>() <= 64,
+        "hot snapshot fields (name/parent/state/mount) must fit one cache line"
     );
-    // The paper's §6.1 dentry is 280 bytes; ours stays under that.
-    assert!(std::mem::size_of::<Dentry>() <= 232);
+    // The paper's §6.1 dentry is 280 bytes; ours stays well under that.
+    assert!(size_of::<Dentry>() <= 208);
 };
 
 /// The strong references a dentry holds on other dentries. The snapshot
@@ -198,13 +260,6 @@ pub struct Dentry {
     /// unlink memberships — an upgrade failure means the whole table
     /// already died with its entries (DESIGN.md §14).
     dlht_entry: Mutex<Option<(Weak<crate::dlht::Dlht>, Signature)>>,
-    /// Mount id recorded for fastpath mount-flag checks (§4.3).
-    mount_hint: AtomicU64,
-    /// Packed listing info maintained alongside the state so directory
-    /// listings can classify children with one atomic load instead of a
-    /// lock: `tag(2) | ftype(6) | ino(56)`; tag 0=positive, 1=negative,
-    /// 2=partial, 3=other.
-    listing_tag: AtomicU64,
     /// Serializes directory mutations and miss-instantiation under this
     /// dentry (the per-dentry `d_lock`/`i_mutex` analog). Never held
     /// across another dentry's `dir_lock` except parent→child under the
@@ -228,11 +283,12 @@ impl Dentry {
         state: DentryState,
         seq_init: u64,
     ) -> Arc<Dentry> {
-        let (state, alias_target, tag) = lower(state);
+        let (state, alias_target) = lower(state);
         let first = DentrySnap {
             name: Arc::from(name),
             parent: parent.as_ref().map(Arc::downgrade),
             state,
+            mount: 0,
             hash_state: None,
             link_sig: None,
         };
@@ -246,8 +302,6 @@ impl Dentry {
             children_version: AtomicU64::new(0),
             dir_snapshot: Mutex::new(None),
             dlht_entry: Mutex::new(None),
-            mount_hint: AtomicU64::new(0),
-            listing_tag: AtomicU64::new(tag),
             dir_lock: Mutex::new(()),
             snap: Atomic::null(),
             edges: Mutex::new(StrongEdges {
@@ -261,44 +315,37 @@ impl Dentry {
         d
     }
 
-    /// Loads the current snapshot under an epoch guard and runs `f`.
+    /// One read of the current block, under `guard` — the reader's whole
+    /// view of this dentry (lock-free).
     #[inline]
-    fn with_snap<R>(&self, f: impl FnOnce(&DentrySnap) -> R) -> R {
-        let guard = epoch::pin();
-        let shared = self.snap.load(Ordering::Acquire, &guard);
+    pub fn view<'a>(&'a self, guard: &'a Guard) -> &'a DentrySnap {
+        let shared = self.snap.load(Ordering::Acquire, guard);
         // Invariant: published before `new` returns, replaced atomically,
-        // freed only in Drop — never null while `&self` exists.
-        f(unsafe { shared.deref() })
+        // retired through the epoch (a replaced block outlives `guard`)
+        // and freed directly only in Drop — never null while `&self`
+        // exists.
+        unsafe { shared.deref() }
     }
 
     /// The one writer primitive: copy the current snapshot, apply `edit`
     /// to the copy (and to the strong edges), swap it in, and retire the
     /// previous slot through the epoch collector — all under the edge
-    /// lock, which orders publications. `tag`, when given, is the new
-    /// `listing_tag`, stored *after* the swap so a reader that sees the
-    /// tag leave "partial" also sees the upgraded snapshot.
+    /// lock, which orders publications.
     ///
     /// In coherence flows the caller bumps `seq` after this returns, so
     /// a reader that observes an unchanged `seq` across its read saw a
     /// current-or-newer snapshot. `edit`'s result is returned once the
     /// lock is released: a displaced `Arc<Dentry>` is dropped outside it.
-    fn publish<R>(
-        &self,
-        tag: Option<u64>,
-        edit: impl FnOnce(&mut DentrySnap, &mut StrongEdges) -> R,
-    ) -> R {
+    fn publish<R>(&self, edit: impl FnOnce(&mut DentrySnap, &mut StrongEdges) -> R) -> R {
         let mut edges = self.edges.lock();
         let guard = epoch::pin();
         let cur = self.snap.load(Ordering::Acquire, &guard);
-        // Safety: never null (see `with_snap`), and the edge lock makes
-        // it the latest publication.
+        // Safety: never null (see `view`), and the edge lock makes it the
+        // latest publication.
         let mut next = unsafe { cur.deref() }.clone();
         let out = edit(&mut next, &mut edges);
         let new = crate::snapslab::alloc_snap(next, &guard);
         let old = self.snap.swap(new, Ordering::AcqRel, &guard);
-        if let Some(tag) = tag {
-            self.listing_tag.store(tag, Ordering::Release);
-        }
         drop(edges);
         // Safety: `old` was just unlinked by the swap; retirement returns
         // its slot to the slab after the grace period.
@@ -318,14 +365,14 @@ impl Dentry {
 
     /// Current component name (lock-free).
     pub fn name(&self) -> Arc<str> {
-        self.with_snap(|s| s.name.clone())
+        self.view(&epoch::pin()).name.clone()
     }
 
     /// Parent dentry (`None` for a superblock root).
     pub fn parent(&self) -> Option<Arc<Dentry>> {
         // `None` in the snapshot means a true root; a failed weak upgrade
         // (inner `None`) means the snapshot is stale, never "root".
-        let seen = self.with_snap(|s| s.parent.as_ref().map(Weak::upgrade));
+        let seen = self.view(&epoch::pin()).parent.as_ref().map(Weak::upgrade);
         seen.and_then(|live| live.or_else(|| self.edges.lock().parent.clone()))
     }
 
@@ -347,98 +394,22 @@ impl Dentry {
     /// recorded link signature describes the object being replaced, so
     /// the same publication clears it.
     pub fn set_state(&self, state: DentryState) {
-        let (state, alias_target, tag) = lower(state);
-        let _displaced = self.publish(Some(tag), |snap, edges| {
+        let (state, alias_target) = lower(state);
+        let _displaced = self.publish(|snap, edges| {
             snap.state = state;
             snap.link_sig = None;
             std::mem::replace(&mut edges.alias_target, alias_target)
         });
     }
 
-    /// Listing classification with a single atomic load: `Some((ino,
-    /// ftype))` for entries a directory listing reports, `None` for
-    /// negatives/aliases.
-    pub fn listing_entry(&self) -> Option<(u64, FileType)> {
-        let packed = self.listing_tag.load(Ordering::Acquire);
-        match packed >> 62 {
-            0 | 2 => {
-                let ino = packed & INO_MASK;
-                let ftype =
-                    FileType::from_u8(((packed >> 56) & 0x3f) as u8).unwrap_or(FileType::Regular);
-                Some((ino, ftype))
-            }
-            _ => None,
-        }
+    /// The state, without its references (lock-free).
+    pub fn kind(&self) -> DentryKind {
+        self.view(&epoch::pin()).kind()
     }
 
     /// The inode, if positive (lock-free).
     pub fn inode(&self) -> Option<Arc<Inode>> {
-        self.with_snap(|s| match &s.state {
-            SnapState::Positive(i) => Some(i.clone()),
-            _ => None,
-        })
-    }
-
-    /// One snapshot read answering both "negative?" and "directory?":
-    /// `Err(kind)` for a cached absence, otherwise `Ok(is_dir)` (a
-    /// partial entry answers from its readdir type). Callers that need
-    /// both facts use this rather than two accessors, whose separate
-    /// reads a racing `mkdir`/`rmdir` could split.
-    pub fn classify(&self) -> Result<bool, NegKind> {
-        self.with_snap(|s| match &s.state {
-            SnapState::Positive(i) => Ok(i.is_dir()),
-            SnapState::Partial { ftype } => Ok(ftype.is_dir()),
-            SnapState::Negative(k) => Err(*k),
-            SnapState::SymlinkAlias { .. } => Ok(false),
-        })
-    }
-
-    /// True for any negative state (lock-free).
-    pub fn is_negative(&self) -> bool {
-        self.with_snap(|s| matches!(&s.state, SnapState::Negative(_)))
-    }
-
-    /// The negative kind, if negative (lock-free).
-    pub fn neg_kind(&self) -> Option<NegKind> {
-        self.with_snap(|s| match &s.state {
-            SnapState::Negative(k) => Some(*k),
-            _ => None,
-        })
-    }
-
-    /// True when this dentry caches a directory (lock-free).
-    pub fn is_dir(&self) -> bool {
-        self.classify() == Ok(true)
-    }
-
-    /// True when readdir reported this entry but the inode has not been
-    /// instantiated yet — one atomic load off the listing tag.
-    pub fn is_partial(&self) -> bool {
-        self.partial_ino().is_some()
-    }
-
-    /// The inode number readdir reported, while the entry is partial.
-    pub fn partial_ino(&self) -> Option<u64> {
-        let packed = self.listing_tag.load(Ordering::Acquire);
-        (packed >> 62 == 2).then_some(packed & INO_MASK)
-    }
-
-    /// Resolves a symlink alias to `(target, recorded_target_seq)`.
-    pub fn alias_target(&self) -> Option<(Arc<Dentry>, u64)> {
-        let alias = |s: &DentrySnap| match &s.state {
-            SnapState::SymlinkAlias { target, target_seq } => Some((target.upgrade(), *target_seq)),
-            _ => None,
-        };
-        match self.with_snap(alias)? {
-            (Some(target), seq) => Some((target, seq)),
-            // Stale snapshot (its weak target is gone): under the edge
-            // lock the current snapshot and the strong edge agree.
-            (None, _) => {
-                let edges = self.edges.lock();
-                let (_, seq) = self.with_snap(alias)?;
-                edges.alias_target.clone().map(|t| (t, seq))
-            }
-        }
+        self.view(&epoch::pin()).inode().cloned()
     }
 
     // --- flags ---------------------------------------------------------
@@ -577,7 +548,7 @@ impl Dentry {
     /// Re-parents and renames the dentry (rename already holds the global
     /// rename lock, so this is never concurrent with other moves).
     pub(crate) fn set_name_parent(&self, name: &str, parent: Option<Arc<Dentry>>) {
-        let _displaced = self.publish(None, |snap, edges| {
+        let _displaced = self.publish(|snap, edges| {
             snap.name = Arc::from(name);
             snap.parent = parent.as_ref().map(Arc::downgrade);
             std::mem::replace(&mut edges.parent, parent)
@@ -612,54 +583,43 @@ impl Dentry {
 
     // --- fastpath bookkeeping -------------------------------------------
 
-    /// Cached resumable signature-hash state for this dentry's canonical
-    /// path (§3.1), if valid (lock-free).
-    pub fn hash_state(&self) -> Option<HashState> {
-        self.with_snap(|s| s.hash_state)
-    }
-
-    /// [`hash_state`](Dentry::hash_state), if it was signed through mount
-    /// `mount`. A dentry under a bind mount has one path per mount and one
+    /// The stored hash state ([`DentrySnap::hash_state`]), if it was
+    /// signed through mount `mount` — one read of the block that holds
+    /// both. A dentry under a bind mount has one path per mount and one
     /// slot: the state says where the *last* walk came from, and only a
     /// position reached through that same mount may resume from it.
-    /// Pairs with [`sign`](Dentry::sign): hint, state, hint again.
     pub fn hash_state_via(&self, mount: u64) -> Option<HashState> {
         // An unhashed dentry has no path any more, whatever it remembers.
-        if self.mount_hint() != mount || self.is_dead() {
+        if self.is_dead() {
             return None;
         }
-        let state = self.hash_state();
-        (self.mount_hint() == mount).then_some(state).flatten()
+        let guard = epoch::pin();
+        let seen = self.view(&guard);
+        seen.hash_state.filter(|_| seen.mount == mount)
     }
 
-    /// Stores the resumable hash state of the path through mount `mount`
-    /// and records that mount. When the mount changes, the old state is
-    /// (and a symlink's target signature, which was as much a fact about
-    /// that path) is cleared before the hint moves and the new one stored
-    /// after, so a reader that sees one hint on both sides of its state
-    /// read has the state that belongs to it.
-    pub fn sign(&self, st: HashState, mount: u64) {
-        if self.mount_hint() != mount {
-            if self.hash_state().is_some() {
-                self.clear_hash_state();
+    /// Records that this dentry is signed through mount `mount`, with `st`
+    /// the resumable hash state of that path (`None`: the mount alone, as
+    /// a mount root's before any walk signed it). One publication: moving
+    /// to another mount drops the old mount's hash state with the link
+    /// signature read through it, in the same step that records the new
+    /// mount, so no reader sees a state beside a mount it was not
+    /// computed through.
+    pub fn sign(&self, st: Option<HashState>, mount: u64) {
+        self.publish(|snap, _| {
+            if snap.mount != mount {
+                snap.mount = mount;
+                snap.link_sig = None;
             }
-            self.set_mount_hint(mount);
-        }
-        self.store_hash_state(st);
-    }
-
-    /// Stores the resumable hash state.
-    pub fn store_hash_state(&self, st: HashState) {
-        self.publish(None, |snap, _| snap.hash_state = Some(st));
+            snap.hash_state = st;
+        });
     }
 
     /// Invalidates the stored hash state (the path changed) and, with it,
     /// a symlink's target signature: a relative body read at another path,
     /// or through another mount, ends somewhere else.
     pub fn clear_hash_state(&self) {
-        self.publish(None, |snap, _| {
-            (snap.hash_state, snap.link_sig) = (None, None)
-        });
+        self.publish(|snap, _| (snap.hash_state, snap.link_sig) = (None, None));
     }
 
     /// The DLHT membership record.
@@ -667,26 +627,17 @@ impl Dentry {
         &self.dlht_entry
     }
 
-    /// For symlink dentries: the signature of the link target's canonical
-    /// path, letting the fastpath chain through links without reading
-    /// them (§4.2; lock-free). Cleared by the next [`Dentry::set_state`].
-    pub fn link_sig(&self) -> Option<Signature> {
-        self.with_snap(|s| s.link_sig)
-    }
-
-    /// Records the target-path signature after a successful follow.
-    pub fn store_link_sig(&self, sig: Signature) {
-        self.publish(None, |snap, _| snap.link_sig = Some(sig));
-    }
-
-    /// Mount id recorded for the fastpath.
-    pub fn mount_hint(&self) -> u64 {
-        self.mount_hint.load(Ordering::Acquire)
-    }
-
-    /// Records the mount this dentry was most recently reached through.
-    pub fn set_mount_hint(&self, mount: u64) {
-        self.mount_hint.store(mount, Ordering::Release);
+    /// Records the target-path signature after a successful follow
+    /// through mount `mount`. It lands only if the link is still signed
+    /// through that mount — checked and stored in one publication, so a
+    /// racing re-sign through another mount either comes first and the
+    /// signature is dropped, or comes after and clears it.
+    pub fn store_link_sig(&self, sig: Signature, mount: u64) {
+        self.publish(|snap, _| {
+            if snap.mount == mount {
+                snap.link_sig = Some(sig);
+            }
+        });
     }
 }
 
@@ -709,8 +660,7 @@ impl std::fmt::Debug for Dentry {
             .field("id", &self.id)
             .field("sb", &self.sb)
             .field("name", &self.name())
-            .field("listing", &self.listing_entry())
-            .field("negative", &self.neg_kind())
+            .field("kind", &self.kind())
             .field("seq", &self.seq())
             .field("children", &self.child_count())
             .finish()
@@ -783,8 +733,7 @@ mod tests {
         assert_eq!(NegKind::Enoent.error(), FsError::NoEnt);
         assert_eq!(NegKind::Enotdir.error(), FsError::NotDir);
         let d = detached(1, "gone", None);
-        assert!(d.is_negative());
-        assert_eq!(d.neg_kind(), Some(NegKind::Enoent));
+        assert_eq!(d.kind(), DentryKind::Negative(NegKind::Enoent));
         assert!(d.inode().is_none());
     }
 
@@ -819,10 +768,12 @@ mod tests {
             },
             0,
         );
-        let (t, s) = alias.alias_target().unwrap();
+        let guard = epoch::pin();
+        let (t, s) = alias.view(&guard).alias_target().unwrap();
         assert_eq!(t.id(), 5);
         assert_eq!(s, real.seq());
-        assert!(real.alias_target().is_none());
+        assert_eq!(alias.kind(), DentryKind::Alias);
+        assert!(real.view(&guard).alias_target().is_none());
     }
 }
 
@@ -843,34 +794,33 @@ mod listing_tests {
     }
 
     #[test]
-    fn listing_tag_tracks_state() {
+    fn kind_tracks_state() {
         let d = neg(1, "x", None);
-        assert_eq!(d.listing_entry(), None);
-        d.set_state(DentryState::Partial {
-            ino: 42,
-            ftype: FileType::Directory,
-        });
-        assert_eq!(d.listing_entry(), Some((42, FileType::Directory)));
-        d.set_state(DentryState::Negative(NegKind::Enotdir));
-        assert_eq!(d.listing_entry(), None);
-        d.set_state(DentryState::Partial {
-            ino: 7,
-            ftype: FileType::Symlink,
-        });
-        assert_eq!(d.listing_entry(), Some((7, FileType::Symlink)));
-        assert_eq!(d.partial_ino(), Some(7));
+        assert_eq!(d.kind(), DentryKind::Negative(NegKind::Enoent));
+        for (ino, ftype) in [(42, FileType::Directory), (7, FileType::Symlink)] {
+            d.set_state(DentryState::Partial { ino, ftype });
+            assert_eq!(d.kind(), DentryKind::Partial { ino, ftype });
+            assert!(d.inode().is_none());
+            d.set_state(DentryState::Negative(NegKind::Enotdir));
+            assert_eq!(d.kind(), DentryKind::Negative(NegKind::Enotdir));
+        }
     }
 
     #[test]
     fn set_state_clears_the_link_signature_and_keeps_the_rest() {
         let d = neg(1, "link", None);
         let key = crate::HashKey::from_seed(3);
-        d.store_hash_state(key.root_state());
-        d.store_link_sig(key.finish(&key.root_state()));
-        assert!(d.link_sig().is_some());
+        d.sign(Some(key.root_state()), 1);
+        d.store_link_sig(key.finish(&key.root_state()), 1);
+        assert!(d.view(&epoch::pin()).link_sig.is_some());
         d.set_state(DentryState::Negative(NegKind::Enoent));
-        assert_eq!(d.link_sig(), None, "the signature described the old object");
-        assert!(d.hash_state().is_some(), "the path did not change");
+        let guard = epoch::pin();
+        let seen = d.view(&guard);
+        assert_eq!(
+            seen.link_sig, None,
+            "the signature described the old object"
+        );
+        assert!(seen.hash_state.is_some(), "the path did not change");
         assert_eq!(&*d.name(), "link");
     }
 

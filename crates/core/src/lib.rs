@@ -43,7 +43,9 @@ mod stats;
 pub use admission::{MemoryGate, Verdict};
 pub use cache::{Dcache, NsId};
 pub use config::DcacheConfig;
-pub use dentry::{Dentry, DentryId, DentryState, NegKind, FLAG_DIR_COMPLETE};
+pub use dentry::{
+    Dentry, DentryId, DentryKind, DentrySnap, DentryState, NegKind, FLAG_DIR_COMPLETE,
+};
 pub use dlht::{Dlht, DlhtFootprint};
 pub use inode::{Inode, SbId};
 pub use lru::EvictOutcome;

@@ -235,7 +235,7 @@ mod tests {
         let d = dentry(1);
         let before = footprint().blocks;
         for i in 0..10_000u64 {
-            d.store_hash_state(crate::HashKey::from_seed(i % 7).root_state());
+            d.sign(Some(crate::HashKey::from_seed(i % 7).root_state()), 1);
         }
         // Everything retired eventually returns; flush the collector.
         crossbeam_epoch::pin().flush();

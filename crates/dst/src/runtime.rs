@@ -82,6 +82,8 @@ struct ExecState {
     abort: bool,
     failure: Option<String>,
     unfinished: usize,
+    /// Addresses of the facade mutexes this execution's threads hold.
+    held: Vec<usize>,
 }
 
 impl ExecState {
@@ -191,6 +193,22 @@ pub fn model_active() -> bool {
     cur().is_some()
 }
 
+/// Records that a thread of the active execution took (`held`) or
+/// released the facade mutex at `lock`; a no-op outside executions.
+pub(crate) fn note_held(lock: usize, held: bool) {
+    if let Some((exec, _)) = cur() {
+        let mut st = exec.lock_state();
+        st.held.retain(|&l| l != lock);
+        st.held.extend(held.then_some(lock));
+    }
+}
+
+/// True when a thread of the active execution holds the facade mutex at
+/// `lock` — the one case where waiting means yielding to that thread.
+pub(crate) fn held_here(lock: usize) -> bool {
+    cur().is_some_and(|(exec, _)| exec.lock_state().held.contains(&lock))
+}
+
 /// The active execution's logical step counter (0 outside executions).
 /// Monotone within an execution; used by the linearizability checker to
 /// stamp operation invocation/response intervals.
@@ -231,6 +249,7 @@ impl Execution {
                 abort: false,
                 failure: None,
                 unfinished: 0,
+                held: Vec::new(),
             }),
             cv: Condvar::new(),
             alloc: Mutex::new(AllocTable::default()),

@@ -38,7 +38,7 @@ pub mod atomic {
 
 #[cfg(feature = "model")]
 mod model {
-    use crate::runtime::{model_active, schedule, YieldKind};
+    use crate::runtime::{held_here, model_active, note_held, schedule, YieldKind};
     use std::fmt;
     use std::ops::{Deref, DerefMut};
     use std::sync::{self, LockResult, TryLockError, TryLockResult};
@@ -49,6 +49,10 @@ mod model {
     /// caller yields (deprioritizing itself under PCT) until the holder
     /// runs and releases. Real deadlocks surface as step-budget
     /// exhaustion with the full schedule trace attached.
+    /// A holder outside the caller's execution — a process global such as
+    /// the snapshot slab's free list, shared by model tests running in
+    /// parallel — releases without this execution's baton: the caller
+    /// blocks on it instead of spending its step budget yielding.
     pub struct Mutex<T: ?Sized> {
         inner: sync::Mutex<T>,
     }
@@ -57,7 +61,16 @@ mod model {
     /// guards drop during unwinding, and a panic inside `Drop` would
     /// abort the process; the next instrumented operation observes the
     /// release anyway.
-    pub struct MutexGuard<'a, T: ?Sized + 'a>(sync::MutexGuard<'a, T>);
+    pub struct MutexGuard<'a, T: ?Sized + 'a> {
+        guard: sync::MutexGuard<'a, T>,
+        lock: usize,
+    }
+
+    impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+        fn drop(&mut self) {
+            note_held(self.lock, false);
+        }
+    }
 
     impl<T> Mutex<T> {
         /// Creates a new instrumented mutex.
@@ -81,12 +94,12 @@ mod model {
             schedule(YieldKind::Op);
             loop {
                 match self.inner.try_lock() {
-                    Ok(g) => return Ok(MutexGuard(g)),
-                    Err(TryLockError::Poisoned(e)) => return Ok(MutexGuard(e.into_inner())),
+                    Ok(g) => return Ok(self.held(g)),
+                    Err(TryLockError::Poisoned(e)) => return Ok(self.held(e.into_inner())),
                     Err(TryLockError::WouldBlock) => {
-                        if !model_active() {
+                        if !model_active() || !held_here(self.addr()) {
                             let g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-                            return Ok(MutexGuard(g));
+                            return Ok(self.held(g));
                         }
                         schedule(YieldKind::Yield);
                     }
@@ -98,10 +111,20 @@ mod model {
         pub fn try_lock(&self) -> TryLockResult<MutexGuard<'_, T>> {
             schedule(YieldKind::Op);
             match self.inner.try_lock() {
-                Ok(g) => Ok(MutexGuard(g)),
-                Err(TryLockError::Poisoned(e)) => Ok(MutexGuard(e.into_inner())),
+                Ok(g) => Ok(self.held(g)),
+                Err(TryLockError::Poisoned(e)) => Ok(self.held(e.into_inner())),
                 Err(TryLockError::WouldBlock) => Err(TryLockError::WouldBlock),
             }
+        }
+
+        fn held<'a>(&'a self, guard: sync::MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+            let lock = self.addr();
+            note_held(lock, true);
+            MutexGuard { guard, lock }
+        }
+
+        fn addr(&self) -> usize {
+            self as *const Self as *const () as usize
         }
 
         /// Mutable access without locking (exclusive borrow).
@@ -125,13 +148,13 @@ mod model {
     impl<T: ?Sized> Deref for MutexGuard<'_, T> {
         type Target = T;
         fn deref(&self) -> &T {
-            &self.0
+            &self.guard
         }
     }
 
     impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
         fn deref_mut(&mut self) -> &mut T {
-            &mut self.0
+            &mut self.guard
         }
     }
 

@@ -1,6 +1,7 @@
 //! Model checks for the seqlock protocol (`dcache-core/src/seqlock.rs`)
 //! and for the dentry snapshot discipline it anchors: publish →
-//! bump-seq (DESIGN.md §9).
+//! bump-seq, and the facts one publication keeps together (DESIGN.md
+//! §5, §9).
 //!
 //! Each test explores thousands of thread interleavings of the *real*
 //! workspace code under the deterministic scheduler. The `injected_*`
@@ -246,10 +247,95 @@ fn dentry_racing_edits_of_different_fields_both_land() {
                 let d = d.clone();
                 dst::thread::spawn(move || model::rename(&d, "b"))
             };
-            d.store_hash_state(h);
+            d.sign(Some(h), M1);
             renamer.join().unwrap();
             assert_eq!(&*d.name(), "b", "the rename was overwritten");
-            assert_eq!(d.hash_state(), Some(h), "the hash state was overwritten");
+            let hash_state = d.view(&crossbeam_epoch::pin()).hash_state;
+            assert_eq!(hash_state, Some(h), "the hash state was overwritten");
+        },
+    );
+}
+
+/// Two mounts a bind-mounted dentry is reached through (§4.3).
+const M1: u64 = 1;
+const M2: u64 = 2;
+
+/// The resumable hash state of a one-component path.
+fn state(key: &HashKey, component: &[u8]) -> dcache_core::HashState {
+    let mut h = key.root_state();
+    key.push_component(&mut h, component);
+    h
+}
+
+#[test]
+fn hash_state_via_answers_only_for_its_own_mount() {
+    // A dentry under a bind mount has one hash-state slot and one path
+    // per mount. The writer re-signs it m1 → m2 → m1 with three states;
+    // a reader resuming a walk through m1 must get a state signed through
+    // m1, or none. A mount kept in a field of its own beside the block,
+    // read hint / state / hint, answers h2 for m1 on an ABA: hint m1 |
+    // sign(h2, m2) | state h2 | sign(h3, m1) | hint m1. That schedule
+    // needs four preemptions in ~100 steps: PCT depth 5, change points
+    // placed over the schedule's real length.
+    dst::check(
+        "sign-pairs-state-and-mount",
+        dst::Config {
+            pct_depth: 5,
+            ..dst::Config::default()
+        }
+        .iterations(3000)
+        .expected_len(100)
+        .seed(0x57)
+        .from_env(),
+        || {
+            let key = HashKey::from_seed(9);
+            let [h1, h2, h3] = [b"one", b"two", b"six"].map(|c| state(&key, c));
+            let d = model::dentry(1, "dir");
+            d.sign(Some(h1), M1);
+            let writer = {
+                let d = d.clone();
+                dst::thread::spawn(move || {
+                    d.sign(Some(h2), M2);
+                    d.sign(Some(h3), M1);
+                })
+            };
+            let seen = d.hash_state_via(M1);
+            assert!(
+                seen.is_none() || seen == Some(h1) || seen == Some(h3),
+                "hash_state_via(m1) returned the state signed through m2"
+            );
+            writer.join().unwrap();
+        },
+    );
+}
+
+#[test]
+fn a_link_signature_lands_only_beside_its_mount() {
+    // A symlink's target signature is as much a fact about the path it
+    // was read through as the hash state is: stored for m1 while another
+    // walk re-signs the link through m2, it must land before the re-sign
+    // (which clears it) or not at all — never beside m2.
+    dst::check(
+        "link-sig-keeps-its-mount",
+        dst::Config::default().seed(0x58).from_env(),
+        || {
+            let key = HashKey::from_seed(9);
+            let d = model::dentry(1, "link");
+            d.sign(Some(state(&key, b"one")), M1);
+            let sig = key.finish(&state(&key, b"target"));
+            let resigner = {
+                let d = d.clone();
+                let h2 = state(&key, b"two");
+                dst::thread::spawn(move || d.sign(Some(h2), M2))
+            };
+            d.store_link_sig(sig, M1);
+            resigner.join().unwrap();
+            let guard = crossbeam_epoch::pin();
+            let block = d.view(&guard);
+            assert!(
+                block.link_sig.is_none() || block.mount == M1,
+                "a link signature computed through m1 sits beside m2"
+            );
         },
     );
 }

@@ -22,7 +22,7 @@ use crate::scratch::{InlineVec, INLINE_COMPONENTS};
 use dc_cred::MAY_EXEC;
 use dc_fs::{FileType, FsError, FsResult};
 use dc_obs::TraceEvent;
-use dcache_core::{Dentry, DentryId, HashState, Pcc};
+use dcache_core::{Dentry, DentryId, DentryKind, HashState, Pcc};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -205,11 +205,29 @@ impl Kernel {
             // Validate the hit, dereferencing aliases and (when
             // following) chaining through symlink target signatures.
             let mut obj = first;
+            // Set when an alias led to `obj`: the seq and the mount the
+            // alias recorded for it.
+            let mut via: Option<(u64, u64)> = None;
             let mut chain = 0u32;
             loop {
                 chain += 1;
                 if chain > MAX_LINK_CHAIN {
                     return Some(Err(FsError::Loop));
+                }
+                // One sample of the counter, one read of the block: every
+                // answer below about `obj` comes from that read, and a
+                // terminal answer re-checks the counter before it is given.
+                let seq = obj.seq();
+                let seen = obj.view(guard);
+                // An alias speaks for its target only while the target has
+                // not moved and is signed through the mount the alias
+                // reached it by: the target's prefix check (below) is the
+                // one memoized for the path it is signed under.
+                if let Some((target_seq, mount)) = via {
+                    if obj.is_dead() || seq != target_seq || seen.mount != mount {
+                        stats.fast_miss_seq.fetch_add(1, Ordering::Relaxed);
+                        return None;
+                    }
                 }
                 // Prefix check for the literal dentry we matched. On a PCC
                 // miss the check may simply "not have executed recently"
@@ -219,10 +237,9 @@ impl Kernel {
                 // ancestor chain — far cheaper than the full slowpath. Any
                 // doubt (permission failure, odd ancestors, path-sensitive
                 // LSMs) still falls back.
-                let seq_sample = obj.seq();
-                if !pcc.check(obj.id(), seq_sample) {
+                if !pcc.check(obj.id(), seq) {
                     if self
-                        .fast_revalidate(ns, pcc, &obj, seq_sample, cred, guard)
+                        .fast_revalidate(ns, pcc, &obj, seen.mount, seq, cred, guard)
                         .is_none()
                     {
                         stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
@@ -230,93 +247,81 @@ impl Kernel {
                     }
                     stats.fast_revalidations.fetch_add(1, Ordering::Relaxed);
                 }
-                // Alias dentries redirect to the real object (§4.2); the
-                // recorded seq pins the translation's validity.
-                if let Some((target, target_seq)) = obj.alias_target() {
-                    if !plain_root {
-                        return None;
+                let ftype = match seen.kind() {
+                    // Alias dentries redirect to the real object (§4.2); its
+                    // own prefix must also be validated ("The PCC is
+                    // separately checked for the target dentry").
+                    DentryKind::Alias => {
+                        let (target, target_seq) = seen.alias_target()?;
+                        if !plain_root {
+                            return None;
+                        }
+                        via = Some((target_seq, seen.mount));
+                        obj = target;
+                        continue;
                     }
-                    // The target's own prefix check (below) is the one
-                    // memoized for the path it is *signed* under; it
-                    // speaks for this alias only if that is the path the
-                    // alias reached it by — the same mount.
-                    if target.is_dead()
-                        || target.seq() != target_seq
-                        || target.mount_hint() != obj.mount_hint()
-                    {
-                        stats.fast_miss_seq.fetch_add(1, Ordering::Relaxed);
-                        return None;
+                    // Final-position symlink: follow via the recorded target
+                    // signature without touching the link body.
+                    DentryKind::Positive {
+                        ftype: FileType::Symlink,
+                        ..
+                    } if follow_last => {
+                        if !plain_root {
+                            return None;
+                        }
+                        let lsig = seen.link_sig?;
+                        let Some(next) = self.dcache.dlht_lookup_in(dlht, &lsig, guard) else {
+                            stats.fast_miss_dlht.fetch_add(1, Ordering::Relaxed);
+                            return None;
+                        };
+                        via = None;
+                        obj = next;
+                        continue;
                     }
-                    // The target's own prefix must also be validated (§4.2:
-                    // "The PCC is separately checked for the target dentry").
-                    obj = target;
-                    continue;
-                }
-                // Final-position symlink: follow via the recorded target
-                // signature without touching the link body.
-                let is_link = obj
-                    .inode()
-                    .map(|i| i.ftype() == FileType::Symlink)
-                    .unwrap_or(false);
-                if is_link && follow_last {
-                    if !plain_root {
-                        return None;
+                    // Partial dentries need a slowpath upgrade.
+                    DentryKind::Partial { .. } => return None,
+                    // Negative hit: a definitive cached absence (§5.2).
+                    DentryKind::Negative(kind) => {
+                        if !self.dcache.config.negative_dentries {
+                            return None;
+                        }
+                        if obj.is_dead() || obj.seq() != seq {
+                            stats.read_retries.fetch_add(1, Ordering::Relaxed);
+                            self.dcache.obs.event(|| TraceEvent::ReadRetry);
+                            continue 'restart;
+                        }
+                        stats.fast_neg_hits.fetch_add(1, Ordering::Relaxed);
+                        stats.fast_hits.fetch_add(1, Ordering::Relaxed);
+                        return Some(Err(kind.error()));
                     }
-                    let lsig = obj.link_sig()?;
-                    let Some(next) = self.dcache.dlht_lookup_in(dlht, &lsig, guard) else {
-                        stats.fast_miss_dlht.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    };
-                    obj = next;
-                    continue;
-                }
-                break;
-            }
-
-            // Partial dentries need a slowpath upgrade (one atomic load).
-            if obj.is_partial() {
-                return None;
-            }
-            // Terminal reads are sandwiched between two seq samples: if
-            // the counter moved, a concurrent rename/chmod/unlink
-            // republished this dentry and the answer may be stale.
-            let seq_final = obj.seq();
-            // Negative hit: a definitive cached absence (§5.2).
-            if let Some(kind) = obj.neg_kind() {
-                if !self.dcache.config.negative_dentries {
+                    DentryKind::Positive { ftype, .. } => ftype,
+                };
+                let inode = seen.inode()?.clone();
+                // Mount validation against the mount the block was signed
+                // through (§4.3). Borrowed under the lookup's pin, and
+                // returned that way: only a caller that keeps the result
+                // takes a reference.
+                let mount = ns.mount_by_id_read(seen.mount, guard)?;
+                if mount.sb.id != obj.sb() || !mount.sb.fs.supports_fastpath() {
                     return None;
                 }
-                if obj.is_dead() || obj.seq() != seq_final {
+                // The counter has not moved since the block was read: a
+                // concurrent rename/chmod/unlink did not republish it.
+                if obj.is_dead() || obj.seq() != seq {
                     stats.read_retries.fetch_add(1, Ordering::Relaxed);
                     self.dcache.obs.event(|| TraceEvent::ReadRetry);
                     continue 'restart;
                 }
-                stats.fast_neg_hits.fetch_add(1, Ordering::Relaxed);
+                if require_dir && ftype != FileType::Directory {
+                    return Some(Err(FsError::NotDir));
+                }
                 stats.fast_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Err(kind.error()));
+                return Some(Ok(WalkResult {
+                    mount,
+                    dentry: obj,
+                    inode: Some(inode),
+                }));
             }
-            let inode = obj.inode()?;
-            // Mount validation via the recorded hint (§4.3). Borrowed
-            // under the lookup's pin, and returned that way: only a caller
-            // that keeps the result takes a reference.
-            let mount = ns.mount_by_id_read(obj.mount_hint(), guard)?;
-            if mount.sb.id != obj.sb() || !mount.sb.fs.supports_fastpath() {
-                return None;
-            }
-            if obj.is_dead() || obj.seq() != seq_final {
-                stats.read_retries.fetch_add(1, Ordering::Relaxed);
-                self.dcache.obs.event(|| TraceEvent::ReadRetry);
-                continue 'restart;
-            }
-            if require_dir && !inode.is_dir() {
-                return Some(Err(FsError::NotDir));
-            }
-            stats.fast_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Ok(WalkResult {
-                mount,
-                dentry: obj,
-                inode: Some(inode),
-            }));
         }
     }
 
@@ -331,11 +336,13 @@ impl Kernel {
     /// per miss. Any irregularity returns `None` and the full
     /// slowpath decides (preserving directory-reference semantics for
     /// cwd-relative access and precise errno reporting).
+    #[allow(clippy::too_many_arguments)]
     fn fast_revalidate(
         &self,
         ns: &crate::namespace::MountNamespace,
         pcc: &Pcc,
         obj: &Arc<Dentry>,
+        signed_via: u64,
         seq_sample: u64,
         cred: &dc_cred::Cred,
         guard: &crossbeam_epoch::Guard,
@@ -343,7 +350,7 @@ impl Kernel {
         if self.security.needs_path() {
             return None; // path reconstruction: let the slowpath do it
         }
-        let mut mount = ns.mount_by_id_read(obj.mount_hint(), guard)?;
+        let mut mount = ns.mount_by_id_read(signed_via, guard)?;
         if mount.sb.id != obj.sb() {
             return None;
         }
@@ -368,9 +375,9 @@ impl Kernel {
             // Search permission on every positive ancestor directory;
             // symlink hops in alias chains carry no permission of their
             // own and are skipped, anything unexpected falls back.
-            match parent.inode() {
+            match parent.view(guard).inode() {
                 Some(inode) if inode.is_dir() => {
-                    if self.permission(cred, &inode, MAY_EXEC, None).is_err() {
+                    if self.permission(cred, inode, MAY_EXEC, None).is_err() {
                         return None;
                     }
                     if pcc.check_dir(parent.id(), parent_seq) {
@@ -451,14 +458,22 @@ impl Kernel {
             .dcache
             .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?;
         let seq = dir.seq();
-        let mount = ns.mount_by_id_read(dir.mount_hint(), guard)?;
-        // A positive directory reached by its canonical path (an alias,
-        // a partial or a negative entry has no inode, a symlink is not a
-        // directory), by the mount it was published through, and not
-        // republished while we looked.
+        let seen = dir.view(guard);
+        let mount = ns.mount_by_id_read(seen.mount, guard)?;
+        // A positive directory (not an alias, a partial or a negative
+        // entry, not a symlink) reached by its canonical path, by the
+        // mount it was published through, and not republished while we
+        // looked.
+        let positive_dir = matches!(
+            seen.kind(),
+            DentryKind::Positive {
+                ftype: FileType::Directory,
+                ..
+            }
+        );
         let vouched = pcc.check(dir.id(), seq)
-            && dir.inode()?.is_dir()
-            && dir.hash_state() == Some(h)
+            && positive_dir
+            && seen.hash_state == Some(h)
             && mount.sb.id == dir.sb()
             && mount.sb.fs.supports_fastpath()
             && !dir.is_dead()

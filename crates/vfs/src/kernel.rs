@@ -173,7 +173,7 @@ impl Kernel {
             root: root_dentry,
         });
         let root_mount = Mount::new_root(1, sb, root_flags);
-        root_mount.root.set_mount_hint(root_mount.id);
+        root_mount.root.sign(None, root_mount.id);
         if dcache.obs.is_enabled() {
             if let Some(memfs) = as_memfs(&root_mount.sb.fs) {
                 memfs.disk().attach_recorder(dcache.obs.clone());

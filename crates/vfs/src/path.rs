@@ -3,7 +3,7 @@
 use crate::mount::Mount;
 use crate::scratch::{InlineVec, INLINE_COMPONENTS};
 use dc_fs::{FsError, FsResult};
-use dcache_core::{Dentry, Inode};
+use dcache_core::{Dentry, DentryKind, Inode};
 use std::sync::Arc;
 
 /// Maximum accepted path length (Linux `PATH_MAX`).
@@ -103,11 +103,10 @@ impl<M> WalkResult<M> {
     pub fn require_inode(&self) -> FsResult<&Arc<Inode>> {
         match &self.inode {
             Some(i) => Ok(i),
-            None => Err(self
-                .dentry
-                .neg_kind()
-                .map(|k| k.error())
-                .unwrap_or(FsError::NoEnt)),
+            None => Err(match self.dentry.kind() {
+                DentryKind::Negative(k) => k.error(),
+                _ => FsError::NoEnt,
+            }),
         }
     }
 

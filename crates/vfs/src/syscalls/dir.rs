@@ -7,7 +7,7 @@ use crate::process::Process;
 use crate::timing::SyscallClass;
 use dc_cred::MAY_EXEC;
 use dc_fs::{DirEntry, FsError, FsResult};
-use dcache_core::{DentryState, NegKind, FLAG_DIR_COMPLETE};
+use dcache_core::{DentryKind, DentryState, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -164,16 +164,20 @@ impl Kernel {
                     None => {
                         let version = d.children_version();
                         let mut entries: Vec<DirEntry> = Vec::with_capacity(d.child_count());
+                        let guard = crossbeam_epoch::pin();
                         d.for_each_child(|child| {
                             if child.is_dead() {
                                 return;
                             }
-                            // One atomic load classifies the child; the
-                            // lock-free walk mirrors Linux's child-list
-                            // iteration in dcache_readdir.
-                            if let Some((ino, ftype)) = child.listing_entry() {
+                            // One block read names and classifies the
+                            // child; the lock-free walk mirrors Linux's
+                            // child-list iteration in dcache_readdir.
+                            let seen = child.view(&guard);
+                            if let DentryKind::Positive { ino, ftype }
+                            | DentryKind::Partial { ino, ftype } = seen.kind()
+                            {
                                 entries.push(DirEntry {
-                                    name: child.name().to_string(),
+                                    name: seen.name.to_string(),
                                     ino,
                                     ftype,
                                 });

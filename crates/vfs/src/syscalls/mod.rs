@@ -13,7 +13,7 @@ use crate::mount::Mount;
 use crate::path::WalkResult;
 use dc_cred::{Cred, MAY_EXEC, MAY_WRITE};
 use dc_fs::{FsError, FsResult, InodeAttr, MODE_STICKY};
-use dcache_core::{Dentry, DentryState, Inode, NegKind, FLAG_DIR_COMPLETE};
+use dcache_core::{Dentry, DentryKind, DentryState, Inode, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -64,7 +64,7 @@ impl Kernel {
     /// or a negative one if the object vanished below us. The caller
     /// holds the parent's `dir_lock`.
     pub(crate) fn upgrade_partial_locked(&self, mount: &Mount, d: &Arc<Dentry>) -> FsResult<()> {
-        let Some(ino) = d.partial_ino() else {
+        let DentryKind::Partial { ino, .. } = d.kind() else {
             return Ok(()); // someone else upgraded it
         };
         match mount.sb.fs.getattr(ino) {
@@ -143,7 +143,7 @@ impl Kernel {
         name: &str,
     ) -> FsResult<Option<Arc<Dentry>>> {
         match self.lookup_one_locked(mount, parent, name) {
-            Ok(d) if !d.is_negative() => Err(FsError::Exist),
+            Ok(d) if !matches!(d.kind(), DentryKind::Negative(_)) => Err(FsError::Exist),
             Ok(negative) => Ok(Some(negative)),
             Err(FsError::NoEnt) => Ok(None),
             Err(e) => Err(e),
@@ -164,7 +164,7 @@ impl Kernel {
         refresh_dir(parent);
         match existing {
             Some(d) if !d.is_dead() => {
-                debug_assert!(d.is_negative());
+                debug_assert!(matches!(d.kind(), DentryKind::Negative(_)));
                 for ch in d.children_snapshot() {
                     self.dcache.unhash_subtree(&ch);
                 }

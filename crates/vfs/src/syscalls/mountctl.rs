@@ -82,7 +82,10 @@ impl Kernel {
             // entries are stale (§3.2, §4.3).
             self.dcache.bump_invalidation();
             self.shoot_subtree(&at.dentry, true);
-            mount.root.set_mount_hint(mount.id);
+            // The root is now reached through the new mount: a hash state
+            // another mount of the same superblock left goes in the same
+            // publication.
+            mount.root.sign(None, mount.id);
             let id = mount.id;
             ns.add_mount(mount);
             Ok(id)

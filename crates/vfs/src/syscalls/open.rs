@@ -133,33 +133,26 @@ impl Kernel {
         // Resolve the final component under the lock; O_CREAT on an
         // existing object needs no write permission on the directory.
         let existing = match self.lookup_one_locked(&mount, &parent_d, &pr.name) {
-            Ok(d) if !d.is_negative() => {
+            Ok(d) => match d.inode() {
                 // A dangling symlink resolves NoEnt but exists as a link:
                 // O_CREAT creates the *target* (Linux semantics).
-                if let Some(inode) = d.inode() {
-                    if inode.ftype() == FileType::Symlink && !flags.nofollow {
-                        let target = mount.sb.fs.readlink(inode.ino)?;
-                        drop(_g);
-                        let base = PathRef::new(mount, parent_d);
-                        return self.open_internal(
-                            proc,
-                            Some(&base),
-                            &target,
-                            flags,
-                            mode,
-                            depth + 1,
-                        );
-                    }
+                Some(inode) if inode.ftype() == FileType::Symlink && !flags.nofollow => {
+                    let target = mount.sb.fs.readlink(inode.ino)?;
+                    drop(_g);
+                    let base = PathRef::new(mount, parent_d);
+                    return self.open_internal(proc, Some(&base), &target, flags, mode, depth + 1);
                 }
-                drop(_g);
-                let r = WalkResult {
-                    mount,
-                    inode: d.inode(),
-                    dentry: d,
-                };
-                return self.open_existing(proc, r, flags);
-            }
-            Ok(negative) => Some(negative),
+                Some(inode) => {
+                    drop(_g);
+                    let r = WalkResult {
+                        mount,
+                        inode: Some(inode),
+                        dentry: d,
+                    };
+                    return self.open_existing(proc, r, flags);
+                }
+                None => Some(d), // negative
+            },
             Err(FsError::NoEnt) => None, // negative caching disabled
             Err(e) => return Err(e),
         };

@@ -22,9 +22,9 @@ use crate::namespace::MountNamespace;
 use crate::path::{split_path, ParsedPath, PathRef, WalkRef, WalkResult};
 use crate::process::Process;
 use dc_cred::{Cred, PermCtx, MAY_EXEC};
-use dc_fs::{FileSystem, FsError, FsResult};
+use dc_fs::{FileSystem, FileType, FsError, FsResult};
 use dc_obs::{LookupOutcome, TraceEvent};
-use dcache_core::{Dentry, DentryState, HashState, Inode, NegKind, Pcc, Signature};
+use dcache_core::{Dentry, DentryKind, DentryState, HashState, Inode, NegKind, Pcc, Signature};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -264,8 +264,8 @@ impl Kernel {
         for n in names.iter().rev() {
             self.dcache.key.push_component(&mut h, n.as_bytes());
         }
-        if at.dentry.hash_state().is_none() {
-            at.dentry.sign(h, at.mount.id);
+        if at.dentry.view(guard).hash_state.is_none() {
+            at.dentry.sign(Some(h), at.mount.id);
         }
         Some(h)
     }
@@ -338,7 +338,7 @@ impl Kernel {
                     state,
                     mount,
                 } => {
-                    dentry.sign(*state, *mount);
+                    dentry.sign(Some(*state), *mount);
                     // Publish through the namespace's memoized handle so
                     // the dentry records *which table* it lives in: if
                     // the namespace is torn down mid-walk the insert
@@ -352,11 +352,7 @@ impl Kernel {
                         pcc.insert(*id, *seq);
                     }
                 }
-                Publish::LinkSig { link, sig, mount } => {
-                    if link.mount_hint() == *mount {
-                        link.store_link_sig(*sig);
-                    }
-                }
+                Publish::LinkSig { link, sig, mount } => link.store_link_sig(*sig, *mount),
             }
         }
         if self.dcache.invalidation_counter() != w.inv0 {
@@ -568,36 +564,33 @@ impl<'k> SlowWalk<'k> {
             self.k.dcache.key.push_component(&mut h, name.as_bytes());
             self.hstate = Some(h);
         }
-        // Classify.
-        let is_symlink = child
-            .inode()
-            .map(|i| i.ftype() == dc_fs::FileType::Symlink)
-            .unwrap_or(false);
-        if is_symlink && (!is_last || follow_last) {
-            // Publish the symlink dentry under the literal path, then
-            // divert into the target.
-            self.publish_step(&child, self.cur.mount.id);
-            self.push_path_seg(name);
-            return self.enter_symlink(child, is_last);
-        }
-        if child.is_negative() {
-            self.publish_step(&child, self.cur.mount.id);
-            // A racing writer may upgrade the dentry to positive between
-            // the `is_negative` check and here; linearize at the check.
-            let kind = child.neg_kind().unwrap_or(NegKind::Enoent);
-            if is_last {
-                self.cur = PathRef::new(self.cur.mount.clone(), child);
+        // Classify, from one read: a racing writer may change the state
+        // right after it, and the step linearizes there.
+        match child.kind() {
+            DentryKind::Positive {
+                ftype: FileType::Symlink,
+                ..
+            } if !is_last || follow_last => {
+                // Publish the symlink dentry under the literal path, then
+                // divert into the target.
+                self.publish_step(&child, self.cur.mount.id);
+                self.push_path_seg(name);
+                return self.enter_symlink(child, is_last);
+            }
+            DentryKind::Negative(kind) => {
+                self.publish_step(&child, self.cur.mount.id);
+                if is_last {
+                    self.cur = PathRef::new(self.cur.mount.clone(), child);
+                    return Err(kind.error());
+                }
+                if self.k.dcache.config.deep_negative && self.k.negatives_allowed(&self.fs()) {
+                    self.cur = PathRef::new(self.cur.mount.clone(), child);
+                    self.push_path_seg(name);
+                    return Ok(());
+                }
                 return Err(kind.error());
             }
-            if self.k.dcache.config.deep_negative && self.k.negatives_allowed(&self.fs()) {
-                self.cur = PathRef::new(self.cur.mount.clone(), child);
-                self.push_path_seg(name);
-                return Ok(());
-            }
-            return Err(match kind {
-                NegKind::Enoent => FsError::NoEnt,
-                NegKind::Enotdir => FsError::NotDir,
-            });
+            _ => {}
         }
         // Positive (or just-upgraded partial): cross mountpoints.
         let mut next = PathRef::new(self.cur.mount.clone(), child);
@@ -616,14 +609,8 @@ impl<'k> SlowWalk<'k> {
     /// (`Ok(true)`), surfaces the matching error, or reports `Ok(false)`
     /// when `cur` is a real directory and the normal step should run.
     fn pre_step(&mut self, name: &str, is_last: bool) -> FsResult<bool> {
-        let kind = match self.classify_cur() {
-            CurKind::Dir => return Ok(false),
-            CurKind::Partial => {
-                self.upgrade_partial_cur()?;
-                return self.pre_step(name, is_last);
-            }
-            CurKind::NonDir => NegKind::Enotdir,
-            CurKind::Negative(k) => k,
+        let Err(kind) = self.cur_dir()? else {
+            return Ok(false);
         };
         let deep_ok = self.k.dcache.config.deep_negative
             && self.k.negatives_allowed(&self.fs())
@@ -652,7 +639,7 @@ impl<'k> SlowWalk<'k> {
                 }
             }
         };
-        if !child.is_negative() {
+        if !matches!(child.kind(), DentryKind::Negative(_)) {
             // A positive child under a negative parent cannot arise
             // through the VFS (parents must exist to create children);
             // answer negatively regardless.
@@ -671,32 +658,27 @@ impl<'k> SlowWalk<'k> {
         Ok(true)
     }
 
-    fn classify_cur(&self) -> CurKind {
-        let d = &self.cur.dentry;
-        match d.classify() {
-            Err(k) => CurKind::Negative(k),
-            Ok(false) => CurKind::NonDir,
-            Ok(true) if d.is_partial() => CurKind::Partial,
-            Ok(true) => CurKind::Dir,
+    /// `Ok(())` when `cur` is a directory — a partial one is upgraded
+    /// via `getattr` first — and otherwise the absence it stands for.
+    fn cur_dir(&mut self) -> FsResult<Result<(), NegKind>> {
+        let (ftype, partial) = match self.cur.dentry.kind() {
+            DentryKind::Positive { ftype, .. } => (ftype, false),
+            DentryKind::Partial { ftype, .. } => (ftype, true),
+            DentryKind::Negative(k) => return Ok(Err(k)),
+            DentryKind::Alias => return Ok(Err(NegKind::Enotdir)),
+        };
+        if ftype != FileType::Directory {
+            return Ok(Err(NegKind::Enotdir));
         }
-    }
-
-    /// Upgrades a partial `cur` into a positive dentry via `getattr`.
-    fn upgrade_partial_cur(&mut self) -> FsResult<()> {
-        let d = self.cur.dentry.clone();
-        upgrade_partial(self.k, &self.cur.mount, &d)
+        if partial {
+            upgrade_partial(self.k, &self.cur.mount, &self.cur.dentry)?;
+            return self.cur_dir();
+        }
+        Ok(Ok(()))
     }
 
     fn ensure_cur_dir(&mut self) -> FsResult<()> {
-        match self.classify_cur() {
-            CurKind::Dir => Ok(()),
-            CurKind::Partial => {
-                self.upgrade_partial_cur()?;
-                self.ensure_cur_dir()
-            }
-            CurKind::NonDir => Err(FsError::NotDir),
-            CurKind::Negative(k) => Err(k.error()),
-        }
+        self.cur_dir()?.map_err(NegKind::error)
     }
 
     fn check_exec(&mut self) -> FsResult<()> {
@@ -716,11 +698,13 @@ impl<'k> SlowWalk<'k> {
             let _g = parent.dir_lock().lock();
             return self.k.lookup_one_locked(mount, parent, name);
         };
-        if c.is_partial() {
+        let mut kind = c.kind();
+        if let DentryKind::Partial { .. } = kind {
             upgrade_partial(self.k, mount, &c)?;
+            kind = c.kind();
         }
         let stats = &self.k.dcache.stats;
-        if c.is_negative() {
+        if let DentryKind::Negative(_) = kind {
             stats.hit_negative.fetch_add(1, Ordering::Relaxed);
         } else {
             stats.hit_positive.fetch_add(1, Ordering::Relaxed);
@@ -761,7 +745,7 @@ impl<'k> SlowWalk<'k> {
                 // running state is already published in the DLHT under
                 // this signature (stores and membership move together,
                 // and structural shootdowns clear both).
-                if dentry.hash_state() == Some(h) && dentry.mount_hint() == mount_id {
+                if dentry.hash_state_via(mount_id) == Some(h) {
                     return;
                 }
                 let sig = self.k.dcache.key.finish(&h);
@@ -780,13 +764,12 @@ impl<'k> SlowWalk<'k> {
                 let name = dentry.name();
                 let alias = {
                     let _g = ap.dir_lock().lock();
+                    let current = |a: &Dentry| {
+                        let target = a.view(&crossbeam_epoch::pin()).alias_target();
+                        target.is_some_and(|(t, s)| Arc::ptr_eq(&t, dentry) && s == t.seq())
+                    };
                     match self.k.dcache.d_lookup(&ap, &name) {
-                        Some(a)
-                            if a.alias_target()
-                                .is_some_and(|(t, s)| Arc::ptr_eq(&t, dentry) && s == t.seq()) =>
-                        {
-                            a
-                        }
+                        Some(a) if current(&a) => a,
                         Some(a) => {
                             // Stale alias: retarget it.
                             a.set_state(DentryState::SymlinkAlias {
@@ -922,13 +905,6 @@ impl<'k> SlowWalk<'k> {
         }
         Ok(())
     }
-}
-
-enum CurKind {
-    Dir,
-    Partial,
-    NonDir,
-    Negative(NegKind),
 }
 
 /// Upgrades a partial dentry (readdir-born, §5.1) into a positive one.

@@ -251,7 +251,7 @@ impl Kernel {
                     }
                 }
             };
-            dentry.sign(st, root_mount.id);
+            dentry.sign(Some(st), root_mount.id);
             self.dcache.dlht_insert_in(&table, sig, &dentry);
             outcome.published += 1;
             if is_dir {

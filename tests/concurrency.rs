@@ -485,3 +485,92 @@ fn journaled_apply_is_invisible_in_flight_to_memfs_readers() {
         assert!(observer.join().unwrap() > 0, "observer never ran");
     });
 }
+
+/// One directory, two paths: `/a` and its bind alias `/b`. A dentry
+/// carries one signature at a time (§4.3), so a walker alternating
+/// between the two re-signs the directory, and the names under it, on
+/// every walk. Readers meanwhile resolve names in it by both absolute
+/// paths and from a cwd inside it — a relative lookup resumes from the
+/// directory's stored hash state, and only if that state was signed
+/// through the reader's own mount. Nothing in the namespace changes, so
+/// every answer, racing or not, must be the one a quiescent baseline
+/// kernel gives. The walker's odd-while-in-flight epoch counts the
+/// answers taken while a re-sign was under way: some must have been.
+#[test]
+fn readers_race_bind_alias_resigning() {
+    fn setup(config: DcacheConfig) -> (Arc<Kernel>, Arc<Process>) {
+        let (k, p) = kernel(config);
+        k.mkdir(&p, "/a", 0o755).unwrap();
+        k.mkdir(&p, "/a/sub", 0o755).unwrap();
+        touch(&k, &p, "/a/x");
+        touch(&k, &p, "/a/sub/z");
+        k.mkdir(&p, "/b", 0o755).unwrap();
+        k.bind_mount(&p, "/a", "/b").unwrap();
+        (k, p)
+    }
+    const ABSOLUTE: [&str; 6] = ["/a/x", "/b/x", "/a/sub/z", "/b/sub/z", "/a/nope", "/b/x/y"];
+    const RELATIVE: [&str; 5] = ["x", "sub", "sub/z", "nope", "x/y"];
+    let answer = |k: &Kernel, p: &Process, path: &str| k.stat(p, path).map(|a| a.ino);
+    let expected = {
+        let (k, p) = setup(DcacheConfig::baseline());
+        let at_a = k.spawn(&p);
+        k.chdir(&at_a, "/a").unwrap();
+        let absolute: Vec<_> = ABSOLUTE.iter().map(|q| answer(&k, &p, q)).collect();
+        let relative: Vec<_> = RELATIVE.iter().map(|q| answer(&k, &at_a, q)).collect();
+        (absolute, relative)
+    };
+    for config in [DcacheConfig::baseline(), DcacheConfig::optimized()] {
+        let fastpath = config.fastpath;
+        let (k, p) = setup(config);
+        let stop = AtomicBool::new(false);
+        let walks = AtomicU64::new(0);
+        let (raced, anomalies) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|s| {
+            // Walker: each walk comes in by the other path, re-signing.
+            s.spawn(|| {
+                let w = k.spawn(&p);
+                for via in ["/a", "/b"].iter().cycle() {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    walks.fetch_add(1, Ordering::SeqCst); // odd: in flight
+                    k.stat(&w, &format!("{via}/sub/z")).unwrap();
+                    walks.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            for cwd in ["/a", "/b", "/a"] {
+                let r = k.spawn(&p);
+                k.chdir(&r, cwd).unwrap();
+                let (stop, walks, raced, anomalies) = (&stop, &walks, &raced, &anomalies);
+                let (expected, answer) = (&expected, &answer);
+                let k = &k;
+                s.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let queries = ABSOLUTE.iter().zip(&expected.0);
+                        for (q, want) in queries.chain(RELATIVE.iter().zip(&expected.1)) {
+                            let w0 = walks.load(Ordering::SeqCst);
+                            let got = answer(k, &r, q);
+                            if w0 % 2 == 1 || walks.load(Ordering::SeqCst) != w0 {
+                                raced.fetch_add(1, Ordering::Relaxed);
+                            }
+                            if got != *want {
+                                eprintln!("{q} from {cwd}: {got:?}, baseline {want:?}");
+                                anomalies.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                });
+            }
+            std::thread::sleep(std::time::Duration::from_millis(300));
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(anomalies.load(Ordering::Relaxed), 0, "answers diverged");
+        assert!(
+            raced.load(Ordering::Relaxed) > 0,
+            "no answer raced a re-sign"
+        );
+        if fastpath {
+            assert!(k.dcache.stats.fast_hits.load(Ordering::Relaxed) > 0);
+        }
+    }
+}

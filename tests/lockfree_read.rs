@@ -5,8 +5,8 @@
 //! acquisition process-wide, and the counting [`GlobalAlloc`] below
 //! counts every heap allocation. After warming the fastpath, a burst of
 //! `stat`s over cached paths must not acquire a single lock *or* call
-//! the allocator once — the DLHT probe, dentry snapshot reads, PCC
-//! check, mount-hint validation, and inode attribute read all run on
+//! the allocator once — the DLHT probe, the one read of each dentry's
+//! block, PCC check, mount validation, and inode attribute read all run on
 //! epoch-protected or seqlock-validated structures, and the path parse
 //! + dot-dot scratch live in inline storage (DESIGN.md §13).
 //!
@@ -57,10 +57,11 @@ fn main() {
     println!("lockfree_read: ok (zero locks, zero allocations on warm stat)");
 }
 
-/// The write side of the same contract: a dentry's name, state, hash
-/// state and link signature live only in its published snapshot, so an
-/// edit is one copy-edit-swap under the dentry's strong-edge lock plus
-/// the snapshot slab's free-list lock — not a lock per mirrored field.
+/// The write side of the same contract: a dentry's name, state, signing
+/// mount, hash state and link signature live only in its published
+/// snapshot, so an edit is one copy-edit-swap under the dentry's
+/// strong-edge lock plus the snapshot slab's free-list lock — not a lock
+/// per mirrored field.
 fn dentry_mutators_acquire_at_most_two_locks() {
     let k = KernelBuilder::new(DcacheConfig::optimized().with_seed(7))
         .build()
@@ -70,8 +71,12 @@ fn dentry_mutators_acquire_at_most_two_locks() {
     k.stat(&p, "/d").unwrap();
     let d = p.root().dentry.get_child("d").expect("/d is cached");
     let inode = d.inode().expect("/d is positive");
-    let hash_state = d.hash_state().expect("the walk stored /d's hash state");
+    let hash_state = d
+        .view(&crossbeam_epoch::pin())
+        .hash_state
+        .expect("the walk stored /d's hash state");
     let sig = k.dcache.key.finish(&hash_state);
+    let mount = p.root().mount.id;
 
     fn locks(edit: impl FnOnce()) -> u64 {
         let before = parking_lot::lock_acquisitions();
@@ -79,8 +84,8 @@ fn dentry_mutators_acquire_at_most_two_locks() {
         parking_lot::lock_acquisitions() - before
     }
     let costs = [
-        ("store_hash_state", locks(|| d.store_hash_state(hash_state))),
-        ("store_link_sig", locks(|| d.store_link_sig(sig))),
+        ("sign", locks(|| d.sign(Some(hash_state), mount))),
+        ("store_link_sig", locks(|| d.store_link_sig(sig, mount))),
         (
             "set_state",
             locks(|| d.set_state(DentryState::Positive(inode))),
@@ -89,8 +94,13 @@ fn dentry_mutators_acquire_at_most_two_locks() {
     for (name, cost) in costs {
         assert!(cost <= 2, "{name} took {cost} locks, expected at most 2");
     }
-    assert_eq!(d.link_sig(), None, "set_state clears the link signature");
-    assert_eq!(d.hash_state(), Some(hash_state));
+    let guard = crossbeam_epoch::pin();
+    assert_eq!(
+        d.view(&guard).link_sig,
+        None,
+        "set_state clears the link signature"
+    );
+    assert_eq!(d.hash_state_via(mount), Some(hash_state));
 }
 
 fn warm_fastpath_stat_acquires_zero_locks() {
