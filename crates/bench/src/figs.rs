@@ -834,10 +834,7 @@ fn space_per_ns(scale: Scale) {
     let tenants = if scale.is_full() { 64 } else { 24 };
     let files = 16usize;
     banner("Per-namespace footprint (§14): top tenants by resident bytes");
-    let cfg = DcacheConfig::optimized()
-        .with_tenant_buckets(1 << 8)
-        .with_pcc_max_resident(1024);
-    let s = kernel_with(cfg);
+    let s = kernel_with(DcacheConfig::optimized());
     let k = &s.kernel;
     k.mkdir(&s.proc, "/tenants", 0o755).unwrap();
     let mut procs = Vec::with_capacity(tenants);

@@ -57,6 +57,7 @@ pub(crate) fn run(scale: Scale, cfg: FleetConfig) -> bool {
     );
 
     let fleet = Fleet::provision(cfg);
+    let pcc_cap = fleet.kernel.dcache.pcc_cap();
     let report = fleet.run();
 
     let mut t = Table::new(&[
@@ -95,7 +96,7 @@ pub(crate) fn run(scale: Scale, cfg: FleetConfig) -> bool {
         report.config.mem_budget_bytes >> 10,
         report.over_budget_rounds,
         report.peak_resident_pccs,
-        report.config.pcc_max_resident,
+        pcc_cap,
         report.pcc_evictions,
         report.churn_s,
     );
@@ -173,12 +174,13 @@ pub(crate) fn run(scale: Scale, cfg: FleetConfig) -> bool {
     let body = Json::obj()
         .with(
             "config",
-            fields!(c => tenants, creds_per_tenant, rounds, ops_per_tenant, mem_budget_bytes, pcc_max_resident, tenant_buckets),
+            fields!(c => tenants, creds_per_tenant, rounds, ops_per_tenant, mem_budget_bytes),
         )
         .with("classes", Json::keyed(classes))
         .with(
             "fleet",
             fields!(report => peak_namespaces, creds, over_budget_rounds, peak_resident_pccs, pcc_evictions, churn_s)
+                .with("pcc_cap", pcc_cap)
                 .with("peak_footprint_bytes", report.peak_footprint),
         )
         .with(

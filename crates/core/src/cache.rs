@@ -20,6 +20,9 @@ use std::sync::{Arc, Weak};
 /// Mount-namespace identity (each namespace owns a private DLHT, §4.3).
 pub type NsId = u64;
 
+/// Bucket ceiling of a non-init namespace's DLHT (DESIGN.md §14).
+const TENANT_BUCKETS: usize = 1 << 8;
+
 /// The directory cache.
 ///
 /// One instance per kernel. Owns dentry allocation, the per-namespace
@@ -261,13 +264,12 @@ impl Dcache {
 
     fn make_dlht(&self, ns: NsId) -> Arc<Dlht> {
         // Tenant sharding (DESIGN.md §14): the init namespace gets the
-        // full-size table; tenant namespaces get the (typically much
-        // smaller) per-tenant size so 1000+ namespaces don't cost 1000
-        // full bucket arrays — and one tenant's churn stays confined to
-        // its own table.
-        let buckets = match self.config.dlht_tenant_buckets {
-            Some(tb) if ns != 0 => tb,
-            _ => self.config.dlht_buckets,
+        // full-size table, every other one at most `TENANT_BUCKETS`, so
+        // 1 000 namespaces cost 2 MB of bucket arrays rather than 512 MB
+        // — and one tenant's churn stays confined to its own table.
+        let buckets = match ns {
+            0 => self.config.dlht_buckets,
+            _ => self.config.dlht_buckets.min(TENANT_BUCKETS),
         };
         Dlht::new(ns, buckets)
     }
@@ -418,9 +420,8 @@ impl Dcache {
     /// shared by every process with the same credential in the same
     /// namespace (§3.1, §4.1).
     ///
-    /// Creation past the configured
-    /// [`pcc_max_resident`](DcacheConfig::pcc_max_resident) cap detaches
-    /// the least-recently-used resident PCC from its credential — the
+    /// Creation past the [`pcc_cap`](Dcache::pcc_cap) detaches the
+    /// least-recently-used resident PCC from its credential — the
     /// cred-count pressure policy of DESIGN.md §14. The recency stamp is
     /// refreshed here (once per slowpath attach, not on the lock-free
     /// fastpath borrow), so fleet-hot creds keep their caches while a
@@ -448,12 +449,16 @@ impl Dcache {
         pcc
     }
 
+    /// The resident-PCC cap: the PCCs' nominal bytes may take a sixteenth
+    /// of the budget, and one PCC always fits.
+    pub fn pcc_cap(&self) -> usize {
+        (self.config.mem_budget_bytes / (16 * self.config.pcc_bytes)).max(1)
+    }
+
     /// Detaches the coldest resident PCCs until the registry fits the
-    /// configured cap. Caller holds the registry lock.
+    /// cap. Caller holds the registry lock.
     fn enforce_pcc_cap(&self, list: &mut Vec<PccSlot>) {
-        let Some(cap) = self.config.pcc_max_resident else {
-            return;
-        };
+        let cap = self.pcc_cap();
         if list.len() <= cap {
             return;
         }
@@ -628,19 +633,17 @@ impl Dcache {
 
     // --- eviction -------------------------------------------------------------
 
+    /// The allocation-side bound: past the budget's worth of dentry
+    /// structs, evict leaves back under it, with 64 to spare so the next
+    /// allocations do not trip again. The exact byte reclaim (DLHT groups,
+    /// PCC lines) is [`shrink_to_bytes`](Dcache::shrink_to_bytes), which
+    /// only memory pressure runs: charging a small cache's DLHT groups
+    /// against its dentries would evict it far below its budget.
     fn maybe_shrink(&self) {
+        let per = size_of::<Dentry>();
         let live = self.live() as usize;
-        if live > self.config.capacity {
-            self.shrink(live - self.config.capacity + 64);
-        }
-        if let Some(budget) = self.config.mem_budget_bytes {
-            // Cheap under-estimate (dentry structs only — no DLHT walk on
-            // the alloc path). Once it trips, `shrink_to_bytes` does exact
-            // accounting and evicts well below the trip point, so this
-            // does not retrigger on every allocation.
-            if live * std::mem::size_of::<Dentry>() > budget {
-                self.shrink_to_bytes(budget as u64);
-            }
+        if live * per > self.config.mem_budget_bytes {
+            self.shrink(live - self.config.mem_budget_bytes / per + 64);
         }
     }
 
@@ -1046,7 +1049,7 @@ mod tests {
             neg(&dc, &root, &format!("f{i}"));
         }
         assert!(
-            dc.stats.shrinks.load(Ordering::Relaxed) > 0,
+            dc.stats.evictions.load(Ordering::Relaxed) > 0,
             "budget pressure fired at least once"
         );
         assert!(
@@ -1054,6 +1057,49 @@ mod tests {
             "cache stayed within budget (live={})",
             dc.live()
         );
+    }
+
+    #[test]
+    fn the_budget_sizes_tenant_tables_and_caps_resident_pccs() {
+        let dc = cache(DcacheConfig::optimized());
+        assert_eq!(dc.dlht_for(0).footprint().buckets, 1 << 16);
+        assert_eq!(dc.dlht_for(7).footprint().buckets, 1 << 8);
+        let small = cache(DcacheConfig {
+            dlht_buckets: 1 << 4,
+            ..DcacheConfig::optimized()
+        });
+        assert_eq!(small.dlht_for(0).footprint().buckets, 1 << 4);
+        assert_eq!(small.dlht_for(7).footprint().buckets, 1 << 4);
+
+        // Nominal PCC bytes may take a sixteenth of the budget; one fits.
+        let capped = |budget| {
+            cache(DcacheConfig {
+                pcc_bytes: 4096,
+                ..DcacheConfig::optimized().with_mem_budget(budget)
+            })
+        };
+        assert_eq!(capped((1 << 20) - 1).pcc_cap(), 15);
+        assert_eq!(
+            cache(DcacheConfig::optimized().with_capacity(24)).pcc_cap(),
+            1
+        );
+        let dc = capped(1 << 20);
+        assert_eq!(dc.pcc_cap(), 16);
+
+        // At the cap, the next attach detaches the coldest PCC.
+        let creds: Vec<_> = (0..17).map(|u| dc_cred::Cred::user(u, u)).collect();
+        for c in &creds[..16] {
+            dc.pcc_for(c, 0);
+        }
+        dc.pcc_for(&creds[0], 0); // re-attached: creds[1] is now coldest
+        assert_eq!(dc.stats.pcc_evictions.load(Ordering::Relaxed), 0);
+        dc.pcc_for(&creds[16], 0);
+        assert_eq!(dc.stats.pcc_evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(dc.resident_pccs(), 16);
+        let guard = crossbeam_epoch::pin();
+        let attached = |c| dc.pcc_ref(c, 0, &guard).is_some();
+        assert!(!attached(&creds[1]), "the coldest PCC was detached");
+        assert!(attached(&creds[0]) && attached(&creds[16]));
     }
 
     #[test]

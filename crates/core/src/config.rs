@@ -1,5 +1,7 @@
 //! Feature toggles: baseline ⇄ optimized ⇄ ablations.
 
+use crate::dentry::Dentry;
+
 /// Directory-cache configuration.
 ///
 /// The defaults of [`DcacheConfig::baseline`] model the unmodified Linux
@@ -33,30 +35,19 @@ pub struct DcacheConfig {
     pub lock_walk: bool,
     /// Prefix check cache size in bytes per credential (paper: 64 KB).
     pub pcc_bytes: usize,
-    /// DLHT bucket count per namespace (paper: 2^16); must be a power of
-    /// two ≤ 2^16.
+    /// DLHT bucket count of the init namespace's table (paper: 2^16); must
+    /// be a power of two ≤ 2^16. Every other namespace's table has at most
+    /// 2^8 (DESIGN.md §14).
     pub dlht_buckets: usize,
-    /// DLHT bucket count for *non-init* namespaces (tenant sharding,
-    /// DESIGN.md §14). `None` sizes every namespace's table with
-    /// [`dlht_buckets`](DcacheConfig::dlht_buckets); at container-fleet
-    /// scale a full-size bucket array per tenant is untenable (2^16
-    /// buckets × 8 B × 1000 namespaces = 512 MB of fixed arrays), so
-    /// fleets set a smaller power of two here.
-    pub dlht_tenant_buckets: Option<usize>,
-    /// Cap on resident PCC instances across all credentials (the
-    /// cred-count pressure policy, DESIGN.md §14). `None` is unbounded —
-    /// fine for a handful of creds, not for 10k. Past the cap, creating
-    /// a PCC detaches the least-recently-attached cold one from its
-    /// credential.
-    pub pcc_max_resident: Option<usize>,
-    /// Maximum cached dentries before LRU eviction kicks in.
-    pub capacity: usize,
-    /// Soft byte budget for the cache's reclaimable footprint (dentries +
-    /// DLHT groups + occupied PCC lines). `None` disables budget
-    /// tracking; with a budget set, allocations that push past it trigger
-    /// [`Dcache::shrink_to_bytes`](crate::Dcache::shrink_to_bytes), the
-    /// same path a registered memory-pressure shrinker drives.
-    pub mem_budget_bytes: Option<usize>,
+    /// The cache's one bound, in bytes (default: 2^20 dentry structs'
+    /// worth). A dentry allocation past the budget's worth of dentry
+    /// structs evicts leaves back under it, and the resident PCCs'
+    /// nominal bytes may take a sixteenth of it
+    /// ([`Dcache::pcc_cap`](crate::Dcache::pcc_cap)).
+    /// Exact byte reclaim — dentries, DLHT groups and PCC lines — is
+    /// [`Dcache::shrink_to_bytes`](crate::Dcache::shrink_to_bytes), which
+    /// memory pressure drives.
+    pub mem_budget_bytes: usize,
     /// Signature hash key seed; `None` draws boot-time entropy.
     pub hash_seed: Option<u64>,
     /// Synthetic worst case for Figure 6: execute the fastpath but force
@@ -78,10 +69,7 @@ impl DcacheConfig {
             lock_walk: false,
             pcc_bytes: 64 * 1024,
             dlht_buckets: 1 << 16,
-            dlht_tenant_buckets: None,
-            pcc_max_resident: None,
-            capacity: 1 << 20,
-            mem_budget_bytes: None,
+            mem_budget_bytes: (1 << 20) * size_of::<Dentry>(),
             hash_seed: None,
             fastpath_always_miss: false,
         }
@@ -131,29 +119,15 @@ impl DcacheConfig {
         self
     }
 
-    /// Caps the dentry cache (eviction experiments).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
+    /// Caps the dentry cache at `dentries` dentry structs' worth of budget
+    /// (eviction experiments).
+    pub fn with_capacity(self, dentries: usize) -> Self {
+        self.with_mem_budget(dentries * size_of::<Dentry>())
     }
 
-    /// Sets a soft byte budget for the cache's reclaimable footprint
-    /// (memory-pressure experiments).
+    /// Sets the cache's byte budget (memory-pressure experiments).
     pub fn with_mem_budget(mut self, bytes: usize) -> Self {
-        self.mem_budget_bytes = Some(bytes);
-        self
-    }
-
-    /// Sizes non-init namespaces' DLHTs at `buckets` (tenant sharding;
-    /// the init namespace keeps the full `dlht_buckets` table).
-    pub fn with_tenant_buckets(mut self, buckets: usize) -> Self {
-        self.dlht_tenant_buckets = Some(buckets);
-        self
-    }
-
-    /// Caps resident PCC instances fleet-wide (cred-count pressure).
-    pub fn with_pcc_max_resident(mut self, cap: usize) -> Self {
-        self.pcc_max_resident = Some(cap);
+        self.mem_budget_bytes = bytes;
         self
     }
 
@@ -165,26 +139,14 @@ impl DcacheConfig {
                 self.dlht_buckets
             ));
         }
-        if let Some(tb) = self.dlht_tenant_buckets {
-            if !tb.is_power_of_two() || tb > (1 << 16) {
-                return Err(format!(
-                    "dlht_tenant_buckets must be a power of two <= 65536, got {tb}"
-                ));
-            }
-        }
-        if self.pcc_max_resident == Some(0) {
-            return Err("pcc_max_resident must be at least 1".to_string());
-        }
         if self.pcc_bytes < 1024 {
             return Err(format!("pcc_bytes too small: {}", self.pcc_bytes));
         }
-        if self.capacity < 16 {
-            return Err(format!("capacity too small: {}", self.capacity));
-        }
-        if let Some(budget) = self.mem_budget_bytes {
-            if budget < 4096 {
-                return Err(format!("mem_budget_bytes too small: {budget}"));
-            }
+        if self.mem_budget_bytes < 16 * size_of::<Dentry>() {
+            return Err(format!(
+                "mem_budget_bytes holds fewer than 16 dentries: {}",
+                self.mem_budget_bytes
+            ));
         }
         Ok(())
     }
@@ -224,21 +186,15 @@ mod tests {
             lock_walk,
             pcc_bytes,
             dlht_buckets,
-            dlht_tenant_buckets,
-            pcc_max_resident,
-            capacity,
             mem_budget_bytes,
             hash_seed,
             fastpath_always_miss,
         } = DcacheConfig::optimized();
         assert!(fastpath && dir_completeness && neg_on_unlink && neg_in_pseudo && deep_negative);
         assert!(negative_dentries && !lexical_dotdot && !lock_walk && !fastpath_always_miss);
-        assert_eq!(
-            (pcc_bytes, dlht_buckets, capacity),
-            (64 << 10, 1 << 16, 1 << 20)
-        );
-        assert_eq!((dlht_tenant_buckets, pcc_max_resident), (None, None));
-        assert_eq!((mem_budget_bytes, hash_seed), (None, None));
+        assert_eq!((pcc_bytes, dlht_buckets), (64 << 10, 1 << 16));
+        assert_eq!(mem_budget_bytes, (1 << 20) * size_of::<Dentry>());
+        assert_eq!(hash_seed, None);
     }
 
     #[test]
@@ -254,9 +210,9 @@ mod tests {
         c.pcc_bytes = 8;
         assert!(c.validate().is_err());
         c.pcc_bytes = 64 * 1024;
-        c.mem_budget_bytes = Some(100);
+        c.mem_budget_bytes = 100;
         assert!(c.validate().is_err());
-        c.mem_budget_bytes = Some(64 * 1024);
+        c.mem_budget_bytes = 64 * 1024;
         assert!(c.validate().is_ok());
     }
 }

@@ -53,15 +53,9 @@ impl DentryLru {
     }
 
     /// Total queued candidates (including dead weak entries).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True when no candidates are queued.
-    #[allow(dead_code)]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Scans up to `max_scan` candidates in approximate LRU order,

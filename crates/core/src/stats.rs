@@ -75,9 +75,9 @@ dc_obs::counters! {
         /// Bytes reclaimed by memory-pressure shrinks.
         pub shrink_bytes_freed,
         /// Cold PCCs detached from their credential by the resident-PCC cap
-        /// ([`pcc_max_resident`]).
+        /// ([`pcc_cap`]).
         ///
-        /// [`pcc_max_resident`]: crate::DcacheConfig::pcc_max_resident
+        /// [`pcc_cap`]: crate::Dcache::pcc_cap
         pub pcc_evictions,
         /// PCC instances detached by namespace teardown.
         pub pccs_detached,

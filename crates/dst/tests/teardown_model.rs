@@ -31,11 +31,10 @@ fn retired_namespace_never_resurrects_in_the_map() {
             .max_steps(60_000)
             .from_env(),
         || {
-            let dcache = Dcache::new(
-                DcacheConfig::optimized()
-                    .with_seed(7)
-                    .with_tenant_buckets(1 << 2),
-            );
+            let dcache = Dcache::new(DcacheConfig {
+                dlht_buckets: 1 << 2,
+                ..DcacheConfig::optimized().with_seed(7)
+            });
             let retirer = {
                 let dcache = dcache.clone();
                 dst::thread::spawn(move || dcache.retire_dlht(NS))

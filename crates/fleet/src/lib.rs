@@ -16,10 +16,11 @@
 //!   round — the tenant whose lifecycle cost must stay O(tenant).
 //!
 //! The fleet runs inside a fixed memory budget: after every round the
-//! driver applies [`Kernel::memory_pressure`], and the per-tenant DLHT
-//! sizing ([`DcacheConfig::dlht_tenant_buckets`]) and the resident-PCC
-//! cap ([`DcacheConfig::pcc_max_resident`]) keep the fixed overheads
-//! proportional to *active* tenants, not fleet size.
+//! driver applies [`Kernel::memory_pressure`]. Two rules of the dcache
+//! keep the fixed overheads proportional to *active* tenants, not fleet
+//! size: a tenant namespace's DLHT has at most 2^8 buckets, and the
+//! resident PCCs are capped by the budget
+//! ([`Dcache::pcc_cap`](dcache_core::Dcache::pcc_cap)).
 //!
 //! Everything is single-threaded and splitmix64-seeded, so per-class
 //! counter attribution (stat deltas around each tenant's batch) is exact
@@ -72,15 +73,11 @@ pub struct FleetConfig {
     /// Lookup ops per tenant per round.
     pub ops_per_tenant: usize,
     /// Fleet-wide reclaimable-footprint budget, bytes (enforced through
-    /// the shrinker after every round).
+    /// the shrinker after every round; also sizes the resident-PCC cap).
     pub mem_budget_bytes: u64,
-    /// Resident-PCC cap (see [`DcacheConfig::pcc_max_resident`]).
-    pub pcc_max_resident: usize,
     /// Per-credential PCC size, bytes (fleets size PCCs down from the
     /// single-tenant 64 KB default).
     pub pcc_bytes: usize,
-    /// DLHT buckets per *tenant* namespace (power of two ≤ 2^16).
-    pub tenant_buckets: usize,
     /// Record a latency sample every N ops (1 = every op).
     pub sample_every: usize,
 }
@@ -98,9 +95,7 @@ impl FleetConfig {
             rounds: 3,
             ops_per_tenant: 32,
             mem_budget_bytes: 192 << 20,
-            pcc_max_resident: 1024,
             pcc_bytes: 8 * 1024,
-            tenant_buckets: 1 << 8,
             sample_every: 4,
         }
     }
@@ -118,13 +113,9 @@ impl FleetConfig {
     }
 
     /// The dcache configuration this fleet provisions: every paper
-    /// optimization, plus the tenancy knobs (sharded tenant DLHTs, the
-    /// resident-PCC cap, fleet-sized PCCs, and the memory budget).
+    /// optimization, fleet-sized PCCs, and the memory budget.
     pub fn dcache(&self) -> DcacheConfig {
-        let mut cfg = DcacheConfig::optimized()
-            .with_tenant_buckets(self.tenant_buckets)
-            .with_pcc_max_resident(self.pcc_max_resident)
-            .with_mem_budget(self.mem_budget_bytes as usize);
+        let mut cfg = DcacheConfig::optimized().with_mem_budget(self.mem_budget_bytes as usize);
         cfg.pcc_bytes = self.pcc_bytes;
         cfg
     }
@@ -630,10 +621,9 @@ mod tests {
             shared_files: 8,
             rounds: 2,
             ops_per_tenant: 8,
-            mem_budget_bytes: 64 << 20,
-            pcc_max_resident: 16,
+            // 16 × 16 × 4 KiB: a resident-PCC cap of 16.
+            mem_budget_bytes: 1 << 20,
             pcc_bytes: 4 * 1024,
-            tenant_buckets: 1 << 6,
             sample_every: 2,
             seed,
         }
@@ -670,7 +660,9 @@ mod tests {
 
     #[test]
     fn pcc_cap_evicts_under_cred_pressure() {
-        let report = run(tiny(3));
+        let fleet = Fleet::provision(tiny(3));
+        assert_eq!(fleet.kernel.dcache.pcc_cap(), 16);
+        let report = fleet.run();
         assert!(
             report.peak_resident_pccs <= 16 + 1,
             "cap breached: {} resident",

@@ -99,10 +99,8 @@ fn events_reconcile_with_dcache_stats() {
 /// the matching `DcacheStats` counter, and `reset_stats` clears both.
 #[test]
 fn tenancy_events_reconcile_with_stats() {
-    let config = DcacheConfig::optimized()
-        .with_tenant_buckets(64)
-        .with_pcc_max_resident(2);
-    let k = obs_kernel(config);
+    // 2 × 16 × 64 KiB: a resident-PCC cap of 2.
+    let k = obs_kernel(DcacheConfig::optimized().with_mem_budget(2 << 20));
     let init = k.init_process();
     k.mkdir(&init, "/t", 0o755).unwrap();
     for f in 0..6 {

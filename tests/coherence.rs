@@ -479,6 +479,29 @@ fn a_renamed_link_forgets_where_it_used_to_end() {
     }
 }
 
+/// Two names of one file that are each looked up anew still share one
+/// inode, so a `chmod` through one shows through the other. `link` hands
+/// the new name the source's inode; only after both dentries were evicted
+/// does the inode cache have to find it again.
+#[test]
+fn a_hard_link_looked_up_anew_after_eviction_shares_its_inode() {
+    for config in both_configs() {
+        let k = KernelBuilder::new(config.with_seed(99)).build().unwrap();
+        let p = k.init_process();
+        k.mkdir(&p, "/x", 0o755).unwrap();
+        k.mkdir(&p, "/y", 0o755).unwrap();
+        touch(&k, &p, "/x/file");
+        k.link(&p, "/x/file", "/y/alias").unwrap();
+        let ino = k.stat(&p, "/x/file").unwrap().ino;
+        assert_eq!(k.stat(&p, "/y/alias").unwrap().ino, ino);
+        k.memory_pressure(0);
+        assert_eq!(k.stat(&p, "/x/file").unwrap().ino, ino);
+        assert_eq!(k.stat(&p, "/y/alias").unwrap().ino, ino);
+        k.chmod(&p, "/y/alias", 0o600).unwrap();
+        assert_eq!(k.stat(&p, "/x/file").unwrap().mode, 0o600);
+    }
+}
+
 /// What the purity rule keeps: a plain body — every component a real
 /// entry walked downward, like `repro fig6`'s `link-f` and `link-d` —
 /// chains on the fastpath, as a final component and as a prefix, and a

@@ -291,7 +291,8 @@ enum Variant {
     Without(u64),
     /// A 24-dentry cache: constant eviction pressure.
     Capacity24,
-    /// A soft byte budget: auto-shrink on allocation pressure.
+    /// A 64 KiB budget: eviction on allocation pressure, and a
+    /// resident-PCC cap of one, so the processes' PCCs evict each other.
     MemBudget,
     /// A full memory-pressure shrink every so many steps — the shrinker
     /// may cost performance, never answers.

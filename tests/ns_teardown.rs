@@ -24,10 +24,9 @@ fn main() {
     println!("ns_teardown: ok (leak-free under {READERS} racing readers, O(1) teardown locks)");
 }
 
+/// A budget whose resident-PCC cap is 64 (64 × 16 × 64 KiB).
 fn tenancy_config() -> DcacheConfig {
-    DcacheConfig::optimized()
-        .with_tenant_buckets(1 << 7)
-        .with_pcc_max_resident(64)
+    DcacheConfig::optimized().with_mem_budget(64 << 20)
 }
 
 /// Epoch-drain loop: retired garbage frees a collection cycle or two

@@ -163,7 +163,7 @@ fn byte_budget_bounds_cache_and_stays_correct() {
     assert!(
         k.dcache
             .stats
-            .shrinks
+            .evictions
             .load(std::sync::atomic::Ordering::Relaxed)
             > 0
     );
