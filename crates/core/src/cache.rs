@@ -53,11 +53,19 @@ pub struct Dcache {
     lru: DentryLru,
     /// Global shootdown counter: slowpath results may only be published to
     /// DLHT/PCC if this did not move during the walk (§3.2).
-    invalidation: AtomicU64,
+    pub(crate) invalidation: crate::dsync::AtomicU64,
     next_id: AtomicU64,
     live: AtomicU64,
     tick: AtomicU64,
     pccs: Mutex<Vec<PccSlot>>,
+}
+
+/// [`Dcache::lookup_cached`]'s answer: a live entry, a proven absence,
+/// or nothing the cache can say.
+pub enum Cached {
+    Entry(Arc<Dentry>),
+    Absent,
+    Unknown,
 }
 
 /// Registry entry for one resident PCC: which credential it is attached
@@ -100,7 +108,7 @@ impl Dcache {
             dlhts: SnapMap::new(),
             retired_ns: Mutex::new(HashSet::new()),
             lru: DentryLru::new(8),
-            invalidation: AtomicU64::new(0),
+            invalidation: crate::dsync::AtomicU64::new(0),
             next_id: AtomicU64::new(1),
             live: AtomicU64::new(0),
             tick: AtomicU64::new(1),
@@ -176,6 +184,23 @@ impl Dcache {
     /// Per-parent cached-child lookup (`d_lookup`).
     pub fn d_lookup(&self, parent: &Dentry, name: &str) -> Option<Arc<Dentry>> {
         parent.get_child(name)
+    }
+
+    /// What the cache alone says of `name` in `parent` (§5.1). Eviction
+    /// marks a child dead, clears the parent's completeness, then removes
+    /// the child: a dying same-name entry beside a still-set flag
+    /// disqualifies the short-circuit, so memory pressure can slow a
+    /// lookup but never fabricate `ENOENT` for a name the file system has.
+    pub fn lookup_cached(&self, parent: &Dentry, name: &str) -> Cached {
+        let dying = match self.d_lookup(parent, name) {
+            Some(c) if !c.is_dead() => return Cached::Entry(c),
+            found => found.is_some(),
+        };
+        if !dying && self.config.dir_completeness && parent.flag(FLAG_DIR_COMPLETE) {
+            Cached::Absent
+        } else {
+            Cached::Unknown
+        }
     }
 
     // --- state transitions ------------------------------------------------
@@ -586,49 +611,6 @@ impl Dcache {
             freed += occupied;
         }
         freed
-    }
-
-    // --- coherence ----------------------------------------------------------
-
-    /// Current shootdown counter value.
-    #[inline]
-    pub fn invalidation_counter(&self) -> u64 {
-        self.invalidation.load(Ordering::Acquire)
-    }
-
-    /// Advances the shootdown counter, preventing concurrent slowpath
-    /// walks from publishing stale results (§3.2).
-    #[inline]
-    pub fn bump_invalidation(&self) -> u64 {
-        self.invalidation.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Invalidates cached prefix checks for `d` and every cached
-    /// descendant by bumping their version counters; with `structural`
-    /// also evicts them from the DLHT and clears their resumable hash
-    /// states (rename / mount changes — the path strings themselves became
-    /// stale). Returns the number of dentries visited — the linear cost
-    /// the paper measures in Figure 7.
-    pub fn shoot_subtree(&self, d: &Arc<Dentry>, structural: bool) -> u64 {
-        let mut visited = 0u64;
-        let mut stack = vec![d.clone()];
-        while let Some(n) = stack.pop() {
-            visited += 1;
-            // Publish the edited snapshot before bumping the seq:
-            // a lock-free reader that validates against the post-bump seq
-            // must observe the post-shootdown snapshot.
-            if structural {
-                self.dlht_remove(&n);
-                n.clear_hash_state();
-            }
-            n.bump_seq();
-            stack.extend(n.children_snapshot());
-        }
-        self.stats.shootdowns.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .shootdown_visits
-            .fetch_add(visited, Ordering::Relaxed);
-        visited
     }
 
     // --- eviction -------------------------------------------------------------

@@ -10,8 +10,8 @@
 //! | Direct Lookup Hash Table (DLHT), §3.1 | [`Dlht`] |
 //! | Prefix Check Cache (PCC), §3.1 | [`Pcc`] |
 //! | 240-bit path signatures, §3.3 | re-exported from `dc-sighash` |
-//! | Coherence: per-dentry `seq`, global `invalidation` counter, `rename_lock`, subtree shootdowns, §3.2 | [`Dcache`], [`SeqLock`] |
-//! | Directory completeness (`DIR_COMPLETE`), §5.1 | dentry flags + [`Dcache`] helpers |
+//! | Coherence, §3.2: shootdowns, the slow walk's publications, the fast reader's seq sandwich | [`Dcache::shootdown`], [`Publications`], [`Dcache::validate`], [`vouched`] (`coherence.rs`), [`SeqLock`] |
+//! | Directory completeness (`DIR_COMPLETE`), §5.1 | dentry flags + [`Dcache::lookup_cached`] |
 //! | Negative and deep-negative dentries, §5.2 | [`DentryState::Negative`], [`NegKind`] |
 //! | LRU + bottom-up eviction | [`Dcache::shrink`], [`Dcache::drop_unused`] |
 //! | Memory-pressure reclaim (Linux shrinker analog) | [`Dcache::reclaimable_bytes`], [`Dcache::shrink_to_bytes`] |
@@ -26,6 +26,7 @@
 
 pub mod admission;
 mod cache;
+mod coherence;
 mod config;
 mod dentry;
 mod dlht;
@@ -36,12 +37,14 @@ mod lru;
 #[cfg(feature = "dst")]
 pub mod model;
 mod pcc;
+pub mod scratch;
 mod seqlock;
 pub mod snapslab;
 mod stats;
 
 pub use admission::{MemoryGate, Verdict};
-pub use cache::{Dcache, NsId};
+pub use cache::{Cached, Dcache, NsId};
+pub use coherence::{vouched, Publications};
 pub use config::DcacheConfig;
 pub use dentry::{
     Dentry, DentryId, DentryKind, DentrySnap, DentryState, NegKind, FLAG_DIR_COMPLETE,

@@ -6,7 +6,7 @@
 //! real path has well under [`INLINE_COMPONENTS`] components — and both
 //! die before the syscall returns, the textbook case for inline
 //! storage. [`InlineVec`] keeps up to `N` elements in the parent
-//! object itself (for [`crate::path::ParsedPath`], the caller's stack
+//! object itself (for `dc-vfs`'s `ParsedPath`, the caller's stack
 //! frame) and spills to a real `Vec` only past that, so the warm path
 //! performs **zero** heap allocations end to end — asserted by the
 //! allocation-counting harness in `tests/lockfree_read.rs`.

@@ -9,7 +9,7 @@
 //! `read_begin`, an `Acquire` fence on `read_retry`, and `Release`
 //! increments around the write section are sufficient, and what the
 //! publish → bump-seq discipline in `dentry.rs` relies on) is
-//! laid out in DESIGN.md §9; the interleaving-level invariants are
+//! laid out in `coherence.rs`; the interleaving-level invariants are
 //! model-checked by `crates/dst/tests/seqlock_model.rs`.
 
 use crate::dsync::{fence, AtomicU64, Ordering};

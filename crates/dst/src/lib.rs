@@ -24,8 +24,8 @@
 //!   step-stamped operation histories.
 //!
 //! Exploration is sequentially consistent (shuttle-style), not weak
-//! memory (loom-style): see DESIGN.md §9 for where the memory-ordering
-//! argument is made by hand and cross-checked under ThreadSanitizer.
+//! memory (loom-style): `dcache-core`'s `coherence.rs` makes the
+//! memory-ordering argument by hand, and ThreadSanitizer cross-checks it.
 //!
 //! # Example
 //!
@@ -199,11 +199,12 @@ pub fn explore<F: Fn()>(config: Config, f: F) -> Report {
         let policy = if i % pct_every == 0 {
             PolicyKind::Pct {
                 depth: config.pct_depth,
+                expected_len: config.expected_len,
             }
         } else {
             PolicyKind::Random
         };
-        let outcome = runtime::run_one(seed, policy, config.max_steps, config.expected_len, &f);
+        let outcome = runtime::run_one(seed, policy, config.max_steps, &f);
         let mut h = DefaultHasher::new();
         outcome.trace.hash(&mut h);
         distinct.insert(h.finish());
@@ -262,8 +263,7 @@ pub fn check<F: Fn()>(name: &str, config: Config, f: F) {
 /// returns its failure message, if it fails. Seeds printed by [`check`]
 /// go here.
 pub fn replay<F: Fn()>(seed: u64, policy: PolicyKind, f: F) -> Option<String> {
-    let config = Config::default();
-    runtime::run_one(seed, policy, config.max_steps, config.expected_len, f).failure
+    runtime::run_one(seed, policy, Config::default().max_steps, f).failure
 }
 
 /// Replays an exact recorded choice trace (policy-independent; survives

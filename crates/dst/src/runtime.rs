@@ -14,8 +14,8 @@
 //! Weak-memory caveat: interleavings are explored at sequential
 //! consistency (like shuttle/PCT), not the full C11 model (like loom).
 //! Store buffering / load reordering bugs are out of scope; ordering
-//! arguments are documented in DESIGN.md §9 and cross-checked by the
-//! ThreadSanitizer CI lane.
+//! arguments are documented in `dcache-core`'s `coherence.rs` and
+//! cross-checked by the ThreadSanitizer CI lane.
 
 use crate::rng::SplitMix64;
 use std::any::{Any, TypeId};
@@ -42,6 +42,9 @@ pub enum PolicyKind {
     Pct {
         /// Bug depth to target (number of ordering constraints).
         depth: u32,
+        /// The steps the change points fall among: the schedule's rough
+        /// length (`Config::expected_len`).
+        expected_len: u64,
     },
 }
 
@@ -222,11 +225,14 @@ pub fn step() -> u64 {
 static NEXT_EXEC_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Execution {
-    fn new(seed: u64, policy: PolicyKind, max_steps: u64, expected_len: u64) -> Arc<Execution> {
+    fn new(seed: u64, policy: PolicyKind, max_steps: u64) -> Arc<Execution> {
         let mut rng = SplitMix64::new(seed);
         let chooser = match policy {
             PolicyKind::Random => Chooser::Random,
-            PolicyKind::Pct { depth } => {
+            PolicyKind::Pct {
+                depth,
+                expected_len,
+            } => {
                 let mut change_points = Vec::new();
                 for _ in 1..depth.max(1) {
                     change_points.push(rng.next_below(expected_len.max(2)) + 1);
@@ -260,7 +266,7 @@ impl Execution {
     }
 
     fn from_trace(trace: Vec<u32>, max_steps: u64) -> Arc<Execution> {
-        let exec = Execution::new(0, PolicyKind::Random, max_steps, 2);
+        let exec = Execution::new(0, PolicyKind::Random, max_steps);
         exec.lock_state().chooser = Chooser::Replay {
             choices: trace,
             cursor: 0,
@@ -439,14 +445,8 @@ pub(crate) fn vthread_finished(vtid: usize) -> bool {
 
 /// Runs `f` as virtual thread 0 of a fresh execution and returns the
 /// outcome. `policy`/`seed` fully determine the schedule.
-pub(crate) fn run_one<F: Fn()>(
-    seed: u64,
-    policy: PolicyKind,
-    max_steps: u64,
-    expected_len: u64,
-    f: F,
-) -> ExecOutcome {
-    let exec = Execution::new(seed, policy, max_steps, expected_len);
+pub(crate) fn run_one<F: Fn()>(seed: u64, policy: PolicyKind, max_steps: u64, f: F) -> ExecOutcome {
+    let exec = Execution::new(seed, policy, max_steps);
     run_on(exec, f)
 }
 

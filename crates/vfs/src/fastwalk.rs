@@ -16,22 +16,16 @@
 //! slowpath (§4.2).
 
 use crate::kernel::Kernel;
+use crate::mount::Mount;
+use crate::namespace::MountNamespace;
 use crate::path::{ParsedPath, PathRef, WalkRef, WalkResult};
 use crate::process::Process;
-use crate::scratch::{InlineVec, INLINE_COMPONENTS};
-use dc_cred::MAY_EXEC;
+use dc_cred::{Cred, MAY_EXEC};
 use dc_fs::{FileType, FsError, FsResult};
-use dc_obs::TraceEvent;
-use dcache_core::{Dentry, DentryId, DentryKind, HashState, Pcc};
+use dcache_core::scratch::{InlineVec, INLINE_COMPONENTS};
+use dcache_core::{vouched, Dentry, DentrySnap, HashState, Pcc};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Maximum symlink-signature chain length on the fastpath.
-const MAX_LINK_CHAIN: u32 = 40;
-
-/// Maximum optimistic restarts after a per-dentry seq mismatch before
-/// giving up and taking the slowpath.
-const MAX_READ_RETRIES: u32 = 3;
 
 impl Kernel {
     /// Attempts a direct lookup under the caller's epoch pin. `None`
@@ -142,7 +136,7 @@ impl Kernel {
     /// holds it in `attached`.
     pub(crate) fn pcc_under<'g>(
         &self,
-        cred: &Arc<dc_cred::Cred>,
+        cred: &Arc<Cred>,
         ns: dcache_core::NsId,
         attached: &'g mut Option<Arc<Pcc>>,
         guard: &'g crossbeam_epoch::Guard,
@@ -153,262 +147,78 @@ impl Kernel {
         }
     }
 
-    /// Phase 3 of the fastpath: validates a signature against the DLHT
-    /// and answers definitively or not at all. Shared by path-keyed
-    /// resolution ([`fast_resolve`](Kernel::fast_resolve)) and
-    /// signature-keyed server lookups ([`Kernel::lookup_sig`]); the
-    /// caller must hold an epoch pin.
-    ///
-    /// `plain_root` says the caller's process root is the namespace root.
-    /// A symlink's memoized translation — its alias children, its target
-    /// signature — was made by a walk that read the link body under *its*
-    /// root; an absolute body means something else under a `chroot`, and
-    /// the fastpath never reads bodies, so a chrooted caller falls back at
-    /// the first alias or link hop.
-    ///
-    /// Runs optimistically: dentry fields are read from epoch-published
-    /// snapshots, and every terminal answer is revalidated against the
-    /// per-dentry seq counter. A mismatch means a writer republished
-    /// mid-read — restart from the DLHT probe (bounded; exhaustion
-    /// falls back to the slowpath).
+    /// Phase 3 of the fastpath, for path- and signature-keyed lookups:
+    /// [`Dcache::validate`](dcache_core::Dcache::validate) with this
+    /// kernel's mounts and permission check, under the caller's pin.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fast_validate<'g>(
         &self,
-        ns: &Arc<crate::namespace::MountNamespace>,
+        ns: &Arc<MountNamespace>,
         pcc: &Pcc,
-        cred: &dc_cred::Cred,
+        cred: &Cred,
         sig: &dcache_core::Signature,
         follow_last: bool,
         require_dir: bool,
         plain_root: bool,
         guard: &'g crossbeam_epoch::Guard,
     ) -> Option<FsResult<WalkRef<'g>>> {
-        let stats = &self.dcache.stats;
-        let dlht = ns.dlht(&self.dcache);
-        let mut attempts = 0u32;
-        'restart: loop {
-            if attempts == MAX_READ_RETRIES {
-                return None;
-            }
-            attempts += 1;
-            let Some(first) = self.dcache.dlht_lookup_in(dlht, sig, guard) else {
-                stats.fast_miss_dlht.fetch_add(1, Ordering::Relaxed);
-                return None;
-            };
-            if self.dcache.config.fastpath_always_miss {
-                // Figure 6 synthetic: pay the whole fastpath, then miss at
-                // the PCC and fall back.
-                stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-
-            // Validate the hit, dereferencing aliases and (when
-            // following) chaining through symlink target signatures.
-            let mut obj = first;
-            // Set when an alias led to `obj`: the seq and the mount the
-            // alias recorded for it.
-            let mut via: Option<(u64, u64)> = None;
-            let mut chain = 0u32;
-            loop {
-                chain += 1;
-                if chain > MAX_LINK_CHAIN {
-                    return Some(Err(FsError::Loop));
-                }
-                // One sample of the counter, one read of the block: every
-                // answer below about `obj` comes from that read, and a
-                // terminal answer re-checks the counter before it is given.
-                let seq = obj.seq();
-                let seen = obj.view(guard);
-                // An alias speaks for its target only while the target has
-                // not moved and is signed through the mount the alias
-                // reached it by: the target's prefix check (below) is the
-                // one memoized for the path it is signed under.
-                if let Some((target_seq, mount)) = via {
-                    if obj.is_dead() || seq != target_seq || seen.mount != mount {
-                        stats.fast_miss_seq.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                }
-                // Prefix check for the literal dentry we matched. On a PCC
-                // miss the check may simply "not have executed recently"
-                // (§3.1): since a live DLHT entry proves the path mapping is
-                // structurally current (structural changes evict entries),
-                // the prefix check can be re-executed over the in-memory
-                // ancestor chain — far cheaper than the full slowpath. Any
-                // doubt (permission failure, odd ancestors, path-sensitive
-                // LSMs) still falls back.
-                if !pcc.check(obj.id(), seq) {
-                    if self
-                        .fast_revalidate(ns, pcc, &obj, seen.mount, seq, cred, guard)
-                        .is_none()
-                    {
-                        stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                    stats.fast_revalidations.fetch_add(1, Ordering::Relaxed);
-                }
-                let ftype = match seen.kind() {
-                    // Alias dentries redirect to the real object (§4.2); its
-                    // own prefix must also be validated ("The PCC is
-                    // separately checked for the target dentry").
-                    DentryKind::Alias => {
-                        let (target, target_seq) = seen.alias_target()?;
-                        if !plain_root {
-                            return None;
-                        }
-                        via = Some((target_seq, seen.mount));
-                        obj = target;
-                        continue;
-                    }
-                    // Final-position symlink: follow via the recorded target
-                    // signature without touching the link body.
-                    DentryKind::Positive {
-                        ftype: FileType::Symlink,
-                        ..
-                    } if follow_last => {
-                        if !plain_root {
-                            return None;
-                        }
-                        let lsig = seen.link_sig?;
-                        let Some(next) = self.dcache.dlht_lookup_in(dlht, &lsig, guard) else {
-                            stats.fast_miss_dlht.fetch_add(1, Ordering::Relaxed);
-                            return None;
-                        };
-                        via = None;
-                        obj = next;
-                        continue;
-                    }
-                    // Partial dentries need a slowpath upgrade.
-                    DentryKind::Partial { .. } => return None,
-                    // Negative hit: a definitive cached absence (§5.2).
-                    DentryKind::Negative(kind) => {
-                        if !self.dcache.config.negative_dentries {
-                            return None;
-                        }
-                        if obj.is_dead() || obj.seq() != seq {
-                            stats.read_retries.fetch_add(1, Ordering::Relaxed);
-                            self.dcache.obs.event(|| TraceEvent::ReadRetry);
-                            continue 'restart;
-                        }
-                        stats.fast_neg_hits.fetch_add(1, Ordering::Relaxed);
-                        stats.fast_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(Err(kind.error()));
-                    }
-                    DentryKind::Positive { ftype, .. } => ftype,
-                };
-                let inode = seen.inode()?.clone();
-                // Mount validation against the mount the block was signed
-                // through (§4.3). Borrowed under the lookup's pin, and
-                // returned that way: only a caller that keeps the result
-                // takes a reference.
-                let mount = ns.mount_by_id_read(seen.mount, guard)?;
-                if mount.sb.id != obj.sb() || !mount.sb.fs.supports_fastpath() {
-                    return None;
-                }
-                // The counter has not moved since the block was read: a
-                // concurrent rename/chmod/unlink did not republish it.
-                if obj.is_dead() || obj.seq() != seq {
-                    stats.read_retries.fetch_add(1, Ordering::Relaxed);
-                    self.dcache.obs.event(|| TraceEvent::ReadRetry);
-                    continue 'restart;
-                }
-                if require_dir && ftype != FileType::Directory {
-                    return Some(Err(FsError::NotDir));
-                }
-                stats.fast_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Ok(WalkResult {
-                    mount,
-                    dentry: obj,
-                    inode: Some(inode),
-                }));
-            }
-        }
+        let hit = self.dcache.validate(
+            ns.dlht(&self.dcache),
+            pcc,
+            sig,
+            follow_last,
+            require_dir,
+            plain_root,
+            guard,
+            |obj, id| signing_mount(ns, obj, id, guard),
+            |obj, id, memoized| self.climb(ns, obj, id, cred, guard, memoized),
+        )?;
+        Some(hit.map(|(mount, dentry, inode)| WalkResult {
+            mount,
+            dentry,
+            inode: Some(inode),
+        }))
     }
 
-    /// Re-executes a prefix check over the cached ancestor chain of a
-    /// DLHT-resident dentry: search permission on every positive ancestor
-    /// directory, hopping mounts toward the namespace root, up to the
-    /// first one this credential has climbed past before — that entry
-    /// covers everything above it. Succeeding memoizes the result, and the
-    /// directories climbed past (their checks were part of this one) in
-    /// the PCC's directory table, so the next miss below any of them
-    /// stops there: a working set that overflows the PCC pays one level
-    /// per miss. Any irregularity returns `None` and the full
-    /// slowpath decides (preserving directory-reference semantics for
-    /// cwd-relative access and precise errno reporting).
-    #[allow(clippy::too_many_arguments)]
-    fn fast_revalidate(
+    /// A revalidation's climb from `obj` through the mount it was signed
+    /// by, across the mountpoints above. Symlink hops in alias chains are
+    /// skipped; anything irregular (a negative or partial ancestor, a
+    /// denial, a path-sensitive LSM) fails, and the slowpath decides.
+    fn climb(
         &self,
-        ns: &crate::namespace::MountNamespace,
-        pcc: &Pcc,
+        ns: &MountNamespace,
         obj: &Arc<Dentry>,
         signed_via: u64,
-        seq_sample: u64,
-        cred: &dc_cred::Cred,
+        cred: &Cred,
         guard: &crossbeam_epoch::Guard,
+        memoized: &mut dyn FnMut(&Dentry, u64) -> bool,
     ) -> Option<()> {
-        if self.security.needs_path() {
-            return None; // path reconstruction: let the slowpath do it
-        }
+        (!self.security.needs_path()).then_some(())?; // path LSMs: walk
         let mut mount = ns.mount_by_id_read(signed_via, guard)?;
-        if mount.sb.id != obj.sb() {
-            return None;
-        }
-        let renames = self.dcache.rename_lock.try_read_begin();
-        // `(id, seq)` of the directories climbed past, each sampled before
-        // anything above it is read.
-        let mut climbed: InlineVec<(DentryId, u64), INLINE_COMPONENTS> = InlineVec::new();
+        (mount.sb.id == obj.sb()).then_some(())?;
         let mut d = obj.clone();
-        'climb: loop {
-            // Hop over mount roots to the mountpoint they cover.
+        loop {
             while Arc::ptr_eq(&d, &mount.root) {
-                match &mount.parent {
-                    Some((pm, mp)) => {
-                        mount = pm;
-                        d = mp.clone();
-                    }
-                    None => break 'climb,
-                }
+                let Some((pm, mp)) = &mount.parent else {
+                    return Some(()); // the namespace root
+                };
+                mount = pm;
+                d = mp.clone();
             }
             let parent = d.parent()?;
-            let parent_seq = parent.seq();
-            // Search permission on every positive ancestor directory;
-            // symlink hops in alias chains carry no permission of their
-            // own and are skipped, anything unexpected falls back.
+            let seq = parent.seq();
             match parent.view(guard).inode() {
                 Some(inode) if inode.is_dir() => {
-                    if self.permission(cred, inode, MAY_EXEC, None).is_err() {
-                        return None;
+                    self.permission(cred, inode, MAY_EXEC, None).ok()?;
+                    if memoized(&parent, seq) {
+                        return Some(());
                     }
-                    if pcc.check_dir(parent.id(), parent_seq) {
-                        break;
-                    }
-                    climbed.push((parent.id(), parent_seq));
                 }
                 Some(inode) if inode.ftype() == FileType::Symlink => {}
-                Some(_) => return None,
-                None => return None, // negative/partial ancestor: slowpath
+                _ => return None,
             }
             d = parent;
         }
-        if obj.is_dead() || obj.seq() != seq_sample {
-            return None; // raced with an invalidation; be conservative
-        }
-        pcc.insert(obj.id(), seq_sample);
-        // A permission change is applied before its subtree's counters
-        // move, so a directory's sample that saw the old bits is an entry
-        // the shootdown kills. A rename moves the counters first and the
-        // dentry afterwards: a sample taken in between would outlive the
-        // move with the old ancestors' verdict, and unlike `obj` — in the
-        // DLHT a moment ago, which the shootdown empties before it bumps —
-        // nothing says a directory was not in that window. So directories
-        // are memoized only if no rename ran while we climbed.
-        if renames.is_some_and(|r| !self.dcache.rename_lock.read_retry(r)) {
-            for &(id, seq) in climbed.iter() {
-                pcc.insert_dir(id, seq);
-            }
-        }
-        Some(())
     }
 
     /// The directory holding `parsed`'s final component, when the
@@ -457,30 +267,15 @@ impl Kernel {
         let dir = self
             .dcache
             .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?;
-        let seq = dir.seq();
-        let seen = dir.view(guard);
-        let mount = ns.mount_by_id_read(seen.mount, guard)?;
         // A positive directory (not an alias, a partial or a negative
         // entry, not a symlink) reached by its canonical path, by the
         // mount it was published through, and not republished while we
         // looked.
-        let positive_dir = matches!(
-            seen.kind(),
-            DentryKind::Positive {
-                ftype: FileType::Directory,
-                ..
-            }
-        );
-        let vouched = pcc.check(dir.id(), seq)
-            && positive_dir
-            && seen.hash_state == Some(h)
-            && mount.sb.id == dir.sb()
-            && mount.sb.fs.supports_fastpath()
-            && !dir.is_dead()
-            && dir.seq() == seq;
-        if !vouched {
-            return None;
-        }
+        let mount = vouched(pcc, &dir, guard, |seen| {
+            let positive_dir = seen.inode().is_some_and(|i| i.is_dir());
+            (positive_dir && seen.hash_state == Some(h)).then_some(())?;
+            signing_mount(ns, &dir, seen.mount, guard)
+        })?;
         let mut components = InlineVec::new();
         components.push(last);
         let rest = ParsedPath {
@@ -493,14 +288,14 @@ impl Kernel {
 
     /// POSIX-mode dot-dot verification: resolve the prefix built so far
     /// with one extra fastpath probe and re-check permission to search it
-    /// (§4.2). Returns `None` to force the slowpath.
+    /// (§4.2). `None` leaves the precise answer to the slowpath.
     fn posix_dotdot_check(
         &self,
-        ns: &crate::namespace::MountNamespace,
+        ns: &MountNamespace,
         pcc: &Pcc,
         anchor: &PathRef,
         pending: &[&str],
-        cred: &dc_cred::Cred,
+        cred: &Cred,
         guard: &crossbeam_epoch::Guard,
     ) -> Option<()> {
         let dentry: Arc<Dentry> = if pending.is_empty() {
@@ -514,20 +309,25 @@ impl Kernel {
             self.dcache
                 .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?
         };
-        // The prefix must be a real directory (a symlink prefix needs the
-        // slowpath: ".." is relative to the link *target*).
-        let inode = dentry.inode()?;
-        if !inode.is_dir() {
-            return None;
-        }
-        // Prefix check for the intermediate + inline search permission.
-        let at_root = Arc::ptr_eq(&dentry, &ns.root_mount_read(guard).root);
-        if !at_root && !pcc.check(dentry.id(), dentry.seq()) {
-            return None;
-        }
-        if self.permission(cred, &inode, MAY_EXEC, None).is_err() {
-            return None; // let the slowpath produce the precise error
-        }
-        Some(())
+        // A real directory (".." under a symlink is relative to its target)
+        // with a current prefix check, unless it is the namespace root.
+        let dir = |seen: &DentrySnap| seen.inode().filter(|i| i.is_dir()).cloned();
+        let inode = match Arc::ptr_eq(&dentry, &ns.root_mount_read(guard).root) {
+            true => dir(dentry.view(guard)),
+            false => vouched(pcc, &dentry, guard, dir),
+        }?;
+        self.permission(cred, &inode, MAY_EXEC, None).ok()
     }
+}
+
+/// Mount `id`, under the lookup's pin, if it still serves `d` on the
+/// fastpath: it exists in `ns` and holds `d`'s superblock (§4.3).
+fn signing_mount<'g>(
+    ns: &MountNamespace,
+    d: &Dentry,
+    id: u64,
+    guard: &'g crossbeam_epoch::Guard,
+) -> Option<&'g Arc<Mount>> {
+    let mount = ns.mount_by_id_read(id, guard)?;
+    (mount.sb.id == d.sb() && mount.sb.fs.supports_fastpath()).then_some(mount)
 }

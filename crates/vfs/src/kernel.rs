@@ -12,7 +12,7 @@ use dc_fs::{FileSystem, FsResult, MemFs, MemFsConfig};
 use dc_obs::{MetricSource, MetricsSnapshot, ObsConfig, Recorder};
 use dcache_core::{Dcache, DcacheConfig, Dentry};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -173,7 +173,7 @@ impl Kernel {
             root: root_dentry,
         });
         let root_mount = Mount::new_root(1, sb, root_flags);
-        root_mount.root.sign(None, root_mount.id);
+        dcache.sign_mount_root(&root_mount.root, root_mount.id);
         if dcache.obs.is_enabled() {
             if let Some(memfs) = as_memfs(&root_mount.sb.fs) {
                 memfs.disk().attach_recorder(dcache.obs.clone());
@@ -300,42 +300,15 @@ impl Kernel {
         self.namespaces.write().insert(ns.id, ns);
     }
 
-    /// [`Dcache::shoot_subtree`](dcache_core::Dcache::shoot_subtree),
-    /// carried through the mounts that hang inside the subtree: what is
-    /// mounted below a renamed or re-moded directory is reached by a path
-    /// through it, but lives in another dentry tree (or, for a bind, in
-    /// another corner of the same one). The walk of dentry children alone
-    /// left every signature and memoized prefix check under a mountpoint
-    /// standing.
-    pub(crate) fn shoot_subtree(&self, top: &Arc<Dentry>, structural: bool) {
-        let mut seen = HashSet::new();
-        let mut tops = vec![top.clone()];
-        while let Some(top) = tops.pop() {
-            if !seen.insert(top.id()) {
-                continue; // a tree bound inside itself
-            }
-            self.dcache.shoot_subtree(&top, structural);
-            let within = |mountpoint: &Arc<Dentry>| {
-                let mut d = Some(mountpoint.clone());
-                while let Some(at) = d {
-                    if Arc::ptr_eq(&at, &top) {
-                        return true;
-                    }
-                    d = at.parent();
-                }
-                false
-            };
-            for ns in self.namespaces.read().values() {
-                if ns.mount_count() < 2 {
-                    continue; // the root mount alone
-                }
-                for m in ns.mounts_snapshot() {
-                    if m.parent.as_ref().is_some_and(|(_, mp)| within(mp)) {
-                        tops.push(m.root.clone());
-                    }
-                }
-            }
-        }
+    /// Every namespace's (mountpoint, mount root) edges: a
+    /// [`shootdown`](Dcache::shootdown) follows them into the trees mounted
+    /// below what it shoots, which live in other dentry trees.
+    pub(crate) fn mount_edges(&self) -> Vec<(Arc<Dentry>, Arc<Dentry>)> {
+        let namespaces = self.namespaces.read();
+        let with_mounts = namespaces.values().filter(|ns| ns.mount_count() > 1);
+        let mounts = with_mounts.flat_map(|ns| ns.mounts_snapshot());
+        let edge = |m: Arc<Mount>| Some((m.parent.as_ref()?.1.clone(), m.root.clone()));
+        mounts.filter_map(edge).collect()
     }
 
     /// Live registered namespaces, including the init namespace.

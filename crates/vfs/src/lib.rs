@@ -48,7 +48,6 @@ mod mount;
 mod namespace;
 mod path;
 mod process;
-mod scratch;
 mod serve;
 mod syscalls;
 mod timing;

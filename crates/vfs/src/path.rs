@@ -1,8 +1,8 @@
 //! Path parsing and walk-result types.
 
 use crate::mount::Mount;
-use crate::scratch::{InlineVec, INLINE_COMPONENTS};
 use dc_fs::{FsError, FsResult};
+use dcache_core::scratch::{InlineVec, INLINE_COMPONENTS};
 use dcache_core::{Dentry, DentryKind, Inode};
 use std::sync::Arc;
 

@@ -33,12 +33,10 @@ impl Kernel {
                 mode: Some(mode & 0o7777),
                 ..Default::default()
             })?;
-            if inode.is_dir() && self.dcache.config.fastpath {
-                // Permission change: version-bump the cached subtree so
-                // every memoized prefix check re-validates (§3.2). The
-                // DLHT entries stay — the paths didn't move.
-                self.dcache.bump_invalidation();
-                self.shoot_subtree(&r.dentry, false);
+            if inode.is_dir() {
+                // Prefix checks memoized through it re-validate (§3.2).
+                self.dcache
+                    .shootdown([&r.dentry], false, &self.mount_edges());
             }
             Ok(())
         })
@@ -73,9 +71,9 @@ impl Kernel {
                 gid,
                 ..Default::default()
             })?;
-            if inode.is_dir() && self.dcache.config.fastpath {
-                self.dcache.bump_invalidation();
-                self.shoot_subtree(&r.dentry, false);
+            if inode.is_dir() {
+                self.dcache
+                    .shootdown([&r.dentry], false, &self.mount_edges());
             }
             Ok(())
         })

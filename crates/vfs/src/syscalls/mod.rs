@@ -13,7 +13,7 @@ use crate::mount::Mount;
 use crate::path::WalkResult;
 use dc_cred::{Cred, MAY_EXEC, MAY_WRITE};
 use dc_fs::{FsError, FsResult, InodeAttr, MODE_STICKY};
-use dcache_core::{Dentry, DentryKind, DentryState, Inode, NegKind, FLAG_DIR_COMPLETE};
+use dcache_core::{Cached, Dentry, DentryKind, DentryState, Inode, NegKind};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -95,26 +95,15 @@ impl Kernel {
         parent: &Arc<Dentry>,
         name: &str,
     ) -> FsResult<Arc<Dentry>> {
-        // A dying same-name entry (mid-eviction) can briefly coexist with
-        // a still-set completeness flag — eviction clears the flag between
-        // marking the child dead and removing it; seeing one disqualifies
-        // the completeness short-circuit below, so eviction races can
-        // never fabricate ENOENT for a file the file system still has,
-        // and memory pressure can slow a lookup down but never fail it.
-        let mut dying_hit = false;
-        if let Some(c) = self.dcache.d_lookup(parent, name) {
-            if !c.is_dead() {
-                self.upgrade_partial_locked(mount, &c)?;
-                return Ok(c);
-            }
-            dying_hit = true;
+        let cached = self.dcache.lookup_cached(parent, name);
+        if let Cached::Entry(c) = cached {
+            self.upgrade_partial_locked(mount, &c)?;
+            return Ok(c);
         }
         let fs = &mount.sb.fs;
         let dir_ino = parent.inode().ok_or(FsError::NoEnt)?.ino;
-        let complete = self.dcache.config.dir_completeness && parent.flag(FLAG_DIR_COMPLETE);
         let stats = &self.dcache.stats;
-        let found = if complete && !dying_hit {
-            // A complete directory proves absence without the file system.
+        let found = if let Cached::Absent = cached {
             stats.complete_neg_avoided.fetch_add(1, Ordering::Relaxed);
             Err(FsError::NoEnt)
         } else {

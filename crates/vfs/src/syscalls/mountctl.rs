@@ -80,12 +80,9 @@ impl Kernel {
             );
             // Structural change: the covered subtree's direct-lookup
             // entries are stale (§3.2, §4.3).
-            self.dcache.bump_invalidation();
-            self.shoot_subtree(&at.dentry, true);
-            // The root is now reached through the new mount: a hash state
-            // another mount of the same superblock left goes in the same
-            // publication.
-            mount.root.sign(None, mount.id);
+            self.dcache
+                .shootdown([&at.dentry], true, &self.mount_edges());
+            self.dcache.sign_mount_root(&mount.root, mount.id);
             let id = mount.id;
             ns.add_mount(mount);
             Ok(id)
@@ -117,8 +114,8 @@ impl Kernel {
                 d.mount.clone(),
                 d.dentry.clone(),
             );
-            self.dcache.bump_invalidation();
-            self.shoot_subtree(&d.dentry, true);
+            self.dcache
+                .shootdown([&d.dentry], true, &self.mount_edges());
             let id = mount.id;
             ns.add_mount(mount);
             Ok(id)
@@ -146,13 +143,9 @@ impl Kernel {
                 }
             }
             ns.remove_mount(at.mount.id).ok_or(FsError::Inval)?;
-            // The unmounted subtree's direct-lookup entries are stale, and
-            // the mountpoint becomes visible again.
-            self.dcache.bump_invalidation();
-            self.shoot_subtree(&at.mount.root, true);
-            if let Some((_, mp)) = &at.mount.parent {
-                mp.bump_seq();
-            }
+            // The unmounted subtree's direct-lookup entries are stale.
+            self.dcache
+                .shootdown([&at.mount.root], true, &self.mount_edges());
             Ok(())
         })
     }

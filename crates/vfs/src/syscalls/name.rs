@@ -154,17 +154,9 @@ impl Kernel {
             return Ok(());
         }
 
-        // §3.2: counter first, then the shootdowns, then the mutation.
-        // The recursive invalidation only exists to keep the fastpath
-        // caches coherent; the unmodified kernel keeps rename
-        // constant-time (Figure 7's comparison).
-        if self.dcache.config.fastpath {
-            self.dcache.bump_invalidation();
-            self.shoot_subtree(&src, true);
-            if let Some(d) = &dst {
-                self.shoot_subtree(d, true);
-            }
-        }
+        // §3.2: the shootdown first, then the mutation.
+        let tops = std::iter::once(&src).chain(&dst);
+        self.dcache.shootdown(tops, true, &self.mount_edges());
 
         let old_dir_ino = parent_attr.ino;
         let new_dir_ino = prn.parent.require_inode()?.ino;

@@ -9,9 +9,8 @@
 //!   rename seqlock and retries (bounded, then excludes writers) — the
 //!   RCU-walk/ref-walk split;
 //! - while walking (optimized configurations) it computes the running
-//!   path signature, stores resumable hash states in dentries, and queues
-//!   DLHT/PCC publications that are applied only if no shootdown ran
-//!   concurrently (`invalidation` counter), with rollback on a lost race;
+//!   path signature and queues the DLHT / PCC publications the core's
+//!   [`Publications`] apply once the walk validated (§3.2);
 //! - negative dentries, deep negative chains, directory-completeness
 //!   short-circuits, and symlink alias creation all happen here, policy
 //!   driven by [`dcache_core::DcacheConfig`].
@@ -24,7 +23,9 @@ use crate::process::Process;
 use dc_cred::{Cred, PermCtx, MAY_EXEC};
 use dc_fs::{FileSystem, FileType, FsError, FsResult};
 use dc_obs::{LookupOutcome, TraceEvent};
-use dcache_core::{Dentry, DentryKind, DentryState, HashState, Inode, NegKind, Pcc, Signature};
+use dcache_core::{
+    Cached, Dentry, DentryKind, DentryState, HashState, Inode, NegKind, Publications,
+};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -42,31 +43,6 @@ pub(crate) struct ParentResult {
     pub name: String,
     /// The path had a trailing slash — the target must be a directory.
     pub require_dir: bool,
-}
-
-/// A queued cache publication, applied after walk validation (§3.2).
-enum Publish {
-    Dlht {
-        dentry: Arc<Dentry>,
-        sig: Signature,
-        state: HashState,
-        mount: u64,
-    },
-    Pcc {
-        id: u64,
-        seq: u64,
-    },
-    /// A symlink's target signature (§4.2), as resolved from the mount
-    /// the link was reached through: under a bind mount the same body
-    /// crosses different mountpoints. Queued behind the link's own `Dlht`
-    /// publication — signing the link through a new mount clears what an
-    /// earlier walk left — and dropped unless the link ends up signed
-    /// through `mount`, the only lookups it is true for.
-    LinkSig {
-        link: Arc<Dentry>,
-        sig: Signature,
-        mount: u64,
-    },
 }
 
 impl Kernel {
@@ -264,9 +240,7 @@ impl Kernel {
         for n in names.iter().rev() {
             self.dcache.key.push_component(&mut h, n.as_bytes());
         }
-        if at.dentry.view(guard).hash_state.is_none() {
-            at.dentry.sign(Some(h), at.mount.id);
-        }
+        self.dcache.sign_unsigned(&at.dentry, h, at.mount.id, guard);
         Some(h)
     }
 
@@ -296,7 +270,7 @@ impl Kernel {
                 let mut w = SlowWalk::new(self, proc, start, parsed.absolute);
                 let out = run(&mut w, parsed);
                 // No concurrent rename is possible; publish directly.
-                self.apply_publishes(w);
+                w.queue.apply(|| w.ns.dlht_handle(&self.dcache));
                 return out;
             }
             let rseq = self.dcache.rename_lock.read_begin();
@@ -317,60 +291,8 @@ impl Kernel {
                 self.dcache.obs.event(|| TraceEvent::SeqRetry);
                 continue;
             }
-            self.apply_publishes(w);
+            w.queue.apply(|| w.ns.dlht_handle(&self.dcache));
             return out;
-        }
-    }
-
-    /// Applies queued publications; rolls back if a shootdown raced
-    /// (read-before/read-after on the invalidation counter, §3.2).
-    fn apply_publishes(&self, w: SlowWalk<'_>) {
-        if w.publishes.is_empty() {
-            return;
-        }
-        let ns = w.ns.clone();
-        let pcc = w.pcc.clone();
-        for p in &w.publishes {
-            match p {
-                Publish::Dlht {
-                    dentry,
-                    sig,
-                    state,
-                    mount,
-                } => {
-                    dentry.sign(Some(*state), *mount);
-                    // Publish through the namespace's memoized handle so
-                    // the dentry records *which table* it lives in: if
-                    // the namespace is torn down mid-walk the insert
-                    // lands in the retired (dying) table, not a revived
-                    // map entry.
-                    let table = ns.dlht_handle(&self.dcache);
-                    self.dcache.dlht_insert_in(table, *sig, dentry);
-                }
-                Publish::Pcc { id, seq } => {
-                    if let Some(pcc) = &pcc {
-                        pcc.insert(*id, *seq);
-                    }
-                }
-                Publish::LinkSig { link, sig, mount } => link.store_link_sig(*sig, *mount),
-            }
-        }
-        if self.dcache.invalidation_counter() != w.inv0 {
-            // Lost a race with a shootdown: undo everything we added.
-            for p in &w.publishes {
-                match p {
-                    Publish::Dlht { dentry, .. } => {
-                        dentry.clear_hash_state();
-                        self.dcache.dlht_remove(dentry);
-                    }
-                    Publish::Pcc { id, .. } => {
-                        if let Some(pcc) = &pcc {
-                            pcc.forget(*id);
-                        }
-                    }
-                    Publish::LinkSig { link, .. } => link.clear_hash_state(),
-                }
-            }
         }
     }
 }
@@ -394,16 +316,11 @@ struct SlowWalk<'k> {
     cur: PathRef,
     /// Fastpath-support machinery enabled (publishing, hashing).
     fast: bool,
-    pcc: Option<Arc<Pcc>>,
     /// Running literal-path hash state; `None` disables DLHT publishing.
     hstate: Option<HashState>,
     /// Set while the literal path has diverged from the canonical path
     /// (inside a symlink'd suffix): the tail of the alias chain (§4.2).
     alias_parent: Option<Arc<Dentry>>,
-    /// PCC publication allowed: the walk is anchored at the namespace
-    /// root, or the anchor itself had a valid memoized prefix check
-    /// (the §3.2 directory-reference rule).
-    pcc_ok: bool,
     /// The process root is the namespace root: an absolute symlink body
     /// means to this walk what it means to everyone it publishes for.
     plain_root: bool,
@@ -412,8 +329,7 @@ struct SlowWalk<'k> {
     link_depth: u32,
     /// Components stepped so far (the `SlowStep` span payload).
     steps: u32,
-    publishes: Vec<Publish>,
-    inv0: u64,
+    queue: Publications<'k>,
 }
 
 impl<'k> SlowWalk<'k> {
@@ -431,13 +347,8 @@ impl<'k> SlowWalk<'k> {
         let guard = &crossbeam_epoch::pin();
         let at_ns_root = ns.is_root(&anchor.mount, &anchor.dentry, guard);
         let plain_root = ns.is_root(&root.mount, &root.dentry, guard);
-        let pcc_ok = fast
-            && (at_ns_root
-                || pcc
-                    .as_ref()
-                    .is_some_and(|p| p.check(anchor.dentry.id(), anchor.dentry.seq())));
+        let queue = k.dcache.publications(pcc, &anchor.dentry, at_ns_root);
         let path_str = k.security.needs_path().then(|| k.vfs_path_of(&anchor));
-        let inv0 = k.dcache.invalidation_counter();
         let mut w = SlowWalk {
             k,
             cred,
@@ -445,16 +356,13 @@ impl<'k> SlowWalk<'k> {
             root,
             cur: anchor,
             fast,
-            pcc,
             hstate: None,
             alias_parent: None,
-            pcc_ok,
             plain_root,
             path_str,
             link_depth: 0,
             steps: 0,
-            publishes: Vec::new(),
-            inv0,
+            queue,
         };
         w.hstate = w.state_of_cur(true);
         w
@@ -693,8 +601,7 @@ impl<'k> SlowWalk<'k> {
     /// [`Kernel::lookup_one_locked`] with it.
     fn lookup_child(&mut self, name: &str) -> FsResult<Arc<Dentry>> {
         let (mount, parent) = (&self.cur.mount, &self.cur.dentry);
-        let cached = self.k.dcache.d_lookup(parent, name);
-        let Some(c) = cached.filter(|c| !c.is_dead()) else {
+        let Cached::Entry(c) = self.k.dcache.lookup_cached(parent, name) else {
             let _g = parent.dir_lock().lock();
             return self.k.lookup_one_locked(mount, parent, name);
         };
@@ -723,94 +630,38 @@ impl<'k> SlowWalk<'k> {
         // beside that signature — not for a walk that has none, and not
         // for an alias's target, which this walk does not sign.
         let Some(h) = self.hstate else { return };
-        match &self.alias_parent {
-            None => {
-                if self.pcc_ok {
-                    // Skip the queue when the memoized check is already
-                    // current; repeated slowpath walks (mutation-heavy
-                    // workloads) would otherwise re-publish every
-                    // component every time.
-                    let already = self
-                        .pcc
-                        .as_ref()
-                        .is_some_and(|p| p.check(dentry.id(), dentry.seq()));
-                    if !already {
-                        self.publishes.push(Publish::Pcc {
-                            id: dentry.id(),
-                            seq: dentry.seq(),
-                        });
-                    }
-                }
-                // Invariant: a dentry whose stored hash state equals the
-                // running state is already published in the DLHT under
-                // this signature (stores and membership move together,
-                // and structural shootdowns clear both).
-                if dentry.hash_state_via(mount_id) == Some(h) {
-                    return;
-                }
-                let sig = self.k.dcache.key.finish(&h);
-                self.publishes.push(Publish::Dlht {
-                    dentry: dentry.clone(),
-                    sig,
-                    state: h,
-                    mount: mount_id,
-                });
-            }
+        let signed = match self.alias_parent.clone() {
+            None => dentry.clone(),
             Some(ap) => {
                 // The literal path diverged at a symlink: publish an alias
                 // child carrying the redirect (§4.2).
-                let sig = self.k.dcache.key.finish(&h);
-                let ap = ap.clone();
                 let name = dentry.name();
-                let alias = {
-                    let _g = ap.dir_lock().lock();
-                    let current = |a: &Dentry| {
-                        let target = a.view(&crossbeam_epoch::pin()).alias_target();
-                        target.is_some_and(|(t, s)| Arc::ptr_eq(&t, dentry) && s == t.seq())
-                    };
-                    match self.k.dcache.d_lookup(&ap, &name) {
-                        Some(a) if current(&a) => a,
-                        Some(a) => {
-                            // Stale alias: retarget it.
-                            a.set_state(DentryState::SymlinkAlias {
-                                target: dentry.clone(),
-                                target_seq: dentry.seq(),
-                            });
-                            a
-                        }
-                        None => {
-                            let a = self.k.dcache.d_alloc(
-                                &ap,
-                                &name,
-                                DentryState::SymlinkAlias {
-                                    target: dentry.clone(),
-                                    target_seq: dentry.seq(),
-                                },
-                            );
-                            self.k
-                                .dcache
-                                .stats
-                                .symlink_aliases
-                                .fetch_add(1, Ordering::Relaxed);
-                            a
-                        }
+                let _g = ap.dir_lock().lock();
+                let current = |a: &Dentry| {
+                    let target = a.view(&crossbeam_epoch::pin()).alias_target();
+                    target.is_some_and(|(t, s)| Arc::ptr_eq(&t, dentry) && s == t.seq())
+                };
+                let redirect = || DentryState::SymlinkAlias {
+                    target: dentry.clone(),
+                    target_seq: dentry.seq(),
+                };
+                let alias = match self.k.dcache.d_lookup(&ap, &name) {
+                    Some(a) if current(&a) => a,
+                    Some(a) => {
+                        a.set_state(redirect()); // stale alias: retarget it
+                        a
+                    }
+                    None => {
+                        let stats = &self.k.dcache.stats;
+                        stats.symlink_aliases.fetch_add(1, Ordering::Relaxed);
+                        self.k.dcache.d_alloc(&ap, &name, redirect())
                     }
                 };
-                if self.pcc_ok {
-                    self.publishes.push(Publish::Pcc {
-                        id: alias.id(),
-                        seq: alias.seq(),
-                    });
-                }
-                self.publishes.push(Publish::Dlht {
-                    dentry: alias.clone(),
-                    sig,
-                    state: h,
-                    mount: mount_id,
-                });
-                self.alias_parent = Some(alias);
+                self.alias_parent = Some(alias.clone());
+                alias
             }
-        }
+        };
+        self.queue.add(&signed, h, mount_id);
     }
 
     fn push_path_seg(&mut self, name: &str) {
@@ -891,8 +742,7 @@ impl<'k> SlowWalk<'k> {
         let end = self.hstate.filter(|_| pure); // `None` with the fastpath off
         if let Some(h) = end {
             let sig = self.k.dcache.key.finish(&h);
-            let (link, mount) = (link.clone(), via);
-            self.publishes.push(Publish::LinkSig { link, sig, mount });
+            self.queue.link(link.clone(), sig, via);
         }
         if end.is_some() && saved_alias.is_none() {
             self.hstate = saved_hstate;

@@ -208,8 +208,8 @@ impl Kernel {
         };
         let key = &self.dcache.key;
         let sb_id = root_mount.sb.id;
-        let table = init_ns.dlht_handle(&self.dcache).clone();
         let root_ino = fs.root_ino();
+        let mut published = self.dcache.publications(None, &root_mount.sb.root, true);
         // Rehydrated directories, keyed by inode number: each entry
         // resumes hashing from its parent's recomputed state. Seeded
         // with the root; entries are parents-first, so a missing parent
@@ -251,13 +251,13 @@ impl Kernel {
                     }
                 }
             };
-            dentry.sign(Some(st), root_mount.id);
-            self.dcache.dlht_insert_in(&table, sig, &dentry);
+            published.add(&dentry, st, root_mount.id);
             outcome.published += 1;
             if is_dir {
                 dirs.insert(e.ino, (dentry, st));
             }
         }
+        published.apply(|| init_ns.dlht_handle(&self.dcache));
         Ok(outcome)
     }
 }

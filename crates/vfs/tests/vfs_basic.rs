@@ -500,3 +500,97 @@ fn component_lookup_counts_the_same_from_every_entry_point() {
         assert_eq!(counted(&unlink_absent), pick((1, 1, 0, 0), (0, 0, 0, 1)));
     });
 }
+
+/// The §3.2 protocol's work, counted over one script that exercises
+/// every kind of shootdown: `(shootdowns, shootdown_visits, fast_hits,
+/// fast_revalidations, fast_miss_dlht, fast_miss_pcc, read_retries)`
+/// for each phase, per configuration (baseline, optimized).
+#[test]
+fn coherence_counts_per_phase() {
+    use std::sync::atomic::Ordering::Relaxed;
+    both(|k, p| {
+        let optimized = k.dcache.config.fastpath;
+        let pick = |baseline, opt| if optimized { opt } else { baseline };
+        let counted = |run: &dyn Fn()| {
+            k.reset_stats();
+            run();
+            let s = &k.dcache.stats;
+            (
+                s.shootdowns.load(Relaxed),
+                s.shootdown_visits.load(Relaxed),
+                s.fast_hits.load(Relaxed),
+                s.fast_revalidations.load(Relaxed),
+                s.fast_miss_dlht.load(Relaxed),
+                s.fast_miss_pcc.load(Relaxed),
+                s.read_retries.load(Relaxed),
+            )
+        };
+        let files = ["/t/d/x", "/t/d/y", "/t/d/sub/z", "/t/e/w"];
+        for dir in ["/t", "/t/d", "/t/d/sub", "/t/e"] {
+            k.mkdir(&p, dir, 0o755).unwrap();
+        }
+        for f in files {
+            let fd = k.open(&p, f, OpenFlags::create(), 0o644).unwrap();
+            k.close(&p, fd).unwrap();
+        }
+        let stat_all = || {
+            for f in files {
+                k.stat(&p, f).unwrap();
+            }
+        };
+        let fresh = || {
+            let disk = Arc::new(dc_blockdev::CachedDisk::new(dc_blockdev::DiskConfig {
+                capacity_blocks: 1024,
+                ..Default::default()
+            }));
+            let config = dc_fs::MemFsConfig {
+                max_inodes: 64,
+                ..Default::default()
+            };
+            dc_fs::MemFs::mkfs(disk, config).unwrap() as Arc<dyn dc_fs::FileSystem>
+        };
+        let phases: [(&str, &dyn Fn()); 8] = [
+            ("stat", &stat_all),
+            ("chmod", &|| k.chmod(&p, "/t/d", 0o711).unwrap()),
+            ("stat after chmod", &stat_all),
+            ("rename there and back", &|| {
+                k.rename(&p, "/t/d", "/t/moved").unwrap();
+                k.rename(&p, "/t/moved", "/t/d").unwrap();
+            }),
+            ("stat after rename", &stat_all),
+            ("mount, umount", &|| {
+                k.mount_fs(&p, fresh(), "/t/d/sub", Default::default())
+                    .unwrap();
+                k.stat(&p, "/t/d/sub").unwrap();
+                k.umount(&p, "/t/d/sub").unwrap();
+            }),
+            ("bind mount, umount", &|| {
+                k.bind_mount(&p, "/t/e", "/t/d/sub").unwrap();
+                k.stat(&p, "/t/d/sub/w").unwrap();
+                k.umount(&p, "/t/d/sub").unwrap();
+            }),
+            ("stat after umount", &stat_all),
+        ];
+        let got: Vec<_> = phases
+            .iter()
+            .map(|(name, run)| (*name, counted(*run)))
+            .collect();
+        // The baseline shoots nothing, mount changes included, by design:
+        // it reads no seq, DLHT entry or hash state.
+        let want = pick(
+            [(0, 0, 0, 0, 0, 0, 0); 8],
+            [
+                (0, 0, 0, 0, 4, 0, 0),
+                (1, 5, 1, 0, 0, 0, 0),
+                (0, 0, 4, 3, 0, 0, 0),
+                (4, 12, 0, 0, 0, 0, 0),
+                (0, 0, 1, 0, 3, 0, 0),
+                (2, 3, 2, 0, 1, 0, 0),
+                (2, 4, 2, 1, 2, 0, 0),
+                (0, 0, 2, 0, 2, 0, 0),
+            ],
+        );
+        let want: Vec<_> = phases.iter().map(|(n, _)| *n).zip(want).collect();
+        assert_eq!(got, want);
+    });
+}
