@@ -957,6 +957,33 @@ mod tests {
     }
 
     #[test]
+    fn churn_without_pressure_keeps_the_lru_queue_bounded() {
+        let dc = cache(DcacheConfig::optimized());
+        let root = dc.new_root(1, root_inode(&dc));
+        // The cache half of create f{j}, rename it over "g", and the
+        // negative its old name leaves: two allocations per round and a
+        // steady ~20 live dentries, with no scan ever run.
+        for i in 0..20_000u64 {
+            let name = format!("f{}", i % 16);
+            if let Some(gone) = dc.d_lookup(&root, &name) {
+                dc.unhash(&gone, false);
+            }
+            let ftype = dc_fs::FileType::Regular;
+            let f = dc.d_alloc(&root, &name, DentryState::Partial { ino: i + 2, ftype });
+            if let Some(target) = dc.d_lookup(&root, "g") {
+                dc.unhash(&target, false);
+            }
+            dc.d_move(&f, &root, "g");
+            neg(&dc, &root, &name);
+        }
+        let live = dc.live() as usize;
+        // Eight shards, none swept below 128 entries.
+        let bound = 4 * live + 8 * 128;
+        let queued = dc.lru.len();
+        assert!(queued <= bound, "{queued} queued for {live} live dentries");
+    }
+
+    #[test]
     fn drop_unused_empties_everything_unpinned() {
         let dc = cache(DcacheConfig::optimized());
         let root = dc.new_root(1, root_inode(&dc));

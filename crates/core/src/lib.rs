@@ -24,7 +24,6 @@
 //! so the same structures serve both the baseline (component-at-a-time)
 //! and optimized (single-hash-lookup) walkers.
 
-pub mod admission;
 mod cache;
 mod coherence;
 mod config;
@@ -42,7 +41,6 @@ mod seqlock;
 pub mod snapslab;
 mod stats;
 
-pub use admission::{MemoryGate, Verdict};
 pub use cache::{Cached, Dcache, NsId};
 pub use coherence::{vouched, Publications};
 pub use config::DcacheConfig;

@@ -28,10 +28,27 @@ pub enum EvictOutcome {
 /// path), and the scan rotates to the back every candidate its callback
 /// keeps — one that is still referenced or still has cached children. A
 /// second-chance FIFO rather than a true LRU.
+///
+/// Every allocation queues a candidate, but a dentry can be freed without
+/// a scan (unlink, rename over it, an unhashed subtree), and its `Weak`
+/// keeps the freed dentry's allocation alive. So a shard drops its dead
+/// candidates once it has doubled since it last did: amortized O(1) per
+/// insert, a queue at most about twice the live candidates, and the live
+/// ones left in their order — a scan sees exactly what it saw before.
 pub struct DentryLru {
-    shards: Vec<Mutex<VecDeque<Weak<Dentry>>>>,
+    shards: Vec<Mutex<Shard>>,
     next_insert: AtomicUsize,
     next_scan: AtomicUsize,
+}
+
+/// Shorter shards are never swept.
+const MIN_SWEEP: usize = 64;
+
+#[derive(Default)]
+struct Shard {
+    queue: VecDeque<Weak<Dentry>>,
+    /// Queue length after the last sweep.
+    swept: usize,
 }
 
 impl DentryLru {
@@ -39,7 +56,7 @@ impl DentryLru {
     pub fn new(shards: usize) -> DentryLru {
         DentryLru {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             next_insert: AtomicUsize::new(0),
             next_scan: AtomicUsize::new(0),
@@ -49,13 +66,18 @@ impl DentryLru {
     /// Registers a dentry as an eviction candidate.
     pub fn insert(&self, d: &Arc<Dentry>) {
         let i = self.next_insert.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[i].lock().push_back(Arc::downgrade(d));
+        let mut shard = self.shards[i].lock();
+        shard.queue.push_back(Arc::downgrade(d));
+        if shard.queue.len() >= 2 * shard.swept.max(MIN_SWEEP) {
+            shard.queue.retain(|w| w.strong_count() > 0);
+            shard.swept = shard.queue.len();
+        }
     }
 
     /// Total queued candidates (including dead weak entries).
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().queue.len()).sum()
     }
 
     /// Scans up to `max_scan` candidates in approximate LRU order,
@@ -71,7 +93,8 @@ impl DentryLru {
         let start = self.next_scan.fetch_add(1, Ordering::Relaxed);
         'outer: for off in 0..nshards {
             let shard = &self.shards[(start + off) % nshards];
-            let mut q = shard.lock();
+            let mut shard = shard.lock();
+            let q = &mut shard.queue;
             let mut rotations = q.len();
             while scanned < max_scan && rotations > 0 {
                 let Some(weak) = q.pop_front() else { break };
@@ -88,6 +111,8 @@ impl DentryLru {
                     EvictOutcome::Keep => q.push_back(Arc::downgrade(&d)),
                 }
             }
+            // The next sweep comes at twice what the scan left.
+            shard.swept = shard.swept.min(shard.queue.len());
             if scanned >= max_scan {
                 break 'outer;
             }

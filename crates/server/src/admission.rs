@@ -1,6 +1,6 @@
 //! Memory-budget admission control for serving tiers.
 //!
-//! [`crate::Dcache::shrink_to_bytes`] reclaims cache memory once asked;
+//! [`dcache_core::Dcache::shrink_to_bytes`] reclaims cache memory once asked;
 //! what a front-end still needs is the *asking* policy: notice that the
 //! cache footprint has outgrown its budget, shed new work with a typed
 //! `EAGAIN`-style rejection instead of queueing it, and re-open once
@@ -13,7 +13,7 @@
 //!   (⅞ · budget by default), so a footprint hovering at the budget
 //!   does not flap admit/reject on every batch.
 //! - **Sampled probing.** Computing the footprint
-//!   ([`crate::Dcache::reclaimable_bytes`] walks DLHT footprints and PCC
+//!   ([`dcache_core::Dcache::reclaimable_bytes`] walks DLHT footprints and PCC
 //!   byte counts) is too expensive per admission. While open, the gate
 //!   probes once every `sample_every` admissions; while tripped it
 //!   probes on every call, because re-opening promptly matters more

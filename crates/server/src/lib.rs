@@ -9,12 +9,14 @@
 //! held across the frame — the pin and its accounting amortize over
 //! every lookup nested inside it), and sheds load with typed
 //! `Overloaded` rejections when the submission queue fills or a
-//! [`dcache_core::MemoryGate`] trips on the kernel's reclaimable
+//! [`MemoryGate`] trips on the kernel's reclaimable
 //! footprint ([`dcache_core::Dcache::reclaimable_bytes`]; the trip edge
 //! runs `Kernel::memory_pressure` instead of stalling).
 //!
 //! Layering:
 //!
+//! - [`admission`] — the memory-budget gate (hysteresis, sampled
+//!   footprint probes, one trip edge per trip);
 //! - [`proto`] — wire format v1: versioned frames, request/response
 //!   records, status codes (pure functions of bytes, no I/O);
 //! - [`transport`] — 4-byte length-prefix framing over any
@@ -28,12 +30,14 @@
 //! See `DESIGN.md` §12 for the protocol rationale and the
 //! admission-control/reclaim interaction.
 
+pub mod admission;
 pub mod client;
 pub mod proto;
 pub mod server;
 pub mod stats;
 pub mod transport;
 
+pub use admission::{MemoryGate, Verdict};
 pub use client::{Client, StreamClient};
 pub use proto::{Op, ReqBody, Request, RespBody, Response, Status};
 pub use server::{Connection, Server, ServerConfig};

@@ -26,7 +26,15 @@
 //!   reclaim); the gate re-opens once the footprint falls below its
 //!   low-water mark. The server never stalls and never panics under
 //!   pressure — it sheds, reclaims, and recovers.
+//!
+//! # Wakeups
+//!
+//! Frames reach the workers and responses reach the clients through one
+//! kind of queue, `Fifo`, which signals its condvar only when a thread
+//! waits on it: a busy worker or a client that has not yet asked for its
+//! response costs the other side no system call.
 
+use crate::admission::{MemoryGate, Verdict};
 use crate::proto::{
     self, DecodedFrame, DecodedReq, Op, RespWriter, Status, STATUS_BAD_VERSION, STATUS_OVERLOADED,
 };
@@ -36,10 +44,9 @@ use dc_fs::{DirEntry, InodeAttr};
 use dc_obs::TraceEvent;
 use dc_sighash::Signature;
 use dc_vfs::{FileType, Kernel, Process, SigLookup};
-use dcache_core::{MemoryGate, Verdict};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -80,23 +87,77 @@ struct Job {
 }
 
 /// Per-connection response mailbox.
-struct ConnShared {
-    responses: Mutex<VecDeque<Vec<u8>>>,
+type ConnShared = Fifo<Vec<u8>>;
+
+/// A FIFO whose condvar is signalled only when a thread waits on it.
+///
+/// std's Linux `Condvar` makes every `notify_*` a futex-wake system
+/// call, whether or not a thread sleeps on it. A waiter counts itself in
+/// `waiting` under the mutex it then waits with, so a push that sees no
+/// waiter may skip the call: a thread not yet counted takes that mutex
+/// and re-checks the queue before it sleeps, and so finds the item.
+struct Fifo<T> {
+    state: Mutex<FifoState<T>>,
     ready: Condvar,
 }
 
-impl ConnShared {
-    fn push(&self, frame: Vec<u8>) {
-        self.responses.lock().unwrap().push_back(frame);
-        self.ready.notify_all();
+struct FifoState<T> {
+    items: VecDeque<T>,
+    /// Threads inside `ready.wait` (or woken and not yet back in the
+    /// lock).
+    waiting: usize,
+}
+
+impl<T> Fifo<T> {
+    fn new() -> Fifo<T> {
+        Fifo {
+            state: Mutex::new(FifoState {
+                items: VecDeque::new(),
+                waiting: 0,
+            }),
+            ready: Condvar::new(),
+        }
     }
 
-    fn pop(&self) -> Vec<u8> {
-        let mut q = self.responses.lock().unwrap();
-        while q.is_empty() {
-            q = self.ready.wait(q).unwrap();
+    fn lock(&self) -> MutexGuard<'_, FifoState<T>> {
+        self.state
+            .lock()
+            .expect("a server thread panicked holding a queue lock")
+    }
+
+    fn push(&self, item: T) {
+        self.push_locked(self.lock(), item);
+    }
+
+    /// Appends `item` under the caller's lock, then signals one waiter,
+    /// if there is one, after releasing it.
+    fn push_locked(&self, mut state: MutexGuard<'_, FifoState<T>>, item: T) {
+        state.items.push_back(item);
+        let wake = state.waiting > 0;
+        drop(state);
+        if wake {
+            self.ready.notify_one();
         }
-        q.pop_front().unwrap()
+    }
+
+    /// The oldest item, sleeping while there is none; `None` once the
+    /// queue is empty and `stop()` holds.
+    fn pop(&self, stop: impl Fn() -> bool) -> Option<T> {
+        let mut state = self.lock();
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
+            if stop() {
+                return None;
+            }
+            state.waiting += 1;
+            state = self
+                .ready
+                .wait(state)
+                .expect("a server thread panicked holding a queue lock");
+            state.waiting -= 1;
+        }
     }
 }
 
@@ -106,8 +167,7 @@ struct Inner {
     gate: Option<MemoryGate>,
     stats: Arc<ServeStats>,
     worker_hists: Vec<Arc<WorkerHists>>,
-    queue: Mutex<VecDeque<Job>>,
-    queue_ready: Condvar,
+    queue: Fifo<Job>,
     creds: RwLock<HashMap<u16, Arc<Process>>>,
     shutdown: AtomicBool,
     /// Ensures only one submitter runs the shrinker per trip edge.
@@ -133,7 +193,9 @@ impl Connection {
 
     /// Blocks for the next response frame.
     pub fn recv_frame(&self) -> Vec<u8> {
-        self.shared.pop()
+        self.shared
+            .pop(|| false)
+            .expect("a mailbox pop waits until a response arrives")
     }
 }
 
@@ -164,8 +226,7 @@ impl Server {
             kernel,
             stats,
             worker_hists: worker_hists.clone(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_ready: Condvar::new(),
+            queue: Fifo::new(),
             creds: RwLock::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             shrink_in_flight: AtomicBool::new(false),
@@ -199,10 +260,7 @@ impl Server {
         self.inner.stats.conns.fetch_add(1, Ordering::Relaxed);
         self.inner.kernel.obs().event(|| TraceEvent::ServeConn);
         Connection {
-            shared: Arc::new(ConnShared {
-                responses: Mutex::new(VecDeque::new()),
-                ready: Condvar::new(),
-            }),
+            shared: Arc::new(Fifo::new()),
             inner: self.inner.clone(),
         }
     }
@@ -250,16 +308,18 @@ impl Server {
         // the lock afterwards sees the flag and rejects, so nothing can
         // slip into the queue once the drain has run.
         let drained: Vec<Job> = {
-            let mut q = self.inner.queue.lock().unwrap();
+            let mut q = self.inner.queue.lock();
             if self.inner.shutdown.swap(true, Ordering::SeqCst) {
                 return;
             }
-            q.drain(..).collect()
+            q.items.drain(..).collect()
         };
         for job in drained {
             self.inner.reject(&job.conn, &job.frame);
         }
-        self.inner.queue_ready.notify_all();
+        // Unconditional: the flag was set under the lock, so a worker
+        // either saw it there or is asleep and must be woken to see it.
+        self.inner.queue.ready.notify_all();
         for h in self.workers.lock().unwrap().drain(..) {
             let _ = h.join();
         }
@@ -300,24 +360,22 @@ impl Inner {
                 }
             }
         }
-        {
-            let mut q = self.queue.lock().unwrap();
-            // Re-checked under the lock: shutdown() sets the flag and
-            // drains while holding it, so a frame enqueued here is
-            // either seen by that drain or rejected right now — never
-            // stranded in the queue with no worker left to answer it.
-            if self.shutdown.load(Ordering::SeqCst) || q.len() >= self.config.queue_depth {
-                drop(q);
-                self.reject(conn, &frame);
-                return;
-            }
-            q.push_back(Job {
-                conn: conn.clone(),
-                frame,
-                enqueued: Instant::now(),
-            });
+        let q = self.queue.lock();
+        // Re-checked under the lock: shutdown() sets the flag and drains
+        // while holding it, so a frame enqueued here is either seen by
+        // that drain or rejected right now — never stranded in the queue
+        // with no worker left to answer it.
+        if self.shutdown.load(Ordering::SeqCst) || q.items.len() >= self.config.queue_depth {
+            drop(q);
+            self.reject(conn, &frame);
+            return;
         }
-        self.queue_ready.notify_one();
+        let job = Job {
+            conn: conn.clone(),
+            frame,
+            enqueued: Instant::now(),
+        };
+        self.queue.push_locked(q, job);
     }
 
     /// Typed frame-level rejection: no decode, an empty response frame
@@ -352,19 +410,7 @@ impl Inner {
     // --- worker side -----------------------------------------------------
 
     fn worker_loop(&self, hists: &WorkerHists) {
-        loop {
-            let job = {
-                let mut q = self.queue.lock().unwrap();
-                loop {
-                    if let Some(job) = q.pop_front() {
-                        break job;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    q = self.queue_ready.wait(q).unwrap();
-                }
-            };
+        while let Some(job) = self.queue.pop(|| self.shutdown.load(Ordering::SeqCst)) {
             hists
                 .queue_wait
                 .record(job.enqueued.elapsed().as_nanos() as u64);
@@ -477,7 +523,7 @@ impl Inner {
                         Ok(attr) => ExecResult::Stat(attr),
                         Err(e) => ExecResult::Status(Status::Fs(e)),
                     },
-                    Op::Readdir => match self.kernel.list_dir(&proc, path) {
+                    Op::Readdir => match self.kernel.readdir_path(&proc, path) {
                         Ok(entries) => {
                             // The encoded body (2 + Σ(10 + name_len))
                             // must fit the u16 body_len — bounding the
@@ -539,5 +585,79 @@ enum ExecResult {
         ftype: FileType,
     },
     Stat(InodeAttr),
-    Readdir(Vec<DirEntry>),
+    /// The listing as the kernel handed it out: a complete directory's
+    /// published block, encoded in place.
+    Readdir(Arc<Vec<DirEntry>>),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{decode_response_frame, encode_request_frame, ReqBody, Request};
+    use dc_vfs::KernelBuilder;
+    use dcache_core::DcacheConfig;
+
+    /// Returns once `n` threads have counted themselves waiting on `fifo`.
+    fn until_waiting<T>(fifo: &Fifo<T>, n: usize) {
+        while fifo.lock().waiting < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn pushes_wake_every_thread_already_waiting() {
+        let fifo = Arc::new(Fifo::new());
+        let poppers: Vec<_> = (0..2)
+            .map(|_| {
+                let fifo = fifo.clone();
+                std::thread::spawn(move || fifo.pop(|| false))
+            })
+            .collect();
+        until_waiting(&fifo, 2);
+        fifo.push(1);
+        fifo.push(2);
+        let mut got: Vec<u32> = poppers
+            .into_iter()
+            .map(|h| h.join().unwrap().unwrap())
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, [1, 2]);
+    }
+
+    #[test]
+    fn an_item_pushed_with_no_waiter_is_popped_and_stop_ends_an_empty_pop() {
+        let fifo = Fifo::new();
+        fifo.push(7);
+        assert_eq!(fifo.lock().waiting, 0);
+        assert_eq!(fifo.pop(|| true), Some(7), "items drain before stop");
+        assert_eq!(fifo.pop(|| true), None);
+    }
+
+    #[test]
+    fn a_frame_to_a_sleeping_worker_wakes_it_and_its_response_wakes_the_client() {
+        let k = KernelBuilder::new(DcacheConfig::optimized())
+            .build()
+            .unwrap();
+        let server = Server::start(
+            k.clone(),
+            ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            },
+        );
+        server.register_cred(1, k.init_process());
+        let conn = server.connect();
+        until_waiting(&server.inner.queue, 1);
+        std::thread::scope(|s| {
+            let reply = s.spawn(|| conn.recv_frame());
+            until_waiting(&conn.shared, 1);
+            conn.send_frame(encode_request_frame(&[Request {
+                id: 1,
+                cred: 1,
+                body: ReqBody::Stat { path: "/" },
+            }]));
+            let frame = decode_response_frame(&reply.join().unwrap()).unwrap();
+            assert_eq!(frame.records[0].status, Status::Ok);
+        });
+    }
 }

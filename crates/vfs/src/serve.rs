@@ -14,6 +14,9 @@
 //!   DLHT probe plus seq validation is the whole request. This is the
 //!   serving-tier shape *Fletch* (PAPERS.md) argues for: compact keys
 //!   the front-end can verify without walking.
+//! - **Shared listings.** A served `readdir` of a complete directory
+//!   ([`Kernel::readdir_path`]) is the directory's published §5.1
+//!   listing block itself, which the server encodes in place.
 //!
 //! Lookup accounting still flows through the standard counters
 //! (`stats.lookups`, `LookupStart`/`LookupEnd`, fastpath hit/miss
@@ -23,10 +26,12 @@
 use crate::kernel::Kernel;
 use crate::path::PathRef;
 use crate::process::Process;
-use dc_fs::{FileType, FsError, FsResult};
+use dc_cred::MAY_READ;
+use dc_fs::{DirEntry, FileType, FsError, FsResult};
 use dc_obs::{LookupOutcome, TraceEvent};
-use dcache_core::Signature;
+use dcache_core::{Signature, FLAG_DIR_COMPLETE};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// A successful served lookup: the identity of the object plus,
 /// optionally, its path signature for future signature-keyed lookups.
@@ -86,6 +91,40 @@ impl Kernel {
     /// [`stat`](Kernel::stat) minus the syscall-timing wrapper.
     pub fn stat_path(&self, proc: &Process, path: &str) -> FsResult<dc_fs::InodeAttr> {
         self.stat_at(proc, None, path, true)
+    }
+
+    /// Serves a `readdir` of a whole directory: the entries
+    /// [`list_dir`](Kernel::list_dir) returns, with its checks and errors
+    /// (symlinks followed, `ENOTDIR`, `MAY_READ`), as one shared block.
+    /// A complete directory (§5.1) hands out its published listing
+    /// itself — no file descriptor, no copied name — and later calls
+    /// share that block until the directory changes. An incomplete
+    /// directory, or a cache without completeness, is listed by
+    /// `list_dir`.
+    pub fn readdir_path(&self, proc: &Process, path: &str) -> FsResult<Arc<Vec<DirEntry>>> {
+        if !self.dcache.config.dir_completeness {
+            return self.list_dir(proc, path).map(Arc::new);
+        }
+        let published = self.resolve_with(proc, None, path, true, |r| {
+            let inode = r.require_inode()?;
+            if !inode.is_dir() {
+                return Err(FsError::NotDir);
+            }
+            let hint = self.path_hint(r.mount, &r.dentry);
+            self.permission(&proc.cred(), inode, MAY_READ, hint.as_deref())?;
+            if !r.dentry.flag(FLAG_DIR_COMPLETE) {
+                return Ok(None);
+            }
+            self.dcache
+                .stats
+                .readdir_cached
+                .fetch_add(1, Ordering::Relaxed);
+            Ok(Some(Self::published_listing(&r.dentry)))
+        })?;
+        match published {
+            Some(listing) => Ok(listing),
+            None => self.list_dir(proc, path).map(Arc::new),
+        }
     }
 
     /// The signature of `path` for `proc`'s namespace and anchor,

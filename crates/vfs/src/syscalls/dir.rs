@@ -7,7 +7,7 @@ use crate::process::Process;
 use crate::timing::SyscallClass;
 use dc_cred::MAY_EXEC;
 use dc_fs::{DirEntry, FsError, FsResult};
-use dcache_core::{DentryKind, DentryState, NegKind, FLAG_DIR_COMPLETE};
+use dcache_core::{Dentry, DentryKind, DentryState, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -155,39 +155,7 @@ impl Kernel {
             }
             if self.dcache.config.dir_completeness && !cur.started && d.flag(FLAG_DIR_COMPLETE) {
                 stats.readdir_cached.fetch_add(1, Ordering::Relaxed);
-                // Serve from the per-dentry listing snapshot, rebuilt
-                // from the child list only when the directory's contents
-                // changed (§5.1: "serviced directly from the dentry's
-                // child list").
-                let listing = match d.dir_snapshot() {
-                    Some(snap) => snap,
-                    None => {
-                        let version = d.children_version();
-                        let mut entries: Vec<DirEntry> = Vec::with_capacity(d.child_count());
-                        let guard = crossbeam_epoch::pin();
-                        d.for_each_child(|child| {
-                            if child.is_dead() {
-                                return;
-                            }
-                            // One block read names and classifies the
-                            // child; the lock-free walk mirrors Linux's
-                            // child-list iteration in dcache_readdir.
-                            let seen = child.view(&guard);
-                            if let DentryKind::Positive { ino, ftype }
-                            | DentryKind::Partial { ino, ftype } = seen.kind()
-                            {
-                                entries.push(DirEntry {
-                                    name: seen.name.to_string(),
-                                    ino,
-                                    ftype,
-                                });
-                            }
-                        });
-                        let snap = std::sync::Arc::new(entries);
-                        d.store_dir_snapshot(version, snap.clone());
-                        snap
-                    }
-                };
+                let listing = Self::published_listing(d);
                 cur.started = true;
                 let out: Vec<DirEntry> = listing[..max.min(listing.len())].to_vec();
                 if out.len() >= listing.len() {
@@ -246,6 +214,42 @@ impl Kernel {
             }
             Ok(out)
         })
+    }
+
+    /// A complete directory's listing as one shared immutable block (§5.1:
+    /// "serviced directly from the dentry's child list"): the published
+    /// block while the directory's contents are unchanged, else one built
+    /// from the child list and published for the next reader. A mutation
+    /// of the directory unpublishes the block rather than editing it, so a
+    /// block already handed out never changes under its holder.
+    pub(crate) fn published_listing(d: &Dentry) -> Arc<Vec<DirEntry>> {
+        if let Some(snap) = d.dir_snapshot() {
+            return snap;
+        }
+        let version = d.children_version();
+        let mut entries: Vec<DirEntry> = Vec::with_capacity(d.child_count());
+        let guard = crossbeam_epoch::pin();
+        d.for_each_child(|child| {
+            if child.is_dead() {
+                return;
+            }
+            // One block read names and classifies the child; the
+            // lock-free walk mirrors Linux's child-list iteration in
+            // dcache_readdir.
+            let seen = child.view(&guard);
+            if let DentryKind::Positive { ino, ftype } | DentryKind::Partial { ino, ftype } =
+                seen.kind()
+            {
+                entries.push(DirEntry {
+                    name: seen.name.to_string(),
+                    ino,
+                    ftype,
+                });
+            }
+        });
+        let snap = Arc::new(entries);
+        d.store_dir_snapshot(version, snap.clone());
+        snap
     }
 
     /// Rewinds a directory stream (`lseek(fd, 0)` on a directory). Seeking
