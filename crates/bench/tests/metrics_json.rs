@@ -28,7 +28,7 @@ fn metrics_snapshot_json_is_complete() {
     let snap = k.metrics_snapshot();
     let json = snap.to_json();
     assert!(json.contains("\"schema\": \"dcache-metrics/v1\""));
-    for section in ["dcache", "syscalls", "fs", "pagecache", "journal", "events"] {
+    for section in ["dcache", "fs", "pagecache", "journal", "events"] {
         assert!(snap.sections.iter().any(|s| s.name == section), "{section}");
         assert!(json.contains(&format!("\"{section}\": {{")), "{section}");
     }

@@ -1,79 +1,63 @@
 //! Errno-shaped error type shared by every layer of the stack.
 
-/// POSIX-style errors returned by file systems, the directory cache, and
-/// the VFS syscall surface.
-///
-/// Variants correspond one-to-one with the errno values the paper's
-/// workloads observe; [`FsError::errno_name`] yields the classic spelling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FsError {
-    /// ENOENT: no such file or directory.
-    NoEnt,
-    /// ENOTDIR: a non-directory was used as a directory.
-    NotDir,
-    /// EISDIR: a directory was used where a file is required.
-    IsDir,
-    /// EACCES: permission denied.
-    Access,
-    /// EPERM: operation not permitted.
-    Perm,
-    /// EEXIST: file exists.
-    Exist,
-    /// ENOTEMPTY: directory not empty.
-    NotEmpty,
-    /// ELOOP: too many levels of symbolic links.
-    Loop,
-    /// ENAMETOOLONG: path or component too long.
-    NameTooLong,
-    /// EINVAL: invalid argument.
-    Inval,
-    /// EROFS: read-only file system.
-    RoFs,
-    /// ENOSPC: no space left on device.
-    NoSpc,
-    /// EXDEV: cross-device link or rename.
-    XDev,
-    /// EBADF: bad file descriptor.
-    BadF,
-    /// EMFILE: too many open files.
-    MFile,
-    /// ENOSYS: operation not supported by this file system.
-    NoSys,
-    /// EBUSY: resource busy (e.g. unmounting a busy mount).
-    Busy,
-    /// EIO: low-level I/O error.
-    Io,
-    /// ESRCH: no such process (pseudo file systems).
-    Srch,
-    /// ERANGE: result does not fit in the supplied buffer.
-    Range,
+dc_obs::keyed_enum! {
+    /// POSIX-style errors returned by file systems, the directory cache,
+    /// and the VFS syscall surface.
+    ///
+    /// Variants correspond one-to-one with the errno values the paper's
+    /// workloads observe. Each row is the variant and its classic errno
+    /// spelling ([`FsError::errno_name`]). The row order is a wire
+    /// format: `dc-server` sends a variant as status code `idx() + 1`,
+    /// so a new errno goes at the end.
+    #[derive(Hash)]
+    pub enum FsError {
+        /// ENOENT: no such file or directory.
+        NoEnt = "ENOENT",
+        /// ENOTDIR: a non-directory was used as a directory.
+        NotDir = "ENOTDIR",
+        /// EISDIR: a directory was used where a file is required.
+        IsDir = "EISDIR",
+        /// EACCES: permission denied.
+        Access = "EACCES",
+        /// EPERM: operation not permitted.
+        Perm = "EPERM",
+        /// EEXIST: file exists.
+        Exist = "EEXIST",
+        /// ENOTEMPTY: directory not empty.
+        NotEmpty = "ENOTEMPTY",
+        /// ELOOP: too many levels of symbolic links.
+        Loop = "ELOOP",
+        /// ENAMETOOLONG: path or component too long.
+        NameTooLong = "ENAMETOOLONG",
+        /// EINVAL: invalid argument.
+        Inval = "EINVAL",
+        /// EROFS: read-only file system.
+        RoFs = "EROFS",
+        /// ENOSPC: no space left on device.
+        NoSpc = "ENOSPC",
+        /// EXDEV: cross-device link or rename.
+        XDev = "EXDEV",
+        /// EBADF: bad file descriptor.
+        BadF = "EBADF",
+        /// EMFILE: too many open files.
+        MFile = "EMFILE",
+        /// ENOSYS: operation not supported by this file system.
+        NoSys = "ENOSYS",
+        /// EBUSY: resource busy (e.g. unmounting a busy mount).
+        Busy = "EBUSY",
+        /// EIO: low-level I/O error.
+        Io = "EIO",
+        /// ESRCH: no such process (pseudo file systems).
+        Srch = "ESRCH",
+        /// ERANGE: result does not fit in the supplied buffer.
+        Range = "ERANGE",
+    }
 }
 
 impl FsError {
     /// The classic errno spelling, e.g. `"ENOENT"`.
     pub fn errno_name(self) -> &'static str {
-        match self {
-            FsError::NoEnt => "ENOENT",
-            FsError::NotDir => "ENOTDIR",
-            FsError::IsDir => "EISDIR",
-            FsError::Access => "EACCES",
-            FsError::Perm => "EPERM",
-            FsError::Exist => "EEXIST",
-            FsError::NotEmpty => "ENOTEMPTY",
-            FsError::Loop => "ELOOP",
-            FsError::NameTooLong => "ENAMETOOLONG",
-            FsError::Inval => "EINVAL",
-            FsError::RoFs => "EROFS",
-            FsError::NoSpc => "ENOSPC",
-            FsError::XDev => "EXDEV",
-            FsError::BadF => "EBADF",
-            FsError::MFile => "EMFILE",
-            FsError::NoSys => "ENOSYS",
-            FsError::Busy => "EBUSY",
-            FsError::Io => "EIO",
-            FsError::Srch => "ESRCH",
-            FsError::Range => "ERANGE",
-        }
+        self.key()
     }
 
     /// Whether a path walk failing with this error names a *definitive*

@@ -92,13 +92,18 @@ impl LatencyHist {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Exact sum of recorded samples (nanoseconds).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// Arithmetic mean of recorded samples (0 when empty).
     pub fn mean(&self) -> f64 {
         let n = self.count();
         if n == 0 {
             return 0.0;
         }
-        self.sum.load(Ordering::Relaxed) as f64 / n as f64
+        self.sum() as f64 / n as f64
     }
 
     /// Exact maximum recorded sample (0 when empty).

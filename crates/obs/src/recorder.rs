@@ -193,11 +193,19 @@ impl Recorder {
         self.inner.as_ref()
     }
 
-    /// Records a latency sample for `op` (no-op when disabled).
+    /// Runs `f` and records how long it took as one `op` latency sample.
+    /// Disabled, this is `f()` behind the one branch every probe takes:
+    /// no clock is read.
     #[inline]
-    pub fn latency(&self, op: OpClass, ns: u64) {
-        if let Some(obs) = &self.inner {
-            obs.hist(op).record(ns);
+    pub fn time<T>(&self, op: OpClass, f: impl FnOnce() -> T) -> T {
+        match &self.inner {
+            None => f(),
+            Some(obs) => {
+                let t0 = Instant::now();
+                let out = f();
+                obs.hist(op).record(t0.elapsed().as_nanos() as u64);
+                out
+            }
         }
     }
 
@@ -246,7 +254,7 @@ mod tests {
         let r = Recorder::disabled();
         assert!(!r.is_enabled());
         assert!(r.now().is_none());
-        r.latency(OpClass::Open, 100);
+        assert_eq!(r.time(OpClass::Open, || 7), 7);
         r.event(|| unreachable!("closure must not run when disabled"));
         assert!(r.obs().is_none());
     }
@@ -254,7 +262,7 @@ mod tests {
     #[test]
     fn enabled_recorder_counts_and_traces() {
         let r = Recorder::enabled(ObsConfig { ring_capacity: 16 });
-        r.latency(OpClass::AccessStat, 500);
+        r.time(OpClass::AccessStat, || ());
         r.event(|| TraceEvent::LookupStart);
         r.event(|| TraceEvent::DlhtProbe { hit: true });
         r.event(|| TraceEvent::LookupEnd {
@@ -271,6 +279,56 @@ mod tests {
         assert_eq!(obs.event_count(EventKind::LookupStart), 0);
         assert_eq!(obs.hist(OpClass::AccessStat).count(), 0);
         assert!(obs.ring().snapshot().is_empty());
+    }
+
+    #[test]
+    fn time_returns_f_and_records_one_sample() {
+        let r = Recorder::enabled(ObsConfig::default());
+        assert_eq!(r.time(OpClass::Open, || 42), 42);
+        r.time(OpClass::Open, || {
+            std::thread::sleep(std::time::Duration::from_millis(1))
+        });
+        r.time(OpClass::Io, || ());
+        let obs = r.obs().unwrap();
+        assert_eq!(obs.hist(OpClass::Open).count(), 2);
+        assert!(obs.hist(OpClass::Open).sum() >= 1_000_000);
+        assert_eq!(obs.hist(OpClass::Io).count(), 1);
+        assert_eq!(obs.hist(OpClass::Unlink).count(), 0);
+    }
+
+    #[test]
+    fn time_counts_every_call_across_threads() {
+        let r = Recorder::enabled(ObsConfig::default());
+        std::thread::scope(|sc| {
+            for _ in 0..4 {
+                sc.spawn(|| {
+                    for _ in 0..1000 {
+                        r.time(OpClass::AccessStat, || ());
+                        r.time(OpClass::Open, || ());
+                        r.time(OpClass::Open, || ());
+                    }
+                });
+            }
+        });
+        let obs = r.obs().unwrap();
+        assert_eq!(obs.hist(OpClass::AccessStat).count(), 4000);
+        assert_eq!(obs.hist(OpClass::Open).count(), 8000);
+        assert_eq!(obs.hist(OpClass::Unlink).count(), 0);
+    }
+
+    #[test]
+    fn reset_zeroes_every_time_sample() {
+        let r = Recorder::enabled(ObsConfig::default());
+        for &op in OpClass::ALL {
+            r.time(op, || ());
+        }
+        let obs = r.obs().unwrap();
+        assert!(OpClass::ALL.iter().all(|&op| obs.hist(op).count() == 1));
+        r.reset();
+        for &op in OpClass::ALL {
+            assert_eq!(obs.hist(op).count(), 0, "{op:?}");
+            assert_eq!(obs.hist(op).sum(), 0, "{op:?}");
+        }
     }
 
     /// `ALL[i].idx() == i`, keys unique and snake_case.
@@ -304,7 +362,7 @@ mod tests {
         let iters = 2_000_000u64;
         let start = Instant::now();
         for i in 0..iters {
-            r.latency(OpClass::Io, i);
+            r.time(OpClass::Io, || std::hint::black_box(i));
             r.event(|| TraceEvent::SlowStep {
                 component: i as u32,
             });

@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn snapshot_includes_sources_events_and_hists() {
         let (sources, r) = sources();
-        r.latency(OpClass::Open, 1_000);
+        r.time(OpClass::Open, || ());
         r.event(|| TraceEvent::LookupStart);
 
         let snap = MetricsSnapshot::collect(&sources, &r);
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn json_has_schema_and_sections() {
         let (sources, r) = sources();
-        r.latency(OpClass::AccessStat, 42);
+        r.time(OpClass::AccessStat, || ());
         r.event(|| TraceEvent::FsMiss);
         let snap = MetricsSnapshot::collect(&sources, &r);
         let json = snap.to_json();
@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn text_render_mentions_everything() {
         let (sources, r) = sources();
-        r.latency(OpClass::Unlink, 7);
+        r.time(OpClass::Unlink, || ());
         r.event(|| TraceEvent::FsMiss);
         let snap = MetricsSnapshot::collect(&sources, &r);
         let text = snap.to_text();

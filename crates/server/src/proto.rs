@@ -149,57 +149,15 @@ impl Status {
     }
 }
 
-/// Maps an [`FsError`] to its wire code (`1..=20`, declaration order).
+/// Maps an [`FsError`] to its wire code (`1..=20`, the order of
+/// `FsError`'s rows).
 pub fn fs_error_code(e: FsError) -> u8 {
-    match e {
-        FsError::NoEnt => 1,
-        FsError::NotDir => 2,
-        FsError::IsDir => 3,
-        FsError::Access => 4,
-        FsError::Perm => 5,
-        FsError::Exist => 6,
-        FsError::NotEmpty => 7,
-        FsError::Loop => 8,
-        FsError::NameTooLong => 9,
-        FsError::Inval => 10,
-        FsError::RoFs => 11,
-        FsError::NoSpc => 12,
-        FsError::XDev => 13,
-        FsError::BadF => 14,
-        FsError::MFile => 15,
-        FsError::NoSys => 16,
-        FsError::Busy => 17,
-        FsError::Io => 18,
-        FsError::Srch => 19,
-        FsError::Range => 20,
-    }
+    e.idx() as u8 + 1
 }
 
 /// Inverse of [`fs_error_code`].
 pub fn fs_error_from_code(v: u8) -> Option<FsError> {
-    Some(match v {
-        1 => FsError::NoEnt,
-        2 => FsError::NotDir,
-        3 => FsError::IsDir,
-        4 => FsError::Access,
-        5 => FsError::Perm,
-        6 => FsError::Exist,
-        7 => FsError::NotEmpty,
-        8 => FsError::Loop,
-        9 => FsError::NameTooLong,
-        10 => FsError::Inval,
-        11 => FsError::RoFs,
-        12 => FsError::NoSpc,
-        13 => FsError::XDev,
-        14 => FsError::BadF,
-        15 => FsError::MFile,
-        16 => FsError::NoSys,
-        17 => FsError::Busy,
-        18 => FsError::Io,
-        19 => FsError::Srch,
-        20 => FsError::Range,
-        _ => return None,
-    })
+    FsError::ALL.get(usize::from(v).wrapping_sub(1)).copied()
 }
 
 /// One request as the client builds it. Paths borrow from the caller;
@@ -808,6 +766,29 @@ mod tests {
         }
         assert_eq!(keys, ["lookup", "stat", "readdir", "lookup_sig"]);
         assert_eq!((Op::from_u8(0), Op::from_u8(5)), (None, None));
+    }
+
+    /// The errno status codes are wire format: pinned here, code by
+    /// code, against `FsError`'s rows.
+    #[test]
+    fn fs_error_codes_are_pinned() {
+        #[rustfmt::skip]
+        const GOLDEN: [(u8, &str); 20] = [
+            (1, "ENOENT"), (2, "ENOTDIR"), (3, "EISDIR"), (4, "EACCES"), (5, "EPERM"),
+            (6, "EEXIST"), (7, "ENOTEMPTY"), (8, "ELOOP"), (9, "ENAMETOOLONG"),
+            (10, "EINVAL"), (11, "EROFS"), (12, "ENOSPC"), (13, "EXDEV"), (14, "EBADF"),
+            (15, "EMFILE"), (16, "ENOSYS"), (17, "EBUSY"), (18, "EIO"), (19, "ESRCH"),
+            (20, "ERANGE"),
+        ];
+        assert_eq!(FsError::ALL.len(), GOLDEN.len());
+        for (code, errno) in GOLDEN {
+            let e = fs_error_from_code(code).unwrap();
+            assert_eq!((e.errno_name(), fs_error_code(e)), (errno, code));
+        }
+        assert_eq!(
+            (fs_error_from_code(0), fs_error_from_code(21)),
+            (None, None)
+        );
     }
 
     #[test]

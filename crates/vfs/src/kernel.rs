@@ -5,7 +5,6 @@ use crate::mount::{Mount, MountFlags, SuperBlock};
 use crate::namespace::MountNamespace;
 use crate::path::PathRef;
 use crate::process::Process;
-use crate::timing::SyscallTiming;
 use dc_blockdev::{CachedDisk, DiskConfig, LatencyModel};
 use dc_cred::{Cred, SecurityStack};
 use dc_fs::{FileSystem, FsResult, MemFs, MemFsConfig};
@@ -26,8 +25,6 @@ pub struct Kernel {
     pub security: SecurityStack,
     /// The inode cache.
     pub(crate) icache: Icache,
-    /// Per-syscall-class timing (Figure 1).
-    pub timing: SyscallTiming,
     namespaces: RwLock<HashMap<u64, Arc<MountNamespace>>>,
     init_ns: Arc<MountNamespace>,
     init_process: Arc<Process>,
@@ -44,9 +41,9 @@ pub struct Kernel {
     /// file-system instance, so mount aliases share dentries (§4.3).
     pub(crate) superblocks: Mutex<SuperBlockRegistry>,
     /// Every metric source, in export order: the kernel's own (dcache,
-    /// syscall timing, the root file system, and a memfs root's page
-    /// cache and journal), then whatever
-    /// [`register_metric_source`](Kernel::register_metric_source) added.
+    /// the root file system, and a memfs root's page cache and journal),
+    /// then whatever [`register_metric_source`](Kernel::register_metric_source)
+    /// added.
     /// The one list [`metrics_snapshot`](Kernel::metrics_snapshot) and
     /// [`reset_stats`](Kernel::reset_stats) walk.
     sources: Mutex<Vec<Arc<dyn MetricSource>>>,
@@ -189,11 +186,9 @@ impl Kernel {
             Arc::downgrade(&init_ns.root_mount().sb.fs),
             init_ns.root_mount().sb.clone(),
         )];
-        let timing = SyscallTiming::with_recorder(dcache.obs.clone());
         let root_fs = &init_ns.root_mount().sb.fs;
         let mut sources: Vec<Arc<dyn MetricSource>> = vec![
             Arc::new(dcache.stats.clone()),
-            Arc::new(timing.counters.clone()),
             Arc::new(root_fs.stats().clone()),
         ];
         if let Some(memfs) = as_memfs(root_fs) {
@@ -204,7 +199,6 @@ impl Kernel {
             dcache,
             security,
             icache,
-            timing,
             namespaces: RwLock::new(namespaces),
             init_ns,
             init_process,

@@ -19,8 +19,10 @@
 //!
 //! The syscall layer ([`Kernel`]) implements open/stat/access/readdir/
 //! mkdir/unlink/rename/chmod/… plus the `*at()` variants, mounts and bind
-//! mounts, mount namespaces, chroot, and per-syscall-class timing used by
-//! the Figure 1 experiment.
+//! mounts, mount namespaces and chroot. Each syscall runs inside
+//! [`Recorder::time`] under its class: with observability on, that is one
+//! sample in the class's latency histogram (the Figure 1 experiment sums
+//! them); off, no clock is read.
 //!
 //! # Examples
 //!
@@ -39,7 +41,6 @@
 //! assert_eq!(kernel.stat(&proc0, "/etc/passwd").unwrap().size, 10);
 //! ```
 
-mod fastclock;
 mod fastwalk;
 mod handle;
 mod icache;
@@ -50,7 +51,6 @@ mod path;
 mod process;
 mod serve;
 mod syscalls;
-mod timing;
 mod walk;
 mod warm;
 
@@ -61,7 +61,6 @@ pub use namespace::MountNamespace;
 pub use path::{split_path, PathRef, WalkResult};
 pub use process::Process;
 pub use serve::{LookupReply, SigLookup};
-pub use timing::{ClassTime, SyscallClass, SyscallCounters, SyscallTiming};
 pub use warm::{WarmFallback, WarmRestartOutcome};
 
 pub use dc_cred::{Cred, CredBuilder, SecurityStack};

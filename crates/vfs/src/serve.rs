@@ -4,10 +4,11 @@
 //! behalf of remote clients. These entry points differ from the syscall
 //! surface in two ways:
 //!
-//! - **No per-syscall timing wrapper.** The server owns its own
-//!   per-worker latency histograms (per protocol op, including decode
-//!   and encode); charging `SyscallTiming` as well would double-count
-//!   and cost an extra clock read per request.
+//! - **No syscall-class sample.** The server owns its own per-worker
+//!   latency histograms (per protocol op, including decode and encode);
+//!   a sample in the recorder's per-class histograms as well
+//!   ([`Recorder::time`](dc_obs::Recorder::time)) would count each
+//!   request twice.
 //! - **Signature-keyed lookups.** A client that has previously resolved
 //!   a path can retry by its 240-bit signature alone
 //!   ([`Kernel::lookup_sig`]), skipping parse and hash entirely — the
@@ -28,7 +29,6 @@ use crate::path::PathRef;
 use crate::process::Process;
 use dc_cred::MAY_READ;
 use dc_fs::{DirEntry, FileType, FsError, FsResult};
-use dc_obs::{LookupOutcome, TraceEvent};
 use dcache_core::{Signature, FLAG_DIR_COMPLETE};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -88,7 +88,7 @@ impl Kernel {
     }
 
     /// Serves a `stat`: full attributes, symlinks followed. Identical to
-    /// [`stat`](Kernel::stat) minus the syscall-timing wrapper.
+    /// [`stat`](Kernel::stat) minus its `stat` latency sample.
     pub fn stat_path(&self, proc: &Process, path: &str) -> FsResult<dc_fs::InodeAttr> {
         self.stat_at(proc, None, path, true)
     }
@@ -151,9 +151,10 @@ impl Kernel {
             .fast_attempts
             .fetch_add(1, Ordering::Relaxed);
 
+        // `None`: not answerable from the cache.
         let out = (|| {
             if !self.dcache.config.fastpath {
-                return SigLookup::Miss;
+                return None;
             }
             // Same pin discipline as a path lookup.
             let guard = self.dcache.pin();
@@ -163,33 +164,23 @@ impl Kernel {
             let pcc = self.pcc_under(cred, ns.id, &mut attached, &guard);
             let root = proc.root_read(&guard);
             let plain_root = ns.is_root(&root.mount, &root.dentry, &guard);
-            match self.fast_validate(ns, pcc, cred, sig, true, false, plain_root, &guard) {
-                Some(Ok(r)) => match r.inode {
-                    Some(inode) => SigLookup::Hit(LookupReply {
+            match self.fast_validate(ns, pcc, cred, sig, true, false, plain_root, &guard)? {
+                Ok(r) => r.inode.map(|inode| {
+                    Ok(LookupReply {
                         ino: inode.ino,
                         ftype: inode.ftype(),
                         sig: Some(*sig),
-                    }),
-                    None => SigLookup::Miss,
-                },
-                Some(Err(e)) => SigLookup::Neg(e),
-                None => SigLookup::Miss,
+                    })
+                }),
+                Err(e) => Some(Err(e)),
             }
         })();
-
-        if let Some(t0) = t0 {
-            let outcome = match &out {
-                SigLookup::Hit(_) => LookupOutcome::Positive,
-                SigLookup::Neg(FsError::NoEnt) | SigLookup::Neg(FsError::NotDir) => {
-                    LookupOutcome::Negative
-                }
-                SigLookup::Neg(_) | SigLookup::Miss => LookupOutcome::Error,
-            };
-            let ns = t0.elapsed().as_nanos() as u64;
-            self.dcache
-                .obs
-                .event(|| TraceEvent::LookupEnd { outcome, ns });
+        // A miss ends its span as an error: the cache had no answer.
+        self.lookup_end(t0, out.as_ref().unwrap_or(&Err(FsError::NoSys)));
+        match out {
+            Some(Ok(reply)) => SigLookup::Hit(reply),
+            Some(Err(e)) => SigLookup::Neg(e),
+            None => SigLookup::Miss,
         }
-        out
     }
 }

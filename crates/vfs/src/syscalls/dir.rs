@@ -4,9 +4,9 @@ use crate::handle::OpenFlags;
 use crate::kernel::Kernel;
 use crate::path::PathRef;
 use crate::process::Process;
-use crate::timing::SyscallClass;
 use dc_cred::MAY_EXEC;
 use dc_fs::{DirEntry, FsError, FsResult};
+use dc_obs::OpClass;
 use dcache_core::{Dentry, DentryKind, DentryState, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -14,15 +14,14 @@ use std::sync::Arc;
 impl Kernel {
     /// `mkdir(2)`.
     pub fn mkdir(&self, proc: &Process, path: &str, mode: u16) -> FsResult<()> {
-        self.timing.record(SyscallClass::OtherMeta, || {
-            self.mkdir_at(proc, None, path, mode)
-        })
+        self.obs()
+            .time(OpClass::OtherMeta, || self.mkdir_at(proc, None, path, mode))
     }
 
     /// `mkdirat(2)`.
     pub fn mkdirat(&self, proc: &Process, dirfd: u32, path: &str, mode: u16) -> FsResult<()> {
         let base = self.at_base(proc, dirfd)?;
-        self.timing.record(SyscallClass::OtherMeta, || {
+        self.obs().time(OpClass::OtherMeta, || {
             self.mkdir_at(proc, Some(&base.path), path, mode)
         })
     }
@@ -65,8 +64,8 @@ impl Kernel {
 
     /// `rmdir(2)`.
     pub fn rmdir(&self, proc: &Process, path: &str) -> FsResult<()> {
-        self.timing
-            .record(SyscallClass::Unlink, || self.rmdir_at(proc, None, path))
+        self.obs()
+            .time(OpClass::Unlink, || self.rmdir_at(proc, None, path))
     }
 
     /// `unlinkat(2)`'s `AT_REMOVEDIR` half.
@@ -130,7 +129,7 @@ impl Kernel {
     /// pass marks the directory `DIR_COMPLETE`; later streams on complete
     /// directories are served from the dcache without any FS call.
     pub fn readdir(&self, proc: &Process, fd: u32, max: usize) -> FsResult<Vec<DirEntry>> {
-        self.timing.record(SyscallClass::Readdir, || {
+        self.obs().time(OpClass::Readdir, || {
             let h = proc.fd(fd)?;
             if !h.inode.is_dir() {
                 return Err(FsError::NotDir);
@@ -285,7 +284,7 @@ impl Kernel {
 
     /// `chdir(2)`.
     pub fn chdir(&self, proc: &Process, path: &str) -> FsResult<()> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             let r = self.resolve(proc, path, true)?;
             let inode = r.require_inode()?;
             if !inode.is_dir() {
@@ -301,7 +300,7 @@ impl Kernel {
 
     /// `fchdir(2)`.
     pub fn fchdir(&self, proc: &Process, fd: u32) -> FsResult<()> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             let base = self.at_base(proc, fd)?;
             proc.set_cwd(base.path.clone());
             Ok(())
@@ -310,7 +309,7 @@ impl Kernel {
 
     /// `chroot(2)` (requires root).
     pub fn chroot(&self, proc: &Process, path: &str) -> FsResult<()> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             if proc.cred().uid != 0 {
                 return Err(FsError::Perm);
             }

@@ -2,14 +2,14 @@
 
 use crate::kernel::Kernel;
 use crate::process::Process;
-use crate::timing::SyscallClass;
 use bytes::Bytes;
 use dc_fs::{FsError, FsResult};
+use dc_obs::OpClass;
 
 impl Kernel {
     /// `read(2)`.
     pub fn read_fd(&self, proc: &Process, fd: u32, len: usize) -> FsResult<Bytes> {
-        self.timing.record(SyscallClass::Io, || {
+        self.obs().time(OpClass::Io, || {
             let h = proc.fd(fd)?;
             if !h.flags.read {
                 return Err(FsError::BadF);
@@ -23,7 +23,7 @@ impl Kernel {
 
     /// `pread(2)`.
     pub fn pread(&self, proc: &Process, fd: u32, off: u64, len: usize) -> FsResult<Bytes> {
-        self.timing.record(SyscallClass::Io, || {
+        self.obs().time(OpClass::Io, || {
             let h = proc.fd(fd)?;
             if !h.flags.read {
                 return Err(FsError::BadF);
@@ -34,7 +34,7 @@ impl Kernel {
 
     /// `write(2)`.
     pub fn write_fd(&self, proc: &Process, fd: u32, data: &[u8]) -> FsResult<usize> {
-        self.timing.record(SyscallClass::Io, || {
+        self.obs().time(OpClass::Io, || {
             let h = proc.fd(fd)?;
             if !h.flags.write {
                 return Err(FsError::BadF);
@@ -57,7 +57,7 @@ impl Kernel {
 
     /// `pwrite(2)`.
     pub fn pwrite(&self, proc: &Process, fd: u32, off: u64, data: &[u8]) -> FsResult<usize> {
-        self.timing.record(SyscallClass::Io, || {
+        self.obs().time(OpClass::Io, || {
             let h = proc.fd(fd)?;
             if !h.flags.write {
                 return Err(FsError::BadF);
@@ -72,7 +72,7 @@ impl Kernel {
 
     /// `lseek(2)` (SEEK_SET only; directories reset their stream).
     pub fn lseek(&self, proc: &Process, fd: u32, pos: u64) -> FsResult<u64> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             let h = proc.fd(fd)?;
             if h.inode.is_dir() {
                 if pos != 0 {
@@ -88,7 +88,7 @@ impl Kernel {
 
     /// `fsync(2)`.
     pub fn fsync(&self, proc: &Process, fd: u32) -> FsResult<()> {
-        self.timing.record(SyscallClass::Io, || {
+        self.obs().time(OpClass::Io, || {
             let h = proc.fd(fd)?;
             h.path.mount.sb.fs.sync()
         })
@@ -96,7 +96,7 @@ impl Kernel {
 
     /// `ftruncate(2)`.
     pub fn ftruncate(&self, proc: &Process, fd: u32, size: u64) -> FsResult<()> {
-        self.timing.record(SyscallClass::Io, || {
+        self.obs().time(OpClass::Io, || {
             let h = proc.fd(fd)?;
             if !h.flags.write {
                 return Err(FsError::BadF);

@@ -3,9 +3,9 @@
 use crate::kernel::Kernel;
 use crate::path::WalkResult;
 use crate::process::Process;
-use crate::timing::SyscallClass;
 use dc_cred::MAY_WRITE;
 use dc_fs::{FsError, FsResult, SetAttr, StatFs};
+use dc_obs::OpClass;
 use std::sync::atomic::Ordering;
 
 impl Kernel {
@@ -21,7 +21,7 @@ impl Kernel {
     /// invalidates memoized prefix checks through its whole cached
     /// subtree (§3.2) — the cost Figure 7 quantifies.
     pub fn chmod(&self, proc: &Process, path: &str, mode: u16) -> FsResult<()> {
-        self.timing.record(SyscallClass::ChmodChown, || {
+        self.obs().time(OpClass::ChmodChown, || {
             let r = self.resolve_for_meta(proc, path)?;
             let inode = r.require_inode()?.clone();
             let cred = proc.cred();
@@ -51,7 +51,7 @@ impl Kernel {
         uid: Option<u32>,
         gid: Option<u32>,
     ) -> FsResult<()> {
-        self.timing.record(SyscallClass::ChmodChown, || {
+        self.obs().time(OpClass::ChmodChown, || {
             let r = self.resolve_for_meta(proc, path)?;
             let inode = r.require_inode()?.clone();
             let cred = proc.cred();
@@ -81,7 +81,7 @@ impl Kernel {
 
     /// `utimes(2)`-ish: sets mtime.
     pub fn utimes(&self, proc: &Process, path: &str, mtime: u64) -> FsResult<()> {
-        self.timing.record(SyscallClass::OtherMeta, || {
+        self.obs().time(OpClass::OtherMeta, || {
             let r = self.resolve_for_meta(proc, path)?;
             let inode = r.require_inode()?.clone();
             let cred = proc.cred();
@@ -99,7 +99,7 @@ impl Kernel {
 
     /// `truncate(2)`.
     pub fn truncate(&self, proc: &Process, path: &str, size: u64) -> FsResult<()> {
-        self.timing.record(SyscallClass::Io, || {
+        self.obs().time(OpClass::Io, || {
             let r = self.resolve_for_meta(proc, path)?;
             let inode = r.require_inode()?.clone();
             if inode.is_dir() {
@@ -118,7 +118,7 @@ impl Kernel {
 
     /// `statfs(2)`.
     pub fn statfs(&self, proc: &Process, path: &str) -> FsResult<StatFs> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             let r = self.resolve(proc, path, true)?;
             r.mount.sb.fs.statfs()
         })

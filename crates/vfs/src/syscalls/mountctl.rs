@@ -5,8 +5,8 @@ use crate::mount::{Mount, MountFlags, SuperBlock};
 use crate::namespace::MountNamespace;
 use crate::path::{PathRef, WalkResult};
 use crate::process::Process;
-use crate::timing::SyscallClass;
 use dc_fs::{FileSystem, FsError, FsResult};
+use dc_obs::OpClass;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ impl Kernel {
         path: &str,
         flags: MountFlags,
     ) -> FsResult<u64> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             if proc.cred().uid != 0 {
                 return Err(FsError::Perm);
             }
@@ -92,7 +92,7 @@ impl Kernel {
     /// `mount --bind src dst`: the same dentry tree visible at another
     /// path (a mount alias, §4.3).
     pub fn bind_mount(&self, proc: &Process, src: &str, dst: &str) -> FsResult<u64> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             if proc.cred().uid != 0 {
                 return Err(FsError::Perm);
             }
@@ -124,7 +124,7 @@ impl Kernel {
 
     /// `umount(2)`.
     pub fn umount(&self, proc: &Process, path: &str) -> FsResult<()> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             if proc.cred().uid != 0 {
                 return Err(FsError::Perm);
             }
@@ -153,7 +153,7 @@ impl Kernel {
     /// `unshare(CLONE_NEWNS)`: clones the caller's mount tree into a
     /// fresh namespace with its own DLHT and PCC key (§4.3).
     pub fn unshare_ns(&self, proc: &Process) -> FsResult<Arc<MountNamespace>> {
-        self.timing.record(SyscallClass::Other, || {
+        self.obs().time(OpClass::Other, || {
             let old_ns = proc.namespace();
             let new_id = self.alloc_ns_id();
             let old_root = old_ns.root_mount();

@@ -4,22 +4,22 @@
 use crate::kernel::Kernel;
 use crate::path::PathRef;
 use crate::process::Process;
-use crate::timing::SyscallClass;
 use dc_fs::{FsError, FsResult};
+use dc_obs::OpClass;
 use dcache_core::{Dentry, DentryState, NegKind, FLAG_DIR_COMPLETE};
 use std::sync::Arc;
 
 impl Kernel {
     /// `unlink(2)`.
     pub fn unlink(&self, proc: &Process, path: &str) -> FsResult<()> {
-        self.timing
-            .record(SyscallClass::Unlink, || self.unlink_at(proc, None, path))
+        self.obs()
+            .time(OpClass::Unlink, || self.unlink_at(proc, None, path))
     }
 
     /// `unlinkat(2)` with `AT_REMOVEDIR` selecting rmdir behavior.
     pub fn unlinkat(&self, proc: &Process, dirfd: u32, path: &str, rmdir: bool) -> FsResult<()> {
         let base = self.at_base(proc, dirfd)?;
-        self.timing.record(SyscallClass::Unlink, || {
+        self.obs().time(OpClass::Unlink, || {
             if rmdir {
                 self.rmdir_at(proc, Some(&base.path), path)
             } else {
@@ -74,9 +74,8 @@ impl Kernel {
     /// DLHT evictions + hash-state clears), perform the change under the
     /// global rename seqlock, then move the dentry.
     pub fn rename(&self, proc: &Process, old: &str, new: &str) -> FsResult<()> {
-        self.timing.record(SyscallClass::OtherMeta, || {
-            self.rename_internal(proc, old, new)
-        })
+        self.obs()
+            .time(OpClass::OtherMeta, || self.rename_internal(proc, old, new))
     }
 
     fn rename_internal(&self, proc: &Process, old: &str, new: &str) -> FsResult<()> {
@@ -193,7 +192,7 @@ impl Kernel {
 
     /// `link(2)` — hard links.
     pub fn link(&self, proc: &Process, oldpath: &str, newpath: &str) -> FsResult<()> {
-        self.timing.record(SyscallClass::OtherMeta, || {
+        self.obs().time(OpClass::OtherMeta, || {
             let old = self.resolve(proc, oldpath, false)?;
             let old_inode = old.require_inode()?.clone();
             if old_inode.is_dir() {
@@ -219,7 +218,7 @@ impl Kernel {
 
     /// `symlink(2)`.
     pub fn symlink(&self, proc: &Process, target: &str, linkpath: &str) -> FsResult<()> {
-        self.timing.record(SyscallClass::OtherMeta, || {
+        self.obs().time(OpClass::OtherMeta, || {
             if target.is_empty() {
                 return Err(FsError::NoEnt);
             }

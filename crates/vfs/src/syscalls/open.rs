@@ -4,9 +4,9 @@ use crate::handle::{Handle, OpenFlags};
 use crate::kernel::Kernel;
 use crate::path::{PathRef, WalkResult};
 use crate::process::Process;
-use crate::timing::SyscallClass;
 use dc_cred::{MAY_READ, MAY_WRITE};
 use dc_fs::{FileType, FsError, FsResult, SetAttr};
+use dc_obs::OpClass;
 use std::sync::Arc;
 
 /// Nested dangling-symlink creation depth limit.
@@ -15,7 +15,7 @@ const CREATE_LINK_DEPTH: u32 = 8;
 impl Kernel {
     /// `open(2)`.
     pub fn open(&self, proc: &Process, path: &str, flags: OpenFlags, mode: u16) -> FsResult<u32> {
-        self.timing.record(SyscallClass::Open, || {
+        self.obs().time(OpClass::Open, || {
             let h = self.open_internal(proc, None, path, flags, mode, 0)?;
             proc.install_fd(h)
         })
@@ -30,7 +30,7 @@ impl Kernel {
         flags: OpenFlags,
         mode: u16,
     ) -> FsResult<u32> {
-        self.timing.record(SyscallClass::Open, || {
+        self.obs().time(OpClass::Open, || {
             let at = self.at_base(proc, dirfd)?;
             let h = self.open_internal(proc, Some(&at.path), path, flags, mode, 0)?;
             proc.install_fd(h)
@@ -170,8 +170,8 @@ impl Kernel {
 
     /// `close(2)`.
     pub fn close(&self, proc: &Process, fd: u32) -> FsResult<()> {
-        self.timing
-            .record(SyscallClass::Other, || proc.take_fd(fd).map(|_| ()))
+        self.obs()
+            .time(OpClass::Other, || proc.take_fd(fd).map(|_| ()))
     }
 
     /// `mkstemp(3)`: creates a uniquely-named file under `dir_path` with
@@ -179,7 +179,7 @@ impl Kernel {
     /// completeness optimization: in a complete directory the existence
     /// probe needs no file-system call.
     pub fn mkstemp(&self, proc: &Process, dir_path: &str, prefix: &str) -> FsResult<(u32, String)> {
-        self.timing.record(SyscallClass::Open, || {
+        self.obs().time(OpClass::Open, || {
             for _ in 0..128 {
                 let suffix = self.tmp_rand();
                 let name = format!("{prefix}{suffix:06x}");

@@ -3,21 +3,20 @@
 use crate::kernel::Kernel;
 use crate::path::PathRef;
 use crate::process::Process;
-use crate::timing::SyscallClass;
 use dc_cred::{MAY_EXEC, MAY_READ, MAY_WRITE};
 use dc_fs::{FileType, FsError, FsResult, InodeAttr};
+use dc_obs::OpClass;
 
 impl Kernel {
     /// `stat(2)` — follows symlinks.
     pub fn stat(&self, proc: &Process, path: &str) -> FsResult<InodeAttr> {
-        self.timing.record(SyscallClass::AccessStat, || {
-            self.stat_at(proc, None, path, true)
-        })
+        self.obs()
+            .time(OpClass::AccessStat, || self.stat_at(proc, None, path, true))
     }
 
     /// `lstat(2)` — does not follow a final symlink.
     pub fn lstat(&self, proc: &Process, path: &str) -> FsResult<InodeAttr> {
-        self.timing.record(SyscallClass::AccessStat, || {
+        self.obs().time(OpClass::AccessStat, || {
             self.stat_at(proc, None, path, false)
         })
     }
@@ -38,8 +37,8 @@ impl Kernel {
 
     /// `fstat(2)`.
     pub fn fstat(&self, proc: &Process, fd: u32) -> FsResult<InodeAttr> {
-        self.timing
-            .record(SyscallClass::AccessStat, || Ok(proc.fd(fd)?.inode.attr()))
+        self.obs()
+            .time(OpClass::AccessStat, || Ok(proc.fd(fd)?.inode.attr()))
     }
 
     /// `fstatat(2)`: relative to `dirfd`, optionally not following the
@@ -51,7 +50,7 @@ impl Kernel {
         path: &str,
         nofollow: bool,
     ) -> FsResult<InodeAttr> {
-        self.timing.record(SyscallClass::AccessStat, || {
+        self.obs().time(OpClass::AccessStat, || {
             let base = self.at_base(proc, dirfd)?;
             self.stat_at(proc, Some(&base.path), path, !nofollow)
         })
@@ -60,7 +59,7 @@ impl Kernel {
     /// `access(2)`: `mask` combines [`MAY_READ`]/[`MAY_WRITE`]/[`MAY_EXEC`];
     /// 0 is `F_OK` (existence only).
     pub fn access(&self, proc: &Process, path: &str, mask: u32) -> FsResult<()> {
-        self.timing.record(SyscallClass::AccessStat, || {
+        self.obs().time(OpClass::AccessStat, || {
             self.resolve_with(proc, None, path, true, |r| {
                 let inode = r.require_inode()?;
                 if mask == 0 {
@@ -82,7 +81,7 @@ impl Kernel {
 
     /// `readlink(2)`.
     pub fn readlink_path(&self, proc: &Process, path: &str) -> FsResult<String> {
-        self.timing.record(SyscallClass::AccessStat, || {
+        self.obs().time(OpClass::AccessStat, || {
             // The link body is read from the file system after the lookup,
             // not under its pin: keep the result.
             let r = self.resolve(proc, path, false)?;

@@ -127,7 +127,7 @@ impl Kernel {
     }
 
     /// Closes the span [`lookup_start`](Kernel::lookup_start) opened.
-    fn lookup_end<T>(&self, t0: Option<std::time::Instant>, out: &FsResult<T>) {
+    pub(crate) fn lookup_end<T>(&self, t0: Option<std::time::Instant>, out: &FsResult<T>) {
         if let Some(t0) = t0 {
             let outcome = lookup_outcome(out);
             let ns = t0.elapsed().as_nanos() as u64;

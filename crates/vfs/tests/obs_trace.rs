@@ -342,11 +342,6 @@ fn the_exported_names_are_pinned() {
             "warm_checkpoints", "warm_restart_attempts", "warm_restart_published",
             "warm_restart_rejected", "warm_restart_fallbacks",
         ]),
-        ("syscalls", &[
-            "stat_calls", "stat_ns", "open_calls", "open_ns", "chmod_chown_calls",
-            "chmod_chown_ns", "unlink_calls", "unlink_ns", "other_meta_calls", "other_meta_ns",
-            "readdir_calls", "readdir_ns", "io_calls", "io_ns", "other_calls", "other_ns",
-        ]),
         ("fs", &["lookups", "readdirs", "getattrs", "mutations"]),
         ("pagecache", &[
             "cache_hits", "cache_misses", "device_reads", "device_writes", "writebacks",
@@ -367,7 +362,7 @@ fn the_exported_names_are_pinned() {
     let (k, _memfs) = journaled_kernel();
     // One sample in every class, so every histogram key shows.
     for class in OpClass::ALL {
-        k.timing.record(*class, || ());
+        k.obs().time(*class, || ());
     }
     let snap = k.metrics_snapshot();
     let exported: Vec<(&str, Vec<&str>)> = snap
@@ -391,4 +386,55 @@ fn the_exported_names_are_pinned() {
     assert_eq!(hists, [
         "stat", "open", "chmod_chown", "unlink", "other_meta", "readdir", "io", "other",
     ]);
+}
+
+/// Observability on, every syscall lands exactly one sample in its
+/// class's histogram; off, there are no histograms to export. Either
+/// way no `syscalls` section is exported: the histograms are the one
+/// per-class record.
+#[test]
+fn each_syscall_lands_one_sample_in_its_class() {
+    #[rustfmt::skip]
+    const ISSUED: [(OpClass, u64); 8] = [
+        (OpClass::AccessStat, 2), (OpClass::Open, 3), (OpClass::ChmodChown, 1),
+        (OpClass::Unlink, 1), (OpClass::OtherMeta, 1), (OpClass::Readdir, 1),
+        (OpClass::Io, 2), (OpClass::Other, 3),
+    ];
+    for observed in [true, false] {
+        let mut b = KernelBuilder::new(DcacheConfig::optimized());
+        if observed {
+            b = b.observability(ObsConfig::default());
+        }
+        let k = b.build().unwrap();
+        let p = k.init_process();
+        k.mkdir(&p, "/c", 0o755).unwrap();
+        k.reset_stats();
+
+        let fd = k.open(&p, "/c/f", OpenFlags::create(), 0o644).unwrap();
+        k.write_fd(&p, fd, b"abc").unwrap();
+        k.close(&p, fd).unwrap();
+        k.stat(&p, "/c/f").unwrap();
+        assert!(k.stat(&p, "/c/missing").is_err());
+        k.chmod(&p, "/c/f", 0o600).unwrap();
+        k.rename(&p, "/c/f", "/c/g").unwrap();
+        let fd = k.open(&p, "/c/g", OpenFlags::read_only(), 0).unwrap();
+        k.read_fd(&p, fd, 16).unwrap();
+        k.close(&p, fd).unwrap();
+        let dir = k.open(&p, "/c", OpenFlags::directory(), 0).unwrap();
+        k.readdir(&p, dir, 64).unwrap();
+        k.close(&p, dir).unwrap();
+        k.unlink(&p, "/c/g").unwrap();
+
+        let snap = k.metrics_snapshot();
+        assert!(snap.sections.iter().all(|s| s.name != "syscalls"));
+        match k.obs().obs() {
+            Some(obs) => {
+                for (class, calls) in ISSUED {
+                    assert_eq!(obs.hist(class).count(), calls, "{class:?}");
+                }
+            }
+            None => assert!(snap.hists.is_empty(), "{:?}", snap.hists),
+        }
+        assert_eq!(k.obs().is_enabled(), observed);
+    }
 }
