@@ -18,10 +18,13 @@
 //! sheds with typed `Overloaded` rejections and runs the shrinker on
 //! the trip edge) → re-warm (clients re-resolve, as real clients would
 //! after `SigMiss`) → `post` (must recover to within 5% of `pre`).
+//! `pre` and `post` each run as [`ROUNDS`] rounds, and the verdict reads
+//! their medians, so one round slowed by a busy host decides nothing.
 //!
-//! Results land in `BENCH_serve.json`. Returns `false` (→ exit 1) if
-//! any request fails outside the planned rejection window, the server
-//! misses the throughput floor, or recovery falls short.
+//! Results land in `BENCH_serve.json`, stamped with `pre`'s rounds.
+//! Returns `false` (→ exit 1) if any request fails outside the planned
+//! rejection window, the median `pre` round misses the throughput
+//! floor, or the median `post` round falls short of recovery.
 
 use crate::report::{self, fields, Json, Stamp};
 use crate::setup::kernel_with;
@@ -41,6 +44,8 @@ const CLIENTS: usize = 64;
 const BATCH: usize = 64;
 /// Throughput floor for the hot phase, lookups per second.
 const TARGET_LOOKUPS_PER_S: f64 = 1_000_000.0;
+/// Rounds of each measured hot phase (`pre`, `post`).
+const ROUNDS: usize = 3;
 /// Fraction of requests that are signature-keyed in the hot mix.
 const SIG_FRAC_NUM: u64 = 7; // 7/8 sig lookups, 1/8 path lookups
 /// Generous per-request p99 ceiling for the smoke gate. Steady-state
@@ -68,6 +73,17 @@ impl Tally {
             return 0.0;
         }
         self.ops as f64 / self.elapsed_s / 1e6
+    }
+
+    /// Adds `other`'s requests and time to this tally.
+    fn add(&mut self, other: &Tally) {
+        self.ops += other.ops;
+        self.ok += other.ok;
+        self.rejected += other.rejected;
+        self.sig_miss += other.sig_miss;
+        self.neg += other.neg;
+        self.errors += other.errors;
+        self.elapsed_s += other.elapsed_s;
     }
 
     fn absorb(&mut self, resps: &[dc_server::Response]) {
@@ -201,6 +217,20 @@ impl Rig {
         }
     }
 
+    /// [`ROUNDS`] hot phases of `duration_ms` each: their sum, and each
+    /// round's Mops/s.
+    fn run_rounds(&self, duration_ms: u64, rng: &mut SplitMix64) -> (Tally, Vec<f64>) {
+        let mut sum = Tally::default();
+        let rounds = (0..ROUNDS)
+            .map(|_| {
+                let round = self.run_hot(BATCH, duration_ms, rng);
+                sum.add(&round);
+                round.mops()
+            })
+            .collect();
+        (sum, rounds)
+    }
+
     /// One mixed frame per client covering every op (latency samples
     /// for stat/readdir alongside the lookups).
     fn run_mixed(&self, rounds: usize, rng: &mut SplitMix64) -> Tally {
@@ -309,10 +339,11 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
 
     // Latency samples for every op, then the measured phases.
     let mixed = rig.run_mixed(2, &mut rng);
-    let pre = rig.run_hot(BATCH, duration_ms, &mut rng);
+    let (pre, pre_rounds) = rig.run_rounds(duration_ms, &mut rng);
     let pressure = rig.inflate(budget, &mut rng);
     rig.warm(); // clients re-resolve after the shrinker ran
-    let post = rig.run_hot(BATCH, duration_ms, &mut rng);
+    let (post, post_rounds) = rig.run_rounds(duration_ms, &mut rng);
+    let (pre_mops, post_mops) = (median(&pre_rounds), median(&post_rounds));
 
     let trips = rig.server.gate().map_or(0, |g| g.trip_count());
     let footprint_after = rig.kernel.dcache.reclaimable_bytes();
@@ -337,12 +368,12 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
         "phase", "ops", "Mops/s", "ok", "rejected", "sig_miss", "neg", "errors",
     ]);
     let phases = [
-        ("mixed", &mixed),
-        ("pre", &pre),
-        ("pressure", &pressure),
-        ("post", &post),
+        ("mixed", &mixed, None),
+        ("pre", &pre, Some(&pre_rounds)),
+        ("pressure", &pressure, None),
+        ("post", &post, Some(&post_rounds)),
     ];
-    for (name, tl) in phases {
+    for (name, tl, _) in phases {
         t.row(vec![
             name.into(),
             tl.ops.to_string(),
@@ -357,7 +388,9 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     t.print();
 
     let hists = rig.op_hists();
-    let mut lt = Table::new(&["op", "count", "p50 ns", "p99 ns", "max ns"]);
+    // Workers time one frame in eight, so a count is of samples, not of
+    // requests served.
+    let mut lt = Table::new(&["op", "samples", "p50 ns", "p99 ns", "max ns"]);
     for (name, h) in &hists {
         lt.row(vec![
             (*name).into(),
@@ -375,10 +408,10 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     }
     at.print();
 
-    let hit_target = pre.mops() * 1e6 >= TARGET_LOOKUPS_PER_S;
+    let hit_target = pre_mops * 1e6 >= TARGET_LOOKUPS_PER_S;
     let shed_typed = pressure.rejected > 0 && trips > 0;
     let reclaimed = footprint_after <= low_water;
-    let recovered = post.mops() >= pre.mops() * 0.95;
+    let recovered = post_mops >= pre_mops * 0.95;
     let clean = mixed.errors + pre.errors + pressure.errors + post.errors == 0
         && pre.rejected + post.rejected == 0
         && mixed.neg + pre.neg + post.neg == 0;
@@ -397,25 +430,29 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
     }
     let pass = hit_target && shed_typed && reclaimed && recovered && clean && p99_ok;
     println!(
-        "serve: pre {:.3} Mops/s (target ≥1.0) | pressure: {} shed (typed), {} trips, \
-         footprint {} → {} (low water {}) | post {:.3} Mops/s ({}) | \
+        "serve: pre {:.3} Mops/s (median of {ROUNDS}, target ≥1.0) | pressure: {} shed (typed), \
+         {} trips, footprint {} → {} (low water {}) | post {:.3} Mops/s (median of {ROUNDS}, {}) | \
          ungated flood: {} shed, footprint {} — {}",
-        pre.mops(),
+        pre_mops,
         pressure.rejected,
         trips,
         budget,
         footprint_after,
         low_water,
-        post.mops(),
+        post_mops,
         if recovered { "recovered" } else { "DEGRADED" },
         ungated.rejected,
         ungated_footprint,
         if pass { "PASS" } else { "FAIL" }
     );
 
-    let phases = phases.map(|(name, t)| {
+    let phases = phases.map(|(name, t, rounds)| {
         let phase = fields!(t => ops, elapsed_s, ok, rejected, sig_miss, neg, errors)
-            .with("mops_per_s", t.mops());
+            .with("mops_per_s", t.mops())
+            .with(
+                "round_mops_per_s",
+                rounds.map(|r| Json::arr(r.iter().copied())),
+            );
         (name, phase)
     });
     let per_op = hists
@@ -441,6 +478,13 @@ pub fn serve(scale: crate::Scale, seed: u64) -> bool {
                 .with("ungated_footprint_bytes", ungated_footprint),
         )
         .with("pass", pass);
-    report::write("serve", Stamp::new(scale, Some(seed)), body);
+    let stamp = Stamp::new(scale, Some(seed)).timed("pre hot phase, Mops/s per round", &pre_rounds);
+    report::write("serve", stamp, body);
     pass
+}
+
+fn median(v: &[f64]) -> f64 {
+    let mut v = v.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }

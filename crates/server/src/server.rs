@@ -30,9 +30,18 @@
 //! # Wakeups
 //!
 //! Frames reach the workers and responses reach the clients through one
-//! kind of queue, `Fifo`, which signals its condvar only when a thread
-//! waits on it: a busy worker or a client that has not yet asked for its
-//! response costs the other side no system call.
+//! kind of queue, `Fifo`. A popper that finds it empty spins for a
+//! bounded time before it sleeps, and a push signals the condvar only
+//! when a thread sleeps on it: a push that lands during the spin, a busy
+//! worker, or a client that has not yet asked for its response costs
+//! neither side a system call.
+//!
+//! # Timing
+//!
+//! With observability off, one frame in [`TIMED_EVERY`] is timed, stage
+//! by stage; the others read no clock. With the kernel's recorder on,
+//! every frame is. The submitter decides, so a frame's queue wait is
+//! timed exactly when its stages are. Counters count every frame.
 
 use crate::admission::{MemoryGate, Verdict};
 use crate::proto::{
@@ -41,17 +50,45 @@ use crate::proto::{
 use crate::stats::{ServeMetrics, ServeStats, WorkerHists};
 use crate::transport::{read_frame, write_frame, DuplexEnd};
 use dc_fs::{DirEntry, InodeAttr};
-use dc_obs::TraceEvent;
+use dc_obs::{LatencyHist, TraceEvent};
 use dc_sighash::Signature;
 use dc_vfs::{FileType, Kernel, Process, SigLookup};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Longest path argument accepted (matches `PATH_MAX`).
 const MAX_PATH_ARG: usize = 4096;
+
+/// With observability off, one submitted frame in this many is timed
+/// (the benchmark harness's `SAMPLE_EVERY` idiom).
+pub const TIMED_EVERY: u64 = 8;
+
+/// How long a popper spins on an empty queue before it parks: about one
+/// futex park/unpark round trip on the 2-vCPU host it was sized on
+/// (DESIGN.md §12.5). Bounded by the clock, not by an iteration count,
+/// because a `spin_loop` iteration costs ~10× more on some CPUs than on
+/// others.
+const SPIN: Duration = Duration::from_micros(20);
+
+/// Spin iterations between two clock reads.
+const SPIN_CHECK_EVERY: u32 = 32;
+
+/// [`SPIN`], or zero on a host with one CPU, where a spinning popper
+/// would only hold the CPU its pusher needs.
+fn spin_budget() -> Duration {
+    static BUDGET: OnceLock<Duration> = OnceLock::new();
+    *BUDGET.get_or_init(|| {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cpus > 1 {
+            SPIN
+        } else {
+            Duration::ZERO
+        }
+    })
+}
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -83,22 +120,31 @@ impl Default for ServerConfig {
 struct Job {
     conn: Arc<ConnShared>,
     frame: Vec<u8>,
-    enqueued: Instant,
+    /// When it was queued, if this frame is timed.
+    enqueued: Option<Instant>,
 }
 
 /// Per-connection response mailbox.
 type ConnShared = Fifo<Vec<u8>>;
 
-/// A FIFO whose condvar is signalled only when a thread waits on it.
+/// A FIFO whose poppers spin, then park, and whose condvar is signalled
+/// only when a thread waits on it.
 ///
 /// std's Linux `Condvar` makes every `notify_*` a futex-wake system
 /// call, whether or not a thread sleeps on it. A waiter counts itself in
 /// `waiting` under the mutex it then waits with, so a push that sees no
 /// waiter may skip the call: a thread not yet counted takes that mutex
 /// and re-checks the queue before it sleeps, and so finds the item.
+///
+/// Before it counts itself, a popper spins for up to `spin` on `len`, a
+/// copy of the queue length published under the mutex. The hint only
+/// says when to look: the item itself is taken under the mutex, so a
+/// stale hint costs one look.
 struct Fifo<T> {
     state: Mutex<FifoState<T>>,
     ready: Condvar,
+    len: AtomicUsize,
+    spin: Duration,
 }
 
 struct FifoState<T> {
@@ -106,16 +152,25 @@ struct FifoState<T> {
     /// Threads inside `ready.wait` (or woken and not yet back in the
     /// lock).
     waiting: usize,
+    /// Times a popper went to sleep on `ready`.
+    parks: u64,
 }
 
 impl<T> Fifo<T> {
     fn new() -> Fifo<T> {
+        Fifo::with_spin(spin_budget())
+    }
+
+    fn with_spin(spin: Duration) -> Fifo<T> {
         Fifo {
             state: Mutex::new(FifoState {
                 items: VecDeque::new(),
                 waiting: 0,
+                parks: 0,
             }),
             ready: Condvar::new(),
+            len: AtomicUsize::new(0),
+            spin,
         }
     }
 
@@ -133,6 +188,7 @@ impl<T> Fifo<T> {
     /// if there is one, after releasing it.
     fn push_locked(&self, mut state: MutexGuard<'_, FifoState<T>>, item: T) {
         state.items.push_back(item);
+        self.len.store(state.items.len(), Ordering::Relaxed);
         let wake = state.waiting > 0;
         drop(state);
         if wake {
@@ -140,23 +196,50 @@ impl<T> Fifo<T> {
         }
     }
 
-    /// The oldest item, sleeping while there is none; `None` once the
-    /// queue is empty and `stop()` holds.
+    /// The oldest item, spinning and then sleeping while there is none;
+    /// `None` once the queue is empty and `stop()` holds.
     fn pop(&self, stop: impl Fn() -> bool) -> Option<T> {
         let mut state = self.lock();
+        let mut spun = false;
         loop {
             if let Some(item) = state.items.pop_front() {
+                self.len.store(state.items.len(), Ordering::Relaxed);
                 return Some(item);
             }
             if stop() {
                 return None;
             }
+            if !spun && !self.spin.is_zero() {
+                spun = true;
+                drop(state);
+                self.spin_until_pushed(&stop);
+                state = self.lock();
+                continue;
+            }
             state.waiting += 1;
+            state.parks += 1;
             state = self
                 .ready
                 .wait(state)
                 .expect("a server thread panicked holding a queue lock");
             state.waiting -= 1;
+        }
+    }
+
+    /// Returns once `len` shows an item, `stop()` holds, or `spin` has
+    /// passed — without a system call.
+    fn spin_until_pushed(&self, stop: &impl Fn() -> bool) {
+        let start = Instant::now();
+        loop {
+            for _ in 0..SPIN_CHECK_EVERY {
+                if self.len.load(Ordering::Relaxed) > 0 {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            if stop() || start.elapsed() >= self.spin {
+                return;
+            }
         }
     }
 }
@@ -168,6 +251,8 @@ struct Inner {
     stats: Arc<ServeStats>,
     worker_hists: Vec<Arc<WorkerHists>>,
     queue: Fifo<Job>,
+    /// Frames queued so far: the count that picks the timed ones.
+    queued: AtomicU64,
     creds: RwLock<HashMap<u16, Arc<Process>>>,
     shutdown: AtomicBool,
     /// Ensures only one submitter runs the shrinker per trip edge.
@@ -227,6 +312,7 @@ impl Server {
             stats,
             worker_hists: worker_hists.clone(),
             queue: Fifo::new(),
+            queued: AtomicU64::new(0),
             creds: RwLock::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             shrink_in_flight: AtomicBool::new(false),
@@ -251,7 +337,11 @@ impl Server {
     /// cwd, credentials). Requests naming an unregistered id get
     /// [`Status::BadCred`].
     pub fn register_cred(&self, cred_id: u16, proc: Arc<Process>) {
-        self.inner.creds.write().unwrap().insert(cred_id, proc);
+        self.inner
+            .creds
+            .write()
+            .expect("a server thread panicked holding the credential table")
+            .insert(cred_id, proc);
     }
 
     /// Opens an in-process connection.
@@ -370,10 +460,15 @@ impl Inner {
             self.reject(conn, &frame);
             return;
         }
+        let timed = self.kernel.obs().is_enabled()
+            || self
+                .queued
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(TIMED_EVERY);
         let job = Job {
             conn: conn.clone(),
             frame,
-            enqueued: Instant::now(),
+            enqueued: timed.then(Instant::now),
         };
         self.queue.push_locked(q, job);
     }
@@ -411,18 +506,21 @@ impl Inner {
 
     fn worker_loop(&self, hists: &WorkerHists) {
         while let Some(job) = self.queue.pop(|| self.shutdown.load(Ordering::SeqCst)) {
-            hists
-                .queue_wait
-                .record(job.enqueued.elapsed().as_nanos() as u64);
-            let resp = self.process_frame(&job.frame, hists);
+            let timed = job.enqueued.map(|t| {
+                hists.queue_wait.record(t.elapsed().as_nanos() as u64);
+                hists
+            });
+            let resp = self.process_frame(&job.frame, timed);
             job.conn.push(resp);
         }
     }
 
-    fn process_frame(&self, frame: &[u8], hists: &WorkerHists) -> Vec<u8> {
-        let t = Instant::now();
-        let decoded = proto::decode_request_frame(frame);
-        hists.decode.record(t.elapsed().as_nanos() as u64);
+    /// Decodes, executes and encodes one frame; `hists` is `Some` when
+    /// the frame is timed.
+    fn process_frame(&self, frame: &[u8], hists: Option<&WorkerHists>) -> Vec<u8> {
+        let decoded = stage(hists.map(|h| &h.decode), || {
+            proto::decode_request_frame(frame)
+        });
         let reqs = match decoded {
             DecodedFrame::Batch(reqs) => reqs,
             DecodedFrame::BadVersion => {
@@ -435,16 +533,20 @@ impl Inner {
             }
         };
 
-        // Execute the whole batch under one epoch pin: per-lookup pins
-        // inside the kernel collapse to a nesting bump.
-        let t = Instant::now();
-        let results: Vec<(u64, u8, ExecResult)> = {
+        // Execute the whole batch under one epoch pin, with one read of
+        // the credential table: per-lookup pins inside the kernel
+        // collapse to a nesting bump, and each request borrows its
+        // process from the table.
+        let results: Vec<(u64, u8, ExecResult)> = stage(hists.map(|h| &h.batch_exec), || {
+            let creds = self
+                .creds
+                .read()
+                .expect("a server thread panicked holding the credential table");
             let _pin = self.kernel.dcache.pin();
             reqs.iter()
-                .map(|r| (r.id, r.op, self.execute(r, hists)))
+                .map(|r| (r.id, r.op, self.execute(r, &creds, hists)))
                 .collect()
-        };
-        hists.batch_exec.record(t.elapsed().as_nanos() as u64);
+        });
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats
             .requests
@@ -452,7 +554,11 @@ impl Inner {
         let ops = reqs.len() as u32;
         self.kernel.obs().event(|| TraceEvent::ServeBatch { ops });
 
-        let t = Instant::now();
+        stage(hists.map(|h| &h.encode), || self.encode(results))
+    }
+
+    /// The response frame for a batch's results.
+    fn encode(&self, results: Vec<(u64, u8, ExecResult)>) -> Vec<u8> {
         let mut w = RespWriter::new(0);
         let mut too_big = false;
         for (id, op, result) in results {
@@ -480,24 +586,28 @@ impl Inner {
                 break;
             }
         }
-        let resp = if too_big {
+        if too_big {
             self.stats.resp_too_big.fetch_add(1, Ordering::Relaxed);
             RespWriter::new(Status::TooBig.code()).finish()
         } else {
             w.finish()
-        };
-        hists.encode.record(t.elapsed().as_nanos() as u64);
-        resp
+        }
     }
 
-    fn execute(&self, req: &DecodedReq<'_>, hists: &WorkerHists) -> ExecResult {
+    fn execute(
+        &self,
+        req: &DecodedReq<'_>,
+        creds: &HashMap<u16, Arc<Process>>,
+        hists: Option<&WorkerHists>,
+    ) -> ExecResult {
         let Some(op) = Op::from_u8(req.op) else {
             return ExecResult::Status(Status::BadOp);
         };
         self.stats.per_op[op].fetch_add(1, Ordering::Relaxed);
-        let Some(proc) = self.creds.read().unwrap().get(&req.cred).cloned() else {
+        let Some(proc) = creds.get(&req.cred) else {
             return ExecResult::Status(Status::BadCred);
         };
+        let timed = hists.map(|h| &h.per_op[op.idx()]);
         match op {
             Op::Lookup | Op::Stat | Op::Readdir => {
                 if req.arg.len() > MAX_PATH_ARG {
@@ -506,11 +616,10 @@ impl Inner {
                 let Ok(path) = std::str::from_utf8(req.arg) else {
                     return ExecResult::Status(Status::BadRequest);
                 };
-                let t = Instant::now();
-                let out = match op {
+                stage(timed, || match op {
                     Op::Lookup => {
                         let want_sig = req.flags & proto::FLAG_WANT_SIG != 0;
-                        match self.kernel.lookup_path(&proc, path, want_sig) {
+                        match self.kernel.lookup_path(proc, path, want_sig) {
                             Ok(r) => ExecResult::Lookup {
                                 ino: r.ino,
                                 ftype: r.ftype,
@@ -519,11 +628,11 @@ impl Inner {
                             Err(e) => ExecResult::Status(Status::Fs(e)),
                         }
                     }
-                    Op::Stat => match self.kernel.stat_path(&proc, path) {
+                    Op::Stat => match self.kernel.stat_path(proc, path) {
                         Ok(attr) => ExecResult::Stat(attr),
                         Err(e) => ExecResult::Status(Status::Fs(e)),
                     },
-                    Op::Readdir => match self.kernel.readdir_path(&proc, path) {
+                    Op::Readdir => match self.kernel.readdir_path(proc, path) {
                         Ok(entries) => {
                             // The encoded body (2 + Σ(10 + name_len))
                             // must fit the u16 body_len — bounding the
@@ -539,22 +648,14 @@ impl Inner {
                         Err(e) => ExecResult::Status(Status::Fs(e)),
                     },
                     Op::LookupSig => unreachable!(),
-                };
-                hists.per_op[op.idx()].record(t.elapsed().as_nanos() as u64);
-                out
+                })
             }
             Op::LookupSig => {
-                if req.arg.len() != proto::SIG_BYTES {
-                    return ExecResult::Status(Status::BadRequest);
-                }
-                let mut lanes = [0u64; 4];
-                for (i, lane) in lanes.iter_mut().enumerate() {
-                    let b = &req.arg[i * 8..i * 8 + 8];
-                    *lane = u64::from_le_bytes(b.try_into().unwrap());
-                }
-                let sig = Signature::from_wire(lanes);
-                let t = Instant::now();
-                let out = match self.kernel.lookup_sig(&proc, &sig) {
+                let sig = match proto::get_sig(req.arg, &mut 0) {
+                    Some(sig) if req.arg.len() == proto::SIG_BYTES => sig,
+                    _ => return ExecResult::Status(Status::BadRequest),
+                };
+                stage(timed, || match self.kernel.lookup_sig(proc, &sig) {
                     SigLookup::Hit(r) => ExecResult::LookupSig {
                         ino: r.ino,
                         ftype: r.ftype,
@@ -564,12 +665,22 @@ impl Inner {
                         self.stats.sig_miss.fetch_add(1, Ordering::Relaxed);
                         ExecResult::Status(Status::SigMiss)
                     }
-                };
-                hists.per_op[op.idx()].record(t.elapsed().as_nanos() as u64);
-                out
+                })
             }
         }
     }
+}
+
+/// Runs `f`, and records how long it took into `hist` when there is one:
+/// an untimed frame's stages read no clock.
+fn stage<T>(hist: Option<&LatencyHist>, f: impl FnOnce() -> T) -> T {
+    let Some(hist) = hist else {
+        return f();
+    };
+    let t = Instant::now();
+    let out = f();
+    hist.record(t.elapsed().as_nanos() as u64);
+    out
 }
 
 /// Kernel-side result of one request, before encoding.
@@ -634,7 +745,44 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_to_a_sleeping_worker_wakes_it_and_its_response_wakes_the_client() {
+    fn a_push_during_the_spin_is_delivered_without_a_park() {
+        let fifo = Arc::new(Fifo::with_spin(Duration::from_secs(60)));
+        let popper = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || fifo.pop(|| false))
+        };
+        // Time for the popper to reach its spin; one that has not yet
+        // begun its pop finds the item at once and parks no more.
+        std::thread::sleep(Duration::from_millis(20));
+        fifo.push(5);
+        assert_eq!(popper.join().unwrap(), Some(5));
+        assert_eq!(fifo.lock().parks, 0);
+    }
+
+    /// CI runs this suite under `taskset -c 0` as well, where it checks
+    /// the one-CPU rule.
+    #[test]
+    fn queues_spin_only_with_a_second_cpu() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(Fifo::<u8>::new().spin.is_zero(), cpus == 1);
+    }
+
+    #[test]
+    fn a_popper_whose_spin_expires_parks_and_the_next_push_wakes_it() {
+        let fifo = Arc::new(Fifo::with_spin(Duration::from_millis(1)));
+        let popper = {
+            let fifo = fifo.clone();
+            std::thread::spawn(move || fifo.pop(|| false))
+        };
+        until_waiting(&fifo, 1);
+        fifo.push(9);
+        assert_eq!(popper.join().unwrap(), Some(9));
+        assert_eq!(fifo.lock().parks, 1);
+    }
+
+    /// A one-worker server with observability off, credential 1 the init
+    /// process.
+    fn one_worker() -> (Arc<Kernel>, Server) {
         let k = KernelBuilder::new(DcacheConfig::optimized())
             .build()
             .unwrap();
@@ -646,18 +794,73 @@ mod tests {
             },
         );
         server.register_cred(1, k.init_process());
+        (k, server)
+    }
+
+    fn stat_root(id: u64, cred: u16) -> Request<'static> {
+        Request {
+            id,
+            cred,
+            body: ReqBody::Stat { path: "/" },
+        }
+    }
+
+    /// Sends one frame and returns its records' statuses.
+    fn call(conn: &Connection, reqs: &[Request<'_>]) -> Vec<Status> {
+        conn.send_frame(encode_request_frame(reqs));
+        let frame = decode_response_frame(&conn.recv_frame()).unwrap();
+        frame.records.iter().map(|r| r.status).collect()
+    }
+
+    #[test]
+    fn a_frame_to_a_sleeping_worker_wakes_it_and_its_response_wakes_the_client() {
+        let (_k, server) = one_worker();
         let conn = server.connect();
         until_waiting(&server.inner.queue, 1);
         std::thread::scope(|s| {
             let reply = s.spawn(|| conn.recv_frame());
             until_waiting(&conn.shared, 1);
-            conn.send_frame(encode_request_frame(&[Request {
-                id: 1,
-                cred: 1,
-                body: ReqBody::Stat { path: "/" },
-            }]));
+            conn.send_frame(encode_request_frame(&[stat_root(1, 1)]));
             let frame = decode_response_frame(&reply.join().unwrap()).unwrap();
             assert_eq!(frame.records[0].status, Status::Ok);
         });
+    }
+
+    #[test]
+    fn with_observability_off_one_frame_in_eight_is_timed_and_every_one_counted() {
+        const FRAMES: u64 = 20;
+        let (_k, server) = one_worker();
+        let conn = server.connect();
+        for id in 0..FRAMES {
+            assert_eq!(call(&conn, &[stat_root(id, 1)]), [Status::Ok]);
+        }
+        let stats = server.stats();
+        assert_eq!(stats.requests.load(Ordering::Relaxed), FRAMES);
+        assert_eq!(stats.batches.load(Ordering::Relaxed), FRAMES);
+        assert_eq!(stats.per_op[Op::Stat].load(Ordering::Relaxed), FRAMES);
+        let h = &server.worker_hists()[0];
+        let timed = FRAMES.div_ceil(TIMED_EVERY);
+        for (stage, hist) in [
+            ("queue_wait", &h.queue_wait),
+            ("decode", &h.decode),
+            ("batch_exec", &h.batch_exec),
+            ("encode", &h.encode),
+            ("stat", &h.per_op[Op::Stat.idx()]),
+        ] {
+            assert_eq!(hist.count(), timed, "{stage}");
+        }
+    }
+
+    #[test]
+    fn each_request_answers_by_its_own_credential_as_registered_at_its_frame() {
+        let (k, server) = one_worker();
+        let conn = server.connect();
+        let frame = [stat_root(1, 1), stat_root(2, 2), stat_root(3, 1)];
+        assert_eq!(
+            call(&conn, &frame),
+            [Status::Ok, Status::BadCred, Status::Ok]
+        );
+        server.register_cred(2, k.init_process());
+        assert_eq!(call(&conn, &[stat_root(4, 2)]), [Status::Ok]);
     }
 }

@@ -1,11 +1,19 @@
 //! Server counters and per-worker latency histograms, one source on the
 //! kernel's metric list (DESIGN.md §8 has the declaration rule).
 //!
+//! The counters are exact: every frame and request counts. The
+//! histograms are samples. With the kernel's observability off, a worker
+//! times one frame in [`TIMED_EVERY`](crate::server::TIMED_EVERY),
+//! and that frame lands one sample in each stage histogram and one per
+//! request in the per-op ones; the other frames read no clock. With it
+//! on, every frame is timed. Because the stage and per-op histograms
+//! sample the same frames, ratios between them (execute time per
+//! request) hold either way; a histogram's `count` is its samples.
+//!
 //! Workers never share a histogram: each owns a [`WorkerHists`] and
 //! records with plain relaxed atomics on its own cache lines. A
 //! metrics snapshot merges them on demand ([`LatencyHist::merge_from`]
-//! is lossless — identical buckets), so the hot path pays nothing for
-//! observability beyond the per-record atomic adds.
+//! is lossless — identical buckets).
 
 use crate::proto::Op;
 use dc_obs::{Counter, HistSummary, LatencyHist, MetricSource, Per};
