@@ -12,7 +12,7 @@ use dc_cred::Cred;
 use dc_obs::{Recorder, TraceEvent};
 use dc_rcu::SnapMap;
 use dc_sighash::HashKey;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -28,7 +28,8 @@ const TENANT_BUCKETS: usize = 1 << 8;
 /// One instance per kernel. Owns dentry allocation, the per-namespace
 /// direct-lookup tables, per-credential prefix check caches, the LRU, and
 /// the coherence machinery of §3.2: the global `rename_lock` seqlock, the
-/// global `invalidation` counter, and recursive subtree shootdowns.
+/// global `invalidation` counter, and recursive subtree shootdowns, which
+/// exclude a slow walk's publication.
 pub struct Dcache {
     /// Feature configuration (baseline / optimized / ablations).
     pub config: DcacheConfig,
@@ -54,6 +55,10 @@ pub struct Dcache {
     /// Global shootdown counter: slowpath results may only be published to
     /// DLHT/PCC if this did not move during the walk (§3.2).
     pub(crate) invalidation: crate::dsync::AtomicU64,
+    /// Write-held by a shootdown, read-held by a slow walk's check and
+    /// publication: none lands while a shootdown runs. Taken after
+    /// `rename_lock`'s write side, never before.
+    pub(crate) shooting: RwLock<()>,
     next_id: AtomicU64,
     live: AtomicU64,
     tick: AtomicU64,
@@ -109,6 +114,7 @@ impl Dcache {
             retired_ns: Mutex::new(HashSet::new()),
             lru: DentryLru::new(8),
             invalidation: crate::dsync::AtomicU64::new(0),
+            shooting: RwLock::new(()),
             next_id: AtomicU64::new(1),
             live: AtomicU64::new(0),
             tick: AtomicU64::new(1),

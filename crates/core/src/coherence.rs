@@ -11,12 +11,21 @@
 //! A dentry's `seq` moves whenever a prefix check through it may have
 //! become false, and a PCC entry answers only at the seq it memoized, so
 //! one bump kills the entry in every credential's PCC. The invalidation
-//! counter moves before every shootdown: a slow walk samples it first,
-//! and its publications stand only if it has not moved when they are
-//! applied — applied, then checked, so a stale entry is visible until the
-//! rollback (`crates/dst/tests/coherence_model.rs` finds that window).
-//! Slow walks and revalidation climbs also validate against the
-//! `rename_lock` structural changes write-hold.
+//! counter moves at the end of every shootdown: a slow walk samples it
+//! before it reads anything and publishes only if it has not moved.
+//! Checked, then published, with shootdowns excluded: a shootdown
+//! write-holds the cache's `shooting` lock across its walk and its bump,
+//! and [`Publications::apply`] read-holds it across the comparison and
+//! the publication. So a walk either publishes before a shootdown begins
+//! (which then evicts what it published), or began before the bump and
+//! publishes nothing, or began after it and read only what the shootdown
+//! left. The bump comes last: a walk that sampled the counter mid-way
+//! could have read a hash state the shootdown had yet to clear (model (c)
+//! in `crates/dst/tests/coherence_model.rs` finds that order). Lock order:
+//! `rename_lock`'s write side, then `shooting` (a rename's shootdown, the
+//! slow walk's writer-excluding fallback). Slow walks and revalidation
+//! climbs also validate against the `rename_lock` structural changes
+//! write-hold.
 //!
 //! **The seq sandwich.** A reader samples `seq`, reads the block once,
 //! and answers from that read only if the dentry is alive and `seq` has
@@ -83,7 +92,9 @@ pub fn vouched<'a, T>(
 }
 
 /// A slow walk's publications: queued while it walks, applied once it
-/// validated, rolled back if a shootdown ran since it began.
+/// validated, and only if no shootdown ran since it began — checked and
+/// published under `shooting`'s read side, after `rename_lock`'s write
+/// side if the walk holds that.
 pub struct Publications<'d> {
     dcache: &'d Dcache,
     inv0: u64,
@@ -121,11 +132,19 @@ impl Publications<'_> {
         self.links.push((link, sig, mount));
     }
 
-    /// Applies the queue and undoes all of it if the invalidation counter
-    /// moved since the walk began. `table` (a namespace's memoized handle:
-    /// a walk racing teardown publishes into the dying table, never a
-    /// revived one) is resolved only if a dentry is to be entered.
+    /// Applies the queue unless the invalidation counter moved since the
+    /// walk began; an empty queue takes no lock. `table` (a namespace's
+    /// memoized handle: a walk racing teardown publishes into the dying
+    /// table, never a revived one) is resolved only if a dentry is to be
+    /// entered.
     pub fn apply<'t>(self, table: impl FnOnce() -> &'t Arc<Dlht>) {
+        if self.entries.is_empty() && self.memos.is_empty() && self.links.is_empty() {
+            return;
+        }
+        let _no_shootdown = self.dcache.shooting.read();
+        if self.dcache.invalidation_counter() != self.inv0 {
+            return;
+        }
         if !self.entries.is_empty() {
             let table = table();
             for (d, sig, state, mount) in &self.entries {
@@ -141,21 +160,6 @@ impl Publications<'_> {
         for (link, sig, mount) in &self.links {
             link.store_link_sig(*sig, *mount);
         }
-        if self.dcache.invalidation_counter() == self.inv0 {
-            return;
-        }
-        for (d, ..) in &self.entries {
-            d.clear_hash_state();
-            self.dcache.dlht_remove(d);
-        }
-        if let Some(pcc) = &self.pcc {
-            for &(id, _) in &self.memos {
-                pcc.forget(id);
-            }
-        }
-        for (link, ..) in &self.links {
-            link.clear_hash_state();
-        }
     }
 }
 
@@ -169,9 +173,10 @@ impl Dcache {
         self.invalidation.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// One shootdown: bumps the invalidation counter, then shoots `tops`'
-    /// cached subtrees and, through `mounts` (every namespace's
-    /// (mountpoint, mount root) edges), the trees mounted inside them.
+    /// One shootdown, slow walks' publication excluded throughout: shoots
+    /// `tops`' cached subtrees and, through `mounts` (every namespace's
+    /// (mountpoint, mount root) edges), the trees mounted inside them,
+    /// then bumps the invalidation counter.
     /// `structural` (rename, mount changes: paths moved) also evicts them
     /// from the DLHT and clears their hash states; otherwise (`chmod`,
     /// `chown`) only their prefix checks die. The baseline reads no seq,
@@ -187,7 +192,7 @@ impl Dcache {
         if !self.config.fastpath {
             return;
         }
-        self.bump_invalidation();
+        let _no_publication = self.shooting.write();
         let mut seen = HashSet::new();
         let mut stack: Vec<Arc<Dentry>> = tops.into_iter().cloned().collect();
         while let Some(top) = stack.pop() {
@@ -202,6 +207,7 @@ impl Dcache {
             let below = mounts.iter().filter(|(mp, _)| within(mp));
             stack.extend(below.map(|(_, root)| root.clone()));
         }
+        self.bump_invalidation();
     }
 
     /// Invalidates cached prefix checks for `d` and every cached

@@ -217,19 +217,6 @@ impl Pcc {
         set.ways[victim].write(id, seq);
     }
 
-    /// Removes any memoized result for `id` (used when a directory
-    /// reference loses access and must not be re-validated, §3.2).
-    pub fn forget(&self, id: DentryId) {
-        for set in [self.set_of(id), self.dir_set_of(id)] {
-            let _g = set.write_lock.lock();
-            for e in &set.ways {
-                if e.id.load(Ordering::Acquire) == id {
-                    e.write(INVALID, 0);
-                }
-            }
-        }
-    }
-
     /// Drops every memoized result (the paper's wraparound flush).
     pub fn invalidate_all(&self) {
         for set in self.sets.iter() {
@@ -320,15 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_removes_entry() {
-        let pcc = Pcc::new(4096);
-        pcc.insert(5, 9);
-        assert!(pcc.check(5, 9));
-        pcc.forget(5);
-        assert!(!pcc.check(5, 9));
-    }
-
-    #[test]
     fn directories_are_memoized_apart() {
         let pcc = Pcc::new(1024); // 8 sets × 8 ways, and 1 × 8 for directories
         pcc.insert_dir(7, 3);
@@ -347,11 +325,7 @@ mod tests {
         }
         assert!(resident.iter().all(|&id| pcc.check(id, 0)));
         assert_eq!(pcc.capacity(), 64);
-        // Both answer to `forget` and to the flush.
-        pcc.insert(7, 3);
-        pcc.insert_dir(7, 3);
-        pcc.forget(7);
-        assert!(!pcc.check(7, 3) && !pcc.check_dir(7, 3));
+        // Both answer to the flush.
         pcc.insert_dir(8, 1);
         pcc.invalidate_all();
         assert!(!pcc.check_dir(8, 1));

@@ -181,41 +181,36 @@ fn publish_races_rename() {
     renamer.join().unwrap();
 }
 
+/// A walk checks, then publishes, while shootdowns are excluded: once the
+/// rename's shootdown has begun, the walk publishes nothing. The order
+/// this rules out is publish, check, roll back: a lookup begun after the
+/// rename returned finds `/a/f` in the DLHT, misses the PCC (the
+/// shootdown moved `f`'s seq), revalidates over `f`'s current ancestors
+/// and answers with `f`. Seed `0xC0` at expected length 500 finds that
+/// order at iteration 14, its change points between the walk's inserts
+/// and its check; the default length, whose change points land before
+/// the walk has validated, covers the rest.
 #[test]
-fn publish_then_check_window_is_found_and_replays() {
+fn a_walk_never_publishes_across_a_rename() {
     let _alone = alone();
     inodes();
-    // The slow walk publishes, then compares the invalidation counter
-    // and rolls back: between the two, a lookup begun after the rename
-    // returned finds `/a/f` in the DLHT, misses the PCC (the shootdown
-    // moved `f`'s seq), revalidates over `f`'s current ancestors — which
-    // pass — and answers with `f`. Found at iteration 14, schedule seed
-    // 0x2300a59eec3cc454 (PCT, depth 3, expected length 500), 619 steps;
-    // the trace, as (thread, run length): (0, 69) (1, 113) (0, 11)
-    // (2, 75) (1, 64) (0, 137) (1, 108) (0, 44) — the reader's answer
-    // falls in the main thread's 137, between the walker's inserts and
-    // its check. Closing the window (ROADMAP item 2) turns this test into
-    // a `dst::check` that must pass. The schedules run about 500 steps,
-    // and change points spread over the default 200 land before the walk
-    // has validated: 20 000 iterations at that length found nothing.
-    let report = dst::explore(
-        dst::Config::default().seed(0xC0).expected_len(500),
+    dst::check(
+        "publish-vs-rename-long",
+        dst::Config::default()
+            .iterations(20_000)
+            .seed(0xC0)
+            .expected_len(500)
+            .from_env(),
         publish_races_rename,
     );
-    let failure = report
-        .failure
-        .expect("the checker must find the publish-then-check window");
-    assert!(
-        failure.message.contains("found /a/f"),
-        "unexpected failure: {}",
-        failure.message
+    dst::check(
+        "publish-vs-rename",
+        dst::Config::default()
+            .iterations(20_000)
+            .seed(0xC0)
+            .from_env(),
+        publish_races_rename,
     );
-    let msg = dst::replay(failure.seed, failure.policy, publish_races_rename)
-        .expect("seed must reproduce");
-    assert!(msg.contains("found /a/f"));
-    let msg = dst::replay_trace(failure.trace.clone(), publish_races_rename)
-        .expect("trace must reproduce");
-    assert!(msg.contains("found /a/f"), "trace replay diverged: {msg}");
 }
 
 /// Model (b): eviction of `f` (`unhash(f, true)`) ∥ a lookup of `f`
@@ -247,6 +242,86 @@ fn eviction_never_fabricates_absence() {
             }
             evictor.join().unwrap();
         },
+    );
+}
+
+/// Model (c): `umount`'s shootdown of a mount root `a` ∥ a slow walk of
+/// `f` anchored at a cwd inside that mount (`a` itself, resuming from its
+/// stored hash state) ∥ a reader that looks `/a/f` up until the walk is
+/// over. Once the shootdown has returned, no lookup by the old signature
+/// answers — not while the walk runs, and not after it.
+fn umount_races_cwd_walk() {
+    let t = Arc::new(Tree::new());
+    let table = t.dc.dlht_for(0);
+    let mut q = t.dc.publications(None, &t.root, true);
+    q.add(&t.a, t.h_a, M);
+    q.apply(|| &table);
+    let pcc = Arc::new(Pcc::new(1024));
+    pcc.insert(t.a.id(), t.a.seq());
+    let (walked, umounted) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let walker = {
+        let (t, pcc, walked) = (t.clone(), pcc.clone(), walked.clone());
+        dst::thread::spawn(move || {
+            let dc = &t.dc;
+            let mut q = dc.publications(Some(pcc), &t.a, false);
+            if let Some(mut h) = t.a.hash_state_via(M) {
+                if let Cached::Entry(f) = dc.lookup_cached(&t.a, "f") {
+                    dc.key.push_component(&mut h, b"f");
+                    q.add(&f, h, M);
+                }
+            }
+            let table = dc.dlht_for(0);
+            q.apply(|| &table);
+            walked.store(true, Ordering::SeqCst);
+        })
+    };
+    let umounter = {
+        let (t, umounted) = (t.clone(), umounted.clone());
+        dst::thread::spawn(move || {
+            t.dc.shootdown([&t.a], true, &[]);
+            umounted.store(true, Ordering::SeqCst);
+        })
+    };
+    let found_f =
+        |answer: Option<Result<_, _>>| matches!(answer, Some(Ok(d)) if Arc::ptr_eq(&d, &t.f));
+    loop {
+        let (after_umount, last) = (
+            umounted.load(Ordering::SeqCst),
+            walked.load(Ordering::SeqCst),
+        );
+        let answer = t.lookup(&pcc, &t.sig(), &|_| true);
+        assert!(
+            !(after_umount && found_f(answer)),
+            "a lookup begun after the umount returned found /a/f"
+        );
+        if last {
+            break;
+        }
+        dst::hint::spin_loop();
+    }
+    walker.join().unwrap();
+    umounter.join().unwrap();
+    assert!(
+        !found_f(t.lookup(&pcc, &t.sig(), &|_| true)),
+        "the walk published /a/f after the umount"
+    );
+}
+
+#[test]
+fn a_walk_from_a_cwd_never_publishes_across_an_umount() {
+    let _alone = alone();
+    inodes();
+    dst::check(
+        "publish-vs-umount",
+        dst::Config::default()
+            .iterations(5_000)
+            .seed(0xC3)
+            .expected_len(300)
+            .from_env(),
+        umount_races_cwd_walk,
     );
 }
 

@@ -108,28 +108,3 @@ fn injected_missing_seq_bump_is_caught_and_replays() {
         "correct seq-bump flow failed under the counterexample schedule"
     );
 }
-
-#[test]
-fn forget_beats_racing_checks() {
-    // `forget` (access revocation) must also never lose to a concurrent
-    // reader: after it completes, checks at any version miss.
-    dst::check(
-        "pcc-forget",
-        dst::Config::default()
-            .iterations(3000)
-            .seed(0x83)
-            .from_env(),
-        || {
-            let pcc = Arc::new(Pcc::new(1024));
-            pcc.insert(9, 0);
-            let revoker = {
-                let pcc = pcc.clone();
-                dst::thread::spawn(move || pcc.forget(9))
-            };
-            // Racing check: either outcome is fine mid-race.
-            let _ = pcc.check(9, 0);
-            revoker.join().unwrap();
-            assert!(!pcc.check(9, 0), "memoized check survived forget()");
-        },
-    );
-}

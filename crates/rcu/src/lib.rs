@@ -19,7 +19,43 @@
 pub use crossbeam_epoch::Guard;
 use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
 use parking_lot::Mutex;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// Waits out a grace period: returns once everything retired before the
+/// call (a superseded [`EpochCell`] value, an older [`SnapMap`]
+/// snapshot) has been destroyed. It retires a sentinel and flushes until
+/// the sentinel is destroyed, twice: a collector destroys a batch while
+/// pinned, so once the second sentinel is gone, every collector that took
+/// the first one's batch has finished it. A reader pinned throughout
+/// delays the return.
+///
+/// # Panics
+///
+/// Panics if the calling thread is pinned: its own pin would hold the
+/// epoch back forever.
+pub fn synchronize() {
+    assert!(!epoch::is_pinned(), "synchronize() under an epoch pin");
+    struct Sentinel(Arc<AtomicBool>);
+    impl Drop for Sentinel {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    for _ in 0..2 {
+        let destroyed = Arc::new(AtomicBool::new(false));
+        {
+            let guard = epoch::pin();
+            let sentinel = Owned::new(Sentinel(destroyed.clone())).into_shared(&guard);
+            // Reachable from nowhere: retired the moment it exists.
+            unsafe { guard.defer_destroy(sentinel) };
+        }
+        while !destroyed.load(Ordering::Acquire) {
+            epoch::pin().flush();
+            std::thread::yield_now();
+        }
+    }
+}
 
 /// A read-mostly cell: lock-free reads, swap-and-defer writes.
 pub struct EpochCell<T> {
@@ -272,6 +308,18 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.clear();
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn synchronize_waits_out_every_retired_value() {
+        let old = Arc::new(0u32);
+        let cell = EpochCell::new(old.clone());
+        let map = SnapMap::new();
+        map.insert(1, old.clone());
+        cell.set(Arc::new(1));
+        map.remove(1);
+        synchronize();
+        assert_eq!(Arc::strong_count(&old), 1);
     }
 
     #[test]

@@ -138,6 +138,23 @@ impl MountNamespace {
         self.by_id.get_ref(id, guard)
     }
 
+    /// Whether anything but this namespace and the caller's one reference
+    /// holds `mount`, one of its child mounts: a cwd, a root or an open
+    /// handle, each of which holds a `PathRef` and with it the mount
+    /// (Linux's `mnt_count` test behind `umount`'s `EBUSY`). A superseded
+    /// snapshot (an older mount list, a replaced cwd or root) holds it
+    /// until its grace period ends, so a count above the floor is
+    /// believed only after one ([`dc_rcu::synchronize`]: the caller must
+    /// not be pinned).
+    pub fn in_use(&self, mount: &Arc<Mount>) -> bool {
+        // The mountpoint index's, the by-id snapshot's and the caller's.
+        let floor = 3;
+        if Arc::strong_count(mount) > floor {
+            dc_rcu::synchronize();
+        }
+        Arc::strong_count(mount) > floor
+    }
+
     /// Whether this namespace has any child mounts (diagnostics).
     pub fn mount_count(&self) -> usize {
         self.by_id.len()

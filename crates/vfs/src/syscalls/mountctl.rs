@@ -122,7 +122,8 @@ impl Kernel {
         })
     }
 
-    /// `umount(2)`.
+    /// `umount(2)`: `EBUSY` while a mount hangs below it or a process
+    /// stands in it (a cwd, a root, an open handle).
     pub fn umount(&self, proc: &Process, path: &str) -> FsResult<()> {
         self.obs().time(OpClass::Other, || {
             if proc.cred().uid != 0 {
@@ -141,6 +142,10 @@ impl Kernel {
                         return Err(FsError::Busy);
                     }
                 }
+            }
+            // Busy if a process stands in it.
+            if ns.in_use(&at.mount) {
+                return Err(FsError::Busy);
             }
             ns.remove_mount(at.mount.id).ok_or(FsError::Inval)?;
             // The unmounted subtree's direct-lookup entries are stale.

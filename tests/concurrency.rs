@@ -278,24 +278,38 @@ fn warm_hits_never_touch_the_mount_refcount() {
     let stop = AtomicBool::new(false);
     let go = std::sync::Barrier::new(3);
     let calls = AtomicU64::new(0);
+    // Readers that have looped `LAPS` times: the sampler runs until both
+    // have, so the window holds their calls however they are scheduled.
+    const LAPS: usize = 1_000;
+    let lapped = AtomicU64::new(0);
     let mut highest = 0;
     std::thread::scope(|s| {
-        for r in &readers {
-            s.spawn(|| {
-                go.wait();
-                let mut n = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    let path = &paths[n % paths.len()];
-                    k.stat(r, path).unwrap();
-                    k.access(r, path, dcache_repro::cred::MAY_READ).unwrap();
-                    n += 1;
-                }
-                calls.fetch_add(2 * n as u64, Ordering::Relaxed);
-            });
-        }
+        let loops: Vec<_> = readers
+            .iter()
+            .map(|r| {
+                s.spawn(|| {
+                    go.wait();
+                    let mut n = 0;
+                    while !stop.load(Ordering::Relaxed) {
+                        let path = &paths[n % paths.len()];
+                        k.stat(r, path).unwrap();
+                        k.access(r, path, dcache_repro::cred::MAY_READ).unwrap();
+                        n += 1;
+                        if n == LAPS {
+                            lapped.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    calls.fetch_add(2 * n as u64, Ordering::Relaxed);
+                })
+            })
+            .collect();
         go.wait();
-        for _ in 0..1_000_000 {
+        let mut samples = 0;
+        let behind =
+            || lapped.load(Ordering::Relaxed) < 2 && !loops.iter().any(|l| l.is_finished());
+        while samples < 1_000_000 || behind() {
             highest = highest.max(Arc::strong_count(&root));
+            samples += 1;
         }
         stop.store(true, Ordering::Relaxed);
     });
@@ -459,10 +473,14 @@ fn journaled_apply_is_invisible_in_flight_to_memfs_readers() {
     let b_name = "b".repeat(200);
 
     let stop = Arc::new(AtomicBool::new(false));
+    // Observer checks so far: the renames run until it has done `LAPS`,
+    // so the two overlap however they are scheduled.
+    const LAPS: u64 = 100;
+    let checked = Arc::new(AtomicU64::new(0));
     std::thread::scope(|s| {
         let observer = {
             let fs = fs.clone();
-            let stop = stop.clone();
+            let (stop, checked) = (stop.clone(), checked.clone());
             let b_name = b_name.clone();
             s.spawn(move || {
                 let mut checks = 0u64;
@@ -473,13 +491,17 @@ fn journaled_apply_is_invisible_in_flight_to_memfs_readers() {
                     let b = out.iter().any(|e| e.name == b_name);
                     assert!(a ^ b, "half-applied rename visible to readdir: a={a} b={b}");
                     checks += 1;
+                    checked.store(checks, Ordering::Relaxed);
                 }
                 checks
             })
         };
-        for _ in 0..400 {
+        let mut pairs = 0;
+        let behind = || checked.load(Ordering::Relaxed) < LAPS && !observer.is_finished();
+        while pairs < 400 || behind() {
             fs.rename(arena, "a", arena, &b_name).unwrap();
             fs.rename(arena, &b_name, arena, "a").unwrap();
+            pairs += 1;
         }
         stop.store(true, Ordering::Relaxed);
         assert!(observer.join().unwrap() > 0, "observer never ran");

@@ -277,9 +277,26 @@ fn umount_busy_and_invalid_cases() {
         // Parent mount is busy while a child mount exists.
         assert_eq!(k.umount(&root, "/m1"), Err(FsError::Busy));
         k.umount(&root, "/m1/inner").unwrap();
+        // Busy while a process stands in it: a cwd...
+        let p = k.spawn(&root);
+        k.chdir(&p, "/m1/inner").unwrap();
+        assert_eq!(k.umount(&root, "/m1"), Err(FsError::Busy));
+        k.chdir(&p, "/").unwrap();
         k.umount(&root, "/m1").unwrap();
         // Not a mount root.
         assert_eq!(k.umount(&root, "/m1"), Err(FsError::Inval));
+        // ...a root (and the cwd a chroot sets)...
+        k.mount_fs(&root, fs.clone(), "/m1", MountFlags::default())
+            .unwrap();
+        let jailed = k.spawn(&root);
+        k.chroot(&jailed, "/m1").unwrap();
+        assert_eq!(k.umount(&root, "/m1"), Err(FsError::Busy));
+        drop(jailed);
+        // ...or an open handle.
+        let fd = k.open(&root, "/m1/f", OpenFlags::create(), 0o644).unwrap();
+        assert_eq!(k.umount(&root, "/m1"), Err(FsError::Busy));
+        k.close(&root, fd).unwrap();
+        k.umount(&root, "/m1").unwrap();
         // rmdir of a mountpoint is EBUSY.
         k.mkdir(&root, "/m2", 0o755).unwrap();
         k.mount_fs(&root, fs, "/m2", MountFlags::default()).unwrap();
@@ -458,19 +475,19 @@ fn a_covered_directory_takes_no_second_mount() {
     });
 }
 
-/// A process left standing in an unmounted tree (this `umount` does not
-/// refuse it, as Linux would) has no path either: rebuilt from the
-/// mountpoint it used to hang on, its root would hash as `/a` and its
-/// `/g` be everyone's `/a/g` (seed 30 of the Tier-1 budget, before
-/// `rebuild_hash_state` refused unmounted trees).
+/// A process standing in a mount keeps it mounted, as in Linux: its root
+/// there makes `umount` answer `EBUSY`. Left in the unmounted tree, a
+/// root hash state rebuilt from the old mountpoint would make its `/g`
+/// everyone's `/a/g` (seed 30 of the Tier-1 budget). Mounted, its `/g` is
+/// the root's `/g`, and what it publishes answers nobody's `/a/g`.
 #[test]
-fn a_walk_in_an_unmounted_tree_shares_nothing() {
+fn a_process_standing_in_a_mount_keeps_it_and_shares_nothing() {
     both(|k, root| {
         k.mkdir(&root, "/a", 0o755).unwrap();
         k.bind_mount(&root, "/", "/a").unwrap();
         let inside = k.spawn(&root);
         k.chroot(&inside, "/a").unwrap();
-        k.umount(&inside, "/..").unwrap();
+        assert_eq!(k.umount(&inside, "/.."), Err(FsError::Busy));
         assert_eq!(k.stat(&inside, "/a/g"), Err(FsError::NoEnt));
         assert_eq!(k.stat(&root, "/a/g"), Err(FsError::NoEnt));
         k.symlink(&root, "/x/..", "/g").unwrap();
