@@ -20,9 +20,9 @@
 //! the sampled [`CrashMonitor`] and captures images. Both passes replay
 //! the identical seeded workload.
 //!
-//! The journal-overhead ablation (journal on vs off) closes the report:
-//! the warm fig. 8 fast path must stay within 10% — the journal prices
-//! mutations, never warm lookups.
+//! The journal's price closes the report: warm fig. 8 ladder rounds must
+//! cause no memfs call and no journal commit — the journal prices
+//! mutations, never warm lookups — and metadata churn is timed.
 
 use crate::report::{self, fields, Json, Stamp};
 use crate::setup::{kernel_on_disk, DiskSetup, Scale};
@@ -422,11 +422,11 @@ fn run_campaign(
         disk.attach_crash_monitor(m.clone());
     }
 
-    let seq_base = fs.journal_seq().expect("journaled fs");
+    let seq_base = fs.journal_seq();
     let mut boundaries = vec![(seq_base, 0usize)];
     let mut oplog: Vec<(Op, bool)> = Vec::with_capacity(ops);
     let mut gen = Gen::new(seed, fs.root_ino());
-    let stats0 = fs.journal_stats().unwrap_or_default();
+    let stats0 = fs.journal_counters().values();
     let writes0 = disk.stats().device_writes;
     if let Some(m) = monitor {
         m.arm();
@@ -460,7 +460,7 @@ fn run_campaign(
         if ok {
             ops_ok += 1;
             gen.settle(&op, created);
-            let seq = fs.journal_seq().expect("journaled fs");
+            let seq = fs.journal_seq();
             // An op that touched no metadata re-uses the previous seq;
             // fold it into that boundary (the trees are identical).
             match boundaries.last_mut() {
@@ -474,7 +474,7 @@ fn run_campaign(
         m.disarm();
     }
     let writes_during = disk.stats().device_writes - writes0;
-    let stats1 = fs.journal_stats().unwrap_or_default();
+    let stats1 = fs.journal_counters().values();
     RunResult {
         fs,
         writes_during,
@@ -636,7 +636,7 @@ fn warm_round(kernel: &Kernel, proc: &Arc<Process>, iters: usize) -> f64 {
 }
 
 /// Metadata churn (create + unlink round trips): ns/op including the
-/// journal's payload-then-commit flushes when enabled.
+/// journal's payload-then-commit flushes.
 fn churn(kernel: &Kernel, proc: &Arc<Process>, pairs: usize) -> f64 {
     let _ = kernel.mkdir(proc, "/churn", 0o755);
     let mut best = f64::INFINITY;
@@ -656,68 +656,56 @@ fn churn(kernel: &Kernel, proc: &Arc<Process>, pairs: usize) -> f64 {
     best
 }
 
-struct OverheadRow {
-    name: &'static str,
+/// What the journal costs, on the spinning-latency disk the fig. 8
+/// experiments use: warm lookups by count, metadata churn by time.
+struct JournalPrice {
+    /// ns/op of each warm ladder round after the first.
     warm_rounds: Vec<f64>,
+    /// memfs calls (`FsStats`) those rounds caused.
+    warm_fs_calls: u64,
+    /// Journal commits those rounds caused.
+    warm_commits: u64,
     churn_ns: f64,
+    /// Journal commits over the whole run, churn included.
     commits: u64,
 }
 
-impl OverheadRow {
-    /// The best round — what the 10% bar judges.
-    fn warm_ns(&self) -> f64 {
-        self.warm_rounds
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
+fn journal_price(seed: u64, scale: &Scale) -> JournalPrice {
+    let disk = DiskConfig {
+        capacity_blocks: CAPACITY_BLOCKS,
+        latency: LatencyModel::new(2_000, 4_000, true).with_hit_ns(150),
+        ..Default::default()
+    };
+    let fs = MemFsConfig {
+        max_inodes: MAX_INODES,
+        ..Default::default()
+    };
+    let DiskSetup {
+        fs, kernel, proc, ..
+    } = kernel_on_disk(DcacheConfig::optimized().with_seed(seed), disk, fs);
+    lmbench::setup(&kernel, &proc).expect("lmbench fixture");
+    let iters = scale.tree_files.max(200) * 4;
+    let fs_calls = || {
+        let (lookups, readdirs, getattrs, mutations) = fs.stats().snapshot();
+        lookups + readdirs + getattrs + mutations
+    };
+    let commits = || fs.journal_counters().values().commits;
+    // Round 0 warms caches and branch predictors; discard.
+    warm_round(&kernel, &proc, iters);
+    let (calls0, commits0) = (fs_calls(), commits());
+    let warm_rounds = (0..6).map(|_| warm_round(&kernel, &proc, iters)).collect();
+    let (warm_fs_calls, warm_commits) = (fs_calls() - calls0, commits() - commits0);
+    JournalPrice {
+        warm_rounds,
+        warm_fs_calls,
+        warm_commits,
+        churn_ns: churn(&kernel, &proc, iters / 4),
+        commits: commits(),
     }
-}
-
-/// Journal on/off ablation on the spinning-latency disk the fig. 8
-/// experiments use. Measurement rounds are interleaved between the two
-/// kernels (and each config keeps its best round) so CPU frequency
-/// ramp-up or background noise cannot masquerade as journal overhead.
-fn journal_overhead(seed: u64, scale: &Scale) -> [OverheadRow; 2] {
-    let mut setups = Vec::new();
-    for (name, journal) in [("journal", true), ("no-journal", false)] {
-        let disk = DiskConfig {
-            capacity_blocks: CAPACITY_BLOCKS,
-            latency: LatencyModel::new(2_000, 4_000, true).with_hit_ns(150),
-            ..Default::default()
-        };
-        let fs = MemFsConfig {
-            max_inodes: MAX_INODES,
-            journal,
-            ..Default::default()
-        };
-        let s = kernel_on_disk(DcacheConfig::optimized().with_seed(seed), disk, fs);
-        lmbench::setup(&s.kernel, &s.proc).expect("lmbench fixture");
-        setups.push((name, s.fs, s.kernel, s.proc));
-    }
-    let iters = scale.tree_files.max(200);
-    let mut warm = [Vec::new(), Vec::new()];
-    for round in 0..7 {
-        for (i, (_, _, kernel, proc)) in setups.iter().enumerate() {
-            let ns = warm_round(kernel, proc, iters * 4);
-            // Round 0 warms caches and branch predictors; discard.
-            if round > 0 {
-                warm[i].push(ns);
-            }
-        }
-    }
-    std::array::from_fn(|i| {
-        let (name, fs, kernel, proc) = &setups[i];
-        OverheadRow {
-            name,
-            warm_rounds: std::mem::take(&mut warm[i]),
-            churn_ns: churn(kernel, proc, iters),
-            commits: fs.journal_stats().map(|s| s.commits).unwrap_or(0),
-        }
-    })
 }
 
 /// The `repro crash --seed N` entry point. Returns `false` if any image
-/// failed verification or the journal's warm overhead blew the 10% bar,
+/// failed verification or a warm lookup reached memfs or its journal,
 /// so the caller (and CI) can turn the verdict into an exit code.
 pub fn crash(scale: Scale, seed: u64) -> bool {
     campaign(scale, seed, CAMPAIGN_POINTS)
@@ -819,38 +807,38 @@ pub(crate) fn campaign(scale: Scale, seed: u64, points: usize) -> bool {
         t2.elapsed()
     );
 
-    // Journal overhead ablation.
-    let rows = journal_overhead(seed, &scale);
-    let warm_overhead = (rows[0].warm_ns() - rows[1].warm_ns()) / rows[1].warm_ns();
-    let churn_overhead = (rows[0].churn_ns - rows[1].churn_ns) / rows[1].churn_ns;
+    // The journal's price: counted on warm lookups, timed on churn.
+    let price = journal_price(seed, &scale);
     let mut t = Table::new(&[
-        "config",
         "warm stat us/op",
+        "warm fs calls",
+        "warm commits",
         "create+unlink us/op",
         "commits",
     ]);
-    for r in &rows {
-        t.row(vec![
-            r.name.into(),
-            us(r.warm_ns()),
-            us(r.churn_ns),
-            r.commits.to_string(),
-        ]);
-    }
+    let warm_ns = price
+        .warm_rounds
+        .iter()
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    t.row(vec![
+        us(warm_ns),
+        price.warm_fs_calls.to_string(),
+        price.warm_commits.to_string(),
+        us(price.churn_ns),
+        price.commits.to_string(),
+    ]);
     t.print();
-    let warm_ok = warm_overhead <= 0.10;
+    // The journal prices mutations, never warm lookups.
+    let warm_ok = price.warm_fs_calls == 0 && price.warm_commits == 0;
     println!(
-        "journal overhead: warm fast path {:+.1}% (bar: <=10% — {}), metadata churn {:+.1}% \
-         (durability price, not on the fast path)",
-        warm_overhead * 100.0,
+        "journal price: {} warm ladder rounds caused {} fs calls and {} commits (bar: 0 — {})",
+        price.warm_rounds.len(),
+        price.warm_fs_calls,
+        price.warm_commits,
         if warm_ok { "PASS" } else { "FAIL" },
-        churn_overhead * 100.0,
     );
 
-    let overhead = rows.iter().map(|r| {
-        let row = fields!(r => churn_ns, commits).with("warm_stat_ns", r.warm_ns());
-        (r.name, row)
-    });
     let body = Json::obj()
         .with("crash_points", points)
         .with("tear_prob", TEAR_PROB)
@@ -866,13 +854,14 @@ pub(crate) fn campaign(scale: Scale, seed: u64, points: usize) -> bool {
             fields!(v => images, torn, mount_failures, fsck_errors, prefix_mismatches, divergences, replayed_txns)
                 .with("clean", v.clean()),
         )
-        .with("overhead", Json::keyed(overhead))
-        .with("warm_overhead", warm_overhead)
-        .with("warm_overhead_within_10pct", warm_ok);
-    let stamp = Stamp::new(scale, Some(seed)).timed(
-        "warm stat, journal on, ns/op per round",
-        &rows[0].warm_rounds,
-    );
+        .with(
+            "journal",
+            fields!(price => warm_fs_calls, warm_commits, churn_ns, commits)
+                .with("warm_stat_ns", warm_ns)
+                .with("warm_untouched", warm_ok),
+        );
+    let stamp =
+        Stamp::new(scale, Some(seed)).timed("warm stat, ns/op per round", &price.warm_rounds);
     report::write("crash", stamp, body);
 
     // Warm-restart phase (DESIGN.md §15): rehydrate every surviving

@@ -320,7 +320,7 @@ impl Dentry {
     #[inline]
     pub fn view<'a>(&'a self, guard: &'a Guard) -> &'a DentrySnap {
         let shared = self.snap.load(Ordering::Acquire, guard);
-        // Invariant: published before `new` returns, replaced atomically,
+        // SAFETY: published before `new` returns, replaced atomically,
         // retired through the epoch (a replaced block outlives `guard`)
         // and freed directly only in Drop — never null while `&self`
         // exists.
@@ -340,14 +340,14 @@ impl Dentry {
         let mut edges = self.edges.lock();
         let guard = epoch::pin();
         let cur = self.snap.load(Ordering::Acquire, &guard);
-        // Safety: never null (see `view`), and the edge lock makes it the
+        // SAFETY: never null (see `view`), and the edge lock makes it the
         // latest publication.
         let mut next = unsafe { cur.deref() }.clone();
         let out = edit(&mut next, &mut edges);
         let new = crate::snapslab::alloc_snap(next, &guard);
         let old = self.snap.swap(new, Ordering::AcqRel, &guard);
         drop(edges);
-        // Safety: `old` was just unlinked by the swap; retirement returns
+        // SAFETY: `old` was just unlinked by the swap; retirement returns
         // its slot to the slab after the grace period.
         unsafe { crate::snapslab::retire(&guard, old) };
         out
@@ -643,9 +643,9 @@ impl Dentry {
 
 impl Drop for Dentry {
     fn drop(&mut self) {
-        // &mut self: no reader can hold the snapshot pointer anymore
-        // (readers borrow the dentry); free the current block directly
-        // (unprotected guards run retirement immediately).
+        // SAFETY: &mut self: no reader can hold the snapshot pointer
+        // anymore (readers borrow the dentry); free the current block
+        // directly (unprotected guards run retirement immediately).
         unsafe {
             let guard = epoch::unprotected();
             let shared = self.snap.swap(Shared::null(), Ordering::AcqRel, guard);

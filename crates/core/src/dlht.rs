@@ -190,6 +190,8 @@ impl Dlht {
         let want = sig.sig240();
         let mut cur = self.buckets[idx].load(Ordering::Acquire, guard);
         let found = 'probe: loop {
+            // SAFETY: loaded under `guard`; a group unlinked since is
+            // retired through the epoch, so it outlives the guard.
             let Some(g) = (unsafe { cur.as_ref() }) else {
                 break None;
             };
@@ -236,7 +238,7 @@ impl Dlht {
     /// a failed CAS, or a bucket of a table being dropped.
     fn drop_unpublished_groups<'g>(mut head: Shared<'g, Group>, guard: &'g epoch::Guard) {
         while !head.is_null() {
-            // Safety: unreachable by readers; we are the only owner.
+            // SAFETY: unreachable by readers; we are the only owner.
             let owned = unsafe { head.into_owned() };
             head = owned.next.load(Ordering::Relaxed, guard);
             drop(owned);
@@ -245,9 +247,11 @@ impl Dlht {
 
     /// Retires every group of a replaced (published) list.
     fn retire_groups<'g>(mut head: Shared<'g, Group>, guard: &'g epoch::Guard) {
+        // SAFETY: loaded under `guard`, and each group is only retired
+        // below, so it stays allocated while the guard is held.
         while let Some(g) = unsafe { head.as_ref() } {
             let next = g.next.load(Ordering::Acquire, guard);
-            // Safety: unlinked by a successful CAS; concurrent readers
+            // SAFETY: unlinked by a successful CAS; concurrent readers
             // hold their own guards.
             unsafe { guard.defer_destroy(head) };
             head = next;
@@ -257,6 +261,8 @@ impl Dlht {
     fn collect_groups(head: Shared<'_, Group>, guard: &epoch::Guard) -> Vec<Item> {
         let mut items = Vec::new();
         let mut cur = head;
+        // SAFETY: the list was loaded under `guard`, which outlives the
+        // walk; retired groups are freed only after it unpins.
         while let Some(g) = unsafe { cur.as_ref() } {
             for i in 0..g.len as usize {
                 let s = &g.slots[i];
@@ -387,6 +393,7 @@ impl Dlht {
         let mut entries = 0;
         let mut groups = 0;
         let mut cur = self.buckets[idx].load(Ordering::Acquire, guard);
+        // SAFETY: loaded under `guard`, as in `lookup_with`.
         while let Some(g) = unsafe { cur.as_ref() } {
             entries += g.len as u64;
             groups += 1;
@@ -435,7 +442,8 @@ impl Dlht {
 
 impl Drop for Dlht {
     fn drop(&mut self) {
-        // &mut self: the table is unreachable; free groups directly.
+        // SAFETY: &mut self: the table is unreachable; free groups
+        // directly.
         unsafe {
             let guard = epoch::unprotected();
             for bucket in self.buckets.iter() {

@@ -1,7 +1,7 @@
 //! The VFS-level in-memory inode.
 
-use crate::seqlock::SeqCell;
 use dc_fs::{FileSystem, FileType, FsResult, InodeAttr, SetAttr};
+use dc_rcu::EpochCell;
 use std::sync::Arc;
 
 /// Identity of a mounted superblock instance.
@@ -20,9 +20,9 @@ pub struct Inode {
     pub ino: u64,
     /// The low-level file system.
     pub fs: Arc<dyn FileSystem>,
-    // Seqlock-published so `stat` on the lock-free read path copies the
+    // Epoch-published so `stat` on the lock-free read path copies the
     // attribute block without acquiring any lock (DESIGN.md §5).
-    attr: SeqCell<InodeAttr>,
+    attr: EpochCell<InodeAttr>,
 }
 
 impl Inode {
@@ -32,18 +32,18 @@ impl Inode {
             sb,
             ino: attr.ino,
             fs,
-            attr: SeqCell::new(attr),
+            attr: EpochCell::new(attr),
         })
     }
 
     /// Snapshot of the current attributes (lock-free).
     pub fn attr(&self) -> InodeAttr {
-        self.attr.read()
+        self.attr.get()
     }
 
     /// The object type (immutable over an inode's life).
     pub fn ftype(&self) -> FileType {
-        self.attr.read().ftype
+        self.attr.with(|a| a.ftype)
     }
 
     /// True for directories.
@@ -54,7 +54,7 @@ impl Inode {
     /// Overwrites the cached attributes (after a low-level refresh).
     pub fn store_attr(&self, attr: InodeAttr) {
         debug_assert_eq!(attr.ino, self.ino);
-        self.attr.write(attr);
+        self.attr.set(attr);
     }
 
     /// Applies `setattr` on the file system and refreshes the cache.
@@ -119,5 +119,40 @@ mod tests {
         })
         .unwrap();
         assert_eq!(ino.attr().mode, 0o600);
+    }
+
+    #[test]
+    fn attributes_are_never_seen_torn() {
+        // Two whole blocks that differ in every field a reader could
+        // mix up: a torn read would match neither.
+        let (fs, a) = fs_with_file();
+        let b = InodeAttr {
+            mode: 0o600,
+            uid: 11,
+            gid: 12,
+            nlink: 3,
+            size: 4096,
+            mtime: a.mtime + 100,
+            ctime: a.ctime + 100,
+            ..a
+        };
+        let ino = Inode::new(1, fs, a);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..20_000 {
+                    ino.store_attr(if i % 2 == 0 { b } else { a });
+                }
+                stop.store(true, std::sync::atomic::Ordering::Release);
+            });
+            for _ in 0..3 {
+                s.spawn(|| {
+                    while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                        let seen = ino.attr();
+                        assert!(seen == a || seen == b, "torn attributes: {seen:?}");
+                    }
+                });
+            }
+        });
     }
 }

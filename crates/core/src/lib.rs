@@ -51,7 +51,7 @@ pub use dlht::{Dlht, DlhtFootprint};
 pub use inode::{Inode, SbId};
 pub use lru::EvictOutcome;
 pub use pcc::Pcc;
-pub use seqlock::{SeqCell, SeqCount, SeqLock, SeqWriteGuard};
+pub use seqlock::{SeqCount, SeqLock, SeqWriteGuard};
 pub use stats::{Counter, DcacheStats, SpaceReport};
 
 pub use dc_sighash::{HashKey, HashState, Signature};

@@ -2,6 +2,7 @@
 
 use crate::dentry::DentryId;
 use crate::dsync::{AtomicU32, AtomicU64, Ordering};
+use crate::seqlock::SeqCount;
 use crate::stats::Counter;
 use dc_obs::{Recorder, TraceEvent};
 use parking_lot::Mutex;
@@ -20,8 +21,7 @@ const ENTRY_BYTES: usize = 16;
 const INVALID: u64 = 0;
 
 struct Entry {
-    /// Per-entry seqlock: odd = write in progress.
-    ver: AtomicU32,
+    ver: SeqCount,
     id: AtomicU64,
     seq: AtomicU64,
 }
@@ -30,23 +30,19 @@ impl Entry {
     /// Consistent snapshot of `(id, seq)`, or `None` if a writer is active.
     #[inline]
     fn read(&self) -> Option<(u64, u64)> {
-        let v1 = self.ver.load(Ordering::Acquire);
-        if v1 & 1 != 0 {
-            return None;
-        }
-        let id = self.id.load(Ordering::Acquire);
-        let seq = self.seq.load(Ordering::Acquire);
-        let v2 = self.ver.load(Ordering::Acquire);
-        (v1 == v2).then_some((id, seq))
+        let start = self.ver.try_read_begin()?;
+        let id = self.id.load(Ordering::Relaxed);
+        let seq = self.seq.load(Ordering::Relaxed);
+        (!self.ver.read_retry(start)).then_some((id, seq))
     }
 
     /// Publishes `(id, seq)`; the caller holds the set's writer lock.
     #[inline]
     fn write(&self, id: u64, seq: u64) {
-        self.ver.fetch_add(1, Ordering::AcqRel); // odd: writer active
-        self.id.store(id, Ordering::Release);
-        self.seq.store(seq, Ordering::Release);
-        self.ver.fetch_add(1, Ordering::Release); // even: published
+        self.ver.write_begin();
+        self.id.store(id, Ordering::Relaxed);
+        self.seq.store(seq, Ordering::Relaxed);
+        self.ver.write_end();
     }
 }
 
@@ -112,7 +108,7 @@ impl Pcc {
         let sets = (0..nsets + dir_nsets)
             .map(|_| Set {
                 ways: std::array::from_fn(|_| Entry {
-                    ver: AtomicU32::new(0),
+                    ver: SeqCount::new(),
                     id: AtomicU64::new(INVALID),
                     seq: AtomicU64::new(0),
                 }),
@@ -336,6 +332,7 @@ mod tests {
     fn capacity_matches_requested_bytes() {
         let pcc = Pcc::new(64 * 1024);
         assert_eq!(pcc.capacity(), 4096); // 64 KB / 16 B
+        assert_eq!(std::mem::size_of::<Entry>(), 24, "id, seq, version");
         let small = Pcc::new(1024);
         assert_eq!(small.capacity(), 64);
     }

@@ -134,102 +134,6 @@ impl Drop for SeqWriteGuard<'_> {
     }
 }
 
-/// A seqlock-published value cell for small `Copy` data.
-///
-/// Readers copy the value word-by-word out of atomics between a
-/// `read_begin`/`read_retry` pair — no locks, no tearing (a torn copy
-/// fails validation and retries). Writers serialize on an internal
-/// mutex. Backs `Inode` attributes on the lock-free read path: `stat`
-/// reads attributes without touching the attr `RwLock`.
-///
-/// Every access is a plain atomic load/store, so ThreadSanitizer sees
-/// properly synchronized accesses rather than a data race that seqlocks
-/// built on volatile reads would exhibit.
-pub struct SeqCell<T: Copy> {
-    seq: SeqCount,
-    writers: Mutex<()>,
-    words: Box<[AtomicU64]>,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: Copy> SeqCell<T> {
-    /// A cell holding `value`.
-    pub fn new(value: T) -> Self {
-        let nwords = std::mem::size_of::<T>().div_ceil(8).max(1);
-        let cell = SeqCell {
-            seq: SeqCount::new(),
-            writers: Mutex::new(()),
-            words: (0..nwords).map(|_| AtomicU64::new(0)).collect(),
-            _marker: std::marker::PhantomData,
-        };
-        cell.store_words(&value);
-        cell
-    }
-
-    fn store_words(&self, value: &T) {
-        let size = std::mem::size_of::<T>();
-        let src = value as *const T as *const u8;
-        for (i, w) in self.words.iter().enumerate() {
-            let off = i * 8;
-            let n = (size - off).min(8);
-            let mut bytes = [0u8; 8];
-            // Safety: `off + n <= size_of::<T>()`; padding bytes are
-            // copied as raw memory, which is fine for `Copy` data being
-            // round-tripped through the same layout.
-            unsafe { std::ptr::copy_nonoverlapping(src.add(off), bytes.as_mut_ptr(), n) };
-            w.store(u64::from_ne_bytes(bytes), Ordering::Relaxed);
-        }
-    }
-
-    /// Reads the value without locking; retries while writers run.
-    #[inline]
-    pub fn read(&self) -> T {
-        let size = std::mem::size_of::<T>();
-        loop {
-            let start = self.seq.read_begin();
-            let mut out = std::mem::MaybeUninit::<T>::uninit();
-            let dst = out.as_mut_ptr() as *mut u8;
-            for (i, w) in self.words.iter().enumerate() {
-                let bytes = w.load(Ordering::Relaxed).to_ne_bytes();
-                let off = i * 8;
-                let n = (size - off).min(8);
-                // Safety: writes exactly size_of::<T>() bytes into `out`.
-                unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), dst.add(off), n) };
-            }
-            if !self.seq.read_retry(start) {
-                // Safety: all bytes of `out` were written from a value
-                // published in one write section (validated by the seq).
-                return unsafe { out.assume_init() };
-            }
-            crate::dsync::spin_loop();
-        }
-    }
-
-    /// Replaces the value.
-    pub fn write(&self, value: T) {
-        let _w = self.writers.lock();
-        self.seq.write_begin();
-        self.store_words(&value);
-        self.seq.write_end();
-    }
-
-    /// Read-modify-write under the writer mutex.
-    pub fn update(&self, f: impl FnOnce(&mut T)) {
-        let _w = self.writers.lock();
-        let mut value = self.read();
-        f(&mut value);
-        self.seq.write_begin();
-        self.store_words(&value);
-        self.seq.write_end();
-    }
-}
-
-impl<T: Copy + std::fmt::Debug> std::fmt::Debug for SeqCell<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("SeqCell").field(&self.read()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,51 +204,5 @@ mod tests {
         }
         // 8 threads × 100 writes × 2 increments each.
         assert_eq!(l.seq.raw(), 1600);
-    }
-
-    #[test]
-    fn seqcell_round_trips_odd_sizes() {
-        #[derive(Clone, Copy, Debug, PartialEq)]
-        struct Odd {
-            a: u64,
-            b: u32,
-            c: u8,
-        }
-        let c = SeqCell::new(Odd { a: 7, b: 8, c: 9 });
-        assert_eq!(c.read(), Odd { a: 7, b: 8, c: 9 });
-        c.write(Odd { a: 1, b: 2, c: 3 });
-        assert_eq!(c.read(), Odd { a: 1, b: 2, c: 3 });
-        c.update(|v| v.a = 100);
-        assert_eq!(c.read().a, 100);
-    }
-
-    #[test]
-    fn seqcell_readers_never_observe_torn_values() {
-        // The two halves are kept equal by writers; a torn read would
-        // surface as a mismatch.
-        let c = Arc::new(SeqCell::new((0u64, 0u64)));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
-            {
-                let c = c.clone();
-                let stop = stop.clone();
-                s.spawn(move || {
-                    for i in 1..20_000u64 {
-                        c.write((i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
-                    }
-                    stop.store(true, Ordering::SeqCst);
-                });
-            }
-            for _ in 0..3 {
-                let c = c.clone();
-                let stop = stop.clone();
-                s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let (a, b) = c.read();
-                        assert_eq!(b, a.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    }
-                });
-            }
-        });
     }
 }

@@ -72,7 +72,7 @@ fn drain_returned(into: &mut Vec<*mut DentrySnap>) {
     let mut p = RETURNED.swap(std::ptr::null_mut(), Ordering::Acquire);
     let mut n = 0usize;
     while !p.is_null() {
-        // Safety: we own the detached list exclusively after the swap.
+        // SAFETY: we own the detached list exclusively after the swap.
         let next = unsafe { (p as *mut *mut DentrySnap).read() };
         into.push(p);
         p = next;
@@ -88,8 +88,8 @@ struct SlabInner {
     blocks: usize,
 }
 
-// Raw slot pointers are only ever handed to one owner at a time; the
-// mutex serializes list access itself.
+// SAFETY: raw slot pointers are only ever handed to one owner at a
+// time; the mutex serializes list access itself.
 unsafe impl Send for SlabInner {}
 
 fn slab() -> &'static Mutex<SlabInner> {
@@ -148,15 +148,21 @@ fn pop_slot() -> *mut DentrySnap {
 /// pointer. The caller owns the slot until it is retired.
 pub(crate) fn alloc_snap<'g>(snap: DentrySnap, _guard: &'g Guard) -> Shared<'g, DentrySnap> {
     let p = pop_slot();
+    // SAFETY: `pop_slot` hands out a live, unused slot to one owner.
     unsafe { p.write(snap) };
     track_alloc(p);
-    // Safety: freshly initialized, exclusively owned until published.
+    // SAFETY: freshly initialized, exclusively owned until published.
     unsafe { Shared::from_raw(p) }
 }
 
 /// The type-erased destructor the epoch collector runs once the grace
 /// period elapses: drop the snapshot's contents, then return the slot
 /// to the slab's return stack.
+///
+/// # Safety
+///
+/// `p` must be a slab slot holding a live snapshot that no reader can
+/// reach any more, passed here once.
 unsafe fn destroy_snap(p: *mut ()) {
     let snap = p as *mut DentrySnap;
     std::ptr::drop_in_place(snap);

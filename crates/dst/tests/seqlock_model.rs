@@ -10,7 +10,7 @@
 //! reported seed.
 
 use dcache_core::model;
-use dcache_core::{HashKey, SeqCell, SeqCount};
+use dcache_core::{HashKey, SeqCount};
 use dst::sync::atomic::{AtomicU64, Ordering};
 use dst::sync::Arc;
 
@@ -83,38 +83,6 @@ fn seqcount_readers_never_observe_mid_mutation_state() {
                 );
             }
             writer.join().unwrap();
-        },
-    );
-}
-
-#[test]
-fn seqcell_reads_are_atomic() {
-    dst::check(
-        "seqcell-atomic",
-        dst::Config::default()
-            .iterations(4000)
-            .seed(0x52)
-            .from_env(),
-        || {
-            let c = Arc::new(SeqCell::new((0u64, 0u64)));
-            let writer = {
-                let c = c.clone();
-                dst::thread::spawn(move || {
-                    c.write((1, K));
-                    c.write((2, 2u64.wrapping_mul(K)));
-                })
-            };
-            let reader = {
-                let c = c.clone();
-                dst::thread::spawn(move || {
-                    let (a, b) = c.read();
-                    assert_eq!(b, a.wrapping_mul(K), "torn SeqCell read: a={a}");
-                })
-            };
-            let (a, b) = c.read();
-            assert_eq!(b, a.wrapping_mul(K), "torn SeqCell read: a={a}");
-            writer.join().unwrap();
-            reader.join().unwrap();
         },
     );
 }

@@ -34,10 +34,6 @@ pub struct MemFsConfig {
     pub root_uid: u32,
     /// Group of the root directory.
     pub root_gid: u32,
-    /// Whether metadata mutations go through the write-ahead journal.
-    /// Off reproduces the pre-journal write-back behavior (the ablation
-    /// baseline for the overhead experiment).
-    pub journal: bool,
 }
 
 impl Default for MemFsConfig {
@@ -47,7 +43,6 @@ impl Default for MemFsConfig {
             root_mode: 0o755,
             root_uid: 0,
             root_gid: 0,
-            journal: true,
         }
     }
 }
@@ -89,17 +84,16 @@ struct AllocState {
 ///
 /// # Crash consistency
 ///
-/// With journaling on (the default), every mutating operation buffers its
-/// metadata block writes in a per-operation [`Tx`] and commits them as one
-/// transaction: the write set is logged to the reserved journal region,
-/// sealed by a checksummed commit record (payload flushed strictly before
-/// the record), and only then applied in place through the page cache.
-/// Nothing uncommitted ever reaches the shared cache, and the in-place
-/// apply runs while the operation's inode shard locks are still held,
-/// so neither LRU eviction, a power cut, nor a concurrent reader can
-/// observe a half-applied operation. Mount
-/// replays committed transactions and discards the torn tail, making each
-/// operation atomic across crashes. File *content* is write-back (the
+/// Every mutating operation buffers its metadata block writes in a
+/// per-operation [`Tx`] and commits them as one transaction: the write
+/// set is logged to the reserved journal region, sealed by a checksummed
+/// commit record (payload flushed strictly before the record), and only
+/// then applied in place through the page cache. Nothing uncommitted ever
+/// reaches the shared cache, and the in-place apply runs while the
+/// operation's inode shard locks are still held, so neither LRU eviction,
+/// a power cut, nor a concurrent reader can observe a half-applied
+/// operation. Mount replays committed transactions and discards the torn
+/// tail, making each operation atomic across crashes. File *content* is write-back (the
 /// ext3 `data=writeback` analogy): crash recovery guarantees the metadata
 /// tree, not data block payloads.
 pub struct MemFs {
@@ -111,10 +105,10 @@ pub struct MemFs {
     locks: Vec<Mutex<()>>,
     clock: AtomicU64,
     stats: FsStats,
-    journal: Option<Journal>,
-    /// Serializes journaled mutations: buffered transactions are invisible
-    /// to each other (e.g. a bitmap bit set only in a buffer), so two
-    /// concurrent ops could both claim it. Taken before the shard locks.
+    journal: Journal,
+    /// Serializes mutations: buffered transactions are invisible to each
+    /// other (e.g. a bitmap bit set only in a buffer), so two concurrent
+    /// ops could both claim it. Taken before the shard locks.
     big_op: Mutex<()>,
     replay: ReplayInfo,
     /// Generation of the most recent warm-index checkpoint (continues
@@ -147,27 +141,21 @@ impl MemFs {
             0,
         );
         write_inode(disk.as_ref(), &geo, ROOT_INO, &root)?;
-        // The journal region is always formatted (recovery runs on every
-        // mount, journaling enabled or not), and the freshly formatted
-        // image is made durable so a cut at any later point recovers to
+        // The journal region is formatted (recovery runs on every mount),
+        // and the freshly formatted image is made durable so a cut at any
+        // later point recovers to
         // at worst an empty root. The warm-index headers are invalidated
         // too: reformatting must not resurrect a previous file system's
         // directory index.
         Journal::format(&disk, &geo)?;
         warmidx::format(&disk, &geo)?;
         disk.sync()?;
-        Self::mount_with(disk, config.journal)
-    }
-
-    /// Mounts an already-formatted disk with journaling on.
-    pub fn mount(disk: Arc<CachedDisk>) -> FsResult<Arc<MemFs>> {
-        Self::mount_with(disk, true)
+        Self::mount(disk)
     }
 
     /// Mounts an already-formatted disk. Recovery (replay of committed
-    /// journal transactions, discard of the torn tail) always runs;
-    /// `journal` only controls whether *new* mutations are journaled.
-    pub fn mount_with(disk: Arc<CachedDisk>, journal: bool) -> FsResult<Arc<MemFs>> {
+    /// journal transactions, discard of the torn tail) always runs.
+    pub fn mount(disk: Arc<CachedDisk>) -> FsResult<Arc<MemFs>> {
         let geo = Geometry::read_superblock(&disk)?;
         let replay = Journal::recover(&disk, &geo)?;
         let ibmap = Bitmap::new(geo.ibmap_start, geo.max_inodes, geo.block_size);
@@ -190,7 +178,7 @@ impl MemFs {
             locks: (0..LOCK_SHARDS).map(|_| Mutex::new(())).collect(),
             clock: AtomicU64::new(1),
             stats: FsStats::default(),
-            journal: journal.then(|| Journal::open(&geo, &replay)),
+            journal: Journal::open(&geo, &replay),
             big_op: Mutex::new(()),
             replay,
             warm_gen: AtomicU64::new(warm_gen),
@@ -207,22 +195,21 @@ impl MemFs {
         &self.geo
     }
 
-    /// The journal's counters read at this instant; `None` when
-    /// journaling is off.
+    /// The journal's counters read at this instant. Always `Some`: the
+    /// `Option` stays for callers that read it with `unwrap_or_default`
+    /// (the standing benchmark's counter snapshot).
     pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.journal_counters().map(|c| c.values())
+        Some(self.journal.stats.values())
     }
 
-    /// The journal's counters, as the metric source they are; `None` when
-    /// journaling is off.
-    pub fn journal_counters(&self) -> Option<&JournalCounters> {
-        self.journal.as_ref().map(|j| &j.stats)
+    /// The journal's counters, as the metric source they are.
+    pub fn journal_counters(&self) -> &JournalCounters {
+        &self.journal.stats
     }
 
-    /// Sequence number of the most recently committed transaction;
-    /// `None` when journaling is off.
-    pub fn journal_seq(&self) -> Option<u64> {
-        self.journal.as_ref().map(|j| j.committed_seq())
+    /// Sequence number of the most recently committed transaction.
+    pub fn journal_seq(&self) -> u64 {
+        self.journal.committed_seq()
     }
 
     /// Highest committed transaction found (and replayed if needed) by
@@ -246,16 +233,8 @@ impl MemFs {
     /// many entries were persisted.
     pub fn warm_checkpoint(&self, entries: &[WarmEntry]) -> FsResult<usize> {
         let _big = self.big_op.lock();
-        let bound_seq = match &self.journal {
-            Some(j) => {
-                j.checkpoint(&self.disk)?;
-                j.committed_seq()
-            }
-            None => {
-                self.disk.sync()?;
-                0
-            }
-        };
+        self.journal.checkpoint(&self.disk)?;
+        let bound_seq = self.journal.committed_seq();
         let gen = self.warm_gen.fetch_add(1, Ordering::Relaxed) + 1;
         let kept = warmidx::checkpoint(&self.disk, &self.geo, entries, bound_seq, gen)?;
         if let Some(obs) = self.disk.recorder() {
@@ -277,11 +256,7 @@ impl MemFs {
     pub fn read_warm_index(&self) -> FsResult<WarmLoad> {
         let load = warmidx::read(&self.disk, &self.geo)?;
         if let WarmLoad::Loaded { bound_seq, .. } = &load {
-            let committed = self
-                .journal
-                .as_ref()
-                .map(|j| j.committed_seq())
-                .unwrap_or(self.replay.last_seq);
+            let committed = self.journal.committed_seq();
             if *bound_seq > committed {
                 return Ok(WarmLoad::Rejected(WarmReject::FutureSeq {
                     bound_seq: *bound_seq,
@@ -293,40 +268,35 @@ impl MemFs {
     }
 
     /// Runs one mutating operation under the shard locks covering
-    /// `inos`. With journaling on, the operation's metadata writes
-    /// accumulate in a buffered [`Tx`] and commit as one journal
-    /// transaction *while the shard locks are still held* — the
+    /// `inos`. The operation's metadata writes accumulate in a [`Tx`]
+    /// and commit as one journal transaction *while the shard locks are
+    /// still held* — the
     /// commit's in-place apply is what makes the operation visible in
     /// the shared page cache, so dropping the locks first would let a
     /// concurrent lookup/readdir observe a half-applied operation. An
     /// operation (or commit) error discards the buffer and rolls the
     /// allocator counters back, so failed operations leave no trace.
-    /// With journaling off the `Tx` is a passthrough shim.
     fn with_tx<T>(&self, inos: &[u64], f: impl FnOnce(&Tx<'_>) -> FsResult<T>) -> FsResult<T> {
-        match &self.journal {
-            None => {
-                let _g = self.lock_many(inos);
-                f(&Tx::passthrough(&self.disk))
+        let _big = self.big_op.lock();
+        let _g = self.lock_many(inos);
+        // Allocator counters mutate eagerly inside the op, but the
+        // matching bitmap bits live only in the tx buffer until commit:
+        // if either fails, restore the snapshot so counters and on-disk
+        // bitmaps stay in agreement.
+        let snap = *self.alloc.lock();
+        let tx = Tx::new(&self.disk);
+        let res = f(&tx).and_then(|out| {
+            let buf = tx.into_buf();
+            if buf.is_empty() {
+                Ok(out)
+            } else {
+                self.journal.commit(&self.disk, &buf).map(|_| out)
             }
-            Some(j) => {
-                let _big = self.big_op.lock();
-                let _g = self.lock_many(inos);
-                // Allocator counters mutate eagerly inside the op, but
-                // the matching bitmap bits live only in the tx buffer
-                // until commit: if either fails, restore the snapshot
-                // so counters and on-disk bitmaps stay in agreement.
-                let snap = *self.alloc.lock();
-                let tx = Tx::buffered(&self.disk);
-                let res = f(&tx).and_then(|out| match tx.into_buf() {
-                    Some(buf) if !buf.is_empty() => j.commit(&self.disk, &buf).map(|_| out),
-                    _ => Ok(out),
-                });
-                if res.is_err() {
-                    *self.alloc.lock() = snap;
-                }
-                res
-            }
+        });
+        if res.is_err() {
+            *self.alloc.lock() = snap;
         }
+        res
     }
 
     fn now(&self) -> u64 {
@@ -1021,15 +991,9 @@ impl FileSystem for MemFs {
     }
 
     fn sync(&self) -> FsResult<()> {
-        match &self.journal {
-            // A checkpoint *is* a full sync, plus the tail advance that
-            // reclaims log space.
-            Some(j) => j.checkpoint(&self.disk),
-            None => {
-                self.disk.sync()?;
-                Ok(())
-            }
-        }
+        // A checkpoint *is* a full sync, plus the tail advance that
+        // reclaims log space.
+        self.journal.checkpoint(&self.disk)
     }
 
     fn stats(&self) -> &FsStats {
@@ -1066,18 +1030,6 @@ mod tests {
             newdisk(),
             MemFsConfig {
                 max_inodes: 4096,
-                ..Default::default()
-            },
-        )
-        .unwrap()
-    }
-
-    fn newfs_nojournal() -> Arc<MemFs> {
-        MemFs::mkfs(
-            newdisk(),
-            MemFsConfig {
-                max_inodes: 4096,
-                journal: false,
                 ..Default::default()
             },
         )
@@ -1470,27 +1422,17 @@ mod tests {
     fn journal_commits_one_txn_per_mutation() {
         let fs = newfs();
         let r = fs.root_ino();
-        let base = fs.journal_seq().unwrap();
+        let base = fs.journal_seq();
         fs.create(r, "a", 0o644, 0, 0).unwrap();
         fs.mkdir(r, "d", 0o755, 0, 0).unwrap();
         fs.unlink(r, "a").unwrap();
-        assert_eq!(fs.journal_seq().unwrap(), base + 3);
+        assert_eq!(fs.journal_seq(), base + 3);
         // A failed op commits nothing.
         assert_eq!(fs.mkdir(r, "d", 0o755, 0, 0), Err(FsError::Exist));
-        assert_eq!(fs.journal_seq().unwrap(), base + 3);
+        assert_eq!(fs.journal_seq(), base + 3);
         let js = fs.journal_stats().unwrap();
         assert_eq!(js.commits, 3);
         assert!(js.blocks_logged >= 3);
-    }
-
-    #[test]
-    fn nojournal_mode_commits_nothing() {
-        let fs = newfs_nojournal();
-        let r = fs.root_ino();
-        fs.create(r, "a", 0o644, 0, 0).unwrap();
-        assert_eq!(fs.journal_seq(), None);
-        assert_eq!(fs.journal_stats(), None);
-        assert_eq!(fs.lookup(r, "a").unwrap().mode, 0o644);
     }
 
     #[test]
@@ -1507,19 +1449,6 @@ mod tests {
         let fs2 = MemFs::mount(disk).unwrap();
         assert!(fs2.replayed_txns() > 0);
         assert_eq!(fs2.lookup(fs2.root_ino(), "committed").unwrap().mode, 0o640);
-    }
-
-    #[test]
-    fn unjournaled_metadata_lost_on_power_cut() {
-        let fs = newfs_nojournal();
-        let r = fs.root_ino();
-        fs.create(r, "volatile", 0o644, 0, 0).unwrap();
-        fs.disk().power_cut();
-        let disk = fs.disk().clone();
-        drop(fs);
-        let fs2 = MemFs::mount(disk).unwrap();
-        // Without a journal the unsynced create vanishes entirely.
-        assert_eq!(fs2.lookup(fs2.root_ino(), "volatile"), Err(FsError::NoEnt));
     }
 
     #[test]
@@ -1690,18 +1619,6 @@ mod tests {
                 assert_eq!(bound_seq, bogus)
             }
             other => panic!("expected FutureSeq rejection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn warm_checkpoint_works_without_journal() {
-        let fs = newfs_nojournal();
-        let r = fs.root_ino();
-        let d = fs.mkdir(r, "d", 0o755, 0, 0).unwrap();
-        fs.warm_checkpoint(&[warm_entry(3, d.ino, r, "d")]).unwrap();
-        match fs.read_warm_index().unwrap() {
-            WarmLoad::Loaded { bound_seq, .. } => assert_eq!(bound_seq, 0),
-            other => panic!("expected Loaded, got {other:?}"),
         }
     }
 

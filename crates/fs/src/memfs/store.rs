@@ -1,10 +1,10 @@
 //! The metadata-store abstraction the journal interposes on.
 //!
 //! Every metadata helper (inode table, bitmaps, directory blocks) is
-//! generic over [`MetaStore`] so the same code runs in two modes:
-//! directly against the [`CachedDisk`] (read paths, journaling
-//! disabled), or through a [`Tx`] that records each written block into
-//! a transaction buffer for the journal to commit atomically.
+//! generic over [`MetaStore`] so the same code runs directly against
+//! the [`CachedDisk`] (read paths) or through a [`Tx`] that records each
+//! written block into a transaction buffer for the journal to commit
+//! atomically.
 
 use crate::error::FsResult;
 use bytes::{Bytes, BytesMut};
@@ -72,61 +72,43 @@ impl TxnBuf {
 
 /// A per-operation metadata store.
 ///
-/// In *buffered* mode (journaling on) writes accumulate in a [`TxnBuf`]
-/// and reads see the buffered content first, so the operation observes
-/// its own uncommitted writes; nothing touches the shared page cache
-/// until the journal commits the whole set. In *passthrough* mode
-/// (journaling off) it is a thin shim over the disk, preserving the
-/// original write-back behavior exactly.
+/// Writes accumulate in a [`TxnBuf`] and reads see the buffered content
+/// first, so the operation observes its own uncommitted writes; nothing
+/// touches the shared page cache until the journal commits the whole set.
 pub(crate) struct Tx<'a> {
     disk: &'a CachedDisk,
-    buf: Option<RefCell<TxnBuf>>,
+    buf: RefCell<TxnBuf>,
 }
 
 impl<'a> Tx<'a> {
-    pub(crate) fn passthrough(disk: &'a CachedDisk) -> Tx<'a> {
-        Tx { disk, buf: None }
-    }
-
-    pub(crate) fn buffered(disk: &'a CachedDisk) -> Tx<'a> {
+    pub(crate) fn new(disk: &'a CachedDisk) -> Tx<'a> {
         Tx {
             disk,
-            buf: Some(RefCell::new(TxnBuf::default())),
+            buf: RefCell::new(TxnBuf::default()),
         }
     }
 
-    /// Consumes the transaction, returning its write set (`None` in
-    /// passthrough mode).
-    pub(crate) fn into_buf(self) -> Option<TxnBuf> {
-        self.buf.map(|b| b.into_inner())
+    /// Consumes the transaction, returning its write set.
+    pub(crate) fn into_buf(self) -> TxnBuf {
+        self.buf.into_inner()
     }
 }
 
 impl MetaStore for Tx<'_> {
     fn read_block(&self, block: u64) -> FsResult<Bytes> {
-        if let Some(buf) = &self.buf {
-            if let Some(data) = buf.borrow().data.get(&block) {
-                return Ok(data.clone());
-            }
+        if let Some(data) = self.buf.borrow().data.get(&block) {
+            return Ok(data.clone());
         }
         Ok(self.disk.read_block(block)?)
     }
 
     fn write_block(&self, block: u64, data: Bytes) -> FsResult<()> {
-        match &self.buf {
-            Some(buf) => {
-                buf.borrow_mut().record(block, data);
-                Ok(())
-            }
-            None => MetaStore::write_block(self.disk, block, data),
-        }
+        self.buf.borrow_mut().record(block, data);
+        Ok(())
     }
 
     fn update_block<R>(&self, block: u64, edit: impl FnOnce(&mut [u8]) -> R) -> FsResult<R> {
-        let Some(buf) = &self.buf else {
-            return self.disk.update_block(block, edit);
-        };
-        let mut buf = buf.borrow_mut();
+        let mut buf = self.buf.borrow_mut();
         // A block this transaction already wrote is edited where it
         // lies, unless a reader still holds the image.
         let mut image = match buf.data.remove(&block) {
@@ -162,12 +144,12 @@ mod tests {
     #[test]
     fn buffered_tx_sees_its_own_writes_but_disk_does_not() {
         let d = disk();
-        let tx = Tx::buffered(&d);
+        let tx = Tx::new(&d);
         tx.write_block(3, Bytes::from(vec![7u8; 512])).unwrap();
         assert_eq!(MetaStore::read_block(&tx, 3).unwrap()[0], 7);
         // The shared cache is untouched until commit.
         assert_eq!(d.read_block(3).unwrap()[0], 0);
-        let buf = tx.into_buf().unwrap();
+        let buf = tx.into_buf();
         assert_eq!(buf.len(), 1);
     }
 
@@ -185,7 +167,7 @@ mod tests {
     fn update_edits_a_buffered_block_where_it_lies() {
         let d = disk();
         d.write_block(3, &[1u8; 512]).unwrap();
-        let tx = Tx::buffered(&d);
+        let tx = Tx::new(&d);
         // First touch: one private copy of the disk's page.
         tx.update_block(3, |b| b[0] = 7).unwrap();
         let first = MetaStore::read_block(&tx, 3).unwrap();
@@ -207,18 +189,7 @@ mod tests {
         assert_eq!(last[..3], [7, 8, 9]);
         tx.update_block(5, |b| b[0] = 1).unwrap();
         tx.update_block(3, |b| b[0] = 0).unwrap();
-        let order: Vec<u64> = tx.into_buf().unwrap().iter().map(|(b, _)| b).collect();
+        let order: Vec<u64> = tx.into_buf().iter().map(|(b, _)| b).collect();
         assert_eq!(order, vec![3, 5]);
-    }
-
-    #[test]
-    fn passthrough_tx_writes_through() {
-        let d = disk();
-        let tx = Tx::passthrough(&d);
-        tx.write_block(5, Bytes::from(vec![9u8; 512])).unwrap();
-        assert_eq!(d.read_block(5).unwrap()[0], 9);
-        tx.update_block(5, |b| b[1] = 4).unwrap();
-        assert_eq!(d.read_block(5).unwrap()[..2], [9, 4]);
-        assert!(tx.into_buf().is_none());
     }
 }

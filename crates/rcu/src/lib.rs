@@ -47,7 +47,7 @@ pub fn synchronize() {
         {
             let guard = epoch::pin();
             let sentinel = Owned::new(Sentinel(destroyed.clone())).into_shared(&guard);
-            // Reachable from nowhere: retired the moment it exists.
+            // SAFETY: reachable from nowhere: retired the moment it exists.
             unsafe { guard.defer_destroy(sentinel) };
         }
         while !destroyed.load(Ordering::Acquire) {
@@ -85,7 +85,7 @@ impl<T> EpochCell<T> {
     /// every guard that could have observed it unpins.
     pub fn read<'g>(&self, guard: &'g epoch::Guard) -> &'g T {
         let shared = self.inner.load(Ordering::Acquire, guard);
-        // Invariant: the cell always holds a non-null pointer (set at
+        // SAFETY: the cell always holds a non-null pointer (set at
         // construction, replaced atomically, freed only in Drop).
         unsafe { shared.deref() }
     }
@@ -95,6 +95,8 @@ impl<T> EpochCell<T> {
     pub fn set(&self, value: T) {
         let guard = epoch::pin();
         let old = self.inner.swap(Owned::new(value), Ordering::AcqRel, &guard);
+        // SAFETY: the swap unlinked `old`; readers that loaded it hold
+        // guards that delay its destruction.
         unsafe { guard.defer_destroy(old) };
     }
 }
@@ -108,7 +110,7 @@ impl<T: Clone> EpochCell<T> {
 
 impl<T> Drop for EpochCell<T> {
     fn drop(&mut self) {
-        // &mut self: no concurrent readers can exist.
+        // SAFETY: &mut self: no concurrent readers can exist.
         unsafe {
             let guard = epoch::unprotected();
             let shared = self.inner.swap(Shared::null(), Ordering::AcqRel, guard);
@@ -144,7 +146,8 @@ impl<K: Copy + Eq, V: Clone> SnapMap<K, V> {
 
     fn current<'g>(&self, guard: &'g epoch::Guard) -> &'g Vec<(K, V)> {
         let shared = self.snap.load(Ordering::Acquire, guard);
-        // Invariant: always non-null (constructed with an empty vec).
+        // SAFETY: always non-null (constructed with an empty vec,
+        // replaced atomically, freed only in Drop).
         unsafe { shared.deref() }
     }
 
@@ -152,6 +155,8 @@ impl<K: Copy + Eq, V: Clone> SnapMap<K, V> {
     /// Caller must hold the write mutex.
     fn publish(&self, next: Vec<(K, V)>, guard: &epoch::Guard) {
         let old = self.snap.swap(Owned::new(next), Ordering::AcqRel, guard);
+        // SAFETY: the swap unlinked `old` under the write mutex, so it
+        // is retired once; readers' guards delay its destruction.
         unsafe { guard.defer_destroy(old) };
     }
 
@@ -269,6 +274,7 @@ impl<K: Copy + Eq, V: Clone> Default for SnapMap<K, V> {
 
 impl<K: Copy + Eq, V: Clone> Drop for SnapMap<K, V> {
     fn drop(&mut self) {
+        // SAFETY: &mut self: no concurrent readers can exist.
         unsafe {
             let guard = epoch::unprotected();
             let shared = self.snap.swap(Shared::null(), Ordering::AcqRel, guard);

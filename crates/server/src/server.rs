@@ -55,7 +55,7 @@ use dc_sighash::Signature;
 use dc_vfs::{FileType, Kernel, Process, SigLookup};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -76,18 +76,16 @@ const SPIN: Duration = Duration::from_micros(20);
 /// Spin iterations between two clock reads.
 const SPIN_CHECK_EVERY: u32 = 32;
 
-/// [`SPIN`], or zero on a host with one CPU, where a spinning popper
-/// would only hold the CPU its pusher needs.
-fn spin_budget() -> Duration {
-    static BUDGET: OnceLock<Duration> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cpus > 1 {
-            SPIN
-        } else {
-            Duration::ZERO
-        }
-    })
+/// [`SPIN`] while the host has a CPU beyond the server's `workers`, or
+/// zero: without a spare one, idle spinners would only hold the CPU a
+/// pusher (the client, or another worker) needs.
+fn spin_budget(workers: usize) -> Duration {
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cpus > workers {
+        SPIN
+    } else {
+        Duration::ZERO
+    }
 }
 
 /// Server tunables.
@@ -157,10 +155,6 @@ struct FifoState<T> {
 }
 
 impl<T> Fifo<T> {
-    fn new() -> Fifo<T> {
-        Fifo::with_spin(spin_budget())
-    }
-
     fn with_spin(spin: Duration) -> Fifo<T> {
         Fifo {
             state: Mutex::new(FifoState {
@@ -311,7 +305,7 @@ impl Server {
             kernel,
             stats,
             worker_hists: worker_hists.clone(),
-            queue: Fifo::new(),
+            queue: Fifo::with_spin(spin_budget(workers)),
             queued: AtomicU64::new(0),
             creds: RwLock::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -350,7 +344,7 @@ impl Server {
         self.inner.stats.conns.fetch_add(1, Ordering::Relaxed);
         self.inner.kernel.obs().event(|| TraceEvent::ServeConn);
         Connection {
-            shared: Arc::new(Fifo::new()),
+            shared: Arc::new(Fifo::with_spin(self.inner.queue.spin)),
             inner: self.inner.clone(),
         }
     }
@@ -717,7 +711,7 @@ mod tests {
 
     #[test]
     fn pushes_wake_every_thread_already_waiting() {
-        let fifo = Arc::new(Fifo::new());
+        let fifo = Arc::new(Fifo::with_spin(SPIN));
         let poppers: Vec<_> = (0..2)
             .map(|_| {
                 let fifo = fifo.clone();
@@ -737,7 +731,7 @@ mod tests {
 
     #[test]
     fn an_item_pushed_with_no_waiter_is_popped_and_stop_ends_an_empty_pop() {
-        let fifo = Fifo::new();
+        let fifo = Fifo::with_spin(SPIN);
         fifo.push(7);
         assert_eq!(fifo.lock().waiting, 0);
         assert_eq!(fifo.pop(|| true), Some(7), "items drain before stop");
@@ -762,9 +756,24 @@ mod tests {
     /// CI runs this suite under `taskset -c 0` as well, where it checks
     /// the one-CPU rule.
     #[test]
-    fn queues_spin_only_with_a_second_cpu() {
+    fn queues_spin_only_with_a_cpu_beyond_the_workers() {
         let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(Fifo::<u8>::new().spin.is_zero(), cpus == 1);
+        for workers in [1, cpus] {
+            let k = KernelBuilder::new(DcacheConfig::optimized())
+                .build()
+                .unwrap();
+            let server = Server::start(
+                k,
+                ServerConfig {
+                    workers,
+                    ..ServerConfig::default()
+                },
+            );
+            let spins = cpus > workers;
+            let what = format!("{workers} workers on {cpus} CPUs");
+            assert_eq!(!server.inner.queue.spin.is_zero(), spins, "{what}");
+            assert_eq!(!server.connect().shared.spin.is_zero(), spins, "{what}");
+        }
     }
 
     #[test]

@@ -193,7 +193,7 @@ impl Kernel {
         ];
         if let Some(memfs) = as_memfs(root_fs) {
             sources.push(memfs.disk().clone());
-            sources.extend(memfs.journal_counters().map(|j| Arc::new(j.clone()) as _));
+            sources.push(Arc::new(memfs.journal_counters().clone()));
         }
         Ok(Arc::new(Kernel {
             dcache,

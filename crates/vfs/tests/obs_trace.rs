@@ -295,7 +295,7 @@ fn every_source_is_exported_and_reset_together() {
     );
 
     // The journal's source zeroes its own counters.
-    MetricSource::reset(memfs.journal_counters().unwrap());
+    MetricSource::reset(memfs.journal_counters());
     assert_eq!(k.metrics_snapshot().counter("journal", "commits"), Some(0));
 
     small_mix_again(&k);

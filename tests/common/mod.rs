@@ -89,10 +89,10 @@ pub fn run_ops(
     if let Some(m) = monitor {
         m.arm();
     }
-    let mut boundaries = vec![(fs.journal_seq().unwrap(), 0usize)];
+    let mut boundaries = vec![(fs.journal_seq(), 0usize)];
     for (i, op) in ops.iter().enumerate() {
         if apply(fs, op) {
-            let seq = fs.journal_seq().unwrap();
+            let seq = fs.journal_seq();
             match boundaries.last_mut() {
                 Some(last) if last.0 == seq => last.1 = i + 1,
                 _ => boundaries.push((seq, i + 1)),

@@ -6,16 +6,15 @@
 //! ordinals (some tearing the in-flight write). Every captured image
 //! must remount, pass `fsck`, and present exactly the metadata tree of
 //! a committed-operation prefix of the workload. The companion tests
-//! pin the two sides of the durability story: with the journal,
-//! unsynced metadata survives a cut; without it, the same cut loses the
-//! tree — and a remount after recovery starts with a genuinely cold
-//! cache.
+//! pin the two sides of the journal's price: unsynced metadata survives
+//! a cut (and a remount after recovery starts with a genuinely cold
+//! cache), while warm lookups never reach the journal at all.
 
 mod common;
 
 use common::{apply, run_ops, Op};
 use dcache_repro::blockdev::{CachedDisk, CrashMonitor, LatencyModel};
-use dcache_repro::fs::{fsck, tree_sig, FileSystem, MemFs, MemFsConfig};
+use dcache_repro::fs::{fsck, tree_sig, FileSystem, MemFs};
 use dcache_repro::{DcacheConfig, KernelBuilder, OpenFlags};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -182,29 +181,44 @@ fn journaled_kernel_tree_survives_power_cut_unsynced() {
 }
 
 #[test]
-fn unjournaled_kernel_tree_is_lost_on_power_cut() {
-    let disk = new_disk();
-    let fs = MemFs::mkfs(
-        disk.clone(),
-        MemFsConfig {
-            max_inodes: 1 << 12,
-            journal: false,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let kernel = KernelBuilder::new(DcacheConfig::optimized())
-        .root_fs(fs as Arc<dyn FileSystem>)
-        .build()
-        .unwrap();
-    let p = kernel.init_process();
-    kernel.mkdir(&p, "/gone", 0o755).unwrap();
-    disk.power_cut();
-
-    let rfs = MemFs::mount_with(disk, false).unwrap();
-    assert_eq!(
-        rfs.lookup(rfs.root_ino(), "gone").unwrap_err(),
-        dcache_repro::fs::FsError::NoEnt,
-        "write-back metadata must not survive an unsynced power cut"
-    );
+fn warm_stats_reach_neither_the_fs_nor_the_journal() {
+    // The journal prices mutations, never warm lookups: once a tree is
+    // cached, stats cause no file-system call, no commit and no device
+    // read, under the baseline walk and the fastpath alike.
+    for (name, config) in [
+        ("baseline", DcacheConfig::baseline()),
+        ("optimized", DcacheConfig::optimized()),
+    ] {
+        let disk = new_disk();
+        let fs = new_fs(disk.clone());
+        let kernel = KernelBuilder::new(config)
+            .root_fs(fs.clone() as Arc<dyn FileSystem>)
+            .build()
+            .unwrap();
+        let p = kernel.init_process();
+        kernel.mkdir(&p, "/etc", 0o755).unwrap();
+        kernel.mkdir(&p, "/etc/rc.d", 0o755).unwrap();
+        let paths = ["/etc", "/etc/rc.d", "/etc/rc.d/init", "/etc/hosts"];
+        for path in &paths[2..] {
+            let fd = kernel.open(&p, path, OpenFlags::create(), 0o640).unwrap();
+            kernel.close(&p, fd).unwrap();
+        }
+        for path in paths {
+            kernel.stat(&p, path).unwrap();
+        }
+        let before = (
+            fs.stats().snapshot(),
+            fs.journal_seq(),
+            disk.stats().device_reads,
+        );
+        for i in 0..1_000 {
+            kernel.stat(&p, paths[i % paths.len()]).unwrap();
+        }
+        let after = (
+            fs.stats().snapshot(),
+            fs.journal_seq(),
+            disk.stats().device_reads,
+        );
+        assert_eq!(after, before, "warm stats under {name}");
+    }
 }
