@@ -1,12 +1,12 @@
 //! The coherence protocol of §3.2, in one place. A lookup skips the walk
-//! on a dentry's signature (its DLHT entry and hash state), a memoized
-//! prefix check (a PCC entry `(id, seq)`) and the dentry's block
-//! ([`DentrySnap`]). Every change that can falsify one is a
+//! on a dentry's signature (its DLHT entry and hash state), its
+//! directory's memoized prefix check (a PCC entry `(key, seq)`) and the
+//! dentry's block ([`DentrySnap`]). Every change that can falsify one is a
 //! [`Dcache::shootdown`], every fact a slow walk caches goes through
 //! [`Publications`], and every fast answer comes from
-//! [`Dcache::validate`] or [`vouched`]. `dc-vfs` passes in what only it
-//! knows (mount edges, a block's signing mount, permission) as values
-//! and closures.
+//! [`Dcache::validate`] or [`Dcache::vouched`]. `dc-vfs` passes in what
+//! only it knows (mount edges, a block's signing mount, permission) as
+//! values and closures.
 //!
 //! A dentry's `seq` moves whenever a prefix check through it may have
 //! become false, and a PCC entry answers only at the seq it memoized, so
@@ -72,23 +72,13 @@ fn unmoved(d: &Dentry, seq: u64) -> bool {
     !d.is_dead() && d.seq() == seq
 }
 
-/// The seq sandwich for a reader with no miss path of its own: `read`'s
-/// answer from one read of `d`'s block, if `pcc` vouches for `d` at the
-/// seq sampled before that read and the seq still holds after it.
+/// The PCC key of directory `id` searched by the path hashed in `path`:
+/// a check made along one path never answers for another (§4.3).
 #[inline]
-pub fn vouched<'a, T>(
-    pcc: &Pcc,
-    d: &'a Dentry,
-    guard: &'a Guard,
-    read: impl FnOnce(&'a DentrySnap) -> Option<T>,
-) -> Option<T> {
-    let seq = d.seq();
-    let seen = d.view(guard);
-    if !pcc.check(d.id(), seq) {
-        return None;
-    }
-    let out = read(seen)?;
-    unmoved(d, seq).then_some(out)
+pub fn memo_key(id: DentryId, path: &HashState) -> u64 {
+    let (acc, pos) = path.to_wire();
+    let key = acc.iter().fold(id, |k, &a| k.rotate_left(23) ^ a);
+    (key ^ u64::from(pos) << 32).max(1) // 0 marks an empty way
 }
 
 /// A slow walk's publications: queued while it walks, applied once it
@@ -101,29 +91,29 @@ pub struct Publications<'d> {
     /// `None` when the walk may not memoize prefix checks.
     pcc: Option<Arc<Pcc>>,
     entries: Vec<(Arc<Dentry>, Signature, HashState, u64)>,
-    memos: Vec<(DentryId, u64)>,
+    memos: Vec<(u64, u64)>,
     /// Symlink target signatures as read through one mount (§4.2): applied
     /// after the entries, whose re-signing clears an earlier walk's.
     links: Vec<(Arc<Dentry>, Signature, u64)>,
 }
 
 impl Publications<'_> {
-    /// Queues what a walk learned of `d`, reached through `mount` by the
-    /// path whose hash state is `state`: its prefix check, unless its seq
-    /// is memoized already (repeated walks would re-publish every
-    /// component), and its DLHT entry, unless `d` holds that state (a
-    /// stored state and the entry under its signature come and go
-    /// together).
+    /// Queues `d`'s DLHT entry, reached through `mount` by the path whose
+    /// hash state is `state`, unless `d` holds that state (a stored state
+    /// and the entry under its signature come and go together).
     pub fn add(&mut self, d: &Arc<Dentry>, state: HashState, mount: u64) {
-        if let Some(pcc) = &self.pcc {
-            let seq = d.seq();
-            if !pcc.check(d.id(), seq) {
-                self.memos.push((d.id(), seq));
-            }
-        }
         if d.hash_state_via(mount) != Some(state) {
             let sig = self.dcache.key.finish(&state);
             self.entries.push((d.clone(), sig, state, mount));
+        }
+    }
+
+    /// Queues the prefix check of `dir`, about to be searched by `path`,
+    /// unless memoized already (repeated walks would re-publish it).
+    pub fn searched(&mut self, dir: &Dentry, path: &HashState) {
+        let (key, seq) = (memo_key(dir.id(), path), dir.seq());
+        if self.pcc.as_ref().is_some_and(|pcc| !pcc.check(key, seq)) {
+            self.memos.push((key, seq));
         }
     }
 
@@ -153,8 +143,8 @@ impl Publications<'_> {
             }
         }
         if let Some(pcc) = &self.pcc {
-            for &(id, seq) in &self.memos {
-                pcc.insert(id, seq);
+            for &(key, seq) in &self.memos {
+                pcc.insert(key, seq);
             }
         }
         for (link, sig, mount) in &self.links {
@@ -238,16 +228,20 @@ impl Dcache {
 
     /// Opens a slow walk's queue: samples the invalidation counter, then
     /// lets the walk memoize prefix checks into `pcc` only if it starts at
-    /// the namespace `root` or at an `anchor` `pcc` vouches for — every
-    /// memoized check starts at the root (§3.2's directory references).
+    /// the namespace `root` or at an `anchor` `pcc` vouches for, signed
+    /// through the walk's `mount` — every memoized check starts at the
+    /// root (§3.2's directory references).
     pub fn publications(
         &self,
         pcc: Option<Arc<Pcc>>,
         anchor: &Dentry,
+        mount: u64,
         root: bool,
     ) -> Publications<'_> {
         let inv0 = self.invalidation_counter();
-        let pcc = pcc.filter(|p| root || p.check(anchor.id(), anchor.seq()));
+        let resumed = |seen: &DentrySnap| (seen.mount == mount).then_some(());
+        let guard = &crossbeam_epoch::pin();
+        let pcc = pcc.filter(|p| root || self.vouched(p, anchor, guard, resumed).is_some());
         Publications {
             dcache: self,
             inv0,
@@ -258,10 +252,46 @@ impl Dcache {
         }
     }
 
-    /// Signs a mount's root through `mount`, with no state yet, dropping
-    /// whatever another mount of its superblock left (§4.3).
-    pub fn sign_mount_root(&self, root: &Dentry, mount: u64) {
-        root.sign(None, mount);
+    /// Signs a mount's root through `mount` (the namespace root with the
+    /// root state), dropping whatever another mount of its superblock left
+    /// (§4.3).
+    pub fn sign_mount_root(&self, root: &Dentry, mount: u64, ns_root: bool) {
+        root.sign(ns_root.then(|| self.key.root_state()), mount);
+    }
+
+    /// The directory `snap` names as parent, its seq and its path's hash
+    /// state, if `below`'s path is that path plus `snap`'s name.
+    #[inline]
+    fn directory(
+        &self,
+        snap: &DentrySnap,
+        below: &HashState,
+        guard: &Guard,
+    ) -> Option<(Arc<Dentry>, u64, HashState)> {
+        let dir = snap.parent()?;
+        let seq = dir.seq();
+        let path = dir.view(guard).hash_state?;
+        let mut h = path;
+        self.key.push_component(&mut h, snap.name.as_bytes());
+        (h == *below).then_some((dir, seq, path))
+    }
+
+    /// The seq sandwich for a reader with no miss path of its own: `read`'s
+    /// answer from one read of `d`'s block, if `pcc` has memoized `d`'s
+    /// directory and `d`'s seq, sampled before that read, holds after it.
+    #[inline]
+    pub fn vouched<'a, T>(
+        &self,
+        pcc: &Pcc,
+        d: &'a Dentry,
+        guard: &'a Guard,
+        read: impl FnOnce(&'a DentrySnap) -> Option<T>,
+    ) -> Option<T> {
+        let seq = d.seq();
+        let seen = d.view(guard);
+        let (dir, dir_seq, path) = self.directory(seen, seen.hash_state.as_ref()?, guard)?;
+        let out = read(seen).filter(|_| pcc.check(memo_key(dir.id(), &path), dir_seq))?;
+        unmoved(d, seq).then_some(out)
     }
 
     /// Stores a hash state rebuilt from `d`'s ancestors into an empty slot
@@ -275,14 +305,16 @@ impl Dcache {
 
     /// A fast lookup's validation (§3.1): probes `dlht` for `sig` and
     /// answers (`Some(Err)`, e.g. a negative hit, is definitive) or not
-    /// (`None`: walk), from one seq sample and one block read per dentry.
-    /// A stale PCC entry is [revalidated](Dcache::revalidate): a live DLHT
-    /// entry proves the path maps to the dentry, as structural changes
-    /// evict before they mutate. Aliases and, with `follow_last`, a final
-    /// symlink's target signature are followed only under the namespace
-    /// root (`plain_root`), which their translation was read under; an
-    /// alias speaks for a target that has not moved and is signed through
-    /// its mount. `mount_of(d, id)` is mount `id` if it still serves `d`.
+    /// (`None`: walk), from one seq sample and one block read per dentry,
+    /// each [prefix-checked](Dcache::prefix_checked) at the directory
+    /// that holds it: a live DLHT entry proves the path maps to the
+    /// dentry, as structural changes evict before they mutate. Aliases
+    /// and, with `follow_last`, a final symlink's target signature are
+    /// followed only under the namespace root (`plain_root`), which their
+    /// translation was read under; an alias speaks for a target that has
+    /// not moved and is signed through its mount. `mount_of(d, id)` is
+    /// mount `id` if it still serves `d`, `edge(m)` its root and what is
+    /// above it, `search(i)` a climb's permission to pass directory `i`.
     /// Generic: the warm hit compiles into the caller.
     #[inline]
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
@@ -296,7 +328,8 @@ impl Dcache {
         plain_root: bool,
         guard: &'g Guard,
         mount_of: impl Fn(&Dentry, u64) -> Option<&'g M>,
-        mut climb: impl FnMut(&Arc<Dentry>, u64, &mut dyn FnMut(&Dentry, u64) -> bool) -> Option<()>,
+        edge: impl Fn(&'g M) -> (&'g Arc<Dentry>, Option<&'g (M, Arc<Dentry>)>),
+        search: impl Fn(&Inode) -> bool,
     ) -> Option<FsResult<(&'g M, Arc<Dentry>, Arc<Inode>)>> {
         let stats = &self.stats;
         'restart: for _ in 0..MAX_READ_RETRIES {
@@ -322,13 +355,12 @@ impl Dcache {
                         return None;
                     }
                 }
-                if !pcc.check(obj.id(), seq) {
-                    if !self.revalidate(pcc, &obj, seen.mount, seq, &mut climb) {
-                        stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
-                        return None;
-                    }
-                    stats.fast_revalidations.fetch_add(1, Ordering::Relaxed);
-                }
+                let checked = mount_of(&obj, seen.mount)
+                    .filter(|&m| self.prefix_checked(pcc, &obj, seen, m, &edge, &search, guard));
+                let Some(mount) = checked else {
+                    stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
+                    return None;
+                };
                 let hit = match seen.kind() {
                     DentryKind::Alias => {
                         let (target, target_seq) = seen.alias_target()?;
@@ -359,7 +391,7 @@ impl Dcache {
                     DentryKind::Negative(_) | DentryKind::Partial { .. } => return None,
                     DentryKind::Positive { ftype, .. } => {
                         let inode = seen.inode()?.clone();
-                        Ok((ftype, inode, mount_of(&obj, seen.mount)?))
+                        Ok((ftype, inode, mount))
                     }
                 };
                 if !unmoved(&obj, seq) {
@@ -387,40 +419,70 @@ impl Dcache {
         None
     }
 
-    /// Re-executes `obj`'s prefix check over its cached ancestors: a PCC
-    /// miss may only mean it "has not executed recently" (§3.1). `climb`
-    /// checks each ancestor, its seq sampled before it is read, up to one
-    /// `memoized` by an earlier climb. The leaf is memoized if unmoved, the
-    /// directories if no rename overlapped: `chmod` changes bits before it
-    /// shoots, so a sample of the old bits dies, but a rename shoots before
-    /// it moves, and a directory sampled in between would keep the old
-    /// ancestors' verdict (the leaf, out of the DLHT first, cannot).
-    fn revalidate(
+    /// `obj`'s prefix check (§3.1): one climb from the directory its
+    /// lookup searched last (across a mount root, the mountpoint's) to the
+    /// first one memoized, so a warm hit stops at the first; past a miss,
+    /// each must be searchable (a symlink hop is skipped). That is a
+    /// revalidation, and memoizes what it climbed if no rename overlapped:
+    /// `chmod` changes bits before it shoots, so a sample of the old bits
+    /// dies, but a rename shoots before it moves, and a directory sampled
+    /// in between would keep the old ancestors' verdict.
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    fn prefix_checked<'g, M>(
         &self,
         pcc: &Pcc,
         obj: &Arc<Dentry>,
-        signed_via: u64,
-        seq: u64,
-        climb: &mut impl FnMut(&Arc<Dentry>, u64, &mut dyn FnMut(&Dentry, u64) -> bool) -> Option<()>,
+        seen: &DentrySnap,
+        mut mount: &'g M,
+        edge: &impl Fn(&'g M) -> (&'g Arc<Dentry>, Option<&'g (M, Arc<Dentry>)>),
+        search: &impl Fn(&Inode) -> bool,
+        guard: &'g Guard,
     ) -> bool {
         let renames = self.rename_lock.try_read_begin();
-        let mut climbed: InlineVec<(DentryId, u64), INLINE_COMPONENTS> = InlineVec::new();
-        let passed = climb(obj, signed_via, &mut |dir, dir_seq| {
-            let memoized = pcc.check_dir(dir.id(), dir_seq);
-            if !memoized {
-                climbed.push((dir.id(), dir_seq));
+        let mut climbed: Option<InlineVec<(u64, u64), INLINE_COMPONENTS>> = None;
+        let passed = (|| {
+            let mut below = seen.hash_state?;
+            let mut at: Option<Arc<Dentry>> = None;
+            loop {
+                let (mut d, mut snap) = match &at {
+                    None => (&**obj, seen),
+                    Some(dir) => (&**dir, dir.view(guard)),
+                };
+                loop {
+                    let (root, above) = edge(mount);
+                    if !std::ptr::eq(d, &**root) {
+                        break;
+                    }
+                    let Some((pm, mp)) = above else {
+                        return Some(()); // the namespace root
+                    };
+                    (mount, d, snap) = (pm, &**mp, mp.view(guard));
+                }
+                let (dir, seq, path) = self.directory(snap, &below, guard)?;
+                let key = memo_key(dir.id(), &path);
+                if pcc.check(key, seq) {
+                    return Some(());
+                }
+                climbed.get_or_insert_with(InlineVec::new).push((key, seq));
+                match dir.view(guard).inode() {
+                    Some(inode) if inode.is_dir() => search(inode).then_some(())?,
+                    Some(inode) if inode.ftype() == FileType::Symlink => {}
+                    _ => return None,
+                }
+                below = path;
+                at = Some(dir);
             }
-            memoized
-        });
-        if passed.is_none() || !unmoved(obj, seq) {
-            return false;
-        }
-        pcc.insert(obj.id(), seq);
-        if renames.is_some_and(|r| !self.rename_lock.read_retry(r)) {
-            for &(id, dir_seq) in climbed.iter() {
-                pcc.insert_dir(id, dir_seq);
+        })()
+        .is_some();
+        if let Some(climbed) = climbed.filter(|_| passed) {
+            let stats = &self.stats;
+            stats.fast_revalidations.fetch_add(1, Ordering::Relaxed);
+            if renames.is_some_and(|r| !self.rename_lock.read_retry(r)) {
+                for &(key, seq) in climbed.iter() {
+                    pcc.insert(key, seq);
+                }
             }
         }
-        true
+        passed
     }
 }

@@ -179,6 +179,11 @@ impl DentrySnap {
         }
     }
 
+    /// The parent this block names: `None` at a root or once it is gone.
+    pub(crate) fn parent(&self) -> Option<Arc<Dentry>> {
+        self.parent.as_ref()?.upgrade()
+    }
+
     /// The inode, if positive.
     pub fn inode(&self) -> Option<&Arc<Inode>> {
         match &self.state {

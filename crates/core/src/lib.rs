@@ -10,7 +10,7 @@
 //! | Direct Lookup Hash Table (DLHT), §3.1 | [`Dlht`] |
 //! | Prefix Check Cache (PCC), §3.1 | [`Pcc`] |
 //! | 240-bit path signatures, §3.3 | re-exported from `dc-sighash` |
-//! | Coherence, §3.2: shootdowns, the slow walk's publications, the fast reader's seq sandwich | [`Dcache::shootdown`], [`Publications`], [`Dcache::validate`], [`vouched`] (`coherence.rs`), [`SeqLock`] |
+//! | Coherence, §3.2: shootdowns, the slow walk's publications, the fast reader's seq sandwich | [`Dcache::shootdown`], [`Publications`], [`Dcache::validate`], [`Dcache::vouched`] (`coherence.rs`), [`SeqLock`] |
 //! | Directory completeness (`DIR_COMPLETE`), §5.1 | dentry flags + [`Dcache::lookup_cached`] |
 //! | Negative and deep-negative dentries, §5.2 | [`DentryState::Negative`], [`NegKind`] |
 //! | LRU + bottom-up eviction | [`Dcache::shrink`], [`Dcache::drop_unused`] |
@@ -42,7 +42,7 @@ pub mod snapslab;
 mod stats;
 
 pub use cache::{Cached, Dcache, NsId};
-pub use coherence::{vouched, Publications};
+pub use coherence::{memo_key, Publications};
 pub use config::DcacheConfig;
 pub use dentry::{
     Dentry, DentryId, DentryKind, DentrySnap, DentryState, NegKind, FLAG_DIR_COMPLETE,

@@ -1,6 +1,5 @@
 //! The Prefix Check Cache (§3.1).
 
-use crate::dentry::DentryId;
 use crate::dsync::{AtomicU32, AtomicU64, Ordering};
 use crate::seqlock::SeqCount;
 use crate::stats::Counter;
@@ -10,37 +9,39 @@ use parking_lot::Mutex;
 /// Associativity of each PCC set.
 const WAYS: usize = 8;
 
-/// Logical bytes per entry used for sizing: a dentry id and a sequence
-/// number (the paper's entries are 16 bytes after pointer-bit compression;
-/// ours store the full 64-bit never-reused id, which plays the role of
-/// pointer + reallocation generation). The per-entry version word adds a
-/// small constant overhead reported by [`Pcc::approx_bytes`].
+/// Logical bytes per entry used for sizing: a key and a sequence number
+/// (the paper's entries are 16 bytes after pointer-bit compression; ours
+/// store a 64-bit key folded from the directory's never-reused id and
+/// its path, which plays the role of pointer + reallocation generation).
+/// The per-entry version word adds a small constant overhead reported by
+/// [`Pcc::approx_bytes`].
 const ENTRY_BYTES: usize = 16;
 
-/// Sentinel id marking an empty entry.
+/// Sentinel key marking an empty entry.
 const INVALID: u64 = 0;
 
 struct Entry {
     ver: SeqCount,
-    id: AtomicU64,
+    key: AtomicU64,
     seq: AtomicU64,
 }
 
 impl Entry {
-    /// Consistent snapshot of `(id, seq)`, or `None` if a writer is active.
+    /// Consistent snapshot of `(key, seq)`, or `None` if a writer is
+    /// active.
     #[inline]
     fn read(&self) -> Option<(u64, u64)> {
         let start = self.ver.try_read_begin()?;
-        let id = self.id.load(Ordering::Relaxed);
+        let key = self.key.load(Ordering::Relaxed);
         let seq = self.seq.load(Ordering::Relaxed);
-        (!self.ver.read_retry(start)).then_some((id, seq))
+        (!self.ver.read_retry(start)).then_some((key, seq))
     }
 
-    /// Publishes `(id, seq)`; the caller holds the set's writer lock.
+    /// Publishes `(key, seq)`; the caller holds the set's writer lock.
     #[inline]
-    fn write(&self, id: u64, seq: u64) {
+    fn write(&self, key: u64, seq: u64) {
         self.ver.write_begin();
-        self.id.store(id, Ordering::Relaxed);
+        self.key.store(key, Ordering::Relaxed);
         self.seq.store(seq, Ordering::Relaxed);
         self.ver.write_end();
     }
@@ -54,35 +55,24 @@ struct Set {
     write_lock: Mutex<()>,
 }
 
-/// A per-credential cache of successful prefix checks.
+/// A per-credential cache of successful prefix checks, keyed by directory.
 ///
-/// An entry `(dentry_id, seq)` asserts: *at the moment the owning
-/// credential last walked to this dentry from the root, it held search
-/// permission on every ancestor directory, and the dentry's version
-/// counter was `seq`.* The fastpath accepts the memoized result only if
-/// the dentry's **current** counter still equals `seq`; any permission or
-/// structure change along the path bumps the counter and thereby
-/// invalidates every PCC entry for the subtree without touching the PCCs
-/// themselves (§3.2).
+/// An entry `(key, seq)` asserts: *every check a lookup makes before it
+/// examines the children of directory `D`, along the path `key` names
+/// ([`memo_key`](crate::coherence::memo_key)), passed for the owning
+/// credential while `D`'s version counter was `seq`.* It answers for every
+/// name in `D`, and only while `D`'s counter still equals `seq`: any
+/// permission or structure change above `D` bumps it, invalidating the
+/// entry in every PCC without touching them (§3.2).
 ///
 /// The table is set-associative. Reads are lock-free (per-entry version
-/// validation guarantees a consistent `(id, seq)` pair or a retry-as-miss);
-/// writes serialize per set on a tiny mutex, which is off the lookup
-/// critical path — exactly the paper's trade of penalizing infrequent
-/// mutations to keep hits cheap.
-///
-/// Behind the table proper sits a second, an eighth its size, that holds
-/// only the directories a revalidation climbed past
-/// ([`check_dir`](Pcc::check_dir) / [`insert_dir`](Pcc::insert_dir)). One
-/// directory's entry answers for every name below it, and there are far
-/// fewer directories than names; kept apart, a working set of names that
-/// overflows the table cannot evict them, and they cannot crowd a working
-/// set that fits.
+/// validation guarantees a consistent `(key, seq)` pair or a
+/// retry-as-miss); writes serialize per set on a tiny mutex, which is off
+/// the lookup critical path — exactly the paper's trade of penalizing
+/// infrequent mutations to keep hits cheap.
 pub struct Pcc {
-    /// The table's sets, then the directory table's.
     sets: Box<[Set]>,
     mask: u64,
-    dir_mask: u64,
     /// Check outcomes, striped: threads sharing a credential share this
     /// PCC.
     hits: Counter,
@@ -104,12 +94,11 @@ impl Pcc {
     pub fn new_with_obs(bytes: usize, obs: Recorder) -> Pcc {
         let entries = (bytes / ENTRY_BYTES).max(WAYS);
         let nsets = (entries / WAYS).next_power_of_two();
-        let dir_nsets = (nsets / 8).max(1);
-        let sets = (0..nsets + dir_nsets)
+        let sets = (0..nsets)
             .map(|_| Set {
                 ways: std::array::from_fn(|_| Entry {
                     ver: SeqCount::new(),
-                    id: AtomicU64::new(INVALID),
+                    key: AtomicU64::new(INVALID),
                     seq: AtomicU64::new(0),
                 }),
                 clock: AtomicU32::new(0),
@@ -121,7 +110,6 @@ impl Pcc {
         Pcc {
             sets,
             mask: (nsets - 1) as u64,
-            dir_mask: (dir_nsets - 1) as u64,
             hits,
             misses,
             last_used: AtomicU64::new(0),
@@ -130,37 +118,20 @@ impl Pcc {
     }
 
     #[inline]
-    fn set_of(&self, id: DentryId) -> &Set {
-        // Fibonacci hashing spreads sequential ids across sets.
-        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+    fn set_of(&self, key: u64) -> &Set {
+        // Fibonacci hashing spreads sequential keys across sets.
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
         &self.sets[(h & self.mask) as usize]
     }
 
+    /// Is a prefix check under `key` memoized at exactly version
+    /// `cur_seq`?
     #[inline]
-    fn dir_set_of(&self, id: DentryId) -> &Set {
-        let h = id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
-        &self.sets[(self.mask + 1 + (h & self.dir_mask)) as usize]
-    }
-
-    /// Is a prefix check for `id` memoized at exactly version `cur_seq`?
-    #[inline]
-    pub fn check(&self, id: DentryId, cur_seq: u64) -> bool {
-        self.check_in(self.set_of(id), id, cur_seq)
-    }
-
-    /// [`check`](Pcc::check) against the directory table.
-    #[inline]
-    pub fn check_dir(&self, id: DentryId, cur_seq: u64) -> bool {
-        self.check_in(self.dir_set_of(id), id, cur_seq)
-    }
-
-    #[inline]
-    fn check_in(&self, set: &Set, id: DentryId, cur_seq: u64) -> bool {
-        debug_assert_ne!(id, INVALID);
+    pub fn check(&self, key: u64, cur_seq: u64) -> bool {
         let mut stale = false;
-        for e in &set.ways {
-            if let Some((eid, eseq)) = e.read() {
-                if eid == id {
+        for e in &self.set_of(key).ways {
+            if let Some((ekey, eseq)) = e.read() {
+                if ekey == key {
                     if eseq == cur_seq {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         self.obs.event(|| TraceEvent::PccCheck {
@@ -169,7 +140,7 @@ impl Pcc {
                         });
                         return true;
                     }
-                    // Stale version: a definitive miss for this dentry.
+                    // Stale version: a definitive miss for this key.
                     stale = true;
                     break;
                 }
@@ -181,36 +152,26 @@ impl Pcc {
         false
     }
 
-    /// Memoizes a successful prefix check for `id` at version `seq`.
-    pub fn insert(&self, id: DentryId, seq: u64) {
-        Self::insert_in(self.set_of(id), id, seq)
-    }
-
-    /// Memoizes a successful prefix check for a directory in the
-    /// directory table.
-    pub fn insert_dir(&self, id: DentryId, seq: u64) {
-        Self::insert_in(self.dir_set_of(id), id, seq)
-    }
-
-    fn insert_in(set: &Set, id: DentryId, seq: u64) {
-        debug_assert_ne!(id, INVALID);
+    /// Memoizes a successful prefix check under `key` at version `seq`.
+    pub fn insert(&self, key: u64, seq: u64) {
+        let set = self.set_of(key);
         let _g = set.write_lock.lock();
-        // Refresh in place if the dentry already has a way; otherwise use
+        // Refresh in place if the key already has a way; otherwise use
         // an empty way; otherwise evict round-robin.
         let mut victim = None;
         for (i, e) in set.ways.iter().enumerate() {
-            let eid = e.id.load(Ordering::Acquire);
-            if eid == id {
+            let ekey = e.key.load(Ordering::Acquire);
+            if ekey == key {
                 victim = Some(i);
                 break;
             }
-            if eid == INVALID && victim.is_none() {
+            if ekey == INVALID && victim.is_none() {
                 victim = Some(i);
             }
         }
         let victim =
             victim.unwrap_or_else(|| (set.clock.fetch_add(1, Ordering::Relaxed) as usize) % WAYS);
-        set.ways[victim].write(id, seq);
+        set.ways[victim].write(key, seq);
     }
 
     /// Drops every memoized result (the paper's wraparound flush).
@@ -223,7 +184,7 @@ impl Pcc {
         }
     }
 
-    /// Total logical entries the table proper can hold.
+    /// Total logical entries the table can hold.
     pub fn capacity(&self) -> usize {
         (self.mask as usize + 1) * WAYS
     }
@@ -273,7 +234,7 @@ impl Pcc {
         self.sets
             .iter()
             .flat_map(|s| s.ways.iter())
-            .filter(|e| e.id.load(Ordering::Relaxed) != INVALID)
+            .filter(|e| e.key.load(Ordering::Relaxed) != INVALID)
             .count()
     }
 }
@@ -288,7 +249,7 @@ mod tests {
         pcc.insert(42, 7);
         assert!(pcc.check(42, 7));
         assert!(!pcc.check(42, 8), "stale seq must miss");
-        assert!(!pcc.check(43, 7), "unknown dentry must miss");
+        assert!(!pcc.check(43, 7), "unknown key must miss");
     }
 
     #[test]
@@ -300,32 +261,6 @@ mod tests {
         assert!(pcc.check(42, 2));
         // In-place refresh should not consume extra ways.
         assert_eq!(pcc.occupancy(), 1);
-    }
-
-    #[test]
-    fn directories_are_memoized_apart() {
-        let pcc = Pcc::new(1024); // 8 sets × 8 ways, and 1 × 8 for directories
-        pcc.insert_dir(7, 3);
-        assert!(pcc.check_dir(7, 3));
-        assert!(!pcc.check_dir(7, 4), "stale seq must miss");
-        assert!(!pcc.check(7, 3), "the table proper never saw it");
-        // Names churning through the table proper never evict it...
-        for id in 100..1100u64 {
-            pcc.insert(id, 0);
-        }
-        assert!(pcc.check_dir(7, 3));
-        // ...and directories churning through theirs evict no name.
-        let resident: Vec<u64> = (100..1100u64).filter(|&id| pcc.check(id, 0)).collect();
-        for id in 2000..2100u64 {
-            pcc.insert_dir(id, 0);
-        }
-        assert!(resident.iter().all(|&id| pcc.check(id, 0)));
-        assert_eq!(pcc.capacity(), 64);
-        // Both answer to the flush.
-        pcc.insert_dir(8, 1);
-        pcc.invalidate_all();
-        assert!(!pcc.check_dir(8, 1));
-        assert_eq!(pcc.occupancy(), 0);
     }
 
     #[test]

@@ -4,13 +4,13 @@
 //! validation, and the dying-entry rule (`Dcache::lookup_cached`).
 //!
 //! Every model builds the tree root → `a` → `f` and stands in for what
-//! `dc-vfs` passes the protocol: a climb that checks each ancestor is a
-//! positive directory (and, in the `chmod` model, reads a mode word),
-//! and a mount that always serves.
+//! `dc-vfs` passes the protocol: one mount that always serves, rooted at
+//! the root, and a search check that passes (in the `chmod` model, reads
+//! a mode word).
 
 use dc_fs::{FileSystem, PseudoFs};
 use dcache_core::{
-    Cached, Dcache, DcacheConfig, Dentry, DentryState, HashState, Inode, Pcc, Signature,
+    memo_key, Cached, Dcache, DcacheConfig, Dentry, DentryState, HashState, Inode, Pcc, Signature,
     FLAG_DIR_COMPLETE,
 };
 use dst::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -62,6 +62,7 @@ impl Tree {
             ..DcacheConfig::optimized().with_seed(7)
         });
         let root = dc.new_root(1, dir.clone());
+        dc.sign_mount_root(&root, M, true);
         let a = dc.d_alloc(&root, "a", DentryState::Positive(dir.clone()));
         let f = dc.d_alloc(&a, "f", DentryState::Positive(file.clone()));
         let mut h_a = dc.key.root_state();
@@ -78,6 +79,11 @@ impl Tree {
         }
     }
 
+    /// The PCC key of the root directory, searched by the path "/".
+    fn root_key(&self) -> u64 {
+        memo_key(self.root.id(), &self.dc.key.root_state())
+    }
+
     /// The signature `/a/f` hashes to.
     fn sig(&self) -> Signature {
         self.dc.key.finish(&self.h_af)
@@ -88,25 +94,10 @@ impl Tree {
         &self,
         pcc: &Pcc,
         sig: &Signature,
-        allowed: &dyn Fn(&Dentry) -> bool,
+        allowed: &dyn Fn(&Inode) -> bool,
     ) -> Option<Result<Arc<Dentry>, dc_fs::FsError>> {
         let guard = crossbeam_epoch::pin();
         let table = self.dc.dlht_for(0);
-        let climb = |obj: &Arc<Dentry>, _: u64, memoized: &mut dyn FnMut(&Dentry, u64) -> bool| {
-            let mut d = obj.clone();
-            while let Some(parent) = d.parent() {
-                let seq = parent.seq();
-                let dir = parent.view(&guard).inode().is_some_and(|i| i.is_dir());
-                if !dir || !allowed(&parent) {
-                    return None;
-                }
-                if memoized(&parent, seq) {
-                    return Some(());
-                }
-                d = parent;
-            }
-            Some(())
-        };
         let hit = self.dc.validate(
             &table,
             pcc,
@@ -115,8 +106,9 @@ impl Tree {
             false,
             true,
             &guard,
-            |_, _| Some(&()),
-            climb,
+            |_, _| Some(&self.root),
+            |root| (root, None),
+            allowed,
         )?;
         Some(hit.map(|(_, d, _)| d))
     }
@@ -137,9 +129,11 @@ fn publish_races_rename() {
         dst::thread::spawn(move || {
             let dc = &t.dc;
             let r = dc.rename_lock.read_begin();
-            let mut q = dc.publications(Some(pcc), &t.root, true);
+            let mut q = dc.publications(Some(pcc), &t.root, M, true);
+            q.searched(&t.root, &dc.key.root_state());
             if let Cached::Entry(a) = dc.lookup_cached(&t.root, "a") {
                 q.add(&a, t.h_a, M);
+                q.searched(&a, &t.h_a);
                 if let Cached::Entry(f) = dc.lookup_cached(&a, "f") {
                     q.add(&f, t.h_af, M);
                 }
@@ -185,7 +179,7 @@ fn publish_races_rename() {
 /// rename's shootdown has begun, the walk publishes nothing. The order
 /// this rules out is publish, check, roll back: a lookup begun after the
 /// rename returned finds `/a/f` in the DLHT, misses the PCC (the
-/// shootdown moved `f`'s seq), revalidates over `f`'s current ancestors
+/// shootdown moved `a`'s seq), revalidates over `f`'s current ancestors
 /// and answers with `f`. Seed `0xC0` at expected length 500 finds that
 /// order at iteration 14, its change points between the walk's inserts
 /// and its check; the default length, whose change points land before
@@ -253,11 +247,11 @@ fn eviction_never_fabricates_absence() {
 fn umount_races_cwd_walk() {
     let t = Arc::new(Tree::new());
     let table = t.dc.dlht_for(0);
-    let mut q = t.dc.publications(None, &t.root, true);
+    let mut q = t.dc.publications(None, &t.root, M, true);
     q.add(&t.a, t.h_a, M);
     q.apply(|| &table);
     let pcc = Arc::new(Pcc::new(1024));
-    pcc.insert(t.a.id(), t.a.seq());
+    pcc.insert(t.root_key(), t.root.seq());
     let (walked, umounted) = (
         Arc::new(AtomicBool::new(false)),
         Arc::new(AtomicBool::new(false)),
@@ -266,8 +260,9 @@ fn umount_races_cwd_walk() {
         let (t, pcc, walked) = (t.clone(), pcc.clone(), walked.clone());
         dst::thread::spawn(move || {
             let dc = &t.dc;
-            let mut q = dc.publications(Some(pcc), &t.a, false);
+            let mut q = dc.publications(Some(pcc), &t.a, M, false);
             if let Some(mut h) = t.a.hash_state_via(M) {
+                q.searched(&t.a, &h);
                 if let Cached::Entry(f) = dc.lookup_cached(&t.a, "f") {
                     dc.key.push_component(&mut h, b"f");
                     q.add(&f, h, M);
@@ -326,10 +321,10 @@ fn a_walk_from_a_cwd_never_publishes_across_an_umount() {
 }
 
 /// Model (d): `chmod a-x` ∥ a revalidating lookup of `/a/f` ∥ a reader.
-/// The climb reads `a`'s mode word; chmod sets it, then shoots `a`. Once
-/// chmod has returned, no lookup answers `/a/f`, and no PCC entry at the
-/// current seq — of `f`, or of `a` in the directory table — is left
-/// from a climb that read the old mode.
+/// The climb reads the directories' mode word; chmod sets it, then shoots
+/// `a`. Once chmod has returned, no lookup answers `/a/f`, and the one
+/// table holds no memo of `a` at its current seq left from a climb that
+/// read the old mode.
 #[test]
 fn chmod_shootdown_kills_every_old_mode_memo() {
     let _alone = alone();
@@ -344,16 +339,15 @@ fn chmod_shootdown_kills_every_old_mode_memo() {
         || {
             let t = Arc::new(Tree::new());
             let table = t.dc.dlht_for(0);
-            let mut q = t.dc.publications(None, &t.root, true);
+            let mut q = t.dc.publications(None, &t.root, M, true);
             q.add(&t.a, t.h_a, M);
             q.add(&t.f, t.h_af, M);
             q.apply(|| &table);
             let pcc = Arc::new(Pcc::new(1024));
             let mode = Arc::new(AtomicU32::new(0o755));
-            let a_id = t.a.id();
             let searchable = {
                 let mode = mode.clone();
-                move |d: &Dentry| d.id() != a_id || mode.load(Ordering::Acquire) & 0o111 != 0
+                move |_: &Inode| mode.load(Ordering::Acquire) & 0o111 != 0
             };
             let chmodded = Arc::new(AtomicBool::new(false));
             let revalidator = {
@@ -381,9 +375,97 @@ fn chmod_shootdown_kills_every_old_mode_memo() {
             revalidator.join().unwrap();
             chmod.join().unwrap();
             assert!(
-                !pcc.check(t.f.id(), t.f.seq()) && !pcc.check_dir(a_id, t.a.seq()),
+                !pcc.check(memo_key(t.a.id(), &t.h_a), t.a.seq()),
                 "a memo from a climb that read the old mode survived chmod"
             );
         },
+    );
+}
+
+/// Model (e): `mount` on `a` ∥ a slow walk of `/a/f` through the
+/// mountpoint ∥ a reader that looks `/a/f` up until the walk is over. The
+/// walk crosses `a` if the mount table has the mount and publishes the
+/// covered `f` otherwise; mounting shoots `a`, then adds the mount, both
+/// under `rename_lock`'s write side, as a rename shoots, then moves. Once
+/// the mount has returned, no lookup answers `/a/f` with the covered `f`:
+/// a walk that read the table before the mount was added validates
+/// against the rename lock and publishes nothing.
+fn mount_races_walk() {
+    let t = Arc::new(Tree::new());
+    let pcc = Arc::new(Pcc::new(1024));
+    let (walked, mounted, in_table) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+    );
+    let walker = {
+        let (t, pcc, walked, in_table) = (t.clone(), pcc.clone(), walked.clone(), in_table.clone());
+        dst::thread::spawn(move || {
+            let dc = &t.dc;
+            let r = dc.rename_lock.read_begin();
+            let mut q = dc.publications(Some(pcc), &t.root, M, true);
+            q.searched(&t.root, &dc.key.root_state());
+            if let Cached::Entry(a) = dc.lookup_cached(&t.root, "a") {
+                if !in_table.load(Ordering::SeqCst) {
+                    q.add(&a, t.h_a, M);
+                    q.searched(&a, &t.h_a);
+                    if let Cached::Entry(f) = dc.lookup_cached(&a, "f") {
+                        q.add(&f, t.h_af, M);
+                    }
+                }
+            }
+            if !dc.rename_lock.read_retry(r) {
+                let table = dc.dlht_for(0);
+                q.apply(|| &table);
+            }
+            walked.store(true, Ordering::SeqCst);
+        })
+    };
+    let mounter = {
+        let (t, mounted, in_table) = (t.clone(), mounted.clone(), in_table.clone());
+        dst::thread::spawn(move || {
+            {
+                let _w = t.dc.rename_lock.write();
+                t.dc.shootdown([&t.a], true, &[]);
+                in_table.store(true, Ordering::SeqCst);
+            }
+            mounted.store(true, Ordering::SeqCst);
+        })
+    };
+    loop {
+        let (after_mount, last) = (
+            mounted.load(Ordering::SeqCst),
+            walked.load(Ordering::SeqCst),
+        );
+        let answer = t.lookup(&pcc, &t.sig(), &|_| true);
+        assert!(
+            !(after_mount && matches!(&answer, Some(Ok(d)) if Arc::ptr_eq(d, &t.f))),
+            "a lookup begun after the mount returned found the covered /a/f"
+        );
+        if last {
+            break;
+        }
+        dst::hint::spin_loop();
+    }
+    walker.join().unwrap();
+    mounter.join().unwrap();
+}
+
+/// Without the rename lock, mounting leaves a window between its
+/// shootdown and the mount table: a walk that starts inside it samples
+/// the counter after the shootdown, reads the table before the mount and
+/// publishes the covered `/a/f`, which then answers for the mounted path.
+#[test]
+fn a_walk_never_publishes_under_a_mountpoint_being_covered() {
+    let _alone = alone();
+    inodes();
+    dst::check(
+        "publish-vs-mount",
+        dst::Config::default()
+            .iterations(5_000)
+            .seed(0xC4)
+            .expected_len(300)
+            .from_env(),
+        mount_races_walk,
     );
 }

@@ -21,9 +21,9 @@ use crate::namespace::MountNamespace;
 use crate::path::{ParsedPath, PathRef, WalkRef, WalkResult};
 use crate::process::Process;
 use dc_cred::{Cred, MAY_EXEC};
-use dc_fs::{FileType, FsError, FsResult};
+use dc_fs::{FsError, FsResult};
 use dcache_core::scratch::{InlineVec, INLINE_COMPONENTS};
-use dcache_core::{vouched, Dentry, DentrySnap, HashState, Pcc};
+use dcache_core::{Dentry, DentrySnap, HashState, Pcc};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -171,54 +171,14 @@ impl Kernel {
             plain_root,
             guard,
             |obj, id| signing_mount(ns, obj, id, guard),
-            |obj, id, memoized| self.climb(ns, obj, id, cred, guard, memoized),
+            |m| (&m.root, m.parent.as_ref()),
+            |dir| !self.security.needs_path() && self.permission(cred, dir, MAY_EXEC, None).is_ok(),
         )?;
         Some(hit.map(|(mount, dentry, inode)| WalkResult {
             mount,
             dentry,
             inode: Some(inode),
         }))
-    }
-
-    /// A revalidation's climb from `obj` through the mount it was signed
-    /// by, across the mountpoints above. Symlink hops in alias chains are
-    /// skipped; anything irregular (a negative or partial ancestor, a
-    /// denial, a path-sensitive LSM) fails, and the slowpath decides.
-    fn climb(
-        &self,
-        ns: &MountNamespace,
-        obj: &Arc<Dentry>,
-        signed_via: u64,
-        cred: &Cred,
-        guard: &crossbeam_epoch::Guard,
-        memoized: &mut dyn FnMut(&Dentry, u64) -> bool,
-    ) -> Option<()> {
-        (!self.security.needs_path()).then_some(())?; // path LSMs: walk
-        let mut mount = ns.mount_by_id_read(signed_via, guard)?;
-        (mount.sb.id == obj.sb()).then_some(())?;
-        let mut d = obj.clone();
-        loop {
-            while Arc::ptr_eq(&d, &mount.root) {
-                let Some((pm, mp)) = &mount.parent else {
-                    return Some(()); // the namespace root
-                };
-                mount = pm;
-                d = mp.clone();
-            }
-            let parent = d.parent()?;
-            let seq = parent.seq();
-            match parent.view(guard).inode() {
-                Some(inode) if inode.is_dir() => {
-                    self.permission(cred, inode, MAY_EXEC, None).ok()?;
-                    if memoized(&parent, seq) {
-                        return Some(());
-                    }
-                }
-                Some(inode) if inode.ftype() == FileType::Symlink => {}
-                _ => return None,
-            }
-            d = parent;
-        }
     }
 
     /// The directory holding `parsed`'s final component, when the
@@ -271,7 +231,7 @@ impl Kernel {
         // entry, not a symlink) reached by its canonical path, by the
         // mount it was published through, and not republished while we
         // looked.
-        let mount = vouched(pcc, &dir, guard, |seen| {
+        let mount = self.dcache.vouched(pcc, &dir, guard, |seen| {
             let positive_dir = seen.inode().is_some_and(|i| i.is_dir());
             (positive_dir && seen.hash_state == Some(h)).then_some(())?;
             signing_mount(ns, &dir, seen.mount, guard)
@@ -314,7 +274,7 @@ impl Kernel {
         let dir = |seen: &DentrySnap| seen.inode().filter(|i| i.is_dir()).cloned();
         let inode = match Arc::ptr_eq(&dentry, &ns.root_mount_read(guard).root) {
             true => dir(dentry.view(guard)),
-            false => vouched(pcc, &dentry, guard, dir),
+            false => self.dcache.vouched(pcc, &dentry, guard, dir),
         }?;
         self.permission(cred, &inode, MAY_EXEC, None).ok()
     }

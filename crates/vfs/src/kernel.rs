@@ -170,7 +170,7 @@ impl Kernel {
             root: root_dentry,
         });
         let root_mount = Mount::new_root(1, sb, root_flags);
-        dcache.sign_mount_root(&root_mount.root, root_mount.id);
+        dcache.sign_mount_root(&root_mount.root, root_mount.id, true);
         if dcache.obs.is_enabled() {
             if let Some(memfs) = as_memfs(&root_mount.sb.fs) {
                 memfs.disk().attach_recorder(dcache.obs.clone());

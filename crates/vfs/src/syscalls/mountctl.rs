@@ -78,15 +78,19 @@ impl Kernel {
                 at.mount.clone(),
                 at.dentry.clone(),
             );
-            // Structural change: the covered subtree's direct-lookup
-            // entries are stale (§3.2, §4.3).
-            self.dcache
-                .shootdown([&at.dentry], true, &self.mount_edges());
-            self.dcache.sign_mount_root(&mount.root, mount.id);
-            let id = mount.id;
-            ns.add_mount(mount);
-            Ok(id)
+            self.dcache.sign_mount_root(&mount.root, mount.id, false);
+            Ok(self.cover(&ns, &at.dentry, mount))
         })
+    }
+
+    /// Shoots the subtree `mount` covers at `at` — a structural change: its
+    /// direct-lookup entries are stale (§3.2, §4.3) — then hangs it there,
+    /// under the rename lock, as a rename shoots, then moves.
+    fn cover(&self, ns: &MountNamespace, at: &Arc<dcache_core::Dentry>, mount: Arc<Mount>) -> u64 {
+        let _covering = self.dcache.rename_lock.write();
+        self.dcache.shootdown([at], true, &self.mount_edges());
+        ns.add_mount(mount.clone());
+        mount.id
     }
 
     /// `mount --bind src dst`: the same dentry tree visible at another
@@ -114,11 +118,7 @@ impl Kernel {
                 d.mount.clone(),
                 d.dentry.clone(),
             );
-            self.dcache
-                .shootdown([&d.dentry], true, &self.mount_edges());
-            let id = mount.id;
-            ns.add_mount(mount);
-            Ok(id)
+            Ok(self.cover(&ns, &d.dentry, mount))
         })
     }
 

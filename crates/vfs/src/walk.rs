@@ -347,7 +347,8 @@ impl<'k> SlowWalk<'k> {
         let guard = &crossbeam_epoch::pin();
         let at_ns_root = ns.is_root(&anchor.mount, &anchor.dentry, guard);
         let plain_root = ns.is_root(&root.mount, &root.dentry, guard);
-        let queue = k.dcache.publications(pcc, &anchor.dentry, at_ns_root);
+        let (dentry, mount) = (&anchor.dentry, anchor.mount.id);
+        let queue = k.dcache.publications(pcc, dentry, mount, at_ns_root);
         let path_str = k.security.needs_path().then(|| k.vfs_path_of(&anchor));
         let mut w = SlowWalk {
             k,
@@ -466,6 +467,7 @@ impl<'k> SlowWalk<'k> {
             return Ok(()); // descended into a fabricated negative child
         }
         self.check_exec()?;
+        self.searched();
         let child = self.lookup_child(name)?;
         // Extend the literal hash state.
         if let Some(mut h) = self.hstate {
@@ -526,6 +528,7 @@ impl<'k> SlowWalk<'k> {
         if !deep_ok {
             return Err(kind.error());
         }
+        self.searched();
         // Fabricate (or find) the negative child and keep descending so
         // the full dead path lands in the DLHT.
         let parent = self.cur.dentry.clone();
@@ -619,16 +622,20 @@ impl<'k> SlowWalk<'k> {
         Ok(c)
     }
 
-    /// Publishes `dentry` (DLHT under the current literal signature, PCC
-    /// prefix check) — queued, applied post-validation.
+    /// Memoizes the directory about to be searched under its literal path.
+    fn searched(&mut self) {
+        if let Some(h) = self.hstate {
+            let dir = self.alias_parent.as_ref().unwrap_or(&self.cur.dentry);
+            self.queue.searched(dir, &h);
+        }
+    }
+
+    /// Publishes `dentry` (DLHT under the current literal signature) —
+    /// queued, applied post-validation.
     fn publish_step(&mut self, dentry: &Arc<Dentry>, mount_id: u64) {
         if !self.fast || !self.cur.mount.sb.fs.supports_fastpath() {
             return;
         }
-        // A memoized prefix check is keyed by dentry, and speaks for the
-        // one path the dentry is signed under (§4.3): it is queued only
-        // beside that signature — not for a walk that has none, and not
-        // for an alias's target, which this walk does not sign.
         let Some(h) = self.hstate else { return };
         let signed = match self.alias_parent.clone() {
             None => dentry.clone(),

@@ -209,7 +209,8 @@ impl Kernel {
         let key = &self.dcache.key;
         let sb_id = root_mount.sb.id;
         let root_ino = fs.root_ino();
-        let mut published = self.dcache.publications(None, &root_mount.sb.root, true);
+        let root = &root_mount.sb.root;
+        let mut published = self.dcache.publications(None, root, root_mount.id, true);
         // Rehydrated directories, keyed by inode number: each entry
         // resumes hashing from its parent's recomputed state. Seeded
         // with the root; entries are parents-first, so a missing parent

@@ -582,11 +582,11 @@ fn coherence_counts_per_phase() {
             [
                 (0, 0, 0, 0, 4, 0, 0),
                 (1, 5, 1, 0, 0, 0, 0),
-                (0, 0, 4, 3, 0, 0, 0),
+                (0, 0, 4, 2, 0, 0, 0),
                 (4, 12, 0, 0, 0, 0, 0),
                 (0, 0, 1, 0, 3, 0, 0),
                 (2, 3, 2, 0, 1, 0, 0),
-                (2, 4, 2, 1, 2, 0, 0),
+                (2, 4, 2, 0, 2, 0, 0),
                 (0, 0, 2, 0, 2, 0, 0),
             ],
         );

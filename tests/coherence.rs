@@ -349,13 +349,13 @@ fn a_revalidation_stops_at_the_first_directory_it_has_memoized() {
         assert!(k.stat(&alice, &format!("/w/x/y/{f}")).is_ok());
     }
     // Every memoized check gone, every DLHT entry still there: the next
-    // lookup climbs y, x, w and the root directory and memoizes all five.
+    // lookup climbs y, x, w and the root directory and memoizes all four.
     k.dcache.flush_all_pccs();
     let climb = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/y/f1").is_ok()));
-    assert_eq!(climb, (0, 5));
-    // Its sibling misses once and stops at y.
+    assert_eq!(climb, (0, 4));
+    // Its sibling stops at y, the first step.
     let stop = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/y/f2").is_ok()));
-    assert_eq!(stop, (1, 1));
+    assert_eq!(stop, (1, 0));
     assert_eq!(
         pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/y/f2").is_ok())),
         (1, 0)
@@ -382,7 +382,7 @@ fn a_revalidation_under_a_rename_memoizes_no_directory() {
     k.dcache.flush_all_pccs();
     // A rename in flight has bumped counters it has not moved yet: the
     // lookup still answers from the fastpath (it never waits for the
-    // rename), but keeps only the entry the DLHT hit vouches for.
+    // rename), but keeps nothing it climbed.
     let in_flight = k.dcache.rename_lock.write();
     let during = std::thread::scope(|s| {
         s.spawn(|| pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f1").is_ok())))
@@ -390,10 +390,10 @@ fn a_revalidation_under_a_rename_memoizes_no_directory() {
             .unwrap()
     });
     drop(in_flight);
-    assert_eq!(during, (0, 4));
+    assert_eq!(during, (0, 3));
     // So the sibling climbs the whole chain again, and this time keeps it.
     let after = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f2").is_ok()));
-    assert_eq!(after, (0, 4));
+    assert_eq!(after, (0, 3));
     assert_eq!(
         pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f1").is_ok())),
         (1, 0)
@@ -403,7 +403,44 @@ fn a_revalidation_under_a_rename_memoizes_no_directory() {
     k.dcache.flush_all_pccs();
     assert!(k.stat(&alice, "/w/x/f1").is_ok());
     let stop = pcc_checks(&k, &alice, || assert!(k.stat(&alice, "/w/x/f3").is_ok()));
-    assert_eq!(stop, (1, 1));
+    assert_eq!(stop, (1, 0));
+}
+
+/// `mutate_mix`'s project shape: one directory holding 10 subdirectories
+/// of 14 files each, owned by root and read by a user. A `chmod` of the
+/// project kills the memo of every directory below it, and each name's
+/// next lookup climbs to the first directory still memoized: one
+/// revalidation per subdirectory, then hits, and no slow walk.
+#[test]
+fn a_chmod_costs_one_revalidation_per_directory_not_per_name() {
+    let (k, root) = optimized();
+    k.mkdir(&root, "/p", 0o755).unwrap();
+    let mut files = Vec::new();
+    for d in 0..10 {
+        k.mkdir(&root, &format!("/p/d{d}"), 0o755).unwrap();
+        for f in 0..14 {
+            let path = format!("/p/d{d}/f{f}");
+            touch(&k, &root, &path);
+            files.push(path);
+        }
+    }
+    let user = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    for f in &files {
+        assert!(k.stat(&user, f).is_ok());
+    }
+    k.chmod(&root, "/p", 0o751).unwrap();
+    let stats = &k.dcache.stats;
+    let revalidations = stats.fast_revalidations.load(Ordering::Relaxed);
+    let slow_walks = stats.slow_walks.load(Ordering::Relaxed);
+    for f in &files {
+        assert!(k.stat(&user, f).is_ok());
+    }
+    let revalidated = stats.fast_revalidations.load(Ordering::Relaxed) - revalidations;
+    assert!(
+        revalidated <= 11,
+        "{revalidated} revalidations for 140 names"
+    );
+    assert_eq!(stats.slow_walks.load(Ordering::Relaxed), slow_walks);
 }
 
 fn both_configs() -> [DcacheConfig; 2] {
