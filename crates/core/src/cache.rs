@@ -392,10 +392,10 @@ impl Dcache {
     }
 
     /// Publishes `dentry` under `sig` in namespace `ns`'s DLHT, evicting
-    /// any previous membership (one table, one signature at a time; §4.3)
-    /// and, if that membership was under a different signature, every
-    /// prefix check memoized under it (`bump_seq`).
-    /// Returns `false` if the dentry died concurrently.
+    /// any previous membership (one table, one signature at a time; §4.3;
+    /// re-signing the dentry, [`Dentry::sign`], killed the prefix checks
+    /// memoized under the old one). Returns `false` if the dentry died
+    /// concurrently.
     pub fn dlht_insert(&self, ns: NsId, sig: crate::Signature, dentry: &Arc<Dentry>) -> bool {
         self.dlht_insert_in(&self.dlht_for(ns), sig, dentry)
     }
@@ -418,14 +418,6 @@ impl Dcache {
             // its namespace and the entry already died with it.
             if let Some(old) = old_table.upgrade() {
                 old.remove_raw(&old_sig, dentry.id());
-            }
-            // One signature per dentry (§4.3): a dentry reached by a
-            // second path (a bind mount) is re-signed, and the prefix
-            // checks memoized under the old path say nothing about the
-            // new one. Moving between two namespaces' tables under the
-            // same signature is the same path and keeps them.
-            if old_sig != sig {
-                dentry.bump_seq();
             }
         }
         table.insert_raw(sig, dentry);

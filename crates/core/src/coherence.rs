@@ -1,6 +1,6 @@
 //! The coherence protocol of §3.2, in one place. A lookup skips the walk
 //! on a dentry's signature (its DLHT entry and hash state), its
-//! directory's memoized prefix check (a PCC entry `(key, seq)`) and the
+//! directory's memoized prefix check (a PCC entry `(id, seq)`) and the
 //! dentry's block ([`DentrySnap`]). Every change that can falsify one is a
 //! [`Dcache::shootdown`], every fact a slow walk caches goes through
 //! [`Publications`], and every fast answer comes from
@@ -13,6 +13,12 @@
 //! one bump kills the entry in every credential's PCC. The invalidation
 //! counter moves at the end of every shootdown: a slow walk samples it
 //! before it reads anything and publishes only if it has not moved.
+//! A directory's memo speaks for the path it is signed with: while its
+//! seq holds one value it holds at most one hash state ([`Dentry::sign`]),
+//! a walk memoizes it only if it holds the state of the path the walk
+//! searched it by, and a climb reads that state between two samples of
+//! the seq it probes at.
+//!
 //! Checked, then published, with shootdowns excluded: a shootdown
 //! write-holds the cache's `shooting` lock across its walk and its bump,
 //! and [`Publications::apply`] read-holds it across the comparison and
@@ -47,7 +53,7 @@
 //! overlapping write (Linux's `read_seqbegin` / `read_seqretry`).
 
 use crate::cache::Dcache;
-use crate::dentry::{Dentry, DentryId, DentryKind, DentrySnap};
+use crate::dentry::{Dentry, DentryKind, DentrySnap};
 use crate::dlht::Dlht;
 use crate::dsync::Ordering;
 use crate::inode::Inode;
@@ -72,13 +78,10 @@ fn unmoved(d: &Dentry, seq: u64) -> bool {
     !d.is_dead() && d.seq() == seq
 }
 
-/// The PCC key of directory `id` searched by the path hashed in `path`:
-/// a check made along one path never answers for another (§4.3).
+/// Whether `d`, while its seq was `seq`, held the hash state `path`.
 #[inline]
-pub fn memo_key(id: DentryId, path: &HashState) -> u64 {
-    let (acc, pos) = path.to_wire();
-    let key = acc.iter().fold(id, |k, &a| k.rotate_left(23) ^ a);
-    (key ^ u64::from(pos) << 32).max(1) // 0 marks an empty way
+fn holds(d: &Dentry, path: &HashState, seq: u64, guard: &Guard) -> bool {
+    d.seq() == seq && d.view(guard).hash_state == Some(*path) && unmoved(d, seq)
 }
 
 /// A slow walk's publications: queued while it walks, applied once it
@@ -91,7 +94,7 @@ pub struct Publications<'d> {
     /// `None` when the walk may not memoize prefix checks.
     pcc: Option<Arc<Pcc>>,
     entries: Vec<(Arc<Dentry>, Signature, HashState, u64)>,
-    memos: Vec<(u64, u64)>,
+    memos: Vec<(Arc<Dentry>, HashState, u64)>,
     /// Symlink target signatures as read through one mount (§4.2): applied
     /// after the entries, whose re-signing clears an earlier walk's.
     links: Vec<(Arc<Dentry>, Signature, u64)>,
@@ -108,12 +111,18 @@ impl Publications<'_> {
         }
     }
 
-    /// Queues the prefix check of `dir`, about to be searched by `path`,
-    /// unless memoized already (repeated walks would re-publish it).
-    pub fn searched(&mut self, dir: &Dentry, path: &HashState) {
-        let (key, seq) = (memo_key(dir.id(), path), dir.seq());
-        if self.pcc.as_ref().is_some_and(|pcc| !pcc.check(key, seq)) {
-            self.memos.push((key, seq));
+    /// Queues the prefix check of `dir`, about to be searched by the path
+    /// hashed in `path`, unless memoized already (repeated walks would
+    /// re-publish it). It is memoized only if `dir` holds `path` once the
+    /// walk's entries are applied, at the seq it has now.
+    pub fn searched(&mut self, dir: &Arc<Dentry>, path: &HashState) {
+        let seq = dir.seq();
+        if self
+            .pcc
+            .as_ref()
+            .is_some_and(|pcc| !pcc.check(dir.id(), seq))
+        {
+            self.memos.push((dir.clone(), *path, seq));
         }
     }
 
@@ -143,8 +152,11 @@ impl Publications<'_> {
             }
         }
         if let Some(pcc) = &self.pcc {
-            for &(key, seq) in &self.memos {
-                pcc.insert(key, seq);
+            let guard = &crossbeam_epoch::pin();
+            for (dir, path, seq) in &self.memos {
+                if holds(dir, path, *seq, guard) {
+                    pcc.insert(dir.id(), *seq);
+                }
             }
         }
         for (link, sig, mount) in &self.links {
@@ -212,12 +224,14 @@ impl Dcache {
             visited += 1;
             // Publish the edited block before bumping the seq: a reader
             // that validates against the post-bump seq must observe the
-            // post-shootdown block.
-            if structural {
+            // post-shootdown block. Clearing a state bumps it already.
+            let cleared = structural && {
                 self.dlht_remove(&n);
-                n.clear_hash_state();
+                n.clear_hash_state()
+            };
+            if !cleared {
+                n.bump_seq();
             }
-            n.bump_seq();
             stack.extend(n.children_snapshot());
         }
         let stats = &self.stats;
@@ -237,10 +251,10 @@ impl Dcache {
         anchor: &Dentry,
         mount: u64,
         root: bool,
+        guard: &Guard,
     ) -> Publications<'_> {
         let inv0 = self.invalidation_counter();
         let resumed = |seen: &DentrySnap| (seen.mount == mount).then_some(());
-        let guard = &crossbeam_epoch::pin();
         let pcc = pcc.filter(|p| root || self.vouched(p, anchor, guard, resumed).is_some());
         Publications {
             dcache: self,
@@ -259,26 +273,29 @@ impl Dcache {
         root.sign(ns_root.then(|| self.key.root_state()), mount);
     }
 
-    /// The directory `snap` names as parent, its seq and its path's hash
-    /// state, if `below`'s path is that path plus `snap`'s name.
+    /// The directory `snap` names as parent, the seq it held while it
+    /// held the hash state of its path, and that state, if `below`'s path
+    /// is that path plus `snap`'s name. No reference count is touched.
     #[inline]
-    fn directory(
+    fn directory<'a>(
         &self,
-        snap: &DentrySnap,
+        snap: &'a DentrySnap,
         below: &HashState,
-        guard: &Guard,
-    ) -> Option<(Arc<Dentry>, u64, HashState)> {
-        let dir = snap.parent()?;
+        guard: &'a Guard,
+    ) -> Option<(&'a Dentry, u64, HashState)> {
+        let dir = snap.parent_in()?;
         let seq = dir.seq();
         let path = dir.view(guard).hash_state?;
         let mut h = path;
         self.key.push_component(&mut h, snap.name.as_bytes());
-        (h == *below).then_some((dir, seq, path))
+        (h == *below && dir.seq() == seq).then_some((dir, seq, path))
     }
 
     /// The seq sandwich for a reader with no miss path of its own: `read`'s
-    /// answer from one read of `d`'s block, if `pcc` has memoized `d`'s
-    /// directory and `d`'s seq, sampled before that read, holds after it.
+    /// answer from one read of `d`'s block, if `d` is signed, `pcc` has
+    /// memoized the directory `d` sits in along the path `d` holds — or,
+    /// where no directory is on that path (a mount root), `d` itself — and
+    /// `d`'s seq, sampled before the read, holds after it.
     #[inline]
     pub fn vouched<'a, T>(
         &self,
@@ -289,8 +306,11 @@ impl Dcache {
     ) -> Option<T> {
         let seq = d.seq();
         let seen = d.view(guard);
-        let (dir, dir_seq, path) = self.directory(seen, seen.hash_state.as_ref()?, guard)?;
-        let out = read(seen).filter(|_| pcc.check(memo_key(dir.id(), &path), dir_seq))?;
+        let memoized = || match self.directory(seen, seen.hash_state.as_ref()?, guard) {
+            Some((dir, dir_seq, _)) => pcc.check(dir.id(), dir_seq).then_some(()),
+            None => pcc.check(d.id(), seq).then_some(()),
+        };
+        let out = read(seen).filter(|_| memoized().is_some())?;
         unmoved(d, seq).then_some(out)
     }
 
@@ -307,8 +327,9 @@ impl Dcache {
     /// answers (`Some(Err)`, e.g. a negative hit, is definitive) or not
     /// (`None`: walk), from one seq sample and one block read per dentry,
     /// each [prefix-checked](Dcache::prefix_checked) at the directory
-    /// that holds it: a live DLHT entry proves the path maps to the
-    /// dentry, as structural changes evict before they mutate. Aliases
+    /// that holds it: a DLHT entry found under a signature the block's
+    /// hash state finishes to proves the path maps to the dentry, as
+    /// structural changes evict before they mutate. Aliases
     /// and, with `follow_last`, a final symlink's target signature are
     /// followed only under the namespace root (`plain_root`), which their
     /// translation was read under; an alias speaks for a target that has
@@ -346,6 +367,8 @@ impl Dcache {
             // Set when an alias led to `obj`: the seq and the mount the
             // alias recorded for it.
             let mut via: Option<(u64, u64)> = None;
+            // The signature `obj` was found under, if a probe found it.
+            let mut probed = Some(*sig);
             for _ in 0..MAX_LINK_CHAIN {
                 let seq = obj.seq();
                 let seen = obj.view(guard);
@@ -355,8 +378,9 @@ impl Dcache {
                         return None;
                     }
                 }
-                let checked = mount_of(&obj, seen.mount)
-                    .filter(|&m| self.prefix_checked(pcc, &obj, seen, m, &edge, &search, guard));
+                let checked = mount_of(&obj, seen.mount).filter(|&m| {
+                    self.prefix_checked(pcc, &obj, seen, probed, m, &edge, &search, guard)
+                });
                 let Some(mount) = checked else {
                     stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
                     return None;
@@ -368,6 +392,7 @@ impl Dcache {
                             return None;
                         }
                         via = Some((target_seq, seen.mount));
+                        probed = None;
                         obj = target;
                         continue;
                     }
@@ -384,6 +409,7 @@ impl Dcache {
                             return None;
                         };
                         via = None;
+                        probed = Some(lsig);
                         obj = next;
                         continue;
                     }
@@ -422,17 +448,21 @@ impl Dcache {
     /// `obj`'s prefix check (§3.1): one climb from the directory its
     /// lookup searched last (across a mount root, the mountpoint's) to the
     /// first one memoized, so a warm hit stops at the first; past a miss,
-    /// each must be searchable (a symlink hop is skipped). That is a
-    /// revalidation, and memoizes what it climbed if no rename overlapped:
-    /// `chmod` changes bits before it shoots, so a sample of the old bits
-    /// dies, but a rename shoots before it moves, and a directory sampled
-    /// in between would keep the old ancestors' verdict.
+    /// each must be searchable (a symlink hop is skipped). The climb
+    /// starts from the state `obj` was `probed` by, if a probe found it: a
+    /// re-signed block may hold another path's state while the old entry
+    /// still stands. A climb past a miss is a revalidation, and memoizes
+    /// what it climbed if no rename overlapped: `chmod` changes bits
+    /// before it shoots, so a sample of the old bits dies, but a rename
+    /// shoots before it moves, and a directory sampled in between would
+    /// keep the old ancestors' verdict.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn prefix_checked<'g, M>(
+    fn prefix_checked<'g: 'o, 'o, M>(
         &self,
         pcc: &Pcc,
-        obj: &Arc<Dentry>,
-        seen: &DentrySnap,
+        obj: &'o Dentry,
+        seen: &'o DentrySnap,
+        probed: Option<Signature>,
         mut mount: &'g M,
         edge: &impl Fn(&'g M) -> (&'g Arc<Dentry>, Option<&'g (M, Arc<Dentry>)>),
         search: &impl Fn(&Inode) -> bool,
@@ -441,12 +471,13 @@ impl Dcache {
         let renames = self.rename_lock.try_read_begin();
         let mut climbed: Option<InlineVec<(u64, u64), INLINE_COMPONENTS>> = None;
         let passed = (|| {
-            let mut below = seen.hash_state?;
-            let mut at: Option<Arc<Dentry>> = None;
+            let found = |h: &HashState| probed.is_none_or(|p| self.key.finish(h) == p);
+            let mut below = seen.hash_state.filter(found)?;
+            let mut at: Option<&'o Dentry> = None;
             loop {
-                let (mut d, mut snap) = match &at {
-                    None => (&**obj, seen),
-                    Some(dir) => (&**dir, dir.view(guard)),
+                let (mut d, mut snap) = match at {
+                    None => (obj, seen),
+                    Some(dir) => (dir, dir.view(guard)),
                 };
                 loop {
                     let (root, above) = edge(mount);
@@ -459,11 +490,12 @@ impl Dcache {
                     (mount, d, snap) = (pm, &**mp, mp.view(guard));
                 }
                 let (dir, seq, path) = self.directory(snap, &below, guard)?;
-                let key = memo_key(dir.id(), &path);
-                if pcc.check(key, seq) {
+                if pcc.check(dir.id(), seq) {
                     return Some(());
                 }
-                climbed.get_or_insert_with(InlineVec::new).push((key, seq));
+                climbed
+                    .get_or_insert_with(InlineVec::new)
+                    .push((dir.id(), seq));
                 match dir.view(guard).inode() {
                     Some(inode) if inode.is_dir() => search(inode).then_some(())?,
                     Some(inode) if inode.ftype() == FileType::Symlink => {}

@@ -9,7 +9,7 @@
 use crate::dsync::{AtomicU32, AtomicU64, Ordering};
 use crate::fasthash::FastMap;
 use crate::inode::{Inode, SbId};
-use crossbeam_epoch::{self as epoch, Atomic, Guard, Shared};
+use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 use dc_fs::{DirEntry, FileType, FsError};
 use dc_sighash::{HashState, Signature};
 use parking_lot::{Mutex, RwLock};
@@ -179,9 +179,18 @@ impl DentrySnap {
         }
     }
 
-    /// The parent this block names: `None` at a root or once it is gone.
-    pub(crate) fn parent(&self) -> Option<Arc<Dentry>> {
-        self.parent.as_ref()?.upgrade()
+    /// The parent this block names, borrowed for as long as the block:
+    /// `None` at a root. No reference count is touched.
+    #[inline]
+    pub(crate) fn parent_in(&self) -> Option<&Dentry> {
+        let parent = self.parent.as_ref()?;
+        // SAFETY: a block is borrowed through a live dentry under an epoch
+        // pin ([`Dentry::view`]). The parent it names was held by that
+        // dentry's strong edge when it was published; the edge is kept
+        // while the dentry lives, and a move releases the edge it displaces
+        // through the epoch ([`Dentry::set_name_parent`]), so the parent
+        // outlives every pin that can still read this block.
+        Some(unsafe { &*parent.as_ptr() })
     }
 
     /// The inode, if positive.
@@ -343,18 +352,26 @@ impl Dentry {
     /// lock is released: a displaced `Arc<Dentry>` is dropped outside it.
     fn publish<R>(&self, edit: impl FnOnce(&mut DentrySnap, &mut StrongEdges) -> R) -> R {
         let mut edges = self.edges.lock();
-        let guard = epoch::pin();
-        let cur = self.snap.load(Ordering::Acquire, &guard);
+        self.swap_in(&mut edges, &epoch::pin(), edit)
+    }
+
+    /// [`Dentry::publish`] under the edge lock the caller holds.
+    fn swap_in<R>(
+        &self,
+        edges: &mut StrongEdges,
+        guard: &Guard,
+        edit: impl FnOnce(&mut DentrySnap, &mut StrongEdges) -> R,
+    ) -> R {
+        let cur = self.snap.load(Ordering::Acquire, guard);
         // SAFETY: never null (see `view`), and the edge lock makes it the
         // latest publication.
         let mut next = unsafe { cur.deref() }.clone();
-        let out = edit(&mut next, &mut edges);
-        let new = crate::snapslab::alloc_snap(next, &guard);
-        let old = self.snap.swap(new, Ordering::AcqRel, &guard);
-        drop(edges);
+        let out = edit(&mut next, edges);
+        let new = crate::snapslab::alloc_snap(next, guard);
+        let old = self.snap.swap(new, Ordering::AcqRel, guard);
         // SAFETY: `old` was just unlinked by the swap; retirement returns
         // its slot to the slab after the grace period.
-        unsafe { crate::snapslab::retire(&guard, old) };
+        unsafe { crate::snapslab::retire(guard, old) };
         out
     }
 
@@ -552,12 +569,18 @@ impl Dentry {
 
     /// Re-parents and renames the dentry (rename already holds the global
     /// rename lock, so this is never concurrent with other moves).
+    /// The displaced parent is released through the epoch: a block read
+    /// before the move may still name it ([`DentrySnap::parent_in`]).
     pub(crate) fn set_name_parent(&self, name: &str, parent: Option<Arc<Dentry>>) {
-        let _displaced = self.publish(|snap, edges| {
+        let displaced = self.publish(|snap, edges| {
             snap.name = Arc::from(name);
             snap.parent = parent.as_ref().map(Arc::downgrade);
             std::mem::replace(&mut edges.parent, parent)
         });
+        let guard = epoch::pin();
+        let displaced = Owned::new(displaced).into_shared(&guard);
+        // SAFETY: a fresh allocation, reachable from nowhere.
+        unsafe { guard.defer_destroy(displaced) };
     }
 
     /// The path of this dentry within its superblock (no mount prefix).
@@ -610,21 +633,49 @@ impl Dentry {
     /// signature read through it, in the same step that records the new
     /// mount, so no reader sees a state beside a mount it was not
     /// computed through.
+    ///
+    /// A stored state is never replaced in place: one that changes or goes
+    /// is cleared and `seq` bumped before anything else is stored, under
+    /// the edge lock. So while `seq` holds one value the dentry holds at
+    /// most one state, and a prefix check memoized at that value speaks
+    /// for that state's path alone (§3.2).
     pub fn sign(&self, st: Option<HashState>, mount: u64) {
-        self.publish(|snap, _| {
+        let mut edges = self.edges.lock();
+        let guard = epoch::pin();
+        let goes = self
+            .view(&guard)
+            .hash_state
+            .is_some_and(|held| st != Some(held));
+        self.swap_in(&mut edges, &guard, |snap, _| {
             if snap.mount != mount {
                 snap.mount = mount;
                 snap.link_sig = None;
             }
-            snap.hash_state = st;
+            snap.hash_state = if goes { None } else { st };
         });
+        if goes {
+            self.bump_seq();
+            if st.is_some() {
+                self.swap_in(&mut edges, &guard, |snap, _| snap.hash_state = st);
+            }
+        }
     }
 
     /// Invalidates the stored hash state (the path changed) and, with it,
     /// a symlink's target signature: a relative body read at another path,
-    /// or through another mount, ends somewhere else.
-    pub fn clear_hash_state(&self) {
-        self.publish(|snap, _| (snap.hash_state, snap.link_sig) = (None, None));
+    /// or through another mount, ends somewhere else. A state that goes
+    /// bumps `seq`, as in [`Dentry::sign`]; returns whether one went.
+    pub fn clear_hash_state(&self) -> bool {
+        let mut edges = self.edges.lock();
+        let held = self.swap_in(&mut edges, &epoch::pin(), |snap, _| {
+            let held = snap.hash_state.is_some();
+            (snap.hash_state, snap.link_sig) = (None, None);
+            held
+        });
+        if held {
+            self.bump_seq();
+        }
+        held
     }
 
     /// The DLHT membership record.

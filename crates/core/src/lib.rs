@@ -42,7 +42,7 @@ pub mod snapslab;
 mod stats;
 
 pub use cache::{Cached, Dcache, NsId};
-pub use coherence::{memo_key, Publications};
+pub use coherence::Publications;
 pub use config::DcacheConfig;
 pub use dentry::{
     Dentry, DentryId, DentryKind, DentrySnap, DentryState, NegKind, FLAG_DIR_COMPLETE,

@@ -11,8 +11,8 @@ const WAYS: usize = 8;
 
 /// Logical bytes per entry used for sizing: a key and a sequence number
 /// (the paper's entries are 16 bytes after pointer-bit compression; ours
-/// store a 64-bit key folded from the directory's never-reused id and
-/// its path, which plays the role of pointer + reallocation generation).
+/// store the directory's never-reused 64-bit id, which plays the role of
+/// pointer + reallocation generation).
 /// The per-entry version word adds a small constant overhead reported by
 /// [`Pcc::approx_bytes`].
 const ENTRY_BYTES: usize = 16;
@@ -57,13 +57,15 @@ struct Set {
 
 /// A per-credential cache of successful prefix checks, keyed by directory.
 ///
-/// An entry `(key, seq)` asserts: *every check a lookup makes before it
-/// examines the children of directory `D`, along the path `key` names
-/// ([`memo_key`](crate::coherence::memo_key)), passed for the owning
-/// credential while `D`'s version counter was `seq`.* It answers for every
-/// name in `D`, and only while `D`'s counter still equals `seq`: any
-/// permission or structure change above `D` bumps it, invalidating the
-/// entry in every PCC without touching them (§3.2).
+/// An entry `(key, seq)`, `key` the id of directory `D`, asserts: *every
+/// check a lookup makes before it examines `D`'s children, along the path
+/// `D` is signed with, passed for the owning credential while `D`'s
+/// version counter was `seq`.* While the counter holds one value `D`
+/// holds one path ([`Dentry::sign`](crate::Dentry::sign)). The entry
+/// answers for every name in `D`, and only while `D`'s counter still
+/// equals `seq`: any permission or structure change above `D`, and any
+/// re-signing of `D`, bumps it, invalidating the entry in every PCC
+/// without touching them (§3.2).
 ///
 /// The table is set-associative. Reads are lock-free (per-entry version
 /// validation guarantees a consistent `(key, seq)` pair or a

@@ -3,14 +3,15 @@
 //! through it: shootdowns, a slow walk's publications, the fast reader's
 //! validation, and the dying-entry rule (`Dcache::lookup_cached`).
 //!
-//! Every model builds the tree root → `a` → `f` and stands in for what
+//! Models (a)–(e) build the tree root → `a` → `f` and stand in for what
 //! `dc-vfs` passes the protocol: one mount that always serves, rooted at
 //! the root, and a search check that passes (in the `chmod` model, reads
-//! a mode word).
+//! a mode word). Model (f) adds a bind mount and a directory the reader
+//! may not search.
 
 use dc_fs::{FileSystem, PseudoFs};
 use dcache_core::{
-    memo_key, Cached, Dcache, DcacheConfig, Dentry, DentryState, HashState, Inode, Pcc, Signature,
+    Cached, Dcache, DcacheConfig, Dentry, DentryState, HashState, Inode, Pcc, Signature,
     FLAG_DIR_COMPLETE,
 };
 use dst::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -31,15 +32,17 @@ fn alone() -> std::sync::MutexGuard<'static, ()> {
 /// The mount every block is signed through.
 const M: u64 = 1;
 
-/// A directory inode and a file inode, built once, outside any execution.
-fn inodes() -> &'static (Arc<Inode>, Arc<Inode>) {
-    static INODES: OnceLock<(Arc<Inode>, Arc<Inode>)> = OnceLock::new();
+/// A directory inode, a file inode and a second directory inode (model
+/// (f)'s unsearchable `s`), built once, outside any execution.
+fn inodes() -> &'static (Arc<Inode>, Arc<Inode>, Arc<Inode>) {
+    static INODES: OnceLock<(Arc<Inode>, Arc<Inode>, Arc<Inode>)> = OnceLock::new();
     INODES.get_or_init(|| {
         let fs = PseudoFs::new(0o755);
         let dir = fs.add_dir(fs.root_ino(), "a", 0o755).unwrap();
         let file = fs.add_file(dir, "f", 0o644, Vec::new).unwrap();
+        let secret = fs.add_dir(fs.root_ino(), "s", 0o700).unwrap();
         let inode = |ino| Inode::new(1, fs.clone(), fs.getattr(ino).unwrap());
-        (inode(dir), inode(file))
+        (inode(dir), inode(file), inode(secret))
     })
 }
 
@@ -56,7 +59,7 @@ struct Tree {
 
 impl Tree {
     fn new() -> Tree {
-        let (dir, file) = inodes();
+        let (dir, file, _) = inodes();
         let dc = Dcache::new(DcacheConfig {
             dlht_buckets: 1 << 2,
             ..DcacheConfig::optimized().with_seed(7)
@@ -77,11 +80,6 @@ impl Tree {
             h_a,
             h_af,
         }
-    }
-
-    /// The PCC key of the root directory, searched by the path "/".
-    fn root_key(&self) -> u64 {
-        memo_key(self.root.id(), &self.dc.key.root_state())
     }
 
     /// The signature `/a/f` hashes to.
@@ -129,7 +127,7 @@ fn publish_races_rename() {
         dst::thread::spawn(move || {
             let dc = &t.dc;
             let r = dc.rename_lock.read_begin();
-            let mut q = dc.publications(Some(pcc), &t.root, M, true);
+            let mut q = dc.publications(Some(pcc), &t.root, M, true, &crossbeam_epoch::pin());
             q.searched(&t.root, &dc.key.root_state());
             if let Cached::Entry(a) = dc.lookup_cached(&t.root, "a") {
                 q.add(&a, t.h_a, M);
@@ -247,11 +245,12 @@ fn eviction_never_fabricates_absence() {
 fn umount_races_cwd_walk() {
     let t = Arc::new(Tree::new());
     let table = t.dc.dlht_for(0);
-    let mut q = t.dc.publications(None, &t.root, M, true);
+    let mut q =
+        t.dc.publications(None, &t.root, M, true, &crossbeam_epoch::pin());
     q.add(&t.a, t.h_a, M);
     q.apply(|| &table);
     let pcc = Arc::new(Pcc::new(1024));
-    pcc.insert(t.root_key(), t.root.seq());
+    pcc.insert(t.root.id(), t.root.seq());
     let (walked, umounted) = (
         Arc::new(AtomicBool::new(false)),
         Arc::new(AtomicBool::new(false)),
@@ -260,7 +259,7 @@ fn umount_races_cwd_walk() {
         let (t, pcc, walked) = (t.clone(), pcc.clone(), walked.clone());
         dst::thread::spawn(move || {
             let dc = &t.dc;
-            let mut q = dc.publications(Some(pcc), &t.a, M, false);
+            let mut q = dc.publications(Some(pcc), &t.a, M, false, &crossbeam_epoch::pin());
             if let Some(mut h) = t.a.hash_state_via(M) {
                 q.searched(&t.a, &h);
                 if let Cached::Entry(f) = dc.lookup_cached(&t.a, "f") {
@@ -339,7 +338,8 @@ fn chmod_shootdown_kills_every_old_mode_memo() {
         || {
             let t = Arc::new(Tree::new());
             let table = t.dc.dlht_for(0);
-            let mut q = t.dc.publications(None, &t.root, M, true);
+            let mut q =
+                t.dc.publications(None, &t.root, M, true, &crossbeam_epoch::pin());
             q.add(&t.a, t.h_a, M);
             q.add(&t.f, t.h_af, M);
             q.apply(|| &table);
@@ -375,7 +375,7 @@ fn chmod_shootdown_kills_every_old_mode_memo() {
             revalidator.join().unwrap();
             chmod.join().unwrap();
             assert!(
-                !pcc.check(memo_key(t.a.id(), &t.h_a), t.a.seq()),
+                !pcc.check(t.a.id(), t.a.seq()),
                 "a memo from a climb that read the old mode survived chmod"
             );
         },
@@ -403,7 +403,7 @@ fn mount_races_walk() {
         dst::thread::spawn(move || {
             let dc = &t.dc;
             let r = dc.rename_lock.read_begin();
-            let mut q = dc.publications(Some(pcc), &t.root, M, true);
+            let mut q = dc.publications(Some(pcc), &t.root, M, true, &crossbeam_epoch::pin());
             q.searched(&t.root, &dc.key.root_state());
             if let Cached::Entry(a) = dc.lookup_cached(&t.root, "a") {
                 if !in_table.load(Ordering::SeqCst) {
@@ -467,5 +467,162 @@ fn a_walk_never_publishes_under_a_mountpoint_being_covered() {
             .expected_len(300)
             .from_env(),
         mount_races_walk,
+    );
+}
+
+/// A mount in model (f): its root and, for the bind mount, its parent
+/// mount and mountpoint.
+struct Mnt {
+    root: Arc<Dentry>,
+    parent: Option<(Arc<Mnt>, Arc<Dentry>)>,
+}
+
+/// Model (f)'s tree: root → `s` → `a` → `f` and root → `b`, with `/s/a`
+/// bind-mounted on `/b`; the reader may not search `s`.
+struct Bound {
+    dc: Arc<Dcache>,
+    f: Arc<Dentry>,
+    mounts: [Arc<Mnt>; 2],
+    pcc: Pcc,
+    h_saf: HashState,
+    h_bf: HashState,
+}
+
+/// The bind mount's id.
+const BIND: u64 = 2;
+
+impl Bound {
+    /// `f` signed `/s/a/f` through the root mount; `a` signed `/b` through
+    /// the bind mount and, by a second walk, memoized there — the reader's
+    /// own walks under `/b`.
+    fn new() -> Bound {
+        let (dir, file, secret) = inodes();
+        let dc = Dcache::new(DcacheConfig {
+            dlht_buckets: 1 << 2,
+            ..DcacheConfig::optimized().with_seed(7)
+        });
+        let root = dc.new_root(1, dir.clone());
+        dc.sign_mount_root(&root, M, true);
+        let s = dc.d_alloc(&root, "s", DentryState::Positive(secret.clone()));
+        let a = dc.d_alloc(&s, "a", DentryState::Positive(dir.clone()));
+        let f = dc.d_alloc(&a, "f", DentryState::Positive(file.clone()));
+        let b = dc.d_alloc(&root, "b", DentryState::Positive(dir.clone()));
+        let path = |names: &[&str]| {
+            let mut h = dc.key.root_state();
+            for n in names {
+                dc.key.push_component(&mut h, n.as_bytes());
+            }
+            h
+        };
+        let (h_s, h_sa, h_saf) = (path(&["s"]), path(&["s", "a"]), path(&["s", "a", "f"]));
+        let (h_b, h_bf) = (path(&["b"]), path(&["b", "f"]));
+        let table = dc.dlht_for(0);
+        let pcc = Pcc::new(1024);
+        {
+            let guard = &crossbeam_epoch::pin();
+            let mut q = dc.publications(None, &root, M, true, guard);
+            q.add(&s, h_s, M);
+            q.add(&a, h_sa, M);
+            q.add(&f, h_saf, M);
+            q.apply(|| &table);
+            let mut q = dc.publications(None, &root, M, true, guard);
+            q.add(&a, h_b, BIND);
+            q.apply(|| &table);
+        }
+        let pcc = Arc::new(pcc);
+        let mut q = dc.publications(Some(pcc.clone()), &root, M, true, &crossbeam_epoch::pin());
+        q.searched(&a, &h_b);
+        q.apply(|| &table);
+        let pcc = Arc::try_unwrap(pcc).ok().expect("the walk is over");
+        assert!(pcc.check(a.id(), a.seq()), "a is memoized under /b");
+        let top = Arc::new(Mnt { root, parent: None });
+        let bind = Arc::new(Mnt {
+            root: a.clone(),
+            parent: Some((top.clone(), b)),
+        });
+        Bound {
+            dc,
+            f,
+            mounts: [top, bind],
+            pcc,
+            h_saf,
+            h_bf,
+        }
+    }
+
+    /// A fast lookup of the path hashed in `h` by the reader, who may
+    /// search every directory but `s`.
+    fn lookup(&self, h: &HashState) -> Option<Result<Arc<Dentry>, dc_fs::FsError>> {
+        let guard = crossbeam_epoch::pin();
+        let table = self.dc.dlht_for(0);
+        let secret = &inodes().2;
+        let hit = self.dc.validate(
+            &table,
+            &self.pcc,
+            &self.dc.key.finish(h),
+            true,
+            false,
+            true,
+            &guard,
+            |_, id| self.mounts.get(id as usize - 1),
+            |m| (&m.root, m.parent.as_ref()),
+            |dir| !std::ptr::eq(dir, &**secret),
+        )?;
+        Some(hit.map(|(_, d, _)| d))
+    }
+}
+
+/// Model (f): a walk of `/b/f` re-signing `f` through the bind mount ∥ the
+/// reader's lookups of `f` by its old path `/s/a/f`. While the old DLHT
+/// entry stands, `f`'s block may already hold `/b/f`, whose climb stops at
+/// `a`'s memo; a lookup by `/s/a/f` must still climb `/s/a` and be refused
+/// at `s` — never answer `f`.
+fn resign_races_old_path_lookup() {
+    let t = Arc::new(Bound::new());
+    let walked = Arc::new(AtomicBool::new(false));
+    let walker = {
+        let (t, walked) = (t.clone(), walked.clone());
+        dst::thread::spawn(move || {
+            let root = &t.mounts[0].root;
+            let mut q =
+                t.dc.publications(None, root, M, true, &crossbeam_epoch::pin());
+            q.add(&t.f, t.h_bf, BIND);
+            let table = t.dc.dlht_for(0);
+            q.apply(|| &table);
+            walked.store(true, Ordering::SeqCst);
+        })
+    };
+    let found_f =
+        |answer: Option<Result<_, _>>| matches!(answer, Some(Ok(d)) if Arc::ptr_eq(&d, &t.f));
+    loop {
+        let last = walked.load(Ordering::SeqCst);
+        assert!(
+            !found_f(t.lookup(&t.h_saf)),
+            "a lookup by /s/a/f passed s on /b's memo of a"
+        );
+        if last {
+            break;
+        }
+        dst::hint::spin_loop();
+    }
+    walker.join().unwrap();
+    assert!(
+        found_f(t.lookup(&t.h_bf)),
+        "/b/f is answered from a's memo once re-signed"
+    );
+}
+
+#[test]
+fn a_re_signed_dentry_is_never_checked_along_its_new_path_for_its_old() {
+    let _alone = alone();
+    inodes();
+    dst::check(
+        "resign-vs-old-path",
+        dst::Config::default()
+            .iterations(5_000)
+            .seed(0xC5)
+            .expected_len(300)
+            .from_env(),
+        resign_races_old_path_lookup,
     );
 }

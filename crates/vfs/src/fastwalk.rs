@@ -258,20 +258,26 @@ impl Kernel {
         cred: &Cred,
         guard: &crossbeam_epoch::Guard,
     ) -> Option<()> {
-        let dentry: Arc<Dentry> = if pending.is_empty() {
-            anchor.dentry.clone()
+        let (dentry, probed): (Arc<Dentry>, _) = if pending.is_empty() {
+            (anchor.dentry.clone(), None)
         } else {
             let mut h: HashState = self.state_at(ns, &anchor.mount, &anchor.dentry, guard)?;
             for c in pending {
                 self.dcache.key.push_component(&mut h, c.as_bytes());
             }
             let sig = self.dcache.key.finish(&h);
-            self.dcache
-                .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?
+            let found = self
+                .dcache
+                .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?;
+            (found, Some(h))
         };
         // A real directory (".." under a symlink is relative to its target)
-        // with a current prefix check, unless it is the namespace root.
-        let dir = |seen: &DentrySnap| seen.inode().filter(|i| i.is_dir()).cloned();
+        // with a current prefix check, still signed with the path it was
+        // found by, unless it is the namespace root.
+        let dir = |seen: &DentrySnap| {
+            (probed.is_none() || seen.hash_state == probed).then_some(())?;
+            seen.inode().filter(|i| i.is_dir()).cloned()
+        };
         let inode = match Arc::ptr_eq(&dentry, &ns.root_mount_read(guard).root) {
             true => dir(dentry.view(guard)),
             false => self.dcache.vouched(pcc, &dentry, guard, dir),

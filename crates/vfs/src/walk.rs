@@ -348,7 +348,7 @@ impl<'k> SlowWalk<'k> {
         let at_ns_root = ns.is_root(&anchor.mount, &anchor.dentry, guard);
         let plain_root = ns.is_root(&root.mount, &root.dentry, guard);
         let (dentry, mount) = (&anchor.dentry, anchor.mount.id);
-        let queue = k.dcache.publications(pcc, dentry, mount, at_ns_root);
+        let queue = k.dcache.publications(pcc, dentry, mount, at_ns_root, guard);
         let path_str = k.security.needs_path().then(|| k.vfs_path_of(&anchor));
         let mut w = SlowWalk {
             k,

@@ -2,8 +2,10 @@
 //! changes must be visible through the DLHT/PCC immediately, with no
 //! window in which a stale memoized check grants access.
 
+use dcache_repro::blockdev::{CachedDisk, DiskConfig};
 use dcache_repro::cred::Cred;
-use dcache_repro::fs::FsError;
+use dcache_repro::fs::{FsError, MemFs, MemFsConfig};
+use dcache_repro::vfs::MountFlags;
 use dcache_repro::{DcacheConfig, Kernel, KernelBuilder, OpenFlags, Process};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -567,4 +569,47 @@ fn a_plain_link_body_still_chains_on_the_fastpath() {
     for path in ["/d/to-f", "/to-d", "/to-d/f"] {
         assert_eq!(k.stat(&p, path), Err(FsError::NoEnt), "{path}");
     }
+}
+
+#[test]
+fn a_miss_under_a_mount_root_walks_one_component() {
+    let (k, root) = optimized();
+    k.mkdir(&root, "/mnt", 0o755).unwrap();
+    let disk = Arc::new(CachedDisk::new(DiskConfig {
+        capacity_blocks: 8192,
+        ..Default::default()
+    }));
+    let config = MemFsConfig {
+        max_inodes: 4096,
+        ..Default::default()
+    };
+    let fs = MemFs::mkfs(disk, config).unwrap();
+    k.mount_fs(&root, fs, "/mnt", MountFlags::default())
+        .unwrap();
+    for f in ["f1", "f2", "f3"] {
+        touch(&k, &root, &format!("/mnt/{f}"));
+    }
+    let alice = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    // Alice's walks search the mount root: its own memo vouches for it,
+    // as it has no directory on its path.
+    for _ in 0..2 {
+        assert!(k.stat(&alice, "/mnt/f1").is_ok());
+    }
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&alice, "/mnt/f2").is_ok())),
+        1
+    );
+    // A walk from a working directory there memoizes what it searches:
+    // the name it published is then a hit with no revalidation.
+    k.chdir(&alice, "/mnt").unwrap();
+    assert_eq!(slow_steps(&k, || assert!(k.stat(&alice, "f3").is_ok())), 1);
+    let revalidations = k.dcache.stats.fast_revalidations.load(Ordering::Relaxed);
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&alice, "/mnt/f3").is_ok())),
+        0
+    );
+    assert_eq!(
+        k.dcache.stats.fast_revalidations.load(Ordering::Relaxed),
+        revalidations
+    );
 }
