@@ -379,7 +379,7 @@ impl Dcache {
     /// fastpath's memoized handle — skips the per-namespace map scan of
     /// [`dlht_lookup`](Dcache::dlht_lookup) while keeping its probe
     /// accounting).
-    pub fn dlht_lookup_in(
+    pub(crate) fn dlht_lookup_in(
         &self,
         dlht: &Dlht,
         sig: &crate::Signature,

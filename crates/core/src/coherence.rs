@@ -3,10 +3,10 @@
 //! directory's memoized prefix check (a PCC entry `(id, seq)`) and the
 //! dentry's block ([`DentrySnap`]). Every change that can falsify one is a
 //! [`Dcache::shootdown`], every fact a slow walk caches goes through
-//! [`Publications`], and every fast answer comes from
-//! [`Dcache::validate`] or [`Dcache::vouched`]. `dc-vfs` passes in what
-//! only it knows (mount edges, a block's signing mount, permission) as
-//! values and closures.
+//! [`Publications`], every fast answer comes from [`Dcache::validate`],
+//! and every prefix check is its climb ([`Dcache::anchored`] asks it with
+//! no probe). `dc-vfs` passes in what only it knows (mount edges, a
+//! block's signing mount, permission) as values and closures.
 //!
 //! A dentry's `seq` moves whenever a prefix check through it may have
 //! become false, and a PCC entry answers only at the seq it memoized, so
@@ -59,6 +59,7 @@ use crate::dsync::Ordering;
 use crate::inode::Inode;
 use crate::pcc::Pcc;
 use crate::scratch::{InlineVec, INLINE_COMPONENTS};
+use crate::stats::Counter;
 use crossbeam_epoch::Guard;
 use dc_fs::{FileType, FsError, FsResult};
 use dc_obs::TraceEvent;
@@ -76,12 +77,6 @@ const MAX_READ_RETRIES: u32 = 3;
 #[inline]
 fn unmoved(d: &Dentry, seq: u64) -> bool {
     !d.is_dead() && d.seq() == seq
-}
-
-/// Whether `d`, while its seq was `seq`, held the hash state `path`.
-#[inline]
-fn holds(d: &Dentry, path: &HashState, seq: u64, guard: &Guard) -> bool {
-    d.seq() == seq && d.view(guard).hash_state == Some(*path) && unmoved(d, seq)
 }
 
 /// A slow walk's publications: queued while it walks, applied once it
@@ -131,6 +126,13 @@ impl Publications<'_> {
         self.links.push((link, sig, mount));
     }
 
+    /// Memoizes nothing unless `anchored` holds for the walk's PCC: a walk
+    /// moving to a new anchor (a process root an absolute link jumps to)
+    /// asks its prefix check as it asked its first anchor's.
+    pub fn anchor(&mut self, anchored: impl FnOnce(&Pcc) -> bool) {
+        self.pcc = self.pcc.take().filter(|p| anchored(p));
+    }
+
     /// Applies the queue unless the invalidation counter moved since the
     /// walk began; an empty queue takes no lock. `table` (a namespace's
     /// memoized handle: a walk racing teardown publishes into the dying
@@ -154,7 +156,8 @@ impl Publications<'_> {
         if let Some(pcc) = &self.pcc {
             let guard = &crossbeam_epoch::pin();
             for (dir, path, seq) in &self.memos {
-                if holds(dir, path, *seq, guard) {
+                let held = dir.seq() == *seq && dir.view(guard).hash_state == Some(*path);
+                if held && unmoved(dir, *seq) {
                     pcc.insert(dir.id(), *seq);
                 }
             }
@@ -241,25 +244,20 @@ impl Dcache {
     }
 
     /// Opens a slow walk's queue: samples the invalidation counter, then
-    /// lets the walk memoize prefix checks into `pcc` only if it starts at
-    /// the namespace `root` or at an `anchor` `pcc` vouches for, signed
-    /// through the walk's `mount` — every memoized check starts at the
-    /// root (§3.2's directory references).
+    /// (fields are evaluated in order) lets the walk memoize prefix checks
+    /// into `pcc` only if its anchor is `anchored` there
+    /// ([`Dcache::anchored`]) — every memoized check starts at the root
+    /// (§3.2's directory references). A shootdown that falsifies the
+    /// anchor's check after the sample stops the queue.
     pub fn publications(
         &self,
         pcc: Option<Arc<Pcc>>,
-        anchor: &Dentry,
-        mount: u64,
-        root: bool,
-        guard: &Guard,
+        anchored: impl FnOnce(&Pcc) -> bool,
     ) -> Publications<'_> {
-        let inv0 = self.invalidation_counter();
-        let resumed = |seen: &DentrySnap| (seen.mount == mount).then_some(());
-        let pcc = pcc.filter(|p| root || self.vouched(p, anchor, guard, resumed).is_some());
         Publications {
             dcache: self,
-            inv0,
-            pcc,
+            inv0: self.invalidation_counter(),
+            pcc: pcc.filter(|p| anchored(p)),
             entries: Vec::new(),
             memos: Vec::new(),
             links: Vec::new(),
@@ -271,56 +269,6 @@ impl Dcache {
     /// (§4.3).
     pub fn sign_mount_root(&self, root: &Dentry, mount: u64, ns_root: bool) {
         root.sign(ns_root.then(|| self.key.root_state()), mount);
-    }
-
-    /// The directory `snap` names as parent, the seq it held while it
-    /// held the hash state of its path, and that state, if `below`'s path
-    /// is that path plus `snap`'s name. No reference count is touched.
-    #[inline]
-    fn directory<'a>(
-        &self,
-        snap: &'a DentrySnap,
-        below: &HashState,
-        guard: &'a Guard,
-    ) -> Option<(&'a Dentry, u64, HashState)> {
-        let dir = snap.parent_in()?;
-        let seq = dir.seq();
-        let path = dir.view(guard).hash_state?;
-        let mut h = path;
-        self.key.push_component(&mut h, snap.name.as_bytes());
-        (h == *below && dir.seq() == seq).then_some((dir, seq, path))
-    }
-
-    /// The seq sandwich for a reader with no miss path of its own: `read`'s
-    /// answer from one read of `d`'s block, if `d` is signed, `pcc` has
-    /// memoized the directory `d` sits in along the path `d` holds — or,
-    /// where no directory is on that path (a mount root), `d` itself — and
-    /// `d`'s seq, sampled before the read, holds after it.
-    #[inline]
-    pub fn vouched<'a, T>(
-        &self,
-        pcc: &Pcc,
-        d: &'a Dentry,
-        guard: &'a Guard,
-        read: impl FnOnce(&'a DentrySnap) -> Option<T>,
-    ) -> Option<T> {
-        let seq = d.seq();
-        let seen = d.view(guard);
-        let memoized = || match self.directory(seen, seen.hash_state.as_ref()?, guard) {
-            Some((dir, dir_seq, _)) => pcc.check(dir.id(), dir_seq).then_some(()),
-            None => pcc.check(d.id(), seq).then_some(()),
-        };
-        let out = read(seen).filter(|_| memoized().is_some())?;
-        unmoved(d, seq).then_some(out)
-    }
-
-    /// Stores a hash state rebuilt from `d`'s ancestors into an empty slot
-    /// only: the first signer keeps it, and an empty slot means no DLHT
-    /// entry either, so nothing is contradicted.
-    pub fn sign_unsigned(&self, d: &Dentry, state: HashState, mount: u64, guard: &Guard) {
-        if d.view(guard).hash_state.is_none() {
-            d.sign(Some(state), mount);
-        }
     }
 
     /// A fast lookup's validation (§3.1): probes `dlht` for `sig` and
@@ -336,7 +284,9 @@ impl Dcache {
     /// not moved and is signed through its mount. `mount_of(d, id)` is
     /// mount `id` if it still serves `d`, `edge(m)` its root and what is
     /// above it, `search(i)` a climb's permission to pass directory `i`.
-    /// Generic: the warm hit compiles into the caller.
+    /// The lookup counters count a `lookup` only, not a walk asking for a
+    /// directory (its resume, a POSIX `..`). Generic: the warm hit
+    /// compiles into the caller.
     #[inline]
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     pub fn validate<'g, M>(
@@ -347,21 +297,23 @@ impl Dcache {
         follow_last: bool,
         require_dir: bool,
         plain_root: bool,
+        lookup: bool,
         guard: &'g Guard,
         mount_of: impl Fn(&Dentry, u64) -> Option<&'g M>,
         edge: impl Fn(&'g M) -> (&'g Arc<Dentry>, Option<&'g (M, Arc<Dentry>)>),
         search: impl Fn(&Inode) -> bool,
     ) -> Option<FsResult<(&'g M, Arc<Dentry>, Arc<Inode>)>> {
         let stats = &self.stats;
+        let count = |c: &Counter| lookup.then(|| c.fetch_add(1, Ordering::Relaxed));
         'restart: for _ in 0..MAX_READ_RETRIES {
             let Some(mut obj) = self.dlht_lookup_in(dlht, sig, guard) else {
-                stats.fast_miss_dlht.fetch_add(1, Ordering::Relaxed);
+                count(&stats.fast_miss_dlht);
                 return None;
             };
             if self.config.fastpath_always_miss {
                 // Figure 6 synthetic: pay the whole fastpath, then miss at
                 // the PCC and fall back.
-                stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
+                count(&stats.fast_miss_pcc);
                 return None;
             }
             // Set when an alias led to `obj`: the seq and the mount the
@@ -374,7 +326,7 @@ impl Dcache {
                 let seen = obj.view(guard);
                 if let Some((target_seq, mount)) = via {
                     if obj.is_dead() || seq != target_seq || seen.mount != mount {
-                        stats.fast_miss_seq.fetch_add(1, Ordering::Relaxed);
+                        count(&stats.fast_miss_seq);
                         return None;
                     }
                 }
@@ -382,7 +334,7 @@ impl Dcache {
                     self.prefix_checked(pcc, &obj, seen, probed, m, &edge, &search, guard)
                 });
                 let Some(mount) = checked else {
-                    stats.fast_miss_pcc.fetch_add(1, Ordering::Relaxed);
+                    count(&stats.fast_miss_pcc);
                     return None;
                 };
                 let hit = match seen.kind() {
@@ -405,7 +357,7 @@ impl Dcache {
                         }
                         let lsig = seen.link_sig?;
                         let Some(next) = self.dlht_lookup_in(dlht, &lsig, guard) else {
-                            stats.fast_miss_dlht.fetch_add(1, Ordering::Relaxed);
+                            count(&stats.fast_miss_dlht);
                             return None;
                         };
                         via = None;
@@ -421,21 +373,23 @@ impl Dcache {
                     }
                 };
                 if !unmoved(&obj, seq) {
-                    stats.read_retries.fetch_add(1, Ordering::Relaxed);
-                    self.obs.event(|| TraceEvent::ReadRetry);
+                    count(&stats.read_retries);
+                    if lookup {
+                        self.obs.event(|| TraceEvent::ReadRetry);
+                    }
                     continue 'restart;
                 }
                 return Some(match hit {
                     Err(kind) => {
-                        stats.fast_neg_hits.fetch_add(1, Ordering::Relaxed);
-                        stats.fast_hits.fetch_add(1, Ordering::Relaxed);
+                        count(&stats.fast_neg_hits);
+                        count(&stats.fast_hits);
                         Err(kind.error())
                     }
                     Ok((ftype, ..)) if require_dir && ftype != FileType::Directory => {
                         Err(FsError::NotDir)
                     }
                     Ok((_, inode, mount)) => {
-                        stats.fast_hits.fetch_add(1, Ordering::Relaxed);
+                        count(&stats.fast_hits);
                         Ok((mount, obj, inode))
                     }
                 });
@@ -445,17 +399,39 @@ impl Dcache {
         None
     }
 
+    /// Whether `d`'s prefix check has passed for `pcc` along the path `d`
+    /// holds: [`prefix_checked`](Dcache::prefix_checked) with no probe,
+    /// through the mount `mount_of` accepts, between two samples of `d`'s
+    /// seq. It vouches for a slow walk's anchor and for the directory a
+    /// POSIX `..` leaves; the arguments are [`validate`](Dcache::validate)'s.
+    #[allow(clippy::type_complexity)]
+    pub fn anchored<'g, M: 'g>(
+        &self,
+        pcc: &Pcc,
+        d: &Dentry,
+        guard: &'g Guard,
+        mount_of: impl Fn(&Dentry, u64) -> Option<&'g M>,
+        edge: impl Fn(&'g M) -> (&'g Arc<Dentry>, Option<&'g (M, Arc<Dentry>)>),
+        search: impl Fn(&Inode) -> bool,
+    ) -> bool {
+        let (seq, seen) = (d.seq(), d.view(guard));
+        let checked = mount_of(d, seen.mount)
+            .is_some_and(|m| self.prefix_checked(pcc, d, seen, None, m, &edge, &search, guard));
+        checked && unmoved(d, seq)
+    }
+
     /// `obj`'s prefix check (§3.1): one climb from the directory its
     /// lookup searched last (across a mount root, the mountpoint's) to the
     /// first one memoized, so a warm hit stops at the first; past a miss,
     /// each must be searchable (a symlink hop is skipped). The climb
     /// starts from the state `obj` was `probed` by, if a probe found it: a
     /// re-signed block may hold another path's state while the old entry
-    /// still stands. A climb past a miss is a revalidation, and memoizes
-    /// what it climbed if no rename overlapped: `chmod` changes bits
-    /// before it shoots, so a sample of the old bits dies, but a rename
-    /// shoots before it moves, and a directory sampled in between would
-    /// keep the old ancestors' verdict.
+    /// still stands. Each directory must hold its path's state, read
+    /// between two samples of the seq it is probed at. A climb past a miss
+    /// is a revalidation, and memoizes what it climbed if no rename
+    /// overlapped: `chmod` changes bits before it shoots, so a sample of
+    /// the old bits dies, but a rename shoots before it moves, and a
+    /// directory sampled in between would keep the old ancestors' verdict.
     #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn prefix_checked<'g: 'o, 'o, M>(
         &self,
@@ -489,14 +465,19 @@ impl Dcache {
                     };
                     (mount, d, snap) = (pm, &**mp, mp.view(guard));
                 }
-                let (dir, seq, path) = self.directory(snap, &below, guard)?;
+                let dir = snap.parent_in()?;
+                let (seq, dir_seen) = (dir.seq(), dir.view(guard));
+                let path = dir_seen.hash_state?;
+                let mut h = path;
+                self.key.push_component(&mut h, snap.name.as_bytes());
+                (h == below && dir.seq() == seq).then_some(())?;
                 if pcc.check(dir.id(), seq) {
                     return Some(());
                 }
                 climbed
                     .get_or_insert_with(InlineVec::new)
                     .push((dir.id(), seq));
-                match dir.view(guard).inode() {
+                match dir_seen.inode() {
                     Some(inode) if inode.is_dir() => search(inode).then_some(())?,
                     Some(inode) if inode.ftype() == FileType::Symlink => {}
                     _ => return None,

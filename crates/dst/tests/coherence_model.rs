@@ -7,7 +7,7 @@
 //! `dc-vfs` passes the protocol: one mount that always serves, rooted at
 //! the root, and a search check that passes (in the `chmod` model, reads
 //! a mode word). Model (f) adds a bind mount and a directory the reader
-//! may not search.
+//! may not search; model (g) a directory `a/c` a walk starts from.
 
 use dc_fs::{FileSystem, PseudoFs};
 use dcache_core::{
@@ -103,6 +103,7 @@ impl Tree {
             true,
             false,
             true,
+            true,
             &guard,
             |_, _| Some(&self.root),
             |root| (root, None),
@@ -127,7 +128,7 @@ fn publish_races_rename() {
         dst::thread::spawn(move || {
             let dc = &t.dc;
             let r = dc.rename_lock.read_begin();
-            let mut q = dc.publications(Some(pcc), &t.root, M, true, &crossbeam_epoch::pin());
+            let mut q = dc.publications(Some(pcc), |_| true);
             q.searched(&t.root, &dc.key.root_state());
             if let Cached::Entry(a) = dc.lookup_cached(&t.root, "a") {
                 q.add(&a, t.h_a, M);
@@ -245,8 +246,7 @@ fn eviction_never_fabricates_absence() {
 fn umount_races_cwd_walk() {
     let t = Arc::new(Tree::new());
     let table = t.dc.dlht_for(0);
-    let mut q =
-        t.dc.publications(None, &t.root, M, true, &crossbeam_epoch::pin());
+    let mut q = t.dc.publications(None, |_| false);
     q.add(&t.a, t.h_a, M);
     q.apply(|| &table);
     let pcc = Arc::new(Pcc::new(1024));
@@ -259,7 +259,18 @@ fn umount_races_cwd_walk() {
         let (t, pcc, walked) = (t.clone(), pcc.clone(), walked.clone());
         dst::thread::spawn(move || {
             let dc = &t.dc;
-            let mut q = dc.publications(Some(pcc), &t.a, M, false, &crossbeam_epoch::pin());
+            let guard = &crossbeam_epoch::pin();
+            let anchored = |p: &Pcc| {
+                dc.anchored(
+                    p,
+                    &t.a,
+                    guard,
+                    |_, _| Some(&t.root),
+                    |r| (r, None),
+                    |_| true,
+                )
+            };
+            let mut q = dc.publications(Some(pcc), anchored);
             if let Some(mut h) = t.a.hash_state_via(M) {
                 q.searched(&t.a, &h);
                 if let Cached::Entry(f) = dc.lookup_cached(&t.a, "f") {
@@ -338,8 +349,7 @@ fn chmod_shootdown_kills_every_old_mode_memo() {
         || {
             let t = Arc::new(Tree::new());
             let table = t.dc.dlht_for(0);
-            let mut q =
-                t.dc.publications(None, &t.root, M, true, &crossbeam_epoch::pin());
+            let mut q = t.dc.publications(None, |_| false);
             q.add(&t.a, t.h_a, M);
             q.add(&t.f, t.h_af, M);
             q.apply(|| &table);
@@ -403,7 +413,7 @@ fn mount_races_walk() {
         dst::thread::spawn(move || {
             let dc = &t.dc;
             let r = dc.rename_lock.read_begin();
-            let mut q = dc.publications(Some(pcc), &t.root, M, true, &crossbeam_epoch::pin());
+            let mut q = dc.publications(Some(pcc), |_| true);
             q.searched(&t.root, &dc.key.root_state());
             if let Cached::Entry(a) = dc.lookup_cached(&t.root, "a") {
                 if !in_table.load(Ordering::SeqCst) {
@@ -519,18 +529,17 @@ impl Bound {
         let table = dc.dlht_for(0);
         let pcc = Pcc::new(1024);
         {
-            let guard = &crossbeam_epoch::pin();
-            let mut q = dc.publications(None, &root, M, true, guard);
+            let mut q = dc.publications(None, |_| false);
             q.add(&s, h_s, M);
             q.add(&a, h_sa, M);
             q.add(&f, h_saf, M);
             q.apply(|| &table);
-            let mut q = dc.publications(None, &root, M, true, guard);
+            let mut q = dc.publications(None, |_| false);
             q.add(&a, h_b, BIND);
             q.apply(|| &table);
         }
         let pcc = Arc::new(pcc);
-        let mut q = dc.publications(Some(pcc.clone()), &root, M, true, &crossbeam_epoch::pin());
+        let mut q = dc.publications(Some(pcc.clone()), |_| true);
         q.searched(&a, &h_b);
         q.apply(|| &table);
         let pcc = Arc::try_unwrap(pcc).ok().expect("the walk is over");
@@ -563,6 +572,7 @@ impl Bound {
             true,
             false,
             true,
+            true,
             &guard,
             |_, id| self.mounts.get(id as usize - 1),
             |m| (&m.root, m.parent.as_ref()),
@@ -583,9 +593,7 @@ fn resign_races_old_path_lookup() {
     let walker = {
         let (t, walked) = (t.clone(), walked.clone());
         dst::thread::spawn(move || {
-            let root = &t.mounts[0].root;
-            let mut q =
-                t.dc.publications(None, root, M, true, &crossbeam_epoch::pin());
+            let mut q = t.dc.publications(None, |_| false);
             q.add(&t.f, t.h_bf, BIND);
             let table = t.dc.dlht_for(0);
             q.apply(|| &table);
@@ -624,5 +632,88 @@ fn a_re_signed_dentry_is_never_checked_along_its_new_path_for_its_old() {
             .expected_len(300)
             .from_env(),
         resign_races_old_path_lookup,
+    );
+}
+
+/// Model (g): `rename /a /b` ∥ a slow walk from a cwd `/a/c` whose state
+/// the rename's shootdown cleared. The walk rebuilds the state from `c`'s
+/// ancestors (the nearest one holding a state, then the names below it),
+/// as `dc-vfs`'s `rebuild_hash_state` does, and queues it as `c`'s; it
+/// publishes only if no rename overlapped. Once both are over, `c`'s
+/// stored state, if it has one, hashes `c`'s current path: a state read
+/// between the shootdown and the move names the path `c` left.
+fn rebuild_races_rename() {
+    let t = Arc::new(Tree::new());
+    let c =
+        t.dc.d_alloc(&t.a, "c", DentryState::Positive(inodes().0.clone()));
+    let path_of_c = |dc: &Dcache, parent: &str| {
+        let mut h = dc.key.root_state();
+        dc.key.push_component(&mut h, parent.as_bytes());
+        dc.key.push_component(&mut h, b"c");
+        h
+    };
+    let mut q = t.dc.publications(None, |_| false);
+    q.add(&t.a, t.h_a, M);
+    q.add(&c, path_of_c(&t.dc, "a"), M);
+    let table = t.dc.dlht_for(0);
+    q.apply(|| &table);
+    let walker = {
+        let (t, c) = (t.clone(), c.clone());
+        dst::thread::spawn(move || {
+            let dc = &t.dc;
+            let r = dc.rename_lock.read_begin();
+            let mut q = dc.publications(None, |_| false);
+            if c.hash_state_via(M).is_none() {
+                let (mut d, mut names) = (c.clone(), Vec::new());
+                let base = loop {
+                    if let Some(h) = d.hash_state_via(M) {
+                        break Some(h);
+                    }
+                    names.push(d.name());
+                    let Some(up) = d.parent() else { break None };
+                    d = up;
+                };
+                if let Some(mut h) = base {
+                    for n in names.iter().rev() {
+                        dc.key.push_component(&mut h, n.as_bytes());
+                    }
+                    q.add(&c, h, M);
+                }
+            }
+            if !dc.rename_lock.read_retry(r) {
+                let table = dc.dlht_for(0);
+                q.apply(|| &table);
+            }
+        })
+    };
+    let renamer = {
+        let t = t.clone();
+        dst::thread::spawn(move || {
+            let _w = t.dc.rename_lock.write();
+            t.dc.shootdown([&t.a], true, &[]);
+            t.dc.d_move(&t.a, &t.root, "b");
+        })
+    };
+    walker.join().unwrap();
+    renamer.join().unwrap();
+    let now = path_of_c(&t.dc, &t.a.name());
+    assert!(
+        c.hash_state_via(M).is_none_or(|h| h == now),
+        "c holds the hash state of a path it left"
+    );
+}
+
+#[test]
+fn a_rebuilt_state_is_published_only_if_no_rename_overlapped() {
+    let _alone = alone();
+    inodes();
+    dst::check(
+        "rebuild-vs-rename",
+        dst::Config::default()
+            .iterations(2_000)
+            .seed(0xC6)
+            .expected_len(300)
+            .from_env(),
+        rebuild_races_rename,
     );
 }

@@ -23,7 +23,7 @@ use crate::process::Process;
 use dc_cred::{Cred, MAY_EXEC};
 use dc_fs::{FsError, FsResult};
 use dcache_core::scratch::{InlineVec, INLINE_COMPONENTS};
-use dcache_core::{Dentry, DentrySnap, HashState, Pcc};
+use dcache_core::{Dentry, HashState, Inode, Pcc};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -127,6 +127,7 @@ impl Kernel {
             follow_last,
             parsed.require_dir,
             plain_root,
+            true,
             guard,
         )
     }
@@ -153,13 +154,14 @@ impl Kernel {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn fast_validate<'g>(
         &self,
-        ns: &Arc<MountNamespace>,
+        ns: &MountNamespace,
         pcc: &Pcc,
         cred: &Cred,
         sig: &dcache_core::Signature,
         follow_last: bool,
         require_dir: bool,
         plain_root: bool,
+        lookup: bool,
         guard: &'g crossbeam_epoch::Guard,
     ) -> Option<FsResult<WalkRef<'g>>> {
         let hit = self.dcache.validate(
@@ -169,10 +171,11 @@ impl Kernel {
             follow_last,
             require_dir,
             plain_root,
+            lookup,
             guard,
             |obj, id| signing_mount(ns, obj, id, guard),
-            |m| (&m.root, m.parent.as_ref()),
-            |dir| !self.security.needs_path() && self.permission(cred, dir, MAY_EXEC, None).is_ok(),
+            edge,
+            self.search(cred),
         )?;
         Some(hit.map(|(mount, dentry, inode)| WalkResult {
             mount,
@@ -181,9 +184,54 @@ impl Kernel {
         }))
     }
 
+    /// Whether `at`'s prefix check has passed for `pcc`, `at` signed
+    /// through its own mount ([`Dcache::anchored`](dcache_core::Dcache::anchored)).
+    pub(crate) fn anchored(
+        &self,
+        ns: &MountNamespace,
+        pcc: &Pcc,
+        cred: &Cred,
+        at: &PathRef,
+        guard: &crossbeam_epoch::Guard,
+    ) -> bool {
+        let mount_of =
+            |d: &Dentry, id| signing_mount(ns, d, id, guard).filter(|m| m.id == at.mount.id);
+        self.dcache
+            .anchored(pcc, &at.dentry, guard, mount_of, edge, self.search(cred))
+    }
+
+    /// A climb's permission to pass a directory: a path-keyed LSM needs
+    /// the walk's path string, so it passes none.
+    fn search<'a>(&'a self, cred: &'a Cred) -> impl Fn(&Inode) -> bool + 'a {
+        |dir| !self.security.needs_path() && self.permission(cred, dir, MAY_EXEC, None).is_ok()
+    }
+
+    /// The directory `dirs` name below `at`, validated as a lookup of it
+    /// would be with no symlink or alias followed and a directory
+    /// required, and counted as no lookup (a symlink, an alias, a negative
+    /// or partial entry is `None`).
+    fn fast_dir<'g>(
+        &self,
+        ns: &MountNamespace,
+        pcc: &Pcc,
+        cred: &Cred,
+        at: &PathRef,
+        dirs: &[&str],
+        guard: &'g crossbeam_epoch::Guard,
+    ) -> Option<WalkRef<'g>> {
+        let mut h = self.state_at(ns, &at.mount, &at.dentry, guard)?;
+        for c in dirs {
+            self.dcache.key.push_component(&mut h, c.as_bytes());
+        }
+        let sig = self.dcache.key.finish(&h);
+        self.fast_validate(ns, pcc, cred, &sig, false, true, false, false, guard)?
+            .ok()
+    }
+
     /// The directory holding `parsed`'s final component, when the
-    /// fastpath still vouches for it — a live DLHT entry under the literal
-    /// prefix whose memoized prefix check is current — and the
+    /// fastpath still vouches for it ([`fast_dir`](Kernel::fast_dir): a
+    /// current DLHT entry under the literal prefix whose prefix check
+    /// passes, climbing past dead memos as a lookup would), and the
     /// one-component path left to walk from there. A lookup that missed as
     /// a whole has usually kept its directory: a name was created, renamed
     /// or shot down under a directory that stayed cached. Its slow walk
@@ -203,8 +251,7 @@ impl Kernel {
         start: Option<&PathRef>,
         parsed: &ParsedPath<'a>,
     ) -> Option<(PathRef, ParsedPath<'a>)> {
-        let config = &self.dcache.config;
-        if !config.fastpath || config.fastpath_always_miss {
+        if !self.dcache.config.fastpath {
             return None;
         }
         let (&last, dirs) = parsed.components.split_last()?;
@@ -212,30 +259,14 @@ impl Kernel {
             return None;
         }
         let guard = &crossbeam_epoch::pin();
-        let ns = proc.namespace_read(guard);
+        let (ns, cred) = (proc.namespace_read(guard), proc.cred_read(guard));
         let base = match start {
             _ if parsed.absolute => proc.root_read(guard),
             Some(s) => s,
             None => proc.cwd_read(guard),
         };
-        let pcc = self.dcache.pcc_ref(proc.cred_read(guard), ns.id, guard)?;
-        let mut h = self.state_at(ns, &base.mount, &base.dentry, guard)?;
-        for c in dirs {
-            self.dcache.key.push_component(&mut h, c.as_bytes());
-        }
-        let sig = self.dcache.key.finish(&h);
-        let dir = self
-            .dcache
-            .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?;
-        // A positive directory (not an alias, a partial or a negative
-        // entry, not a symlink) reached by its canonical path, by the
-        // mount it was published through, and not republished while we
-        // looked.
-        let mount = self.dcache.vouched(pcc, &dir, guard, |seen| {
-            let positive_dir = seen.inode().is_some_and(|i| i.is_dir());
-            (positive_dir && seen.hash_state == Some(h)).then_some(())?;
-            signing_mount(ns, &dir, seen.mount, guard)
-        })?;
+        let pcc = self.dcache.pcc_ref(cred, ns.id, guard)?;
+        let dir = self.fast_dir(ns, pcc, cred, base, dirs, guard)?;
         let mut components = InlineVec::new();
         components.push(last);
         let rest = ParsedPath {
@@ -243,12 +274,13 @@ impl Kernel {
             components,
             require_dir: parsed.require_dir,
         };
-        Some((PathRef::new(mount.clone(), dir), rest))
+        Some((PathRef::new(dir.mount.clone(), dir.dentry), rest))
     }
 
-    /// POSIX-mode dot-dot verification: resolve the prefix built so far
-    /// with one extra fastpath probe and re-check permission to search it
-    /// (§4.2). `None` leaves the precise answer to the slowpath.
+    /// POSIX-mode dot-dot verification: the prefix built so far must be a
+    /// directory whose prefix check passes, as [`fast_dir`](Kernel::fast_dir)
+    /// finds it (the anchor itself: [`anchored`](Kernel::anchored)), and
+    /// searchable (§4.2). `None` leaves the precise answer to the slowpath.
     fn posix_dotdot_check(
         &self,
         ns: &MountNamespace,
@@ -258,32 +290,19 @@ impl Kernel {
         cred: &Cred,
         guard: &crossbeam_epoch::Guard,
     ) -> Option<()> {
-        let (dentry, probed): (Arc<Dentry>, _) = if pending.is_empty() {
-            (anchor.dentry.clone(), None)
-        } else {
-            let mut h: HashState = self.state_at(ns, &anchor.mount, &anchor.dentry, guard)?;
-            for c in pending {
-                self.dcache.key.push_component(&mut h, c.as_bytes());
-            }
-            let sig = self.dcache.key.finish(&h);
-            let found = self
-                .dcache
-                .dlht_lookup_in(ns.dlht(&self.dcache), &sig, guard)?;
-            (found, Some(h))
-        };
-        // A real directory (".." under a symlink is relative to its target)
-        // with a current prefix check, still signed with the path it was
-        // found by, unless it is the namespace root.
-        let dir = |seen: &DentrySnap| {
-            (probed.is_none() || seen.hash_state == probed).then_some(())?;
-            seen.inode().filter(|i| i.is_dir()).cloned()
-        };
-        let inode = match Arc::ptr_eq(&dentry, &ns.root_mount_read(guard).root) {
-            true => dir(dentry.view(guard)),
-            false => self.dcache.vouched(pcc, &dentry, guard, dir),
+        let dir = |i: &Arc<Inode>| i.is_dir() && self.anchored(ns, pcc, cred, anchor, guard);
+        let inode = match pending {
+            [] => anchor.dentry.inode().filter(dir),
+            _ => self.fast_dir(ns, pcc, cred, anchor, pending, guard)?.inode,
         }?;
         self.permission(cred, &inode, MAY_EXEC, None).ok()
     }
+}
+
+/// A mount's root and what is above it: its parent mount and mountpoint.
+#[allow(clippy::type_complexity)]
+fn edge(m: &Arc<Mount>) -> (&Arc<Dentry>, Option<&(Arc<Mount>, Arc<Dentry>)>) {
+    (&m.root, m.parent.as_ref())
 }
 
 /// Mount `id`, under the lookup's pin, if it still serves `d` on the

@@ -67,18 +67,14 @@ impl Kernel {
     pub fn lookup_path(&self, proc: &Process, path: &str, want_sig: bool) -> FsResult<LookupReply> {
         self.resolve_with(proc, None, path, true, |r| {
             let inode = r.require_inode()?;
-            let sig = if want_sig {
-                let guard = &crossbeam_epoch::pin();
-                let ns = proc.namespace_read(guard);
-                self.state_at(ns, r.mount, &r.dentry, guard)
-                    .or_else(|| {
-                        let at = PathRef::new(r.mount.clone(), r.dentry.clone());
-                        self.rebuild_hash_state(ns, &at, guard)
-                    })
-                    .map(|h| self.dcache.key.finish(&h))
-            } else {
-                None
-            };
+            let sig = want_sig
+                .then(|| {
+                    let guard = &crossbeam_epoch::pin();
+                    let at = PathRef::new(r.mount.clone(), r.dentry.clone());
+                    let h = self.rebuild_hash_state(proc.namespace_read(guard), &at, guard)?;
+                    Some(self.dcache.key.finish(&h))
+                })
+                .flatten();
             Ok(LookupReply {
                 ino: inode.ino,
                 ftype: inode.ftype(),
@@ -164,7 +160,7 @@ impl Kernel {
             let pcc = self.pcc_under(cred, ns.id, &mut attached, &guard);
             let root = proc.root_read(&guard);
             let plain_root = ns.is_root(&root.mount, &root.dentry, &guard);
-            match self.fast_validate(ns, pcc, cred, sig, true, false, plain_root, &guard)? {
+            match self.fast_validate(ns, pcc, cred, sig, true, false, plain_root, true, &guard)? {
                 Ok(r) => r.inode.map(|inode| {
                     Ok(LookupReply {
                         ino: inode.ino,

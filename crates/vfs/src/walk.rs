@@ -24,7 +24,7 @@ use dc_cred::{Cred, PermCtx, MAY_EXEC};
 use dc_fs::{FileSystem, FileType, FsError, FsResult};
 use dc_obs::{LookupOutcome, TraceEvent};
 use dcache_core::{
-    Cached, Dentry, DentryKind, DentryState, HashState, Inode, NegKind, Publications,
+    Cached, Dentry, DentryKind, DentryState, HashState, Inode, NegKind, Pcc, Publications,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -203,10 +203,9 @@ impl Kernel {
     }
 
     /// [`state_at`](Kernel::state_at), rebuilt when the dentry holds none
-    /// for this mount by climbing to the nearest ancestor that does. The
-    /// result is stored only into an empty slot (a cleared state means no
-    /// DLHT membership either, so nothing is contradicted); a dentry
-    /// signed through another mount keeps that signature.
+    /// for this mount by climbing to the nearest ancestor that does. It
+    /// stores nothing: a slow walk queues the state it rebuilt for its
+    /// anchor as it queues every other, to be published once it validated.
     pub(crate) fn rebuild_hash_state(
         &self,
         ns: &MountNamespace,
@@ -240,7 +239,6 @@ impl Kernel {
         for n in names.iter().rev() {
             self.dcache.key.push_component(&mut h, n.as_bytes());
         }
-        self.dcache.sign_unsigned(&at.dentry, h, at.mount.id, guard);
         Some(h)
     }
 
@@ -345,10 +343,9 @@ impl<'k> SlowWalk<'k> {
         let fast = k.dcache.config.fastpath;
         let pcc = fast.then(|| k.dcache.pcc_for(&cred, ns.id));
         let guard = &crossbeam_epoch::pin();
-        let at_ns_root = ns.is_root(&anchor.mount, &anchor.dentry, guard);
         let plain_root = ns.is_root(&root.mount, &root.dentry, guard);
-        let (dentry, mount) = (&anchor.dentry, anchor.mount.id);
-        let queue = k.dcache.publications(pcc, dentry, mount, at_ns_root, guard);
+        let anchored = |p: &Pcc| k.anchored(&ns, p, &cred, &anchor, guard);
+        let queue = k.dcache.publications(pcc, anchored);
         let path_str = k.security.needs_path().then(|| k.vfs_path_of(&anchor));
         let mut w = SlowWalk {
             k,
@@ -365,22 +362,27 @@ impl<'k> SlowWalk<'k> {
             steps: 0,
             queue,
         };
-        w.hstate = w.state_of_cur(true);
+        w.resume_at_cur();
         w
     }
 
-    /// The literal-path hash state to resume from at `cur` (`None` with
-    /// the fastpath off); with `rebuild`, recomputed from the ancestors
-    /// when `cur`'s dentry holds none for this mount.
-    fn state_of_cur(&self, rebuild: bool) -> Option<HashState> {
-        if !self.fast {
-            return None;
-        }
-        let guard = &crossbeam_epoch::pin();
-        let (mount, dentry) = (&self.cur.mount, &self.cur.dentry);
-        match self.k.state_at(&self.ns, mount, dentry, guard) {
-            None if rebuild => self.k.rebuild_hash_state(&self.ns, &self.cur, guard),
-            stored => stored,
+    /// The literal-path hash state stored at `cur` (`None` with the
+    /// fastpath off).
+    fn state_of_cur(&self) -> Option<HashState> {
+        let cur = self.fast.then_some(&self.cur)?;
+        self.k
+            .state_at(&self.ns, &cur.mount, &cur.dentry, &crossbeam_epoch::pin())
+    }
+
+    /// Resumes hashing at the anchor `cur`: from its stored state, or one
+    /// rebuilt from its ancestors and queued as its own like every state
+    /// the walk computes.
+    fn resume_at_cur(&mut self) {
+        self.hstate = self.state_of_cur();
+        if self.fast && self.hstate.is_none() {
+            let guard = &crossbeam_epoch::pin();
+            self.hstate = self.k.rebuild_hash_state(&self.ns, &self.cur, guard);
+            self.publish_step(&self.cur.dentry.clone(), self.cur.mount.id);
         }
     }
 
@@ -695,7 +697,7 @@ impl<'k> SlowWalk<'k> {
         // The literal path no longer matches simple extension: reload the
         // canonical state from the parent and drop any alias chain.
         self.alias_parent = None;
-        self.hstate = self.state_of_cur(false);
+        self.hstate = self.state_of_cur();
         if let Some(p) = &mut self.path_str {
             *p = self.k.vfs_path_of(&self.cur);
         }
@@ -718,14 +720,21 @@ impl<'k> SlowWalk<'k> {
         // canonical; anchor its hash state accordingly.
         if tparsed.absolute {
             self.cur = self.root.clone();
-            self.hstate = self.state_of_cur(true);
+            if !self.plain_root {
+                // The walk checked no prefix of a `chroot`ed root on its
+                // way here: it memoizes nothing unless the root's passes.
+                let (k, ns, cred, root) = (self.k, &self.ns, &self.cred, &self.root);
+                self.queue
+                    .anchor(|p| k.anchored(ns, p, cred, root, &crossbeam_epoch::pin()));
+            }
+            self.resume_at_cur();
             if let Some(p) = &mut self.path_str {
                 *p = self.k.vfs_path_of(&self.cur);
             }
         } else {
             // `cur` (the dir containing the link) is canonical; its own
             // stored state anchors the target.
-            self.hstate = self.state_of_cur(false);
+            self.hstate = self.state_of_cur();
         }
         let comps = self.components(&tparsed);
         self.walk_components(&comps, true)?;

@@ -613,3 +613,82 @@ fn a_miss_under_a_mount_root_walks_one_component() {
         revalidations
     );
 }
+
+/// Resuming a missed lookup at its directory asks the climb a lookup
+/// asks: a `chmod` of an ancestor kills the memos below it, and a new name
+/// under a cached directory still walks one component, not the path.
+#[test]
+fn a_new_name_after_an_ancestor_chmod_resumes_at_its_directory() {
+    let (k, root) = optimized();
+    for d in ["/a", "/a/b", "/a/b/c"] {
+        k.mkdir(&root, d, 0o755).unwrap();
+    }
+    touch(&k, &root, "/a/b/c/f");
+    let user = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    assert!(k.stat(&user, "/a/b/c/f").is_ok());
+    k.chmod(&root, "/a", 0o711).unwrap();
+    touch(&k, &root, "/a/b/c/h");
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&user, "/a/b/c/h").is_ok())),
+        1
+    );
+}
+
+/// A working directory whose hash state a rename cleared gets it back from
+/// its next relative walk, rebuilt from its ancestors and published with
+/// its DLHT entry like every state a walk computes: its new path is a
+/// fastpath hit once its parent is signed again, and a new name below it
+/// resumes there.
+#[test]
+fn a_rebuilt_working_directory_state_is_published_with_its_entry() {
+    let (k, p) = optimized();
+    for d in ["/a", "/a/b", "/a/b/c"] {
+        k.mkdir(&p, d, 0o755).unwrap();
+    }
+    touch(&k, &p, "/a/b/c/f");
+    touch(&k, &p, "/a/b/c/g");
+    k.chdir(&p, "/a/b/c").unwrap();
+    assert!(k.stat(&p, "f").is_ok());
+    k.rename(&p, "/a/b", "/a/z").unwrap();
+    assert!(k.stat(&p, "f").is_ok());
+    assert!(k.stat(&p, "/a/z/c").is_ok());
+    assert_eq!(slow_steps(&k, || assert!(k.stat(&p, "/a/z/c").is_ok())), 0);
+    assert_eq!(
+        slow_steps(&k, || assert!(k.stat(&p, "/a/z/c/g").is_ok())),
+        1
+    );
+}
+
+/// Under a `chroot`, a walk that enters an absolute link jumps to the
+/// process root, whose namespace path it never checked. It
+/// must memoize nothing it searched from there: a lookup by that path
+/// from a working directory outside the jail would pass `/home` (0700) on
+/// those memos.
+#[test]
+fn a_walk_through_an_absolute_link_under_a_chroot_memoizes_nothing_above_its_root() {
+    for config in both_configs() {
+        let k = KernelBuilder::new(config.with_seed(99)).build().unwrap();
+        let root = k.init_process();
+        k.mkdir(&root, "/home", 0o700).unwrap();
+        for d in ["/home/u", "/home/u/jail", "/home/u/jail/d", "/outside"] {
+            k.mkdir(&root, d, 0o755).unwrap();
+        }
+        touch(&k, &root, "/home/u/jail/d/f");
+        touch(&k, &root, "/outside/x");
+        k.symlink(&root, "/d", "/outside/lnk").unwrap();
+        for _ in 0..2 {
+            assert!(k.stat(&root, "/home/u/jail/d/f").is_ok());
+        }
+        let user = k.spawn(&root);
+        let outside = k
+            .open(&user, "/outside", OpenFlags::directory(), 0)
+            .unwrap();
+        k.chroot(&user, "/home/u/jail").unwrap();
+        k.fchdir(&user, outside).unwrap();
+        k.setuid(&user, 1000, 1000);
+        for path in ["x", "x", "lnk/f", "lnk/f"] {
+            assert!(k.stat(&user, path).is_ok(), "{path}");
+        }
+        assert_eq!(k.stat(&user, "../home/u/jail/d/f"), Err(FsError::Access));
+    }
+}
