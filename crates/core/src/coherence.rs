@@ -468,8 +468,7 @@ impl Dcache {
                 let dir = snap.parent_in()?;
                 let (seq, dir_seen) = (dir.seq(), dir.view(guard));
                 let path = dir_seen.hash_state?;
-                let mut h = path;
-                self.key.push_component(&mut h, snap.name.as_bytes());
+                let h = self.key.extend(&path, snap.name.as_bytes())?;
                 (h == below && dir.seq() == seq).then_some(())?;
                 if pcc.check(dir.id(), seq) {
                     return Some(());

@@ -1534,13 +1534,10 @@ mod tests {
         assert!(fs3.lookup(fs3.root_ino(), "twice").is_ok());
     }
 
-    fn warm_entry(sig: u64, ino: u64, parent: u64, name: &str) -> WarmEntry {
+    fn warm_entry(ino: u64, parent: u64, name: &str) -> WarmEntry {
         WarmEntry {
-            sig: [sig, 0, 0, 0],
             ino,
             parent,
-            state_acc: [0; 4],
-            state_pos: 3,
             name: name.to_string(),
         }
     }
@@ -1550,9 +1547,7 @@ mod tests {
         let fs = newfs();
         let r = fs.root_ino();
         let d = fs.mkdir(r, "d", 0o755, 0, 0).unwrap();
-        let kept = fs
-            .warm_checkpoint(&[warm_entry(11, d.ino, r, "d")])
-            .unwrap();
+        let kept = fs.warm_checkpoint(&[warm_entry(d.ino, r, "d")]).unwrap();
         assert_eq!(kept, 1);
         // The checkpoint forces a journal checkpoint first, so the bound
         // sequence equals the durable tail, which after a checkpoint is
@@ -1575,8 +1570,7 @@ mod tests {
         let fs = newfs();
         let r = fs.root_ino();
         let d = fs.mkdir(r, "keep", 0o755, 0, 0).unwrap();
-        fs.warm_checkpoint(&[warm_entry(7, d.ino, r, "keep")])
-            .unwrap();
+        fs.warm_checkpoint(&[warm_entry(d.ino, r, "keep")]).unwrap();
         // Post-checkpoint mutations commit to the journal but don't
         // invalidate the (now slightly stale) index.
         fs.create(r, "later", 0o644, 0, 0).unwrap();
@@ -1609,7 +1603,7 @@ mod tests {
         warmidx::checkpoint(
             fs.disk(),
             fs.geometry(),
-            &[warm_entry(5, d.ino, r, "d")],
+            &[warm_entry(d.ino, r, "d")],
             bogus,
             1,
         )
@@ -1627,15 +1621,15 @@ mod tests {
         let fs = newfs();
         let r = fs.root_ino();
         let d = fs.mkdir(r, "a", 0o755, 0, 0).unwrap();
-        fs.warm_checkpoint(&[warm_entry(1, d.ino, r, "a")]).unwrap();
-        fs.warm_checkpoint(&[warm_entry(2, d.ino, r, "a")]).unwrap();
+        fs.warm_checkpoint(&[warm_entry(d.ino, r, "a")]).unwrap();
+        fs.warm_checkpoint(&[warm_entry(d.ino, r, "a")]).unwrap();
         let disk = fs.disk().clone();
         drop(fs);
         // A checkpoint after remount must out-generation both on-disk
         // copies, or mount would resurrect the older index.
         let fs2 = MemFs::mount(disk).unwrap();
         let e = fs2.mkdir(fs2.root_ino(), "b", 0o755, 0, 0).unwrap();
-        fs2.warm_checkpoint(&[warm_entry(9, e.ino, fs2.root_ino(), "b")])
+        fs2.warm_checkpoint(&[warm_entry(e.ino, fs2.root_ino(), "b")])
             .unwrap();
         match fs2.read_warm_index().unwrap() {
             WarmLoad::Loaded { entries, gen, .. } => {
@@ -1651,8 +1645,7 @@ mod tests {
         let fs = newfs();
         let r = fs.root_ino();
         let d = fs.mkdir(r, "old", 0o755, 0, 0).unwrap();
-        fs.warm_checkpoint(&[warm_entry(4, d.ino, r, "old")])
-            .unwrap();
+        fs.warm_checkpoint(&[warm_entry(d.ino, r, "old")]).unwrap();
         let disk = fs.disk().clone();
         drop(fs);
         let fs2 = MemFs::mkfs(

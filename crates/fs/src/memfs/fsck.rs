@@ -112,13 +112,13 @@ pub enum FsckError {
         /// The inode.
         ino: u64,
     },
-    /// Two warm-index entries carry the same path signature.
+    /// Two warm-index entries name the same `(parent, name)`.
     WarmIndexDuplicateKey {
-        /// Inode of the second entry with the repeated signature.
+        /// Inode of the second entry with the repeated name.
         ino: u64,
     },
     /// A warm-index entry references an out-of-range inode number.
-    WarmIndexOrphanSig {
+    WarmIndexInodeOutOfRange {
         /// The bad inode number.
         ino: u64,
     },
@@ -172,9 +172,9 @@ impl std::fmt::Display for FsckError {
             }
             FsckError::UnreadableInode { ino } => write!(f, "inode {ino} undecodable"),
             FsckError::WarmIndexDuplicateKey { ino } => {
-                write!(f, "warm index: duplicate signature (entry for inode {ino})")
+                write!(f, "warm index: duplicate name (entry for inode {ino})")
             }
-            FsckError::WarmIndexOrphanSig { ino } => {
+            FsckError::WarmIndexInodeOutOfRange { ino } => {
                 write!(f, "warm index: entry references out-of-range inode {ino}")
             }
             FsckError::WarmIndexDanglingParent { ino, parent } => {
@@ -451,11 +451,11 @@ pub fn fsck(disk: &CachedDisk) -> FsResult<FsckReport> {
     if let Some(entries) = super::warmidx::read_for_fsck(disk, &geo)? {
         report.warm_index_present = true;
         report.warm_entries = entries.len() as u64;
-        let mut keys: HashSet<[u64; 4]> = HashSet::with_capacity(entries.len());
+        let mut keys: HashSet<(u64, &str)> = HashSet::with_capacity(entries.len());
         let mut seen_inos: HashSet<u64> = HashSet::with_capacity(entries.len() + 1);
         seen_inos.insert(root);
         for e in &entries {
-            if !keys.insert(e.sig) {
+            if !keys.insert((e.parent, &e.name)) {
                 report
                     .errors
                     .push(FsckError::WarmIndexDuplicateKey { ino: e.ino });
@@ -463,7 +463,7 @@ pub fn fsck(disk: &CachedDisk) -> FsResult<FsckReport> {
             if e.ino >= geo.max_inodes {
                 report
                     .errors
-                    .push(FsckError::WarmIndexOrphanSig { ino: e.ino });
+                    .push(FsckError::WarmIndexInodeOutOfRange { ino: e.ino });
             }
             // Entries are written parents-first, and capacity truncation
             // drops a suffix, so a valid index always introduces a parent
@@ -616,13 +616,10 @@ mod tests {
             .any(|e| matches!(e, FsckError::OrphanBlock { block } if *block == victim)));
     }
 
-    fn warm_entry(sig: u64, ino: u64, parent: u64, name: &str) -> super::super::WarmEntry {
+    fn warm_entry(ino: u64, parent: u64, name: &str) -> super::super::WarmEntry {
         super::super::WarmEntry {
-            sig: [sig, sig ^ 1, sig ^ 2, sig ^ 3],
             ino,
             parent,
-            state_acc: [0; 4],
-            state_pos: 3,
             name: name.to_string(),
         }
     }
@@ -633,10 +630,7 @@ mod tests {
         let r = fs.root_ino();
         let d = fs.mkdir(r, "d", 0o755, 0, 0).unwrap();
         let f = fs.create(d.ino, "f", 0o644, 0, 0).unwrap();
-        let entries = vec![
-            warm_entry(10, d.ino, r, "d"),
-            warm_entry(20, f.ino, d.ino, "f"),
-        ];
+        let entries = vec![warm_entry(d.ino, r, "d"), warm_entry(f.ino, d.ino, "f")];
         assert_eq!(fs.warm_checkpoint(&entries).unwrap(), 2);
         let report = fsck(fs.disk()).unwrap();
         assert!(report.is_clean(), "errors: {:?}", report.errors);
@@ -659,7 +653,7 @@ mod tests {
         let r = fs.root_ino();
         let d = fs.mkdir(r, "d", 0o755, 0, 0).unwrap();
         let e = fs.mkdir(r, "e", 0o755, 0, 0).unwrap();
-        let entries = vec![warm_entry(10, d.ino, r, "d"), warm_entry(10, e.ino, r, "e")];
+        let entries = vec![warm_entry(d.ino, r, "d"), warm_entry(e.ino, r, "d")];
         fs.warm_checkpoint(&entries).unwrap();
         let report = fsck(fs.disk()).unwrap();
         assert!(report
@@ -676,15 +670,15 @@ mod tests {
         let geo = *fs.geometry();
         let entries = vec![
             // Out-of-range inode number.
-            warm_entry(10, geo.max_inodes + 7, r, "ghost"),
+            warm_entry(geo.max_inodes + 7, r, "ghost"),
             // Parent not introduced by any earlier entry (misordered or
             // missing — either way the prefix is not parent-closed).
-            warm_entry(20, d.ino, 999, "d"),
+            warm_entry(d.ino, 999, "d"),
         ];
         fs.warm_checkpoint(&entries).unwrap();
         let report = fsck(fs.disk()).unwrap();
         assert!(report.errors.iter().any(
-            |x| matches!(x, FsckError::WarmIndexOrphanSig { ino } if *ino == geo.max_inodes + 7)
+            |x| matches!(x, FsckError::WarmIndexInodeOutOfRange { ino } if *ino == geo.max_inodes + 7)
         ));
         assert!(report
             .errors

@@ -1,6 +1,9 @@
 //! Warm-restart directory index: a journal-style checkpoint of the
-//! directory cache's signature→dentry mapping, persisted so a remount
-//! can rehydrate the DLHT instead of re-missing its way warm.
+//! directory cache's cached names — `(parent inode, name) → inode`,
+//! parents first — persisted so a remount can rehydrate the DLHT
+//! instead of re-missing its way warm. It holds no signature and no hash
+//! state: those stand for a path under one boot's key, and the
+//! rehydrator signs each entry under the key of the boot that reads it.
 //!
 //! On-disk format, all little-endian inside `warmidx_start..data_start`:
 //!
@@ -10,6 +13,10 @@
 //! warmidx_start + 2.. payload half 0 (warmidx_half blocks)
 //! …                   payload half 1 (warmidx_half blocks)
 //! ```
+//!
+//! Each payload entry is `ino: u64, parent: u64, name_len: u16`, then
+//! the name's bytes (version 2; version 1 entries also carried a
+//! signature and a hash state, and are rejected as `BadVersion`).
 //!
 //! Header fields: magic, format version, generation, `bound_seq` (the
 //! journal transaction the checkpoint is consistent with — never newer
@@ -26,8 +33,7 @@
 //! outcome is typed — corruption degrades to a cold mount, never to a
 //! wrong answer. Entry *contents* are deliberately not trusted either:
 //! the rehydrator (vfs) re-validates every entry against the recovered
-//! inode table and recomputes signatures under the boot hash key before
-//! publication.
+//! inode table before it signs and publishes it.
 
 use super::checksum::sum64;
 use super::layout::{Geometry, Reader, Writer};
@@ -37,28 +43,23 @@ use dc_blockdev::CachedDisk;
 const WI_MAGIC: u64 = 0x4443_5749_4844_5231; // "DCWIHDR1"
 
 /// Current format version; a mismatch rejects the whole index.
-pub const WARMIDX_VERSION: u64 = 1;
+pub const WARMIDX_VERSION: u64 = 2;
 
 /// Longest name an entry may carry (matches the fs name limit).
 const NAME_MAX: usize = 255;
 
 /// Bytes of one encoded entry before its name.
-const ENTRY_FIXED: usize = 32 + 8 + 8 + 32 + 4 + 2;
+const ENTRY_FIXED: usize = 8 + 8 + 2;
 
-/// One persisted directory-index entry: a full-path signature and
-/// everything needed to revalidate and republish it after a remount.
+/// One persisted directory-index entry: a cached name and what it
+/// resolved to, everything needed to revalidate and republish it after
+/// a remount.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmEntry {
-    /// Full 256-bit signature wire form (`Signature::to_wire` order).
-    pub sig: [u64; 4],
     /// Inode the path resolved to at checkpoint time.
     pub ino: u64,
     /// Inode of the parent directory.
     pub parent: u64,
-    /// Hash-state accumulator lanes at this path (resume point).
-    pub state_acc: [u64; 4],
-    /// Hash-state stream position in 32-bit words.
-    pub state_pos: u32,
     /// Final path component under `parent`.
     pub name: String,
 }
@@ -187,15 +188,8 @@ fn half_start(geo: &Geometry, gen: u64) -> u64 {
 }
 
 fn encode_entry(out: &mut Vec<u8>, e: &WarmEntry) {
-    for lane in e.sig {
-        out.extend_from_slice(&lane.to_le_bytes());
-    }
     out.extend_from_slice(&e.ino.to_le_bytes());
     out.extend_from_slice(&e.parent.to_le_bytes());
-    for lane in e.state_acc {
-        out.extend_from_slice(&lane.to_le_bytes());
-    }
-    out.extend_from_slice(&e.state_pos.to_le_bytes());
     out.extend_from_slice(&(e.name.len() as u16).to_le_bytes());
     out.extend_from_slice(e.name.as_bytes());
 }
@@ -204,17 +198,8 @@ fn decode_entries(payload: &[u8], count: u64) -> Option<Vec<WarmEntry>> {
     let mut r = Reader::new(payload);
     let mut out = Vec::with_capacity(count.min(payload.len() as u64 / ENTRY_FIXED as u64) as usize);
     for _ in 0..count {
-        let mut sig = [0u64; 4];
-        for lane in sig.iter_mut() {
-            *lane = r.u64().ok()?;
-        }
         let ino = r.u64().ok()?;
         let parent = r.u64().ok()?;
-        let mut acc = [0u64; 4];
-        for lane in acc.iter_mut() {
-            *lane = r.u64().ok()?;
-        }
-        let state_pos = r.u32().ok()?;
         let name_len = r.u16().ok()? as usize;
         if name_len == 0 || name_len > NAME_MAX {
             return None;
@@ -224,11 +209,8 @@ fn decode_entries(payload: &[u8], count: u64) -> Option<Vec<WarmEntry>> {
             return None;
         }
         out.push(WarmEntry {
-            sig,
             ino,
             parent,
-            state_acc: acc,
-            state_pos,
             name: name.to_owned(),
         });
     }
@@ -392,11 +374,8 @@ mod tests {
 
     fn entry(ino: u64, parent: u64, name: &str) -> WarmEntry {
         WarmEntry {
-            sig: [ino, ino ^ 7, ino ^ 13, ino ^ 77],
             ino,
             parent,
-            state_acc: [ino; 4],
-            state_pos: 4 * ino as u32,
             name: name.to_owned(),
         }
     }

@@ -7,20 +7,17 @@ use crate::{LANES, SCHEDULE_LEN};
 
 /// Boot-time random key material for path-signature hashing.
 ///
-/// A `HashKey` holds one cyclic schedule of random 64-bit keys per lane plus
-/// a per-lane initial offset. It is generated once per kernel instance
-/// (`§3.3`: "We choose a random key at boot time for our signature hash
-/// function"), so the same path produces different signatures across kernel
-/// instances and an adversary cannot search for collisions offline.
+/// A `HashKey` holds one random 64-bit key per lane and stream position,
+/// plus a per-lane initial offset. It is generated once per kernel
+/// instance (`§3.3`: "We choose a random key at boot time for our
+/// signature hash function"), so the same path produces different
+/// signatures across kernel instances and an adversary cannot search for
+/// collisions offline.
 pub struct HashKey {
-    /// Per-lane cyclic key schedules; all keys are forced odd so every
-    /// multiplier is invertible modulo 2^64. This layout drives the
-    /// byte-at-a-time oracle path (wrap handling, equivalence tests).
-    lanes: [Box<[u64; SCHEDULE_LEN]>; LANES],
-    /// The same key material interleaved position-major: `wide[p]` holds
-    /// the four lanes' keys for stream position `p` in 32 contiguous
-    /// bytes, so the wide mixing loop streams one array sequentially
-    /// instead of striding four 16 KB tables in parallel.
+    /// The keys, position-major: `wide[p]` holds the four lanes' keys for
+    /// stream position `p` in 32 contiguous bytes, so the mixing loop
+    /// streams one array sequentially. All keys are odd, so every
+    /// multiplier is invertible modulo 2^64.
     wide: Box<[[u64; LANES]; SCHEDULE_LEN]>,
     /// Per-lane initial accumulator value (the `k_0` term of the
     /// multilinear family).
@@ -35,25 +32,14 @@ impl HashKey {
     pub fn from_seed(seed: u64) -> Self {
         let mut x = seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut init = [0u64; LANES];
-        let mut lanes: Vec<Box<[u64; SCHEDULE_LEN]>> = Vec::with_capacity(LANES);
-        for lane_init in init.iter_mut() {
-            *lane_init = splitmix64(&mut x);
-            let mut sched = Box::new([0u64; SCHEDULE_LEN]);
-            for k in sched.iter_mut() {
-                // Odd multipliers keep every key invertible mod 2^64.
-                *k = splitmix64(&mut x) | 1;
-            }
-            lanes.push(sched);
-        }
-        let lanes: [Box<[u64; SCHEDULE_LEN]>; LANES] =
-            lanes.try_into().unwrap_or_else(|_| unreachable!());
         let mut wide = Box::new([[0u64; LANES]; SCHEDULE_LEN]);
-        for (p, row) in wide.iter_mut().enumerate() {
-            for (lane, slot) in row.iter_mut().enumerate() {
-                *slot = lanes[lane][p];
+        for (lane, lane_init) in init.iter_mut().enumerate() {
+            *lane_init = splitmix64(&mut x);
+            for row in wide.iter_mut() {
+                row[lane] = splitmix64(&mut x) | 1;
             }
         }
-        HashKey { lanes, wide, init }
+        HashKey { wide, init }
     }
 
     /// Creates key material from OS entropy (what a real boot would do).
@@ -75,41 +61,46 @@ impl HashKey {
         HashState::new(self.init)
     }
 
-    /// Feeds one canonical path component into `state`.
+    /// The state of `state`'s path extended by one canonical component,
+    /// or `None` when the component would run past the key schedule
+    /// ([`SCHEDULE_LEN`] words): such a path has no signature, and a
+    /// lookup of it walks.
     ///
     /// The component must be a plain name: not empty, not `"."`, not
     /// `".."`, and containing no `/`. Callers (the VFS walker) are
     /// responsible for canonicalization; this is debug-asserted here.
-    pub fn push_component(&self, state: &mut HashState, name: &[u8]) {
-        debug_assert!(!name.is_empty(), "empty component fed to hasher");
-        debug_assert!(name != b"." && name != b"..", "dot component fed to hasher");
-        debug_assert!(!name.contains(&b'/'), "component contains a slash");
-        // The wide path assumes the wrap-salt perturbation is zero for
-        // every word of this component; components that start at or
-        // straddle a schedule wrap (paths past ~8 KB of components) take
-        // the oracle path, which handles the perturbation per word.
-        if (state.pos as usize) + multilinear::words_for(name) <= SCHEDULE_LEN {
-            state.pos =
-                multilinear::mix_component_wide(&mut state.acc, state.pos, &self.wide, name);
-        } else {
-            self.push_component_oracle(state, name);
-        }
+    #[must_use]
+    #[inline]
+    pub fn extend(&self, state: &HashState, name: &[u8]) -> Option<HashState> {
+        fits(state, name)?;
+        let mut acc = state.acc;
+        let pos = multilinear::mix_component_wide(&mut acc, state.pos, &self.wide, name);
+        Some(HashState { acc, pos })
     }
 
-    /// The byte-at-a-time reference path: one [`multilinear::mix_component`]
-    /// pass per lane over that lane's own schedule. Kept public as the
-    /// oracle the wide path is equivalence-tested against, and as the
-    /// fallback for components that straddle a schedule wrap.
-    pub fn push_component_oracle(&self, state: &mut HashState, name: &[u8]) {
-        for lane in 0..LANES {
-            let sched: &[u64; SCHEDULE_LEN] = &self.lanes[lane];
-            let (acc, pos) =
-                multilinear::mix_component(state.acc[lane], state.pos, sched, name, lane as u64);
-            state.acc[lane] = acc;
-            if lane == LANES - 1 {
-                state.pos = pos;
-            }
+    /// The byte-at-a-time reference for [`extend`](HashKey::extend): one
+    /// [`multilinear::mix_component`] pass per lane. Tests compare the
+    /// wide mixing loop against it.
+    #[must_use]
+    pub fn extend_oracle(&self, state: &HashState, name: &[u8]) -> Option<HashState> {
+        fits(state, name)?;
+        let mut next = *state;
+        for (lane, acc) in next.acc.iter_mut().enumerate() {
+            (*acc, next.pos) = multilinear::mix_component(*acc, state.pos, &self.wide, name, lane);
         }
+        Some(next)
+    }
+
+    /// [`extend`](HashKey::extend) in place, for a path its caller knows
+    /// to fit the schedule (a test's, a benchmark's).
+    ///
+    /// # Panics
+    ///
+    /// If the component runs past the key schedule.
+    pub fn push_component(&self, state: &mut HashState, name: &[u8]) {
+        *state = self
+            .extend(state, name)
+            .expect("component runs past the key schedule");
     }
 
     /// Finalizes `state` into a 256-bit [`Signature`].
@@ -125,6 +116,11 @@ impl HashKey {
     }
 
     /// Convenience: hashes a sequence of components from the root.
+    ///
+    /// # Panics
+    ///
+    /// If the path runs past the key schedule ([`SCHEDULE_LEN`] words,
+    /// about 8 KB of components).
     pub fn hash_components<'a, I>(&self, comps: I) -> Signature
     where
         I: IntoIterator<Item = &'a [u8]>,
@@ -137,10 +133,19 @@ impl HashKey {
     }
 }
 
+/// `Some` when `name` fits the schedule after `state`'s words.
+#[inline]
+fn fits(state: &HashState, name: &[u8]) -> Option<()> {
+    debug_assert!(!name.is_empty(), "empty component fed to hasher");
+    debug_assert!(name != b"." && name != b"..", "dot component fed to hasher");
+    debug_assert!(!name.contains(&b'/'), "component contains a slash");
+    (state.pos as usize + multilinear::words_for(name) <= SCHEDULE_LEN).then_some(())
+}
+
 impl std::fmt::Debug for HashKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Key material is secret; never print it.
-        f.write_str("HashKey {{ <secret> }}")
+        f.write_str("HashKey { <secret> }")
     }
 }
 
@@ -181,7 +186,7 @@ mod tests {
     #[test]
     fn debug_does_not_leak() {
         let key = HashKey::from_seed(3);
-        assert!(!format!("{key:?}").contains('['));
+        assert_eq!(format!("{key:?}"), "HashKey { <secret> }");
     }
 
     #[test]
@@ -223,7 +228,7 @@ mod tests {
                 let len = 1 + ((crate::multilinear::splitmix64(&mut x) as usize) % 63);
                 let comp = prng_bytes(&mut x, len);
                 key.push_component(&mut wide_st, &comp);
-                key.push_component_oracle(&mut oracle_st, &comp);
+                oracle_st = key.extend_oracle(&oracle_st, &comp).unwrap();
                 assert_eq!(
                     wide_st, oracle_st,
                     "trial {trial}, component {i}, len {len}"
@@ -250,7 +255,7 @@ mod tests {
             let split = trial % (comps.len() + 1);
             let mut whole = key.root_state();
             for c in &comps {
-                key.push_component_oracle(&mut whole, c);
+                whole = key.extend_oracle(&whole, c).unwrap();
             }
             // Prefix via wide, suffix via oracle — and the reverse.
             let mut a = key.root_state();
@@ -260,12 +265,12 @@ mod tests {
             let stored = a;
             let mut resumed = stored;
             for c in &comps[split..] {
-                key.push_component_oracle(&mut resumed, c);
+                resumed = key.extend_oracle(&resumed, c).unwrap();
             }
             assert_eq!(whole, resumed);
             let mut b = key.root_state();
             for c in &comps[..split] {
-                key.push_component_oracle(&mut b, c);
+                b = key.extend_oracle(&b, c).unwrap();
             }
             let mut resumed_b = b;
             for c in &comps[split..] {
@@ -277,22 +282,30 @@ mod tests {
     }
 
     #[test]
-    fn wide_falls_back_identically_at_schedule_wrap() {
-        // Components that straddle the SCHEDULE_LEN wrap take the oracle
-        // path inside push_component; the states must stay identical
-        // through the transition and beyond it.
+    fn wide_and_oracle_refuse_alike_at_the_schedule_end() {
+        // Both mixing loops agree on every state up to the end of the
+        // schedule, and both refuse the first component that would
+        // cross it.
         let key = HashKey::from_seed(21);
         let comp = vec![b'q'; 61]; // 16 words + separator
-        let n = SCHEDULE_LEN / 17 + 4; // crosses the wrap
-        let mut dispatch = key.root_state();
+        let mut wide = key.root_state();
         let mut oracle = key.root_state();
-        for _ in 0..n {
-            key.push_component(&mut dispatch, &comp);
-            key.push_component_oracle(&mut oracle, &comp);
-            assert_eq!(dispatch, oracle);
+        for _ in 0..SCHEDULE_LEN / 17 {
+            wide = key.extend(&wide, &comp).unwrap();
+            oracle = key.extend_oracle(&oracle, &comp).unwrap();
+            assert_eq!(wide, oracle);
         }
-        assert!(dispatch.words_consumed() as usize > SCHEDULE_LEN);
-        assert_eq!(key.finish(&dispatch), key.finish(&oracle));
+        assert_eq!(wide.words_consumed() as usize, SCHEDULE_LEN / 17 * 17);
+        assert_eq!(key.extend(&wide, &comp), None);
+        assert_eq!(key.extend_oracle(&oracle, &comp), None);
+        assert_eq!(key.finish(&wide), key.finish(&oracle));
+    }
+
+    #[test]
+    fn key_material_is_one_table_of_64_kib() {
+        let key = HashKey::from_seed(5);
+        assert_eq!(std::mem::size_of_val(&*key.wide), 64 * 1024);
+        assert_eq!(std::mem::size_of_val(&key.init), 32);
     }
 
     #[test]
@@ -313,7 +326,7 @@ mod tests {
             let mut st_wide = boot_a.root_state();
             boot_a.push_component(&mut st_wide, &comp);
             let mut st_oracle = boot_a.root_state();
-            boot_a.push_component_oracle(&mut st_oracle, &comp);
+            st_oracle = boot_a.extend_oracle(&st_oracle, &comp).unwrap();
             assert_eq!(st_wide, st_oracle);
         }
     }

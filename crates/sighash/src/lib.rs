@@ -18,6 +18,10 @@
 //!   [`HashState`] is small and `Copy`, and is stored in each dentry so a
 //!   relative lookup can resume from the current working directory without
 //!   re-hashing its absolute path.
+//! - A signature stands for **one path within the key schedule**: every
+//!   word position has keys of its own, and a component that would run
+//!   past [`SCHEDULE_LEN`] words is refused ([`HashKey::extend`] returns
+//!   `None`), so no state and no signature exists past it.
 //!
 //! # Examples
 //!
@@ -25,18 +29,18 @@
 //! use dc_sighash::HashKey;
 //!
 //! let key = HashKey::from_seed(42);
-//! let mut st = key.root_state();
-//! key.push_component(&mut st, b"usr");
-//! key.push_component(&mut st, b"include");
-//! let sig = key.finish(&st);
+//! let usr = key.extend(&key.root_state(), b"usr").unwrap(); // stored in `usr`'s dentry
+//! let include = key.extend(&usr, b"include").unwrap();
 //!
 //! // Resuming from a stored prefix state is equivalent to hashing the
 //! // whole path at once.
-//! let mut st2 = key.root_state();
-//! key.push_component(&mut st2, b"usr");
-//! let mut st3 = st2; // state stored in the `usr` dentry
-//! key.push_component(&mut st3, b"include");
-//! assert_eq!(sig, key.finish(&st3));
+//! let sig = key.hash_components([b"usr".as_slice(), b"include"]);
+//! assert_eq!(sig, key.finish(&include));
+//!
+//! // Nothing past the key schedule (2 048 words) is signed.
+//! let long = [b'x'; 252]; // 64 words with its separator
+//! let st = (0..33).try_fold(key.root_state(), |s, _| key.extend(&s, &long));
+//! assert_eq!(st, None);
 //! ```
 
 mod key;
@@ -51,12 +55,11 @@ pub use state::HashState;
 /// Number of independent 64-bit hash lanes (4 × 64 = 256 bits of output).
 pub const LANES: usize = 4;
 
-/// Length of the cyclic per-lane key schedule, in 64-bit keys.
-///
-/// Linux paths are at most 4096 bytes; with 4-byte words plus one separator
-/// word per component this comfortably covers every legal path before the
-/// schedule wraps. Wrapping mixes the word position into the key selection,
-/// so even pathological inputs keep distinct per-position keys.
+/// Length of the key schedule: one key per lane for each of the first
+/// `SCHEDULE_LEN` 32-bit words of a path (about 8 KB of components).
+/// `PATH_MAX` does not bound a cwd-relative or `*at` lookup's path, so
+/// longer ones exist; nothing past the schedule is signed
+/// ([`HashKey::extend`] refuses), and their lookups walk.
 pub const SCHEDULE_LEN: usize = 2048;
 
 /// Bits of the output used to index the DLHT (the paper uses 16).

@@ -6,6 +6,8 @@
 //! 2^-32-almost-universal per lane; four independent lanes bring the
 //! pairwise collision probability below 2^-128 even against adversarial
 //! component choices, matching the paper's brute-force analysis (§3.3).
+//! The bound needs a key of its own at every position, so a stream never
+//! runs past [`SCHEDULE_LEN`] words ([`crate::HashKey::extend`] refuses).
 //!
 //! A component is fed as its bytes packed little-endian into words, followed
 //! by a separator word tagged with the component length. The length tag
@@ -34,47 +36,45 @@ fn fmix64(mut z: u64) -> u64 {
 /// Marker OR-ed into a separator word; component lengths are far below it.
 const SEPARATOR_TAG: u32 = 0x8000_0000;
 
-/// Golden-ratio constant used to perturb words once the cyclic key schedule
-/// wraps, keeping distinct positions distinct beyond `SCHEDULE_LEN` words.
-const WRAP_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Golden-ratio constant folded into each lane's finalization under its
+/// lane index, so lanes stay independent even if their accumulators
+/// coincide.
+const LANE_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
 #[inline]
-fn mix_word(acc: u64, pos: u32, sched: &[u64; SCHEDULE_LEN], word: u32) -> u64 {
-    let idx = (pos as usize) % SCHEDULE_LEN;
-    let wrap = (pos as usize / SCHEDULE_LEN) as u64;
-    let m = (word as u64) ^ wrap.wrapping_mul(WRAP_SALT);
-    acc.wrapping_add(sched[idx].wrapping_mul(m))
+fn mix_word(acc: u64, k: u64, word: u32) -> u64 {
+    acc.wrapping_add(k.wrapping_mul(word as u64))
 }
 
-/// Mixes one path component (bytes plus a length-tagged separator) into a
-/// lane accumulator, returning the new `(acc, pos)`.
-#[inline]
+/// Mixes one path component (bytes plus a length-tagged separator) into
+/// lane `lane`'s accumulator one word at a time, returning the new
+/// `(acc, pos)`: the reference [`mix_component_wide`] is tested against.
+/// The caller checks that the component fits the schedule.
 pub(crate) fn mix_component(
     mut acc: u64,
     mut pos: u32,
-    sched: &[u64; SCHEDULE_LEN],
+    wide: &[[u64; crate::LANES]; SCHEDULE_LEN],
     name: &[u8],
-    _lane: u64,
+    lane: usize,
 ) -> (u64, u32) {
     let mut chunks = name.chunks_exact(4);
     for chunk in &mut chunks {
         let w = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        acc = mix_word(acc, pos, sched, w);
-        pos = pos.wrapping_add(1);
+        acc = mix_word(acc, wide[pos as usize][lane], w);
+        pos += 1;
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut last = [0u8; 4];
         last[..rem.len()].copy_from_slice(rem);
         let w = u32::from_le_bytes(last);
-        acc = mix_word(acc, pos, sched, w);
-        pos = pos.wrapping_add(1);
+        acc = mix_word(acc, wide[pos as usize][lane], w);
+        pos += 1;
     }
     // Length-tagged separator word: makes the encoding injective.
     let sep = SEPARATOR_TAG | (name.len() as u32 & 0x7fff_ffff);
-    acc = mix_word(acc, pos, sched, sep);
-    pos = pos.wrapping_add(1);
-    (acc, pos)
+    acc = mix_word(acc, wide[pos as usize][lane], sep);
+    (acc, pos + 1)
 }
 
 /// Wide-word mixing over the position-major (interleaved) schedule:
@@ -89,9 +89,7 @@ pub(crate) fn mix_component(
 /// touches one or two cache lines instead of four distant ones.
 ///
 /// Precondition (checked by the caller, debug-asserted here): the whole
-/// component fits before the schedule wraps — `pos + words(name) ≤
-/// SCHEDULE_LEN` — so the wrap-salt perturbation is identically zero.
-/// Components straddling the wrap take the byte-at-a-time oracle path.
+/// component fits the schedule, `pos + words(name) ≤ SCHEDULE_LEN`.
 #[inline]
 pub(crate) fn mix_component_wide(
     acc: &mut [u64; crate::LANES],
@@ -156,13 +154,13 @@ pub(crate) fn words_for(name: &[u8]) -> usize {
 /// even if their accumulators coincide.
 #[inline]
 pub(crate) fn finalize(acc: u64, pos: u32, lane: u64) -> u64 {
-    fmix64(acc ^ ((pos as u64) << 1 | 1) ^ lane.wrapping_mul(WRAP_SALT))
+    fmix64(acc ^ ((pos as u64) << 1 | 1) ^ lane.wrapping_mul(LANE_SALT))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HashKey;
+    use crate::{HashKey, HashState};
 
     #[test]
     fn boundary_shift_changes_hash() {
@@ -195,21 +193,108 @@ mod tests {
     }
 
     #[test]
-    fn long_paths_past_schedule_wrap() {
-        // Feed more words than SCHEDULE_LEN and check distinct tails still
-        // produce distinct signatures.
+    fn long_paths_past_the_schedule_are_refused() {
+        // Components fill the schedule, and the one that would cross its
+        // end is refused whatever it holds: no state exists past it.
         let key = HashKey::from_seed(14);
         let comp = vec![b'x'; 64]; // 16 words + separator per component
-        let n = (SCHEDULE_LEN / 17) + 8; // force wrap-around
-        let mut a = key.root_state();
-        let mut b = key.root_state();
-        for _ in 0..n {
-            key.push_component(&mut a, &comp);
-            key.push_component(&mut b, &comp);
+        let mut st = key.root_state();
+        for _ in 0..SCHEDULE_LEN / 17 {
+            st = key.extend(&st, &comp).unwrap();
         }
-        key.push_component(&mut a, b"tail-one");
-        key.push_component(&mut b, b"tail-two");
-        assert_ne!(key.finish(&a), key.finish(&b));
+        // 2 040 words are used, 8 are left.
+        assert_eq!(key.extend(&st, &comp), None);
+        assert_eq!(key.extend(&st, &[b't'; 29]), None); // 8 words + separator
+        assert!(key.extend(&st, &[b't'; 28]).is_some()); // 7 words + separator
+    }
+
+    /// A 252-byte component: 63 words plus its separator, 64 words.
+    fn name(lead: u8, tag: &str) -> Vec<u8> {
+        let mut n = vec![lead];
+        n.extend_from_slice(tag.as_bytes());
+        n.resize(252, b'x');
+        n
+    }
+
+    /// The states of two 33-component paths of 252-byte names, as far as
+    /// each extends: they differ by +1 in the first word of component 0
+    /// (`A`→`B`) and, at word 2 048, in the first word of component 32
+    /// (`B`→`C`). A schedule that wraps at word 2 048 with a salted word
+    /// cancels the two differences in every lane under every key.
+    fn the_pair(key: &HashKey) -> [Vec<Option<HashState>>; 2] {
+        [(b'A', b'B'), (b'B', b'C')].map(|(first, last)| {
+            let mut comps = vec![name(first, "00")];
+            comps.extend((1..32).map(|i| name(b'm', &format!("{i:02}"))));
+            comps.push(name(last, "32"));
+            let mut st = Some(key.root_state());
+            comps
+                .iter()
+                .map(|c| {
+                    st = st.and_then(|s| key.extend(&s, c));
+                    st
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn the_pair_that_collided_past_the_schedule_is_refused() {
+        for seed in [1, 42, 0xdead_beef, 0x1234_5678_9abc] {
+            let key = HashKey::from_seed(seed);
+            let [a, b] = the_pair(&key);
+            // Component 32 is refused for both paths.
+            assert_eq!((a[32], b[32]), (None, None), "seed {seed:#x}");
+            // Every state that exists is its own path's: no two of the
+            // 64 signatures are equal.
+            let sigs: std::collections::HashSet<_> = a
+                .iter()
+                .chain(&b)
+                .flatten()
+                .map(|s| key.finish(s))
+                .collect();
+            assert_eq!(sigs.len(), 64, "seed {seed:#x}");
+            assert_eq!(a[31].unwrap().words_consumed() as usize, SCHEDULE_LEN);
+        }
+    }
+
+    #[test]
+    fn the_same_difference_within_the_schedule_is_seen() {
+        // Control: +1 in the first word of component 0 and -1 in the
+        // first word of component 16 (word 1 024), both within the
+        // schedule, sign differently.
+        for seed in [1, 42, 0xdead_beef, 0x1234_5678_9abc] {
+            let key = HashKey::from_seed(seed);
+            let path = |first: u8, mid: u8| {
+                let mut comps = vec![name(first, "00")];
+                comps.extend((1..16).map(|i| name(b'm', &format!("{i:02}"))));
+                comps.push(name(mid, "16"));
+                key.hash_components(comps.iter().map(Vec::as_slice))
+            };
+            assert_ne!(path(b'A', b'C'), path(b'B', b'B'), "seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn a_state_ending_at_the_schedule_signs_and_one_more_word_is_refused() {
+        let key = HashKey::from_seed(16);
+        let mut st = key.root_state();
+        for i in 0..32 {
+            st = key.extend(&st, &name(b'd', &format!("{i:02}"))).unwrap();
+        }
+        assert_eq!(st.words_consumed() as usize, SCHEDULE_LEN);
+        let full = key.finish(&st);
+        assert_ne!(full, key.finish(&key.root_state()));
+        assert_eq!(key.extend(&st, b"a"), None);
+        // One word short of the end: a 1-word name is refused (it needs
+        // two with its separator), and a state one word short signs.
+        let mut short = key.root_state();
+        for i in 0..31 {
+            short = key.extend(&short, &name(b'd', &format!("{i:02}"))).unwrap();
+        }
+        let last = vec![b'z'; 248]; // 62 words + separator
+        short = key.extend(&short, &last).unwrap();
+        assert_eq!(short.words_consumed() as usize, SCHEDULE_LEN - 1);
+        assert_eq!(key.extend(&short, b"a"), None);
     }
 
     #[test]

@@ -11,13 +11,15 @@ use crate::LANES;
 /// in `/home/alice`'s dentry instead of re-hashing the working directory's
 /// absolute path.
 ///
-/// The state is 36 bytes and `Copy`; equality compares the exact
-/// accumulator values.
+/// The state is 40 bytes and `Copy`; equality compares the exact
+/// accumulator values. Only [`HashKey`](crate::HashKey) makes one, and
+/// never past the key schedule: `words_consumed() ≤ SCHEDULE_LEN`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HashState {
     /// Per-lane accumulators.
     pub(crate) acc: [u64; LANES],
-    /// Stream position in 32-bit words (shared by all lanes).
+    /// Stream position in 32-bit words (shared by all lanes), at most
+    /// [`SCHEDULE_LEN`](crate::SCHEDULE_LEN).
     pub(crate) pos: u32,
 }
 
@@ -35,21 +37,6 @@ impl HashState {
     /// words have been consumed yet.
     pub fn is_root(&self) -> bool {
         self.pos == 0
-    }
-
-    /// The raw accumulator lanes and stream position, for serialization
-    /// (the warm-restart index persists dentry hash states across a
-    /// remount). Exact round-trip with [`HashState::from_wire`].
-    pub fn to_wire(&self) -> ([u64; LANES], u32) {
-        (self.acc, self.pos)
-    }
-
-    /// Reconstructs a state from its [`to_wire`](HashState::to_wire)
-    /// parts. The state is only meaningful under the key that produced
-    /// it; callers that cannot prove the key survived (e.g. warm restart
-    /// under a fresh boot key) must recompute rather than trust it.
-    pub fn from_wire(acc: [u64; LANES], pos: u32) -> Self {
-        HashState { acc, pos }
     }
 }
 
@@ -73,16 +60,6 @@ mod tests {
         key.push_component(&mut st, b"abcdefgh"); // 2 words + separator
         assert_eq!(st.words_consumed(), 3);
         assert!(!st.is_root());
-    }
-
-    #[test]
-    fn wire_round_trip_is_exact() {
-        let key = HashKey::from_seed(9);
-        let mut st = key.root_state();
-        key.push_component(&mut st, b"usr");
-        key.push_component(&mut st, b"include");
-        let (acc, pos) = st.to_wire();
-        assert_eq!(HashState::from_wire(acc, pos), st);
     }
 
     #[test]

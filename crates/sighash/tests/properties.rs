@@ -3,7 +3,7 @@
 //! shrinks) plus whatever else the property draws.
 
 use dc_fault::{check, SplitMix64};
-use dc_sighash::{HashKey, Signature};
+use dc_sighash::{HashKey, Signature, SCHEDULE_LEN};
 use std::ops::Range;
 
 /// Cases per property in Tier-1; the `#[ignore]`d soak runs 100×.
@@ -13,8 +13,13 @@ const SOAK: Range<u64> = 256..25_600;
 /// An arbitrary non-empty, slash-free byte string up to NAME_MAX-ish that
 /// is neither `.` nor `..`.
 fn component(rng: &mut SplitMix64) -> Vec<u8> {
+    component_up_to(rng, 63)
+}
+
+/// As [`component`], up to `max` bytes long.
+fn component_up_to(rng: &mut SplitMix64, max: u64) -> Vec<u8> {
     loop {
-        let c: Vec<u8> = (0..1 + rng.below(63))
+        let c: Vec<u8> = (0..1 + rng.below(max))
             .map(|_| rng.below(256) as u8)
             .filter(|&b| b != b'/')
             .collect();
@@ -121,7 +126,7 @@ fn wide_equals_oracle_with_arbitrary_splits(cases: Range<u64>) {
         let split = split.min(comps.len());
         let mut oracle = key.root_state();
         for c in comps {
-            key.push_component_oracle(&mut oracle, c);
+            oracle = key.extend_oracle(&oracle, c).unwrap();
         }
         // Wide prefix, oracle suffix.
         let mut mixed = key.root_state();
@@ -131,7 +136,7 @@ fn wide_equals_oracle_with_arbitrary_splits(cases: Range<u64>) {
         let stored = mixed; // as a dentry would hold it
         let mut resumed = stored;
         for c in &comps[split..] {
-            key.push_component_oracle(&mut resumed, c);
+            resumed = key.extend_oracle(&resumed, c).unwrap();
         }
         assert_eq!(oracle, resumed);
         // All-wide must agree too.
@@ -165,6 +170,41 @@ fn component_boundaries_are_injective(cases: Range<u64>) {
     );
 }
 
+/// A refusal happens exactly when a component would cross the end of
+/// the key schedule, and every state that exists ends within it. Up to
+/// 127 components of up to 255 bytes (65 words each) cross it about half
+/// the time; a refused component leaves the state as it was.
+fn nothing_past_the_schedule_is_signed_at_all(cases: Range<u64>) {
+    check(
+        cases,
+        |rng| {
+            (
+                (),
+                (0..rng.below(128))
+                    .map(|_| component_up_to(rng, 255))
+                    .collect(),
+            )
+        },
+        |_, comps: &[Vec<u8>]| {
+            let key = HashKey::from_seed(0x5c4e);
+            let mut st = key.root_state();
+            for c in comps {
+                let words = c.len().div_ceil(4) + 1;
+                let end = st.words_consumed() as usize + words;
+                match key.extend(&st, c) {
+                    None => assert!(end > SCHEDULE_LEN, "refused at word {end}"),
+                    Some(next) => {
+                        assert!(end <= SCHEDULE_LEN, "signed to word {end}");
+                        assert_eq!(next.words_consumed() as usize, end);
+                        assert_eq!(key.extend_oracle(&st, c), Some(next));
+                        st = next;
+                    }
+                }
+            }
+        },
+    );
+}
+
 /// One Tier-1 `#[test]` per property, and one soak over all of them.
 macro_rules! properties {
     ($($test:ident = $property:ident;)*) => {
@@ -188,4 +228,5 @@ properties! {
     sig240_round_trips = sig240_round_trip_and_index_range;
     wide_equals_oracle = wide_equals_oracle_with_arbitrary_splits;
     boundaries_are_injective = component_boundaries_are_injective;
+    nothing_past_the_schedule_is_signed = nothing_past_the_schedule_is_signed_at_all;
 }

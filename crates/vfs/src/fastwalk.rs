@@ -93,7 +93,7 @@ impl Kernel {
         // Phase 2: hash the reduced path.
         let mut h: HashState = self.state_at(ns, &anchor.mount, &anchor.dentry, guard)?;
         for c in &pending {
-            self.dcache.key.push_component(&mut h, c.as_bytes());
+            h = self.dcache.key.extend(&h, c.as_bytes())?;
         }
 
         // Anchor-only results (e.g. "/", "a/.." lexical) short-circuit.
@@ -221,7 +221,7 @@ impl Kernel {
     ) -> Option<WalkRef<'g>> {
         let mut h = self.state_at(ns, &at.mount, &at.dentry, guard)?;
         for c in dirs {
-            self.dcache.key.push_component(&mut h, c.as_bytes());
+            h = self.dcache.key.extend(&h, c.as_bytes())?;
         }
         let sig = self.dcache.key.finish(&h);
         self.fast_validate(ns, pcc, cred, &sig, false, true, false, false, guard)?

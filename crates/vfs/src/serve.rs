@@ -41,8 +41,8 @@ pub struct LookupReply {
     pub ino: u64,
     /// Object type.
     pub ftype: FileType,
-    /// The resolved path's signature, when requested and available
-    /// (the dentry carries a resumable hash state).
+    /// The resolved path's signature, when requested and available: the
+    /// fastpath is on and the path ends within the key schedule.
     pub sig: Option<Signature>,
 }
 
@@ -124,9 +124,9 @@ impl Kernel {
     }
 
     /// The signature of `path` for `proc`'s namespace and anchor,
-    /// resolving it first so the caches are warm. `NoSys` when the
-    /// resolved dentry carries no resumable hash state (fastpath off or
-    /// unsupported file system).
+    /// resolving it first so the caches are warm. `NoSys` when the path
+    /// has none (fastpath off, unsupported file system, or a path past
+    /// the key schedule).
     pub fn path_signature(&self, proc: &Process, path: &str) -> FsResult<Signature> {
         self.lookup_path(proc, path, true)?
             .sig
@@ -138,6 +138,10 @@ impl Kernel {
     /// symlink chaining, seq sandwich) — no parsing, no hashing, no
     /// slowpath. Misses return [`SigLookup::Miss`] rather than walking;
     /// the client retries by path.
+    ///
+    /// A hit tells the client nothing a lookup by path would not: the
+    /// DLHT holds a dentry whose stored state finishes to `sig`, and its
+    /// prefix check passes for `proc`'s credential (DESIGN.md §5).
     ///
     /// Counts as one lookup in stats and the trace, like any resolve.
     pub fn lookup_sig(&self, proc: &Process, sig: &Signature) -> SigLookup {

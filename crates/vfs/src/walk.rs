@@ -203,9 +203,10 @@ impl Kernel {
     }
 
     /// [`state_at`](Kernel::state_at), rebuilt when the dentry holds none
-    /// for this mount by climbing to the nearest ancestor that does. It
-    /// stores nothing: a slow walk queues the state it rebuilt for its
-    /// anchor as it queues every other, to be published once it validated.
+    /// for this mount by climbing to the nearest ancestor that does
+    /// (`None` when its path runs past the key schedule). It stores
+    /// nothing: a slow walk queues the state it rebuilt for its anchor as
+    /// it queues every other, to be published once it validated.
     pub(crate) fn rebuild_hash_state(
         &self,
         ns: &MountNamespace,
@@ -235,11 +236,10 @@ impl Kernel {
             }
             pos = up;
         };
-        let mut h = base;
-        for n in names.iter().rev() {
-            self.dcache.key.push_component(&mut h, n.as_bytes());
-        }
-        Some(h)
+        names
+            .iter()
+            .rev()
+            .try_fold(base, |h, n| self.dcache.key.extend(&h, n.as_bytes()))
     }
 
     /// The slow walk's retry loop around `run` — [`SlowWalk::run_full`]
@@ -314,7 +314,8 @@ struct SlowWalk<'k> {
     cur: PathRef,
     /// Fastpath-support machinery enabled (publishing, hashing).
     fast: bool,
-    /// Running literal-path hash state; `None` disables DLHT publishing.
+    /// Running literal-path hash state; `None` (the fastpath off, or the
+    /// path past the key schedule) disables DLHT publishing.
     hstate: Option<HashState>,
     /// Set while the literal path has diverged from the canonical path
     /// (inside a symlink'd suffix): the tail of the alias chain (§4.2).
@@ -471,11 +472,7 @@ impl<'k> SlowWalk<'k> {
         self.check_exec()?;
         self.searched();
         let child = self.lookup_child(name)?;
-        // Extend the literal hash state.
-        if let Some(mut h) = self.hstate {
-            self.k.dcache.key.push_component(&mut h, name.as_bytes());
-            self.hstate = Some(h);
-        }
+        self.extend_hstate(name);
         // Classify, from one read: a racing writer may change the state
         // right after it, and the step linearizes there.
         match child.kind() {
@@ -558,10 +555,7 @@ impl<'k> SlowWalk<'k> {
             // answer negatively regardless.
             return Err(kind.error());
         }
-        if let Some(mut h) = self.hstate {
-            self.k.dcache.key.push_component(&mut h, name.as_bytes());
-            self.hstate = Some(h);
-        }
+        self.extend_hstate(name);
         self.publish_step(&child, self.cur.mount.id);
         self.cur = PathRef::new(self.cur.mount.clone(), child);
         self.push_path_seg(name);
@@ -622,6 +616,13 @@ impl<'k> SlowWalk<'k> {
             stats.hit_positive.fetch_add(1, Ordering::Relaxed);
         }
         Ok(c)
+    }
+
+    /// Extends the literal hash state by `name`. Past the key schedule
+    /// there is none, so nothing below is published.
+    fn extend_hstate(&mut self, name: &str) {
+        let key = &self.k.dcache.key;
+        self.hstate = self.hstate.and_then(|h| key.extend(&h, name.as_bytes()));
     }
 
     /// Memoizes the directory about to be searched under its literal path.

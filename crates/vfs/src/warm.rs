@@ -7,11 +7,11 @@
 //! starts hitting. The warm index short-circuits that ramp.
 //! [`Kernel::warm_checkpoint`] walks the live dentry tree parents-first
 //! and persists one record per positive dentry (inode, parent inode,
-//! name, signature, resumable hash state) into journal-protected blocks;
-//! [`Kernel::warm_restart`] reads it back after journal replay and
-//! republishes the entries so the very first lookups hit the fastpath.
+//! name) into journal-protected blocks; [`Kernel::warm_restart`] reads
+//! it back after journal replay and republishes the entries so the very
+//! first lookups hit the fastpath.
 //!
-//! # Trust model: validate, recompute, then publish
+//! # Trust model: validate, sign, then publish
 //!
 //! Nothing read from the index is trusted into the cache:
 //!
@@ -25,23 +25,24 @@
 //!   recorded inode number. Operations that committed after the
 //!   checkpoint (rename, unlink, create-over) make the entry stale; it
 //!   is skipped, not published. No phantom and no stale dentries.
-//! - Signatures and hash states are **recomputed** under the *current*
-//!   boot key by resuming from the parent's rehydrated state. The stored
-//!   values are only compared for accounting: with a fresh entropy key
-//!   (the default) they never match, and trusting them would poison the
-//!   DLHT. Because entries are written parents-first and any capacity
-//!   truncation drops a suffix, a parent's state is always rehydrated
-//!   before its children need it; an entry whose parent was rejected is
-//!   rejected too (per-entry fallback), keeping the published set an
-//!   exact subset of the recovered tree.
+//! - The index holds no signature and no hash state: a signature stands
+//!   for one path under one boot's key. Each entry is **signed** under
+//!   the *current* boot key by extending its parent's rehydrated state
+//!   with its name. Because entries are written parents-first and any
+//!   capacity truncation drops a suffix, a parent's state is always
+//!   rehydrated before its children need it. An entry whose parent was
+//!   rejected, or whose path runs past the key schedule, is rejected too
+//!   (per-entry fallback), keeping the published set an exact subset of
+//!   the recovered tree.
 //!
 //! [`MemFs::read_warm_index`]: dc_fs::MemFs::read_warm_index
 
 use crate::kernel::{as_memfs, Kernel};
 use dc_fs::{FsResult, WarmEntry, WarmLoad, WarmReject};
-use dcache_core::{DentryState, HashState};
+use dcache_core::{Dentry, DentryState, HashState};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Why a warm restart published nothing and the node boots cold.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,13 +66,10 @@ pub struct WarmRestartOutcome {
     /// the dcache and the init namespace's DLHT.
     pub published: u64,
     /// Entries rejected by per-entry validation: the recovered file
-    /// system no longer has that (parent, name) → inode binding, or the
-    /// entry's parent was itself rejected.
+    /// system no longer has that (parent, name) → inode binding, the
+    /// entry's path runs past the key schedule, or the entry's parent was
+    /// itself rejected.
     pub rejected: u64,
-    /// Entries whose *stored* signature disagreed with the recomputed
-    /// one — expected whenever the boot hash key changed (the entropy
-    /// default); purely diagnostic, the recomputed value is published.
-    pub sig_mismatches: u64,
     /// Set when the whole index was unusable; `None` means entries were
     /// at least examined (even if each was individually rejected).
     pub fallback: Option<WarmFallback>,
@@ -105,14 +103,12 @@ impl Kernel {
         let Some(memfs) = as_memfs(&root_mount.sb.fs) else {
             return Ok(0);
         };
-        let key = &self.dcache.key;
         let root = root_mount.sb.root.clone();
         let root_ino = root_mount.sb.fs.root_ino();
         let mut entries: Vec<WarmEntry> = Vec::new();
-        let mut queue: VecDeque<(std::sync::Arc<dcache_core::Dentry>, HashState, u64)> =
-            VecDeque::new();
-        queue.push_back((root, key.root_state(), root_ino));
-        while let Some((dir, dir_state, dir_ino)) = queue.pop_front() {
+        let mut queue: VecDeque<(Arc<Dentry>, u64)> = VecDeque::new();
+        queue.push_back((root, root_ino));
+        while let Some((dir, dir_ino)) = queue.pop_front() {
             for child in dir.children_snapshot() {
                 if child.is_dead() {
                     continue;
@@ -123,20 +119,13 @@ impl Kernel {
                 let Some(inode) = child.inode() else {
                     continue;
                 };
-                let name = child.name();
-                let mut st = dir_state;
-                key.push_component(&mut st, name.as_bytes());
-                let (acc, pos) = st.to_wire();
                 entries.push(WarmEntry {
-                    sig: key.finish(&st).to_wire(),
                     ino: inode.ino,
                     parent: dir_ino,
-                    state_acc: acc,
-                    state_pos: pos,
-                    name: name.to_string(),
+                    name: child.name().to_string(),
                 });
                 if inode.is_dir() {
-                    queue.push_back((child, st, inode.ino));
+                    queue.push_back((child, inode.ino));
                 }
             }
         }
@@ -211,16 +200,18 @@ impl Kernel {
         let root_ino = fs.root_ino();
         let mut published = self.dcache.publications(None, |_| false);
         // Rehydrated directories, keyed by inode number: each entry
-        // resumes hashing from its parent's recomputed state. Seeded
-        // with the root; entries are parents-first, so a missing parent
-        // here means the parent itself failed validation (or the index
-        // is malformed) — reject the child rather than guess.
-        let mut dirs: HashMap<u64, (std::sync::Arc<dcache_core::Dentry>, HashState)> =
-            HashMap::new();
+        // resumes hashing from its parent's state. Seeded with the root;
+        // entries are parents-first, so a missing parent here means the
+        // parent itself was rejected (or the index is malformed) —
+        // reject the child rather than guess.
+        let mut dirs: HashMap<u64, (Arc<Dentry>, HashState)> = HashMap::new();
         dirs.insert(root_ino, (root_mount.sb.root.clone(), key.root_state()));
         for e in &entries {
             outcome.attempted += 1;
-            let Some((parent_dentry, parent_state)) = dirs.get(&e.parent).cloned() else {
+            let signed = dirs
+                .get(&e.parent)
+                .and_then(|(dir, path)| Some((dir.clone(), key.extend(path, e.name.as_bytes())?)));
+            let Some((parent_dentry, st)) = signed else {
                 outcome.rejected += 1;
                 continue;
             };
@@ -233,12 +224,6 @@ impl Kernel {
                     continue;
                 }
             };
-            let mut st = parent_state;
-            key.push_component(&mut st, e.name.as_bytes());
-            let sig = key.finish(&st);
-            if sig.to_wire() != e.sig || st.to_wire() != (e.state_acc, e.state_pos) {
-                outcome.sig_mismatches += 1;
-            }
             let inode = self.icache.get_or_create(sb_id, &fs, attr);
             let is_dir = inode.is_dir();
             let dentry = {

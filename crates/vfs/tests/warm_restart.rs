@@ -62,6 +62,7 @@ fn rehydration_publishes_validated_tree_and_serves_fastpath_hits() {
     let k1 = kernel_on(fresh_fs(disk.clone()), DcacheConfig::optimized(), false);
     let p1 = k1.init_process();
     let shadow = build_tree(&k1, &p1, 4, 8);
+    let first_boot = k1.path_signature(&p1, "/d0/f0").unwrap();
     let kept = k1.warm_checkpoint().unwrap();
     assert!(
         kept >= shadow.len(),
@@ -87,9 +88,10 @@ fn rehydration_publishes_validated_tree_and_serves_fastpath_hits() {
         outcome.published,
         shadow.len()
     );
-    // The stored signatures were minted under the previous boot's key;
-    // with an entropy key they cannot match the recomputed ones.
-    assert!(outcome.sig_mismatches > 0, "entropy keys cannot collide");
+    // The index stores no signature: each entry is signed under this
+    // boot's entropy key, which cannot match the previous boot's.
+    let second_boot = k2.path_signature(&k2.init_process(), "/d0/f0").unwrap();
+    assert_ne!(second_boot, first_boot, "entropy keys cannot collide");
 
     // Every rehydrated path resolves to exactly the shadow inode, and
     // entirely from the cache: no backing-fs lookups.
@@ -113,16 +115,21 @@ fn fixed_seed_reuses_signatures_exactly() {
     let cfg = DcacheConfig::optimized().with_seed(42);
     let k1 = kernel_on(fresh_fs(disk.clone()), cfg.clone(), false);
     let shadow = build_tree(&k1, &k1.init_process(), 2, 4);
+    let signature = |k: &Kernel, path: &str| k.path_signature(&k.init_process(), path).unwrap();
+    let first_boot: HashMap<_, _> = shadow.keys().map(|p| (p, signature(&k1, p))).collect();
     k1.warm_checkpoint().unwrap();
     drop(k1);
 
     let k2 = kernel_on(MemFs::mount(disk).unwrap(), cfg, true);
     let outcome = k2.warm_outcome().unwrap();
     assert_eq!(outcome.published, shadow.len() as u64);
-    assert_eq!(
-        outcome.sig_mismatches, 0,
-        "same seed, same key, same signatures"
-    );
+    for (path, sig) in first_boot {
+        assert_eq!(
+            signature(&k2, path),
+            sig,
+            "same seed, same key, same signatures"
+        );
+    }
 }
 
 #[test]
@@ -163,6 +170,42 @@ fn stale_entries_are_rejected_not_published() {
         k2.stat(&p2, "/ren2").unwrap().ftype,
         dc_vfs::FileType::Regular
     );
+}
+
+/// The index stores names, and a restore signs each entry under the new
+/// boot's key. An entry whose path runs past the key schedule has no
+/// signature: it is rejected, and so are its children, which then walk.
+#[test]
+fn an_entry_past_the_key_schedule_is_rejected_with_its_children() {
+    let disk = mkdisk();
+    let k1 = kernel_on(fresh_fs(disk.clone()), DcacheConfig::optimized(), false);
+    let p1 = k1.init_process();
+    // 32 components of 252 bytes: 64 words each, 2 048 in all, the
+    // whole schedule. `x` below them is past it.
+    let dirs: Vec<String> = (0..32).map(|i| format!("{i:x<252}")).collect();
+    for d in &dirs {
+        k1.mkdir(&p1, d, 0o755).unwrap();
+        k1.chdir(&p1, d).unwrap();
+    }
+    k1.mkdir(&p1, "x", 0o755).unwrap();
+    let fd = k1.open(&p1, "x/y", OpenFlags::create(), 0o644).unwrap();
+    k1.close(&p1, fd).unwrap();
+    let y = k1.stat(&p1, "x/y").unwrap().ino;
+    k1.chdir(&p1, "/").unwrap();
+    assert_eq!(k1.warm_checkpoint().unwrap(), dirs.len() + 2);
+    drop(p1);
+    drop(k1);
+
+    let k2 = kernel_on(MemFs::mount(disk).unwrap(), DcacheConfig::optimized(), true);
+    let outcome = k2.warm_outcome().unwrap();
+    assert!(outcome.fallback.is_none());
+    assert_eq!(outcome.published, dirs.len() as u64);
+    assert_eq!(outcome.rejected, 2, "x and its child y");
+    let p2 = k2.init_process();
+    for d in &dirs {
+        k2.chdir(&p2, d).unwrap();
+    }
+    assert_eq!(k2.stat(&p2, "x/y").unwrap().ino, y);
 }
 
 #[test]

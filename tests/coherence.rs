@@ -692,3 +692,99 @@ fn a_walk_through_an_absolute_link_under_a_chroot_memoizes_nothing_above_its_roo
         assert_eq!(k.stat(&user, "../home/u/jail/d/f"), Err(FsError::Access));
     }
 }
+
+/// A 252-byte component: 63 words plus its separator, 64 words of the
+/// hash stream.
+fn long_name(lead: char, tag: &str) -> String {
+    let mut name = format!("{lead}{tag}");
+    while name.len() < 252 {
+        name.push('x');
+    }
+    name
+}
+
+/// `chdir`s from `/` down `dirs`, creating each one, one component at a
+/// time: the whole path is longer than one syscall's string may be.
+fn descend(k: &Kernel, p: &Arc<Process>, dirs: &[String]) {
+    k.chdir(p, "/").unwrap();
+    for d in dirs {
+        k.mkdir(p, d, 0o755).unwrap();
+        k.chdir(p, d).unwrap();
+    }
+}
+
+/// Two 33-component paths of 252-byte names: component 32 starts at
+/// word 2 048, the end of the key schedule. They differ by +1 in the
+/// first word of component 0 (`A`→`B`) and in the first word of
+/// component 32 (`B`→`C`). A schedule that wraps with a salted word
+/// cancels those two differences in every lane under every key, and the
+/// fastpath then answers the second path with the first one's inode,
+/// even across a directory the caller may not search. Nothing past the
+/// schedule is signed, so both paths walk.
+#[test]
+fn a_path_past_the_key_schedule_never_answers_for_another() {
+    let middle: Vec<String> = (1..32)
+        .map(|i| long_name('m', &format!("{i:02}")))
+        .collect();
+    let chain = |lead: char| {
+        let mut dirs = vec![long_name(lead, "00")];
+        dirs.extend(middle.iter().cloned());
+        dirs
+    };
+    let (file, absent) = (long_name('B', "32"), long_name('C', "32"));
+    for config in both_configs() {
+        let k = KernelBuilder::new(config.with_seed(99)).build().unwrap();
+        let p = k.init_process();
+        descend(&k, &p, &chain('A'));
+        touch(&k, &p, &file);
+        let ino = k.stat(&p, &file).unwrap().ino;
+        for _ in 0..3 {
+            assert_eq!(k.stat(&p, &file).unwrap().ino, ino);
+        }
+        descend(&k, &p, &chain('B'));
+        assert_eq!(k.stat(&p, &absent), Err(FsError::NoEnt));
+        // The same lookup from a directory only root may search.
+        k.chmod(&p, ".", 0o700).unwrap();
+        let user = k.spawn(&p);
+        k.setuid(&user, 1000, 1000);
+        assert_eq!(k.stat(&user, &absent), Err(FsError::Access));
+    }
+}
+
+/// What a served signature proves: a hit is a lookup by path the caller
+/// could have made. A signature root was handed for a path under a
+/// directory only root may search, replayed by a user, answers nothing;
+/// and a path past the key schedule is handed no signature.
+#[test]
+fn a_replayed_signature_answers_only_what_its_path_would() {
+    use dcache_repro::vfs::SigLookup;
+    let (k, root) = optimized();
+    k.mkdir(&root, "/s", 0o700).unwrap();
+    k.mkdir(&root, "/s/d", 0o755).unwrap();
+    touch(&k, &root, "/s/d/f");
+    let sig = k.lookup_path(&root, "/s/d/f", true).unwrap().sig.unwrap();
+    assert!(matches!(k.lookup_sig(&root, &sig), SigLookup::Hit(_)));
+    let user = k.spawn_with_cred(&root, Cred::user(1000, 1000));
+    for _ in 0..3 {
+        let replayed = k.lookup_sig(&user, &sig);
+        assert!(
+            matches!(replayed, SigLookup::Miss | SigLookup::Neg(FsError::Access)),
+            "{replayed:?}"
+        );
+    }
+    assert_eq!(k.stat(&user, "/s/d/f"), Err(FsError::Access));
+
+    // 31 components are 1 984 words: `f` ends within the schedule, a
+    // 255-byte name (65 words) one word past it.
+    let dirs: Vec<String> = (0..31)
+        .map(|i| long_name('d', &format!("{i:02}")))
+        .collect();
+    descend(&k, &root, &dirs);
+    touch(&k, &root, "f");
+    let past = format!("{:x<255}", "f");
+    touch(&k, &root, &past);
+    let within = k.lookup_path(&root, "f", true).unwrap();
+    assert!(within.sig.is_some());
+    let beyond = k.lookup_path(&root, &past, true).unwrap();
+    assert_eq!(beyond.sig, None);
+}
