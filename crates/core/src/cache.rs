@@ -413,15 +413,9 @@ impl Dcache {
         if dentry.is_dead() {
             return false;
         }
-        if let Some((old_table, old_sig)) = membership.take() {
-            // An upgrade failure means the old table was retired with
-            // its namespace and the entry already died with it.
-            if let Some(old) = old_table.upgrade() {
-                old.remove_raw(&old_sig, dentry.id());
-            }
-        }
-        table.insert_raw(sig, dentry);
-        *membership = Some((Arc::downgrade(table), sig));
+        Self::unlink(&mut membership, dentry);
+        let bucket = table.insert_raw(sig, dentry);
+        *membership = Some((Arc::downgrade(table), bucket));
         true
     }
 
@@ -429,10 +423,17 @@ impl Dcache {
     /// when that table was already retired wholesale by namespace
     /// teardown.
     pub fn dlht_remove(&self, dentry: &Arc<Dentry>) {
-        let mut membership = dentry.dlht_entry().lock();
-        if let Some((table, sig)) = membership.take() {
+        Self::unlink(&mut dentry.dlht_entry().lock(), dentry);
+    }
+
+    /// Takes the membership record and removes the node it names: the
+    /// one in the recorded bucket that points at `dentry`. An upgrade
+    /// failure means the table was retired with its namespace and the
+    /// entry already died with it.
+    fn unlink(membership: &mut Option<(Weak<Dlht>, usize)>, dentry: &Arc<Dentry>) {
+        if let Some((table, bucket)) = membership.take() {
             if let Some(t) = table.upgrade() {
-                t.remove_raw(&sig, dentry.id());
+                t.remove_raw(bucket, |w| w.as_ptr() == Arc::as_ptr(dentry));
             }
         }
     }
@@ -614,16 +615,18 @@ impl Dcache {
     // --- eviction -------------------------------------------------------------
 
     /// The allocation-side bound: past the budget's worth of dentry
-    /// structs, evict leaves back under it, with 64 to spare so the next
-    /// allocations do not trip again. The exact byte reclaim (DLHT groups,
-    /// PCC lines) is [`shrink_to_bytes`](Dcache::shrink_to_bytes), which
-    /// only memory pressure runs: charging a small cache's DLHT groups
+    /// structs, evict leaves back under it, with 512 to spare so the next
+    /// allocations do not trip again (DESIGN.md §10: with 64 to spare,
+    /// `cold_miss` tripped eight times as often and its median lookup
+    /// was slower). The exact byte reclaim (DLHT nodes, PCC lines) is
+    /// [`shrink_to_bytes`](Dcache::shrink_to_bytes), which
+    /// only memory pressure runs: charging a small cache's DLHT nodes
     /// against its dentries would evict it far below its budget.
     fn maybe_shrink(&self) {
         let per = size_of::<Dentry>();
         let live = self.live() as usize;
         if live * per > self.config.mem_budget_bytes {
-            self.shrink(live - self.config.mem_budget_bytes / per + 64);
+            self.shrink(live - self.config.mem_budget_bytes / per + 512);
         }
     }
 
@@ -637,8 +640,8 @@ impl Dcache {
             if evicted_total >= target {
                 break;
             }
-            let budget = (target - evicted_total) * 8 + 32;
-            let evicted = self.lru.scan(budget, |d| {
+            let want = target - evicted_total;
+            let evicted = self.lru.scan(want * 8 + 32, want, |d| {
                 if self.try_evict(d) {
                     EvictOutcome::Evicted
                 } else {
@@ -669,15 +672,15 @@ impl Dcache {
     }
 
     /// The cache's *reclaimable* footprint in bytes: dentry structs, DLHT
-    /// bucket groups (walked — the fixed bucket arrays
+    /// entry nodes (walked — the fixed bucket arrays
     /// survive any shrink and are excluded; see [`Dcache::space_report`]
     /// for the full footprint), and occupied PCC lines. This is what a
     /// memory-pressure shrink can actually free, minus the pinned floor
     /// (roots, cwds, open files).
     pub fn reclaimable_bytes(&self) -> u64 {
-        let mut group_bytes = 0u64;
+        let mut node_bytes = 0u64;
         for t in self.dlhts.values() {
-            group_bytes += t.footprint().reclaimable_bytes();
+            node_bytes += t.footprint().reclaimable_bytes();
         }
         let mut pcc_bytes = 0u64;
         {
@@ -689,14 +692,14 @@ impl Dcache {
                 }
             }
         }
-        self.live() * std::mem::size_of::<Dentry>() as u64 + group_bytes + pcc_bytes
+        self.live() * std::mem::size_of::<Dentry>() as u64 + node_bytes + pcc_bytes
     }
 
     /// Memory-pressure entry point: reclaims until the footprint measured
     /// by [`Dcache::reclaimable_bytes`] is at most `target_bytes`, or
     /// nothing evictable remains. Dentries go first (leaf-first LRU passes
     /// through the ordinary `unhash(reclaim)` coherence path — their DLHT
-    /// slots go with them); if the cache is still over budget the
+    /// nodes go with them); if the cache is still over budget the
     /// PCCs are flushed. Returns the bytes actually freed.
     pub fn shrink_to_bytes(&self, target_bytes: u64) -> u64 {
         let before = self.reclaimable_bytes();
@@ -753,22 +756,16 @@ impl Dcache {
     // --- reporting ---------------------------------------------------------
 
     /// Space-overhead report (§6.1). DLHT numbers come from walking the
-    /// real buckets: exact head and group sizes, not stand-ins.
+    /// real buckets: exact head and node sizes, not stand-ins.
     pub fn space_report(&self) -> SpaceReport {
-        let mut dlht_bytes = 0usize;
-        let mut dlht_buckets = 0usize;
-        let mut dlht_groups = 0u64;
-        let mut dlht_entries = 0u64;
-        let mut dlht_bucket_bytes = 0usize;
-        let mut dlht_group_bytes = 0usize;
+        // Every table has the same head and node sizes, so the sum is one
+        // footprint.
+        let mut dlht = DlhtFootprint::default();
         for t in self.dlhts.values() {
             let fp = t.footprint();
-            dlht_bytes += fp.total_bytes();
-            dlht_buckets += fp.buckets;
-            dlht_groups += fp.groups;
-            dlht_entries += fp.entries;
-            dlht_bucket_bytes = fp.bucket_bytes;
-            dlht_group_bytes = fp.group_bytes;
+            dlht.buckets += fp.buckets;
+            dlht.entries += fp.entries;
+            (dlht.bucket_bytes, dlht.entry_bytes) = (fp.bucket_bytes, fp.entry_bytes);
         }
         let pccs = {
             let mut list = self.pccs.lock();
@@ -778,12 +775,11 @@ impl Dcache {
         SpaceReport {
             dentry_bytes: std::mem::size_of::<Dentry>(),
             live_dentries: self.live(),
-            dlht_bytes,
-            dlht_bucket_bytes,
-            dlht_group_bytes,
-            dlht_buckets,
-            dlht_groups,
-            dlht_entries,
+            dlht_bytes: dlht.total_bytes(),
+            dlht_bucket_bytes: dlht.bucket_bytes,
+            dlht_entry_bytes: dlht.entry_bytes,
+            dlht_buckets: dlht.buckets,
+            dlht_entries: dlht.entries,
             snap_slab_bytes: crate::snapslab::footprint().total_bytes(),
             pcc_bytes_each: Pcc::new(self.config.pcc_bytes).approx_bytes(),
             pccs,
@@ -1045,6 +1041,19 @@ mod tests {
         for d in &held {
             assert!(!d.is_dead(), "pinned dentries survive");
         }
+    }
+
+    #[test]
+    fn shrink_evicts_what_it_is_asked_to() {
+        let dc = cache(DcacheConfig::optimized());
+        let root = dc.new_root(1, root_inode(&dc));
+        for i in 0..200 {
+            neg(&dc, &root, &format!("f{i}"));
+        }
+        let live = dc.live();
+        assert_eq!(dc.shrink(7), 7, "200 are evictable; 7 were asked for");
+        assert_eq!(dc.live(), live - 7);
+        assert_eq!(dc.stats.evictions.load(Ordering::Relaxed), 7);
     }
 
     #[test]

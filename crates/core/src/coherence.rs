@@ -355,7 +355,7 @@ impl Dcache {
                         if !plain_root {
                             return None;
                         }
-                        let lsig = seen.link_sig?;
+                        let lsig = *seen.link_sig.as_deref()?;
                         let Some(next) = self.dlht_lookup_in(dlht, &lsig, guard) else {
                             count(&stats.fast_miss_dlht);
                             return None;

@@ -146,10 +146,10 @@ fn lower(state: DentryState) -> (SnapState, Option<Arc<Dentry>>) {
 ///
 /// Layout (`repr(C)`, DESIGN.md §13): the fields every walk touches —
 /// `name`, `parent`, `state`, `mount` — are packed into the first 64
-/// bytes, so a warm hit's read is one cache line; `hash_state`/`link_sig`
-/// (resume and symlink-chain paths) follow. The compile-time asserts
-/// below pin the contract. Blocks live in the snapshot slab
-/// ([`crate::snapslab`]).
+/// bytes, so a warm hit's read is one cache line; `hash_state` and the
+/// boxed `link_sig` (resume and symlink-chain paths) follow. The
+/// compile-time asserts below pin the contract. Blocks live in the
+/// snapshot slab ([`crate::snapslab`]).
 #[repr(C)]
 #[derive(Clone)]
 pub struct DentrySnap {
@@ -164,8 +164,10 @@ pub struct DentrySnap {
     pub hash_state: Option<HashState>,
     /// For symlink dentries: the signature of the link target's canonical
     /// path, letting the fastpath chain through links without reading
-    /// them (§4.2). Cleared by the next [`Dentry::set_state`].
-    pub link_sig: Option<Signature>,
+    /// them (§4.2). Cleared by the next [`Dentry::set_state`]. Boxed:
+    /// only symlinks carry one, and the slab counts its bytes
+    /// ([`crate::snapslab::footprint`]).
+    pub link_sig: Option<Box<Signature>>,
 }
 
 impl DentrySnap {
@@ -224,7 +226,8 @@ const _: () = {
         "hot snapshot fields (name/parent/state/mount) must fit one cache line"
     );
     // The paper's §6.1 dentry is 280 bytes; ours stays well under that.
-    assert!(size_of::<Dentry>() <= 208);
+    assert!(size_of::<Dentry>() <= 184);
+    assert!(size_of::<DentrySnap>() <= 112);
 };
 
 /// The strong references a dentry holds on other dentries. The snapshot
@@ -267,13 +270,14 @@ pub struct Dentry {
     /// the dentry child list; the prebuilt snapshot is the constant-time
     /// equivalent.
     dir_snapshot: Mutex<Option<(u64, Arc<Vec<DirEntry>>)>>,
-    /// Which DLHT holds this dentry, and under what signature (at most
-    /// one at a time, §4.3). The table handle is weak: namespace
-    /// teardown retires a table by dropping the dcache's reference, and
-    /// a retired table must not be resurrected (or kept alive) just to
-    /// unlink memberships — an upgrade failure means the whole table
-    /// already died with its entries (DESIGN.md §14).
-    dlht_entry: Mutex<Option<(Weak<crate::dlht::Dlht>, Signature)>>,
+    /// Which DLHT holds this dentry, and in which bucket (at most one
+    /// table and one signature at a time, §4.3): removal takes the node
+    /// in that bucket that points at this dentry. The table handle is
+    /// weak: namespace teardown retires a table by dropping the dcache's
+    /// reference, and a retired table must not be resurrected (or kept
+    /// alive) just to unlink memberships — an upgrade failure means the
+    /// whole table already died with its entries (DESIGN.md §14).
+    dlht_entry: Mutex<Option<(Weak<crate::dlht::Dlht>, usize)>>,
     /// Serializes directory mutations and miss-instantiation under this
     /// dentry (the per-dentry `d_lock`/`i_mutex` analog). Never held
     /// across another dentry's `dir_lock` except parent→child under the
@@ -679,7 +683,7 @@ impl Dentry {
     }
 
     /// The DLHT membership record.
-    pub(crate) fn dlht_entry(&self) -> &Mutex<Option<(Weak<crate::dlht::Dlht>, Signature)>> {
+    pub(crate) fn dlht_entry(&self) -> &Mutex<Option<(Weak<crate::dlht::Dlht>, usize)>> {
         &self.dlht_entry
     }
 
@@ -691,7 +695,7 @@ impl Dentry {
     pub fn store_link_sig(&self, sig: Signature, mount: u64) {
         self.publish(|snap, _| {
             if snap.mount == mount {
-                snap.link_sig = Some(sig);
+                snap.link_sig = Some(Box::new(sig));
             }
         });
     }

@@ -1,20 +1,20 @@
 //! The Direct Lookup Hash Table (§3.1, §3.3) — lock-free read side.
 //!
-//! Each bucket head is an atomic pointer to one immutable,
-//! cache-line-aligned [`Group`] holding up to [`GROUP_SLOTS`] entries
-//! inline — the 240-bit signature tags and the entry slots live in the
-//! group itself, so a warm probe is one pointer dereference plus a
-//! bounded in-line scan, with no per-entry pointer chase. Buckets
-//! overflowing a group grow a rare `next` group.
+//! Each bucket head is an atomic pointer to a chain of immutable,
+//! cache-line-sized [`Node`]s, one per entry: the full 240-bit
+//! signature, the weak dentry reference and the `next` link share one
+//! 64-byte line. A warm hit on a bucket's first entry reads the head
+//! and that line; an entry costs one line whatever else its bucket
+//! holds (DESIGN.md §13.2).
 //!
 //! `lookup` pins the epoch and traverses without any lock — the
 //! RCU-analog probe the paper's flat Figure 8 read scaling depends on.
-//! Mutators rebuild the affected bucket's groups as fresh allocations,
+//! Mutators rebuild the affected bucket's chain as fresh allocations,
 //! publish with one CAS on the bucket head, and retire the replaced
-//! groups through the epoch collector (`defer_destroy`); a failed CAS
+//! nodes through the epoch collector (`defer_destroy`); a failed CAS
 //! frees the speculative copy and retries against the new head.
-//! Published groups are never mutated, and ABA is impossible while
-//! pinned: a retired group's address cannot be reused until every guard
+//! Published nodes are never mutated, and ABA is impossible while
+//! pinned: a retired node's address cannot be reused until every guard
 //! that could have observed it unpins. The linearization point of every
 //! mutation is the single bucket-head CAS, which is what the
 //! `crates/dst` linearizability models check.
@@ -25,74 +25,22 @@ use crate::stats::Counter;
 use crossbeam_epoch::{self as epoch, Atomic, Owned, Shared};
 use std::sync::{Arc, Weak};
 
-/// Entries stored inline per bucket group. With 2^16 buckets and a
-/// lazily-populated table, almost every occupied bucket holds one or two
-/// entries; four slots keep even collision buckets to a single group.
-const GROUP_SLOTS: usize = 4;
-
-/// One entry slot of a bucket group: the remaining signature
-/// lanes (lane 0 lives in the group's tag array) + the weak dentry ref.
-struct Slot {
-    rest: [u64; 3],
-    dentry: Weak<Dentry>,
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            rest: [0; 3],
-            dentry: Weak::new(),
-        }
-    }
-}
-
-/// One immutable, cache-line-aligned bucket group.
-///
-/// Field order is load-bearing: the first 64 bytes hold everything a
-/// failing probe needs — the four quick-reject tags (lane 0 of each
-/// slot's masked signature), the live-slot count, and the overflow
-/// pointer — so a bucket miss costs exactly one cache line after the
-/// head dereference. Slots start at byte 64; a tag match reads one more
-/// line to compare the remaining 192 signature bits and upgrade the
-/// weak reference. Published groups are never mutated; `next` is atomic
-/// only for assembly and traversal under the epoch API.
+/// One immutable entry: the four signature lanes, the weak dentry ref
+/// and the chain link, in one cache line. Published nodes are never
+/// mutated; `next` is atomic only for assembly and traversal under the
+/// epoch API.
 #[repr(C, align(64))]
-struct Group {
-    tags: [u64; GROUP_SLOTS],
-    len: u32,
-    _pad0: u32,
-    next: Atomic<Group>,
-    _pad1: [u64; 2],
-    slots: [Slot; GROUP_SLOTS],
+struct Node {
+    sig: [u64; 4],
+    dentry: Weak<Dentry>,
+    next: Atomic<Node>,
 }
 
 // The layout contract the cache-line argument rests on (DESIGN.md §13).
 const _: () = {
-    assert!(std::mem::size_of::<Group>() == 192);
-    assert!(std::mem::align_of::<Group>() == 64);
-    assert!(std::mem::offset_of!(Group, slots) == 64);
+    assert!(std::mem::size_of::<Node>() == 64);
+    assert!(std::mem::align_of::<Node>() == 64);
 };
-
-impl Group {
-    fn from_chunk(chunk: &[Item]) -> Group {
-        let mut g = Group {
-            tags: [0; GROUP_SLOTS],
-            len: chunk.len() as u32,
-            _pad0: 0,
-            next: Atomic::null(),
-            _pad1: [0; 2],
-            slots: [Slot::empty(), Slot::empty(), Slot::empty(), Slot::empty()],
-        };
-        for (i, (sig, dentry)) in chunk.iter().enumerate() {
-            g.tags[i] = sig[0];
-            g.slots[i] = Slot {
-                rest: [sig[1], sig[2], sig[3]],
-                dentry: dentry.clone(),
-            };
-        }
-        g
-    }
-}
 
 type Item = ([u64; 4], Weak<Dentry>);
 
@@ -105,31 +53,29 @@ pub struct DlhtFootprint {
     pub buckets: usize,
     /// Bytes per bucket head (one atomic pointer).
     pub bucket_bytes: usize,
-    /// Live bucket groups.
-    pub groups: u64,
-    /// Bytes per bucket group.
-    pub group_bytes: usize,
-    /// Live entries across all slots (walked).
+    /// Live entries, one node each (walked).
     pub entries: u64,
+    /// Bytes per entry node.
+    pub entry_bytes: usize,
 }
 
 impl DlhtFootprint {
     /// Total bytes of the table.
     pub fn total_bytes(&self) -> usize {
-        self.buckets * self.bucket_bytes + self.groups as usize * self.group_bytes
+        self.buckets * self.bucket_bytes + self.reclaimable_bytes() as usize
     }
 
     /// Bytes a shrink could reclaim: everything except the fixed bucket
     /// array.
     pub fn reclaimable_bytes(&self) -> u64 {
-        self.groups * self.group_bytes as u64
+        self.entries * self.entry_bytes as u64
     }
 }
 
 /// A system-wide (per mount namespace) hash table mapping full-path
 /// signatures directly to dentries.
 ///
-/// - Indexed by the low 16 signature bits; groups compare the
+/// - Indexed by the low 16 signature bits; nodes compare the
 ///   remaining 240 bits instead of path strings (§3.3).
 /// - Lazily populated by slowpath walks; entries are weak, and coherence
 ///   shootdowns precede any structural change (§3.2).
@@ -141,7 +87,7 @@ impl DlhtFootprint {
 pub struct Dlht {
     /// Namespace id this table serves (diagnostics).
     ns: u64,
-    buckets: Box<[Atomic<Group>]>,
+    buckets: Box<[Atomic<Node>]>,
     mask: usize,
     entries: AtomicU64,
     /// Probe outcomes, striped: every reader of the namespace bumps one.
@@ -169,12 +115,12 @@ impl Dlht {
         self.ns
     }
 
-    fn bucket_index(&self, sig: &crate::Signature) -> usize {
+    pub(crate) fn bucket_index(&self, sig: &crate::Signature) -> usize {
         sig.bucket_index_for(self.mask + 1)
     }
 
     /// Looks up a dentry by signature (the fastpath's first step).
-    /// Lock-free: pins the epoch and scans the immutable groups
+    /// Lock-free: pins the epoch and walks the immutable chain
     /// published at the bucket head.
     pub fn lookup(&self, sig: &crate::Signature) -> Option<Arc<Dentry>> {
         let guard = epoch::pin();
@@ -186,71 +132,51 @@ impl Dlht {
     /// thread-local pin bookkeeping per probe is measurable at §13
     /// scale.
     pub fn lookup_with(&self, sig: &crate::Signature, guard: &epoch::Guard) -> Option<Arc<Dentry>> {
-        let idx = self.bucket_index(sig);
         let want = sig.sig240();
-        let mut cur = self.buckets[idx].load(Ordering::Acquire, guard);
-        let found = 'probe: loop {
-            // SAFETY: loaded under `guard`; a group unlinked since is
-            // retired through the epoch, so it outlives the guard.
-            let Some(g) = (unsafe { cur.as_ref() }) else {
-                break None;
-            };
-            for i in 0..g.len as usize {
-                if g.tags[i] == want[0] {
-                    let s = &g.slots[i];
-                    if s.rest == [want[1], want[2], want[3]] {
-                        if let Some(d) = s.dentry.upgrade() {
-                            if !d.is_dead() {
-                                break 'probe Some(d);
-                            }
-                        }
-                    }
+        let mut cur = self.buckets[self.bucket_index(sig)].load(Ordering::Acquire, guard);
+        // SAFETY: loaded under `guard`; a node unlinked since is retired
+        // through the epoch, so it outlives the guard.
+        while let Some(n) = unsafe { cur.as_ref() } {
+            if n.sig == want {
+                if let Some(d) = n.dentry.upgrade().filter(|d| !d.is_dead()) {
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    return Some(d);
                 }
             }
-            cur = g.next.load(Ordering::Acquire, guard);
-        };
-        match found {
-            Some(d) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(d)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            cur = n.next.load(Ordering::Acquire, guard);
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
-    /// Assembles a fresh group list from `items`: full groups of
-    /// [`GROUP_SLOTS`], overflow continuing in `next` groups. Unpublished
+    /// Assembles a fresh chain from `items`, in order. Unpublished
     /// until the caller's CAS succeeds.
-    fn build_groups<'g>(items: Vec<Item>, guard: &'g epoch::Guard) -> Shared<'g, Group> {
+    fn build_chain<'g>(items: Vec<Item>, guard: &'g epoch::Guard) -> Shared<'g, Node> {
         let mut head = Shared::null();
-        for chunk in items.chunks(GROUP_SLOTS).rev() {
-            let group = Owned::new(Group::from_chunk(chunk));
-            group.next.store(head, Ordering::Relaxed);
-            head = group.into_shared(guard);
+        for (sig, dentry) in items.into_iter().rev() {
+            let next = Atomic::null();
+            next.store(head, Ordering::Relaxed);
+            head = Owned::new(Node { sig, dentry, next }).into_shared(guard);
         }
         head
     }
 
-    /// Frees a group list no reader can reach: a speculative copy after
-    /// a failed CAS, or a bucket of a table being dropped.
-    fn drop_unpublished_groups<'g>(mut head: Shared<'g, Group>, guard: &'g epoch::Guard) {
+    /// Frees a chain no reader can reach: a speculative copy after a
+    /// failed CAS, or a bucket of a table being dropped.
+    fn drop_unpublished<'g>(mut head: Shared<'g, Node>, guard: &'g epoch::Guard) {
         while !head.is_null() {
             // SAFETY: unreachable by readers; we are the only owner.
             let owned = unsafe { head.into_owned() };
             head = owned.next.load(Ordering::Relaxed, guard);
-            drop(owned);
         }
     }
 
-    /// Retires every group of a replaced (published) list.
-    fn retire_groups<'g>(mut head: Shared<'g, Group>, guard: &'g epoch::Guard) {
-        // SAFETY: loaded under `guard`, and each group is only retired
+    /// Retires every node of a replaced (published) chain.
+    fn retire<'g>(mut head: Shared<'g, Node>, guard: &'g epoch::Guard) {
+        // SAFETY: loaded under `guard`, and each node is only retired
         // below, so it stays allocated while the guard is held.
-        while let Some(g) = unsafe { head.as_ref() } {
-            let next = g.next.load(Ordering::Acquire, guard);
+        while let Some(n) = unsafe { head.as_ref() } {
+            let next = n.next.load(Ordering::Acquire, guard);
             // SAFETY: unlinked by a successful CAS; concurrent readers
             // hold their own guards.
             unsafe { guard.defer_destroy(head) };
@@ -258,20 +184,14 @@ impl Dlht {
         }
     }
 
-    fn collect_groups(head: Shared<'_, Group>, guard: &epoch::Guard) -> Vec<Item> {
+    /// The entries of the chain at `head`, in order.
+    fn collect<'g>(mut cur: Shared<'g, Node>, guard: &'g epoch::Guard) -> Vec<Item> {
         let mut items = Vec::new();
-        let mut cur = head;
-        // SAFETY: the list was loaded under `guard`, which outlives the
-        // walk; retired groups are freed only after it unpins.
-        while let Some(g) = unsafe { cur.as_ref() } {
-            for i in 0..g.len as usize {
-                let s = &g.slots[i];
-                items.push((
-                    [g.tags[i], s.rest[0], s.rest[1], s.rest[2]],
-                    s.dentry.clone(),
-                ));
-            }
-            cur = g.next.load(Ordering::Acquire, guard);
+        // SAFETY: the chain was loaded under `guard`, which outlives the
+        // walk; retired nodes are freed only after it unpins.
+        while let Some(n) = unsafe { cur.as_ref() } {
+            items.push((n.sig, n.dentry.clone()));
+            cur = n.next.load(Ordering::Acquire, guard);
         }
         items
     }
@@ -279,52 +199,43 @@ impl Dlht {
     /// The copy-edit-publish loop: snapshot the bucket's items, let
     /// `edit` produce the replacement set (or `None` to abort without
     /// publishing), build a fresh immutable copy, CAS the bucket head,
-    /// retire the old groups. `edit` also returns the entry-counter
-    /// delta to apply on success.
-    fn mutate(&self, idx: usize, edit: impl Fn(Vec<Item>) -> Option<(Vec<Item>, i64)>) {
+    /// retire the old chain, and move the entry count by the change.
+    fn mutate(&self, idx: usize, edit: impl Fn(Vec<Item>) -> Option<Vec<Item>>) {
         let guard = epoch::pin();
         let bucket = &self.buckets[idx];
         loop {
             let head = bucket.load(Ordering::Acquire, &guard);
-            let items = Self::collect_groups(head, &guard);
-            let Some((kept, delta)) = edit(items) else {
+            let items = Self::collect(head, &guard);
+            let before = items.len() as u64;
+            let Some(kept) = edit(items) else {
                 return;
             };
-            let fresh = Self::build_groups(kept, &guard);
+            let after = kept.len() as u64;
+            let fresh = Self::build_chain(kept, &guard);
             match bucket.compare_exchange(head, fresh, Ordering::AcqRel, Ordering::Acquire, &guard)
             {
                 Ok(_) => {
-                    Self::retire_groups(head, &guard);
-                    self.apply_delta(delta);
+                    Self::retire(head, &guard);
+                    // Wrapping: a shorter chain subtracts.
+                    self.entries
+                        .fetch_add(after.wrapping_sub(before), Ordering::Relaxed);
                     return;
                 }
-                Err(_) => Self::drop_unpublished_groups(fresh, &guard),
+                Err(_) => Self::drop_unpublished(fresh, &guard),
             }
-        }
-    }
-
-    fn apply_delta(&self, delta: i64) {
-        match delta.cmp(&0) {
-            std::cmp::Ordering::Greater => {
-                self.entries.fetch_add(delta as u64, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Less => {
-                self.entries.fetch_sub((-delta) as u64, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Equal => {}
         }
     }
 
     /// Raw bucket insert. The caller (the dcache) holds the dentry's
     /// membership lock and has already removed any previous entry.
-    pub(crate) fn insert_raw(&self, sig: crate::Signature, dentry: &Arc<Dentry>) {
+    /// Returns the bucket, which [`remove_raw`](Dlht::remove_raw) takes.
+    pub(crate) fn insert_raw(&self, sig: crate::Signature, dentry: &Arc<Dentry>) -> usize {
         let idx = self.bucket_index(&sig);
         let want = sig.sig240();
         self.mutate(idx, |items| {
             // Copy the bucket, replacing dead or duplicate entries under
             // the same signature.
             let mut kept: Vec<Item> = Vec::with_capacity(items.len() + 1);
-            let mut pruned = 0i64;
             for (isig, weak) in items {
                 let keep = isig != want
                     || weak
@@ -332,41 +243,26 @@ impl Dlht {
                         .is_some_and(|d| !d.is_dead() && d.id() != dentry.id());
                 if keep {
                     kept.push((isig, weak));
-                } else {
-                    pruned += 1;
                 }
             }
             kept.push((want, Arc::downgrade(dentry)));
-            Some((kept, 1 - pruned))
+            Some(kept)
         });
+        idx
     }
 
-    /// Raw bucket removal by signature + dentry id.
-    pub(crate) fn remove_raw(&self, sig: &crate::Signature, id: crate::DentryId) {
-        let idx = self.bucket_index(sig);
-        let want = sig.sig240();
+    /// Raw removal from bucket `idx` of the entries `is_it` picks (the
+    /// dcache picks its dentry's node by address, with no upgrade),
+    /// pruning any whose dentry is gone. Publishes nothing when neither
+    /// removes an entry.
+    pub(crate) fn remove_raw(&self, idx: usize, is_it: impl Fn(&Weak<Dentry>) -> bool) {
         self.mutate(idx, |items| {
-            let mut kept: Vec<Item> = Vec::with_capacity(items.len());
-            let mut removed = 0i64;
-            for (isig, weak) in items {
-                let keep = if isig != want {
-                    true
-                } else {
-                    match weak.upgrade() {
-                        Some(d) => d.id() != id,
-                        None => false, // prune dead weak entries opportunistically
-                    }
-                };
-                if keep {
-                    kept.push((isig, weak));
-                } else {
-                    removed += 1;
-                }
-            }
-            if removed == 0 {
-                return None;
-            }
-            Some((kept, -removed))
+            let before = items.len();
+            let kept: Vec<Item> = items
+                .into_iter()
+                .filter(|(_, weak)| weak.strong_count() > 0 && !is_it(weak))
+                .collect();
+            (kept.len() != before).then_some(kept)
         });
     }
 
@@ -388,18 +284,16 @@ impl Dlht {
         )
     }
 
-    /// `(entries, groups)` in bucket `idx`, by walking it.
-    fn bucket_census(&self, idx: usize, guard: &epoch::Guard) -> (u64, u64) {
-        let mut entries = 0;
-        let mut groups = 0;
+    /// Entries in bucket `idx`, by walking it.
+    fn bucket_len(&self, idx: usize, guard: &epoch::Guard) -> u64 {
         let mut cur = self.buckets[idx].load(Ordering::Acquire, guard);
+        let mut entries = 0;
         // SAFETY: loaded under `guard`, as in `lookup_with`.
-        while let Some(g) = unsafe { cur.as_ref() } {
-            entries += g.len as u64;
-            groups += 1;
-            cur = g.next.load(Ordering::Acquire, guard);
+        while let Some(n) = unsafe { cur.as_ref() } {
+            entries += 1;
+            cur = n.next.load(Ordering::Acquire, guard);
         }
-        (entries, groups)
+        entries
     }
 
     /// Bucket occupancy histogram over *entries*: `[empty, 1, 2, 3+]`
@@ -408,29 +302,20 @@ impl Dlht {
         let guard = epoch::pin();
         let mut h = [0u64; 4];
         for idx in 0..=self.mask {
-            let (entries, _) = self.bucket_census(idx, &guard);
-            h[(entries as usize).min(3)] += 1;
+            h[(self.bucket_len(idx, &guard) as usize).min(3)] += 1;
         }
         h
     }
 
-    /// Exact footprint of this table: groups and entries are counted
-    /// by walking every bucket, not estimated from the entry counter.
+    /// Exact footprint of this table: entries are counted by walking
+    /// every bucket, not estimated from the entry counter.
     pub fn footprint(&self) -> DlhtFootprint {
         let guard = epoch::pin();
-        let mut entries = 0;
-        let mut groups = 0;
-        for idx in 0..=self.mask {
-            let (e, g) = self.bucket_census(idx, &guard);
-            entries += e;
-            groups += g;
-        }
         DlhtFootprint {
             buckets: self.mask + 1,
-            bucket_bytes: std::mem::size_of::<Atomic<Group>>(),
-            groups,
-            group_bytes: std::mem::size_of::<Group>(),
-            entries,
+            bucket_bytes: std::mem::size_of::<Atomic<Node>>(),
+            entries: (0..=self.mask).map(|i| self.bucket_len(i, &guard)).sum(),
+            entry_bytes: std::mem::size_of::<Node>(),
         }
     }
 
@@ -442,13 +327,13 @@ impl Dlht {
 
 impl Drop for Dlht {
     fn drop(&mut self) {
-        // SAFETY: &mut self: the table is unreachable; free groups
+        // SAFETY: &mut self: the table is unreachable; free nodes
         // directly.
         unsafe {
             let guard = epoch::unprotected();
             for bucket in self.buckets.iter() {
                 let head = bucket.swap(Shared::null(), Ordering::AcqRel, guard);
-                Self::drop_unpublished_groups(head, guard);
+                Self::drop_unpublished(head, guard);
             }
         }
     }
@@ -464,6 +349,11 @@ mod tests {
         Dentry::new(id, 1, "n", None, DentryState::Negative(NegKind::Enoent), 0)
     }
 
+    /// The dcache's removal: `d`'s node, picked by address.
+    fn remove(t: &Dlht, sig: &crate::Signature, d: &Arc<Dentry>) {
+        t.remove_raw(t.bucket_index(sig), |w| w.as_ptr() == Arc::as_ptr(d));
+    }
+
     #[test]
     fn insert_lookup_remove_cycle() {
         let key = HashKey::from_seed(1);
@@ -473,9 +363,24 @@ mod tests {
         t.insert_raw(sig, &d);
         assert_eq!(t.lookup(&sig).unwrap().id(), 1);
         assert_eq!(t.len(), 1);
-        t.remove_raw(&sig, d.id());
+        remove(&t, &sig, &d);
         assert!(t.lookup(&sig).is_none());
         assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn removal_takes_only_the_node_at_its_address() {
+        let key = HashKey::from_seed(6);
+        let t = Dlht::new(0, 1 << 8);
+        let sig = key.hash_components([b"twin".as_slice()]);
+        let (d1, d2) = (dentry(1), dentry(2));
+        let bucket = t.insert_raw(sig, &d1);
+        assert_eq!(t.insert_raw(sig, &d2), bucket);
+        remove(&t, &sig, &dentry(3));
+        assert_eq!(t.footprint().entries, 2, "no node at that address");
+        remove(&t, &sig, &d1);
+        assert_eq!(t.lookup(&sig).unwrap().id(), 2);
+        assert_eq!((t.len(), t.footprint().entries), (1, 1));
     }
 
     #[test]
@@ -536,7 +441,7 @@ mod tests {
     fn distinct_signatures_coexist_in_shared_buckets() {
         let key = HashKey::from_seed(5);
         let t = Dlht::new(0, 1 << 4);
-        // tiny table to force bucket sharing and overflow groups
+        // tiny table to force bucket sharing and long chains
         let dentries: Vec<_> = (0..64).map(dentry).collect();
         let sigs: Vec<_> = (0..64)
             .map(|i| key.hash_components([format!("f{i}").as_bytes()]))
@@ -554,8 +459,8 @@ mod tests {
 
     #[test]
     fn overflow_groups_preserve_every_entry() {
-        // 64 entries over 4 buckets: every bucket needs multiple groups
-        // (4 slots each). Entries must survive interleaved removal.
+        // 64 entries over 4 buckets: every bucket chains several nodes.
+        // Entries must survive interleaved removal.
         let key = HashKey::from_seed(55);
         let t = Dlht::new(0, 1 << 2);
         let dentries: Vec<_> = (0..64).map(dentry).collect();
@@ -567,10 +472,10 @@ mod tests {
         }
         let fp = t.footprint();
         assert_eq!(fp.entries, 64);
-        assert!(fp.groups > 16, "4 buckets x 4 slots must overflow");
+        assert_eq!(t.occupancy(), [0, 0, 0, 4], "every bucket chains 3+ nodes");
         // Remove every other entry; the rest must remain reachable.
         for i in (0..64).step_by(2) {
-            t.remove_raw(&sigs[i], dentries[i].id());
+            remove(&t, &sigs[i], &dentries[i]);
         }
         for i in 0..64 {
             if i % 2 == 0 {
@@ -593,15 +498,15 @@ mod tests {
         }
         let fp = t.footprint();
         assert_eq!(fp.entries, 10);
-        assert!(fp.groups > 0 && fp.groups <= 10);
-        assert_eq!(fp.buckets, 16);
-        assert_eq!(fp.group_bytes, 192);
-        assert_eq!(
-            fp.total_bytes(),
-            16 * fp.bucket_bytes + fp.groups as usize * fp.group_bytes
-        );
-        assert_eq!(fp.reclaimable_bytes(), fp.groups * fp.group_bytes as u64);
+        assert_eq!((fp.buckets, fp.bucket_bytes, fp.entry_bytes), (16, 8, 64));
+        assert_eq!(fp.total_bytes(), 16 * 8 + 10 * 64);
+        assert_eq!(fp.reclaimable_bytes(), 10 * 64);
         assert_eq!(t.approx_bytes(), fp.total_bytes());
+        // A one-entry bucket holds one node and no empty slot.
+        let one = Dlht::new(0, 1 << 4);
+        one.insert_raw(key.hash_components([b"solo".as_slice()]), &held[0]);
+        assert_eq!(one.occupancy(), [15, 1, 0, 0]);
+        assert_eq!(one.footprint().total_bytes(), 16 * 8 + 64);
     }
 
     #[test]
@@ -623,7 +528,7 @@ mod tests {
                             if round % 2 == 0 {
                                 t.insert_raw(sigs[i], &dentries[i]);
                             } else {
-                                t.remove_raw(&sigs[i], dentries[i].id());
+                                remove(t, &sigs[i], &dentries[i]);
                             }
                         }
                     }

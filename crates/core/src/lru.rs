@@ -81,10 +81,12 @@ impl DentryLru {
     }
 
     /// Scans up to `max_scan` candidates in approximate LRU order,
-    /// invoking `decide` on each live one. Returns how many were evicted.
+    /// invoking `decide` on each live one, and stops once `max_evict`
+    /// were evicted. Returns how many were evicted.
     pub fn scan(
         &self,
         max_scan: usize,
+        max_evict: usize,
         mut decide: impl FnMut(&Arc<Dentry>) -> EvictOutcome,
     ) -> usize {
         let mut evicted = 0;
@@ -96,7 +98,7 @@ impl DentryLru {
             let mut shard = shard.lock();
             let q = &mut shard.queue;
             let mut rotations = q.len();
-            while scanned < max_scan && rotations > 0 {
+            while scanned < max_scan && evicted < max_evict && rotations > 0 {
                 let Some(weak) = q.pop_front() else { break };
                 rotations -= 1;
                 let Some(d) = weak.upgrade() else {
@@ -113,7 +115,7 @@ impl DentryLru {
             }
             // The next sweep comes at twice what the scan left.
             shard.swept = shard.swept.min(shard.queue.len());
-            if scanned >= max_scan {
+            if scanned >= max_scan || evicted >= max_evict {
                 break 'outer;
             }
         }
@@ -138,7 +140,7 @@ mod tests {
             lru.insert(d);
         }
         let mut seen = Vec::new();
-        lru.scan(10, |d| {
+        lru.scan(10, usize::MAX, |d| {
             seen.push(d.id());
             EvictOutcome::Keep
         });
@@ -152,7 +154,7 @@ mod tests {
         for d in &keep {
             lru.insert(d);
         }
-        let n = lru.scan(10, |d| {
+        let n = lru.scan(10, usize::MAX, |d| {
             if d.id() % 2 == 0 {
                 EvictOutcome::Evicted
             } else {
@@ -161,7 +163,7 @@ mod tests {
         });
         assert_eq!(n, 2);
         let mut rest = Vec::new();
-        lru.scan(10, |d| {
+        lru.scan(10, usize::MAX, |d| {
             rest.push(d.id());
             EvictOutcome::Keep
         });
@@ -178,7 +180,7 @@ mod tests {
         let live = dentry(8);
         lru.insert(&live);
         let mut seen = Vec::new();
-        lru.scan(10, |d| {
+        lru.scan(10, usize::MAX, |d| {
             seen.push(d.id());
             EvictOutcome::Keep
         });
@@ -192,7 +194,7 @@ mod tests {
         lru.insert(&d);
         d.set_flag(crate::dentry::FLAG_DEAD);
         let mut called = false;
-        lru.scan(10, |_| {
+        lru.scan(10, usize::MAX, |_| {
             called = true;
             EvictOutcome::Keep
         });
@@ -208,10 +210,25 @@ mod tests {
             lru.insert(d);
         }
         let mut seen = 0;
-        lru.scan(3, |_| {
+        lru.scan(3, usize::MAX, |_| {
             seen += 1;
             EvictOutcome::Keep
         });
         assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn scan_stops_at_max_evict() {
+        let lru = DentryLru::new(2);
+        let keep: Vec<_> = (0..10).map(dentry).collect();
+        for d in &keep {
+            lru.insert(d);
+        }
+        let mut seen = 0;
+        let n = lru.scan(100, 4, |_| {
+            seen += 1;
+            EvictOutcome::Evicted
+        });
+        assert_eq!((n, seen), (4, 4));
     }
 }

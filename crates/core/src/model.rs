@@ -37,7 +37,10 @@ pub fn dlht_insert(t: &Dlht, sig: Signature, d: &Arc<Dentry>) {
     t.insert_raw(sig, d);
 }
 
-/// Raw DLHT bucket removal.
+/// Raw DLHT bucket removal. The models name a dentry by id; the
+/// dcache picks its node by address, through the same copy and CAS.
 pub fn dlht_remove(t: &Dlht, sig: &Signature, id: DentryId) {
-    t.remove_raw(sig, id);
+    t.remove_raw(t.bucket_index(sig), |w| {
+        w.upgrade().is_some_and(|d| d.id() == id)
+    });
 }

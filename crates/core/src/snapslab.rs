@@ -19,10 +19,12 @@
 //! stack with a single `swap` into the mutex-guarded free list.
 //!
 //! Blocks are never returned to the OS (classic slab behavior); the
-//! exact footprint — blocks, slot size, free slots — is walked by
-//! [`footprint`] and reported through `repro space`.
+//! exact footprint — blocks, slot size, free slots, and the boxed link
+//! signatures the live slots own — is read by [`footprint`] and reported
+//! through `repro space`.
 
 use crate::dentry::DentrySnap;
+use crate::Signature;
 use crossbeam_epoch::{Guard, Shared};
 use parking_lot::Mutex;
 use std::mem::MaybeUninit;
@@ -41,6 +43,10 @@ static RETURNED: AtomicPtr<DentrySnap> = AtomicPtr::new(std::ptr::null_mut());
 
 /// Slots currently on the [`RETURNED`] stack (footprint accounting).
 static RETURNED_LEN: AtomicUsize = AtomicUsize::new(0);
+
+/// Slots holding a boxed link signature: a snapshot owns its box from
+/// [`alloc_snap`] to [`destroy_snap`], so the count is exact.
+static LINK_SIGS: AtomicUsize = AtomicUsize::new(0);
 
 const _: () = assert!(std::mem::size_of::<DentrySnap>() >= std::mem::size_of::<*mut DentrySnap>());
 const _: () =
@@ -147,6 +153,9 @@ fn pop_slot() -> *mut DentrySnap {
 /// Writes `snap` into a slab slot and returns the published-ready
 /// pointer. The caller owns the slot until it is retired.
 pub(crate) fn alloc_snap<'g>(snap: DentrySnap, _guard: &'g Guard) -> Shared<'g, DentrySnap> {
+    if snap.link_sig.is_some() {
+        LINK_SIGS.fetch_add(1, Ordering::Relaxed);
+    }
     let p = pop_slot();
     // SAFETY: `pop_slot` hands out a live, unused slot to one owner.
     unsafe { p.write(snap) };
@@ -165,6 +174,9 @@ pub(crate) fn alloc_snap<'g>(snap: DentrySnap, _guard: &'g Guard) -> Shared<'g, 
 /// reach any more, passed here once.
 unsafe fn destroy_snap(p: *mut ()) {
     let snap = p as *mut DentrySnap;
+    if (*snap).link_sig.is_some() {
+        LINK_SIGS.fetch_sub(1, Ordering::Relaxed);
+    }
     std::ptr::drop_in_place(snap);
     track_free(snap);
     push_returned(snap);
@@ -193,13 +205,17 @@ pub struct SnapSlabFootprint {
     pub slot_bytes: usize,
     /// Slots currently on the free list.
     pub free_slots: usize,
+    /// Boxed link signatures the live slots own.
+    pub link_sigs: usize,
 }
 
 impl SnapSlabFootprint {
     /// Total bytes held by the arena (live + free slots; blocks are
-    /// never returned to the OS).
+    /// never returned to the OS) and by the link signatures boxed
+    /// outside it.
     pub fn total_bytes(&self) -> usize {
         self.blocks * self.block_slots * self.slot_bytes
+            + self.link_sigs * std::mem::size_of::<Signature>()
     }
 
     /// Slots currently holding a published (or grace-period) snapshot.
@@ -217,6 +233,7 @@ pub fn footprint() -> SnapSlabFootprint {
         block_slots: BLOCK_SLOTS,
         slot_bytes: std::mem::size_of::<DentrySnap>(),
         free_slots: inner.free.len() + RETURNED_LEN.load(Ordering::Relaxed),
+        link_sigs: LINK_SIGS.load(Ordering::Relaxed),
     }
 }
 
@@ -253,7 +270,10 @@ mod tests {
             "10k publications must reuse slots, not leak blocks (grew {})",
             fp.blocks - before
         );
-        assert_eq!(fp.total_bytes(), fp.blocks * BLOCK_SLOTS * fp.slot_bytes);
+        assert_eq!(
+            fp.total_bytes(),
+            fp.blocks * BLOCK_SLOTS * fp.slot_bytes + fp.link_sigs * 32
+        );
     }
 
     #[test]

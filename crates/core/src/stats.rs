@@ -154,13 +154,11 @@ pub struct SpaceReport {
     /// Exact size of one DLHT bucket head (an epoch-managed atomic
     /// group pointer).
     pub dlht_bucket_bytes: usize,
-    /// Exact size of one DLHT bucket group (tag array +
-    /// count + overflow pointer + inline slots, cache-line aligned).
-    pub dlht_group_bytes: usize,
+    /// Exact size of one DLHT entry node (signature + weak dentry ref
+    /// + chain link, one cache line).
+    pub dlht_entry_bytes: usize,
     /// Total DLHT buckets across namespaces.
     pub dlht_buckets: usize,
-    /// Total DLHT bucket groups across namespaces.
-    pub dlht_groups: u64,
     /// Live DLHT entries across namespaces, walked.
     pub dlht_entries: u64,
     /// Bytes held by the snapshot slab arena (blocks, walked — includes
@@ -184,10 +182,9 @@ impl std::fmt::Display for SpaceReport {
         )?;
         writeln!(
             f,
-            "  bucket groups:  {} x {} bytes",
-            self.dlht_groups, self.dlht_group_bytes
+            "  entries:        {} x {} bytes",
+            self.dlht_entries, self.dlht_entry_bytes
         )?;
-        writeln!(f, "  entries:        {}", self.dlht_entries)?;
         writeln!(f, "snap slab:        {} bytes", self.snap_slab_bytes)?;
         writeln!(f, "PCC (each):       {} bytes", self.pcc_bytes_each)?;
         write!(f, "PCC instances:    {}", self.pccs)

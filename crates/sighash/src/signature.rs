@@ -24,15 +24,6 @@ impl Signature {
         Signature { lanes }
     }
 
-    /// Reconstructs a signature from its compared 240 bits (index bits zero).
-    ///
-    /// Used by storage that persists only the compared bits.
-    pub fn from_sig240(sig: [u64; 4]) -> Self {
-        let mut lanes = sig;
-        lanes[0] &= !Self::index_mask();
-        Signature { lanes }
-    }
-
     #[inline]
     fn index_mask() -> u64 {
         (1u64 << INDEX_BITS) - 1
@@ -113,14 +104,6 @@ mod tests {
         let sig = key.hash_components([b"a".as_slice()]);
         let s = sig.sig240();
         assert_eq!(s[0] & ((1 << INDEX_BITS) - 1), 0);
-    }
-
-    #[test]
-    fn from_sig240_round_trips_equality() {
-        let key = HashKey::from_seed(5);
-        let sig = key.hash_components([b"x".as_slice(), b"y".as_slice()]);
-        let rebuilt = Signature::from_sig240(sig.sig240());
-        assert_eq!(sig, rebuilt);
     }
 
     #[test]

@@ -32,12 +32,6 @@ impl HashState {
     pub fn words_consumed(&self) -> u32 {
         self.pos
     }
-
-    /// True if this is a root (empty-path) state of *some* key — i.e. no
-    /// words have been consumed yet.
-    pub fn is_root(&self) -> bool {
-        self.pos == 0
-    }
 }
 
 #[cfg(test)]
@@ -46,20 +40,11 @@ mod tests {
     use crate::HashKey;
 
     #[test]
-    fn root_state_is_root() {
-        let key = HashKey::from_seed(1);
-        let st = key.root_state();
-        assert!(st.is_root());
-        assert_eq!(st.words_consumed(), 0);
-    }
-
-    #[test]
     fn push_advances_words() {
         let key = HashKey::from_seed(1);
         let mut st = key.root_state();
         key.push_component(&mut st, b"abcdefgh"); // 2 words + separator
         assert_eq!(st.words_consumed(), 3);
-        assert!(!st.is_root());
     }
 
     #[test]

@@ -100,15 +100,13 @@ fn keyed_determinism(cases: Range<u64>) {
     );
 }
 
-/// The 240 compared bits round-trip through storage, and the bucket
-/// index stays in range for every table size used.
+/// The bucket index stays in range for every table size used.
 fn sig240_round_trip_and_index_range(cases: Range<u64>) {
     check(
         cases,
         |rng| ((), components(rng)),
         |_, comps| {
             let sig = sig_of(&HashKey::from_seed(3), comps);
-            assert_eq!(Signature::from_sig240(sig.sig240()), sig);
             for shift in [4usize, 8, 12, 16] {
                 assert!(sig.bucket_index_for(1 << shift) < (1 << shift));
             }

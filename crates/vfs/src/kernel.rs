@@ -317,7 +317,7 @@ impl Kernel {
     /// The retired table is *not* walked entry-by-entry: dentries hold
     /// only weak membership in it, so dropping the last table handle
     /// (the namespace's memoized one goes with the `Arc<MountNamespace>`
-    /// returned here) frees every bucket group wholesale
+    /// returned here) frees every bucket chain wholesale
     /// once in-flight epoch readers drain. Processes still attached to
     /// the namespace keep their mounts working — only the cache
     /// acceleration (DLHT entries, PCCs) dies with the teardown.
