@@ -14,6 +14,9 @@
 //! A latency or throughput number is gated and compared in `benchmark/`
 //! (`dcache-benchmark run` / `compare`), not here.
 //!
+//! `space` hashes under `--seed` (default 0x5EED), so two runs of one
+//! build print the same occupancy and tenant lines.
+//!
 //! `faults` replays the fig. 8 workload through the standard seeded
 //! fault campaign (`--seed N`, default 0x5EED) and reports hit rate and
 //! latency before, during, and after recovery (`BENCH_faults.json`).
@@ -118,7 +121,7 @@ fn main() {
             "table2" => figs::table2(scale),
             "table3" => figs::table3(scale),
             "table4" => figs::table4(),
-            "space" => figs::space(scale),
+            "space" => figs::space(scale, seed),
             "ablation" => figs::ablation(scale),
             "pcc" => figs::pcc_sensitivity(scale),
             "rename-scale" => figs::rename_scalability(scale),
@@ -139,7 +142,7 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            "all" => figs::all(scale),
+            "all" => figs::all(scale, seed),
             other => {
                 eprintln!("unknown experiment: {other}");
                 std::process::exit(2);

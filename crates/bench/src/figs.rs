@@ -823,10 +823,11 @@ fn count_rs_lines(dir: &std::path::Path) -> usize {
 // ---------------------------------------------------------------------
 
 /// The §6.1 space-overhead report: dentry size, PCC/DLHT footprints, and
-/// DLHT bucket occupancy (§6.5).
-pub fn space(scale: Scale) {
+/// DLHT bucket occupancy (§6.5). The kernels hash under `seed`, so a
+/// run repeats its occupancy line.
+pub fn space(scale: Scale, seed: u64) {
     banner("Space overhead (§6.1) and DLHT occupancy (§6.5)");
-    let s = kernel_with(DcacheConfig::optimized());
+    let s = kernel_with(DcacheConfig::optimized().with_seed(seed));
     let m = build_tree(
         &s.kernel,
         &s.proc,
@@ -847,18 +848,18 @@ pub fn space(scale: Scale) {
         occ[2],
         occ[3]
     );
-    space_per_ns(scale);
+    space_per_ns(scale, seed);
 }
 
 /// The §14 multi-tenant addendum to the space report: provision a small
 /// fleet of namespaces on one kernel (sharded tenant DLHTs + per-cred
 /// PCCs) and print the top-K tenants by resident bytes.
-fn space_per_ns(scale: Scale) {
+fn space_per_ns(scale: Scale, seed: u64) {
     const TOP_K: usize = 8;
     let tenants = if scale.is_full() { 64 } else { 24 };
     let files = 16usize;
     banner("Per-namespace footprint (§14): top tenants by resident bytes");
-    let s = kernel_with(DcacheConfig::optimized());
+    let s = kernel_with(DcacheConfig::optimized().with_seed(seed));
     let k = &s.kernel;
     k.mkdir(&s.proc, "/tenants", 0o755).unwrap();
     let mut procs = Vec::with_capacity(tenants);
@@ -1213,7 +1214,7 @@ pub fn metrics(scale: Scale, out: &str) -> std::io::Result<()> {
 }
 
 /// Runs everything in paper order.
-pub fn all(scale: Scale) {
+pub fn all(scale: Scale, seed: u64) {
     fig1(scale);
     fig2(scale);
     fig3(scale);
@@ -1226,7 +1227,7 @@ pub fn all(scale: Scale) {
     table2(scale);
     table3(scale);
     table4();
-    space(scale);
+    space(scale, seed);
     ablation(scale);
     pcc_sensitivity(scale);
     rename_scalability(scale);

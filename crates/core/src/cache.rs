@@ -2,7 +2,7 @@
 
 use crate::config::DcacheConfig;
 use crate::dentry::{Dentry, DentryId, DentryState, NegKind, FLAG_DEAD, FLAG_DIR_COMPLETE};
-use crate::dlht::{Dlht, DlhtFootprint};
+use crate::dlht::{Dlht, DlhtFootprint, NODE_BYTES};
 use crate::inode::{Inode, SbId};
 use crate::lru::{DentryLru, EvictOutcome};
 use crate::pcc::Pcc;
@@ -13,7 +13,7 @@ use dc_obs::{Recorder, TraceEvent};
 use dc_rcu::SnapMap;
 use dc_sighash::HashKey;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -61,8 +61,9 @@ pub struct Dcache {
     pub(crate) shooting: RwLock<()>,
     next_id: AtomicU64,
     live: AtomicU64,
-    tick: AtomicU64,
-    pccs: Mutex<Vec<PccSlot>>,
+    /// Resident PCCs in attach order: the resident cap's second-chance
+    /// queue (DESIGN.md §14.3).
+    pccs: Mutex<VecDeque<PccSlot>>,
 }
 
 /// [`Dcache::lookup_cached`]'s answer: a live entry, a proven absence,
@@ -117,8 +118,7 @@ impl Dcache {
             shooting: RwLock::new(()),
             next_id: AtomicU64::new(1),
             live: AtomicU64::new(0),
-            tick: AtomicU64::new(1),
-            pccs: Mutex::new(Vec::new()),
+            pccs: Mutex::new(VecDeque::new()),
         })
     }
 
@@ -444,12 +444,12 @@ impl Dcache {
     /// shared by every process with the same credential in the same
     /// namespace (§3.1, §4.1).
     ///
-    /// Creation past the [`pcc_cap`](Dcache::pcc_cap) detaches the
-    /// least-recently-used resident PCC from its credential — the
-    /// cred-count pressure policy of DESIGN.md §14. The recency stamp is
-    /// refreshed here (once per slowpath attach, not on the lock-free
+    /// Creation at the [`pcc_cap`](Dcache::pcc_cap) first detaches a
+    /// resident PCC from its credential, second-chance — the cred-count
+    /// pressure policy of DESIGN.md §14.3. Every later attach marks the
+    /// PCC referenced (here on the slowpath, not on the lock-free
     /// fastpath borrow), so fleet-hot creds keep their caches while a
-    /// burst of one-shot creds churns through the tail.
+    /// burst of one-shot creds churns through the queue.
     pub fn pcc_for(&self, cred: &Arc<Cred>, ns: NsId) -> Arc<Pcc> {
         let bytes = self.config.pcc_bytes;
         let mut created = false;
@@ -460,15 +460,16 @@ impl Dcache {
         let pcc = any
             .downcast::<Pcc>()
             .expect("cred cache slot held a non-PCC value");
-        pcc.touch(self.tick.fetch_add(1, Ordering::Relaxed));
         if created {
-            let mut list = self.pccs.lock();
-            list.push(PccSlot {
+            let mut queue = self.pccs.lock();
+            self.make_room(&mut queue);
+            queue.push_back(PccSlot {
                 cred: Arc::downgrade(cred),
                 ns,
                 pcc: Arc::downgrade(&pcc),
             });
-            self.enforce_pcc_cap(&mut list);
+        } else {
+            pcc.reference();
         }
         pcc
     }
@@ -479,27 +480,24 @@ impl Dcache {
         (self.config.mem_budget_bytes / (16 * self.config.pcc_bytes)).max(1)
     }
 
-    /// Detaches the coldest resident PCCs until the registry fits the
-    /// cap. Caller holds the registry lock.
-    fn enforce_pcc_cap(&self, list: &mut Vec<PccSlot>) {
+    /// Pops the queue's front until one more PCC fits the cap: a dead
+    /// slot (cred dropped, or cache detached elsewhere) is dropped, a
+    /// referenced PCC is cleared and goes to the back, and the first
+    /// unreferenced one is detached from its credential. Each clear
+    /// undoes one earlier attach's mark, so an attach costs amortized
+    /// O(1). Caller holds the registry lock.
+    fn make_room(&self, queue: &mut VecDeque<PccSlot>) {
         let cap = self.pcc_cap();
-        if list.len() <= cap {
-            return;
-        }
-        // Dead slots (cred dropped, or cache detached elsewhere) go
-        // first and cost nothing.
-        list.retain(|s| s.pcc.strong_count() > 0 && s.cred.strong_count() > 0);
-        while list.len() > cap {
-            let coldest = list
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.pcc.upgrade().map(|p| (i, p.last_used())))
-                .min_by_key(|&(_, t)| t);
-            let Some((idx, _)) = coldest else { break };
-            let slot = list.swap_remove(idx);
-            if let Some(cred) = slot.cred.upgrade() {
-                cred.remove_cache(slot.ns);
+        while queue.len() >= cap {
+            let Some(slot) = queue.pop_front() else { break };
+            let (Some(pcc), Some(cred)) = (slot.pcc.upgrade(), slot.cred.upgrade()) else {
+                continue;
+            };
+            if pcc.clear_reference() {
+                queue.push_back(slot);
+                continue;
             }
+            cred.remove_cache(slot.ns);
             self.stats.pcc_evictions.fetch_add(1, Ordering::Relaxed);
             self.obs.event(|| TraceEvent::PccEvict);
         }
@@ -533,9 +531,9 @@ impl Dcache {
 
     /// Resident PCC instances (diagnostics; prunes dead slots).
     pub fn resident_pccs(&self) -> usize {
-        let mut list = self.pccs.lock();
-        list.retain(|s| s.pcc.strong_count() > 0);
-        list.len()
+        let mut queue = self.pccs.lock();
+        queue.retain(|s| s.pcc.strong_count() > 0);
+        queue.len()
     }
 
     /// Resident PCC instances and occupied bytes for namespace `ns`
@@ -580,45 +578,13 @@ impl Dcache {
         });
     }
 
-    /// Flushes resident PCCs coldest-first until roughly `need_bytes` of
-    /// occupied lines have been emptied. Returns the bytes flushed. The
-    /// memory-pressure path prefers this to an indiscriminate
-    /// [`flush_all_pccs`](Dcache::flush_all_pccs): batch tenants' idle
-    /// caches drain before a hot tenant loses a single line.
-    fn flush_cold_pccs(&self, need_bytes: u64) -> u64 {
-        let mut list = self.pccs.lock();
-        let mut live: Vec<(u64, Arc<Pcc>)> = Vec::with_capacity(list.len());
-        list.retain(|slot| match slot.pcc.upgrade() {
-            Some(pcc) => {
-                live.push((pcc.last_used(), pcc));
-                true
-            }
-            None => false,
-        });
-        drop(list);
-        live.sort_unstable_by_key(|&(t, _)| t);
-        let mut freed = 0u64;
-        for (_, pcc) in live {
-            if freed >= need_bytes {
-                break;
-            }
-            let occupied = pcc.occupied_bytes() as u64;
-            if occupied == 0 {
-                continue;
-            }
-            pcc.invalidate_all();
-            freed += occupied;
-        }
-        freed
-    }
-
     // --- eviction -------------------------------------------------------------
 
     /// The allocation-side bound: past the budget's worth of dentry
     /// structs, evict leaves back under it, with 512 to spare so the next
     /// allocations do not trip again (DESIGN.md §10: with 64 to spare,
     /// `cold_miss` tripped eight times as often and its median lookup
-    /// was slower). The exact byte reclaim (DLHT nodes, PCC lines) is
+    /// was slower). The byte reclaim that also counts DLHT nodes is
     /// [`shrink_to_bytes`](Dcache::shrink_to_bytes), which
     /// only memory pressure runs: charging a small cache's DLHT nodes
     /// against its dentries would evict it far below its budget.
@@ -671,64 +637,43 @@ impl Dcache {
         true
     }
 
-    /// The cache's *reclaimable* footprint in bytes: dentry structs, DLHT
-    /// entry nodes (walked — the fixed bucket arrays
-    /// survive any shrink and are excluded; see [`Dcache::space_report`]
-    /// for the full footprint), and occupied PCC lines. This is what a
-    /// memory-pressure shrink can actually free, minus the pinned floor
-    /// (roots, cwds, open files).
+    /// The cache's *reclaimable* footprint in bytes: dentry structs and
+    /// DLHT entry nodes, read from the live count and each table's entry
+    /// count — no bucket walk, no lock. The fixed bucket arrays survive
+    /// any shrink and are excluded ([`Dcache::space_report`] walks the
+    /// full footprint), and so are the PCCs: a PCC's table is allocated
+    /// whole and only the resident cap bounds them (DESIGN.md §14.3).
+    /// This is what a memory-pressure shrink can actually free, minus the
+    /// pinned floor (roots, cwds, open files).
     pub fn reclaimable_bytes(&self) -> u64 {
-        let mut node_bytes = 0u64;
-        for t in self.dlhts.values() {
-            node_bytes += t.footprint().reclaimable_bytes();
-        }
-        let mut pcc_bytes = 0u64;
-        {
-            let mut list = self.pccs.lock();
-            list.retain(|s| s.pcc.strong_count() > 0);
-            for slot in list.iter() {
-                if let Some(pcc) = slot.pcc.upgrade() {
-                    pcc_bytes += pcc.occupied_bytes() as u64;
-                }
-            }
-        }
-        self.live() * std::mem::size_of::<Dentry>() as u64 + node_bytes + pcc_bytes
+        let nodes: u64 = self.dlhts.values().iter().map(|t| t.len()).sum();
+        self.live() * size_of::<Dentry>() as u64 + nodes * NODE_BYTES as u64
     }
 
     /// Memory-pressure entry point: reclaims until the footprint measured
     /// by [`Dcache::reclaimable_bytes`] is at most `target_bytes`, or
-    /// nothing evictable remains. Dentries go first (leaf-first LRU passes
-    /// through the ordinary `unhash(reclaim)` coherence path — their DLHT
-    /// nodes go with them); if the cache is still over budget the
-    /// PCCs are flushed. Returns the bytes actually freed.
+    /// nothing evictable remains. Only dentries go, leaf-first LRU passes
+    /// through the ordinary `unhash(reclaim)` coherence path, and their
+    /// DLHT nodes go with them. Returns the bytes actually freed.
     pub fn shrink_to_bytes(&self, target_bytes: u64) -> u64 {
         let before = self.reclaimable_bytes();
         if before <= target_bytes {
             return 0;
         }
-        let per = std::mem::size_of::<Dentry>() as u64;
+        let per = size_of::<Dentry>() as u64;
+        let mut now = before;
         // Bounded passes: pinned dentries can make the target unreachable.
         for _ in 0..8 {
-            let now = self.reclaimable_bytes();
-            if now <= target_bytes {
-                break;
-            }
             let goal = ((now - target_bytes) / per + 1) as usize;
             if self.shrink(goal) == 0 {
                 break;
             }
-        }
-        let over = self.reclaimable_bytes().saturating_sub(target_bytes);
-        if over > 0 {
-            // Dentries alone couldn't get there (pinned floor): drain
-            // PCC lines, coldest caches first, falling back to a full
-            // flush only if the cold tail wasn't enough.
-            self.flush_cold_pccs(over);
-            if self.reclaimable_bytes() > target_bytes {
-                self.flush_all_pccs();
+            now = self.reclaimable_bytes();
+            if now <= target_bytes {
+                break;
             }
         }
-        let freed = before.saturating_sub(self.reclaimable_bytes());
+        let freed = before.saturating_sub(now);
         self.stats.shrinks.fetch_add(1, Ordering::Relaxed);
         self.stats
             .shrink_bytes_freed
@@ -1024,7 +969,7 @@ mod tests {
     }
 
     #[test]
-    fn shrink_to_bytes_flushes_pccs_as_last_resort() {
+    fn shrink_to_bytes_frees_nothing_when_everything_is_pinned() {
         let dc = cache(DcacheConfig::optimized());
         let root = dc.new_root(1, root_inode(&dc));
         let held: Vec<_> = (0..64).map(|i| neg(&dc, &root, &format!("f{i}"))).collect();
@@ -1033,14 +978,20 @@ mod tests {
         for d in &held {
             pcc.insert(d.id(), d.seq());
         }
-        assert!(pcc.occupied_bytes() > 0);
-        // Every dentry is pinned by `held`, so only the PCC can give
-        // memory back.
-        dc.shrink_to_bytes(0);
-        assert_eq!(pcc.occupied_bytes(), 0, "PCC lines were reclaimed");
+        let lines = pcc.occupied_bytes();
+        assert!(lines > 0);
+        // Every dentry is pinned by `held`, and emptying the PCC's ways
+        // would free no byte of its table: pressure has nothing to take.
+        assert_eq!(dc.shrink_to_bytes(0), 0);
         for d in &held {
             assert!(!d.is_dead(), "pinned dentries survive");
         }
+        let guard = crossbeam_epoch::pin();
+        assert!(
+            dc.pcc_ref(&cred, 0, &guard).is_some(),
+            "the PCC stays attached"
+        );
+        assert_eq!(pcc.occupied_bytes(), lines, "with its lines");
     }
 
     #[test]
@@ -1116,6 +1067,42 @@ mod tests {
         let attached = |c| dc.pcc_ref(c, 0, &guard).is_some();
         assert!(!attached(&creds[1]), "the coldest PCC was detached");
         assert!(attached(&creds[0]) && attached(&creds[16]));
+    }
+
+    #[test]
+    fn the_cap_gives_a_reattached_pcc_a_second_chance() {
+        let dc = cache(DcacheConfig {
+            pcc_bytes: 4096,
+            ..DcacheConfig::optimized().with_mem_budget(1 << 20)
+        });
+        let creds: Vec<_> = (0..33).map(|u| dc_cred::Cred::user(u, u)).collect();
+        for c in &creds[..16] {
+            dc.pcc_for(c, 0);
+        }
+        let evictions = || dc.stats.pcc_evictions.load(Ordering::Relaxed);
+        let guard = crossbeam_epoch::pin();
+        let attached = |c| dc.pcc_ref(c, 0, &guard).is_some();
+
+        // The first sweep finds creds[0] untouched since it attached.
+        dc.pcc_for(&creds[1], 0);
+        dc.pcc_for(&creds[16], 0);
+        assert_eq!(evictions(), 1);
+        assert!(!attached(&creds[0]), "an untouched PCC is detached");
+        // The next passes over creds[1], re-attached since the last
+        // sweep, and takes creds[2].
+        dc.pcc_for(&creds[17], 0);
+        assert_eq!(evictions(), 2);
+        assert!(attached(&creds[1]), "a re-attached PCC survives the sweep");
+        assert!(!attached(&creds[2]));
+        // The chance is spent: untouched since, creds[1] goes when the
+        // queue comes round to it again, behind creds[3..=16].
+        for c in &creds[18..32] {
+            dc.pcc_for(c, 0);
+        }
+        assert!(attached(&creds[1]));
+        dc.pcc_for(&creds[32], 0);
+        assert!(!attached(&creds[1]), "one chance per reference");
+        assert_eq!((evictions(), dc.resident_pccs()), (17, 16));
     }
 
     #[test]

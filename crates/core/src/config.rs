@@ -43,8 +43,8 @@ pub struct DcacheConfig {
     /// worth). A dentry allocation past the budget's worth of dentry
     /// structs evicts leaves back under it, and the resident PCCs'
     /// nominal bytes may take a sixteenth of it
-    /// ([`Dcache::pcc_cap`](crate::Dcache::pcc_cap)).
-    /// Exact byte reclaim — dentries, DLHT groups and PCC lines — is
+    /// ([`Dcache::pcc_cap`](crate::Dcache::pcc_cap)), the one bound on
+    /// PCC memory. Byte reclaim of dentries and their DLHT nodes is
     /// [`Dcache::shrink_to_bytes`](crate::Dcache::shrink_to_bytes), which
     /// memory pressure drives.
     pub mem_budget_bytes: usize,

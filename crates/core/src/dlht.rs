@@ -42,6 +42,10 @@ const _: () = {
     assert!(std::mem::align_of::<Node>() == 64);
 };
 
+/// Bytes of one entry node: a table's entries cost [`Dlht::len`] of
+/// these, which is how [`crate::Dcache::reclaimable_bytes`] counts them.
+pub(crate) const NODE_BYTES: usize = std::mem::size_of::<Node>();
+
 type Item = ([u64; 4], Weak<Dentry>);
 
 /// Exact table sizes for space-overhead reporting (`repro space`).
@@ -266,7 +270,9 @@ impl Dlht {
         });
     }
 
-    /// Approximate number of live entries.
+    /// Entry nodes in the table, counted by every publish; equal to
+    /// the walked [`footprint`](Dlht::footprint)'s once no publish is in
+    /// flight.
     pub fn len(&self) -> u64 {
         self.entries.load(Ordering::Relaxed)
     }
@@ -315,7 +321,7 @@ impl Dlht {
             buckets: self.mask + 1,
             bucket_bytes: std::mem::size_of::<Atomic<Node>>(),
             entries: (0..=self.mask).map(|i| self.bucket_len(i, &guard)).sum(),
-            entry_bytes: std::mem::size_of::<Node>(),
+            entry_bytes: NODE_BYTES,
         }
     }
 

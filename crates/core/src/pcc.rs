@@ -5,6 +5,7 @@ use crate::seqlock::SeqCount;
 use crate::stats::Counter;
 use dc_obs::{Recorder, TraceEvent};
 use parking_lot::Mutex;
+use std::sync::atomic::AtomicBool;
 
 /// Associativity of each PCC set.
 const WAYS: usize = 8;
@@ -79,9 +80,10 @@ pub struct Pcc {
     /// PCC.
     hits: Counter,
     misses: Counter,
-    /// Monotonic attach stamp maintained by the dcache's eviction policy
-    /// (bumped only on the `pcc_for` slowpath, never on fastpath borrows).
-    last_used: AtomicU64,
+    /// The resident cap's second-chance bit: set by an attach on the
+    /// `pcc_for` slowpath (never by a fastpath borrow), cleared when the
+    /// cap's sweep passes this PCC over (DESIGN.md §14.3).
+    referenced: AtomicBool,
     obs: Recorder,
 }
 
@@ -114,7 +116,7 @@ impl Pcc {
             mask: (nsets - 1) as u64,
             hits,
             misses,
-            last_used: AtomicU64::new(0),
+            referenced: AtomicBool::new(false),
             obs,
         }
     }
@@ -210,23 +212,24 @@ impl Pcc {
         self.misses.store(0, Ordering::Relaxed);
     }
 
-    /// Records a use of this PCC at logical time `t` (a dcache-global
-    /// attach tick). Called from the slowpath attach only so the
-    /// lock-free check path stays store-free.
+    /// Marks this PCC referenced. A plain store, and only when the bit
+    /// is clear: the slow walks that re-attach a hot PCC read a shared
+    /// line and write none.
     #[inline]
-    pub fn touch(&self, t: u64) {
-        self.last_used.store(t, Ordering::Relaxed);
+    pub(crate) fn reference(&self) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
     }
 
-    /// Logical time of the last [`touch`](Pcc::touch) — the LRU key the
-    /// dcache's resident-PCC cap evicts by.
-    pub fn last_used(&self) -> u64 {
-        self.last_used.load(Ordering::Relaxed)
+    /// Clears the referenced bit; returns whether it was set.
+    pub(crate) fn clear_reference(&self) -> bool {
+        self.referenced.swap(false, Ordering::Relaxed)
     }
 
-    /// Logical bytes held by currently-published entries — the
-    /// reclaimable share of this PCC under memory pressure (the table
-    /// itself is fixed; flushing only empties the ways). O(capacity).
+    /// Logical bytes held by currently-published entries (the
+    /// per-tenant reports). The table itself is fixed, so flushing frees
+    /// none of them. O(capacity).
     pub fn occupied_bytes(&self) -> usize {
         self.occupancy() * ENTRY_BYTES
     }

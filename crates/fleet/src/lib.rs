@@ -72,8 +72,9 @@ pub struct FleetConfig {
     pub rounds: usize,
     /// Lookup ops per tenant per round.
     pub ops_per_tenant: usize,
-    /// Fleet-wide reclaimable-footprint budget, bytes (enforced through
-    /// the shrinker after every round; also sizes the resident-PCC cap).
+    /// Fleet-wide budget, bytes. Memory pressure holds the reclaimable
+    /// footprint (dentries and DLHT nodes) to it after every round, and
+    /// it sizes the resident-PCC cap, the one bound on PCC memory.
     pub mem_budget_bytes: u64,
     /// Per-credential PCC size, bytes (fleets size PCCs down from the
     /// single-tenant 64 KB default).

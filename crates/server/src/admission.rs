@@ -12,9 +12,11 @@
 //!   `budget` and re-opens only once it falls to `low_water`
 //!   (⅞ · budget by default), so a footprint hovering at the budget
 //!   does not flap admit/reject on every batch.
-//! - **Sampled probing.** Computing the footprint
-//!   ([`dcache_core::Dcache::reclaimable_bytes`] walks DLHT footprints and PCC
-//!   byte counts) is too expensive per admission. While open, the gate
+//! - **Sampled probing.** The footprint
+//!   ([`dcache_core::Dcache::reclaimable_bytes`]) walks nothing: it reads
+//!   the live-dentry count and one entry count per namespace table. That
+//!   is still O(namespaces) and a snapshot of the table map, too much
+//!   for every admission of a many-tenant kernel. While open, the gate
 //!   probes once every `sample_every` admissions; while tripped it
 //!   probes on every call, because re-opening promptly matters more
 //!   than probe cost when work is already being shed.

@@ -373,11 +373,14 @@ impl Kernel {
         }
     }
 
-    /// Applies memory pressure: the dcache reclaims until its
+    /// Applies memory pressure: the dcache evicts unpinned dentries, and
+    /// their DLHT nodes with them, until its
     /// [reclaimable footprint](Dcache::reclaimable_bytes) fits
-    /// `budget_bytes` (best effort — pinned objects survive). Returns the
-    /// bytes freed. This is the `echo N > drop_caches`-with-a-budget analog
-    /// the fault and pressure experiments drive.
+    /// `budget_bytes` (best effort — pinned objects survive). PCCs are
+    /// left alone: emptying a PCC frees none of its table, and the
+    /// resident cap is what bounds them. Returns the bytes freed. This is
+    /// the `echo N > drop_caches`-with-a-budget analog the fault and
+    /// pressure experiments drive.
     pub fn memory_pressure(&self, budget_bytes: u64) -> u64 {
         self.dcache.shrink_to_bytes(budget_bytes)
     }

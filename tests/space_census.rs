@@ -6,11 +6,13 @@
 //! empty slot, and a symlink's boxed link signature shows up in the
 //! snapshot slab's bytes (DESIGN.md §13.3 records why a footprint that
 //! misses bytes outside the slab reads *lower* while the process grows).
+//! The footprint memory pressure works against, counted rather than
+//! walked, equals the walked one after every kind of change (§10.3).
 //!
 //! One test in its own binary: the snapshot slab and its link-signature
 //! count are process-wide, so nothing else may publish mid-check.
 
-use dcache_repro::dcache::{snapslab, DentrySnap, Dlht, Signature};
+use dcache_repro::dcache::{snapslab, DentrySnap, Dlht, DlhtFootprint, Signature};
 use dcache_repro::{DcacheConfig, Dentry, KernelBuilder, OpenFlags};
 use std::mem::size_of;
 
@@ -105,4 +107,42 @@ fn a_cached_dentry_costs_what_it_holds_and_the_report_counts_it() {
     assert_eq!(solo.occupancy(), [15, 1, 0, 0]);
     assert_eq!(solo.footprint().total_bytes(), 16 * 8 + 64);
     assert_eq!(table.footprint().entries, before - 1);
+
+    // The counted footprint is the walked one, through creates in a
+    // tenant namespace, a rename's re-signs, a shrink and the tenant's
+    // teardown.
+    let walked = || {
+        let nodes: u64 = k
+            .dcache
+            .ns_footprints()
+            .iter()
+            .map(|(_, fp)| fp.entries * fp.entry_bytes as u64)
+            .sum();
+        k.dcache.live() * size_of::<Dentry>() as u64 + nodes
+    };
+    let counted_is_walked = |when: &str| {
+        settle();
+        assert_eq!(k.dcache.reclaimable_bytes(), walked(), "after {when}");
+    };
+    let tenant = k.spawn(&p);
+    let ns = k.unshare_ns(&tenant).unwrap();
+    k.mkdir(&tenant, "/t", 0o755).unwrap();
+    for f in 0..24 {
+        let file = format!("/t/f{f}");
+        let fd = k.open(&tenant, &file, OpenFlags::create(), 0o644).unwrap();
+        k.close(&tenant, fd).unwrap();
+        k.stat(&tenant, &file).unwrap();
+    }
+    counted_is_walked("creates");
+    let tenant_entries = |(id, fp): &(u64, DlhtFootprint)| *id == ns.id && fp.entries > 0;
+    assert!(k.dcache.ns_footprints().iter().any(tenant_entries));
+    k.rename(&p, "/d1", "/r1").unwrap();
+    for f in 0..16 {
+        k.stat(&p, &format!("/r1/f{f}")).unwrap();
+    }
+    counted_is_walked("re-signs");
+    assert!(k.dcache.shrink(40) > 0);
+    counted_is_walked("a shrink");
+    k.destroy_namespace(ns.id).unwrap();
+    counted_is_walked("a namespace teardown");
 }
