@@ -60,13 +60,13 @@ fn write_header(buf: &mut [u8], off: usize, ino: u64, rec_len: usize, name_len: 
 }
 
 fn decode_at(buf: &[u8], off: usize) -> FsResult<RawRecord<'_>> {
-    if off + HEADER > buf.len() {
+    let header = buf.get(off..).and_then(<[u8]>::first_chunk::<HEADER>);
+    let Some(&[ino @ .., len_lo, len_hi, name_len, ftype]) = header else {
         return Err(FsError::Io);
-    }
-    let ino = u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-    let rec_len = u16::from_le_bytes(buf[off + 8..off + 10].try_into().unwrap()) as usize;
-    let name_len = buf[off + 10] as usize;
-    let ftype = buf[off + 11];
+    };
+    let ino = u64::from_le_bytes(ino);
+    let rec_len = usize::from(u16::from_le_bytes([len_lo, len_hi]));
+    let name_len = usize::from(name_len);
     if rec_len < HEADER || off + rec_len > buf.len() || HEADER + name_len > rec_len {
         return Err(FsError::Io);
     }
@@ -227,10 +227,8 @@ pub fn remove(buf: &mut [u8], name: &[u8]) -> FsResult<Option<u64>> {
     match prev_info {
         Some((poff, plen)) => {
             // Merge into the predecessor: extend its rec_len.
-            let pino = u64::from_le_bytes(buf[poff..poff + 8].try_into().unwrap());
-            let pnlen = buf[poff + 10];
-            let pft = buf[poff + 11];
-            write_header(buf, poff, pino, plen + rec_len, pnlen, pft);
+            let merged = (plen + rec_len) as u16;
+            buf[poff + 8..poff + 10].copy_from_slice(&merged.to_le_bytes());
         }
         None => {
             // First record in the block: just mark free.

@@ -247,8 +247,8 @@ fn blocks_of(disk: &CachedDisk, di: &DiskInode) -> FsResult<Vec<u64>> {
     if di.indirect != 0 {
         out.push(di.indirect);
         let blk = disk.read_block(di.indirect)?;
-        for chunk in blk.chunks_exact(8) {
-            let p = u64::from_le_bytes(chunk.try_into().unwrap());
+        for &chunk in blk.as_chunks::<8>().0 {
+            let p = u64::from_le_bytes(chunk);
             if p != 0 {
                 out.push(p);
             }

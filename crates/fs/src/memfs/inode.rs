@@ -197,8 +197,8 @@ pub fn bmap<S: MetaStore + ?Sized>(
         return Ok(None);
     }
     let blk = disk.read_block(di.indirect)?;
-    let off = idx as usize * 8;
-    let p = u64::from_le_bytes(blk[off..off + 8].try_into().unwrap());
+    let (ptrs, _) = blk.as_chunks::<8>();
+    let p = u64::from_le_bytes(ptrs[idx as usize]);
     Ok(if p == 0 { None } else { Some(p) })
 }
 

@@ -247,19 +247,27 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes.
+    fn array<const N: usize>(&mut self) -> FsResult<[u8; N]> {
+        let head = self.buf.get(self.pos..).and_then(<[u8]>::first_chunk::<N>);
+        let head = *head.ok_or(FsError::Io)?;
+        self.pos += N;
+        Ok(head)
+    }
+
     /// Reads a little-endian u64.
     pub fn u64(&mut self) -> FsResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u32.
     pub fn u32(&mut self) -> FsResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u16.
     pub fn u16(&mut self) -> FsResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads one byte.

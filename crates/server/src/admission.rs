@@ -10,14 +10,14 @@
 //!
 //! - **Hysteresis.** The gate trips when the sampled footprint exceeds
 //!   `budget` and re-opens only once it falls to `low_water`
-//!   (⅞ · budget by default), so a footprint hovering at the budget
-//!   does not flap admit/reject on every batch.
+//!   (⅞ · budget), so a footprint hovering at the budget does not flap
+//!   admit/reject on every batch.
 //! - **Sampled probing.** The footprint
 //!   ([`dcache_core::Dcache::reclaimable_bytes`]) walks nothing: it reads
 //!   the live-dentry count and one entry count per namespace table. That
 //!   is still O(namespaces) and a snapshot of the table map, too much
 //!   for every admission of a many-tenant kernel. While open, the gate
-//!   probes once every `sample_every` admissions; while tripped it
+//!   probes once every `SAMPLE_EVERY` (64) admissions; while tripped it
 //!   probes on every call, because re-opening promptly matters more
 //!   than probe cost when work is already being shed.
 //! - **Trip edge detection.** Exactly one caller observes
@@ -26,6 +26,10 @@
 //!   thundering herd of shrink calls.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// While open, the gate probes the footprint once every this many
+/// admissions.
+const SAMPLE_EVERY: u64 = 64;
 
 /// Outcome of [`MemoryGate::admit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,13 +42,6 @@ pub enum Verdict {
     Shed { just_tripped: bool },
 }
 
-impl Verdict {
-    /// Convenience predicate for callers that do not care about edges.
-    pub fn admitted(self) -> bool {
-        matches!(self, Verdict::Admit)
-    }
-}
-
 /// Hysteretic memory-budget gate (see module docs).
 ///
 /// All methods are lock-free and callable concurrently; the worst race
@@ -53,51 +50,25 @@ impl Verdict {
 #[derive(Debug)]
 pub struct MemoryGate {
     budget: u64,
-    low_water: u64,
-    sample_every: u64,
     tripped: AtomicBool,
     calls: AtomicU64,
     trips: AtomicU64,
 }
 
 impl MemoryGate {
-    /// Default re-open threshold as a fraction of the budget (⅞).
-    fn default_low_water(budget: u64) -> u64 {
-        budget - budget / 8
-    }
-
-    /// Gate with `budget` bytes, ⅞-budget low water, probing every 64
-    /// admissions while open.
+    /// Gate with `budget` bytes, probing every 64 admissions while open.
     pub fn new(budget: u64) -> MemoryGate {
-        MemoryGate::with_params(budget, MemoryGate::default_low_water(budget), 64)
-    }
-
-    /// Fully parameterized constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low_water > budget` or `sample_every == 0`.
-    pub fn with_params(budget: u64, low_water: u64, sample_every: u64) -> MemoryGate {
-        assert!(low_water <= budget, "low water above budget");
-        assert!(sample_every > 0, "sample_every must be nonzero");
         MemoryGate {
             budget,
-            low_water,
-            sample_every,
             tripped: AtomicBool::new(false),
             calls: AtomicU64::new(0),
             trips: AtomicU64::new(0),
         }
     }
 
-    /// The configured budget in bytes.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// The re-open threshold in bytes.
+    /// The re-open threshold in bytes: ⅞ of the budget.
     pub fn low_water(&self) -> u64 {
-        self.low_water
+        self.budget - self.budget / 8
     }
 
     /// Whether the gate is currently shedding load.
@@ -116,7 +87,7 @@ impl MemoryGate {
         let call = self.calls.fetch_add(1, Ordering::Relaxed);
         if self.tripped.load(Ordering::Acquire) {
             // Tripped: probe every call so recovery is prompt.
-            if footprint() <= self.low_water {
+            if footprint() <= self.low_water() {
                 self.tripped.store(false, Ordering::Release);
                 return Verdict::Admit;
             }
@@ -124,7 +95,7 @@ impl MemoryGate {
                 just_tripped: false,
             };
         }
-        if !call.is_multiple_of(self.sample_every) {
+        if !call.is_multiple_of(SAMPLE_EVERY) {
             return Verdict::Admit;
         }
         if footprint() > self.budget {
@@ -152,7 +123,7 @@ mod tests {
 
     #[test]
     fn admits_under_budget() {
-        let gate = MemoryGate::with_params(1000, 875, 1);
+        let gate = MemoryGate::new(1000);
         for _ in 0..100 {
             assert_eq!(gate.admit(|| 500), Verdict::Admit);
         }
@@ -162,7 +133,7 @@ mod tests {
 
     #[test]
     fn trips_once_and_sheds_until_low_water() {
-        let gate = MemoryGate::with_params(1000, 875, 1);
+        let gate = MemoryGate::new(1000);
         assert_eq!(gate.admit(|| 1500), Verdict::Shed { just_tripped: true });
         // Subsequent calls shed without re-reporting the edge.
         assert_eq!(
@@ -186,9 +157,9 @@ mod tests {
 
     #[test]
     fn probes_are_sampled_while_open() {
-        let gate = MemoryGate::with_params(1000, 875, 8);
+        let gate = MemoryGate::new(1000);
         let probes = AtomicU64::new(0);
-        for _ in 0..64 {
+        for _ in 0..8 * SAMPLE_EVERY {
             gate.admit(|| {
                 probes.fetch_add(1, Ordering::Relaxed);
                 0
@@ -199,8 +170,8 @@ mod tests {
 
     #[test]
     fn probes_every_call_while_tripped() {
-        let gate = MemoryGate::with_params(1000, 875, 64);
-        assert!(!gate.admit(|| 2000).admitted()); // call 0 samples, trips
+        let gate = MemoryGate::new(1000);
+        assert_ne!(gate.admit(|| 2000), Verdict::Admit); // call 0 samples, trips
         let probes = AtomicU64::new(0);
         for _ in 0..10 {
             gate.admit(|| {
@@ -213,13 +184,13 @@ mod tests {
 
     #[test]
     fn reset_reopens() {
-        let gate = MemoryGate::with_params(1000, 875, 1);
-        assert!(!gate.admit(|| 2000).admitted());
+        let gate = MemoryGate::new(1000);
+        assert_ne!(gate.admit(|| 2000), Verdict::Admit);
         assert!(gate.is_tripped());
         gate.reset();
         assert!(!gate.is_tripped());
         assert_eq!(gate.trip_count(), 0);
-        assert!(gate.admit(|| 0).admitted());
+        assert_eq!(gate.admit(|| 0), Verdict::Admit);
     }
 
     #[test]

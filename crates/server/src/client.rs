@@ -1,9 +1,13 @@
 //! Synchronous clients: one over an in-process [`Connection`], one
 //! over a raw byte stream. Both speak the same frames; the only
-//! difference is who carries the bytes.
+//! difference is who carries the bytes. Each expands a frame-level
+//! status (a shed, a malformed or oversized batch) into one typed
+//! response per request; the stream client reads responses under the
+//! protocol's [`MAX_FRAME_BYTES`] cap, the default server's own.
 
 use crate::proto::{
     decode_response_frame, encode_request_frame, Request, RespBody, Response, Status,
+    MAX_FRAME_BYTES,
 };
 use crate::server::Connection;
 use crate::transport::{read_frame, write_frame, DuplexEnd};
@@ -46,41 +50,26 @@ impl Client {
         }
         rf.records
     }
-
-    /// The underlying connection.
-    pub fn connection(&self) -> &Connection {
-        &self.conn
-    }
 }
 
 /// A client on a byte stream served by
 /// [`Server::serve_stream`](crate::Server::serve_stream).
 pub struct StreamClient {
     stream: DuplexEnd,
-    max_frame: usize,
 }
 
 impl StreamClient {
     /// Wraps one end of a duplex stream. Response frames are read
-    /// under the default [`MAX_FRAME_BYTES`](crate::proto::MAX_FRAME_BYTES)
-    /// cap — the server bounds every response it encodes to its own
-    /// `max_frame_bytes`, so the caps only disagree if the server was
-    /// configured with a larger one (use [`with_max_frame`](Self::with_max_frame)
-    /// to match it).
+    /// under the default [`MAX_FRAME_BYTES`] cap, which bounds every
+    /// response a server with the default `max_frame_bytes` encodes.
     pub fn new(stream: DuplexEnd) -> StreamClient {
-        StreamClient::with_max_frame(stream, crate::proto::MAX_FRAME_BYTES)
-    }
-
-    /// Wraps a stream with an explicit response-frame cap, for servers
-    /// configured with a non-default `max_frame_bytes`.
-    pub fn with_max_frame(stream: DuplexEnd, max_frame: usize) -> StreamClient {
-        StreamClient { stream, max_frame }
+        StreamClient { stream }
     }
 
     /// Sends one batch over the wire and blocks for its responses.
     pub fn call(&mut self, reqs: &[Request<'_>]) -> io::Result<Vec<Response>> {
         write_frame(&mut self.stream, &encode_request_frame(reqs))?;
-        let frame = read_frame(&mut self.stream, self.max_frame)?.ok_or_else(|| {
+        let frame = read_frame(&mut self.stream, MAX_FRAME_BYTES)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the stream")
         })?;
         let rf = decode_response_frame(&frame).ok_or_else(|| {

@@ -15,10 +15,15 @@
 //!
 //! Layering:
 //!
-//! - [`admission`] — the memory-budget gate (hysteresis, sampled
-//!   footprint probes, one trip edge per trip);
+//! - [`admission`] — the memory-budget gate (its one setting the
+//!   budget: re-opens at ⅞ of it, probes the footprint every 64
+//!   admissions, one trip edge per trip);
 //! - [`proto`] — wire format v1: versioned frames, request/response
-//!   records, status codes (pure functions of bytes, no I/O);
+//!   records, status codes (pure functions of bytes, no I/O). One
+//!   codec: each layout is written once and read through one
+//!   bounds-checked reader, the server's answer to a request is one
+//!   [`proto::Reply`], and no decoder reserves more records than its
+//!   frame could hold;
 //! - [`transport`] — 4-byte length-prefix framing over any
 //!   `Read`/`Write` stream, plus a connected Unix socket pair;
 //! - [`server`] — admission control, the bounded queue, the worker

@@ -44,9 +44,14 @@
 //! Versioning: breaking layout changes bump `version`; a server
 //! receiving an unknown version answers with an empty frame whose
 //! `frame_status` is `34` rather than guessing at record boundaries.
+//!
+//! Each layout is written once, as `Wire` impls read through one
+//! bounds-checked `Reader`; [`Reply`] encodes a body beside its decoder.
 
-use dc_fs::{FileType, FsError, InodeAttr};
+use dc_fs::{DirEntry, FsError, InodeAttr};
 use dc_sighash::Signature;
+use dc_vfs::LookupReply;
+use std::sync::Arc;
 
 /// Request-frame magic byte.
 pub const REQ_MAGIC: u8 = 0xD5;
@@ -111,41 +116,36 @@ pub enum Status {
     TooBig,
 }
 
-/// `32` — the overload status byte, also used as a `frame_status`.
-pub const STATUS_OVERLOADED: u8 = 32;
-/// `34` — unsupported version, also used as a `frame_status`.
-pub const STATUS_BAD_VERSION: u8 = 34;
+/// Every status but [`Status::Fs`] with its wire byte, read both ways.
+const STATUS_CODES: [(Status, u8); 8] = [
+    (Status::Ok, 0),
+    (Status::Overloaded, 32),
+    (Status::BadRequest, 33),
+    (Status::BadVersion, 34),
+    (Status::BadCred, 35),
+    (Status::BadOp, 36),
+    (Status::SigMiss, 37),
+    (Status::TooBig, 38),
+];
 
 impl Status {
     /// The wire byte.
     pub fn code(self) -> u8 {
         match self {
-            Status::Ok => 0,
             Status::Fs(e) => fs_error_code(e),
-            Status::Overloaded => STATUS_OVERLOADED,
-            Status::BadRequest => 33,
-            Status::BadVersion => STATUS_BAD_VERSION,
-            Status::BadCred => 35,
-            Status::BadOp => 36,
-            Status::SigMiss => 37,
-            Status::TooBig => 38,
+            s => STATUS_CODES
+                .iter()
+                .find(|&&(t, _)| t == s)
+                .map_or(0, |r| r.1),
         }
     }
 
     /// Decodes a wire byte (`None` for unassigned codes).
     pub fn from_code(v: u8) -> Option<Status> {
-        Some(match v {
-            0 => Status::Ok,
-            1..=20 => Status::Fs(fs_error_from_code(v)?),
-            32 => Status::Overloaded,
-            33 => Status::BadRequest,
-            34 => Status::BadVersion,
-            35 => Status::BadCred,
-            36 => Status::BadOp,
-            37 => Status::SigMiss,
-            38 => Status::TooBig,
-            _ => return None,
-        })
+        let row = STATUS_CODES.iter().find(|&&(_, c)| c == v);
+        fs_error_from_code(v)
+            .map(Status::Fs)
+            .or(row.map(|&(s, _)| s))
     }
 }
 
@@ -158,6 +158,147 @@ pub fn fs_error_code(e: FsError) -> u8 {
 /// Inverse of [`fs_error_code`].
 pub fn fs_error_from_code(v: u8) -> Option<FsError> {
     FsError::ALL.get(usize::from(v).wrapping_sub(1)).copied()
+}
+
+/// A field type's little-endian wire image.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Option<Self>;
+}
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Option<$t> {
+                Some(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u16, u32, u64);
+
+impl Wire for Signature {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_wire().iter().for_each(|lane| lane.put(out));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Option<Signature> {
+        let lanes = [r.get()?, r.get()?, r.get()?, r.get()?];
+        Some(Signature::from_wire(lanes))
+    }
+}
+
+/// A bounds-checked cursor over a received frame: every read past the
+/// end is `None`, and what it returns borrows from the frame.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn get<T: Wire>(&mut self) -> Option<T> {
+        T::get(self)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
+    /// A length of type `L`, then that many bytes.
+    fn prefixed<L: Wire + Into<usize>>(&mut self) -> Option<&'a [u8]> {
+        let len = self.get::<L>()?.into();
+        let (head, rest) = self.0.split_at_checked(len)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    /// A `u16` count, then that many records, reserving no more than the rest
+    /// holds of the smallest, `min` bytes (request 14, response 12, entry 10).
+    fn records<T>(
+        &mut self,
+        min: usize,
+        mut one: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let count: u16 = self.get()?;
+        let mut out = Vec::with_capacity(usize::from(count).min(self.0.len() / min));
+        for _ in 0..count {
+            out.push(one(self)?);
+        }
+        Some(out)
+    }
+}
+
+/// Declares a struct whose fields are its wire layout, in order: the
+/// struct, its `put` and its `get` from one list.
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$doc:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn get(r: &mut Reader<'_>) -> Option<$name> {
+                Some($name { $($field: r.get()?,)* })
+            }
+        }
+    };
+}
+
+wire_struct! {
+    /// The attribute subset carried by a stat response.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WireAttr {
+        /// Inode number.
+        pub ino: u64,
+        /// Size in bytes.
+        pub size: u64,
+        /// Modification time (abstract ticks).
+        pub mtime: u64,
+        /// Hard link count.
+        pub nlink: u32,
+        /// Owning user.
+        pub uid: u32,
+        /// Owning group.
+        pub gid: u32,
+        /// Permission bits.
+        pub mode: u16,
+        /// Object type byte.
+        pub ftype: u8,
+    }
+}
+
+impl WireAttr {
+    /// Projects a kernel [`InodeAttr`] onto the wire subset.
+    pub fn of(a: &InodeAttr) -> WireAttr {
+        WireAttr {
+            ino: a.ino,
+            size: a.size,
+            mtime: a.mtime,
+            nlink: a.nlink,
+            uid: a.uid,
+            gid: a.gid,
+            mode: a.mode,
+            ftype: a.ftype.as_u8(),
+        }
+    }
+}
+
+/// Reads a 32-byte signature image.
+pub fn get_sig(buf: &[u8], at: &mut usize) -> Option<Signature> {
+    let sig = Reader(buf.get(*at..)?).get()?;
+    *at += SIG_BYTES;
+    Some(sig)
 }
 
 /// One request as the client builds it. Paths borrow from the caller;
@@ -188,7 +329,7 @@ pub enum ReqBody<'a> {
     },
 }
 
-impl ReqBody<'_> {
+impl<'a> ReqBody<'a> {
     /// The op code of this body.
     pub fn op(&self) -> Op {
         match self {
@@ -197,6 +338,23 @@ impl ReqBody<'_> {
             ReqBody::Readdir { .. } => Op::Readdir,
             ReqBody::LookupSig { .. } => Op::LookupSig,
         }
+    }
+
+    /// The body of a record with a known `op`: `None` when its argument
+    /// is not a UTF-8 path, or not exactly one signature image.
+    pub(crate) fn decode(op: Op, flags: u8, arg: &'a [u8]) -> Option<ReqBody<'a>> {
+        let path = || std::str::from_utf8(arg).ok();
+        Some(match op {
+            Op::Lookup => ReqBody::Lookup {
+                path: path()?,
+                want_sig: flags & FLAG_WANT_SIG != 0,
+            },
+            Op::Stat => ReqBody::Stat { path: path()? },
+            Op::Readdir => ReqBody::Readdir { path: path()? },
+            Op::LookupSig => ReqBody::LookupSig {
+                sig: Reader(arg).get().filter(|_| arg.len() == SIG_BYTES)?,
+            },
+        })
     }
 }
 
@@ -210,142 +368,6 @@ pub struct Request<'a> {
     /// The operation.
     pub body: ReqBody<'a>,
 }
-
-/// A decoded response record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Response {
-    /// The request id this answers.
-    pub id: u64,
-    /// The op byte, echoing the request's (an *unknown* code for
-    /// [`Status::BadOp`] errors — which is why this stays a raw byte).
-    pub op: u8,
-    /// Outcome.
-    pub status: Status,
-    /// Body for `Ok` responses.
-    pub body: RespBody,
-}
-
-/// Decoded response body.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum RespBody {
-    /// Error or empty body.
-    #[default]
-    None,
-    /// Lookup result.
-    Lookup {
-        /// Inode number.
-        ino: u64,
-        /// Object type byte ([`FileType::as_u8`]).
-        ftype: u8,
-        /// Signature, when requested and available.
-        sig: Option<Signature>,
-    },
-    /// Stat result.
-    Stat {
-        /// The attributes (mtime carried; ctime not on the wire).
-        attr: WireAttr,
-    },
-    /// Readdir result.
-    Readdir {
-        /// `(ino, ftype byte, name)` per entry.
-        entries: Vec<(u64, u8, String)>,
-    },
-}
-
-/// The attribute subset carried by a stat response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireAttr {
-    /// Inode number.
-    pub ino: u64,
-    /// Size in bytes.
-    pub size: u64,
-    /// Modification time (abstract ticks).
-    pub mtime: u64,
-    /// Hard link count.
-    pub nlink: u32,
-    /// Owning user.
-    pub uid: u32,
-    /// Owning group.
-    pub gid: u32,
-    /// Permission bits.
-    pub mode: u16,
-    /// Object type byte.
-    pub ftype: u8,
-}
-
-impl WireAttr {
-    /// Projects a kernel [`InodeAttr`] onto the wire subset.
-    pub fn of(a: &InodeAttr) -> WireAttr {
-        WireAttr {
-            ino: a.ino,
-            size: a.size,
-            mtime: a.mtime,
-            nlink: a.nlink,
-            uid: a.uid,
-            gid: a.gid,
-            mode: a.mode,
-            ftype: a.ftype.as_u8(),
-        }
-    }
-}
-
-// --- primitive put/get helpers ------------------------------------------
-
-#[inline]
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-#[inline]
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-#[inline]
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-#[inline]
-fn get_u16(buf: &[u8], at: &mut usize) -> Option<u16> {
-    let b = buf.get(*at..*at + 2)?;
-    *at += 2;
-    Some(u16::from_le_bytes([b[0], b[1]]))
-}
-
-#[inline]
-fn get_u32(buf: &[u8], at: &mut usize) -> Option<u32> {
-    let b = buf.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-
-#[inline]
-fn get_u64(buf: &[u8], at: &mut usize) -> Option<u64> {
-    let b = buf.get(*at..*at + 8)?;
-    *at += 8;
-    Some(u64::from_le_bytes([
-        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-    ]))
-}
-
-/// Appends a signature's 32-byte wire image.
-pub fn put_sig(out: &mut Vec<u8>, sig: &Signature) {
-    for lane in sig.to_wire() {
-        put_u64(out, lane);
-    }
-}
-
-/// Reads a 32-byte signature image.
-pub fn get_sig(buf: &[u8], at: &mut usize) -> Option<Signature> {
-    let mut lanes = [0u64; 4];
-    for lane in &mut lanes {
-        *lane = get_u64(buf, at)?;
-    }
-    Some(Signature::from_wire(lanes))
-}
-
-// --- request encode/decode ----------------------------------------------
 
 /// Encodes a batch of requests into one frame (without the 4-byte
 /// length prefix — the transport owns that).
@@ -363,18 +385,13 @@ pub fn encode_request_frame(reqs: &[Request<'_>]) -> Vec<u8> {
         reqs.len()
     );
     let mut out = Vec::with_capacity(16 + reqs.len() * 48);
-    out.push(REQ_MAGIC);
-    out.push(VERSION);
-    put_u16(&mut out, reqs.len() as u16);
+    out.extend([REQ_MAGIC, VERSION]);
+    (reqs.len() as u16).put(&mut out);
     for r in reqs {
-        put_u64(&mut out, r.id);
-        out.push(r.body.op().code());
-        let flags = match r.body {
-            ReqBody::Lookup { want_sig: true, .. } => FLAG_WANT_SIG,
-            _ => 0,
-        };
-        out.push(flags);
-        put_u16(&mut out, r.cred);
+        r.id.put(&mut out);
+        let want_sig = matches!(r.body, ReqBody::Lookup { want_sig: true, .. });
+        out.extend([r.body.op().code(), u8::from(want_sig) * FLAG_WANT_SIG]);
+        r.cred.put(&mut out);
         match r.body {
             ReqBody::Lookup { path, .. } | ReqBody::Stat { path } | ReqBody::Readdir { path } => {
                 assert!(
@@ -382,12 +399,12 @@ pub fn encode_request_frame(reqs: &[Request<'_>]) -> Vec<u8> {
                     "path of {} bytes exceeds the u16 argument length",
                     path.len()
                 );
-                put_u16(&mut out, path.len() as u16);
+                (path.len() as u16).put(&mut out);
                 out.extend_from_slice(path.as_bytes());
             }
             ReqBody::LookupSig { sig } => {
-                put_u16(&mut out, SIG_BYTES as u16);
-                put_sig(&mut out, &sig);
+                (SIG_BYTES as u16).put(&mut out);
+                sig.put(&mut out);
             }
         }
     }
@@ -426,78 +443,157 @@ pub enum DecodedFrame<'a> {
 /// Decodes a request frame (after the transport stripped the length
 /// prefix).
 pub fn decode_request_frame(buf: &[u8]) -> DecodedFrame<'_> {
-    let mut at = 0usize;
-    let Some(&magic) = buf.first() else {
-        return DecodedFrame::Malformed;
-    };
-    at += 1;
-    if magic != REQ_MAGIC {
-        return DecodedFrame::Malformed;
+    let mut r = Reader(buf);
+    match (r.get(), r.get()) {
+        (Some(REQ_MAGIC), Some(VERSION)) => {}
+        (Some(REQ_MAGIC), Some(_)) => return DecodedFrame::BadVersion,
+        _ => return DecodedFrame::Malformed,
     }
-    let Some(&version) = buf.get(at) else {
-        return DecodedFrame::Malformed;
-    };
-    at += 1;
-    if version != VERSION {
-        return DecodedFrame::BadVersion;
+    match r.records(14, |r| {
+        Some(DecodedReq {
+            id: r.get()?,
+            op: r.get()?,
+            flags: r.get()?,
+            cred: r.get()?,
+            arg: r.prefixed::<u16>()?,
+        })
+    }) {
+        Some(reqs) if r.0.is_empty() => DecodedFrame::Batch(reqs),
+        _ => DecodedFrame::Malformed,
     }
-    let Some(count) = get_u16(buf, &mut at) else {
-        return DecodedFrame::Malformed;
-    };
-    let mut reqs = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let Some(id) = get_u64(buf, &mut at) else {
-            return DecodedFrame::Malformed;
-        };
-        let Some(&op) = buf.get(at) else {
-            return DecodedFrame::Malformed;
-        };
-        let Some(&flags) = buf.get(at + 1) else {
-            return DecodedFrame::Malformed;
-        };
-        at += 2;
-        let Some(cred) = get_u16(buf, &mut at) else {
-            return DecodedFrame::Malformed;
-        };
-        let Some(arg_len) = get_u16(buf, &mut at) else {
-            return DecodedFrame::Malformed;
-        };
-        let Some(arg) = buf.get(at..at + arg_len as usize) else {
-            return DecodedFrame::Malformed;
-        };
-        at += arg_len as usize;
-        reqs.push(DecodedReq {
-            id,
-            op,
-            flags,
-            cred,
-            arg,
-        });
-    }
-    if at != buf.len() {
-        return DecodedFrame::Malformed;
-    }
-    DecodedFrame::Batch(reqs)
 }
 
 /// Peeks the record count of a request frame without decoding records
 /// (for accounting rejected frames without paying the decode).
 pub fn peek_request_count(buf: &[u8]) -> u32 {
-    if buf.len() >= 4 && buf[0] == REQ_MAGIC {
-        u16::from_le_bytes([buf[2], buf[3]]) as u32
-    } else {
-        0
+    match buf {
+        [REQ_MAGIC, _, lo, hi, ..] => u16::from_le_bytes([*lo, *hi]).into(),
+        _ => 0,
     }
 }
 
-// --- response encode/decode ---------------------------------------------
-
-/// Encoded size of a readdir body: the `u16` entry count plus
-/// `u64 ino, u8 ftype, u8 name_len, name` per entry. The server checks
-/// this against `u16::MAX` before encoding — body_len is a `u16`, so a
-/// listing past ~6500 entries is unencodable in one record.
-pub fn readdir_wire_len(entries: &[dc_fs::DirEntry]) -> usize {
+/// Encoded size of a readdir body, which the server checks against the
+/// `u16` body_len before encoding (so ~6500 entries at most).
+pub fn readdir_wire_len(entries: &[DirEntry]) -> usize {
     2 + entries.iter().map(|e| 10 + e.name.len()).sum::<usize>()
+}
+
+/// The server's answer to one request, encoded by [`RespWriter::push`].
+#[derive(Debug)]
+pub enum Reply {
+    /// An error (or otherwise body-less) response.
+    Status(Status),
+    /// A successful lookup or signature lookup (with its signature, if any).
+    Lookup(LookupReply),
+    /// A successful stat.
+    Stat(InodeAttr),
+    /// A successful readdir, as the kernel handed it out. A name past 255
+    /// bytes or a [`readdir_wire_len`] past `u16::MAX` cannot be encoded.
+    Readdir(Arc<Vec<DirEntry>>),
+}
+
+impl Reply {
+    /// The record's status.
+    pub(crate) fn status(&self) -> Status {
+        match self {
+            Reply::Status(s) => *s,
+            _ => Status::Ok,
+        }
+    }
+
+    fn put_body(&self, out: &mut Vec<u8>) {
+        match self {
+            Reply::Status(_) => {}
+            Reply::Lookup(r) => {
+                r.ino.put(out);
+                r.ftype.as_u8().put(out);
+                r.sig.iter().for_each(|sig| sig.put(out));
+            }
+            Reply::Stat(attr) => WireAttr::of(attr).put(out),
+            Reply::Readdir(entries) => {
+                (entries.len() as u16).put(out);
+                for e in entries.iter() {
+                    e.ino.put(out);
+                    out.extend([e.ftype.as_u8(), e.name.len() as u8]);
+                    out.extend_from_slice(e.name.as_bytes());
+                }
+            }
+        }
+    }
+}
+
+/// A decoded response record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Response {
+    /// The request id this answers.
+    pub id: u64,
+    /// The op byte, echoing the request's (an *unknown* code for
+    /// [`Status::BadOp`] errors — which is why this stays a raw byte).
+    pub op: u8,
+    /// Outcome.
+    pub status: Status,
+    /// Body for `Ok` responses.
+    pub body: RespBody,
+}
+
+/// Decoded response body.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum RespBody {
+    /// Error or empty body.
+    #[default]
+    None,
+    /// Lookup result.
+    Lookup {
+        /// Inode number.
+        ino: u64,
+        /// Object type byte ([`dc_fs::FileType::as_u8`]).
+        ftype: u8,
+        /// Signature, when requested and available.
+        sig: Option<Signature>,
+    },
+    /// Stat result.
+    Stat {
+        /// The attributes (mtime carried; ctime not on the wire).
+        attr: WireAttr,
+    },
+    /// Readdir result.
+    Readdir {
+        /// `(ino, ftype byte, name)` per entry.
+        entries: Vec<(u64, u8, String)>,
+    },
+}
+
+impl RespBody {
+    /// Decodes a whole record body. An `Ok` record with an op the client
+    /// doesn't know is undecodable; an error record's body is empty.
+    fn decode(status: Status, op: u8, body: &[u8]) -> Option<RespBody> {
+        let r = &mut Reader(body);
+        let decoded = match (status, Op::from_u8(op)) {
+            (Status::Ok, None) => return None,
+            (Status::Ok, Some(op @ (Op::Lookup | Op::LookupSig))) => RespBody::Lookup {
+                ino: r.get()?,
+                ftype: r.get()?,
+                sig: if r.0.is_empty() || op == Op::LookupSig {
+                    None
+                } else {
+                    Some(r.get()?)
+                },
+            },
+            (Status::Ok, Some(Op::Stat)) => RespBody::Stat { attr: r.get()? },
+            (Status::Ok, Some(Op::Readdir)) => RespBody::Readdir {
+                entries: r.records(10, |r| {
+                    let (ino, ftype) = (r.get()?, r.get()?);
+                    Some((
+                        ino,
+                        ftype,
+                        String::from_utf8(r.prefixed::<u8>()?.to_vec()).ok()?,
+                    ))
+                })?,
+            },
+            _ => RespBody::None,
+        };
+        r.0.is_empty().then_some(decoded)
+    }
 }
 
 /// Incremental response-frame builder the server encodes into.
@@ -508,36 +604,13 @@ pub struct RespWriter {
 }
 
 impl RespWriter {
-    /// Starts a frame with the given `frame_status` (0 for a normal
-    /// batch).
-    pub fn new(frame_status: u8) -> RespWriter {
+    /// Starts a frame with the given `frame_status` ([`Status::Ok`] for
+    /// a normal batch).
+    pub fn new(frame_status: Status) -> RespWriter {
         let mut buf = Vec::with_capacity(256);
-        buf.push(RESP_MAGIC);
-        buf.push(VERSION);
-        buf.push(frame_status);
-        buf.push(0); // reserved
-        put_u16(&mut buf, 0); // count back-patched in finish()
+        // The count (after the reserved byte) is back-patched in finish().
+        buf.extend([RESP_MAGIC, VERSION, frame_status.code(), 0, 0, 0]);
         RespWriter { buf, count: 0 }
-    }
-
-    fn record_header(&mut self, id: u64, status: Status, op: u8) -> usize {
-        put_u64(&mut self.buf, id);
-        self.buf.push(status.code());
-        self.buf.push(op);
-        let len_at = self.buf.len();
-        put_u16(&mut self.buf, 0); // body_len back-patched
-        self.count += 1;
-        len_at
-    }
-
-    fn patch_body_len(&mut self, len_at: usize) {
-        let body_len = self.buf.len() - len_at - 2;
-        debug_assert!(
-            body_len <= u16::MAX as usize,
-            "response body of {body_len} bytes overflows the u16 body_len \
-             (the server must bound bodies before encoding)"
-        );
-        self.buf[len_at..len_at + 2].copy_from_slice(&(body_len as u16).to_le_bytes());
     }
 
     /// Bytes encoded so far (header plus every pushed record).
@@ -545,66 +618,21 @@ impl RespWriter {
         self.buf.len()
     }
 
-    /// An error (or otherwise body-less) response.
-    pub fn push_status(&mut self, id: u64, status: Status, op: u8) {
-        let at = self.record_header(id, status, op);
-        self.patch_body_len(at);
-    }
-
-    /// A successful lookup.
-    pub fn push_lookup(&mut self, id: u64, ino: u64, ftype: FileType, sig: Option<&Signature>) {
-        let at = self.record_header(id, Status::Ok, Op::Lookup.code());
-        put_u64(&mut self.buf, ino);
-        self.buf.push(ftype.as_u8());
-        if let Some(sig) = sig {
-            put_sig(&mut self.buf, sig);
-        }
-        self.patch_body_len(at);
-    }
-
-    /// A successful signature lookup.
-    pub fn push_lookup_sig(&mut self, id: u64, ino: u64, ftype: FileType) {
-        let at = self.record_header(id, Status::Ok, Op::LookupSig.code());
-        put_u64(&mut self.buf, ino);
-        self.buf.push(ftype.as_u8());
-        self.patch_body_len(at);
-    }
-
-    /// A successful stat.
-    pub fn push_stat(&mut self, id: u64, attr: &InodeAttr) {
-        let at = self.record_header(id, Status::Ok, Op::Stat.code());
-        let w = WireAttr::of(attr);
-        put_u64(&mut self.buf, w.ino);
-        put_u64(&mut self.buf, w.size);
-        put_u64(&mut self.buf, w.mtime);
-        put_u32(&mut self.buf, w.nlink);
-        put_u32(&mut self.buf, w.uid);
-        put_u32(&mut self.buf, w.gid);
-        put_u16(&mut self.buf, w.mode);
-        self.buf.push(w.ftype);
-        self.patch_body_len(at);
-    }
-
-    /// A successful readdir. Names beyond 255 bytes and listings whose
-    /// encoded body ([`readdir_wire_len`]) exceeds the `u16` body_len
-    /// cannot be encoded; the caller bounds both (the server answers
-    /// such listings with [`Status::TooBig`] instead).
-    pub fn push_readdir(&mut self, id: u64, entries: &[dc_fs::DirEntry]) {
-        let at = self.record_header(id, Status::Ok, Op::Readdir.code());
-        put_u16(&mut self.buf, entries.len() as u16);
-        for e in entries {
-            put_u64(&mut self.buf, e.ino);
-            self.buf.push(e.ftype.as_u8());
-            self.buf.push(e.name.len() as u8);
-            self.buf.extend_from_slice(e.name.as_bytes());
-        }
-        self.patch_body_len(at);
+    /// Appends the record answering request `id`, whose op byte was `op`.
+    pub fn push(&mut self, id: u64, op: u8, reply: &Reply) {
+        id.put(&mut self.buf);
+        self.buf.extend([reply.status().code(), op, 0, 0]);
+        let body_at = self.buf.len();
+        reply.put_body(&mut self.buf);
+        let body_len = u16::try_from(self.buf.len() - body_at)
+            .expect("the server bounds a body to the u16 body_len before encoding it");
+        self.buf[body_at - 2..body_at].copy_from_slice(&body_len.to_le_bytes());
+        self.count += 1;
     }
 
     /// Finalizes the frame bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        let count = self.count;
-        self.buf[4..6].copy_from_slice(&count.to_le_bytes());
+        self.buf[4..6].copy_from_slice(&self.count.to_le_bytes());
         self.buf
     }
 }
@@ -621,101 +649,21 @@ pub struct RespFrame {
 
 /// Decodes a response frame (client side). `None` on malformed input.
 pub fn decode_response_frame(buf: &[u8]) -> Option<RespFrame> {
-    let mut at = 0usize;
-    if *buf.first()? != RESP_MAGIC || *buf.get(1)? != VERSION {
+    let mut r = Reader(buf);
+    let [magic, version, frame_status, _reserved] = r.array()?;
+    if (magic, version) != (RESP_MAGIC, VERSION) {
         return None;
     }
-    let frame_status = *buf.get(2)?;
-    at += 4; // magic, version, frame_status, reserved
-    let count = get_u16(buf, &mut at)?;
-    let mut records = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = get_u64(buf, &mut at)?;
-        let status_b = *buf.get(at)?;
-        let op_b = *buf.get(at + 1)?;
-        at += 2;
-        let body_len = get_u16(buf, &mut at)? as usize;
-        let body_end = at.checked_add(body_len)?;
-        if body_end > buf.len() {
-            return None;
-        }
-        let status = Status::from_code(status_b)?;
-        let body = if status == Status::Ok {
-            // An `Ok` record with an op the client doesn't know is
-            // undecodable; error records just echo the byte.
-            match Op::from_u8(op_b)? {
-                Op::Lookup => {
-                    let ino = get_u64(buf, &mut at)?;
-                    let ftype = *buf.get(at)?;
-                    at += 1;
-                    let sig = if at < body_end {
-                        Some(get_sig(buf, &mut at)?)
-                    } else {
-                        None
-                    };
-                    RespBody::Lookup { ino, ftype, sig }
-                }
-                Op::LookupSig => {
-                    let ino = get_u64(buf, &mut at)?;
-                    let ftype = *buf.get(at)?;
-                    at += 1;
-                    RespBody::Lookup {
-                        ino,
-                        ftype,
-                        sig: None,
-                    }
-                }
-                Op::Stat => {
-                    let ino = get_u64(buf, &mut at)?;
-                    let size = get_u64(buf, &mut at)?;
-                    let mtime = get_u64(buf, &mut at)?;
-                    let nlink = get_u32(buf, &mut at)?;
-                    let uid = get_u32(buf, &mut at)?;
-                    let gid = get_u32(buf, &mut at)?;
-                    let mode = get_u16(buf, &mut at)?;
-                    let ftype = *buf.get(at)?;
-                    at += 1;
-                    RespBody::Stat {
-                        attr: WireAttr {
-                            ino,
-                            size,
-                            mtime,
-                            nlink,
-                            uid,
-                            gid,
-                            mode,
-                            ftype,
-                        },
-                    }
-                }
-                Op::Readdir => {
-                    let n = get_u16(buf, &mut at)?;
-                    let mut entries = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        let ino = get_u64(buf, &mut at)?;
-                        let ftype = *buf.get(at)?;
-                        let name_len = *buf.get(at + 1)? as usize;
-                        at += 2;
-                        let name = buf.get(at..at + name_len)?;
-                        at += name_len;
-                        entries.push((ino, ftype, String::from_utf8(name.to_vec()).ok()?));
-                    }
-                    RespBody::Readdir { entries }
-                }
-            }
-        } else {
-            RespBody::None
-        };
-        if at != body_end {
-            return None;
-        }
-        records.push(Response {
+    let records = r.records(12, |r| {
+        let (id, status, op) = (r.get()?, Status::from_code(r.get()?)?, r.get()?);
+        let body = RespBody::decode(status, op, r.prefixed::<u16>()?)?;
+        Some(Response {
             id,
-            op: op_b,
+            op,
             status,
             body,
-        });
-    }
+        })
+    })?;
     Some(RespFrame {
         frame_status,
         records,
@@ -725,6 +673,7 @@ pub fn decode_response_frame(buf: &[u8]) -> Option<RespFrame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dc_fs::FileType;
 
     #[test]
     fn status_codes_round_trip() {
@@ -879,28 +828,29 @@ mod tests {
             mtime: 7,
             ctime: 8,
         };
-        let mut w = RespWriter::new(0);
-        w.push_lookup(1, 42, FileType::Regular, Some(&sig));
-        w.push_lookup(2, 43, FileType::Directory, None);
-        w.push_stat(3, &attr);
-        w.push_readdir(
-            4,
-            &[
-                dc_fs::DirEntry {
-                    name: "etc".to_string(),
-                    ino: 5,
-                    ftype: FileType::Directory,
-                },
-                dc_fs::DirEntry {
-                    name: "passwd".to_string(),
-                    ino: 6,
-                    ftype: FileType::Regular,
-                },
-            ],
-        );
-        w.push_status(5, Status::Fs(FsError::NoEnt), Op::Stat.code());
-        w.push_status(6, Status::SigMiss, Op::LookupSig.code());
-        w.push_lookup_sig(7, 44, FileType::Symlink);
+        let lookup = |ino, ftype, sig| Reply::Lookup(LookupReply { ino, ftype, sig });
+        let mut w = RespWriter::new(Status::Ok);
+        let (lookup_op, sig_op) = (Op::Lookup.code(), Op::LookupSig.code());
+        w.push(1, lookup_op, &lookup(42, FileType::Regular, Some(sig)));
+        w.push(2, lookup_op, &lookup(43, FileType::Directory, None));
+        w.push(3, Op::Stat.code(), &Reply::Stat(attr));
+        let listing = vec![
+            dc_fs::DirEntry {
+                name: "etc".to_string(),
+                ino: 5,
+                ftype: FileType::Directory,
+            },
+            dc_fs::DirEntry {
+                name: "passwd".to_string(),
+                ino: 6,
+                ftype: FileType::Regular,
+            },
+        ];
+        w.push(4, Op::Readdir.code(), &Reply::Readdir(Arc::new(listing)));
+        let no_ent = Reply::Status(Status::Fs(FsError::NoEnt));
+        w.push(5, Op::Stat.code(), &no_ent);
+        w.push(6, sig_op, &Reply::Status(Status::SigMiss));
+        w.push(7, sig_op, &lookup(44, FileType::Symlink, None));
         let frame = w.finish();
 
         let f = decode_response_frame(&frame).expect("decode");
@@ -984,18 +934,22 @@ mod tests {
                 ftype: FileType::Regular,
             })
             .collect();
-        let mut w = RespWriter::new(0);
+        let mut w = RespWriter::new(Status::Ok);
         let before = w.encoded_len();
-        w.push_readdir(1, &entries);
+        w.push(
+            1,
+            Op::Readdir.code(),
+            &Reply::Readdir(Arc::new(entries.clone())),
+        );
         // record header is u64 id + u8 status + u8 op + u16 body_len.
         assert_eq!(w.encoded_len() - before - 12, readdir_wire_len(&entries));
     }
 
     #[test]
     fn overload_frame_is_empty_with_status() {
-        let frame = RespWriter::new(STATUS_OVERLOADED).finish();
+        let frame = RespWriter::new(Status::Overloaded).finish();
         let f = decode_response_frame(&frame).unwrap();
-        assert_eq!(f.frame_status, STATUS_OVERLOADED);
+        assert_eq!(f.frame_status, Status::Overloaded.code());
         assert!(f.records.is_empty());
     }
 }

@@ -44,15 +44,11 @@
 //! timed exactly when its stages are. Counters count every frame.
 
 use crate::admission::{MemoryGate, Verdict};
-use crate::proto::{
-    self, DecodedFrame, DecodedReq, Op, RespWriter, Status, STATUS_BAD_VERSION, STATUS_OVERLOADED,
-};
+use crate::proto::{self, DecodedFrame, DecodedReq, Op, Reply, ReqBody, RespWriter, Status};
 use crate::stats::{ServeMetrics, ServeStats, WorkerHists};
 use crate::transport::{read_frame, write_frame, DuplexEnd};
-use dc_fs::{DirEntry, InodeAttr};
 use dc_obs::{LatencyHist, TraceEvent};
-use dc_sighash::Signature;
-use dc_vfs::{FileType, Kernel, Process, SigLookup};
+use dc_vfs::{Kernel, LookupReply, Process, SigLookup};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
@@ -404,7 +400,11 @@ impl Server {
         // Unconditional: the flag was set under the lock, so a worker
         // either saw it there or is asleep and must be woken to see it.
         self.inner.queue.ready.notify_all();
-        for h in self.workers.lock().unwrap().drain(..) {
+        let mut workers = self
+            .workers
+            .lock()
+            .expect("only shutdown locks the worker handles, and it never panics holding them");
+        for h in workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -422,7 +422,7 @@ impl Inner {
     fn submit(&self, conn: &Arc<ConnShared>, frame: Vec<u8>) {
         if frame.len() > self.config.max_frame_bytes {
             self.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-            conn.push(RespWriter::new(Status::TooBig.code()).finish());
+            conn.push(RespWriter::new(Status::TooBig).finish());
             return;
         }
         // Fast path only — the authoritative shutdown check happens
@@ -477,7 +477,7 @@ impl Inner {
             .rejected_requests
             .fetch_add(ops as u64, Ordering::Relaxed);
         self.kernel.obs().event(|| TraceEvent::ServeReject { ops });
-        conn.push(RespWriter::new(STATUS_OVERLOADED).finish());
+        conn.push(RespWriter::new(Status::Overloaded).finish());
     }
 
     /// Runs the shrinker down to the gate's low-water mark. Exactly one
@@ -519,11 +519,11 @@ impl Inner {
             DecodedFrame::Batch(reqs) => reqs,
             DecodedFrame::BadVersion => {
                 self.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                return RespWriter::new(STATUS_BAD_VERSION).finish();
+                return RespWriter::new(Status::BadVersion).finish();
             }
             DecodedFrame::Malformed => {
                 self.stats.bad_frames.fetch_add(1, Ordering::Relaxed);
-                return RespWriter::new(Status::BadRequest.code()).finish();
+                return RespWriter::new(Status::BadRequest).finish();
             }
         };
 
@@ -531,7 +531,7 @@ impl Inner {
         // the credential table: per-lookup pins inside the kernel
         // collapse to a nesting bump, and each request borrows its
         // process from the table.
-        let results: Vec<(u64, u8, ExecResult)> = stage(hists.map(|h| &h.batch_exec), || {
+        let results: Vec<(u64, u8, Reply)> = stage(hists.map(|h| &h.batch_exec), || {
             let creds = self
                 .creds
                 .read()
@@ -552,40 +552,24 @@ impl Inner {
     }
 
     /// The response frame for a batch's results.
-    fn encode(&self, results: Vec<(u64, u8, ExecResult)>) -> Vec<u8> {
-        let mut w = RespWriter::new(0);
-        let mut too_big = false;
-        for (id, op, result) in results {
-            match result {
-                ExecResult::Status(status) => {
-                    if status != Status::Ok {
-                        self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    w.push_status(id, status, op);
-                }
-                ExecResult::Lookup { ino, ftype, sig } => {
-                    w.push_lookup(id, ino, ftype, sig.as_ref())
-                }
-                ExecResult::LookupSig { ino, ftype } => w.push_lookup_sig(id, ino, ftype),
-                ExecResult::Stat(attr) => w.push_stat(id, &attr),
-                ExecResult::Readdir(entries) => w.push_readdir(id, &entries),
+    fn encode(&self, results: Vec<(u64, u8, Reply)>) -> Vec<u8> {
+        let mut w = RespWriter::new(Status::Ok);
+        for (id, op, reply) in &results {
+            if reply.status() != Status::Ok {
+                self.stats.errors.fetch_add(1, Ordering::Relaxed);
             }
+            w.push(*id, *op, reply);
             // The peer reads responses under the same frame cap as
             // requests; a batch whose encoded response would blow it
             // (e.g. many near-cap readdirs) fails typed at the frame
             // level instead of poisoning the connection. Checked per
             // record so the overshoot stays bounded by one record.
             if w.encoded_len() > self.config.max_frame_bytes {
-                too_big = true;
-                break;
+                self.stats.resp_too_big.fetch_add(1, Ordering::Relaxed);
+                return RespWriter::new(Status::TooBig).finish();
             }
         }
-        if too_big {
-            self.stats.resp_too_big.fetch_add(1, Ordering::Relaxed);
-            RespWriter::new(Status::TooBig.code()).finish()
-        } else {
-            w.finish()
-        }
+        w.finish()
     }
 
     fn execute(
@@ -593,75 +577,52 @@ impl Inner {
         req: &DecodedReq<'_>,
         creds: &HashMap<u16, Arc<Process>>,
         hists: Option<&WorkerHists>,
-    ) -> ExecResult {
+    ) -> Reply {
         let Some(op) = Op::from_u8(req.op) else {
-            return ExecResult::Status(Status::BadOp);
+            return Reply::Status(Status::BadOp);
         };
         self.stats.per_op[op].fetch_add(1, Ordering::Relaxed);
         let Some(proc) = creds.get(&req.cred) else {
-            return ExecResult::Status(Status::BadCred);
+            return Reply::Status(Status::BadCred);
         };
-        let timed = hists.map(|h| &h.per_op[op.idx()]);
-        match op {
-            Op::Lookup | Op::Stat | Op::Readdir => {
-                if req.arg.len() > MAX_PATH_ARG {
-                    return ExecResult::Status(Status::TooBig);
-                }
-                let Ok(path) = std::str::from_utf8(req.arg) else {
-                    return ExecResult::Status(Status::BadRequest);
-                };
-                stage(timed, || match op {
-                    Op::Lookup => {
-                        let want_sig = req.flags & proto::FLAG_WANT_SIG != 0;
-                        match self.kernel.lookup_path(proc, path, want_sig) {
-                            Ok(r) => ExecResult::Lookup {
-                                ino: r.ino,
-                                ftype: r.ftype,
-                                sig: r.sig,
-                            },
-                            Err(e) => ExecResult::Status(Status::Fs(e)),
-                        }
-                    }
-                    Op::Stat => match self.kernel.stat_path(proc, path) {
-                        Ok(attr) => ExecResult::Stat(attr),
-                        Err(e) => ExecResult::Status(Status::Fs(e)),
-                    },
-                    Op::Readdir => match self.kernel.readdir_path(proc, path) {
-                        Ok(entries) => {
-                            // The encoded body (2 + Σ(10 + name_len))
-                            // must fit the u16 body_len — bounding the
-                            // entry count alone is not enough.
-                            if proto::readdir_wire_len(&entries) > u16::MAX as usize
-                                || entries.iter().any(|e| e.name.len() > 255)
-                            {
-                                ExecResult::Status(Status::TooBig)
-                            } else {
-                                ExecResult::Readdir(entries)
-                            }
-                        }
-                        Err(e) => ExecResult::Status(Status::Fs(e)),
-                    },
-                    Op::LookupSig => unreachable!(),
-                })
-            }
-            Op::LookupSig => {
-                let sig = match proto::get_sig(req.arg, &mut 0) {
-                    Some(sig) if req.arg.len() == proto::SIG_BYTES => sig,
-                    _ => return ExecResult::Status(Status::BadRequest),
-                };
-                stage(timed, || match self.kernel.lookup_sig(proc, &sig) {
-                    SigLookup::Hit(r) => ExecResult::LookupSig {
-                        ino: r.ino,
-                        ftype: r.ftype,
-                    },
-                    SigLookup::Neg(e) => ExecResult::Status(Status::Fs(e)),
-                    SigLookup::Miss => {
-                        self.stats.sig_miss.fetch_add(1, Ordering::Relaxed);
-                        ExecResult::Status(Status::SigMiss)
-                    }
-                })
-            }
+        if op != Op::LookupSig && req.arg.len() > MAX_PATH_ARG {
+            return Reply::Status(Status::TooBig);
         }
+        let Some(body) = ReqBody::decode(op, req.flags, req.arg) else {
+            return Reply::Status(Status::BadRequest);
+        };
+        let fs = |e| Reply::Status(Status::Fs(e));
+        stage(hists.map(|h| &h.per_op[op.idx()]), || match body {
+            ReqBody::Lookup { path, want_sig } => self
+                .kernel
+                .lookup_path(proc, path, want_sig)
+                .map_or_else(fs, Reply::Lookup),
+            ReqBody::Stat { path } => self
+                .kernel
+                .stat_path(proc, path)
+                .map_or_else(fs, Reply::Stat),
+            ReqBody::Readdir { path } => match self.kernel.readdir_path(proc, path) {
+                // The encoded body (2 + Σ(10 + name_len)) must fit the
+                // u16 body_len — bounding the entry count alone is not
+                // enough.
+                Ok(entries)
+                    if proto::readdir_wire_len(&entries) > u16::MAX as usize
+                        || entries.iter().any(|e| e.name.len() > 255) =>
+                {
+                    Reply::Status(Status::TooBig)
+                }
+                r => r.map_or_else(fs, Reply::Readdir),
+            },
+            ReqBody::LookupSig { sig } => match self.kernel.lookup_sig(proc, &sig) {
+                // The reply to a signature carries no signature.
+                SigLookup::Hit(r) => Reply::Lookup(LookupReply { sig: None, ..r }),
+                SigLookup::Neg(e) => fs(e),
+                SigLookup::Miss => {
+                    self.stats.sig_miss.fetch_add(1, Ordering::Relaxed);
+                    Reply::Status(Status::SigMiss)
+                }
+            },
+        })
     }
 }
 
@@ -675,24 +636,6 @@ fn stage<T>(hist: Option<&LatencyHist>, f: impl FnOnce() -> T) -> T {
     let out = f();
     hist.record(t.elapsed().as_nanos() as u64);
     out
-}
-
-/// Kernel-side result of one request, before encoding.
-enum ExecResult {
-    Status(Status),
-    Lookup {
-        ino: u64,
-        ftype: FileType,
-        sig: Option<Signature>,
-    },
-    LookupSig {
-        ino: u64,
-        ftype: FileType,
-    },
-    Stat(InodeAttr),
-    /// The listing as the kernel handed it out: a complete directory's
-    /// published block, encoded in place.
-    Readdir(Arc<Vec<DirEntry>>),
 }
 
 #[cfg(test)]
